@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked-example spec in two width flavors."""
+"""Shared fixtures: the worked-example spec in two width flavors, plus a
+mixed-signedness divide/modulus spec."""
 
 from pathlib import Path
 
@@ -31,6 +32,20 @@ ci g(opcode=1) {
   input c: signed<8>;
   output y: signed<16>;
   y = (a * b) + c;
+}
+"""
+
+# Flooring modulus of a signed dividend by an unsigned divisor (one 1-bit
+# zero-extend adapter, a divider and the mod-correct select), a quotient
+# and an unsigned output wider than the signed root, so the result path
+# resizes twice.
+MOD_TEXT = """\
+ci h(opcode=2) {
+  input a: signed<8>;
+  input b: unsigned<8>;
+  input c: signed<4>;
+  output m: unsigned<16>;
+  m = (a mod b) - (a / c);
 }
 """
 

@@ -18,7 +18,7 @@ from cigen.hdl import (
 )
 from cigen.mapper import map_design
 
-from conftest import MAC_TEXT
+from conftest import MAC_TEXT, MOD_TEXT, NARROW_TEXT
 
 
 def _design(text: str) -> ast.HdlDesign:
@@ -42,6 +42,14 @@ class TestGolden:
     def test_emission_matches_golden(self, mac_spec, mac_mapped, golden_dir):
         text = emit_vhdl(build_design(mac_spec, mac_mapped))
         assert text == (golden_dir / "f.vhd").read_text()
+
+    @pytest.mark.parametrize("text, golden", [(NARROW_TEXT, "g.vhd"),
+                                              (MOD_TEXT, "h.vhd")])
+    def test_adapter_and_divider_emission_matches_golden(self, golden_dir,
+                                                         text, golden):
+        # g: extend adapter, output resize, support entity; h: divider,
+        # mod-correct select, 1-bit zero-extend, node slice, nested resize
+        assert emit_vhdl(_design(text)) == (golden_dir / golden).read_text()
 
     def test_emission_is_deterministic(self, mac_spec):
         first = emit_vhdl(build_design(mac_spec, map_design(mac_spec)))
