@@ -4,8 +4,9 @@ Four subcommands cover the toolchain: build compiles a spec into checked
 artifacts, simulate runs one invocation cycle by cycle, patch rewrites a C
 source to call the instruction, and report prints the latency and energy
 estimates.  Exit codes: 0 on success, 1 for user errors (bad arguments,
-unparsable specs, failed matches), 2 when an internal consistency check
-caught a bad design before it reached disk.
+unparsable specs or configs, unreadable or unwritable files, failed
+matches), 2 when an internal consistency check caught a bad design before
+it reached disk.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -34,26 +36,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_spec(path: str) -> CiSpec:
+def _read_text(path: str | Path, what: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CigenError(f"cannot read spec: {exc}") from exc
-    return parse_ci_spec(text)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CigenError(f"cannot read {what}: {exc}") from exc
+
+
+def _load_spec(path: str) -> CiSpec:
+    return parse_ci_spec(_read_text(path, "spec"))
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise CigenError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CigenError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise CigenError("config must be a JSON object")
-    return config
+    """The header intrinsic and the estimate_metrics keywords of a config
+    file, every key checked before any other work is done."""
+    config = {}
+    if path is not None:
+        try:
+            config = json.loads(_read_text(path, "config"))
+        except json.JSONDecodeError as exc:
+            raise CigenError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise CigenError("config must be a JSON object")
+    intrinsic = config.get("intrinsic", DEFAULT_INTRINSIC)
+    if not isinstance(intrinsic, str) or not re.fullmatch(r"[A-Za-z_]\w*", intrinsic, re.A):
+        raise CigenError(f"config intrinsic must be a C identifier, got {intrinsic!r}")
+    metrics = {}
+    if "costs" in config:
+        if not isinstance(config["costs"], dict):
+            raise CigenError("config costs must be a JSON object")
+        metrics["costs"] = CostModel.from_dict(config["costs"])
+    for key in ("power_mw", "time_ms"):
+        if key in config:
+            try:
+                metrics[key] = float(config[key])
+            except (TypeError, ValueError) as exc:
+                raise CigenError(f"config {key} must be a number") from exc
+    return {"intrinsic": intrinsic, "metrics": metrics}
 
 
 def _parse_inputs(text: str) -> dict[str, int]:
@@ -81,18 +100,9 @@ def _parse_cycles(text: str | None) -> frozenset[int]:
         raise CigenError(f"bad cycle list '{text}'") from exc
 
 
-def _metrics_kwargs(config: dict) -> dict:
-    kwargs = {}
-    if "costs" in config:
-        kwargs["costs"] = CostModel.from_dict(config["costs"])
-    if "power_mw" in config:
-        kwargs["power_mw"] = float(config["power_mw"])
-    if "time_ms" in config:
-        kwargs["time_ms"] = float(config["time_ms"])
-    return kwargs
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
+    if args.vectors < 1:
+        raise CigenError(f"--vectors must be at least 1, got {args.vectors}")
     config = _load_config(args.config)
     spec = _load_spec(args.spec)
     print(f"[1/5] parse: {spec.name} (opcode {spec.opcode}, "
@@ -114,25 +124,24 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
     rng = random.Random(args.seed)
     vectors = random_vectors(rng, spec, args.vectors)
-    mismatches = check_equivalence(spec, mapped, vectors)
+    mismatches = check_equivalence(spec, mapped, vectors, design=design)
     if mismatches:
         raise InternalCheckError(
             f"simulation disagrees with the reference on "
-            f"{len(mismatches)}/{args.vectors} vectors; first: {mismatches[0]}; "
-            "no artifacts written")
+            f"{len(mismatches)}/{args.vectors} vectors; first: {mismatches[0]}")
     print(f"[4/5] check: {args.vectors}/{args.vectors} vectors bit-exact")
 
+    report = estimate_metrics(spec, mapped, **config["metrics"])
+    artifacts = {
+        f"{spec.name}.vhd": text,
+        header_filename(spec): emit_header(spec, mapped, config["intrinsic"]),
+        "report.json": json.dumps(report.to_dict(), indent=2) + "\n",
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vhd_path = out / f"{spec.name}.vhd"
-    header_path = out / header_filename(spec)
-    report_path = out / "report.json"
-    vhd_path.write_text(text)
-    intrinsic = config.get("intrinsic", DEFAULT_INTRINSIC)
-    header_path.write_text(emit_header(spec, mapped, intrinsic))
-    report = estimate_metrics(spec, mapped, **_metrics_kwargs(config))
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    print(f"[5/5] write: {vhd_path} {header_path} {report_path}")
+    for name, content in artifacts.items():
+        (out / name).write_text(content)
+    print(f"[5/5] write: {' '.join(str(out / name) for name in artifacts)}")
     return 0
 
 
@@ -165,17 +174,13 @@ def _cmd_patch(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     mapped = map_design(spec)
     source_path = Path(args.source)
-    try:
-        source = source_path.read_text()
-    except OSError as exc:
-        raise CigenError(f"cannot read C source: {exc}") from exc
+    source = _read_text(source_path, "C source")
 
     plan = rewrite(source, spec, mapped)
     header_dir = Path(args.header_dir) if args.header_dir else source_path.parent
     header_dir.mkdir(parents=True, exist_ok=True)
     header_path = header_dir / header_filename(spec)
-    intrinsic = config.get("intrinsic", DEFAULT_INTRINSIC)
-    header_path.write_text(emit_header(spec, mapped, intrinsic))
+    header_path.write_text(emit_header(spec, mapped, config["intrinsic"]))
 
     if args.in_place:
         out_path = source_path
@@ -192,7 +197,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     spec = _load_spec(args.spec)
     mapped = map_design(spec)
-    kwargs = _metrics_kwargs(config)
+    kwargs = dict(config["metrics"])
     if args.power_mw is not None:
         kwargs["power_mw"] = args.power_mw
     if args.time_ms is not None:
@@ -274,11 +279,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CigenError as exc:
+    except (CigenError, OSError) as exc:
         print(f"cigen: error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:
-        print(f"cigen: internal check failed: {exc}", file=sys.stderr)
+        # every command checks before it writes
+        print(f"cigen: internal check failed: {exc}; no artifacts written",
+              file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,9 @@
 
 Every user-visible failure derives from CigenError so the CLI can map it to
 exit code 1.  InternalCheckError marks failures of the tool's own validation
-and equivalence gates and maps to exit code 2.
+and equivalence gates, including a component used against its width
+contract, which only a faulty generated design can cause; it maps to exit
+code 2.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 
 class CigenError(Exception):
     """Base class for all tool errors caused by user input."""
+
+
+class InternalCheckError(Exception):
+    """Structural validation or equivalence failed on tool-generated output."""
 
 
 class SpecSyntaxError(CigenError):
@@ -53,11 +59,11 @@ class NoInputs(CigenError):
     """A design with zero used operands cannot be loaded."""
 
 
-class WidthMismatch(CigenError):
+class WidthMismatch(InternalCheckError):
     """Component inputs whose widths disagree with the component contract."""
 
 
-class NotWidening(CigenError):
+class NotWidening(InternalCheckError):
     """An extension whose target width does not exceed the source width."""
 
 
@@ -87,7 +93,3 @@ class LexError(CigenError):
 
 class NoMatchFound(CigenError):
     """No rewritable occurrence of the CI expression in the C source."""
-
-
-class InternalCheckError(Exception):
-    """Structural validation or equivalence failed on tool-generated output."""

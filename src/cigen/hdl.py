@@ -1,5 +1,11 @@
 """Build, validate and emit the VHDL design for a mapped CI.
 
+``build_design`` is the one place the datapath is worked out from a
+``MappedDesign``: the control schedule, per-node truncation, root-to-port
+adaptation and the modulus correction all become nodes of the
+``HdlDesign`` it returns.  ``emit_vhdl`` renders that design, holding all
+VHDL spelling; ``validate_structure`` walks it; the simulator executes it.
+
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
 result (32 bit out).  Internally the datapath holds one register per used
@@ -21,11 +27,13 @@ endings, two-space indents).
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import re
 from dataclasses import dataclass
 
 from . import vhdl_ast as ast
-from .frontend import CiSpec, LeafNode, OpNode
+from .frontend import CiSpec, LeafNode, OperandDecl, OpNode
 from .lpm import (
     COMPONENT_DECLS,
     ComponentKind,
@@ -35,7 +43,6 @@ from .lpm import (
     render_instance,
 )
 from .mapper import (
-    AdapterPlan,
     DivOutput,
     InstancePlan,
     MappedDesign,
@@ -79,68 +86,37 @@ def _vec_type(width: int) -> str:
 
 
 def _wire_names(inst: InstancePlan) -> tuple[tuple[str, int], ...]:
-    """Combinational output wires an instance drives, with widths."""
+    """The wires on an instance's output ports, in declaration order, with
+    their widths."""
     if inst.kind is ComponentKind.ADD_SUB:
         return ((f"w_{inst.node}", inst.generics.width),)
     if inst.kind is ComponentKind.MULT:
         assert isinstance(inst.generics, MultGenerics)
         return ((f"w_{inst.node}_p", inst.generics.width_p),)
     assert isinstance(inst.generics, DivideGenerics)
-    wires = [(f"w_{inst.node}_q", inst.generics.width_n),
-             (f"w_{inst.node}_r", inst.generics.width_d)]
-    if inst.mod_correct:
-        wires.append((f"w_{inst.node}_m", inst.generics.width_d))
-    return tuple(wires)
+    return ((f"w_{inst.node}_q", inst.generics.width_n),
+            (f"w_{inst.node}_r", inst.generics.width_d))
 
 
-def _node_take(inst: InstancePlan) -> tuple[str, int]:
-    """The wire carrying the node's value and that wire's width.  The node
-    value is the low node-width bits of this wire."""
-    if inst.kind is ComponentKind.ADD_SUB:
-        return f"w_{inst.node}", inst.generics.width
-    if inst.kind is ComponentKind.MULT:
-        assert isinstance(inst.generics, MultGenerics)
-        return f"w_{inst.node}_p", inst.generics.width_p
-    assert isinstance(inst.generics, DivideGenerics)
-    if inst.div_output is DivOutput.QUOTIENT:
-        return f"w_{inst.node}_q", inst.generics.width_n
-    if inst.mod_correct:
-        return f"w_{inst.node}_m", inst.generics.width_d
-    return f"w_{inst.node}_r", inst.generics.width_d
+def _low_bits(name: str, width: int, take: int) -> ast.Expr:
+    return ast.Ref(name) if take == width else ast.Slice(name, take)
 
 
-def _take_expr(signal: str, signal_width: int, take: int) -> str:
-    if take == signal_width:
-        return signal
-    return f"{signal}({take - 1} downto 0)"
-
-
-def _node_value_expr(inst: InstancePlan, node_width: int) -> str:
-    signal, width = _node_take(inst)
-    return _take_expr(signal, width, node_width)
-
-
-def _result_expr(base_signal: str, base_width: int, root_width: int,
-                 root_signed: bool, out_width: int, out_signed: bool) -> str:
+def _result_port_expr(base: str, base_width: int, root_width: int,
+                      root_signed: bool, out: OperandDecl) -> ast.Expr:
     """Adapt the root value to the output width, then to the 32-bit result
     port.  Truncation keeps low bits; widening extends by the signedness of
     the value being widened."""
-    if out_width <= root_width:
-        expr = _take_expr(base_signal, base_width, out_width)
-        width = out_width
-    elif root_signed == out_signed:
-        # one extension covers output width and port width
-        inner = _take_expr(base_signal, base_width, root_width)
-        cast = "signed" if root_signed else "unsigned"
-        return f"std_logic_vector(resize({cast}({inner}), 32))"
+    if out.width <= root_width:
+        expr = _low_bits(base, base_width, out.width)
     else:
-        inner = _take_expr(base_signal, base_width, root_width)
-        cast = "signed" if root_signed else "unsigned"
-        expr = f"std_logic_vector(resize({cast}({inner}), {out_width}))"
-        width = out_width
-    if width < 32:
-        cast = "signed" if out_signed else "unsigned"
-        expr = f"std_logic_vector(resize({cast}({expr}), 32))"
+        inner = _low_bits(base, base_width, root_width)
+        if root_signed == out.signed:
+            # one extension covers output width and port width
+            return ast.Resize(inner, root_signed, 32)
+        expr = ast.Resize(inner, root_signed, out.width)
+    if out.width < 32:
+        expr = ast.Resize(expr, out.signed, 32)
     return expr
 
 
@@ -149,8 +125,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     dfg = mapped.dfg
     analysis = mapped.analysis
     loads = load_cycle_count(mapped)
-    max_level = analysis.max_level
     done_cycle = done_cycle_enabled(mapped)
+    adapter_index = {(a.node, a.side): i for i, a in enumerate(mapped.adapters)}
 
     def child_signal(node_id: int) -> str:
         node = dfg.node(node_id)
@@ -158,128 +134,84 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
             return input_reg(node.decl.name)
         return node_reg(node_id)
 
-    adapter_index = {id(a): i for i, a in enumerate(mapped.adapters)}
-
-    def bound_input(inst_node: int, side: Side, child: int) -> str:
-        adapter = mapped.adapter_for(inst_node, side)
-        if adapter is not None:
-            return adapter_wire(adapter_index[id(adapter)])
-        return child_signal(child)
-
-    signals: list[ast.SignalDecl] = [
-        ast.SignalDecl("cnt", f"integer range 0 to {done_cycle}")]
-    for name in analysis.operand_sequence:
-        width = spec.input_by_name(name).width
-        signals.append(ast.SignalDecl(input_reg(name), _vec_type(width)))
-
+    signals = [ast.SignalDecl(input_reg(name), spec.input_by_name(name).width)
+               for name in analysis.operand_sequence]
+    registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
     assigns: list[ast.ConcurrentAssign] = []
     decls_by_kind: dict[ComponentKind, ast.ComponentDecl] = {}
+    stage_loads: dict[int, list[ast.RegisterLoad]] = {}
+    value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
 
-    for op_index, node_id in enumerate(analysis.operation_sequence):
+    for op_index, inst in enumerate(mapped.instances):
+        node_id = inst.node
         node = dfg.node(node_id)
         assert isinstance(node, OpNode)
-        inst = mapped.instance_for(node_id)
 
+        inputs = []
         for side, child in ((Side.LEFT, node.left), (Side.RIGHT, node.right)):
-            adapter = mapped.adapter_for(node_id, side)
-            if adapter is None:
-                continue
-            idx = adapter_index[id(adapter)]
-            wire = adapter_wire(idx)
-            signals.append(ast.SignalDecl(wire, _vec_type(adapter.to_width)))
-            decl, a_inst = render_instance(
-                ComponentKind.CONCAT_EXTEND,
-                ConcatExtendGenerics(adapter.from_width, adapter.to_width,
-                                     adapter.extension),
-                f"x_{idx}",
-                {"a": child_signal(child), "result": wire})
-            decls_by_kind[ComponentKind.CONCAT_EXTEND] = decl
-            instances.append(a_inst)
+            signal = child_signal(child)
+            index = adapter_index.get((node_id, side))
+            if index is not None:
+                adapter = mapped.adapters[index]
+                wire = adapter_wire(index)
+                signals.append(ast.SignalDecl(wire, adapter.to_width))
+                decl, a_inst = render_instance(
+                    ComponentKind.CONCAT_EXTEND,
+                    ConcatExtendGenerics(adapter.from_width, adapter.to_width,
+                                         adapter.extension),
+                    f"x_{index}", {"a": signal, "result": wire})
+                decls_by_kind[ComponentKind.CONCAT_EXTEND] = decl
+                instances.append(a_inst)
+                signal = wire
+            inputs.append(signal)
 
-        for wire, width in _wire_names(inst):
-            signals.append(ast.SignalDecl(wire, _vec_type(width)))
-        signals.append(ast.SignalDecl(node_reg(node_id), _vec_type(dfg.width[node_id])))
+        wires = _wire_names(inst)
+        signals.extend(ast.SignalDecl(wire, width) for wire, width in wires)
+        value, value_width = wires[1] if inst.div_output is DivOutput.REMAINDER \
+            else wires[0]
+        if inst.mod_correct:
+            assigns.append(ast.ConcurrentAssign(
+                f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
+            value = f"w_{node_id}_m"
+            signals.append(ast.SignalDecl(value, value_width))
+        signals.append(ast.SignalDecl(node_reg(node_id), dfg.width[node_id]))
+        registers.append(node_reg(node_id))
+        value_wires[node_id] = value, value_width
 
-        left_sig = bound_input(node_id, Side.LEFT, node.left)
-        right_sig = bound_input(node_id, Side.RIGHT, node.right)
-        if inst.kind is ComponentKind.ADD_SUB:
-            bindings = {"dataa": left_sig, "datab": right_sig,
-                        "result": f"w_{node_id}"}
-        elif inst.kind is ComponentKind.MULT:
-            bindings = {"dataa": left_sig, "datab": right_sig,
-                        "result": f"w_{node_id}_p"}
-        else:
-            bindings = {"numer": left_sig, "denom": right_sig,
-                        "quotient": f"w_{node_id}_q", "remain": f"w_{node_id}_r"}
+        # every component declares its input ports before its output ports
+        ports = [p.name for p in COMPONENT_DECLS[inst.kind].ports]
         decl, u_inst = render_instance(
             inst.kind, inst.generics, instance_label(op_index, node.kind.name),
-            bindings)
+            dict(zip(ports, inputs + [wire for wire, _ in wires])))
         decls_by_kind[inst.kind] = decl
         instances.append(u_inst)
-
-        if inst.mod_correct:
-            assert isinstance(inst.generics, DivideGenerics)
-            r_wire = f"w_{node_id}_r"
-            msb = inst.generics.width_d - 1
-            assigns.append(ast.ConcurrentAssign(
-                f"w_{node_id}_m",
-                f"std_logic_vector(unsigned({r_wire}) + unsigned({right_sig})) "
-                f"when unsigned({r_wire}) /= 0 and {r_wire}({msb}) /= {right_sig}({msb}) "
-                f"else {r_wire}"))
+        stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
+            node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
 
     root = dfg.root
-    root_node = dfg.node(root)
-    if isinstance(root_node, LeafNode):
-        base, base_width = input_reg(root_node.decl.name), root_node.decl.width
-    else:
-        base, base_width = _node_take(mapped.instance_for(root))
-    assigns.append(ast.ConcurrentAssign(
-        "result",
-        _result_expr(base, base_width, dfg.width[root], dfg.signed[root],
-                     spec.output.width, spec.output.signed)))
+    base = value_wires.get(root, (child_signal(root), dfg.width[root]))
+    assigns.append(ast.ConcurrentAssign("result", _result_port_expr(
+        *base, dfg.width[root], dfg.signed[root], spec.output)))
 
-    # control steps: cycles 1..done_cycle+? -> the counter runs 0..done_cycle,
-    # wrapping to idle on the edge that ends the done cycle
-    level_nodes: dict[int, list[int]] = {}
-    for node_id in analysis.operation_sequence:
-        level_nodes.setdefault(dfg.level[node_id], []).append(node_id)
-
+    # the counter runs 0..done_cycle, wrapping to idle on the edge that ends
+    # the done cycle; level l latches on step loads + l - 1
     def pair_loads(pair_index: int) -> tuple[ast.RegisterLoad, ...]:
-        first, second = mapped.loading.cycles[pair_index]
-        out = []
-        for name, port in ((first, "dataa"), (second, "datab")):
-            if name is None:
-                continue
-            width = spec.input_by_name(name).width
-            expr = port if width == 32 else f"{port}({width - 1} downto 0)"
-            out.append(ast.RegisterLoad(input_reg(name), expr))
-        return tuple(out)
-
-    def stage_loads(level: int) -> tuple[ast.RegisterLoad, ...]:
-        out = []
-        for node_id in level_nodes.get(level, ()):  # operation order within level
-            inst = mapped.instance_for(node_id)
-            out.append(ast.RegisterLoad(node_reg(node_id),
-                                        _node_value_expr(inst, dfg.width[node_id])))
-        return tuple(out)
+        return tuple(
+            ast.RegisterLoad(input_reg(name),
+                             _low_bits(port, 32, spec.input_by_name(name).width))
+            for name, port in zip(mapped.loading.cycles[pair_index],
+                                  ("dataa", "datab"))
+            if name is not None)
 
     steps = [ast.ControlStep(0, pair_loads(0), done_cycle == 1, 1)]
     for c in range(1, done_cycle + 1):
-        if c < loads:
-            step_loads = pair_loads(c)
-        elif max_level >= 1 and c >= loads:
-            step_loads = stage_loads(c - loads + 1)
-        else:
-            step_loads = ()
+        step_loads = pair_loads(c) if c < loads \
+            else tuple(stage_loads.get(c - loads + 1, ()))
         steps.append(ast.ControlStep(c, step_loads, c == done_cycle - 1,
                                      c + 1 if c < done_cycle else 0))
-
-    reset_loads = [("cnt", "0"), ("done", "'0'")]
-    reset_loads += [(s.name, "(others => '0')") for s in signals
-                    if s.name.startswith(("r_", "s_"))]
     process = ast.ControlProcess("control", "cnt", done_cycle, tuple(steps),
-                                 tuple(reset_loads))
+                                 tuple(registers))
 
     components = tuple(decl for _, decl in
                        sorted(decls_by_kind.items(), key=lambda kv: kv[0].name))
@@ -335,64 +267,79 @@ def _port_type(port: ast.Port) -> str:
     return "std_logic" if port.width == 1 else _vec_type(port.width)
 
 
+def _listed(items: list[str], sep: str, indent: str) -> list[str]:
+    """One line per item of a VHDL list, sep after all but the last."""
+    return [f"{indent}{item}{sep if i < len(items) - 1 else ''}"
+            for i, item in enumerate(items)]
+
+
 def emit_component_decl(decl: ast.ComponentDecl, indent: str = "  ") -> str:
-    lines = [f"{indent}component {decl.name}"]
-    lines.append(f"{indent}  generic (")
-    for i, g in enumerate(decl.generics):
-        sep = ";" if i < len(decl.generics) - 1 else ""
-        lines.append(f"{indent}    {g.name} : {g.vhdl_type}{sep}")
-    lines.append(f"{indent}  );")
-    lines.append(f"{indent}  port (")
-    for i, p in enumerate(decl.ports):
-        sep = ";" if i < len(decl.ports) - 1 else ""
-        lines.append(f"{indent}    {p.name} : {p.direction} {p.type_text}{sep}")
-    lines.append(f"{indent}  );")
-    lines.append(f"{indent}end component;")
-    return "\n".join(lines)
+    inner = indent + "    "
+    return "\n".join([
+        f"{indent}component {decl.name}", f"{indent}  generic (",
+        *_listed([f"{g.name} : {g.vhdl_type}" for g in decl.generics], ";", inner),
+        f"{indent}  );", f"{indent}  port (",
+        *_listed([f"{p.name} : {p.direction} {p.type_text}" for p in decl.ports],
+                 ";", inner),
+        f"{indent}  );", f"{indent}end component;"])
+
+
+def _generic_value(value: int | enum.Enum) -> str:
+    return f'"{value.value}"' if isinstance(value, enum.Enum) else str(value)
 
 
 def emit_instance(inst: ast.Instance, indent: str = "  ") -> str:
-    lines = [f"{indent}{inst.label} : {inst.component}"]
-    lines.append(f"{indent}  generic map (")
-    for i, (name, value) in enumerate(inst.generic_map):
-        sep = "," if i < len(inst.generic_map) - 1 else ""
-        lines.append(f"{indent}    {name} => {value}{sep}")
-    lines.append(f"{indent}  )")
-    lines.append(f"{indent}  port map (")
-    for i, (name, value) in enumerate(inst.port_map):
-        sep = "," if i < len(inst.port_map) - 1 else ""
-        lines.append(f"{indent}    {name} => {value}{sep}")
-    lines.append(f"{indent}  );")
-    return "\n".join(lines)
+    """Render an instantiation; the generic map pairs the component's
+    generics with the generics dataclass fields, in order."""
+    decl = COMPONENT_DECLS[inst.kind]
+    values = [getattr(inst.generics, f.name) for f in dataclasses.fields(inst.generics)]
+    inner = indent + "    "
+    return "\n".join([
+        f"{indent}{inst.label} : {decl.name}", f"{indent}  generic map (",
+        *_listed([f"{g.name} => {_generic_value(v)}"
+                  for g, v in zip(decl.generics, values)], ",", inner),
+        f"{indent}  )", f"{indent}  port map (",
+        *_listed([f"{name} => {value}" for name, value in inst.port_map], ",", inner),
+        f"{indent}  );"])
 
 
-def _emit_step_loads(lines: list[str], loads: tuple[ast.RegisterLoad, ...],
-                     indent: str) -> None:
-    for load in loads:
-        lines.append(f"{indent}{load.target} <= {load.expr};")
+def emit_expr(expr: ast.Expr, widths: dict[str, int]) -> str:
+    """Render an expression; widths gives each signal's width."""
+    if isinstance(expr, ast.Ref):
+        return expr.name
+    if isinstance(expr, ast.Slice):
+        return f"{expr.name}({expr.width - 1} downto 0)"
+    if isinstance(expr, ast.Resize):
+        cast = "signed" if expr.signed else "unsigned"
+        return (f"std_logic_vector(resize({cast}({emit_expr(expr.operand, widths)}), "
+                f"{expr.width}))")
+    r, d = expr.remainder, expr.divisor
+    msb = widths[r] - 1
+    return (f"std_logic_vector(unsigned({r}) + unsigned({d})) "
+            f"when unsigned({r}) /= 0 and {r}({msb}) /= {d}({msb}) else {r}")
 
 
-def _emit_process(proc: ast.ControlProcess) -> str:
+def _emit_process(proc: ast.ControlProcess, widths: dict[str, int]) -> str:
     lines = [f"  {proc.label} : process (clk)", "  begin",
-             "    if rising_edge(clk) then", "      if reset = '1' then"]
-    for target, value in proc.reset_loads:
-        lines.append(f"        {target} <= {value};")
+             "    if rising_edge(clk) then", "      if reset = '1' then",
+             f"        {proc.counter} <= 0;", "        done <= '0';"]
+    lines += [f"        {register} <= (others => '0');" for register in proc.registers]
     lines.append("      elsif clk_en = '1' then")
     lines.append("        done <= '0';")
-    first = proc.steps[0]
-    lines.append(f"        if {proc.counter} = 0 then")
-    lines.append("          if start = '1' then")
-    _emit_step_loads(lines, first.loads, "            ")
-    if first.set_done:
-        lines.append("            done <= '1';")
-    lines.append(f"            {proc.counter} <= {first.next_index};")
-    lines.append("          end if;")
-    for step in proc.steps[1:]:
-        lines.append(f"        elsif {proc.counter} = {step.index} then")
-        _emit_step_loads(lines, step.loads, "          ")
+
+    def step_lines(step: ast.ControlStep, indent: str) -> list[str]:
+        out = [f"{indent}{load.target} <= {emit_expr(load.expr, widths)};"
+               for load in step.loads]
         if step.set_done:
-            lines.append("          done <= '1';")
-        lines.append(f"          {proc.counter} <= {step.next_index};")
+            out.append(f"{indent}done <= '1';")
+        return out + [f"{indent}{proc.counter} <= {step.next_index};"]
+
+    first, *rest = proc.steps
+    lines += [f"        if {proc.counter} = 0 then", "          if start = '1' then",
+              *step_lines(first, "            "), "          end if;"]
+    for step in rest:
+        lines += [f"        elsif {proc.counter} = {step.index} then",
+                  *step_lines(step, "          ")]
     lines.append("        end if;")
     lines.append("      end if;")
     lines.append("    end if;")
@@ -407,13 +354,11 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
     parts.append("\n".join(design.libraries))
 
     entity = design.entity
-    lines = [f"entity {entity.name} is", "  port ("]
-    for i, port in enumerate(entity.ports):
-        sep = ";" if i < len(entity.ports) - 1 else ""
-        lines.append(f"    {port.name} : {port.direction} {_port_type(port)}{sep}")
-    lines.append("  );")
-    lines.append(f"end entity {entity.name};")
-    parts.append("\n".join(lines))
+    parts.append("\n".join([
+        f"entity {entity.name} is", "  port (",
+        *_listed([f"{port.name} : {port.direction} {_port_type(port)}"
+                  for port in entity.ports], ";", "    "),
+        "  );", f"end entity {entity.name};"]))
 
     arch = design.architecture
     body: list[str] = [f"architecture {arch.name} of {arch.of_entity} is"]
@@ -421,18 +366,21 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
         body.append("")
         body.append(emit_component_decl(decl))
     body.append("")
+    proc = arch.process
+    body.append(f"  signal {proc.counter} : integer range 0 to {proc.counter_max};")
     for sig in arch.signals:
-        body.append(f"  signal {sig.name} : {sig.type_text};")
+        body.append(f"  signal {sig.name} : {_vec_type(sig.width)};")
     body.append("")
     body.append("begin")
     for inst in arch.instances:
         body.append("")
         body.append(emit_instance(inst))
+    widths = {sig.name: sig.width for sig in arch.signals}
     for assign in arch.assigns:
         body.append("")
-        body.append(f"  {assign.target} <= {assign.expr};")
+        body.append(f"  {assign.target} <= {emit_expr(assign.expr, widths)};")
     body.append("")
-    body.append(_emit_process(arch.process))
+    body.append(_emit_process(proc, widths))
     body.append("")
     body.append(f"end architecture {arch.name};")
     parts.append("\n".join(body))
@@ -459,7 +407,7 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     identifier is VHDL-legal and case-insensitively unique; signals are
     declared once; each component is declared once and every instance binds
     every declared port of a declared component to a declared signal or port;
-    assignment and load targets are declared; nothing has two drivers.
+    assignment, load and reset targets are declared; nothing has two drivers.
     """
     violations: list[Violation] = []
     arch = design.architecture
@@ -488,6 +436,7 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     claim(design.entity.name, "entity")
     for port in design.entity.ports:
         claim(port.name, "port")
+    claim(arch.process.counter, "signal")
     for sig in arch.signals:
         claim(sig.name, "signal")
     for decl in arch.components:
@@ -517,9 +466,10 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
             drivers[name] = who
 
     for inst in arch.instances:
-        decl = components.get(inst.component)
+        component = COMPONENT_DECLS[inst.kind].name
+        decl = components.get(component)
         if decl is None:
-            violations.append(Violation("undeclared-component", inst.component,
+            violations.append(Violation("undeclared-component", component,
                                         f"instance {inst.label}"))
             continue
         decl_ports = {p.name: p for p in decl.ports}
@@ -553,5 +503,8 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     for target in sorted(process_targets):
         if target in signal_names:
             drive(target, "control process")
+    for register in arch.process.registers:
+        if register not in signal_names:
+            violations.append(Violation("load-target", register, "reset"))
 
     return violations

@@ -3,14 +3,17 @@
 Each generated datapath is assembled from four component kinds: a shared
 add/subtract unit, a multiplier, a divider producing quotient and remainder,
 and a concat/extend unit that widens vectors.  This module gives each kind
-its bit-exact evaluation semantics on two's-complement bit vectors and its
-VHDL declaration and instantiation templates, so the simulator and the HDL
-generator share one source of truth per component.
+its bit-exact evaluation semantics on two's-complement bit vectors, one
+entry per kind in ``EVALUATORS``, and its VHDL component declaration.  The
+simulator evaluates every instance of a design through that table, and the
+emitter renders every instance from the declaration, so each component's
+behaviour and interface are written once.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import vhdl_ast as ast
@@ -227,27 +230,21 @@ COMPONENT_DECLS: dict[ComponentKind, ast.ComponentDecl] = {
 }
 
 
-def _generic_map(kind: ComponentKind, generics: LpmGenerics) -> tuple[tuple[str, str], ...]:
-    if kind is ComponentKind.ADD_SUB:
-        assert isinstance(generics, AddSubGenerics)
-        return (("LPM_WIDTH", str(generics.width)),
-                ("LPM_DIRECTION", f'"{generics.direction.value}"'))
-    if kind is ComponentKind.MULT:
-        assert isinstance(generics, MultGenerics)
-        return (("LPM_WIDTHA", str(generics.width_a)),
-                ("LPM_WIDTHB", str(generics.width_b)),
-                ("LPM_WIDTHP", str(generics.width_p)),
-                ("LPM_REPRESENTATION", f'"{generics.representation.value}"'))
-    if kind is ComponentKind.DIVIDE:
-        assert isinstance(generics, DivideGenerics)
-        return (("LPM_WIDTHN", str(generics.width_n)),
-                ("LPM_WIDTHD", str(generics.width_d)),
-                ("LPM_NREPRESENTATION", f'"{generics.n_representation.value}"'),
-                ("LPM_DREPRESENTATION", f'"{generics.d_representation.value}"'))
-    assert isinstance(generics, ConcatExtendGenerics)
-    return (("FROM_WIDTH", str(generics.from_width)),
-            ("TO_WIDTH", str(generics.to_width)),
-            ("EXTEND_MODE", f'"{generics.extension.value}"'))
+def _add_sub(generics: AddSubGenerics, a: BitVec, b: BitVec) -> tuple[BitVec]:
+    if a.width != generics.width:
+        raise WidthMismatch(f"add_sub input {a.width} bits vs generic {generics.width}")
+    return (add_sub_eval(a, b, generics.direction),)
+
+
+# Per kind: generics and the input ports' values in declaration order to the
+# output ports' values in declaration order.
+EVALUATORS: dict[ComponentKind, Callable[..., tuple[BitVec, ...]]] = {
+    ComponentKind.ADD_SUB: _add_sub,
+    ComponentKind.MULT: lambda generics, a, b: (mult_eval(a, b, generics),),
+    ComponentKind.DIVIDE: lambda generics, n, d: divide_eval(n, d, generics),
+    ComponentKind.CONCAT_EXTEND:
+        lambda generics, a: (concat_extend_eval(a, generics),),
+}
 
 
 def render_instance(kind: ComponentKind, generics: LpmGenerics, instance_name: str,
@@ -265,5 +262,4 @@ def render_instance(kind: ComponentKind, generics: LpmGenerics, instance_name: s
         raise WidthMismatch(
             f"port bindings for {decl.name}: missing {sorted(missing)}, extra {sorted(extra)}")
     port_map = tuple((name, port_bindings[name]) for name in declared)
-    inst = ast.Instance(instance_name, decl.name, _generic_map(kind, generics), port_map)
-    return decl, inst
+    return decl, ast.Instance(instance_name, kind, generics, port_map)

@@ -111,25 +111,14 @@ class LoadingPlan:
 
 @dataclass(frozen=True)
 class MappedDesign:
+    """A DFG mapped onto components: one instance per op node, in
+    ``analysis.operation_sequence`` order, and the adapters its inputs need."""
     dfg: Dfg
     analysis: AnalysisResult
     kinds_needed: frozenset[ComponentKind]
     instances: tuple[InstancePlan, ...]
     adapters: tuple[AdapterPlan, ...]
-    interior_registers: tuple[int, ...]
     loading: LoadingPlan
-
-    def instance_for(self, node: int) -> InstancePlan:
-        for inst in self.instances:
-            if inst.node == node:
-                return inst
-        raise KeyError(node)
-
-    def adapter_for(self, node: int, side: Side) -> AdapterPlan | None:
-        for adapter in self.adapters:
-            if adapter.node == node and adapter.side == side:
-                return adapter
-        return None
 
 
 def input_reg(name: str) -> str:
@@ -268,8 +257,7 @@ def map_design(spec: CiSpec) -> MappedDesign:
     analysis = analyze(dfg)
     instances, adapters, kinds = plan_components(dfg, analysis)
     loading = plan_loading(analysis)
-    return MappedDesign(dfg, analysis, kinds, instances, adapters,
-                        tuple(analysis.operation_sequence), loading)
+    return MappedDesign(dfg, analysis, kinds, instances, adapters, loading)
 
 
 def load_cycle_count(mapped: MappedDesign) -> int:

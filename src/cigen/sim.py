@@ -1,12 +1,19 @@
-"""Cycle-accurate simulation of a mapped design, plus its reference oracle.
+"""Cycle-accurate simulation of a generated design, plus its reference oracle.
 
 Two evaluators live here on purpose.  ``eval_reference`` walks the expression
 tree over exact Python integers and applies the width rules at each node; it
 never looks at component instances, adapters or the control schedule.
-``simulate_ci`` interprets the mapped netlist cycle by cycle: a register file,
-combinational component evaluation, and the same counter-driven control flow
-the emitted VHDL uses.  Agreement between the two on the 32-bit result port
+``simulate_ci`` executes the ``HdlDesign`` that ``emit_vhdl`` prints, cycle
+by cycle: the registers and widths it declares, its instances through the
+component library's evaluators, its concurrent assignments and the steps of
+its control process.  Agreement between the two on the 32-bit result port
 is the bit-exactness check the rest of the toolchain relies on.
+
+Only the testbench side comes from the ``MappedDesign``: which operands the
+driver puts on dataa and datab in each load cycle (the order the C header
+sends them in) and the done cycle the latency contract promises.  Neither is
+read back from the design, so a design that loads the wrong port or finishes
+late disagrees with the reference instead of driving itself to agree.
 
 The clock model: every loop iteration is one rising edge.  A trace row shows
 the values visible during the cycle before that edge.  Registers update on
@@ -18,27 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import vhdl_ast as ast
 from .errors import DivideByZero, InputOutOfRange, InternalCheckError, ProtocolViolation
 from .frontend import CiSpec, Dfg, LeafNode, OpKind, OpNode, build_dfg
-from .lpm import (
-    BitVec,
-    ComponentKind,
-    ConcatExtendGenerics,
-    DivideGenerics,
-    add_sub_eval,
-    concat_extend_eval,
-    divide_eval,
-    mod_correct_eval,
-    mult_eval,
-)
+from .hdl import build_design
+from .lpm import COMPONENT_DECLS, EVALUATORS, BitVec, mod_correct_eval
 from .mapper import (
-    DivOutput,
     MappedDesign,
-    Side,
     adapt_root,
     done_cycle_enabled,
     infer_widths,
-    input_reg,
     load_cycle_count,
     map_design,
     node_reg,
@@ -145,109 +141,115 @@ class SimResult:
     rows: list[dict] = field(default_factory=list)
 
 
-class _Netlist:
-    """Combinational evaluation over the current register file."""
+class IndexedDesign:
+    """An HdlDesign indexed once for execution.
 
-    def __init__(self, spec: CiSpec, mapped: MappedDesign):
-        self.spec = spec
-        self.mapped = mapped
-        self.dfg = mapped.dfg
+    Registers and their widths come from the control process and the signal
+    declarations.  Every other signal is a wire, evaluated on demand from
+    its single driver (an instance output port or a concurrent assignment)
+    and cached for the cycle.  A fault of the design itself, such as a wire
+    without a driver or a value whose width differs from its signal's,
+    raises InternalCheckError.
+    """
 
-    def initial_regs(self) -> dict[str, BitVec]:
-        regs = {}
-        for name in self.mapped.analysis.operand_sequence:
-            regs[input_reg(name)] = BitVec(self.spec.input_by_name(name).width, 0)
-        for node_id in self.mapped.analysis.operation_sequence:
-            regs[node_reg(node_id)] = BitVec(self.dfg.width[node_id], 0)
-        return regs
+    def __init__(self, design: ast.HdlDesign):
+        arch = design.architecture
+        self.name = design.entity.name
+        self.widths = {p.name: p.width for p in design.entity.ports}
+        self.widths.update((s.name, s.width) for s in arch.signals)
+        self.cleared = {r: BitVec(self.widths[r], 0) for r in arch.process.registers}
+        self.steps = {step.index: step for step in arch.process.steps}
+        self._drivers: dict[str, tuple | ast.Expr] = {
+            assign.target: assign.expr for assign in arch.assigns}
+        for inst in arch.instances:
+            bound = dict(inst.port_map)
+            ports = COMPONENT_DECLS[inst.kind].ports
+            unit = (EVALUATORS[inst.kind], inst.generics,
+                    [bound[p.name] for p in ports if p.direction == "in"],
+                    [bound[p.name] for p in ports if p.direction == "out"])
+            self._drivers.update((wire, unit) for wire in unit[3])
 
-    def _port_value(self, regs: dict[str, BitVec], node_id: int, side: Side,
-                    child: int) -> BitVec:
-        child_node = self.dfg.node(child)
-        if isinstance(child_node, LeafNode):
-            raw = regs[input_reg(child_node.decl.name)]
+    def value(self, name: str, regs: dict[str, BitVec],
+              wires: dict[str, BitVec]) -> BitVec:
+        """A signal's value this cycle.  wires holds the input ports and the
+        wires evaluated so far."""
+        found = regs.get(name)
+        if found is None:
+            found = wires.get(name)
+            if found is None:
+                found = self._drive(name, regs, wires)
+        return found
+
+    def _drive(self, name: str, regs: dict[str, BitVec],
+               wires: dict[str, BitVec]) -> BitVec:
+        driver = self._drivers.get(name)
+        if driver is None:
+            raise InternalCheckError(f"{self.name}: {name} has no driver")
+        if isinstance(driver, tuple):
+            evaluate, generics, inputs, outputs = driver
+            values = evaluate(generics, *[self.value(w, regs, wires) for w in inputs])
         else:
-            raw = regs[node_reg(child)]
-        adapter = self.mapped.adapter_for(node_id, side)
-        if adapter is None:
-            return raw
-        return concat_extend_eval(
-            raw, ConcatExtendGenerics(adapter.from_width, adapter.to_width,
-                                      adapter.extension))
+            outputs, values = (name,), (self.expr(driver, regs, wires),)
+        for wire, value in zip(outputs, values):
+            wires[wire] = self.fit(wire, value)
+        return wires[name]
 
-    def node_output(self, regs: dict[str, BitVec], node_id: int) -> BitVec:
-        """The node's combinational value at its DFG width."""
-        node = self.dfg.node(node_id)
-        assert isinstance(node, OpNode)
-        inst = self.mapped.instance_for(node_id)
-        a = self._port_value(regs, node_id, Side.LEFT, node.left)
-        b = self._port_value(regs, node_id, Side.RIGHT, node.right)
-        if inst.kind is ComponentKind.ADD_SUB:
-            out = add_sub_eval(a, b, inst.generics.direction)
-        elif inst.kind is ComponentKind.MULT:
-            out = mult_eval(a, b, inst.generics)
-        else:
-            assert isinstance(inst.generics, DivideGenerics)
-            quotient, remainder = divide_eval(a, b, inst.generics)
-            if inst.div_output is DivOutput.QUOTIENT:
-                out = quotient
-            elif inst.mod_correct:
-                out = mod_correct_eval(remainder, b)
-            else:
-                out = remainder
-        width = self.dfg.width[node_id]
-        if out.width == width:
-            return out
-        return BitVec(width, out.bits & ((1 << width) - 1))
+    def fit(self, name: str, value: BitVec) -> BitVec:
+        """value, once checked against the declared width of name."""
+        if value.width != self.widths.get(name):
+            raise InternalCheckError(f"{self.name}: {value.width}-bit value on "
+                                     f"{name}, declared {self.widths.get(name)}")
+        return value
 
-    def result_port(self, regs: dict[str, BitVec]) -> BitVec:
-        root = self.dfg.root
-        node = self.dfg.node(root)
-        if isinstance(node, LeafNode):
-            value = regs[input_reg(node.decl.name)]
-        else:
-            value = self.node_output(regs, root)
-        return adapt_root(value, self.dfg.signed[root], self.spec.output)
+    def expr(self, expr: ast.Expr, regs: dict[str, BitVec],
+             wires: dict[str, BitVec]) -> BitVec:
+        if isinstance(expr, ast.Ref):
+            return self.value(expr.name, regs, wires)
+        if isinstance(expr, ast.Slice):
+            whole = self.value(expr.name, regs, wires)
+            if expr.width > whole.width:
+                raise InternalCheckError(f"{self.name}: slice of {expr.width} "
+                                         f"bits from {whole.width}-bit {expr.name}")
+            return BitVec(expr.width, whole.bits & ((1 << expr.width) - 1))
+        if isinstance(expr, ast.Resize):
+            operand = self.expr(expr.operand, regs, wires)
+            return BitVec.from_int(operand.interpret(expr.signed), expr.width)
+        return mod_correct_eval(self.value(expr.remainder, regs, wires),
+                                self.value(expr.divisor, regs, wires))
 
 
 def simulate_ci(spec: CiSpec, inputs: dict[str, int],
                 mapped: MappedDesign | None = None,
                 stimulus: Stimulus | None = None,
-                record: bool = True) -> SimResult:
-    """Drive one invocation through the netlist and return its result.
+                record: bool = True,
+                design: IndexedDesign | None = None) -> SimResult:
+    """Drive one invocation through the design and return its result.
 
-    The driver issues start with the first operand pair, streams the rest on
-    the following enabled cycles, holds every line through clk_en-low cycles,
-    and reissues from scratch after a reset pulse.  DivideByZero surfaces at
-    the enabled cycle whose register latch (or done-cycle result read)
-    consumes the bad output, with that cycle index attached.
+    design defaults to build_design(spec, mapped), indexed.  The driver
+    issues start with the first operand pair, streams the rest on the
+    following enabled cycles, holds every line through clk_en-low cycles,
+    and reissues from scratch after a reset pulse.  DivideByZero surfaces at the enabled cycle
+    whose register latch (or done-cycle result read) consumes the bad
+    output, with that cycle index attached.
     """
     if mapped is None:
         mapped = map_design(spec)
     validate_inputs(spec, inputs)
+    if design is None:
+        design = IndexedDesign(build_design(spec, mapped))
     stim = stimulus or Stimulus()
-
-    net = _Netlist(spec, mapped)
-    dfg = mapped.dfg
     loads = load_cycle_count(mapped)
     done_target = done_cycle_enabled(mapped)
-    max_level = mapped.analysis.max_level
-    level_nodes: dict[int, list[int]] = {}
-    for node_id in mapped.analysis.operation_sequence:
-        level_nodes.setdefault(dfg.level[node_id], []).append(node_id)
-
-    pair_lines: list[tuple[int, int]] = []
-    for first, second in mapped.loading.cycles:
-        dataa = BitVec.from_int(inputs[first], 32).bits
-        datab = BitVec.from_int(inputs[second], 32).bits if second else 0
-        pair_lines.append((dataa, datab))
+    pair_lines = [(BitVec.from_int(inputs[first], 32),
+                   BitVec.from_int(inputs[second] if second is not None else 0, 32))
+                  for first, second in mapped.loading.cycles]
 
     limit = stim.max_cycles
     if limit is None:
         limit = stim.start_cycle + 4 * (done_target + 2) + \
             len(stim.clk_en_low) + len(stim.reset_cycles) + 8
 
-    regs = net.initial_regs()
+    regs = dict(design.cleared)
     cnt = 0
     done = False
     started = False      # a start pulse was consumed at an earlier edge
@@ -263,6 +265,7 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
             or cycle in stim.extra_start_cycles
         pair_index = min(enabled_count, loads - 1) if started else 0
         dataa, datab = pair_lines[pair_index]
+        wires = {"dataa": dataa, "datab": datab}
 
         if stim.strict and wants_start and clk_en and not reset and cnt != 0:
             raise ProtocolViolation(
@@ -270,15 +273,16 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
 
         if rows is not None:
             try:
-                row_result = net.result_port(regs).bits
+                row_result = design.value("result", regs, wires).bits
             except DivideByZero:
                 row_result = None
             row_regs = {"cnt": cnt}
             row_regs.update((name, bv.bits) for name, bv in regs.items())
             rows.append({
                 "cycle": cycle, "clk_en": int(clk_en),
-                "start": int(wants_start), "dataa": dataa, "datab": datab,
-                "regs": row_regs, "done": int(done), "result": row_result,
+                "start": int(wants_start), "dataa": dataa.bits,
+                "datab": datab.bits, "regs": row_regs, "done": int(done),
+                "result": row_result,
             })
 
         if observed is not None:
@@ -287,7 +291,7 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
                 return observed
         elif done and clk_en and not reset:
             try:
-                final = net.result_port(regs)
+                final = design.value("result", regs, wires)
             except DivideByZero as exc:
                 raise DivideByZero(
                     f"zero divisor reached the result port: {exc}",
@@ -299,7 +303,7 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
 
         # clock edge
         if reset:
-            regs = net.initial_regs()
+            regs = dict(design.cleared)
             cnt = 0
             done = False
             started = False
@@ -307,32 +311,30 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
             continue
         if not clk_en:
             continue
-
         if cnt == 0:
-            if wants_start:
-                _latch_pair(regs, spec, mapped, 0, dataa, datab)
-                done = done_target == 1
-                cnt = 1
-                started = True
-                enabled_count = 1
-            else:
+            if not wants_start:
                 done = False
-        else:
-            if cnt < loads:
-                _latch_pair(regs, spec, mapped, cnt, dataa, datab)
-            elif max_level >= 1:
-                stage = cnt - loads + 1
-                for node_id in level_nodes.get(stage, ()):
-                    try:
-                        regs[node_reg(node_id)] = net.node_output(regs, node_id)
-                    except DivideByZero as exc:
-                        raise DivideByZero(
-                            f"zero divisor latched on enabled cycle "
-                            f"{enabled_count}: {exc}",
-                            cycle=enabled_count, node=node_id) from exc
-            done = cnt == done_target - 1
-            cnt = cnt + 1 if cnt < done_target else 0
-            enabled_count += 1
+                continue
+            started = True
+            enabled_count = 0
+        step = design.steps.get(cnt)
+        if step is None:
+            raise InternalCheckError(f"{design.name}: no control step {cnt}")
+        latched = {}
+        for load in step.loads:
+            try:
+                latched[load.target] = design.fit(
+                    load.target, design.expr(load.expr, regs, wires))
+            except DivideByZero as exc:
+                node = next((n for n in mapped.analysis.operation_sequence
+                             if node_reg(n) == load.target), None)
+                raise DivideByZero(
+                    f"zero divisor latched on enabled cycle {enabled_count}: {exc}",
+                    cycle=enabled_count, node=node) from exc
+        regs.update(latched)
+        done = step.set_done
+        cnt = step.next_index
+        enabled_count += 1
 
     if observed is not None:
         observed.rows = rows or []
@@ -341,27 +343,23 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
         f"done never observed within {limit} cycles for {spec.name}")
 
 
-def _latch_pair(regs: dict[str, BitVec], spec: CiSpec, mapped: MappedDesign,
-                pair: int, dataa: int, datab: int) -> None:
-    first, second = mapped.loading.cycles[pair]
-    regs[input_reg(first)] = BitVec.from_int(dataa, spec.input_by_name(first).width)
-    if second is not None:
-        regs[input_reg(second)] = BitVec.from_int(datab, spec.input_by_name(second).width)
-
-
 def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
                       vectors: list[dict[str, int]] | None = None,
-                      stimulus: Stimulus | None = None) -> list[dict]:
-    """Compare the netlist simulation against the reference evaluator.
+                      stimulus: Stimulus | None = None,
+                      design: ast.HdlDesign | None = None) -> list[dict]:
+    """Compare the simulated design against the reference evaluator.
 
-    Returns one record per disagreement: differing result bits, a division
-    fault on one side only, or a done pulse off its scheduled cycle.  An
-    empty list means every vector matched bit for bit.
+    design defaults to build_design(spec, mapped) and is indexed once for
+    all vectors.  Returns one record per disagreement: differing result
+    bits, a division fault on one side only, or a done pulse off its
+    scheduled cycle.  An empty list means every vector matched bit for bit.
     """
     if mapped is None:
         mapped = map_design(spec)
     if not vectors:
         return []
+    indexed = IndexedDesign(design if design is not None
+                            else build_design(spec, mapped))
     mismatches = []
     expected_done = done_cycle_enabled(mapped)
     for vec in vectors:
@@ -373,7 +371,8 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
             want = None
         sim = None
         try:
-            sim = simulate_ci(spec, vec, mapped, stimulus, record=False)
+            sim = simulate_ci(spec, vec, mapped, stimulus, record=False,
+                              design=indexed)
             got = sim.result
         except DivideByZero:
             got = None

@@ -1,12 +1,17 @@
 """Plain dataclasses describing the structure of a generated VHDL design.
 
-The emitter renders these to text; the structural validator walks them
-directly, so checks never depend on parsing emitted VHDL back in.
+The emitter renders these to text, holding all VHDL spelling; the structural
+validator walks them and the simulator executes them directly, so checks
+never depend on parsing emitted VHDL back in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .lpm import ComponentKind, LpmGenerics
 
 
 @dataclass(frozen=True)
@@ -47,28 +52,61 @@ class ComponentDecl:
 @dataclass(frozen=True)
 class SignalDecl:
     name: str
-    type_text: str
+    width: int
 
 
 @dataclass(frozen=True)
 class Instance:
     """Component instantiation.  Port map values must be signal or port names."""
     label: str
-    component: str
-    generic_map: tuple[tuple[str, str], ...]
+    kind: ComponentKind
+    generics: LpmGenerics
     port_map: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class Ref:
+    """The value of a signal or port."""
+    name: str
+
+
+@dataclass(frozen=True)
+class Slice:
+    """The low width bits of a signal or port."""
+    name: str
+    width: int
+
+
+@dataclass(frozen=True)
+class Resize:
+    """operand read as signed or unsigned, extended or cut to width."""
+    operand: Expr
+    signed: bool
+    width: int
+
+
+@dataclass(frozen=True)
+class ModCorrect:
+    """A dividend-sign remainder turned into a divisor-sign modulus: the
+    remainder plus the divisor when it is non-zero and the top bits of the
+    two differ, else the remainder.  Both signals share one width."""
+    remainder: str
+    divisor: str
+
+
+Expr = Ref | Slice | Resize | ModCorrect
 
 
 @dataclass(frozen=True)
 class ConcurrentAssign:
     target: str
-    expr: str
+    expr: Expr
 
 
 @dataclass(frozen=True)
 class RegisterLoad:
     target: str
-    expr: str
+    expr: Expr
 
 
 @dataclass(frozen=True)
@@ -86,11 +124,12 @@ class ControlStep:
 
 @dataclass(frozen=True)
 class ControlProcess:
+    """The clocked process.  Reset clears the counter, done and registers."""
     label: str
     counter: str
     counter_max: int
     steps: tuple[ControlStep, ...]
-    reset_loads: tuple[tuple[str, str], ...]  # (target, reset value expression)
+    registers: tuple[str, ...]
 
 
 @dataclass(frozen=True)

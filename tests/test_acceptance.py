@@ -118,8 +118,8 @@ class TestComponentDeduplication:
 
             by_component = {}
             for inst in design.architecture.instances:
-                by_component[inst.component] = \
-                    by_component.get(inst.component, 0) + 1
+                component = COMPONENT_DECLS[inst.kind].name
+                by_component[component] = by_component.get(component, 0) + 1
             op_instances = sum(count for name, count in by_component.items()
                                if name != "ci_concat_extend")
             assert op_instances == len(mapped.analysis.operation_sequence)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -7,8 +8,14 @@ import pytest
 
 from conftest import MAC_TEXT, GOLDEN_DIR
 from cigen import cli
+from cigen import vhdl_ast as ast
 from cigen.hdl import Violation
+from cigen.lpm import ComponentKind
 from cigen.metrics import REPORT_SCHEMA
+
+SUB_TEXT = ("ci s(opcode=3) {\n  input a: signed<16>;\n"
+            "  input b: signed<16>;\n  output y: signed<16>;\n"
+            "  y = a - b;\n}\n")
 
 DIV_TEXT = ("ci d(opcode=2) {\n  input a: signed<16>;\n"
             "  input b: signed<16>;\n  output q: signed<16>;\n"
@@ -82,8 +89,8 @@ class TestBuild:
                                                monkeypatch, spec_file):
         monkeypatch.setattr(
             cli, "check_equivalence",
-            lambda spec, mapped, vectors: [{"inputs": {}, "reference": 1,
-                                            "simulated": 2}])
+            lambda spec, mapped, vectors, design: [{"inputs": {}, "reference": 1,
+                                                    "simulated": 2}])
         out = tmp_path / "out"
         code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
         assert code == 2
@@ -115,6 +122,129 @@ class TestBuild:
         with pytest.raises(SystemExit) as info:
             cli.main(["build", str(spec_file)])
         assert info.value.code == 1
+
+
+class TestFailClosed:
+    """Bad flags, config, input bytes and output paths exit 1 with one
+    error line and leave -o uncreated."""
+
+    def _refused(self, capsys, argv, out):
+        code, _, stderr = _run(capsys, *argv)
+        assert code == 1
+        assert stderr.startswith("cigen: error:")
+        assert len(stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_invalid_cost_writes_nothing(self, tmp_path, capsys, spec_file):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"costs": {"mul": 0}}))
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec_file, "-o", out,
+                               "--config", config], out)
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_vector_count_below_one(self, tmp_path, capsys, spec_file, count):
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec_file, "-o", out,
+                               "--vectors", count], out)
+
+    def test_non_numeric_power(self, tmp_path, capsys, spec_file):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"power_mw": "x"}))
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec_file, "-o", out,
+                               "--config", config], out)
+
+    def test_non_utf8_spec(self, tmp_path, capsys):
+        spec = tmp_path / "bad.ci"
+        spec.write_bytes(MAC_TEXT.encode() + b"\xff\xfe")
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec, "-o", out], out)
+
+    def test_non_utf8_config(self, tmp_path, capsys, spec_file):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"intrinsic": "\xff"}')
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec_file, "-o", out,
+                               "--config", config], out)
+
+    def test_non_utf8_c_source(self, tmp_path, capsys, spec_file):
+        source = tmp_path / "prog.c"
+        source.write_bytes(b"int f(int a) { return a; } /* \xff */\n")
+        self._refused(capsys, ["patch", spec_file, source],
+                      tmp_path / "prog.ci.c")
+
+    def test_output_path_is_a_file(self, tmp_path, capsys, spec_file):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
+        assert code == 1
+        assert stderr.startswith("cigen: error:")
+        assert len(stderr.strip().splitlines()) == 1
+        assert out.read_text() == "keep"
+
+
+def _swap_add_sub_operands(design: ast.HdlDesign) -> ast.HdlDesign:
+    def swap(inst: ast.Instance) -> ast.Instance:
+        if inst.kind is not ComponentKind.ADD_SUB:
+            return inst
+        ports = dict(inst.port_map)
+        ports["dataa"], ports["datab"] = ports["datab"], ports["dataa"]
+        return dataclasses.replace(
+            inst, port_map=tuple((name, ports[name]) for name, _ in inst.port_map))
+    arch = design.architecture
+    return dataclasses.replace(design, architecture=dataclasses.replace(
+        arch, instances=tuple(swap(i) for i in arch.instances)))
+
+
+def _drop_first_stage_load(design: ast.HdlDesign) -> ast.HdlDesign:
+    proc = design.architecture.process
+    index = next(i for i, step in enumerate(proc.steps)
+                 if any(load.target.startswith("s_") for load in step.loads))
+    step = proc.steps[index]
+    dropped = next(load for load in step.loads if load.target.startswith("s_"))
+    steps = list(proc.steps)
+    steps[index] = dataclasses.replace(
+        step, loads=tuple(load for load in step.loads if load is not dropped))
+    return dataclasses.replace(design, architecture=dataclasses.replace(
+        design.architecture,
+        process=dataclasses.replace(proc, steps=tuple(steps))))
+
+
+def _narrow_first_slice(design: ast.HdlDesign) -> ast.HdlDesign:
+    proc = design.architecture.process
+    first, *rest = proc.steps
+    load = next(load for load in first.loads if isinstance(load.expr, ast.Slice))
+    narrow = dataclasses.replace(load, expr=ast.Slice(load.expr.name,
+                                                      load.expr.width - 1))
+    first = dataclasses.replace(first, loads=tuple(
+        narrow if other is load else other for other in first.loads))
+    return dataclasses.replace(design, architecture=dataclasses.replace(
+        design.architecture,
+        process=dataclasses.replace(proc, steps=(first, *rest))))
+
+
+class TestBuildChecksTheWrittenDesign:
+    """A fault injected into the design build emits must stop the build:
+    the check simulates that same object."""
+
+    @pytest.mark.parametrize("text, mutate", [
+        (SUB_TEXT, _swap_add_sub_operands),
+        (MAC_TEXT, _drop_first_stage_load),
+        (SUB_TEXT, _narrow_first_slice),
+    ], ids=["swapped-operands", "dropped-load", "narrow-slice"])
+    def test_mutated_design_is_refused(self, tmp_path, capsys, monkeypatch,
+                                       text, mutate):
+        spec = tmp_path / "spec.ci"
+        spec.write_text(text)
+        real = cli.build_design
+        monkeypatch.setattr(cli, "build_design",
+                            lambda spec, mapped: mutate(real(spec, mapped)))
+        out = tmp_path / "out"
+        code, _, stderr = _run(capsys, "build", spec, "-o", out)
+        assert code == 2
+        assert "no artifacts written" in stderr
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -31,6 +31,7 @@ from cigen.lpm import (
     mult_eval,
     render_instance,
 )
+from cigen.hdl import emit_instance
 
 
 def trunc_quotient(n: int, d: int) -> int:
@@ -264,15 +265,23 @@ class TestConcatExtend:
         assert sign.signed == v.signed
 
 
+def rendered_generic_map(inst) -> dict[str, str]:
+    """Name/value pairs of the instance's emitted generic map."""
+    block = emit_instance(inst).split("generic map (")[1].split(")")[0]
+    return dict(line.strip().rstrip(",").split(" => ")
+                for line in block.strip().splitlines())
+
+
 class TestRenderInstance:
     def test_add_sub_generic_map(self):
         decl, inst = render_instance(
             ComponentKind.ADD_SUB, AddSubGenerics(32, Direction.ADD), "u_add_0",
             {"dataa": "r_a", "datab": "r_b", "result": "w_1"})
         assert decl.name == "lpm_add_sub"
-        assert ("LPM_WIDTH", "32") in inst.generic_map
-        assert ("LPM_DIRECTION", '"ADD"') in inst.generic_map
-        assert inst.component == "lpm_add_sub"
+        pairs = rendered_generic_map(inst)
+        assert ("LPM_WIDTH", "32") in pairs.items()
+        assert ("LPM_DIRECTION", '"ADD"') in pairs.items()
+        assert COMPONENT_DECLS[inst.kind].name == "lpm_add_sub"
         assert inst.label == "u_add_0"
 
     def test_divide_generic_map_both_signed(self):
@@ -281,7 +290,7 @@ class TestRenderInstance:
             ComponentKind.DIVIDE, gen, "u_divs_0",
             {"numer": "r_a", "denom": "r_b",
              "quotient": "w_1_q", "remain": "w_1_r"})
-        pairs = dict(inst.generic_map)
+        pairs = rendered_generic_map(inst)
         assert pairs["LPM_WIDTHN"] == "8"
         assert pairs["LPM_WIDTHD"] == "4"
         assert pairs["LPM_NREPRESENTATION"] == '"SIGNED"'
@@ -292,7 +301,7 @@ class TestRenderInstance:
         _, inst = render_instance(
             ComponentKind.CONCAT_EXTEND, gen, "x_0",
             {"a": "r_a", "result": "w_x_0"})
-        pairs = dict(inst.generic_map)
+        pairs = rendered_generic_map(inst)
         assert pairs == {"FROM_WIDTH": "8", "TO_WIDTH": "32",
                          "EXTEND_MODE": '"SIGN"'}
 

@@ -88,7 +88,7 @@ class TestWorkedExample:
     def test_register_names(self, mac_mapped):
         assert [input_reg(n) for n in mac_mapped.analysis.operand_sequence] \
             == ["r_a", "r_b", "r_c"]
-        assert [node_reg(i) for i in mac_mapped.interior_registers] \
+        assert [node_reg(i) for i in mac_mapped.analysis.operation_sequence] \
             == ["s_1", "s_3"]
 
 

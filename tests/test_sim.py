@@ -13,11 +13,14 @@ from cigen.errors import (
     InternalCheckError,
     ProtocolViolation,
 )
+from cigen import vhdl_ast as ast
 from cigen.frontend import parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
+from cigen.hdl import build_design
 from cigen.lpm import AddSubGenerics, Direction
 from cigen.mapper import done_cycle_enabled, map_design
 from cigen.sim import (
+    IndexedDesign,
     Stimulus,
     check_equivalence,
     eval_reference,
@@ -228,6 +231,66 @@ class TestEquivalence:
         records = check_equivalence(spec, mapped,
                                     [{"a": 1, "b": 0}, {"a": 1, "b": 1}])
         assert records == []
+
+
+def _with_arch(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
+    return dataclasses.replace(design, architecture=dataclasses.replace(
+        design.architecture, **changes))
+
+
+class TestExecutesTheDesign:
+    """The simulator runs the HdlDesign it is given, and faults of that
+    design are internal check failures."""
+
+    def test_default_design_is_the_built_one(self, mac_spec, mac_mapped):
+        design = IndexedDesign(build_design(mac_spec, mac_mapped))
+        given = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, design=design)
+        default = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped)
+        assert given.rows == default.rows
+        assert given.result == default.result
+
+    def test_swapped_binding_is_caught(self):
+        spec = _spec("input a: signed<8>; input b: signed<8>;"
+                     "output x: signed<8>; x = a - b;")
+        mapped = map_design(spec)
+        design = build_design(spec, mapped)
+        (inst,) = design.architecture.instances
+        ports = dict(inst.port_map)
+        swapped = dataclasses.replace(inst, port_map=(
+            ("dataa", ports["datab"]), ("datab", ports["dataa"]),
+            ("result", ports["result"])))
+        design = _with_arch(design, instances=(swapped,))
+        records = check_equivalence(spec, mapped, [{"a": 5, "b": 2}],
+                                    design=design)
+        assert records == [{"inputs": {"a": 5, "b": 2},
+                            "reference": 3, "simulated": 2**32 - 3}]
+
+    def test_undriven_wire(self, mac_spec, mac_mapped):
+        design = build_design(mac_spec, mac_mapped)
+        design = _with_arch(design,
+                            instances=design.architecture.instances[1:])
+        with pytest.raises(InternalCheckError, match="no driver"):
+            check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
+
+    def test_load_wider_than_its_register(self, mac_spec, mac_mapped):
+        design = build_design(mac_spec, mac_mapped)
+        proc = design.architecture.process
+        first = dataclasses.replace(proc.steps[0], loads=(
+            ast.RegisterLoad("r_a", ast.Resize(ast.Ref("dataa"), True, 33)),))
+        design = _with_arch(design, process=dataclasses.replace(
+            proc, steps=(first,) + proc.steps[1:]))
+        with pytest.raises(InternalCheckError, match="r_a"):
+            simulate_ci(mac_spec, MAC_INPUTS, mac_mapped,
+                        design=IndexedDesign(design))
+
+    def test_component_contract_breach(self, mac_spec, mac_mapped):
+        design = build_design(mac_spec, mac_mapped)
+        mul, add = design.architecture.instances
+        narrow = dataclasses.replace(
+            add, generics=AddSubGenerics(16, Direction.ADD))
+        design = _with_arch(design, instances=(mul, narrow))
+        with pytest.raises(InternalCheckError):
+            check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
 
 
 class TestProperties:
