@@ -59,7 +59,8 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(config, dict):
             raise CigenError("config must be a JSON object")
     intrinsic = config.get("intrinsic", DEFAULT_INTRINSIC)
-    if not isinstance(intrinsic, str) or not re.fullmatch(r"[A-Za-z_]\w*", intrinsic, re.A):
+    if not isinstance(intrinsic, str) \
+            or not re.fullmatch(r"[A-Za-z_]\w*", intrinsic, re.ASCII):
         raise CigenError(f"config intrinsic must be a C identifier, got {intrinsic!r}")
     metrics = {}
     if "costs" in config:

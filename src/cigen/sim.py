@@ -159,6 +159,8 @@ class IndexedDesign:
         self.widths.update((s.name, s.width) for s in arch.signals)
         self.cleared = {r: BitVec(self.widths[r], 0) for r in arch.process.registers}
         self.steps = {step.index: step for step in arch.process.steps}
+        # wire -> the expression assigned to it, or (evaluator, generics,
+        # input signals, output signals) of the instance driving it
         self._drivers: dict[str, tuple | ast.Expr] = {
             assign.target: assign.expr for assign in arch.assigns}
         for inst in arch.instances:
