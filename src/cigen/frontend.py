@@ -20,6 +20,9 @@ Grammar (whitespace-insensitive, '#' starts a line comment):
     term   := factor (("*" | "/" | "%" | "mod") factor)*
     factor := ident | "(" expr ")"
 
+An expression may nest at most MAX_EXPR_DEPTH (960) operators deep; parentheses
+alone add no depth.
+
 Operator spellings map to operation kinds by operand signedness: "/" is a
 truncating division (DIVS when either side is signed, else DIVU), "%" is the
 matching remainder (sign of the dividend), and the "mod" keyword is the
@@ -47,6 +50,12 @@ MIN_WIDTH = 1
 MAX_WIDTH = 32
 MIN_OPCODE = 0
 MAX_OPCODE = 4
+# Deepest operator nesting an expression may have.  The tree walks after
+# the parser (build_dfg, eval_reference, cpatch.spec_match_tree) recurse
+# once per level, and at this depth they stay within Python's default
+# limit of 1000 frames when cigen runs as a program.  The 960-term chain
+# a + b + ... nests 959 deep.
+MAX_EXPR_DEPTH = 960
 
 DSL_KEYWORDS = frozenset({"ci", "input", "output", "signed", "unsigned", "opcode", "mod"})
 
@@ -377,47 +386,71 @@ def parse_ci_spec(text: str) -> CiSpec:
     return CiSpec(ci_name, opcode, tuple(inputs), output, expr)
 
 
+def _binary_precedence(tok: _Token) -> int | None:
+    """2 for a term operator, 1 for an expression operator, else None."""
+    if tok.kind in ("*", "/", "%") or (tok.kind == "kw" and tok.text == "mod"):
+        return 2
+    if tok.kind in ("+", "-"):
+        return 1
+    return None
+
+
 def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> ExprTree:
-    left = _parse_term(p, decls)
-    while p.peek().kind in ("+", "-"):
-        op = p.advance().kind
-        right = _parse_term(p, decls)
-        kind = OpKind.ADD if op == "+" else OpKind.SUB
-        left = BinOp(kind, left, right)
-    return left
+    """An expr of the grammar, parsed without recursion.  Operands wait on
+    one stack with their depth and signedness, pending operators and open
+    parentheses (None) on another, so nesting costs no Python frames."""
+    operands: list[tuple[ExprTree, int, bool]] = []
+    pending: list[_Token | None] = []
+    open_parens = 0
 
-
-def _parse_term(p: _Parser, decls: dict[str, OperandDecl]) -> ExprTree:
-    left = _parse_factor(p, decls)
-    while True:
-        tok = p.peek()
-        if tok.kind in ("*", "/", "%") or (tok.kind == "kw" and tok.text == "mod"):
-            p.advance()
-            right = _parse_factor(p, decls)
-            if tok.kind == "*":
-                kind = OpKind.MUL
-            else:
-                signed = expr_signed(left, decls) or expr_signed(right, decls)
-                kind = _resolve_div_kind(tok.text, signed)
-            left = BinOp(kind, left, right)
+    def reduce() -> None:
+        tok = pending.pop()
+        right, right_depth, right_signed = operands.pop()
+        left, left_depth, left_signed = operands.pop()
+        depth = 1 + max(left_depth, right_depth)
+        if depth > MAX_EXPR_DEPTH:
+            raise SpecSyntaxError(
+                f"expression nests operators deeper than {MAX_EXPR_DEPTH}",
+                tok.line, tok.col)
+        signed = left_signed or right_signed
+        if tok.kind in ("+", "-"):
+            kind = OpKind.ADD if tok.kind == "+" else OpKind.SUB
+        elif tok.kind == "*":
+            kind = OpKind.MUL
         else:
-            return left
+            kind = _resolve_div_kind(tok.text, signed)
+        operands.append((BinOp(kind, left, right), depth, signed))
 
-
-def _parse_factor(p: _Parser, decls: dict[str, OperandDecl]) -> ExprTree:
-    tok = p.peek()
-    if tok.kind == "(":
-        p.advance()
-        inner = _parse_expr(p, decls)
-        p.expect(")", "')'")
-        return inner
-    if tok.kind == "ident":
-        p.advance()
+    while True:
+        tok = p.advance()
+        if tok.kind == "(":
+            pending.append(None)
+            open_parens += 1
+            continue
+        if tok.kind != "ident":
+            raise SpecSyntaxError(f"found {tok.text or 'end of input'!r}", tok.line,
+                                  tok.col, expected="operand or '('")
         if tok.text not in decls:
             raise UndeclaredIdentifier(tok.text, tok.line, tok.col)
-        return Leaf(tok.text)
-    raise SpecSyntaxError(f"found {tok.text or 'end of input'!r}", tok.line,
-                          tok.col, expected="operand or '('")
+        operands.append((Leaf(tok.text), 0, decls[tok.text].signed))
+        while open_parens and p.peek().kind == ")":
+            p.advance()
+            while pending[-1] is not None:
+                reduce()
+            pending.pop()
+            open_parens -= 1
+        precedence = _binary_precedence(p.peek())
+        if precedence is None:
+            break
+        while pending and pending[-1] is not None \
+                and _binary_precedence(pending[-1]) >= precedence:
+            reduce()
+        pending.append(p.advance())
+    if open_parens:
+        p.expect(")", "')'")
+    while pending:
+        reduce()
+    return operands[0][0]
 
 
 def build_dfg(spec: CiSpec) -> Dfg:

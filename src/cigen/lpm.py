@@ -2,12 +2,16 @@
 
 Each generated datapath is assembled from four component kinds: a shared
 add/subtract unit, a multiplier, a divider producing quotient and remainder,
-and a concat/extend unit that widens vectors.  This module gives each kind
-its bit-exact evaluation semantics on two's-complement bit vectors, one
-entry per kind in ``EVALUATORS``, and its VHDL component declaration.  The
-simulator evaluates every instance of a design through that table, and the
-emitter renders every instance from the declaration, so each component's
-behaviour and interface are written once.
+and a concat/extend unit that widens vectors.  This module writes each
+kind's bit-exact semantics once, as a kernel over columns of plain-int
+two's-complement patterns (one entry per vector, ``KERNELS``), together with
+its width contract (``port_widths``) and its VHDL component declaration.
+The expression forms of a design (slice, resize, mod correction) have their
+column kernels here too.  The simulator runs every instance and expression
+through these kernels, over a whole batch of vectors or over one-element
+columns; the ``*_eval`` functions are the same kernels on ``BitVec`` values.
+The emitter renders every instance from the declaration, so each
+component's behaviour and interface are written once.
 """
 
 from __future__ import annotations
@@ -113,72 +117,172 @@ class ConcatExtendGenerics:
 LpmGenerics = AddSubGenerics | MultGenerics | DivideGenerics | ConcatExtendGenerics
 
 
-def add_sub_eval(a: BitVec, b: BitVec, direction: Direction) -> BitVec:
-    """Sum or difference modulo 2^width.  Inputs must share one width."""
-    if a.width != b.width:
-        raise WidthMismatch(f"add_sub inputs {a.width} and {b.width} bits")
-    if direction is Direction.ADD:
-        return BitVec.from_int(a.bits + b.bits, a.width)
-    return BitVec.from_int(a.bits - b.bits, a.width)
+Column = list[int]  # one bit pattern per vector of a batch
 
 
-def mult_eval(a: BitVec, b: BitVec, generics: MultGenerics) -> BitVec:
+def _signed_values(column: Column, width: int) -> list[int]:
+    """The patterns of a width-bit column read as two's-complement values."""
+    top = 1 << (width - 1)
+    return [(x ^ top) - top for x in column]
+
+
+def low_bits(column: Column, width: int) -> Column:
+    """The low width bits of every pattern."""
+    mask = (1 << width) - 1
+    return [x & mask for x in column]
+
+
+def resize(column: Column, from_width: int, signed: bool, width: int) -> Column:
+    """from_width-bit patterns read as signed or unsigned values, then
+    extended or cut to width bits."""
+    if signed and width > from_width:
+        return low_bits(_signed_values(column, from_width), width)
+    return column if width >= from_width else low_bits(column, width)
+
+
+def mod_correct(remainder: Column, divisor: Column, width: int) -> Column:
+    """Turn dividend-sign remainders into divisor-sign moduli.
+
+    Both columns must be at a width where the exact values are representable
+    in two's complement (the mapper arranges this), so the top bits are the
+    true signs.  m = r when r is zero or the signs agree, else r + d."""
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    return [(r + d) & mask if r and (r ^ d) & top else r
+            for r, d in zip(remainder, divisor)]
+
+
+def _add_sub(generics: AddSubGenerics, faults: set[int],
+             a: Column, b: Column) -> tuple[Column]:
+    """Sum or difference modulo 2^width."""
+    mask = (1 << generics.width) - 1
+    if generics.direction is Direction.ADD:
+        return ([(x + y) & mask for x, y in zip(a, b)],)
+    return ([(x - y) & mask for x, y in zip(a, b)],)
+
+
+def _mult(generics: MultGenerics, faults: set[int],
+          a: Column, b: Column) -> tuple[Column]:
     """Full product under the configured representation, then the low
     width_p bits of its two's-complement pattern."""
-    if a.width != generics.width_a or b.width != generics.width_b:
-        raise WidthMismatch(
-            f"mult inputs {a.width}x{b.width} vs generics "
-            f"{generics.width_a}x{generics.width_b}")
-    if generics.width_p > generics.width_a + generics.width_b:
-        raise WidthMismatch("mult product width exceeds full product")
-    signed = generics.representation is Representation.SIGNED
-    product = a.interpret(signed) * b.interpret(signed)
-    return BitVec.from_int(product, generics.width_p)
+    if generics.representation is Representation.SIGNED:
+        a = _signed_values(a, generics.width_a)
+        b = _signed_values(b, generics.width_b)
+    mask = (1 << generics.width_p) - 1
+    return ([(x * y) & mask for x, y in zip(a, b)],)
 
 
-def divide_eval(n: BitVec, d: BitVec, generics: DivideGenerics) -> tuple[BitVec, BitVec]:
+def _divide(generics: DivideGenerics, faults: set[int],
+            n: Column, d: Column) -> tuple[Column, Column]:
     """Truncating division: quotient toward zero, remainder with the
     dividend's sign, n = q*d + r over the integers.  The quotient pattern is
     the exact quotient modulo 2^width_n (only -2^(w-1)/-1 wraps); the
-    remainder pattern is the exact remainder modulo 2^width_d."""
-    if n.width != generics.width_n or d.width != generics.width_d:
+    remainder pattern is the exact remainder modulo 2^width_d.  A zero
+    divisor adds its vector's index to faults and yields zero patterns."""
+    if generics.n_representation is Representation.SIGNED:
+        n = _signed_values(n, generics.width_n)
+    if generics.d_representation is Representation.SIGNED:
+        d = _signed_values(d, generics.width_d)
+    q_mask, r_mask = (1 << generics.width_n) - 1, (1 << generics.width_d) - 1
+    quotients, remainders = [], []
+    for index, (x, y) in enumerate(zip(n, d)):
+        if y == 0:
+            faults.add(index)
+            quotients.append(0)
+            remainders.append(0)
+            continue
+        q = abs(x) // abs(y)
+        if (x < 0) != (y < 0):
+            q = -q
+        quotients.append(q & q_mask)
+        remainders.append((x - q * y) & r_mask)
+    return quotients, remainders
+
+
+def _concat_extend(generics: ConcatExtendGenerics, faults: set[int],
+                   a: Column) -> tuple[Column]:
+    """Widen by concatenating replicated sign bits or zeros on top."""
+    return (resize(a, generics.from_width, generics.extension is Extension.SIGN,
+                   generics.to_width),)
+
+
+# Per kind: generics, a fault set and the input ports' columns in declaration
+# order to the output ports' columns in declaration order.  Every kernel
+# expects inputs at the widths port_widths gives and masks its outputs.
+KERNELS: dict[ComponentKind, Callable[..., tuple[Column, ...]]] = {
+    ComponentKind.ADD_SUB: _add_sub,
+    ComponentKind.MULT: _mult,
+    ComponentKind.DIVIDE: _divide,
+    ComponentKind.CONCAT_EXTEND: _concat_extend,
+}
+
+
+def port_widths(kind: ComponentKind, generics: LpmGenerics) -> tuple[
+        tuple[int, ...], tuple[int, ...]]:
+    """The widths of a component's input and output ports, in declaration
+    order.  Raises WidthMismatch or NotWidening for generics that describe
+    no buildable component."""
+    if kind is ComponentKind.ADD_SUB:
+        ins, outs = (generics.width, generics.width), (generics.width,)
+    elif kind is ComponentKind.MULT:
+        if generics.width_p > generics.width_a + generics.width_b:
+            raise WidthMismatch("mult product width exceeds full product")
+        ins, outs = (generics.width_a, generics.width_b), (generics.width_p,)
+    elif kind is ComponentKind.DIVIDE:
+        ins = outs = (generics.width_n, generics.width_d)
+    else:
+        if generics.to_width <= generics.from_width:
+            raise NotWidening(
+                f"extension {generics.from_width}->{generics.to_width} does not widen")
+        ins, outs = (generics.from_width,), (generics.to_width,)
+    for width in ins + outs:
+        if not 1 <= width <= MAX_INTERNAL_WIDTH:
+            raise WidthMismatch(f"{kind.name.lower()} port width {width} "
+                                f"outside 1..{MAX_INTERNAL_WIDTH}")
+    return ins, outs
+
+
+def _evaluate(kind: ComponentKind, generics: LpmGenerics,
+              *inputs: BitVec) -> tuple[BitVec, ...]:
+    """One component evaluation on bit vectors: the kernel on one-element
+    columns, its width contract checked first."""
+    ins, outs = port_widths(kind, generics)
+    if tuple(value.width for value in inputs) != ins:
         raise WidthMismatch(
-            f"divide inputs {n.width}/{d.width} vs generics "
-            f"{generics.width_n}/{generics.width_d}")
-    n_val = n.interpret(generics.n_representation is Representation.SIGNED)
-    d_val = d.interpret(generics.d_representation is Representation.SIGNED)
-    if d_val == 0:
+            f"{kind.name.lower()} inputs {'/'.join(str(v.width) for v in inputs)} "
+            f"bits vs generics {'/'.join(map(str, ins))}")
+    faults: set[int] = set()
+    columns = KERNELS[kind](generics, faults, *([value.bits] for value in inputs))
+    if faults:
         raise DivideByZero()
-    q = abs(n_val) // abs(d_val)
-    if (n_val < 0) != (d_val < 0):
-        q = -q
-    r = n_val - q * d_val
-    return BitVec.from_int(q, generics.width_n), BitVec.from_int(r, generics.width_d)
+    return tuple(BitVec(width, column[0]) for width, column in zip(outs, columns))
+
+
+def add_sub_eval(a: BitVec, b: BitVec, direction: Direction) -> BitVec:
+    """Sum or difference modulo 2^width.  Inputs must share one width."""
+    return _evaluate(ComponentKind.ADD_SUB, AddSubGenerics(a.width, direction),
+                     a, b)[0]
+
+
+def mult_eval(a: BitVec, b: BitVec, generics: MultGenerics) -> BitVec:
+    """The low width_p bits of the full product."""
+    return _evaluate(ComponentKind.MULT, generics, a, b)[0]
+
+
+def divide_eval(n: BitVec, d: BitVec, generics: DivideGenerics) -> tuple[BitVec, BitVec]:
+    """Quotient and remainder; a zero divisor raises DivideByZero."""
+    return _evaluate(ComponentKind.DIVIDE, generics, n, d)
 
 
 def mod_correct_eval(r: BitVec, d: BitVec) -> BitVec:
-    """Turn a dividend-sign remainder into a divisor-sign modulus.
-
-    Both vectors must be at a width where the exact values are representable
-    in two's complement (the mapper arranges this), so the top bits are the
-    true signs.  m = r when r is zero or the signs agree, else r + d."""
+    """A divisor-sign modulus from a remainder and divisor of one width."""
     if r.width != d.width:
         raise WidthMismatch(f"mod correction inputs {r.width} and {d.width} bits")
-    if r.bits == 0 or r.msb() == d.msb():
-        return r
-    return BitVec.from_int(r.bits + d.bits, r.width)
+    return BitVec(r.width, mod_correct([r.bits], [d.bits], r.width)[0])
 
 
 def concat_extend_eval(a: BitVec, generics: ConcatExtendGenerics) -> BitVec:
-    """Widen by concatenating replicated sign bits or zeros on top."""
-    if a.width != generics.from_width:
-        raise WidthMismatch(f"extend input {a.width} bits vs generic {generics.from_width}")
-    if generics.to_width <= generics.from_width:
-        raise NotWidening(
-            f"extension {generics.from_width}->{generics.to_width} does not widen")
-    if generics.extension is Extension.SIGN:
-        return BitVec.from_int(a.signed, generics.to_width)
-    return BitVec(generics.to_width, a.bits)
+    """a sign- or zero-extended to generics.to_width."""
+    return _evaluate(ComponentKind.CONCAT_EXTEND, generics, a)[0]
 
 
 _ADD_SUB_DECL = ast.ComponentDecl(
@@ -227,23 +331,6 @@ COMPONENT_DECLS: dict[ComponentKind, ast.ComponentDecl] = {
     ComponentKind.MULT: _MULT_DECL,
     ComponentKind.DIVIDE: _DIVIDE_DECL,
     ComponentKind.CONCAT_EXTEND: _CONCAT_EXTEND_DECL,
-}
-
-
-def _add_sub(generics: AddSubGenerics, a: BitVec, b: BitVec) -> tuple[BitVec]:
-    if a.width != generics.width:
-        raise WidthMismatch(f"add_sub input {a.width} bits vs generic {generics.width}")
-    return (add_sub_eval(a, b, generics.direction),)
-
-
-# Per kind: generics and the input ports' values in declaration order to the
-# output ports' values in declaration order.
-EVALUATORS: dict[ComponentKind, Callable[..., tuple[BitVec, ...]]] = {
-    ComponentKind.ADD_SUB: _add_sub,
-    ComponentKind.MULT: lambda generics, a, b: (mult_eval(a, b, generics),),
-    ComponentKind.DIVIDE: lambda generics, n, d: divide_eval(n, d, generics),
-    ComponentKind.CONCAT_EXTEND:
-        lambda generics, a: (concat_extend_eval(a, generics),),
 }
 
 

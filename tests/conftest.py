@@ -50,6 +50,19 @@ ci h(opcode=2) {
 """
 
 
+def chain_text(terms: int) -> str:
+    """A spec summing terms 8-bit inputs left to right: terms - 1 levels."""
+    decls = "".join(f"  input a{i}: signed<8>;\n" for i in range(terms))
+    body = " + ".join(f"a{i}" for i in range(terms))
+    return f"ci w(opcode=0) {{\n{decls}  output y: signed<32>;\n  y = {body};\n}}\n"
+
+
+def nested_text(depth: int, inner: str) -> str:
+    """A spec whose expression is inner wrapped in depth parentheses."""
+    return ("ci p(opcode=0) { input a: signed<8>; input b: signed<8>; "
+            f"output y: signed<8>; y = {'(' * depth}{inner}{')' * depth}; }}")
+
+
 @pytest.fixture
 def mac_spec():
     return parse_ci_spec(MAC_TEXT)

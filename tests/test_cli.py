@@ -2,13 +2,19 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from conftest import MAC_TEXT, GOLDEN_DIR
+from conftest import MAC_TEXT, GOLDEN_DIR, chain_text, nested_text
+import cigen
 from cigen import cli
 from cigen import vhdl_ast as ast
+from cigen.frontend import MAX_EXPR_DEPTH
 from cigen.hdl import Violation
 from cigen.lpm import ComponentKind
 from cigen.metrics import REPORT_SCHEMA
@@ -173,6 +179,30 @@ class TestFailClosed:
         source.write_bytes(b"int f(int a) { return a; } /* \xff */\n")
         self._refused(capsys, ["patch", spec_file, source],
                       tmp_path / "prog.ci.c")
+
+    @pytest.mark.parametrize("text", [
+        chain_text(1500),
+        nested_text(1, "a + (" * 1200 + "b" + ")" * 1200),
+    ], ids=["1500-term-chain", "1200-nested-parentheses"])
+    def test_too_deep_expression(self, tmp_path, capsys, text):
+        spec = tmp_path / "deep.ci"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec, "-o", out], out)
+
+    def test_chain_at_the_depth_limit_builds_as_a_program(self, tmp_path):
+        # run as `python -m cigen` so the recursion headroom is a program's
+        spec = tmp_path / "deep.ci"
+        spec.write_text(chain_text(MAX_EXPR_DEPTH + 1))
+        src = str(Path(cigen.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "cigen", "build", str(spec), "-o",
+             str(tmp_path / "out"), "--vectors", "4"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "w.vhd").exists()
 
     def test_output_path_is_a_file(self, tmp_path, capsys, spec_file):
         out = tmp_path / "taken"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chain_text, nested_text
 from cigen.errors import (
     DuplicateDeclaration,
     OpcodeOutOfRange,
@@ -12,6 +13,7 @@ from cigen.errors import (
     WidthOutOfRange,
 )
 from cigen.frontend import (
+    MAX_EXPR_DEPTH,
     BinOp,
     Leaf,
     OpKind,
@@ -158,6 +160,22 @@ class TestParseErrors:
         with pytest.raises(SpecSyntaxError) as info:
             parse_ci_spec("ci t(opcode=0) {\n  input a: signed<8>\n}")
         assert info.value.line >= 2
+
+
+class TestDepthLimit:
+    def test_deeper_chain_is_refused_at_its_operator(self):
+        text = chain_text(1500)
+        with pytest.raises(SpecSyntaxError, match="deeper than") as info:
+            parse_ci_spec(text)
+        # the operator that makes the tree one level too deep
+        plus = text.index(f" + a{MAX_EXPR_DEPTH + 1} ") + 1
+        line = text.count("\n", 0, plus) + 1
+        assert (info.value.line, info.value.col) == \
+            (line, plus - text.rfind("\n", 0, plus))
+
+    def test_parentheses_alone_add_no_depth(self):
+        spec = parse_ci_spec(nested_text(1200, "a + b"))
+        assert spec.expr == BinOp(OpKind.ADD, Leaf("a"), Leaf("b"))
 
 
 class TestDfg:

@@ -5,6 +5,7 @@ Python's floor modulus, not from the library's own formulas, so agreement is
 meaningful.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from cigen.errors import DivideByZero, NotWidening, WidthMismatch
 from cigen.lpm import (
     COMPONENT_DECLS,
+    KERNELS,
     AddSubGenerics,
     BitVec,
     ComponentKind,
@@ -28,8 +30,10 @@ from cigen.lpm import (
     concat_extend_eval,
     divide_eval,
     mod_correct_eval,
+    mod_correct,
     mult_eval,
     render_instance,
+    resize,
 )
 from cigen.hdl import emit_instance
 
@@ -263,6 +267,90 @@ class TestConcatExtend:
         sign = concat_extend_eval(v, ConcatExtendGenerics(frm, to, Extension.SIGN))
         assert zero.unsigned == v.unsigned
         assert sign.signed == v.signed
+
+
+def _all_pairs(width_a: int, width_b: int) -> tuple[list[int], list[int]]:
+    """Two columns holding every pair of width_a- and width_b-bit patterns."""
+    pairs = list(itertools.product(range(1 << width_a), range(1 << width_b)))
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _kernel(kind, generics, *columns):
+    faults = set()
+    return KERNELS[kind](generics, faults, *columns), faults
+
+
+WIDTHS = range(1, 5)
+
+
+class TestColumnKernels:
+    """Each kernel runs every operand pattern as one column and must give,
+    entry by entry, what the BitVec evaluators pinned above give for that
+    pattern alone."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_add_sub(self, width, direction):
+        a, b = _all_pairs(width, width)
+        (out,), faults = _kernel(ComponentKind.ADD_SUB,
+                                 AddSubGenerics(width, direction), a, b)
+        assert not faults
+        assert out == [add_sub_eval(BitVec(width, x), BitVec(width, y),
+                                    direction).bits for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("wa,wb", itertools.product(WIDTHS, WIDTHS))
+    @pytest.mark.parametrize("rep", list(Representation))
+    def test_mult(self, wa, wb, rep):
+        a, b = _all_pairs(wa, wb)
+        for wp in range(1, wa + wb + 1):
+            generics = MultGenerics(wa, wb, wp, rep)
+            (out,), faults = _kernel(ComponentKind.MULT, generics, a, b)
+            assert not faults
+            assert out == [mult_eval(BitVec(wa, x), BitVec(wb, y), generics).bits
+                           for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("wn,wd", itertools.product(WIDTHS, WIDTHS))
+    @pytest.mark.parametrize("n_rep,d_rep",
+                             itertools.product(Representation, Representation))
+    def test_divide(self, wn, wd, n_rep, d_rep):
+        generics = DivideGenerics(wn, wd, n_rep, d_rep)
+        n, d = _all_pairs(wn, wd)
+        (quotients, remainders), faults = _kernel(ComponentKind.DIVIDE,
+                                                  generics, n, d)
+        assert faults == {i for i, y in enumerate(d) if y == 0}
+        for i, (x, y) in enumerate(zip(n, d)):
+            if y == 0:
+                with pytest.raises(DivideByZero):
+                    divide_eval(BitVec(wn, x), BitVec(wd, y), generics)
+                continue
+            q, r = divide_eval(BitVec(wn, x), BitVec(wd, y), generics)
+            assert (quotients[i], remainders[i]) == (q.bits, r.bits)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_mod_correct(self, width):
+        r, d = _all_pairs(width, width)
+        assert mod_correct(r, d, width) == [
+            mod_correct_eval(BitVec(width, x), BitVec(width, y)).bits
+            for x, y in zip(r, d)]
+
+    @pytest.mark.parametrize("frm", WIDTHS)
+    @pytest.mark.parametrize("extension", list(Extension))
+    def test_concat_extend(self, frm, extension):
+        a = list(range(1 << frm))
+        for to in range(frm + 1, 9):
+            generics = ConcatExtendGenerics(frm, to, extension)
+            (out,), faults = _kernel(ComponentKind.CONCAT_EXTEND, generics, a)
+            assert not faults
+            assert out == [concat_extend_eval(BitVec(frm, x), generics).bits
+                           for x in a]
+
+    @pytest.mark.parametrize("frm,to", itertools.product(WIDTHS, WIDTHS))
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_resize(self, frm, to, signed):
+        a = list(range(1 << frm))
+        assert resize(a, frm, signed, to) == [
+            BitVec.from_int(BitVec(frm, x).interpret(signed), to).bits
+            for x in a]
 
 
 def rendered_generic_map(inst) -> dict[str, str]:

@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cigen.errors import (
@@ -14,7 +14,7 @@ from cigen.errors import (
     ProtocolViolation,
 )
 from cigen import vhdl_ast as ast
-from cigen.frontend import parse_ci_spec
+from cigen.frontend import DIV_FAMILY, LeafNode, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import build_design
 from cigen.lpm import AddSubGenerics, Direction
@@ -22,6 +22,7 @@ from cigen.mapper import done_cycle_enabled, map_design
 from cigen.sim import (
     IndexedDesign,
     Stimulus,
+    operand_columns,
     check_equivalence,
     eval_reference,
     simulate_ci,
@@ -266,6 +267,38 @@ class TestExecutesTheDesign:
             check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
 
 
+def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
+    process = design.architecture.process
+    return _with_arch(design, process=dataclasses.replace(
+        process, steps=process.steps[:2]))
+
+
+def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
+    process = design.architecture.process
+    return _with_arch(design, process=dataclasses.replace(process, steps=tuple(
+        dataclasses.replace(step, set_done=False) for step in process.steps)))
+
+
+def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
+    return _with_arch(design, assigns=(ast.ConcurrentAssign("result",
+                                                            ast.Ref("result")),))
+
+
+class TestLoweringChecks:
+    """Faults of the control chain or the wiring are refused when the
+    design is lowered, before any vector runs."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_cut_steps, "no control step 2"),
+        (_never_done, "done is never set"),
+        (_result_reads_itself, "combinational loop"),
+    ])
+    def test_refused(self, mac_spec, mac_mapped, mutate, message):
+        design = mutate(build_design(mac_spec, mac_mapped))
+        with pytest.raises(InternalCheckError, match=message):
+            IndexedDesign(design)
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -293,3 +326,37 @@ class TestProperties:
         assert gated.done_cycle_enabled == plain.done_cycle_enabled \
             == done_cycle_enabled(mapped)
         assert gated.done_cycle >= plain.done_cycle
+
+
+class TestBatchMatchesStepper:
+    """The batched run and the cycle stepper execute one lowered design, so
+    they agree vector by vector, divide-by-zero included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_batch_agrees_with_simulate(self, seed, data):
+        rng = random.Random(seed)
+        spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=4))
+        mapped = map_design(spec)
+        dfg = mapped.dfg
+        assume(any(n.kind in DIV_FAMILY for n in dfg.op_nodes()))
+        divisors = sorted({dfg.node(n.right).decl.name for n in dfg.op_nodes()
+                           if n.kind in DIV_FAMILY
+                           and isinstance(dfg.node(n.right), LeafNode)})
+        vectors = random_vectors(rng, spec, 16)
+        for vec in vectors[::2]:
+            for name in divisors:
+                if data.draw(st.booleans()):
+                    vec[name] = 0
+        design = IndexedDesign(build_design(spec, mapped))
+        results, faults, done = design.run(operand_columns(mapped, vectors),
+                                           len(vectors))
+        for index, vec in enumerate(vectors):
+            try:
+                one = simulate_ci(spec, vec, mapped, record=False, design=design)
+            except DivideByZero:
+                assert index in faults
+                continue
+            assert index not in faults
+            assert results[index] == one.result.bits
+            assert done == one.done_cycle_enabled
