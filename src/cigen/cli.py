@@ -152,8 +152,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stimulus = Stimulus(
         clk_en_low=_parse_cycles(args.clk_en_gaps),
         reset_cycles=_parse_cycles(args.reset_at),
-        start_cycle=args.start_cycle,
-        strict=not args.lenient)
+        start_cycle=args.start_cycle)
     outcome = simulate_ci(spec, inputs, stimulus=stimulus,
                           record=args.trace is not None)
     if args.trace is not None:
@@ -248,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--clk-en-gaps", help="cycles with clk_en low, e.g. 2,3")
     p_sim.add_argument("--reset-at", help="cycles with reset high")
     p_sim.add_argument("--start-cycle", type=int, default=0)
-    p_sim.add_argument("--lenient", action="store_true",
-                       help="ignore start pulses while busy")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_patch = sub.add_parser("patch", help="rewrite a C source to call the CI")

@@ -15,6 +15,9 @@ the replacement can never change what the surrounding expression means:
 * fully parenthesized candidates are exempt from left-context screening
   unless the parenthesis is actually a call argument list.
 
+Parentheses nested deeper than MAX_PAREN_DEPTH are not parsed: a candidate
+that reaches such a group is dropped.
+
 Flooring modulus exists in the instruction grammar but has no C operator,
 so expressions using it are reported as unmatchable instead of guessed at.
 Preprocessor directive lines are never patched.
@@ -27,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import LexError, NoMatchFound
-from .frontend import BinOp, CiSpec, ExprTree, Leaf, OpKind
+from .frontend import CiSpec, OpKind
 from .mapper import MappedDesign
 
 DEFAULT_INTRINSIC = "__builtin_custom_inii"
@@ -170,28 +173,40 @@ Tree = tuple  # ("leaf", name) | (symbol, left, right)
 def spec_match_tree(spec: CiSpec) -> Tree | None:
     """The spec expression as an operator-symbol tree, or None when it uses
     an operator C cannot spell."""
-
-    def walk(expr: ExprTree) -> Tree | None:
-        if isinstance(expr, Leaf):
-            return ("leaf", expr.name)
-        assert isinstance(expr, BinOp)
-        symbol = _OP_SYMBOL[expr.kind]
-        left, right = walk(expr.left), walk(expr.right)
-        if symbol is None or left is None or right is None:
+    dfg = spec.dfg
+    trees: dict[int, Tree] = {leaf.id: ("leaf", leaf.decl.name)
+                              for leaf in dfg.leaf_nodes()}
+    for node_id in dfg.order:
+        node = dfg.nodes[node_id]
+        symbol = _OP_SYMBOL[node.kind]
+        if symbol is None:
             return None
-        return (symbol, left, right)
+        trees[node_id] = (symbol, trees[node.left], trees[node.right])
+    return trees[dfg.root]
 
-    return walk(spec.expr)
+
+# Deepest parenthesis nesting the matcher parses.  Its recursive descent
+# spends up to four Python frames per level, so this keeps it well inside
+# the default recursion limit of 1000.  A candidate whose parse reaches a
+# deeper group is dropped whole, so the parse is not retried along other
+# operator paths, and the rest of the file is matched as usual.
+MAX_PAREN_DEPTH = 200
 
 
-def _primary(tokens: list[CToken], i: int):
+class _TooDeep(Exception):
+    """The parse reached a group nested deeper than MAX_PAREN_DEPTH."""
+
+
+def _primary(tokens: list[CToken], i: int, depth: int):
     if i >= len(tokens):
         return None
     tok = tokens[i]
     if tok.kind is TokKind.IDENT:
         return ("leaf", tok.text), i + 1
     if tok.kind is TokKind.PUNCT and tok.text == "(":
-        inner = _expr(tokens, i + 1, 1)
+        if depth == MAX_PAREN_DEPTH:
+            raise _TooDeep
+        inner = _expr(tokens, i + 1, 1, depth=depth + 1)
         if inner is None:
             return None
         tree, j = inner
@@ -203,8 +218,8 @@ def _primary(tokens: list[CToken], i: int):
 
 
 def _expr(tokens: list[CToken], i: int, min_prec: int,
-          checkpoints: list | None = None):
-    first = _primary(tokens, i)
+          checkpoints: list | None = None, depth: int = 0):
+    first = _primary(tokens, i, depth)
     if first is None:
         return None
     tree, i = first
@@ -213,7 +228,7 @@ def _expr(tokens: list[CToken], i: int, min_prec: int,
     while i < len(tokens) and tokens[i].kind is TokKind.PUNCT \
             and _SYM_PREC.get(tokens[i].text, 0) >= min_prec:
         op = tokens[i].text
-        right = _expr(tokens, i + 1, _SYM_PREC[op] + 1)
+        right = _expr(tokens, i + 1, _SYM_PREC[op] + 1, depth=depth)
         if right is None:
             break
         rtree, i = right
@@ -311,7 +326,10 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     raw: list[tuple[int, int]] = []
     for i in range(len(tokens)):
         checkpoints: list = []
-        if _expr(tokens, i, 1, checkpoints) is None:
+        try:
+            if _expr(tokens, i, 1, checkpoints) is None:
+                continue
+        except _TooDeep:
             continue
         for tree, j in checkpoints:
             if tree != target:

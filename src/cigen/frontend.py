@@ -1,4 +1,4 @@
-"""CI spec frontend: parse the spec DSL, build the dataflow graph, analyze it.
+"""CI spec frontend: parse the spec DSL into its dataflow graph, analyze it.
 
 The DSL describes one custom instruction as declared operands plus a single
 arithmetic assignment:
@@ -22,6 +22,9 @@ Grammar (whitespace-insensitive, '#' starts a line comment):
 
 An expression may nest at most MAX_EXPR_DEPTH (960) operators deep; parentheses
 alone add no depth.
+
+The parser builds the finished dataflow graph in the same pass as the tree:
+every node's id, level, width and signedness is set when the node is read.
 
 Operator spellings map to operation kinds by operand signedness: "/" is a
 truncating division (DIVS when either side is signed, else DIVU), "%" is the
@@ -50,11 +53,11 @@ MIN_WIDTH = 1
 MAX_WIDTH = 32
 MIN_OPCODE = 0
 MAX_OPCODE = 4
-# Deepest operator nesting an expression may have.  The tree walks after
-# the parser (build_dfg, eval_reference, cpatch.spec_match_tree) recurse
-# once per level, and at this depth they stay within Python's default
-# limit of 1000 frames when cigen runs as a program.  The 960-term chain
-# a + b + ... nests 959 deep.
+# Deepest operator nesting an expression may have.  No walk over the tree
+# or the DFG recurses, but cpatch compares nested tuple trees, and the
+# interpreter spends one level of its recursion limit (1000 by default) on
+# each level of nesting it compares.  The 960-term chain a + b + ...
+# nests 959 deep.
 MAX_EXPR_DEPTH = 960
 
 DSL_KEYWORDS = frozenset({"ci", "input", "output", "signed", "unsigned", "opcode", "mod"})
@@ -125,6 +128,7 @@ class CiSpec:
     inputs: tuple[OperandDecl, ...]
     output: OperandDecl
     expr: ExprTree
+    dfg: Dfg = field(compare=False, repr=False)   # derived from expr
 
     def input_by_name(self, name: str) -> OperandDecl:
         for decl in self.inputs:
@@ -155,16 +159,20 @@ DfgNode = LeafNode | OpNode
 class Dfg:
     """Dataflow graph with per-node level, width and signedness annotations.
 
-    Node ids are assigned by first appearance in an in-order walk of the
-    expression, which equals left-to-right position in the source text.
-    Leaves are deduplicated; operation nodes are not.  Widths hold only leaf
-    entries until the mapper runs width inference.
+    Node ids follow source position: a leaf takes the next id where its
+    operand first appears, an operation where its operator appears, which is
+    the in-order position in the expression tree.  Leaves are deduplicated;
+    operation nodes are not.  level(leaf) = 0 and
+    level(op) = 1 + max(level(children)); widths follow op_result_width, and
+    a node is signed when either child is.  order lists the op ids children
+    first, so a single loop over it evaluates the graph.
     """
     nodes: tuple[DfgNode, ...]
     root: int
     level: dict[int, int]
     width: dict[int, int]
     signed: dict[int, bool]
+    order: tuple[int, ...]
 
     def node(self, node_id: int) -> DfgNode:
         return self.nodes[node_id]
@@ -307,13 +315,6 @@ def _resolve_div_kind(symbol: str, signed: bool) -> OpKind:
     raise AssertionError(symbol)
 
 
-def expr_signed(expr: ExprTree, decls: dict[str, OperandDecl]) -> bool:
-    """An expression is signed when any operand under it is signed."""
-    if isinstance(expr, Leaf):
-        return decls[expr.name].signed
-    return expr_signed(expr.left, decls) or expr_signed(expr.right, decls)
-
-
 def parse_ci_spec(text: str) -> CiSpec:
     """Parse CI spec text into a CiSpec, raising on the first error."""
     p = _Parser(_tokenize(text))
@@ -379,11 +380,11 @@ def parse_ci_spec(text: str) -> CiSpec:
                               target_tok.line, target_tok.col,
                               expected=f"'{output.name}'")
     p.expect("=", "'='")
-    expr = _parse_expr(p, decls)
+    expr, dfg = _parse_expr(p, decls)
     p.expect(";", "';'")
     p.expect("}", "'}'")
     p.expect("eof", "end of input")
-    return CiSpec(ci_name, opcode, tuple(inputs), output, expr)
+    return CiSpec(ci_name, opcode, tuple(inputs), output, expr, dfg)
 
 
 def _binary_precedence(tok: _Token) -> int | None:
@@ -395,31 +396,63 @@ def _binary_precedence(tok: _Token) -> int | None:
     return None
 
 
-def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> ExprTree:
-    """An expr of the grammar, parsed without recursion.  Operands wait on
-    one stack with their depth and signedness, pending operators and open
-    parentheses (None) on another, so nesting costs no Python frames."""
-    operands: list[tuple[ExprTree, int, bool]] = []
-    pending: list[_Token | None] = []
+def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
+    """Width rules
+        add/sub    result width = max(input widths); the narrower side is
+                   widened by an extension adapter so the unit sees equal
+                   widths
+        multiply   result width = min(32, wa + wb); the unit computes the
+                   full product and the consumer keeps the low result-width
+                   bits
+        divide     quotient width = numerator width
+        mod/rem    result width = denominator width
+    """
+    if kind in (OpKind.ADD, OpKind.SUB):
+        return max(w_left, w_right)
+    if kind is OpKind.MUL:
+        return min(32, w_left + w_right)
+    if kind in (OpKind.DIVS, OpKind.DIVU):
+        return w_left
+    return w_right
+
+
+def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Dfg]:
+    """An expr of the grammar and its DFG, parsed without recursion.
+    Operands wait on one stack with their node ids, pending operators with
+    the ids they reserved and open parentheses (None) on another, so nesting
+    costs no Python frames."""
+    nodes: list[DfgNode | None] = []
+    leaf_ids: dict[str, int] = {}
+    level: dict[int, int] = {}
+    width: dict[int, int] = {}
+    signed: dict[int, bool] = {}
+    order: list[int] = []
+    operands: list[tuple[ExprTree, int]] = []
+    pending: list[tuple[_Token, int] | None] = []
     open_parens = 0
 
     def reduce() -> None:
-        tok = pending.pop()
-        right, right_depth, right_signed = operands.pop()
-        left, left_depth, left_signed = operands.pop()
-        depth = 1 + max(left_depth, right_depth)
+        tok, node_id = pending.pop()
+        right, right_id = operands.pop()
+        left, left_id = operands.pop()
+        depth = 1 + max(level[left_id], level[right_id])
         if depth > MAX_EXPR_DEPTH:
             raise SpecSyntaxError(
                 f"expression nests operators deeper than {MAX_EXPR_DEPTH}",
                 tok.line, tok.col)
-        signed = left_signed or right_signed
+        is_signed = signed[left_id] or signed[right_id]
         if tok.kind in ("+", "-"):
             kind = OpKind.ADD if tok.kind == "+" else OpKind.SUB
         elif tok.kind == "*":
             kind = OpKind.MUL
         else:
-            kind = _resolve_div_kind(tok.text, signed)
-        operands.append((BinOp(kind, left, right), depth, signed))
+            kind = _resolve_div_kind(tok.text, is_signed)
+        nodes[node_id] = OpNode(node_id, kind, left_id, right_id)
+        level[node_id] = depth
+        width[node_id] = op_result_width(kind, width[left_id], width[right_id])
+        signed[node_id] = is_signed
+        order.append(node_id)
+        operands.append((BinOp(kind, left, right), node_id))
 
     while True:
         tok = p.advance()
@@ -432,7 +465,14 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> ExprTree:
                                   tok.col, expected="operand or '('")
         if tok.text not in decls:
             raise UndeclaredIdentifier(tok.text, tok.line, tok.col)
-        operands.append((Leaf(tok.text), 0, decls[tok.text].signed))
+        if tok.text not in leaf_ids:
+            leaf_id = leaf_ids[tok.text] = len(nodes)
+            decl = decls[tok.text]
+            nodes.append(LeafNode(leaf_id, decl))
+            level[leaf_id] = 0
+            width[leaf_id] = decl.width
+            signed[leaf_id] = decl.signed
+        operands.append((Leaf(tok.text), leaf_ids[tok.text]))
         while open_parens and p.peek().kind == ")":
             p.advance()
             while pending[-1] is not None:
@@ -443,59 +483,20 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> ExprTree:
         if precedence is None:
             break
         while pending and pending[-1] is not None \
-                and _binary_precedence(pending[-1]) >= precedence:
+                and _binary_precedence(pending[-1][0]) >= precedence:
             reduce()
-        pending.append(p.advance())
+        pending.append((p.advance(), len(nodes)))
+        nodes.append(None)  # the operator's in-order slot
     if open_parens:
         p.expect(")", "')'")
     while pending:
         reduce()
-    return operands[0][0]
-
-
-def build_dfg(spec: CiSpec) -> Dfg:
-    """Lower the expression tree to a DFG with shared leaves and levels.
-
-    An in-order walk assigns ids: each leaf on first appearance, each
-    operation at its operator position.  level(leaf) = 0 and
-    level(op) = 1 + max(level(children)).
-    """
-    decls = {d.name: d for d in spec.inputs}
-    nodes: list[DfgNode] = []
-    leaf_ids: dict[str, int] = {}
-    level: dict[int, int] = {}
-    width: dict[int, int] = {}
-    signed: dict[int, bool] = {}
-
-    def walk(expr: ExprTree) -> int:
-        if isinstance(expr, Leaf):
-            if expr.name in leaf_ids:
-                return leaf_ids[expr.name]
-            node_id = len(nodes)
-            decl = decls[expr.name]
-            nodes.append(LeafNode(node_id, decl))
-            leaf_ids[expr.name] = node_id
-            level[node_id] = 0
-            width[node_id] = decl.width
-            signed[node_id] = decl.signed
-            return node_id
-        left_id = walk(expr.left)
-        node_id = len(nodes)
-        nodes.append(None)  # reserve the operator's in-order slot
-        right_id = walk(expr.right)
-        nodes[node_id] = OpNode(node_id, expr.kind, left_id, right_id)
-        level[node_id] = 1 + max(level[left_id], level[right_id])
-        signed[node_id] = signed[left_id] or signed[right_id]
-        return node_id
-
-    root = walk(spec.expr)
-    return Dfg(tuple(nodes), root, level, width, signed)
+    expr, root = operands[0]
+    return expr, Dfg(tuple(nodes), root, level, width, signed, tuple(order))
 
 
 def analyze(dfg: Dfg) -> AnalysisResult:
     """Derive load order and level-priority execution order from a DFG."""
-    operands = tuple(n.decl.name for n in dfg.nodes if isinstance(n, LeafNode))
-    ops = [n for n in dfg.nodes if isinstance(n, OpNode)]
-    ordered = sorted(ops, key=lambda n: (dfg.level[n.id], n.id))
-    max_level = max((dfg.level[n.id] for n in ops), default=0)
-    return AnalysisResult(operands, tuple(n.id for n in ordered), max_level)
+    operands = tuple(n.decl.name for n in dfg.leaf_nodes())
+    ordered = sorted(dfg.order, key=lambda i: (dfg.level[i], i))
+    return AnalysisResult(operands, tuple(ordered), dfg.level[dfg.root])

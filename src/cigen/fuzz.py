@@ -20,9 +20,6 @@ _WIDTH_POOL = (1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24, 31, 32, 32)
 class FuzzConfig:
     max_inputs: int = 5
     max_depth: int = 3
-    leaf_bias: float = 0.4
-    allow_division: bool = True
-    corner_bias: float = 0.25
     widths: tuple[int, ...] = _WIDTH_POOL
 
 
@@ -38,12 +35,10 @@ def random_spec(rng: random.Random, name: str = "fz",
         width = rng.choice(cfg.widths)
         decls.append(f"  input {ident}: {sign}<{width}>;")
 
-    ops = ["+", "-", "*"]
-    if cfg.allow_division:
-        ops += ["/", "%", "mod"]
+    ops = ["+", "-", "*", "/", "%", "mod"]
 
     def expr(depth: int) -> str:
-        if depth >= cfg.max_depth or rng.random() < cfg.leaf_bias:
+        if depth >= cfg.max_depth or rng.random() < 0.4:
             return rng.choice(names)
         op = rng.choice(ops)
         left, right = expr(depth + 1), expr(depth + 1)

@@ -1,21 +1,16 @@
 """Map an analyzed DFG onto parameterized components.
 
-Width rules
-    add/sub    result width = max(input widths); the narrower side is widened
-               by an extension adapter so the unit sees equal widths
-    multiply   result width = min(32, wa + wb); the unit computes the full
-               product and the consumer keeps the low result-width bits
-    divide     quotient width = numerator width
-    mod/rem    result width = denominator width
+The parser has already set every node's width (``frontend.op_result_width``)
+and signedness; the mapper picks one component per op node and the
+adapters that bring its inputs to the widths the component expects.
 
 Signedness
-    A node is signed when either child is signed.  Extension adapters
-    sign-extend signed values and zero-extend unsigned ones.  Multipliers and
-    dividers with mixed-signedness children get the unsigned child
-    zero-extended by one bit so a single signed representation is exact; a
-    mixed multiply whose signed child is already 32 bits wide instead runs
-    unsigned on raw patterns, which agrees on the low 32 result bits and
-    keeps the full product within 64 bits.
+    Extension adapters sign-extend signed values and zero-extend unsigned
+    ones.  Multipliers and dividers with mixed-signedness children get the
+    unsigned child zero-extended by one bit so a single signed
+    representation is exact; a mixed multiply whose signed child is already
+    32 bits wide instead runs unsigned on raw patterns, which agrees on the
+    low 32 result bits and keeps the full product within 64 bits.
 
 The divider natively produces a truncating quotient and a dividend-sign
 remainder.  Flooring modulus nodes add a correction stage on the remainder;
@@ -25,7 +20,7 @@ an unsigned modulus needs none because the remainder is already the modulus.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoInputs
 from .frontend import (
@@ -36,7 +31,6 @@ from .frontend import (
     OpKind,
     OpNode,
     analyze,
-    build_dfg,
 )
 from .lpm import (
     AddSubGenerics,
@@ -115,7 +109,6 @@ class MappedDesign:
     ``analysis.operation_sequence`` order, and the adapters its inputs need."""
     dfg: Dfg
     analysis: AnalysisResult
-    kinds_needed: frozenset[ComponentKind]
     instances: tuple[InstancePlan, ...]
     adapters: tuple[AdapterPlan, ...]
     loading: LoadingPlan
@@ -127,24 +120,6 @@ def input_reg(name: str) -> str:
 
 def node_reg(node_id: int) -> str:
     return f"s_{node_id}"
-
-
-def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
-    if kind in (OpKind.ADD, OpKind.SUB):
-        return max(w_left, w_right)
-    if kind is OpKind.MUL:
-        return min(32, w_left + w_right)
-    if kind in (OpKind.DIVS, OpKind.DIVU):
-        return w_left
-    return w_right
-
-
-def infer_widths(dfg: Dfg) -> Dfg:
-    """Fill in op-node widths bottom-up from the leaf widths."""
-    width = dict(dfg.width)
-    for node in sorted(dfg.op_nodes(), key=lambda n: (dfg.level[n.id], n.id)):
-        width[node.id] = op_result_width(node.kind, width[node.left], width[node.right])
-    return replace(dfg, width=width)
 
 
 def _extension_for(signed: bool) -> Extension:
@@ -217,7 +192,7 @@ def _plan_divide(node: OpNode, dfg: Dfg) -> tuple[InstancePlan, list[AdapterPlan
 
 
 def plan_components(dfg: Dfg, analysis: AnalysisResult) -> tuple[
-        tuple[InstancePlan, ...], tuple[AdapterPlan, ...], frozenset[ComponentKind]]:
+        tuple[InstancePlan, ...], tuple[AdapterPlan, ...]]:
     """One instance per op node plus the adapters its inputs need."""
     instances: list[InstancePlan] = []
     adapters: list[AdapterPlan] = []
@@ -233,10 +208,7 @@ def plan_components(dfg: Dfg, analysis: AnalysisResult) -> tuple[
             inst, extra = _plan_divide(node, dfg)
         instances.append(inst)
         adapters.extend(extra)
-    kinds = frozenset(i.kind for i in instances)
-    if adapters:
-        kinds |= {ComponentKind.CONCAT_EXTEND}
-    return tuple(instances), tuple(adapters), kinds
+    return tuple(instances), tuple(adapters)
 
 
 def plan_loading(analysis: AnalysisResult) -> LoadingPlan:
@@ -253,11 +225,10 @@ def plan_loading(analysis: AnalysisResult) -> LoadingPlan:
 
 def map_design(spec: CiSpec) -> MappedDesign:
     """Run the full mapping pipeline for a parsed spec."""
-    dfg = infer_widths(build_dfg(spec))
-    analysis = analyze(dfg)
-    instances, adapters, kinds = plan_components(dfg, analysis)
+    analysis = analyze(spec.dfg)
+    instances, adapters = plan_components(spec.dfg, analysis)
     loading = plan_loading(analysis)
-    return MappedDesign(dfg, analysis, kinds, instances, adapters, loading)
+    return MappedDesign(spec.dfg, analysis, instances, adapters, loading)
 
 
 def load_cycle_count(mapped: MappedDesign) -> int:

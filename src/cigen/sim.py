@@ -1,9 +1,10 @@
 """Simulation of a generated design, plus its reference oracle.
 
-Two evaluators live here on purpose.  ``eval_reference`` walks the expression
-tree over exact Python integers and applies the width rules at each node; it
-never looks at component instances, adapters or the control schedule.  The
-other executes the ``HdlDesign`` that ``emit_vhdl`` prints.
+Two evaluators live here on purpose.  ``eval_reference`` evaluates the
+spec's dataflow graph, children first, over exact Python integers and
+applies the width rules at each node; it never looks at component
+instances, adapters or the control schedule.  The other executes the
+``HdlDesign`` that ``emit_vhdl`` prints.
 ``IndexedDesign`` lowers it once: the registers and widths it declares, each
 wire's single driver (an instance through the component library's column
 kernels, or a concurrent assignment) and, for every step of its control
@@ -41,7 +42,7 @@ from .errors import (
     ProtocolViolation,
     WidthMismatch,
 )
-from .frontend import CiSpec, Dfg, LeafNode, OpKind, OpNode, build_dfg
+from .frontend import CiSpec, OpKind
 from .hdl import build_design
 from .lpm import (
     COMPONENT_DECLS,
@@ -58,7 +59,6 @@ from .mapper import (
     MappedDesign,
     adapt_root,
     done_cycle_enabled,
-    infer_widths,
     load_cycle_count,
     map_design,
     node_reg,
@@ -90,25 +90,20 @@ def _trunc_div(n: int, d: int) -> int:
     return -q if (n < 0) != (d < 0) else q
 
 
-def eval_reference(spec: CiSpec, inputs: dict[str, int],
-                   dfg: Dfg | None = None) -> BitVec:
+def eval_reference(spec: CiSpec, inputs: dict[str, int]) -> BitVec:
     """Evaluate the expression over exact integers, reducing each node to its
     width, and adapt the root to the 32-bit result port.
 
     Division truncates toward zero; remainder takes the dividend's sign and
     modulus the divisor's sign.  A zero divisor raises DivideByZero naming
-    the node.  Passing a width-inferred dfg skips rebuilding it per call.
+    the node.
     """
     validate_inputs(spec, inputs)
-    if dfg is None:
-        dfg = infer_widths(build_dfg(spec))
-
-    def value(node_id: int) -> int:
-        node = dfg.node(node_id)
-        if isinstance(node, LeafNode):
-            return inputs[node.decl.name]
-        assert isinstance(node, OpNode)
-        left, right = value(node.left), value(node.right)
+    dfg = spec.dfg
+    value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaf_nodes()}
+    for node_id in dfg.order:
+        node = dfg.nodes[node_id]
+        left, right = value[node.left], value[node.right]
         if node.kind is OpKind.ADD:
             raw = left + right
         elif node.kind is OpKind.SUB:
@@ -124,10 +119,11 @@ def eval_reference(spec: CiSpec, inputs: dict[str, int],
                 raw = left - _trunc_div(left, right) * right
             else:
                 raw = left % right
-        return BitVec.from_int(raw, dfg.width[node_id]).interpret(dfg.signed[node_id])
+        value[node_id] = BitVec.from_int(raw, dfg.width[node_id]) \
+            .interpret(dfg.signed[node_id])
 
     root = dfg.root
-    root_bits = BitVec.from_int(value(root), dfg.width[root])
+    root_bits = BitVec.from_int(value[root], dfg.width[root])
     return adapt_root(root_bits, dfg.signed[root], spec.output)
 
 
@@ -533,7 +529,7 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
     wants: list[int | None] = []
     for vec in vectors:
         try:
-            wants.append(eval_reference(spec, vec, dfg=mapped.dfg).bits)
+            wants.append(eval_reference(spec, vec).bits)
         except DivideByZero:
             wants.append(None)
     indexed = IndexedDesign(design if design is not None

@@ -113,7 +113,10 @@ class TestComponentDeduplication:
 
             decl_names = [c.name for c in design.architecture.components]
             assert len(decl_names) == len(set(decl_names))
-            expected = {COMPONENT_DECLS[k].name for k in mapped.kinds_needed}
+            kinds = {i.kind for i in mapped.instances}
+            if mapped.adapters:
+                kinds.add(ComponentKind.CONCAT_EXTEND)
+            expected = {COMPONENT_DECLS[k].name for k in kinds}
             assert set(decl_names) == expected
 
             by_component = {}

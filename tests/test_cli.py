@@ -132,7 +132,7 @@ class TestBuild:
 
 class TestFailClosed:
     """Bad flags, config, input bytes and output paths exit 1 with one
-    error line and leave -o uncreated."""
+    error line and leave -o uncreated; no input depth gives a traceback."""
 
     def _refused(self, capsys, argv, out):
         code, _, stderr = _run(capsys, *argv)
@@ -203,6 +203,18 @@ class TestFailClosed:
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "w.vhd").exists()
+
+    def test_deeply_nested_c_parentheses(self, tmp_path, capsys, spec_file):
+        deep = "(" * 600 + "a" + ")" * 600 + " * b + c"
+        source = tmp_path / "deep.c"
+        source.write_text(
+            f"int g(int a, int b, int c) {{ return {deep}; }}\n"
+            "int h(int a, int b, int c) { return (a * b) + c; }\n")
+        code, _, stderr = _run(capsys, "patch", spec_file, source)
+        assert code == 0, stderr
+        patched = (tmp_path / "deep.ci.c").read_text()
+        assert f"return {deep};" in patched
+        assert "return CI_F(a, b, c);" in patched
 
     def test_output_path_is_a_file(self, tmp_path, capsys, spec_file):
         out = tmp_path / "taken"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_text, nested_text
+from cigen.cpatch import spec_match_tree
 from cigen.errors import (
     DuplicateDeclaration,
     OpcodeOutOfRange,
@@ -19,11 +20,11 @@ from cigen.frontend import (
     OpKind,
     OpNode,
     analyze,
-    build_dfg,
-    expr_signed,
     parse_ci_spec,
 )
 from cigen.fuzz import FuzzConfig, random_spec
+from cigen.mapper import map_design
+from cigen.sim import eval_reference
 
 import random
 
@@ -33,7 +34,7 @@ def _spec(body: str, name: str = "t", opcode: int = 0) -> str:
 
 
 def _kinds(spec_text: str) -> list[OpKind]:
-    dfg = build_dfg(parse_ci_spec(spec_text))
+    dfg = parse_ci_spec(spec_text).dfg
     order = analyze(dfg).operation_sequence
     return [dfg.node(i).kind for i in order]
 
@@ -73,7 +74,7 @@ class TestParse:
                 "input c:signed<32>;output X:signed<32>;\n"
                 "X=(a*b)+c;}")
         spec = parse_ci_spec(text)
-        assert build_dfg(spec).canonical() == build_dfg(mac_spec).canonical()
+        assert spec.dfg.canonical() == mac_spec.dfg.canonical()
 
     @pytest.mark.parametrize("source,expected", [
         ("x = a + b * c;", [OpKind.MUL, OpKind.ADD]),
@@ -102,14 +103,6 @@ class TestParse:
         text = _spec(f"input a: {sign_a}<8>; input b: {sign_b}<8>;"
                      f"output x: signed<8>; x = a {symbol} b;")
         assert _kinds(text) == [kind]
-
-    def test_expr_signed_matches_resolution(self):
-        spec = parse_ci_spec(_spec(
-            "input a: signed<8>; input b: unsigned<8>;"
-            "output x: signed<8>; x = a + b;"))
-        decls = {d.name: d for d in spec.inputs}
-        assert expr_signed(spec.expr, decls) is True
-        assert expr_signed(spec.expr.right, decls) is False
 
 
 class TestParseErrors:
@@ -177,20 +170,35 @@ class TestDepthLimit:
         spec = parse_ci_spec(nested_text(1200, "a + b"))
         assert spec.expr == BinOp(OpKind.ADD, Leaf("a"), Leaf("b"))
 
+    def test_walks_at_the_limit_need_no_stack(self):
+        # called 400 frames deep, so a walk that recursed once per level
+        # would pass Python's default limit of 1000 frames
+        spec = parse_ci_spec(chain_text(MAX_EXPR_DEPTH + 1))
+        vector = {d.name: 0 for d in spec.inputs} | {"a0": 5}
+
+        def deep(frames, call):
+            return deep(frames - 1, call) if frames else call()
+
+        mapped = deep(400, lambda: map_design(spec))
+        assert mapped.analysis.max_level == MAX_EXPR_DEPTH
+        assert deep(400, lambda: eval_reference(spec, vector)).signed == 5
+        tree = deep(400, lambda: spec_match_tree(spec))
+        assert tree[0] == "+" and tree[2] == ("leaf", f"a{MAX_EXPR_DEPTH}")
+
 
 class TestDfg:
     def test_leaves_dedup_ops_do_not(self):
         text = _spec("input a: signed<8>; input b: signed<8>;"
                      "output x: signed<8>; x = (a + b) - (a + b);")
-        dfg = build_dfg(parse_ci_spec(text))
+        dfg = parse_ci_spec(text).dfg
         assert len(dfg.leaf_nodes()) == 2
         adds = [n for n in dfg.op_nodes() if n.kind is OpKind.ADD]
         assert len(adds) == 2
         assert adds[0].id != adds[1].id
 
     def test_repeated_operand_is_one_node(self):
-        dfg = build_dfg(parse_ci_spec(_spec(
-            "input a: signed<8>; output x: signed<8>; x = a * a;")))
+        dfg = parse_ci_spec(_spec(
+            "input a: signed<8>; output x: signed<8>; x = a * a;")).dfg
         assert len(dfg.leaf_nodes()) == 1
         (op,) = dfg.op_nodes()
         assert op.left == op.right
@@ -199,7 +207,7 @@ class TestDfg:
         text = _spec("input a: signed<8>; input b: signed<8>;"
                      "input c: signed<8>; input d: signed<8>;"
                      "output x: signed<8>; x = (a - b) * (c - d);")
-        dfg = build_dfg(parse_ci_spec(text))
+        dfg = parse_ci_spec(text).dfg
         analysis = analyze(dfg)
         kinds = [dfg.node(i).kind for i in analysis.operation_sequence]
         assert kinds == [OpKind.SUB, OpKind.SUB, OpKind.MUL]
@@ -211,12 +219,12 @@ class TestDfg:
         text = _spec("input a: signed<8>; input b: signed<8>;"
                      "input c: signed<8>;"
                      "output x: signed<8>; x = c + a * c;")
-        analysis = analyze(build_dfg(parse_ci_spec(text)))
+        analysis = analyze(parse_ci_spec(text).dfg)
         assert analysis.operand_sequence == ("c", "a")
 
     def test_identity_has_no_operations(self):
-        dfg = build_dfg(parse_ci_spec(_spec(
-            "input a: unsigned<4>; output x: unsigned<4>; x = a;")))
+        dfg = parse_ci_spec(_spec(
+            "input a: unsigned<4>; output x: unsigned<4>; x = a;")).dfg
         analysis = analyze(dfg)
         assert analysis.operation_sequence == ()
         assert analysis.max_level == 0
@@ -224,7 +232,7 @@ class TestDfg:
 
     def test_node_ids_are_in_order_walk(self, mac_spec):
         # a=0, mul=1, b=2, add=3, c=4: left subtree, self, right subtree.
-        dfg = build_dfg(mac_spec)
+        dfg = mac_spec.dfg
         ids = {n.decl.name: n.id for n in dfg.leaf_nodes()}
         assert ids == {"a": 0, "b": 2, "c": 4}
         kinds = {n.id: n.kind for n in dfg.op_nodes()}
@@ -237,7 +245,7 @@ class TestProperties:
     def test_fuzzed_specs_analyze_cleanly(self, seed):
         spec = random_spec(random.Random(seed), "p",
                            FuzzConfig(max_inputs=6, max_depth=4))
-        dfg = build_dfg(spec)
+        dfg = spec.dfg
         analysis = analyze(dfg)
         declared = {d.name for d in spec.inputs}
         assert set(analysis.operand_sequence) <= declared
@@ -255,7 +263,7 @@ class TestProperties:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
     def test_canonical_stable_under_reparse(self, seed, pad):
         spec = random_spec(random.Random(seed), "p")
-        dfg = build_dfg(spec)
+        dfg = spec.dfg
         # Re-render the same structure with different spacing and reparse.
         gap = " " * pad
         decls = "".join(
@@ -266,4 +274,4 @@ class TestProperties:
                 f"output {out.name}: {'signed' if out.signed else 'unsigned'}"
                 f"<{out.width}>; {out.name} = {_render(spec.expr)}; }}")
         again = parse_ci_spec(text)
-        assert build_dfg(again).canonical() == dfg.canonical()
+        assert again.dfg.canonical() == dfg.canonical()

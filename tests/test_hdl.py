@@ -253,7 +253,10 @@ class TestFuzzedStructure:
         assert design.entity.ports == ENTITY_PORTS
         # one declaration per used kind, one instance per op node
         decls = [c.name for c in design.architecture.components]
-        assert len(decls) == len(set(decls)) == len(mapped.kinds_needed)
+        kinds = {i.kind for i in mapped.instances}
+        if mapped.adapters:
+            kinds.add(ComponentKind.CONCAT_EXTEND)
+        assert len(decls) == len(set(decls)) == len(kinds)
         op_instances = [i for i in design.architecture.instances
                         if i.label.startswith("u_")]
         assert len(op_instances) == len(mapped.instances)
