@@ -15,8 +15,8 @@ the replacement can never change what the surrounding expression means:
 * fully parenthesized candidates are exempt from left-context screening
   unless the parenthesis is actually a call argument list.
 
-Parentheses nested deeper than MAX_PAREN_DEPTH are not parsed: a candidate
-that reaches such a group is dropped.
+Parentheses nested deeper than MAX_PAREN_DEPTH are not parsed: the parse of a
+candidate stops at such a group, and only what it read before it is matched.
 
 Flooring modulus exists in the instruction grammar but has no C operator,
 so expressions using it are reported as unmatchable instead of guessed at.
@@ -187,9 +187,10 @@ def spec_match_tree(spec: CiSpec) -> Tree | None:
 
 # Deepest parenthesis nesting the matcher parses.  Its recursive descent
 # spends up to four Python frames per level, so this keeps it well inside
-# the default recursion limit of 1000.  A candidate whose parse reaches a
-# deeper group is dropped whole, so the parse is not retried along other
-# operator paths, and the rest of the file is matched as usual.
+# the default recursion limit of 1000.  A parse that reaches a deeper group
+# stops there, so it is not retried along other operator paths; the
+# prefixes it recorded before the group are still screened, and the rest
+# of the file is matched as usual.
 MAX_PAREN_DEPTH = 200
 
 
@@ -327,10 +328,9 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     for i in range(len(tokens)):
         checkpoints: list = []
         try:
-            if _expr(tokens, i, 1, checkpoints) is None:
-                continue
+            _expr(tokens, i, 1, checkpoints)
         except _TooDeep:
-            continue
+            pass   # the prefixes read before the deep group still count
         for tree, j in checkpoints:
             if tree != target:
                 continue

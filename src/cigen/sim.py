@@ -42,7 +42,7 @@ from .errors import (
     ProtocolViolation,
     WidthMismatch,
 )
-from .frontend import CiSpec, OpKind
+from .frontend import CiSpec, Dfg, OpKind
 from .hdl import build_design
 from .lpm import (
     COMPONENT_DECLS,
@@ -90,16 +90,18 @@ def _trunc_div(n: int, d: int) -> int:
     return -q if (n < 0) != (d < 0) else q
 
 
-def eval_reference(spec: CiSpec, inputs: dict[str, int]) -> BitVec:
+def eval_reference(spec: CiSpec, inputs: dict[str, int],
+                   dfg: Dfg | None = None) -> BitVec:
     """Evaluate the expression over exact integers, reducing each node to its
     width, and adapt the root to the 32-bit result port.
 
     Division truncates toward zero; remainder takes the dividend's sign and
     modulus the divisor's sign.  A zero divisor raises DivideByZero naming
-    the node.
+    the node.  ``dfg`` defaults to ``spec.dfg``.
     """
     validate_inputs(spec, inputs)
-    dfg = spec.dfg
+    if dfg is None:
+        dfg = spec.dfg
     value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaf_nodes()}
     for node_id in dfg.order:
         node = dfg.nodes[node_id]

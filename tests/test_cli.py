@@ -216,6 +216,17 @@ class TestFailClosed:
         assert f"return {deep};" in patched
         assert "return CI_F(a, b, c);" in patched
 
+    def test_site_before_a_deep_group_is_patched(self, tmp_path, capsys,
+                                                 spec_file):
+        deep = "(" * 300 + "x" + ")" * 300
+        source = tmp_path / "deep.c"
+        source.write_text(
+            f"int g(int a, int b, int c, int x) {{ return a * b + c + {deep}; }}\n")
+        code, _, stderr = _run(capsys, "patch", spec_file, source)
+        assert code == 0, stderr
+        patched = (tmp_path / "deep.ci.c").read_text()
+        assert f"return CI_F(a, b, c) + {deep};" in patched
+
     def test_output_path_is_a_file(self, tmp_path, capsys, spec_file):
         out = tmp_path / "taken"
         out.write_text("keep")
