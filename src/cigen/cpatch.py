@@ -1,19 +1,28 @@
 """Patch C sources to call the generated custom instruction.
 
-The matcher works on tokens, not text.  At every token position it parses
-the longest expression the instruction's grammar can produce (identifiers,
-parentheses, and the five binary operators with C precedence) and compares
-the parse tree, plus every prefix of its left spine, against the
-instruction's expression tree.  A hit is then screened by context guards so
+The matcher works on tokens, not text; the lexer flags preprocessor tokens
+as it goes.  A candidate starts only at a token that can open the
+instruction's expression: an identifier equal to its leftmost leaf, or an
+opening parenthesis.  From there it parses the longest expression the
+instruction's grammar can produce (identifiers, parentheses, and the five
+binary operators with C precedence) and compares the parse tree, plus every
+prefix of its left spine, against the instruction's expression tree.  All
+candidates of one file share one memo, so each subexpression is parsed
+once, and a parse stops once its tree has more leaves than the target, so
+matching is linear in the number of tokens.  (Only groups nested deeper
+than MAX_PAREN_DEPTH are parsed again by candidates at each level, up to
+MAX_PAREN_DEPTH levels each.)  A hit is then screened by context guards so
 the replacement can never change what the surrounding expression means:
 
 * a candidate preceded by a tighter-binding operator, a unary operator, a
   cast, or a member access is dropped, because its leftmost leaf belongs to
   that construct rather than to a standalone occurrence;
-* a candidate followed by a call, index, member, or postfix token is
-  dropped for the mirror reason on the right edge;
-* fully parenthesized candidates are exempt from left-context screening
-  unless the parenthesis is actually a call argument list.
+* a candidate followed by a call, index, member, or postfix token, or by an
+  operator binding tighter than its top operator, is dropped for the mirror
+  reason on the right edge;
+* fully parenthesized candidates are exempt from the operator checks on
+  both edges, and from the rest of the left-context screening unless the
+  parenthesis is actually a call argument list.
 
 Parentheses nested deeper than MAX_PAREN_DEPTH are not parsed: the parse of a
 candidate stops at such a group, and only what it read before it is matched.
@@ -27,7 +36,9 @@ from __future__ import annotations
 
 import enum
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import LexError, NoMatchFound
 from .frontend import CiSpec, OpKind
@@ -67,7 +78,7 @@ class TokKind(enum.Enum):
     PUNCT = enum.auto()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CToken:
     kind: TokKind
     text: str
@@ -78,90 +89,50 @@ class CToken:
 
 
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*")
+
+# One alternative per token class, tried in this order at each position.
+# Groups named after a TokKind make a token; "skip" and "comment" advance
+# the line count; "unterminated" is an opening quote or comment that the
+# complete forms before it could not close.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<skip>(?:[ \t\r\f\v\n]|\\\n)+)",
+    r"(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)",
+    r'(?P<STRING>"(?:\\[\s\S]|[^"\\\n])*")',
+    r"(?P<CHAR>'(?:\\[\s\S]|[^'\\\n])*')",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)",
+    r"(?P<unterminated>/\*|[\"'])",
+    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCTS)) + ")",
+]))
+_UNTERMINATED = {'"': "string literal", "'": "character literal",
+                 "/*": "block comment"}
 
 
 def lex_c(source: str) -> list[CToken]:
     """Tokenize C source, dropping comments but keeping byte offsets."""
     directive_spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
-
-    def in_directive(pos: int) -> bool:
-        return any(a <= pos < b for a, b in directive_spans)
-
+    directive = 0   # the first directive span not wholly before i
     tokens: list[CToken] = []
     i, n, line = 0, len(source), 1
-
-    def take_quoted(quote: str, what: str) -> int:
-        j = i + 1
-        while j < n:
-            c = source[j]
-            if c == "\\":
-                j += 2
-                continue
-            if c == quote:
-                return j + 1
-            if c == "\n":
-                raise LexError(f"unterminated {what} on line {line}")
-            j += 1
-        raise LexError(f"unterminated {what} on line {line}")
-
     while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-        if source.startswith("\\\n", i):
-            line += 1
-            i += 2
-            continue
-        if source.startswith("//", i):
-            nl = source.find("\n", i)
-            i = n if nl < 0 else nl
-            continue
-        if source.startswith("/*", i):
-            close = source.find("*/", i + 2)
-            if close < 0:
-                raise LexError(f"unterminated block comment on line {line}")
-            line += source.count("\n", i, close)
-            i = close + 2
-            continue
-        if c == '"':
-            end = take_quoted('"', "string literal")
-            tokens.append(CToken(TokKind.STRING, source[i:end], i, end, line,
-                                 in_directive(i)))
-            i = end
-            continue
-        if c == "'":
-            end = take_quoted("'", "character literal")
-            tokens.append(CToken(TokKind.CHAR, source[i:end], i, end, line,
-                                 in_directive(i)))
-            i = end
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(CToken(TokKind.IDENT, m.group(), i, m.end(), line,
-                                 in_directive(i)))
-            i = m.end()
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            tokens.append(CToken(TokKind.NUMBER, m.group(), i, m.end(), line,
-                                 in_directive(i)))
-            i = m.end()
-            continue
-        for punct in _PUNCTS:
-            if source.startswith(punct, i):
-                tokens.append(CToken(TokKind.PUNCT, punct, i, i + len(punct),
-                                     line, in_directive(i)))
-                i += len(punct)
-                break
+        m = _TOKEN_RE.match(source, i)
+        if m is None:
+            raise LexError(f"stray character {source[i]!r} on line {line}")
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "skip" or kind == "comment":
+            line += text.count("\n")
+        elif kind == "unterminated":
+            raise LexError(
+                f"unterminated {_UNTERMINATED[text]} on line {line}")
         else:
-            raise LexError(f"stray character {c!r} on line {line}")
+            while (directive < len(directive_spans)
+                   and directive_spans[directive][1] <= i):
+                directive += 1
+            in_directive = (directive < len(directive_spans)
+                            and directive_spans[directive][0] <= i)
+            tokens.append(CToken(TokKind[kind], text, i, end, line,
+                                 in_directive))
+        i = end
     return tokens
 
 
@@ -185,77 +156,122 @@ def spec_match_tree(spec: CiSpec) -> Tree | None:
     return trees[dfg.root]
 
 
-# Deepest parenthesis nesting the matcher parses.  Its recursive descent
-# spends up to four Python frames per level, so this keeps it well inside
-# the default recursion limit of 1000.  A parse that reaches a deeper group
-# stops there, so it is not retried along other operator paths; the
-# prefixes it recorded before the group are still screened, and the rest
-# of the file is matched as usual.
+# Deepest parenthesis nesting the matcher parses, counted from the token a
+# candidate starts at.  Its recursive descent spends up to three Python
+# frames per level, so this keeps it well inside the default recursion
+# limit of 1000.  A parse that reaches a deeper group stops there; the
+# prefixes it recorded before the group are still screened, and the rest of
+# the file is matched as usual.
 MAX_PAREN_DEPTH = 200
 
-
-class _TooDeep(Exception):
-    """The parse reached a group nested deeper than MAX_PAREN_DEPTH."""
-
-
-def _primary(tokens: list[CToken], i: int, depth: int):
-    if i >= len(tokens):
-        return None
-    tok = tokens[i]
-    if tok.kind is TokKind.IDENT:
-        return ("leaf", tok.text), i + 1
-    if tok.kind is TokKind.PUNCT and tok.text == "(":
-        if depth == MAX_PAREN_DEPTH:
-            raise _TooDeep
-        inner = _expr(tokens, i + 1, 1, depth=depth + 1)
-        if inner is None:
-            return None
-        tree, j = inner
-        if j < len(tokens) and tokens[j].kind is TokKind.PUNCT \
-                and tokens[j].text == ")":
-            return tree, j + 1
-        return None
-    return None
+# Parse outcomes that end the candidate they occur in, besides a
+# (node, end) pair and None (no expression here):
+_DEEP = "deep"   # a group nested deeper than the parse had room for
+_BIG = "big"     # a tree with more leaves than the target
 
 
-def _expr(tokens: list[CToken], i: int, min_prec: int,
-          checkpoints: list | None = None, depth: int = 0):
-    first = _primary(tokens, i, depth)
-    if first is None:
-        return None
-    tree, i = first
-    if checkpoints is not None:
-        checkpoints.append((tree, i))
-    while i < len(tokens) and tokens[i].kind is TokKind.PUNCT \
-            and _SYM_PREC.get(tokens[i].text, 0) >= min_prec:
-        op = tokens[i].text
-        right = _expr(tokens, i + 1, _SYM_PREC[op] + 1, depth=depth)
-        if right is None:
-            break
-        rtree, i = right
-        tree = (op, tree, rtree)
-        if checkpoints is not None:
-            checkpoints.append((tree, i))
-    return tree, i
+class _Matcher:
+    """Expression parses over one token list, shared by every candidate
+    start of one find_call_sites call.
+
+    Trees are hash-consed into integer node ids, so equal trees have equal
+    ids and comparing a candidate with the target costs one integer
+    comparison at any depth.  expr results are memoized per (token index,
+    minimum precedence) together with the room (groups the parse may still
+    open) they were computed with: a result that stayed inside its room
+    holds for any larger room, and one that ran out of room holds for any
+    smaller room.
+    """
+
+    def __init__(self, tokens: list[CToken], target: Tree):
+        self.tokens = tokens
+        self.ids: dict[tuple, int] = {}
+        self.leaves: list[int] = []   # leaf count per node id
+        self.memo: dict[tuple[int, int], tuple[object, int]] = {}
+        subtrees = [target]
+        for tree in subtrees:         # parents before children
+            if tree[0] != "leaf":
+                subtrees.extend(tree[1:])
+        nodes: dict[int, int] = {}    # id() of a subtree -> node id
+        for tree in reversed(subtrees):
+            nodes[id(tree)] = self.node(tree if tree[0] == "leaf" else (
+                tree[0], nodes[id(tree[1])], nodes[id(tree[2])]))
+        self.target = nodes[id(target)]
+
+    def node(self, key: tuple) -> int:
+        """The id of ("leaf", name) or (symbol, left id, right id)."""
+        node = self.ids.get(key)
+        if node is None:
+            node = self.ids[key] = len(self.leaves)
+            self.leaves.append(1 if key[0] == "leaf" else
+                               self.leaves[key[1]] + self.leaves[key[2]])
+        return node
+
+    def expr(self, i: int, min_prec: int, room: int,
+             spine: list | None = None):
+        """The longest expression at token i whose operators bind at least
+        min_prec, opening at most room nested groups, as (node, end); None
+        when none starts there; _DEEP or _BIG when the parse stopped.  With
+        spine, the tree after the first primary and after each operator of
+        this level is appended to it as (node, end)."""
+        key = (i, min_prec)
+        if spine is None and key in self.memo:
+            result, at = self.memo[key]
+            if room <= at if result is _DEEP else room >= at:
+                return result
+        tokens = self.tokens
+        result = None
+        if i < len(tokens):
+            tok = tokens[i]
+            if tok.kind is TokKind.IDENT:
+                result = self.node(("leaf", tok.text)), i + 1
+            elif tok.text == "(":
+                result = _DEEP if room == 0 else self.expr(i + 1, 1, room - 1)
+                if isinstance(result, tuple):
+                    node, j = result
+                    closed = j < len(tokens) and tokens[j].text == ")"
+                    result = (node, j + 1) if closed else None
+        if isinstance(result, tuple):
+            node, j = result
+            if spine is not None:
+                spine.append(result)
+            stop = None
+            while (j < len(tokens)
+                   and _SYM_PREC.get(tokens[j].text, 0) >= min_prec):
+                op = tokens[j].text
+                right = self.expr(j + 1, _SYM_PREC[op] + 1, room)
+                if right is None:
+                    break
+                if not isinstance(right, tuple):
+                    stop = right
+                    break
+                node, j = self.node((op, node, right[0])), right[1]
+                if self.leaves[node] > self.leaves[self.target]:
+                    # every later prefix holds this tree; one cut short by
+                    # a failed group ends before an operator binding
+                    # tighter than its top one, which the right-edge guard
+                    # refuses
+                    stop = _BIG
+                    break
+                if spine is not None:
+                    spine.append((node, j))
+            result = (node, j) if stop is None else stop
+        if spine is None:
+            self.memo[key] = (result, room)
+        return result
 
 
-def _top_prec(tree: Tree) -> int:
-    return 3 if tree[0] == "leaf" else _SYM_PREC[tree[0]]
-
-
-def _paren_close(tokens: list[CToken], i: int) -> int | None:
-    """Index of the ')' matching an '(' at i, or None."""
-    depth = 0
-    for j in range(i, len(tokens)):
-        if tokens[j].kind is not TokKind.PUNCT:
-            continue
-        if tokens[j].text == "(":
-            depth += 1
-        elif tokens[j].text == ")":
-            depth -= 1
-            if depth == 0:
-                return j
-    return None
+def _paren_closes(tokens: list[CToken]) -> list[int]:
+    """Per token, the index of the ')' matching it if it is a matched '(',
+    else -1."""
+    closes = [-1] * len(tokens)
+    open_at: list[int] = []
+    for j, tok in enumerate(tokens):
+        if tok.text == "(":
+            open_at.append(j)
+        elif tok.text == ")" and open_at:
+            closes[open_at.pop()] = j
+    return closes
 
 
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
@@ -266,16 +282,15 @@ def _ends_value(tok: CToken | None) -> bool:
                                 or tok.text in (")", "]", "++", "--"))
 
 
-def _left_context_ok(tokens: list[CToken], i: int, j: int, tree: Tree) -> bool:
+def _left_context_ok(tokens: list[CToken], i: int, prec: int,
+                     whole_paren: bool) -> bool:
     prev = tokens[i - 1] if i > 0 else None
     if prev is None:
         return True
-    first = tokens[i]
-    whole_paren = (first.kind is TokKind.PUNCT and first.text == "("
-                   and _paren_close(tokens, i) == j - 1)
     if whole_paren:
         # safe after anything except a callee or index expression
         return not _ends_value(prev)
+    first = tokens[i]
     if prev.kind is TokKind.IDENT:
         if prev.text == "sizeof":
             return False   # sizeof binds the leftmost leaf
@@ -294,18 +309,21 @@ def _left_context_ok(tokens: list[CToken], i: int, j: int, tree: Tree) -> bool:
             return False   # unary use binds to our leftmost leaf
         if text == "&":
             return True    # binary & binds looser than any operator of ours
-        return _SYM_PREC[text] < _top_prec(tree)
+        return _SYM_PREC[text] < prec
     if text in ("/", "%"):
-        return _SYM_PREC[text] < _top_prec(tree)
+        return _SYM_PREC[text] < prec
     return False   # ! ~ ++ -- . -> ) ] and anything exotic
 
 
-def _right_context_ok(tokens: list[CToken], j: int) -> bool:
+def _right_context_ok(tokens: list[CToken], j: int, prec: int,
+                      whole_paren: bool) -> bool:
     nxt = tokens[j] if j < len(tokens) else None
     if nxt is None:
         return True
     if nxt.kind in _VALUE_END_KINDS:
         return False
+    if not whole_paren and _SYM_PREC.get(nxt.text, 0) > prec:
+        return False   # a tighter operator owns the rightmost leaf
     return nxt.text not in ("(", "[", ".", "->", "++", "--")
 
 
@@ -324,21 +342,30 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     if target is None:
         return []
     tokens = lex_c(source)
+    leftmost = target
+    while leftmost[0] != "leaf":
+        leftmost = leftmost[1]
+    # every accepted candidate equals the target, so shares its top operator
+    prec = 3 if target[0] == "leaf" else _SYM_PREC[target[0]]
+    closes = _paren_closes(tokens)
+    directives_before = array("I", accumulate(
+        (tok.in_directive for tok in tokens), initial=0))
+    matcher = _Matcher(tokens, target)
     raw: list[tuple[int, int]] = []
-    for i in range(len(tokens)):
-        checkpoints: list = []
-        try:
-            _expr(tokens, i, 1, checkpoints)
-        except _TooDeep:
-            pass   # the prefixes read before the deep group still count
-        for tree, j in checkpoints:
-            if tree != target:
+    for i, tok in enumerate(tokens):
+        if tok.text != leftmost[1] and tok.text != "(":
+            continue   # no tree equal to the target starts here
+        spine: list = []
+        matcher.expr(i, 1, MAX_PAREN_DEPTH, spine)
+        for node, j in spine:
+            if node != matcher.target:
                 continue
-            if any(tok.in_directive for tok in tokens[i:j]):
+            if directives_before[j] != directives_before[i]:
                 continue
-            if not _left_context_ok(tokens, i, j, tree):
+            whole_paren = closes[i] == j - 1
+            if not _left_context_ok(tokens, i, prec, whole_paren):
                 continue
-            if not _right_context_ok(tokens, j):
+            if not _right_context_ok(tokens, j, prec, whole_paren):
                 continue
             raw.append((tokens[i].start, tokens[j - 1].end))
     sites: list[PatchSite] = []

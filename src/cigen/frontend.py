@@ -54,10 +54,10 @@ MAX_WIDTH = 32
 MIN_OPCODE = 0
 MAX_OPCODE = 4
 # Deepest operator nesting an expression may have.  No walk over the tree
-# or the DFG recurses, but cpatch compares nested tuple trees, and the
-# interpreter spends one level of its recursion limit (1000 by default) on
-# each level of nesting it compares.  The 960-term chain a + b + ...
-# nests 959 deep.
+# or the DFG recurses, and cpatch compares hash-consed node ids rather than
+# nested trees, so no stage spends a level of the interpreter's recursion
+# limit per level of nesting.  The 960-term chain a + b + ... nests 959
+# deep.
 MAX_EXPR_DEPTH = 960
 
 DSL_KEYWORDS = frozenset({"ci", "input", "output", "signed", "unsigned", "opcode", "mod"})

@@ -204,6 +204,21 @@ class TestFailClosed:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "w.vhd").exists()
 
+    def test_chain_at_the_depth_limit_patches(self, tmp_path, capsys):
+        terms = MAX_EXPR_DEPTH + 1
+        spec = tmp_path / "deep.ci"
+        spec.write_text(chain_text(terms))
+        params = ", ".join(f"int a{i}" for i in range(terms))
+        chain = " + ".join(f"a{i}" for i in range(terms))
+        source = tmp_path / "deep.c"
+        source.write_text(f"int g({params})\n{{\n    return {chain};\n}}\n")
+        code, stdout, stderr = _run(capsys, "patch", spec, source)
+        assert code == 0, stderr
+        assert "patched 1 call site(s) with CI_W(" in stdout
+        patched = (tmp_path / "deep.ci.c").read_text()
+        assert patched.count("CI_W(") == 1
+        assert f"return {chain};" not in patched
+
     def test_deeply_nested_c_parentheses(self, tmp_path, capsys, spec_file):
         deep = "(" * 600 + "a" + ")" * 600 + " * b + c"
         source = tmp_path / "deep.c"

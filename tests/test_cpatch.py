@@ -1,14 +1,23 @@
 """C tokenizing, expression matching, header emission, source rewriting."""
 
 import random
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MAC_TEXT, GOLDEN_DIR
+from cigen import cpatch
 from cigen.cpatch import (
+    _PUNCTS,
+    _SAFE_LEFT_PUNCTS,
+    _SYM_PREC,
+    CToken,
+    PatchSite,
     TokKind,
+    Tree,
     call_macro_name,
     emit_header,
     find_call_sites,
@@ -18,11 +27,14 @@ from cigen.cpatch import (
     spec_match_tree,
 )
 from cigen.errors import LexError, NoMatchFound
-from cigen.frontend import parse_ci_spec
+from cigen.frontend import CiSpec, parse_ci_spec
 from cigen.mapper import map_design
 
 MAC = parse_ci_spec(MAC_TEXT)
 MAC_MAPPED = map_design(MAC)
+
+SUM = parse_ci_spec("ci s(opcode=0) { input a: signed<8>; input b: signed<8>;"
+                    " output X: signed<16>; X = a + b; }")
 
 MOD_TEXT = ("ci m(opcode=1) { input a: signed<8>; input b: signed<8>;"
             " output x: signed<8>; x = a mod b; }")
@@ -67,6 +79,7 @@ class TestLexer:
         "'a\n",
         "/* forever",
         "int @ x;",
+        "int x = \u0663;",   # a digit outside ASCII starts no number
     ])
     def test_lex_errors(self, bad):
         with pytest.raises(LexError):
@@ -92,6 +105,7 @@ class TestFindCallSites:
         ("y = z * ((a * b) + c);", "((a * b) + c)"),
         ("y = foo((a * b) + c);", "(a * b) + c"),
         ("y = q ? (a * b) + c : 0;", "(a * b) + c"),
+        ("x = ((a * b) + c) * 2;", "((a * b) + c)"),
     ])
     def test_single_hit(self, stmt, expected):
         assert _sites(f"void t(void) {{ {stmt} }}\n") == [expected]
@@ -110,9 +124,22 @@ class TestFindCallSites:
         "x = (a * b) + c(1);",         # postfix call on the right edge
         "x = (a * b) + c++;",          # postfix increment on the right edge
         "x = (a * b) + c.f;",          # member access on the right edge
+        "x = a * b + c * (unsigned char)d;",   # * owns c; its cast operand
+        "x = a * b + c * (d, e);",     # * owns c; its comma operand
+        "x = a * b + c * 2;",          # * owns c; its number operand
     ])
     def test_context_guards_reject(self, stmt):
         assert _sites(f"void t(void) {{ {stmt} }}\n") == []
+
+    @pytest.mark.parametrize("stmt", [
+        "return a + b * (unsigned char)c;",
+        "return a + b * (c, d);",
+    ])
+    def test_tighter_operator_owns_the_last_leaf(self, stmt):
+        src = f"int t(int a, int b, int c, int d) {{ {stmt} }}\n"
+        assert find_call_sites(src, SUM) == []
+        with pytest.raises(NoMatchFound):
+            rewrite(src, SUM, map_design(SUM))
 
     def test_strings_comments_directives_are_immune(self):
         src = ('#define FORMULA ((a * b) + c)\n'
@@ -136,6 +163,118 @@ class TestFindCallSites:
     def test_unmatchable_spec_finds_nothing(self):
         spec = parse_ci_spec(MOD_TEXT)
         assert find_call_sites("int x = a % b;\n", spec) == []
+
+
+class TestLinearMatching:
+    def test_failed_groups_nested_forty_deep(self, monkeypatch):
+        # each level's group fails on "c, 1"; a parser without memoization
+        # parses it twice per level, 2**40 times in all
+        calls = 0
+        expr = cpatch._Matcher.expr
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return expr(self, *args)
+
+        monkeypatch.setattr(cpatch._Matcher, "expr", counted)
+        for depth in (20, 40):
+            src = ("int t(int a, int b, int c) { return "
+                   + "a + b * (" * depth + "c, 1" + ")" * depth + "; }\n")
+            calls = 0
+            assert find_call_sites(src, MAC) == []
+            assert calls <= 2 * len(lex_c(src))
+
+
+def _spec_of(expr: str):
+    names = sorted(set(re.findall(r"[a-z]", expr)))
+    inputs = " ".join(f"input {name}: signed<8>;" for name in names)
+    return parse_ci_spec(f"ci t(opcode=0) {{ {inputs} output x: signed<32>;"
+                         f" x = {expr}; }}")
+
+
+_TARGETS = ["a + b", "a * b", "a * b + c", "a - b - c", "a * (b + c)",
+            "(a + b) % c", "a / b", "a"]
+_TARGET_SPECS = {expr: _spec_of(expr) for expr in _TARGETS}
+_SOUP_TOKENS = ["a", "b", "c", "(", ")", "*", "+", "-", "/", "%", ",", ";",
+                "#", "\n", "sizeof", "return", "->", "[", "]", '"s"']
+_DIRECTIVE_LINES = st.builds(
+    lambda head, tail: ("\n# " + " ".join(head) + " \\\n "
+                        + " ".join(tail) + "\n"),
+    st.lists(st.sampled_from(_SOUP_TOKENS), max_size=6),
+    st.lists(st.sampled_from(_SOUP_TOKENS), max_size=6))
+_PLAIN_PIECES = st.sampled_from(_SOUP_TOKENS + _TARGETS)
+_TOKEN_SOUPS = st.recursive(
+    st.lists(st.tuples(st.sampled_from([" ", " ", "", "\n"]),
+                       st.one_of(_PLAIN_PIECES, _PLAIN_PIECES, _PLAIN_PIECES,
+                                 _DIRECTIVE_LINES)),
+             max_size=6).map(lambda pieces: "".join(s + p for s, p in pieces)),
+    lambda soups: st.lists(soups, min_size=1, max_size=3).map(
+        lambda parts: "(" + " ".join(parts) + ")"),
+    max_leaves=6)
+# Expressions of the matcher's grammar, with operands it cannot parse
+# ("2", a cast, a comma group) that end a parse mid-way, nested deeper than
+# the small parenthesis caps drawn below.
+_EXPR_SOUPS = st.recursive(
+    st.sampled_from(["a", "b", "c", "2", "(int) c", "(c, 1)", "sizeof a",
+                     "f(a)"] + _TARGETS),
+    lambda exprs: st.one_of(
+        st.tuples(exprs, st.sampled_from(["+", "-", "*", "/", "%", ","]),
+                  exprs).map(" ".join),
+        exprs.map(lambda inner: f"({inner})")),
+    max_leaves=10)
+_SOUPS = st.one_of(_TOKEN_SOUPS, _EXPR_SOUPS.map(lambda e: f"x = {e};"))
+
+
+def _site_a_tighter_operator_follows(source: str, sites: list, target) -> bool:
+    """Whether a site is followed by * / or % binding tighter than its top
+    operator, without being wholly parenthesized: the reference patches
+    these, which changes what the C computes, and find_call_sites refuses
+    them."""
+    tokens = reference_lex_c(source)
+    first = {tok.start: k for k, tok in enumerate(tokens)}
+    after = {tok.end: k + 1 for k, tok in enumerate(tokens)}
+    for site in sites:
+        i, j = first[site.start], after[site.end]
+        if tokens[i].text == "(" and _paren_close(tokens, i) == j - 1:
+            continue
+        if j < len(tokens) and \
+                _SYM_PREC.get(tokens[j].text, 0) > _top_prec(target):
+            return True
+    return False
+
+
+class TestSameAsTheReference:
+    """lex_c and find_call_sites agree with the quadratic reference below on
+    token soups: the same tokens (in_directive included), the same lex
+    errors and the same sites.  Examples where the reference patches a site
+    that a tighter operator follows are filtered out, because there the
+    right-edge guard rightly drops the site; test_context_guards_reject
+    and test_tighter_operator_owns_the_last_leaf pin that difference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SOUPS, st.sampled_from(_TARGETS),
+           st.sampled_from([cpatch.MAX_PAREN_DEPTH, 1, 2, 3]))
+    # the first candidate runs out of room inside "((b))"; the second,
+    # one level in, has room for it and matches
+    @example("x = a * (a * ((b)));", "a * b", 2)
+    @example("x = ((a + b));", "a + b", 1)
+    def test_tokens_and_sites(self, source, expr, cap):
+        try:
+            expected_tokens = reference_lex_c(source)
+        except LexError as exc:
+            with pytest.raises(LexError) as info:
+                lex_c(source)
+            assert str(info.value) == str(exc)
+            return
+        assert lex_c(source) == expected_tokens
+        spec = _TARGET_SPECS[expr]
+        with mock.patch.object(cpatch, "MAX_PAREN_DEPTH", cap), \
+                mock.patch.dict(globals(), MAX_PAREN_DEPTH=cap):
+            expected = reference_find_call_sites(source, spec)
+            assume(not _site_a_tighter_operator_follows(
+                source, expected, spec_match_tree(spec)))
+            assert find_call_sites(source, spec) == expected
 
 
 class TestHeader:
@@ -264,3 +403,251 @@ class TestRewriteProperties:
         assert len(plan.sites) == planted
         assert plan.output.count("CI_F(a, b, c)") == planted
         assert plan.output.count(plan.include_line) == 1
+
+
+# --- the reference: lex_c and find_call_sites as they were before the
+# matcher was made linear, kept verbatim (renamed) --------------------------
+
+_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*")
+
+
+def reference_lex_c(source: str) -> list[CToken]:
+    """Tokenize C source, dropping comments but keeping byte offsets."""
+    directive_spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
+
+    def in_directive(pos: int) -> bool:
+        return any(a <= pos < b for a, b in directive_spans)
+
+    tokens: list[CToken] = []
+    i, n, line = 0, len(source), 1
+
+    def take_quoted(quote: str, what: str) -> int:
+        j = i + 1
+        while j < n:
+            c = source[j]
+            if c == "\\":
+                j += 2
+                continue
+            if c == quote:
+                return j + 1
+            if c == "\n":
+                raise LexError(f"unterminated {what} on line {line}")
+            j += 1
+        raise LexError(f"unterminated {what} on line {line}")
+
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            i += 1
+            continue
+        if c in " \t\r\f\v":
+            i += 1
+            continue
+        if source.startswith("\\\n", i):
+            line += 1
+            i += 2
+            continue
+        if source.startswith("//", i):
+            nl = source.find("\n", i)
+            i = n if nl < 0 else nl
+            continue
+        if source.startswith("/*", i):
+            close = source.find("*/", i + 2)
+            if close < 0:
+                raise LexError(f"unterminated block comment on line {line}")
+            line += source.count("\n", i, close)
+            i = close + 2
+            continue
+        if c == '"':
+            end = take_quoted('"', "string literal")
+            tokens.append(CToken(TokKind.STRING, source[i:end], i, end, line,
+                                 in_directive(i)))
+            i = end
+            continue
+        if c == "'":
+            end = take_quoted("'", "character literal")
+            tokens.append(CToken(TokKind.CHAR, source[i:end], i, end, line,
+                                 in_directive(i)))
+            i = end
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            tokens.append(CToken(TokKind.IDENT, m.group(), i, m.end(), line,
+                                 in_directive(i)))
+            i = m.end()
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+            m = _NUMBER_RE.match(source, i)
+            tokens.append(CToken(TokKind.NUMBER, m.group(), i, m.end(), line,
+                                 in_directive(i)))
+            i = m.end()
+            continue
+        for punct in _PUNCTS:
+            if source.startswith(punct, i):
+                tokens.append(CToken(TokKind.PUNCT, punct, i, i + len(punct),
+                                     line, in_directive(i)))
+                i += len(punct)
+                break
+        else:
+            raise LexError(f"stray character {c!r} on line {line}")
+    return tokens
+
+
+# Deepest parenthesis nesting the matcher parses.  Its recursive descent
+# spends up to four Python frames per level, so this keeps it well inside
+# the default recursion limit of 1000.  A parse that reaches a deeper group
+# stops there, so it is not retried along other operator paths; the
+# prefixes it recorded before the group are still screened, and the rest
+# of the file is matched as usual.
+MAX_PAREN_DEPTH = 200
+
+
+class _TooDeep(Exception):
+    """The parse reached a group nested deeper than MAX_PAREN_DEPTH."""
+
+
+def _primary(tokens: list[CToken], i: int, depth: int):
+    if i >= len(tokens):
+        return None
+    tok = tokens[i]
+    if tok.kind is TokKind.IDENT:
+        return ("leaf", tok.text), i + 1
+    if tok.kind is TokKind.PUNCT and tok.text == "(":
+        if depth == MAX_PAREN_DEPTH:
+            raise _TooDeep
+        inner = _expr(tokens, i + 1, 1, depth=depth + 1)
+        if inner is None:
+            return None
+        tree, j = inner
+        if j < len(tokens) and tokens[j].kind is TokKind.PUNCT \
+                and tokens[j].text == ")":
+            return tree, j + 1
+        return None
+    return None
+
+
+def _expr(tokens: list[CToken], i: int, min_prec: int,
+          checkpoints: list | None = None, depth: int = 0):
+    first = _primary(tokens, i, depth)
+    if first is None:
+        return None
+    tree, i = first
+    if checkpoints is not None:
+        checkpoints.append((tree, i))
+    while i < len(tokens) and tokens[i].kind is TokKind.PUNCT \
+            and _SYM_PREC.get(tokens[i].text, 0) >= min_prec:
+        op = tokens[i].text
+        right = _expr(tokens, i + 1, _SYM_PREC[op] + 1, depth=depth)
+        if right is None:
+            break
+        rtree, i = right
+        tree = (op, tree, rtree)
+        if checkpoints is not None:
+            checkpoints.append((tree, i))
+    return tree, i
+
+
+def _top_prec(tree: Tree) -> int:
+    return 3 if tree[0] == "leaf" else _SYM_PREC[tree[0]]
+
+
+def _paren_close(tokens: list[CToken], i: int) -> int | None:
+    """Index of the ')' matching an '(' at i, or None."""
+    depth = 0
+    for j in range(i, len(tokens)):
+        if tokens[j].kind is not TokKind.PUNCT:
+            continue
+        if tokens[j].text == "(":
+            depth += 1
+        elif tokens[j].text == ")":
+            depth -= 1
+            if depth == 0:
+                return j
+    return None
+
+
+_VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
+
+
+def _ends_value(tok: CToken | None) -> bool:
+    return tok is not None and (tok.kind in _VALUE_END_KINDS
+                                or tok.text in (")", "]", "++", "--"))
+
+
+def _left_context_ok(tokens: list[CToken], i: int, j: int, tree: Tree) -> bool:
+    prev = tokens[i - 1] if i > 0 else None
+    if prev is None:
+        return True
+    first = tokens[i]
+    whole_paren = (first.kind is TokKind.PUNCT and first.text == "("
+                   and _paren_close(tokens, i) == j - 1)
+    if whole_paren:
+        # safe after anything except a callee or index expression
+        return not _ends_value(prev)
+    if prev.kind is TokKind.IDENT:
+        if prev.text == "sizeof":
+            return False   # sizeof binds the leftmost leaf
+        if first.kind is TokKind.PUNCT and first.text == "(":
+            # ident '(' opens an argument list unless it is a keyword
+            return prev.text in ("return", "else", "case")
+        return True   # return, case, else and friends
+    if prev.kind is not TokKind.PUNCT:
+        return False
+    text = prev.text
+    if text in _SAFE_LEFT_PUNCTS:
+        return True
+    if text in ("+", "-", "*", "&"):
+        before = tokens[i - 2] if i > 1 else None
+        if not _ends_value(before):
+            return False   # unary use binds to our leftmost leaf
+        if text == "&":
+            return True    # binary & binds looser than any operator of ours
+        return _SYM_PREC[text] < _top_prec(tree)
+    if text in ("/", "%"):
+        return _SYM_PREC[text] < _top_prec(tree)
+    return False   # ! ~ ++ -- . -> ) ] and anything exotic
+
+
+def _right_context_ok(tokens: list[CToken], j: int) -> bool:
+    nxt = tokens[j] if j < len(tokens) else None
+    if nxt is None:
+        return True
+    if nxt.kind in _VALUE_END_KINDS:
+        return False
+    return nxt.text not in ("(", "[", ".", "->", "++", "--")
+
+
+def reference_find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
+    """Every non-overlapping occurrence of the spec expression, outermost
+    parenthesization included, in source order."""
+    target = spec_match_tree(spec)
+    if target is None:
+        return []
+    tokens = reference_lex_c(source)
+    raw: list[tuple[int, int]] = []
+    for i in range(len(tokens)):
+        checkpoints: list = []
+        try:
+            _expr(tokens, i, 1, checkpoints)
+        except _TooDeep:
+            pass   # the prefixes read before the deep group still count
+        for tree, j in checkpoints:
+            if tree != target:
+                continue
+            if any(tok.in_directive for tok in tokens[i:j]):
+                continue
+            if not _left_context_ok(tokens, i, j, tree):
+                continue
+            if not _right_context_ok(tokens, j):
+                continue
+            raw.append((tokens[i].start, tokens[j - 1].end))
+    sites: list[PatchSite] = []
+    last_end = -1
+    for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
+        if start >= last_end:
+            sites.append(PatchSite(start, end, source[start:end]))
+            last_end = end
+    return sites
