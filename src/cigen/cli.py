@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -41,6 +43,32 @@ def _read_text(path: str | Path, what: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CigenError(f"cannot read {what}: {exc}") from exc
+
+
+def _write_all(files: dict[Path, str]) -> None:
+    """Write every file, or none when a write fails.
+
+    A target that is a directory is refused first.  Each file is then
+    written to a temporary name in its target's directory, and the targets
+    are replaced only once every file is written; a replaced file keeps its
+    permission bits."""
+    for path in files:
+        if path.is_dir():
+            raise CigenError(f"cannot write {path}: it is a directory")
+    temps: list[Path] = []
+    try:
+        for path, content in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            temps.append(temp)
+            temp.write_text(content)
+            if path.exists():
+                shutil.copymode(path, temp)
+        for path, temp in zip(files, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _load_spec(path: str) -> CiSpec:
@@ -178,15 +206,13 @@ def _cmd_patch(args: argparse.Namespace) -> int:
 
     plan = rewrite(source, spec, mapped)
     header_dir = Path(args.header_dir) if args.header_dir else source_path.parent
-    header_dir.mkdir(parents=True, exist_ok=True)
     header_path = header_dir / header_filename(spec)
-    header_path.write_text(emit_header(spec, mapped, config["intrinsic"]))
-
     if args.in_place:
         out_path = source_path
     else:
         out_path = source_path.with_suffix(".ci.c")
-    out_path.write_text(plan.output)
+    _write_all({header_path: emit_header(spec, mapped, config["intrinsic"]),
+                out_path: plan.output})
     print(f"patched {len(plan.sites)} call site(s) with {plan.replacement}")
     print(f"header: {header_path}")
     print(f"wrote {out_path}")

@@ -132,6 +132,8 @@ def lex_c(source: str) -> list[CToken]:
                             and directive_spans[directive][0] <= i)
             tokens.append(CToken(TokKind[kind], text, i, end, line,
                                  in_directive))
+            if "\n" in text:   # a literal continued by a backslash-newline
+                line += text.count("\n")
         i = end
     return tokens
 

@@ -105,6 +105,13 @@ class OperandDecl:
     signed: bool
     width: int
 
+    @property
+    def bounds(self) -> tuple[int, int]:
+        """The least and the greatest value the operand holds."""
+        if self.signed:
+            return -(1 << (self.width - 1)), (1 << (self.width - 1)) - 1
+        return 0, (1 << self.width) - 1
+
 
 @dataclass(frozen=True)
 class Leaf:

@@ -61,24 +61,32 @@ def random_spec(rng: random.Random, name: str = "fz",
     return parse_ci_spec(text)
 
 
+# Per input: its name, its bounds and the in-range corner values.
+_Plan = list[tuple[str, int, int, list[int]]]
+
+
+def _draw_plan(spec: CiSpec) -> _Plan:
+    plan = []
+    for decl in spec.inputs:
+        lo, hi = decl.bounds
+        corners = {lo, hi, 0, 1, lo + 1, hi - 1, -1, 2}
+        plan.append((decl.name, lo, hi, [v for v in corners if lo <= v <= hi]))
+    return plan
+
+
+def _draw(rng: random.Random, plan: _Plan, corner_bias: float) -> dict[str, int]:
+    return {name: rng.choice(pool) if rng.random() < corner_bias
+            else rng.randint(lo, hi) for name, lo, hi, pool in plan}
+
+
 def random_vector(rng: random.Random, spec: CiSpec,
                   corner_bias: float = 0.25) -> dict[str, int]:
     """One assignment of in-range values to every declared input."""
-    vector = {}
-    for decl in spec.inputs:
-        if decl.signed:
-            lo, hi = -(1 << (decl.width - 1)), (1 << (decl.width - 1)) - 1
-        else:
-            lo, hi = 0, (1 << decl.width) - 1
-        if rng.random() < corner_bias:
-            corners = {lo, hi, 0, 1, lo + 1, hi - 1, -1, 2}
-            pool = [v for v in corners if lo <= v <= hi]
-            vector[decl.name] = rng.choice(pool)
-        else:
-            vector[decl.name] = rng.randint(lo, hi)
-    return vector
+    return _draw(rng, _draw_plan(spec), corner_bias)
 
 
 def random_vectors(rng: random.Random, spec: CiSpec, count: int,
                    corner_bias: float = 0.25) -> list[dict[str, int]]:
-    return [random_vector(rng, spec, corner_bias) for _ in range(count)]
+    """count vectors, drawn as count random_vector calls would draw them."""
+    plan = _draw_plan(spec)
+    return [_draw(rng, plan, corner_bias) for _ in range(count)]

@@ -27,14 +27,12 @@ from .frontend import (
     AnalysisResult,
     CiSpec,
     Dfg,
-    OperandDecl,
     OpKind,
     OpNode,
     analyze,
 )
 from .lpm import (
     AddSubGenerics,
-    BitVec,
     ComponentKind,
     ConcatExtendGenerics,
     Direction,
@@ -239,16 +237,3 @@ def done_cycle_enabled(mapped: MappedDesign) -> int:
     """The 0-based enabled-cycle index at which done is high, counting the
     start cycle as cycle 0."""
     return load_cycle_count(mapped) + max(mapped.analysis.max_level, 1) - 1
-
-
-def adapt_root(value: BitVec, root_signed: bool, out: OperandDecl) -> BitVec:
-    """Adapt the root value to the declared output width, then to the 32-bit
-    result port.  Widening follows the signedness of the value being widened;
-    narrowing keeps the low bits."""
-    if out.width < value.width:
-        value = BitVec(out.width, value.bits & ((1 << out.width) - 1))
-    elif out.width > value.width:
-        value = BitVec.from_int(value.interpret(root_signed), out.width)
-    if value.width < 32:
-        value = BitVec.from_int(value.interpret(out.signed), 32)
-    return value

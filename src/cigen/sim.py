@@ -1,17 +1,20 @@
 """Simulation of a generated design, plus its reference oracle.
 
-Two evaluators live here on purpose.  ``eval_reference`` evaluates the
-spec's dataflow graph, children first, over exact Python integers and
-applies the width rules at each node; it never looks at component
-instances, adapters or the control schedule.  The other executes the
-``HdlDesign`` that ``emit_vhdl`` prints.
+Two evaluators live here on purpose.  The oracle, ``reference_columns``,
+evaluates the spec's dataflow graph over columns of plain ints, one entry
+per vector: one pass over ``Dfg.order``, each node computed exactly and
+cut to its width and signedness, and the root adapted to the 32-bit result
+port.  It reads only the DFG and the width rules, never component
+instances, adapters or the control schedule.  ``eval_reference`` is its
+one-vector wrapper.  The other evaluator executes the ``HdlDesign`` that
+``emit_vhdl`` prints.
 ``IndexedDesign`` lowers it once: the registers and widths it declares, each
 wire's single driver (an instance through the component library's column
 kernels, or a concurrent assignment) and, for every step of its control
 process from start to done, the drivers and register loads that step needs.
 Two drivers run that one lowered design over columns of plain ints, one
-entry per vector.  ``check_equivalence`` runs every vector through it
-together and compares each 32-bit result with the reference: that is the
+entry per vector.  ``check_equivalence`` runs every vector through it and
+through the oracle together and compares each 32-bit result: that is the
 bit-exactness check the rest of the toolchain relies on.  ``simulate_ci``
 steps it cycle by cycle for one invocation, with clk_en gaps, resets,
 protocol checks and a trace.
@@ -31,8 +34,10 @@ clk_en always high and no reset.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .errors import (
@@ -42,7 +47,7 @@ from .errors import (
     ProtocolViolation,
     WidthMismatch,
 )
-from .frontend import CiSpec, Dfg, OpKind
+from .frontend import CiSpec, Dfg, OperandDecl, OpKind
 from .hdl import build_design
 from .lpm import (
     COMPONENT_DECLS,
@@ -57,12 +62,13 @@ from .lpm import (
 )
 from .mapper import (
     MappedDesign,
-    adapt_root,
     done_cycle_enabled,
     load_cycle_count,
     map_design,
     node_reg,
 )
+
+PORT_MASK = (1 << 32) - 1  # dataa, datab and result are 32 bits wide
 
 
 def validate_inputs(spec: CiSpec, inputs: dict[str, int]) -> None:
@@ -75,58 +81,116 @@ def validate_inputs(spec: CiSpec, inputs: dict[str, int]) -> None:
         if decl.name not in inputs:
             raise InputOutOfRange(f"missing value for input '{decl.name}'")
         value = inputs[decl.name]
-        if decl.signed:
-            lo, hi = -(1 << (decl.width - 1)), (1 << (decl.width - 1)) - 1
-        else:
-            lo, hi = 0, (1 << decl.width) - 1
+        lo, hi = decl.bounds
         if not lo <= value <= hi:
             kind = "signed" if decl.signed else "unsigned"
             raise InputOutOfRange(
                 f"input '{decl.name}' = {value} does not fit {kind}<{decl.width}>")
 
 
-def _trunc_div(n: int, d: int) -> int:
-    q = abs(n) // abs(d)
-    return -q if (n < 0) != (d < 0) else q
+def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Column]:
+    """The vectors as one column per declared input, each column
+    range-checked once.  When a vector is missing an input, names an unknown
+    one or holds an out-of-range value, raises what validate_inputs raises
+    for the first such vector."""
+    try:
+        if all(len(vec) == len(spec.inputs) for vec in vectors):
+            columns = {decl.name: [vec[decl.name] for vec in vectors]
+                       for decl in spec.inputs}
+            bounds = (decl.bounds for decl in spec.inputs)
+            if all(lo <= min(column, default=lo) and max(column, default=hi) <= hi
+                   for (lo, hi), column in zip(bounds, columns.values())):
+                return columns
+    except KeyError:   # a vector lacks an input
+        pass
+    for vec in vectors:
+        validate_inputs(spec, vec)
+    raise AssertionError("unreachable: validate_inputs accepted every vector")
+
+
+class Reference(NamedTuple):
+    """The oracle's values for a batch of vectors, one entry per vector."""
+    result: Column                  # the 32-bit result port
+    zero_divisor: list[int | None]  # first node in Dfg.order with a zero divisor
+    nodes: dict[int, Column]        # every node, read with its signedness
+
+
+def reference_columns(spec: CiSpec, columns: dict[str, Column],
+                      count: int) -> Reference:
+    """Evaluate the spec's dataflow graph over count vectors at once.
+
+    columns holds one in-range column per input.  Each node is one pass over
+    plain ints: the exact result of its operator, reduced to the node's
+    width and read with its signedness.  Division truncates toward zero;
+    remainder takes the dividend's sign and modulus the divisor's sign.  A
+    zero divisor is recorded for its vector and then replaced by 1, so later
+    nodes cannot raise; that vector's later values mean nothing.
+    """
+    dfg = spec.dfg
+    values = {leaf.id: columns[leaf.decl.name] for leaf in dfg.leaf_nodes()}
+    zero_divisor: list[int | None] = [None] * count
+    for node_id in dfg.order:
+        node = dfg.nodes[node_id]
+        kind, left, right = node.kind, values[node.left], values[node.right]
+        # ((x + half) & mask) - half is x cut to the node's width and read
+        # with its signedness: half is the sign bit's weight, or 0
+        mask = (1 << dfg.width[node_id]) - 1
+        half = (mask + 1) >> 1 if dfg.signed[node_id] else 0
+        if kind is OpKind.ADD:
+            column = [((a + b + half) & mask) - half for a, b in zip(left, right)]
+        elif kind is OpKind.SUB:
+            column = [((a - b + half) & mask) - half for a, b in zip(left, right)]
+        elif kind is OpKind.MUL:
+            column = [((a * b + half) & mask) - half for a, b in zip(left, right)]
+        else:
+            if 0 in right:
+                for index, b in enumerate(right):
+                    if b == 0 and zero_divisor[index] is None:
+                        zero_divisor[index] = node_id
+                right = [b or 1 for b in right]
+            pairs = zip(left, right)
+            if kind is OpKind.DIVS:
+                raw = [-(-a // b) if (a < 0) != (b < 0) else a // b
+                       for a, b in pairs]
+            elif kind is OpKind.REMS:
+                raw = [-(-a % b) if (a < 0) != (b < 0) else a % b
+                       for a, b in pairs]
+            elif kind is OpKind.DIVU:
+                raw = [a // b for a, b in pairs]
+            else:   # REMU, MODU and MODS: the flooring remainder
+                raw = [a % b for a, b in pairs]
+            column = [((x + half) & mask) - half for x in raw]
+        values[node_id] = column
+    return Reference(adapt_root(values[dfg.root], spec.output), zero_divisor,
+                     values)
+
+
+def adapt_root(root: Column, out: OperandDecl) -> Column:
+    """The root column on the 32-bit result port: each value cut to the
+    output's width, read with the output's signedness, then taken as 32
+    bits.  As no node is wider than 32 bits, this is the same as cutting or
+    extending the root to the output width with the root's signedness and
+    then extending that to 32 bits with the output's."""
+    mask = (1 << out.width) - 1
+    half = (mask + 1) >> 1 if out.signed else 0
+    return [(((value + half) & mask) - half) & PORT_MASK for value in root]
 
 
 def eval_reference(spec: CiSpec, inputs: dict[str, int],
                    dfg: Dfg | None = None) -> BitVec:
-    """Evaluate the expression over exact integers, reducing each node to its
-    width, and adapt the root to the 32-bit result port.
+    """The reference oracle on one vector: reference_columns over columns
+    of one entry, giving the result port's 32 bits.
 
-    Division truncates toward zero; remainder takes the dividend's sign and
-    modulus the divisor's sign.  A zero divisor raises DivideByZero naming
-    the node.  ``dfg`` defaults to ``spec.dfg``.
+    A zero divisor raises DivideByZero naming the first node in Dfg.order
+    that meets one.  ``dfg`` defaults to ``spec.dfg``.
     """
-    validate_inputs(spec, inputs)
-    if dfg is None:
-        dfg = spec.dfg
-    value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaf_nodes()}
-    for node_id in dfg.order:
-        node = dfg.nodes[node_id]
-        left, right = value[node.left], value[node.right]
-        if node.kind is OpKind.ADD:
-            raw = left + right
-        elif node.kind is OpKind.SUB:
-            raw = left - right
-        elif node.kind is OpKind.MUL:
-            raw = left * right
-        else:
-            if right == 0:
-                raise DivideByZero(f"zero divisor at node {node_id}", node=node_id)
-            if node.kind in (OpKind.DIVS, OpKind.DIVU):
-                raw = _trunc_div(left, right)
-            elif node.kind in (OpKind.REMS, OpKind.REMU):
-                raw = left - _trunc_div(left, right) * right
-            else:
-                raw = left % right
-        value[node_id] = BitVec.from_int(raw, dfg.width[node_id]) \
-            .interpret(dfg.signed[node_id])
-
-    root = dfg.root
-    root_bits = BitVec.from_int(value[root], dfg.width[root])
-    return adapt_root(root_bits, dfg.signed[root], spec.output)
+    if dfg is not None:
+        spec = dataclasses.replace(spec, dfg=dfg)
+    reference = reference_columns(spec, input_columns(spec, [inputs]), 1)
+    node = reference.zero_divisor[0]
+    if node is not None:
+        raise DivideByZero(f"zero divisor at node {node}", node=node)
+    return BitVec(32, reference.result[0])
 
 
 @dataclass(frozen=True)
@@ -162,8 +226,6 @@ class SimResult:
     done_cycle_enabled: int
     rows: list[dict] = field(default_factory=list)
 
-
-PORT_MASK = (1 << 32) - 1  # dataa and datab are 32 bits wide
 
 # Computes one driver's wires from the signal values, adding the vectors
 # whose dividers meet a zero divisor to the fault set.
@@ -528,19 +590,17 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
         mapped = map_design(spec)
     if not vectors:
         return []
-    wants: list[int | None] = []
-    for vec in vectors:
-        try:
-            wants.append(eval_reference(spec, vec).bits)
-        except DivideByZero:
-            wants.append(None)
+    reference = reference_columns(spec, input_columns(spec, vectors),
+                                  len(vectors))
     indexed = IndexedDesign(design if design is not None
                             else build_design(spec, mapped))
     results, faults, done = indexed.run(operand_columns(mapped, vectors),
                                         len(vectors))
     expected_done = done_cycle_enabled(mapped)
     mismatches = []
-    for index, (vec, want) in enumerate(zip(vectors, wants)):
+    for index, vec in enumerate(vectors):
+        want = None if reference.zero_divisor[index] is not None \
+            else reference.result[index]
         got = None if index in faults else results[index]
         if want is not None and got is not None:
             if want != got:

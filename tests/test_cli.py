@@ -407,6 +407,49 @@ class TestPatch:
         assert (include / "ci_f.h").exists()
         assert str(include / "ci_f.h") in stdout
 
+    def test_output_path_taken_by_a_directory_writes_nothing(
+            self, tmp_path, capsys, spec_file, c_file):
+        (tmp_path / "prog.ci.c").mkdir()
+        code, _, stderr = _run(capsys, "patch", spec_file, c_file)
+        assert code == 1
+        assert stderr.count("\n") == 1
+        assert "prog.ci.c: it is a directory" in stderr
+        assert not (tmp_path / "ci_f.h").exists()
+        assert c_file.read_text() == (GOLDEN_DIR / "fixture.c").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["f.ci", "prog.c", "prog.ci.c"]
+
+    def test_header_path_taken_by_a_directory_leaves_the_source(
+            self, tmp_path, capsys, spec_file, c_file):
+        (tmp_path / "ci_f.h").mkdir()
+        code, _, stderr = _run(capsys, "patch", spec_file, c_file,
+                               "--in-place")
+        assert code == 1
+        assert stderr.count("\n") == 1
+        assert "ci_f.h: it is a directory" in stderr
+        assert (tmp_path / "ci_f.h").is_dir()
+        assert c_file.read_text() == (GOLDEN_DIR / "fixture.c").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ci_f.h", "f.ci", "prog.c"]
+
+    def test_failed_header_write_leaves_the_source(self, tmp_path, capsys,
+                                                   spec_file, c_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, _, stderr = _run(capsys, "patch", spec_file, c_file,
+                               "--in-place", "--header-dir", blocker)
+        assert code == 1
+        assert stderr.count("\n") == 1
+        assert c_file.read_text() == (GOLDEN_DIR / "fixture.c").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["blocker", "f.ci", "prog.c"]
+
+    def test_in_place_keeps_the_permission_bits(self, capsys, spec_file,
+                                                c_file):
+        c_file.chmod(0o640)
+        assert _run(capsys, "patch", spec_file, c_file, "--in-place")[0] == 0
+        assert c_file.stat().st_mode & 0o777 == 0o640
+
 
 class TestReport:
     def test_human_readable(self, capsys, spec_file):

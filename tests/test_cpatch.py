@@ -74,6 +74,14 @@ class TestLexer:
         assert [(t.text, t.line) for t in tokens] == [("a", 1), ("b", 3),
                                                       ("c", 4)]
 
+    def test_line_continuation_inside_a_literal_counts(self):
+        with pytest.raises(LexError, match="stray character '@' on line 3"):
+            lex_c('char *s = "a\\\nb";\n@')
+        tokens = lex_c('s = "a\\\nb"; c = \'\\\n\';\nx')
+        assert [(t.text, t.line) for t in tokens] == [
+            ("s", 1), ("=", 1), ('"a\\\nb"', 1), (";", 2), ("c", 2),
+            ("=", 2), ("'\\\n'", 2), (";", 3), ("x", 4)]
+
     @pytest.mark.parametrize("bad", [
         '"never closed\n',
         "'a\n",

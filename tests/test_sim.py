@@ -14,17 +14,27 @@ from cigen.errors import (
     ProtocolViolation,
 )
 from cigen import vhdl_ast as ast
-from cigen.frontend import DIV_FAMILY, LeafNode, parse_ci_spec
+from cigen.frontend import (
+    DIV_FAMILY,
+    CiSpec,
+    Dfg,
+    LeafNode,
+    OperandDecl,
+    OpKind,
+    parse_ci_spec,
+)
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import build_design
-from cigen.lpm import AddSubGenerics, Direction
+from cigen.lpm import AddSubGenerics, BitVec, Direction
 from cigen.mapper import done_cycle_enabled, map_design
 from cigen.sim import (
     IndexedDesign,
     Stimulus,
+    input_columns,
     operand_columns,
     check_equivalence,
     eval_reference,
+    reference_columns,
     simulate_ci,
     validate_inputs,
 )
@@ -80,6 +90,99 @@ class TestReference:
                      "output x: unsigned<4>; x = a * b;")
         # 20 * 13 = 260 = 0x104 at 16 bits; output keeps the low 4.
         assert eval_reference(spec, {"a": 20, "b": 13}).bits == 0x4
+
+
+def _leaf_divisors(spec) -> list[str]:
+    dfg = spec.dfg
+    return sorted({dfg.node(n.right).decl.name for n in dfg.op_nodes()
+                   if n.kind in DIV_FAMILY
+                   and isinstance(dfg.node(n.right), LeafNode)})
+
+
+def _outcome(oracle, spec, vec):
+    try:
+        return oracle(spec, vec).bits
+    except DivideByZero as exc:
+        return ("divide-by-zero", exc.node, str(exc))
+
+
+class TestOracleSameAsTheScalarReference:
+    """reference_columns and its one-vector wrapper eval_reference agree
+    with the scalar oracle kept at the bottom of this file, on specs with
+    1- to 3-bit operands and with zero divisors: the same result bits, or a
+    zero divisor at the same node with the same message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([FuzzConfig(max_inputs=4, max_depth=4,
+                                       widths=(1, 2, 3)),
+                            FuzzConfig(max_inputs=6, max_depth=5)]),
+           st.data())
+    def test_results_and_zero_divisors(self, seed, config, data):
+        rng = random.Random(seed)
+        spec = random_spec(rng, "p", config)
+        vectors = random_vectors(rng, spec, 24)
+        for vec in vectors[::2]:
+            for name in _leaf_divisors(spec):
+                if data.draw(st.booleans()):
+                    vec[name] = 0
+        expected = [_outcome(scalar_eval_reference, spec, vec)
+                    for vec in vectors]
+        assert [_outcome(eval_reference, spec, vec) for vec in vectors] \
+            == expected
+        reference = reference_columns(spec, input_columns(spec, vectors),
+                                      len(vectors))
+        assert [bits if node is None else
+                ("divide-by-zero", node, f"zero divisor at node {node}")
+                for bits, node in zip(reference.result,
+                                      reference.zero_divisor)] == expected
+
+    def test_node_columns(self):
+        # a is node 0, a * b (6 bits) node 1, b node 2, the difference
+        # (6 bits) node 3; the 4-bit output keeps the low bits of the root
+        spec = _spec("input a: signed<4>; input b: unsigned<2>;"
+                     "output x: signed<4>; x = (a * b) - a;")
+        reference = reference_columns(spec, {"a": [-8, 7], "b": [3, 0]}, 2)
+        assert reference.nodes == {0: [-8, 7], 1: [-24, 0], 2: [3, 0],
+                                   3: [-16, -7]}
+        assert reference.zero_divisor == [None, None]
+        assert reference.result == [0, 0xFFFFFFF9]
+
+    def test_first_zero_divisor_in_order_wins(self):
+        spec = _spec("input a: signed<8>; input b: signed<8>;"
+                     "input c: unsigned<8>; output x: signed<8>;"
+                     "x = (a / b) % c;")
+        reference = reference_columns(
+            spec, {"a": [1, 1, 1, 1], "b": [0, 1, 0, 1], "c": [0, 0, 1, 1]}, 4)
+        assert reference.zero_divisor == [1, 3, 1, None]
+        assert reference.result[3] == 0
+
+
+class TestCheckEquivalenceInputs:
+    """check_equivalence range-checks whole input columns, and names the
+    first vector that validate_inputs refuses as validate_inputs does."""
+
+    @pytest.mark.parametrize("bad", [
+        {"s": 0},
+        {"s": 0, "ghost": 1},
+        {"s": 0, "u": 0, "ghost": 1},
+        {"s": 128, "u": 0},
+        {"s": 0, "u": -1},
+    ])
+    @pytest.mark.parametrize("later", [
+        [{"s": 1, "u": 1}],
+        [{"s": 0, "u": 256}, {"ghost": 0}],
+    ], ids=["then-good", "then-bad"])
+    def test_same_error_as_validate_inputs(self, bad, later):
+        spec = _spec("input s: signed<8>; input u: unsigned<8>;"
+                     "output x: signed<8>; x = s + u;")
+        vectors = [{"s": -128, "u": 255}, {"s": 127, "u": 0}, dict(bad),
+                   *later]
+        with pytest.raises(InputOutOfRange) as expected:
+            validate_inputs(spec, bad)
+        with pytest.raises(InputOutOfRange) as info:
+            check_equivalence(spec, vectors=vectors)
+        assert str(info.value) == str(expected.value)
 
 
 class TestSimulateWorkedExample:
@@ -340,9 +443,7 @@ class TestBatchMatchesStepper:
         mapped = map_design(spec)
         dfg = mapped.dfg
         assume(any(n.kind in DIV_FAMILY for n in dfg.op_nodes()))
-        divisors = sorted({dfg.node(n.right).decl.name for n in dfg.op_nodes()
-                           if n.kind in DIV_FAMILY
-                           and isinstance(dfg.node(n.right), LeafNode)})
+        divisors = _leaf_divisors(spec)
         vectors = random_vectors(rng, spec, 16)
         for vec in vectors[::2]:
             for name in divisors:
@@ -360,3 +461,65 @@ class TestBatchMatchesStepper:
             assert index not in faults
             assert results[index] == one.result.bits
             assert done == one.done_cycle_enabled
+
+
+# --- the reference: eval_reference and mapper.adapt_root as they were
+# before the oracle became columnar, kept verbatim (renamed) ---------------
+
+
+def _trunc_div(n: int, d: int) -> int:
+    q = abs(n) // abs(d)
+    return -q if (n < 0) != (d < 0) else q
+
+
+def scalar_eval_reference(spec: CiSpec, inputs: dict[str, int],
+                          dfg: Dfg | None = None) -> BitVec:
+    """Evaluate the expression over exact integers, reducing each node to its
+    width, and adapt the root to the 32-bit result port.
+
+    Division truncates toward zero; remainder takes the dividend's sign and
+    modulus the divisor's sign.  A zero divisor raises DivideByZero naming
+    the node.  ``dfg`` defaults to ``spec.dfg``.
+    """
+    validate_inputs(spec, inputs)
+    if dfg is None:
+        dfg = spec.dfg
+    value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaf_nodes()}
+    for node_id in dfg.order:
+        node = dfg.nodes[node_id]
+        left, right = value[node.left], value[node.right]
+        if node.kind is OpKind.ADD:
+            raw = left + right
+        elif node.kind is OpKind.SUB:
+            raw = left - right
+        elif node.kind is OpKind.MUL:
+            raw = left * right
+        else:
+            if right == 0:
+                raise DivideByZero(f"zero divisor at node {node_id}", node=node_id)
+            if node.kind in (OpKind.DIVS, OpKind.DIVU):
+                raw = _trunc_div(left, right)
+            elif node.kind in (OpKind.REMS, OpKind.REMU):
+                raw = left - _trunc_div(left, right) * right
+            else:
+                raw = left % right
+        value[node_id] = BitVec.from_int(raw, dfg.width[node_id]) \
+            .interpret(dfg.signed[node_id])
+
+    root = dfg.root
+    root_bits = BitVec.from_int(value[root], dfg.width[root])
+    return scalar_adapt_root(root_bits, dfg.signed[root], spec.output)
+
+
+def scalar_adapt_root(value: BitVec, root_signed: bool,
+                      out: OperandDecl) -> BitVec:
+    """Adapt the root value to the declared output width, then to the 32-bit
+    result port.  Widening follows the signedness of the value being widened;
+    narrowing keeps the low bits."""
+    if out.width < value.width:
+        value = BitVec(out.width, value.bits & ((1 << out.width) - 1))
+    elif out.width > value.width:
+        value = BitVec.from_int(value.interpret(root_signed), out.width)
+    if value.width < 32:
+        value = BitVec.from_int(value.interpret(out.signed), 32)
+    return value
