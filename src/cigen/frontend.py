@@ -19,6 +19,8 @@ Grammar (whitespace-insensitive, '#' starts a line comment):
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/" | "%" | "mod") factor)*
     factor := ident | "(" expr ")"
+    ident  := [A-Za-z][A-Za-z0-9_]*
+    int    := [0-9]+
 
 An expression may nest at most MAX_EXPR_DEPTH (960) operators deep; parentheses
 alone add no depth.
@@ -32,13 +34,14 @@ matching remainder (sign of the dividend), and the "mod" keyword is the
 flooring modulus (sign of the divisor).
 
 Identifiers must be usable verbatim in generated VHDL and C, so beyond the
-letter-then-alphanumeric rule they may not contain "__", end in "_", collide
+ASCII ident rule above they may not contain "__", end in "_", collide
 case-insensitively, or be a reserved word of the DSL or of VHDL.
 """
 
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -59,6 +62,10 @@ MAX_OPCODE = 4
 # limit per level of nesting.  The 960-term chain a + b + ... nests 959
 # deep.
 MAX_EXPR_DEPTH = 960
+
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_WORD = _LETTERS | _DIGITS | {"_"}
 
 DSL_KEYWORDS = frozenset({"ci", "input", "output", "signed", "unsigned", "opcode", "mod"})
 
@@ -184,23 +191,8 @@ class Dfg:
     def node(self, node_id: int) -> DfgNode:
         return self.nodes[node_id]
 
-    def op_nodes(self) -> tuple[OpNode, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, OpNode))
-
     def leaf_nodes(self) -> tuple[LeafNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, LeafNode))
-
-    def canonical(self) -> str:
-        """Deterministic serialization used by determinism checks."""
-        parts = []
-        for n in self.nodes:
-            if isinstance(n, LeafNode):
-                parts.append(f"L{n.id}:{n.decl.name}:{'s' if n.decl.signed else 'u'}"
-                             f"{n.decl.width}:lvl{self.level[n.id]}")
-            else:
-                parts.append(f"O{n.id}:{n.kind.name}({n.left},{n.right})"
-                             f":lvl{self.level[n.id]}")
-        return f"root={self.root};" + ";".join(parts)
 
 
 @dataclass(frozen=True)
@@ -246,20 +238,20 @@ def _tokenize(text: str) -> list[_Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             start = i
             start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _WORD:
                 i += 1
                 col += 1
             word = text[start:i]
             kind = "kw" if word in DSL_KEYWORDS else "ident"
             tokens.append(_Token(kind, word, line, start_col))
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
             start_col = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             tokens.append(_Token("int", text[start:i], line, start_col))

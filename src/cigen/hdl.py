@@ -40,7 +40,6 @@ from .lpm import (
     ConcatExtendGenerics,
     DivideGenerics,
     MultGenerics,
-    render_instance,
 )
 from .mapper import (
     DivOutput,
@@ -139,7 +138,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
     assigns: list[ast.ConcurrentAssign] = []
-    decls_by_kind: dict[ComponentKind, ast.ComponentDecl] = {}
+    kinds: set[ComponentKind] = set()
     stage_loads: dict[int, list[ast.RegisterLoad]] = {}
     value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
 
@@ -156,13 +155,12 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                 adapter = mapped.adapters[index]
                 wire = adapter_wire(index)
                 signals.append(ast.SignalDecl(wire, adapter.to_width))
-                decl, a_inst = render_instance(
-                    ComponentKind.CONCAT_EXTEND,
+                instances.append(ast.Instance(
+                    f"x_{index}", ComponentKind.CONCAT_EXTEND,
                     ConcatExtendGenerics(adapter.from_width, adapter.to_width,
                                          adapter.extension),
-                    f"x_{index}", {"a": signal, "result": wire})
-                decls_by_kind[ComponentKind.CONCAT_EXTEND] = decl
-                instances.append(a_inst)
+                    (("a", signal), ("result", wire))))
+                kinds.add(ComponentKind.CONCAT_EXTEND)
                 signal = wire
             inputs.append(signal)
 
@@ -181,11 +179,10 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
 
         # every component declares its input ports before its output ports
         ports = [p.name for p in COMPONENT_DECLS[inst.kind].ports]
-        decl, u_inst = render_instance(
-            inst.kind, inst.generics, instance_label(op_index, node.kind.name),
-            dict(zip(ports, inputs + [wire for wire, _ in wires])))
-        decls_by_kind[inst.kind] = decl
-        instances.append(u_inst)
+        instances.append(ast.Instance(
+            instance_label(op_index, node.kind.name), inst.kind, inst.generics,
+            tuple(zip(ports, inputs + [wire for wire, _ in wires]))))
+        kinds.add(inst.kind)
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
             node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
 
@@ -213,11 +210,11 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     process = ast.ControlProcess("control", "cnt", done_cycle, tuple(steps),
                                  tuple(registers))
 
-    components = tuple(decl for _, decl in
-                       sorted(decls_by_kind.items(), key=lambda kv: kv[0].name))
+    components = tuple(COMPONENT_DECLS[kind]
+                       for kind in sorted(kinds, key=lambda kind: kind.name))
     libraries = ["library ieee;", "use ieee.std_logic_1164.all;",
                  "use ieee.numeric_std.all;"]
-    if any(k is not ComponentKind.CONCAT_EXTEND for k in decls_by_kind):
+    if kinds - {ComponentKind.CONCAT_EXTEND}:
         libraries += ["library lpm;", "use lpm.lpm_components.all;"]
 
     header = (
@@ -230,7 +227,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                                     tuple(instances), tuple(assigns), process)
     return ast.HdlDesign(header, tuple(libraries),
                          ast.Entity(spec.name, ENTITY_PORTS), architecture,
-                         support_concat=ComponentKind.CONCAT_EXTEND in decls_by_kind)
+                         support_concat=ComponentKind.CONCAT_EXTEND in kinds)
 
 
 # --- emission -------------------------------------------------------------

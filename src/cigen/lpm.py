@@ -9,8 +9,7 @@ its width contract (``port_widths``) and its VHDL component declaration.
 The expression forms of a design (slice, resize, mod correction) have their
 column kernels here too.  The simulator runs every instance and expression
 through these kernels, over a whole batch of vectors or over one-element
-columns; the ``*_eval`` functions are the same kernels on ``BitVec`` values.
-The emitter renders every instance from the declaration, so each
+columns.  The emitter renders every instance from the declaration, so each
 component's behaviour and interface are written once.
 """
 
@@ -21,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import vhdl_ast as ast
-from .errors import DivideByZero, NotWidening, WidthMismatch
+from .errors import NotWidening, WidthMismatch
 
 MAX_INTERNAL_WIDTH = 64  # widest internal vector: a 32x32 full product
 
@@ -64,10 +63,6 @@ class BitVec:
         if not 0 <= self.bits < (1 << self.width):
             raise WidthMismatch(f"pattern {self.bits:#x} does not fit {self.width} bits")
 
-    @staticmethod
-    def from_int(value: int, width: int) -> "BitVec":
-        return BitVec(width, value & ((1 << width) - 1))
-
     @property
     def unsigned(self) -> int:
         return self.bits
@@ -77,12 +72,6 @@ class BitVec:
         if self.bits & (1 << (self.width - 1)):
             return self.bits - (1 << self.width)
         return self.bits
-
-    def interpret(self, signed: bool) -> int:
-        return self.signed if signed else self.unsigned
-
-    def msb(self) -> int:
-        return (self.bits >> (self.width - 1)) & 1
 
 
 @dataclass(frozen=True)
@@ -241,50 +230,6 @@ def port_widths(kind: ComponentKind, generics: LpmGenerics) -> tuple[
     return ins, outs
 
 
-def _evaluate(kind: ComponentKind, generics: LpmGenerics,
-              *inputs: BitVec) -> tuple[BitVec, ...]:
-    """One component evaluation on bit vectors: the kernel on one-element
-    columns, its width contract checked first."""
-    ins, outs = port_widths(kind, generics)
-    if tuple(value.width for value in inputs) != ins:
-        raise WidthMismatch(
-            f"{kind.name.lower()} inputs {'/'.join(str(v.width) for v in inputs)} "
-            f"bits vs generics {'/'.join(map(str, ins))}")
-    faults: set[int] = set()
-    columns = KERNELS[kind](generics, faults, *([value.bits] for value in inputs))
-    if faults:
-        raise DivideByZero()
-    return tuple(BitVec(width, column[0]) for width, column in zip(outs, columns))
-
-
-def add_sub_eval(a: BitVec, b: BitVec, direction: Direction) -> BitVec:
-    """Sum or difference modulo 2^width.  Inputs must share one width."""
-    return _evaluate(ComponentKind.ADD_SUB, AddSubGenerics(a.width, direction),
-                     a, b)[0]
-
-
-def mult_eval(a: BitVec, b: BitVec, generics: MultGenerics) -> BitVec:
-    """The low width_p bits of the full product."""
-    return _evaluate(ComponentKind.MULT, generics, a, b)[0]
-
-
-def divide_eval(n: BitVec, d: BitVec, generics: DivideGenerics) -> tuple[BitVec, BitVec]:
-    """Quotient and remainder; a zero divisor raises DivideByZero."""
-    return _evaluate(ComponentKind.DIVIDE, generics, n, d)
-
-
-def mod_correct_eval(r: BitVec, d: BitVec) -> BitVec:
-    """A divisor-sign modulus from a remainder and divisor of one width."""
-    if r.width != d.width:
-        raise WidthMismatch(f"mod correction inputs {r.width} and {d.width} bits")
-    return BitVec(r.width, mod_correct([r.bits], [d.bits], r.width)[0])
-
-
-def concat_extend_eval(a: BitVec, generics: ConcatExtendGenerics) -> BitVec:
-    """a sign- or zero-extended to generics.to_width."""
-    return _evaluate(ComponentKind.CONCAT_EXTEND, generics, a)[0]
-
-
 _ADD_SUB_DECL = ast.ComponentDecl(
     "lpm_add_sub",
     (ast.GenericDecl("LPM_WIDTH", "natural"),
@@ -332,21 +277,3 @@ COMPONENT_DECLS: dict[ComponentKind, ast.ComponentDecl] = {
     ComponentKind.DIVIDE: _DIVIDE_DECL,
     ComponentKind.CONCAT_EXTEND: _CONCAT_EXTEND_DECL,
 }
-
-
-def render_instance(kind: ComponentKind, generics: LpmGenerics, instance_name: str,
-                    port_bindings: dict[str, str]) -> tuple[ast.ComponentDecl, ast.Instance]:
-    """Build the declaration and instantiation nodes for one component use.
-
-    The declaration node is identical for every use of a kind, so callers can
-    deduplicate by kind.  port_bindings must name every declared port once.
-    """
-    decl = COMPONENT_DECLS[kind]
-    declared = [p.name for p in decl.ports]
-    if sorted(port_bindings) != sorted(declared):
-        missing = set(declared) - set(port_bindings)
-        extra = set(port_bindings) - set(declared)
-        raise WidthMismatch(
-            f"port bindings for {decl.name}: missing {sorted(missing)}, extra {sorted(extra)}")
-    port_map = tuple((name, port_bindings[name]) for name in declared)
-    return decl, ast.Instance(instance_name, kind, generics, port_map)

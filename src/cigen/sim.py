@@ -256,9 +256,9 @@ class IndexedDesign:
     (``simulate_ci``).
 
     Faults of the design itself raise InternalCheckError while indexing:
-    a component or load whose widths break their contract, a wire without a
-    driver, a combinational loop, a missing control step, or a chain that
-    never sets done.
+    a component or load whose widths break their contract, an unbound
+    component port, a wire without a driver or with two, a combinational
+    loop, a missing control step, or a chain that never sets done.
     """
 
     def __init__(self, design: ast.HdlDesign):
@@ -298,11 +298,17 @@ class IndexedDesign:
             if wire in self._sources:
                 raise InternalCheckError(f"{self.name}: {wire} is driven "
                                          "combinationally but is not a wire")
+            if wire in self._drivers:
+                raise InternalCheckError(f"{self.name}: {wire} has a second driver")
             self._drivers[wire] = (reads, wires, op)
 
     def _instance_op(self, inst: ast.Instance):
         bound = dict(inst.port_map)
         ports = COMPONENT_DECLS[inst.kind].ports
+        for port in ports:
+            if port.name not in bound:
+                raise InternalCheckError(f"{self.name}: {inst.label} leaves "
+                                         f"port {port.name} unbound")
         ins = tuple(bound[p.name] for p in ports if p.direction == "in")
         outs = tuple(bound[p.name] for p in ports if p.direction == "out")
         in_widths, out_widths = port_widths(inst.kind, inst.generics)

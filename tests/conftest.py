@@ -1,11 +1,21 @@
 """Shared fixtures: the worked-example spec in two width flavors, plus a
-mixed-signedness divide/modulus spec."""
+mixed-signedness divide/modulus spec; and helpers that run one component
+on single bit patterns."""
 
 from pathlib import Path
 
 import pytest
 
+from cigen.errors import DivideByZero
 from cigen.frontend import parse_ci_spec
+from cigen.lpm import (
+    KERNELS,
+    BitVec,
+    ComponentKind,
+    LpmGenerics,
+    mod_correct,
+    port_widths,
+)
 from cigen.mapper import map_design
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -61,6 +71,30 @@ def nested_text(depth: int, inner: str) -> str:
     """A spec whose expression is inner wrapped in depth parentheses."""
     return ("ci p(opcode=0) { input a: signed<8>; input b: signed<8>; "
             f"output y: signed<8>; y = {'(' * depth}{inner}{')' * depth}; }}")
+
+
+def wrapped(value: int, width: int) -> BitVec:
+    """value's two's-complement pattern at width bits."""
+    return BitVec(width, value & ((1 << width) - 1))
+
+
+def run_component(kind: ComponentKind, generics: LpmGenerics,
+                  *inputs: BitVec) -> tuple[BitVec, ...]:
+    """One component evaluation: its lpm.KERNELS entry on one-element
+    columns, after lpm.port_widths has checked the generics.  The outputs
+    carry the port widths; a zero divisor raises DivideByZero."""
+    _, out_widths = port_widths(kind, generics)
+    faults: set[int] = set()
+    columns = KERNELS[kind](generics, faults, *([value.bits] for value in inputs))
+    if faults:
+        raise DivideByZero()
+    return tuple(BitVec(width, column[0]) for width, column in zip(out_widths, columns))
+
+
+def mod_corrected(remainder: BitVec, divisor: BitVec) -> BitVec:
+    """The divisor-sign modulus from a remainder and divisor of one width."""
+    width = remainder.width
+    return BitVec(width, mod_correct([remainder.bits], [divisor.bits], width)[0])
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MAC_TEXT, GOLDEN_DIR
+from conftest import MAC_TEXT, GOLDEN_DIR, mod_corrected, run_component, wrapped
 from cigen import cli
 from cigen.cpatch import find_call_sites, rewrite
 from cigen.errors import DivideByZero, NoMatchFound
@@ -23,12 +23,9 @@ from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import build_design, validate_structure
 from cigen.lpm import (
     COMPONENT_DECLS,
-    BitVec,
     ComponentKind,
     DivideGenerics,
     Representation,
-    divide_eval,
-    mod_correct_eval,
 )
 from cigen.mapper import map_design
 from cigen.sim import Stimulus, check_equivalence, simulate_ci
@@ -77,16 +74,17 @@ class TestSignedDivisionSemantics:
     def test_exhaustive_eight_bit_sweep(self):
         generics = DivideGenerics(8, 8, Representation.SIGNED,
                                   Representation.SIGNED)
-        wrapped = 0
+        wraps = 0
         for n in range(-128, 128):
-            nv = BitVec.from_int(n, 8)
+            nv = wrapped(n, 8)
             for d in range(-128, 128):
                 if d == 0:
                     continue
-                dv = BitVec.from_int(d, 8)
-                quotient, remainder = divide_eval(nv, dv, generics)
+                dv = wrapped(d, 8)
+                quotient, remainder = run_component(ComponentKind.DIVIDE,
+                                                    generics, nv, dv)
                 q, r = quotient.signed, remainder.signed
-                m = mod_correct_eval(remainder, dv).signed
+                m = mod_corrected(remainder, dv).signed
 
                 assert r == 0 or (r < 0) == (n < 0)
                 assert abs(r) < abs(d)
@@ -95,10 +93,10 @@ class TestSignedDivisionSemantics:
                 assert m == n % d   # floored modulus, divisor's sign
                 assert (q * d + r - n) % 256 == 0
                 if q * d + r != n:
-                    wrapped += 1
+                    wraps += 1
                     assert (n, d) == (-128, -1)
                     assert q == -128   # exact quotient 128 wraps mod 2^8
-        assert wrapped == 1
+        assert wraps == 1
 
 
 class TestComponentDeduplication:

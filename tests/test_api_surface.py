@@ -1,0 +1,82 @@
+"""The package ships no test-only API.
+
+Every function, method and class defined in ``src/cigen`` (dunder names
+aside) must be referenced by name in ``src/cigen`` outside its own
+definition, or in ``bench/*.py``.  A name that only the tests reach belongs
+in the tests.  A method counts as referenced only through an attribute
+(``x.name``) or a string naming it, so a local variable that happens to
+share its name does not hide it; a method that overrides one of a base
+class (``argparse.ArgumentParser.error``, say) is referenced by that base.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC_FILES = sorted((ROOT / "src" / "cigen").glob("*.py"))
+BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
+
+
+def _definitions(tree: ast.Module):
+    """(name, node, owning class name or None) for every def and class,
+    nested ones too."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                found.append((child.name, child, owner))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+    visit(tree, None)
+    return found
+
+
+def _overrides(module: str, owner: str, name: str) -> bool:
+    cls = getattr(importlib.import_module(f"cigen.{module}"), owner)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, is_attribute_or_string) for every name the module reads:
+    bare names, attribute names, imported names and identifier strings."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno, False))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name.rsplit(".", 1)[-1], node.lineno, False))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno, True))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs.append((node.value, node.lineno, True))
+    return refs
+
+
+def _unreferenced() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in SRC_FILES + BENCH_FILES}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    unused = []
+    for path in SRC_FILES:
+        for name, node, owner in _definitions(trees[path]):
+            is_method = owner is not None
+            if name.startswith("__") or \
+                    is_method and _overrides(path.stem, owner, name):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+            def outside(ref_path: Path, line: int) -> bool:
+                return ref_path != path or not first <= line <= node.end_lineno
+            if not any(ref == name and (by_attribute or not is_method)
+                       and outside(ref_path, line)
+                       for ref_path, file_refs in refs.items()
+                       for ref, line, by_attribute in file_refs):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_definition_is_used_outside_the_tests():
+    assert _unreferenced() == []

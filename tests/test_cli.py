@@ -167,6 +167,13 @@ class TestFailClosed:
         out = tmp_path / "out"
         self._refused(capsys, ["build", spec, "-o", out], out)
 
+    def test_non_ascii_identifier(self, tmp_path, capsys):
+        spec = tmp_path / "u.ci"
+        spec.write_text(MAC_TEXT.replace("input b:", "input b\u00e4:")
+                        .replace("a * b", "a * b\u00e4"), encoding="utf-8")
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec, "-o", out], out)
+
     def test_non_utf8_config(self, tmp_path, capsys, spec_file):
         config = tmp_path / "cfg.json"
         config.write_bytes(b'{"intrinsic": "\xff"}')

@@ -74,7 +74,7 @@ class TestParse:
                 "input c:signed<32>;output X:signed<32>;\n"
                 "X=(a*b)+c;}")
         spec = parse_ci_spec(text)
-        assert spec.dfg.canonical() == mac_spec.dfg.canonical()
+        assert spec.dfg == mac_spec.dfg
 
     @pytest.mark.parametrize("source,expected", [
         ("x = a + b * c;", [OpKind.MUL, OpKind.ADD]),
@@ -144,10 +144,23 @@ class TestParseErrors:
         ("ci t { input a: signed<8>; output x: signed<8>; x = a; }",
          SpecSyntaxError),
         ("", SpecSyntaxError),
+        (_spec("input b\u00e4: signed<8>; output x: signed<8>; x = b\u00e4;"),
+         SpecSyntaxError),
+        (_spec("input a: signed<\u0663>; output x: signed<8>; x = a;"),
+         SpecSyntaxError),
     ])
     def test_rejects(self, text, exc):
         with pytest.raises(exc):
             parse_ci_spec(text)
+
+    @pytest.mark.parametrize("decl,col", [
+        ("input b\u00e4: signed<8>;", 8),   # a non-ASCII letter
+        ("input a: signed<\u0663>;", 17),   # ARABIC-INDIC DIGIT THREE
+    ])
+    def test_identifiers_and_integers_are_ascii(self, decl, col):
+        with pytest.raises(SpecSyntaxError, match="unexpected character") as info:
+            parse_ci_spec(_spec(f"{decl} output x: signed<8>; x = a;"))
+        assert (info.value.line, info.value.col) == (2, col)
 
     def test_error_carries_location(self):
         with pytest.raises(SpecSyntaxError) as info:
@@ -192,7 +205,7 @@ class TestDfg:
                      "output x: signed<8>; x = (a + b) - (a + b);")
         dfg = parse_ci_spec(text).dfg
         assert len(dfg.leaf_nodes()) == 2
-        adds = [n for n in dfg.op_nodes() if n.kind is OpKind.ADD]
+        adds = [n for n in map(dfg.node, dfg.order) if n.kind is OpKind.ADD]
         assert len(adds) == 2
         assert adds[0].id != adds[1].id
 
@@ -200,7 +213,7 @@ class TestDfg:
         dfg = parse_ci_spec(_spec(
             "input a: signed<8>; output x: signed<8>; x = a * a;")).dfg
         assert len(dfg.leaf_nodes()) == 1
-        (op,) = dfg.op_nodes()
+        (op,) = map(dfg.node, dfg.order)
         assert op.left == op.right
 
     def test_levels_and_execution_order(self):
@@ -235,7 +248,7 @@ class TestDfg:
         dfg = mac_spec.dfg
         ids = {n.decl.name: n.id for n in dfg.leaf_nodes()}
         assert ids == {"a": 0, "b": 2, "c": 4}
-        kinds = {n.id: n.kind for n in dfg.op_nodes()}
+        kinds = {i: dfg.node(i).kind for i in dfg.order}
         assert kinds == {1: OpKind.MUL, 3: OpKind.ADD}
 
 
@@ -255,7 +268,7 @@ class TestProperties:
         if analysis.operation_sequence:
             assert analysis.max_level == levels[-1]
             assert dfg.root == analysis.operation_sequence[-1]
-        for node in dfg.op_nodes():
+        for node in map(dfg.node, dfg.order):
             assert dfg.level[node.id] == 1 + max(dfg.level[node.left],
                                                  dfg.level[node.right])
 
@@ -274,4 +287,4 @@ class TestProperties:
                 f"output {out.name}: {'signed' if out.signed else 'unsigned'}"
                 f"<{out.width}>; {out.name} = {_render(spec.expr)}; }}")
         again = parse_ci_spec(text)
-        assert again.dfg.canonical() == dfg.canonical()
+        assert again.dfg == dfg

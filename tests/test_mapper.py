@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wrapped
 from cigen.frontend import OpKind, analyze, op_result_width, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec
 from cigen.lpm import (
-    BitVec,
     ComponentKind,
     Direction,
     Extension,
@@ -58,7 +58,7 @@ class TestWidthRules:
             "input c: signed<4>; output x: signed<32>;"
             "x = (a * b) + c; }")
         dfg = spec.dfg
-        widths = {n.id: dfg.width[n.id] for n in dfg.op_nodes()}
+        widths = {i: dfg.width[i] for i in dfg.order}
         # mul at 16, add at max(16, 4) = 16
         assert sorted(widths.values()) == [16, 16]
 
@@ -241,7 +241,8 @@ class TestAdaptRoot:
     def test_matrix(self, value, width, root_signed, out_signed, out_width,
                     expect):
         out_decl = OperandDecl("x", out_signed, out_width)
-        root = BitVec.from_int(value, width).interpret(root_signed)
+        pattern = wrapped(value, width)
+        root = pattern.signed if root_signed else pattern.unsigned
         [got] = adapt_root([root], out_decl)
         assert 0 <= got < 1 << 32
         assert got == expect

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import wrapped
 from cigen.errors import (
     DivideByZero,
     InputOutOfRange,
@@ -94,7 +95,7 @@ class TestReference:
 
 def _leaf_divisors(spec) -> list[str]:
     dfg = spec.dfg
-    return sorted({dfg.node(n.right).decl.name for n in dfg.op_nodes()
+    return sorted({dfg.node(n.right).decl.name for n in map(dfg.node, dfg.order)
                    if n.kind in DIV_FAMILY
                    and isinstance(dfg.node(n.right), LeafNode)})
 
@@ -387,6 +388,19 @@ def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
                                                             ast.Ref("result")),))
 
 
+def _second_driver(design: ast.HdlDesign) -> ast.HdlDesign:
+    # the multiplier already drives w_1_p
+    return _with_arch(design, assigns=design.architecture.assigns + (
+        ast.ConcurrentAssign("w_1_p", ast.Ref("r_a")),))
+
+
+def _unbound_result(design: ast.HdlDesign) -> ast.HdlDesign:
+    mul, add = design.architecture.instances
+    add = dataclasses.replace(add, port_map=tuple(
+        (port, wire) for port, wire in add.port_map if port != "result"))
+    return _with_arch(design, instances=(mul, add))
+
+
 class TestLoweringChecks:
     """Faults of the control chain or the wiring are refused when the
     design is lowered, before any vector runs."""
@@ -395,6 +409,8 @@ class TestLoweringChecks:
         (_cut_steps, "no control step 2"),
         (_never_done, "done is never set"),
         (_result_reads_itself, "combinational loop"),
+        (_second_driver, "w_1_p has a second driver"),
+        (_unbound_result, "u_add_1 leaves port result unbound"),
     ])
     def test_refused(self, mac_spec, mac_mapped, mutate, message):
         design = mutate(build_design(mac_spec, mac_mapped))
@@ -442,7 +458,7 @@ class TestBatchMatchesStepper:
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=4))
         mapped = map_design(spec)
         dfg = mapped.dfg
-        assume(any(n.kind in DIV_FAMILY for n in dfg.op_nodes()))
+        assume(any(dfg.node(i).kind in DIV_FAMILY for i in dfg.order))
         divisors = _leaf_divisors(spec)
         vectors = random_vectors(rng, spec, 16)
         for vec in vectors[::2]:
@@ -464,7 +480,8 @@ class TestBatchMatchesStepper:
 
 
 # --- the reference: eval_reference and mapper.adapt_root as they were
-# before the oracle became columnar, kept verbatim (renamed) ---------------
+# before the oracle became columnar, kept (renamed), with BitVec.from_int
+# and BitVec.interpret spelled out as wrapped and _interpret ---------------
 
 
 def _trunc_div(n: int, d: int) -> int:
@@ -503,11 +520,11 @@ def scalar_eval_reference(spec: CiSpec, inputs: dict[str, int],
                 raw = left - _trunc_div(left, right) * right
             else:
                 raw = left % right
-        value[node_id] = BitVec.from_int(raw, dfg.width[node_id]) \
-            .interpret(dfg.signed[node_id])
+        value[node_id] = _interpret(wrapped(raw, dfg.width[node_id]),
+                                    dfg.signed[node_id])
 
     root = dfg.root
-    root_bits = BitVec.from_int(value[root], dfg.width[root])
+    root_bits = wrapped(value[root], dfg.width[root])
     return scalar_adapt_root(root_bits, dfg.signed[root], spec.output)
 
 
@@ -519,7 +536,11 @@ def scalar_adapt_root(value: BitVec, root_signed: bool,
     if out.width < value.width:
         value = BitVec(out.width, value.bits & ((1 << out.width) - 1))
     elif out.width > value.width:
-        value = BitVec.from_int(value.interpret(root_signed), out.width)
+        value = wrapped(_interpret(value, root_signed), out.width)
     if value.width < 32:
-        value = BitVec.from_int(value.interpret(out.signed), 32)
+        value = wrapped(_interpret(value, out.signed), 32)
     return value
+
+
+def _interpret(value: BitVec, signed: bool) -> int:
+    return value.signed if signed else value.unsigned
