@@ -1,9 +1,12 @@
 """Patch C sources to call the generated custom instruction.
 
-The matcher works on tokens, not text; the lexer flags preprocessor tokens
-as it goes.  A candidate starts only at a token that can open the
-instruction's expression: an identifier equal to its leftmost leaf, or an
-opening parenthesis.  From there it parses the longest expression the
+The matcher works on tokens, not text.  The lexer splits the source with
+one regular expression whose matches tile it, classifies each match by its
+first character and returns the tokens as parallel lists (kind, text,
+offset, line), plus one flag per token for preprocessor directive lines.
+A candidate starts only at a token that can open the instruction's
+expression: an identifier equal to its leftmost leaf, or an opening
+parenthesis.  From there it parses the longest expression the
 instruction's grammar can produce (identifiers, parentheses, and the five
 binary operators with C precedence) and compares the parse tree, plus every
 prefix of its left spine, against the instruction's expression tree.  All
@@ -36,9 +39,12 @@ from __future__ import annotations
 
 import enum
 import re
+import string
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, sub
 
 from .errors import LexError, NoMatchFound
 from .frontend import CiSpec, OpKind
@@ -78,64 +84,105 @@ class TokKind(enum.Enum):
     PUNCT = enum.auto()
 
 
-@dataclass(frozen=True, slots=True)
-class CToken:
-    kind: TokKind
-    text: str
-    start: int
-    end: int
-    line: int
-    in_directive: bool = False
+# for the matcher's inner loop: reading a member through its enum class
+# costs a metaclass lookup
+_IDENT = TokKind.IDENT
+
+
+@dataclass(slots=True)
+class CTokens:
+    """The tokens of one C source, one list per field: token k is kind[k]
+    with text[k] at offset start[k] on line line[k], and in_directive[k] is
+    1 when it lies on a preprocessor directive line.  Token k ends at
+    start[k] + len(text[k])."""
+    kind: list[TokKind]
+    text: list[str]
+    start: list[int]
+    line: list[int]
+    in_directive: bytearray
+
+    def __len__(self) -> int:
+        return len(self.text)
 
 
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
 
-# One alternative per token class, tried in this order at each position.
-# Groups named after a TokKind make a token; "skip" and "comment" advance
-# the line count; "unterminated" is an opening quote or comment that the
-# complete forms before it could not close.
+# One alternative per token class, tried in this order at each position, and
+# a catch-all for a stray character, so the matches tile the source: white
+# space (and backslash-newlines), a comment, a string or character literal,
+# an identifier, a number, an opening quote or comment that the complete
+# forms before it could not close, a punctuator.
 _TOKEN_RE = re.compile("|".join([
-    r"(?P<skip>(?:[ \t\r\f\v\n]|\\\n)+)",
-    r"(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)",
-    r'(?P<STRING>"(?:\\[\s\S]|[^"\\\n])*")',
-    r"(?P<CHAR>'(?:\\[\s\S]|[^'\\\n])*')",
-    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
-    r"(?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)",
-    r"(?P<unterminated>/\*|[\"'])",
-    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCTS)) + ")",
+    r"(?:[ \t\r\f\v\n]|\\\n)+",
+    r"//[^\n]*|/\*[\s\S]*?\*/",
+    r'"(?:\\[\s\S]|[^"\\\n])*"',
+    r"'(?:\\[\s\S]|[^'\\\n])*'",
+    r"[A-Za-z_][A-Za-z0-9_]*",
+    r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*",
+    r"/\*|[\"']",
+    *map(re.escape, _PUNCTS),
+    r"[\s\S]",
 ]))
 _UNTERMINATED = {'"': "string literal", "'": "character literal",
                  "/*": "block comment"}
 
+# What a match is, by its first character: a token kind, _SPACE (falsy,
+# where every TokKind is truthy) for white space, or _LOOK for a character
+# that starts matches of several classes, a stray one included.
+_SPACE = None
+_LOOK = "look"
+_FIRST_CHAR: dict[str, object] = {
+    **dict.fromkeys(" \t\r\f\v\n", _SPACE),
+    **dict.fromkeys(string.ascii_letters + "_", TokKind.IDENT),
+    **dict.fromkeys(string.digits, TokKind.NUMBER),
+    **dict.fromkeys("".join(_PUNCTS), TokKind.PUNCT),
+    **dict.fromkeys("/\"'.\\", _LOOK),
+}
 
-def lex_c(source: str) -> list[CToken]:
-    """Tokenize C source, dropping comments but keeping byte offsets."""
-    directive_spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
-    directive = 0   # the first directive span not wholly before i
-    tokens: list[CToken] = []
-    i, n, line = 0, len(source), 1
-    while i < n:
-        m = _TOKEN_RE.match(source, i)
-        if m is None:
-            raise LexError(f"stray character {source[i]!r} on line {line}")
-        kind, text, end = m.lastgroup, m.group(), m.end()
-        if kind == "skip" or kind == "comment":
-            line += text.count("\n")
-        elif kind == "unterminated":
-            raise LexError(
-                f"unterminated {_UNTERMINATED[text]} on line {line}")
-        else:
-            while (directive < len(directive_spans)
-                   and directive_spans[directive][1] <= i):
-                directive += 1
-            in_directive = (directive < len(directive_spans)
-                            and directive_spans[directive][0] <= i)
-            tokens.append(CToken(TokKind[kind], text, i, end, line,
-                                 in_directive))
-            if "\n" in text:   # a literal continued by a backslash-newline
-                line += text.count("\n")
-        i = end
-    return tokens
+
+def _look_closer(text: str, source: str, offset: int):
+    """The kind of a _LOOK match at offset, or _SPACE for a comment or a
+    backslash-newline; raises LexError for an unterminated or stray one."""
+    first = text[0]
+    if text in _UNTERMINATED:
+        problem = f"unterminated {_UNTERMINATED[text]}"
+    elif first == "/":
+        return _SPACE if text[1:2] in ("/", "*") else TokKind.PUNCT
+    elif first == '"':
+        return TokKind.STRING
+    elif first == "'":
+        return TokKind.CHAR
+    elif first == ".":
+        return TokKind.PUNCT if text in (".", "...") else TokKind.NUMBER
+    elif first == "\\" and len(text) > 1:
+        return _SPACE
+    else:
+        problem = f"stray character {first!r}"
+    line = source.count("\n", 0, offset) + 1
+    raise LexError(f"{problem} on line {line}")
+
+
+def lex_c(source: str) -> CTokens:
+    """Tokenize C source, dropping comments but keeping offsets."""
+    parts = _TOKEN_RE.findall(source)
+    offsets = list(accumulate(map(len, parts), initial=0))
+    kinds = list(map(_FIRST_CHAR.get, map(itemgetter(0), parts), repeat(_LOOK)))
+    for k in [k for k, kind in enumerate(kinds) if kind is _LOOK]:
+        kinds[k] = _look_closer(parts[k], source, offsets[k])
+    start = list(compress(offsets, kinds))   # the tokens' entries
+    # line n holds the tokens that start before its newline, less those
+    # that start before the newline of line n - 1
+    line_ends = accumulate(map((1).__add__, map(len, source.split("\n"))))
+    before = list(map(bisect_left, repeat(start), line_ends))
+    line = list(chain.from_iterable(
+        map(repeat, count(1), map(sub, before, [0, *before]))))
+    in_directive = bytearray(len(start))
+    for m in _DIRECTIVE_RE.finditer(source):
+        lo = bisect_left(start, m.start())
+        hi = bisect_left(start, m.end(), lo)
+        in_directive[lo:hi] = b"\1" * (hi - lo)
+    return CTokens(list(filter(None, kinds)), list(compress(parts, kinds)),
+                   start, line, in_directive)
 
 
 # --- expression matching ----------------------------------------------------
@@ -185,8 +232,9 @@ class _Matcher:
     smaller room.
     """
 
-    def __init__(self, tokens: list[CToken], target: Tree):
-        self.tokens = tokens
+    def __init__(self, tokens: CTokens, target: Tree):
+        self.kind = tokens.kind
+        self.text = tokens.text
         self.ids: dict[tuple, int] = {}
         self.leaves: list[int] = []   # leaf count per node id
         self.memo: dict[tuple[int, int], tuple[object, int]] = {}
@@ -221,26 +269,24 @@ class _Matcher:
             result, at = self.memo[key]
             if room <= at if result is _DEEP else room >= at:
                 return result
-        tokens = self.tokens
+        text = self.text
         result = None
-        if i < len(tokens):
-            tok = tokens[i]
-            if tok.kind is TokKind.IDENT:
-                result = self.node(("leaf", tok.text)), i + 1
-            elif tok.text == "(":
+        if i < len(text):
+            if self.kind[i] is _IDENT:
+                result = self.node(("leaf", text[i])), i + 1
+            elif text[i] == "(":
                 result = _DEEP if room == 0 else self.expr(i + 1, 1, room - 1)
                 if isinstance(result, tuple):
                     node, j = result
-                    closed = j < len(tokens) and tokens[j].text == ")"
+                    closed = j < len(text) and text[j] == ")"
                     result = (node, j + 1) if closed else None
         if isinstance(result, tuple):
             node, j = result
             if spine is not None:
                 spine.append(result)
             stop = None
-            while (j < len(tokens)
-                   and _SYM_PREC.get(tokens[j].text, 0) >= min_prec):
-                op = tokens[j].text
+            while j < len(text) and _SYM_PREC.get(text[j], 0) >= min_prec:
+                op = text[j]
                 right = self.expr(j + 1, _SYM_PREC[op] + 1, room)
                 if right is None:
                     break
@@ -263,15 +309,15 @@ class _Matcher:
         return result
 
 
-def _paren_closes(tokens: list[CToken]) -> list[int]:
+def _paren_closes(text: list[str]) -> list[int]:
     """Per token, the index of the ')' matching it if it is a matched '(',
     else -1."""
-    closes = [-1] * len(tokens)
+    closes = [-1] * len(text)
     open_at: list[int] = []
-    for j, tok in enumerate(tokens):
-        if tok.text == "(":
+    for j in [j for j, t in enumerate(text) if t == "(" or t == ")"]:
+        if text[j] == "(":
             open_at.append(j)
-        elif tok.text == ")" and open_at:
+        elif open_at:
             closes[open_at.pop()] = j
     return closes
 
@@ -279,35 +325,32 @@ def _paren_closes(tokens: list[CToken]) -> list[int]:
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
 
 
-def _ends_value(tok: CToken | None) -> bool:
-    return tok is not None and (tok.kind in _VALUE_END_KINDS
-                                or tok.text in (")", "]", "++", "--"))
+def _ends_value(tokens: CTokens, k: int) -> bool:
+    return k >= 0 and (tokens.kind[k] in _VALUE_END_KINDS
+                       or tokens.text[k] in (")", "]", "++", "--"))
 
 
-def _left_context_ok(tokens: list[CToken], i: int, prec: int,
+def _left_context_ok(tokens: CTokens, i: int, prec: int,
                      whole_paren: bool) -> bool:
-    prev = tokens[i - 1] if i > 0 else None
-    if prev is None:
+    if i == 0:
         return True
     if whole_paren:
         # safe after anything except a callee or index expression
-        return not _ends_value(prev)
-    first = tokens[i]
-    if prev.kind is TokKind.IDENT:
-        if prev.text == "sizeof":
+        return not _ends_value(tokens, i - 1)
+    kind, text = tokens.kind[i - 1], tokens.text[i - 1]
+    if kind is TokKind.IDENT:
+        if text == "sizeof":
             return False   # sizeof binds the leftmost leaf
-        if first.kind is TokKind.PUNCT and first.text == "(":
+        if tokens.kind[i] is TokKind.PUNCT and tokens.text[i] == "(":
             # ident '(' opens an argument list unless it is a keyword
-            return prev.text in ("return", "else", "case")
+            return text in ("return", "else", "case")
         return True   # return, case, else and friends
-    if prev.kind is not TokKind.PUNCT:
+    if kind is not TokKind.PUNCT:
         return False
-    text = prev.text
     if text in _SAFE_LEFT_PUNCTS:
         return True
     if text in ("+", "-", "*", "&"):
-        before = tokens[i - 2] if i > 1 else None
-        if not _ends_value(before):
+        if not _ends_value(tokens, i - 2):
             return False   # unary use binds to our leftmost leaf
         if text == "&":
             return True    # binary & binds looser than any operator of ours
@@ -317,16 +360,16 @@ def _left_context_ok(tokens: list[CToken], i: int, prec: int,
     return False   # ! ~ ++ -- . -> ) ] and anything exotic
 
 
-def _right_context_ok(tokens: list[CToken], j: int, prec: int,
+def _right_context_ok(tokens: CTokens, j: int, prec: int,
                       whole_paren: bool) -> bool:
-    nxt = tokens[j] if j < len(tokens) else None
-    if nxt is None:
+    if j >= len(tokens):
         return True
-    if nxt.kind in _VALUE_END_KINDS:
+    if tokens.kind[j] in _VALUE_END_KINDS:
         return False
-    if not whole_paren and _SYM_PREC.get(nxt.text, 0) > prec:
+    text = tokens.text[j]
+    if not whole_paren and _SYM_PREC.get(text, 0) > prec:
         return False   # a tighter operator owns the rightmost leaf
-    return nxt.text not in ("(", "[", ".", "->", "++", "--")
+    return text not in ("(", "[", ".", "->", "++", "--")
 
 
 @dataclass(frozen=True)
@@ -349,14 +392,13 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
         leftmost = leftmost[1]
     # every accepted candidate equals the target, so shares its top operator
     prec = 3 if target[0] == "leaf" else _SYM_PREC[target[0]]
-    closes = _paren_closes(tokens)
-    directives_before = array("I", accumulate(
-        (tok.in_directive for tok in tokens), initial=0))
+    text = tokens.text
+    closes = _paren_closes(text)
+    directives_before = array("I", accumulate(tokens.in_directive, initial=0))
     matcher = _Matcher(tokens, target)
     raw: list[tuple[int, int]] = []
-    for i, tok in enumerate(tokens):
-        if tok.text != leftmost[1] and tok.text != "(":
-            continue   # no tree equal to the target starts here
+    # no tree equal to the target starts anywhere else
+    for i in [i for i, t in enumerate(text) if t == leftmost[1] or t == "("]:
         spine: list = []
         matcher.expr(i, 1, MAX_PAREN_DEPTH, spine)
         for node, j in spine:
@@ -369,7 +411,8 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
                 continue
             if not _right_context_ok(tokens, j, prec, whole_paren):
                 continue
-            raw.append((tokens[i].start, tokens[j - 1].end))
+            raw.append((tokens.start[i],
+                        tokens.start[j - 1] + len(text[j - 1])))
     sites: list[PatchSite] = []
     last_end = -1
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
@@ -470,9 +513,13 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
 
     args = ", ".join(mapped.analysis.operand_sequence)
     replacement = f"{call_macro_name(spec)}({args})"
-    text = source
-    for site in reversed(sites):
-        text = text[:site.start] + replacement + text[site.end:]
+    pieces = []
+    last = 0
+    for site in sites:
+        pieces += source[last:site.start], replacement
+        last = site.end
+    pieces.append(source[last:])
+    text = "".join(pieces)
 
     include_line = f'#include "{header_filename(spec)}"'
     include_offset = -1

@@ -304,11 +304,18 @@ class IndexedDesign:
 
     def _instance_op(self, inst: ast.Instance):
         bound = dict(inst.port_map)
-        ports = COMPONENT_DECLS[inst.kind].ports
+        decl = COMPONENT_DECLS[inst.kind]
+        ports = decl.ports
         for port in ports:
             if port.name not in bound:
                 raise InternalCheckError(f"{self.name}: {inst.label} leaves "
                                          f"port {port.name} unbound")
+        declared = {port.name for port in ports}
+        for name, _ in inst.port_map:
+            if name not in declared:
+                raise InternalCheckError(
+                    f"{self.name}: {inst.label} binds port {name}, which "
+                    f"{decl.name} does not declare")
         ins = tuple(bound[p.name] for p in ports if p.direction == "in")
         outs = tuple(bound[p.name] for p in ports if p.direction == "out")
         in_widths, out_widths = port_widths(inst.kind, inst.generics)

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from cigen.cpatch import (
     _PUNCTS,
     _SAFE_LEFT_PUNCTS,
     _SYM_PREC,
-    CToken,
+    CTokens,
     PatchSite,
     TokKind,
     Tree,
@@ -44,41 +45,56 @@ def _sites(source: str) -> list[str]:
     return [site.text for site in find_call_sites(source, MAC)]
 
 
+def _columns(tokens) -> tuple[list, ...]:
+    """kind, text, start, line and in_directive as lists, from lex_c's
+    columns or from a reference's CToken list."""
+    if isinstance(tokens, CTokens):
+        columns = (tokens.kind, tokens.text, tokens.start, tokens.line,
+                   list(tokens.in_directive))
+        assert {len(column) for column in columns} == {len(tokens)}
+        return columns
+    assert all(tok.end == tok.start + len(tok.text) for tok in tokens)
+    return ([tok.kind for tok in tokens], [tok.text for tok in tokens],
+            [tok.start for tok in tokens], [tok.line for tok in tokens],
+            [int(tok.in_directive) for tok in tokens])
+
+
 class TestLexer:
     def test_kinds_and_spans(self):
         src = 'int x = a->b + 1.5e+3; char c = \'q\'; s = "hi /*";\n'
         tokens = lex_c(src)
-        assert [t.kind for t in tokens[:3]] == [TokKind.IDENT, TokKind.IDENT,
-                                                TokKind.PUNCT]
-        for tok in tokens:
-            assert src[tok.start:tok.end] == tok.text
-        assert ("->", TokKind.PUNCT) in [(t.text, t.kind) for t in tokens]
-        assert ("1.5e+3", TokKind.NUMBER) in [(t.text, t.kind) for t in tokens]
-        assert ("'q'", TokKind.CHAR) in [(t.text, t.kind) for t in tokens]
-        assert ('"hi /*"', TokKind.STRING) in [(t.text, t.kind)
-                                               for t in tokens]
+        assert tokens.kind[:3] == [TokKind.IDENT, TokKind.IDENT,
+                                   TokKind.PUNCT]
+        for text, start in zip(tokens.text, tokens.start, strict=True):
+            assert src[start:start + len(text)] == text
+        pairs = list(zip(tokens.text, tokens.kind))
+        assert ("->", TokKind.PUNCT) in pairs
+        assert ("1.5e+3", TokKind.NUMBER) in pairs
+        assert ("'q'", TokKind.CHAR) in pairs
+        assert ('"hi /*"', TokKind.STRING) in pairs
 
     def test_comments_vanish(self):
         tokens = lex_c("a /* b */ c // d\ne\n")
-        assert [t.text for t in tokens] == ["a", "c", "e"]
+        assert tokens.text == ["a", "c", "e"]
 
     def test_directive_lines_are_flagged(self):
         src = '#define F (a * b) + \\\n    c\nint a;\n'
         tokens = lex_c(src)
-        flagged = [t.text for t in tokens if t.in_directive]
+        flagged = [text for text, flag in zip(tokens.text, tokens.in_directive)
+                   if flag]
         assert "c" in flagged and "b" in flagged
-        assert not tokens[-2].in_directive  # the declaration's "a"
+        assert not tokens.in_directive[-2]  # the declaration's "a"
 
     def test_line_numbers(self):
         tokens = lex_c("a\n\nb /* x\ny */ c\n")
-        assert [(t.text, t.line) for t in tokens] == [("a", 1), ("b", 3),
-                                                      ("c", 4)]
+        assert list(zip(tokens.text, tokens.line)) == [("a", 1), ("b", 3),
+                                                       ("c", 4)]
 
     def test_line_continuation_inside_a_literal_counts(self):
         with pytest.raises(LexError, match="stray character '@' on line 3"):
             lex_c('char *s = "a\\\nb";\n@')
         tokens = lex_c('s = "a\\\nb"; c = \'\\\n\';\nx')
-        assert [(t.text, t.line) for t in tokens] == [
+        assert list(zip(tokens.text, tokens.line)) == [
             ("s", 1), ("=", 1), ('"a\\\nb"', 1), (";", 2), ("c", 2),
             ("=", 2), ("'\\\n'", 2), (";", 3), ("x", 4)]
 
@@ -275,7 +291,7 @@ class TestSameAsTheReference:
                 lex_c(source)
             assert str(info.value) == str(exc)
             return
-        assert lex_c(source) == expected_tokens
+        assert _columns(lex_c(source)) == _columns(expected_tokens)
         spec = _TARGET_SPECS[expr]
         with mock.patch.object(cpatch, "MAX_PAREN_DEPTH", cap), \
                 mock.patch.dict(globals(), MAX_PAREN_DEPTH=cap):
@@ -283,6 +299,85 @@ class TestSameAsTheReference:
             assume(not _site_a_tighter_operator_follows(
                 source, expected, spec_match_tree(spec)))
             assert find_call_sites(source, spec) == expected
+
+
+# Pieces of C over a wider alphabet than the matcher's soups: every token
+# class, comments and literals that cross lines, every white-space character,
+# and the pieces that make a lex error.
+_WIDE_PIECES = [
+    "a", "b_1", "_x", "sizeof", "0", "42", "1.5e+3", ".5", "0x1F", "3.",
+    "1e", "0x1p-4",
+    ".", "..", "...", "->", "<<=", ">>=", "##", "#", "+", "++", "-", "--",
+    "/", "/=", "*", "%", "(", ")", "[", "]", "{", "}", ",", ";", "<", "==",
+    "!", "&&", "|", "^", "~", "?", ":",
+    "// a comment", "//", "/* a block */", "/* across\nlines */", "/**/",
+    "/*/ x */",
+    "'q'", "'\\n'", "'\\''", "'\\\\'", '"s"', '""', '"a\\"b"', '"x\\\ny"',
+    "'\\\n'",
+    " ", "\t", "\r", "\f", "\v", "\n", "\r\n", "\\\n", " \\\n\t",
+]
+_WIDE_FAULTS = ["\\", "@", "$", "`", "é", "٣", '"', "'", "/*"]
+_WIDE_DIRECTIVES = st.builds(
+    lambda lead, body: "\n" + lead + "#" + "".join(body) + "\n",
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.lists(st.sampled_from(_WIDE_PIECES), max_size=6))
+_WIDE_SOUPS = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_WIDE_PIECES), _WIDE_DIRECTIVES),
+             max_size=24).map("".join),
+    st.lists(st.one_of(st.sampled_from(_WIDE_PIECES), _WIDE_DIRECTIVES,
+                       st.sampled_from(_WIDE_FAULTS)),
+             max_size=24).map("".join),
+    st.text(st.sampled_from(sorted(set("".join(_WIDE_PIECES + _WIDE_FAULTS)))),
+            max_size=40))
+
+
+class TestSameAsTheNamedGroupLexer:
+    """lex_c gives the same columns and the same lex errors as the lexer it
+    replaced (one named-group match per token, one CToken each), on soups of
+    every token class, white-space character and lex error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_WIDE_SOUPS)
+    @example('s = "a\\\nb"; c = \'\\\n\';\n@')
+    @example("#define M(x) x * \\\n  2\nint y = .5 + 0x1F; /* open")
+    @example("a\\ b")
+    @example("x = 1.5e+3 ... -> <<= ## \t\r\f\v $")
+    def test_same_columns_and_errors(self, source):
+        try:
+            expected = named_group_lex_c(source)
+        except LexError as exc:
+            with pytest.raises(LexError) as info:
+                lex_c(source)
+            assert str(info.value) == str(exc)
+            return
+        assert _columns(lex_c(source)) == _columns(expected)
+
+
+class TestBenchContract:
+    """What bench/spans.py relies on: it wraps cpatch.lex_c, so matching
+    must lex through that module global once per call, and it counts
+    tokens with len()."""
+
+    def test_one_lex_per_call_through_the_module_global(self, monkeypatch):
+        seen = []
+
+        def counted(source):
+            seen.append(source)
+            return lex_c(source)
+
+        monkeypatch.setattr(cpatch, "lex_c", counted)
+        src = "int f(int a, int b, int c) { return (a * b) + c; }\n"
+        assert len(find_call_sites(src, MAC)) == 1
+        assert seen == [src]
+        assert find_call_sites("int x;\n", MAC) == []
+        assert seen == [src, "int x;\n"]
+
+    def test_len_is_the_token_count(self):
+        tokens = lex_c("int f(int a) { return a; } /* c */ // d\n"
+                       "#define X 1\n")
+        assert len(tokens) == 15
+        assert tokens.text[-4:] == ["#", "define", "X", "1"]
+        assert list(tokens.in_directive) == [0] * 11 + [1] * 4
 
 
 class TestHeader:
@@ -413,8 +508,19 @@ class TestRewriteProperties:
         assert plan.output.count(plan.include_line) == 1
 
 
-# --- the reference: lex_c and find_call_sites as they were before the
-# matcher was made linear, kept verbatim (renamed) --------------------------
+# --- the references: lex_c and find_call_sites as they were before the
+# matcher was made linear, and lex_c as it was before it returned columns,
+# kept verbatim (renamed) --------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class CToken:
+    kind: TokKind
+    text: str
+    start: int
+    end: int
+    line: int
+    in_directive: bool = False
+
 
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -659,3 +765,51 @@ def reference_find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
             sites.append(PatchSite(start, end, source[start:end]))
             last_end = end
     return sites
+
+
+# One alternative per token class, tried in this order at each position.
+# Groups named after a TokKind make a token; "skip" and "comment" advance
+# the line count; "unterminated" is an opening quote or comment that the
+# complete forms before it could not close.
+_NAMED_TOKEN_RE = re.compile("|".join([
+    r"(?P<skip>(?:[ \t\r\f\v\n]|\\\n)+)",
+    r"(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)",
+    r'(?P<STRING>"(?:\\[\s\S]|[^"\\\n])*")',
+    r"(?P<CHAR>'(?:\\[\s\S]|[^'\\\n])*')",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)",
+    r"(?P<unterminated>/\*|[\"'])",
+    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCTS)) + ")",
+]))
+_UNTERMINATED = {'"': "string literal", "'": "character literal",
+                 "/*": "block comment"}
+
+
+def named_group_lex_c(source: str) -> list[CToken]:
+    """Tokenize C source, dropping comments but keeping byte offsets."""
+    directive_spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
+    directive = 0   # the first directive span not wholly before i
+    tokens: list[CToken] = []
+    i, n, line = 0, len(source), 1
+    while i < n:
+        m = _NAMED_TOKEN_RE.match(source, i)
+        if m is None:
+            raise LexError(f"stray character {source[i]!r} on line {line}")
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "skip" or kind == "comment":
+            line += text.count("\n")
+        elif kind == "unterminated":
+            raise LexError(
+                f"unterminated {_UNTERMINATED[text]} on line {line}")
+        else:
+            while (directive < len(directive_spans)
+                   and directive_spans[directive][1] <= i):
+                directive += 1
+            in_directive = (directive < len(directive_spans)
+                            and directive_spans[directive][0] <= i)
+            tokens.append(CToken(TokKind[kind], text, i, end, line,
+                                 in_directive))
+            if "\n" in text:   # a literal continued by a backslash-newline
+                line += text.count("\n")
+        i = end
+    return tokens

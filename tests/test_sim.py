@@ -401,6 +401,12 @@ def _unbound_result(design: ast.HdlDesign) -> ast.HdlDesign:
     return _with_arch(design, instances=(mul, add))
 
 
+def _unknown_port(design: ast.HdlDesign) -> ast.HdlDesign:
+    mul, add = design.architecture.instances
+    add = dataclasses.replace(add, port_map=add.port_map + (("carry", "r_a"),))
+    return _with_arch(design, instances=(mul, add))
+
+
 class TestLoweringChecks:
     """Faults of the control chain or the wiring are refused when the
     design is lowered, before any vector runs."""
@@ -411,6 +417,8 @@ class TestLoweringChecks:
         (_result_reads_itself, "combinational loop"),
         (_second_driver, "w_1_p has a second driver"),
         (_unbound_result, "u_add_1 leaves port result unbound"),
+        (_unknown_port, "u_add_1 binds port carry, which lpm_add_sub does "
+                        "not declare"),
     ])
     def test_refused(self, mac_spec, mac_mapped, mutate, message):
         design = mutate(build_design(mac_spec, mac_mapped))
