@@ -12,10 +12,12 @@ binary operators with C precedence) and compares the parse tree, plus every
 prefix of its left spine, against the instruction's expression tree.  All
 candidates of one file share one memo, so each subexpression is parsed
 once, and a parse stops once its tree has more leaves than the target, so
-matching is linear in the number of tokens.  (Only groups nested deeper
-than MAX_PAREN_DEPTH are parsed again by candidates at each level, up to
-MAX_PAREN_DEPTH levels each.)  A hit is then screened by context guards so
-the replacement can never change what the surrounding expression means:
+matching is linear in the number of tokens.  Candidates run from the last
+token to the first; every opening parenthesis is one, so a parse that
+reaches a group finds its contents already in the memo, and the parser
+recurses no deeper than the operator precedence levels at any nesting.
+A hit is then screened by context guards so the replacement can never
+change what the surrounding expression means:
 
 * a candidate preceded by a tighter-binding operator, a unary operator, a
   cast, or a member access is dropped, because its leftmost leaf belongs to
@@ -26,9 +28,6 @@ the replacement can never change what the surrounding expression means:
 * fully parenthesized candidates are exempt from the operator checks on
   both edges, and from the rest of the left-context screening unless the
   parenthesis is actually a call argument list.
-
-Parentheses nested deeper than MAX_PAREN_DEPTH are not parsed: the parse of a
-candidate stops at such a group, and only what it read before it is matched.
 
 Flooring modulus exists in the instruction grammar but has no C operator,
 so expressions using it are reported as unmatchable instead of guessed at.
@@ -205,18 +204,10 @@ def spec_match_tree(spec: CiSpec) -> Tree | None:
     return trees[dfg.root]
 
 
-# Deepest parenthesis nesting the matcher parses, counted from the token a
-# candidate starts at.  Its recursive descent spends up to three Python
-# frames per level, so this keeps it well inside the default recursion
-# limit of 1000.  A parse that reaches a deeper group stops there; the
-# prefixes it recorded before the group are still screened, and the rest of
-# the file is matched as usual.
-MAX_PAREN_DEPTH = 200
-
-# Parse outcomes that end the candidate they occur in, besides a
-# (node, end) pair and None (no expression here):
-_DEEP = "deep"   # a group nested deeper than the parse had room for
-_BIG = "big"     # a tree with more leaves than the target
+# A parse outcome that ends the candidate it occurs in, besides a
+# (node, end) pair and None (no expression here): a tree with more leaves
+# than the target.
+_BIG = "big"
 
 
 class _Matcher:
@@ -226,10 +217,9 @@ class _Matcher:
     Trees are hash-consed into integer node ids, so equal trees have equal
     ids and comparing a candidate with the target costs one integer
     comparison at any depth.  expr results are memoized per (token index,
-    minimum precedence) together with the room (groups the parse may still
-    open) they were computed with: a result that stayed inside its room
-    holds for any larger room, and one that ran out of room holds for any
-    smaller room.
+    minimum precedence).  Once a group's contents are in the memo, reading
+    the group costs one lookup, so parsing the starts from right to left
+    keeps the recursion within the three precedence levels.
     """
 
     def __init__(self, tokens: CTokens, target: Tree):
@@ -237,7 +227,7 @@ class _Matcher:
         self.text = tokens.text
         self.ids: dict[tuple, int] = {}
         self.leaves: list[int] = []   # leaf count per node id
-        self.memo: dict[tuple[int, int], tuple[object, int]] = {}
+        self.memo: dict[tuple[int, int], object] = {}
         subtrees = [target]
         for tree in subtrees:         # parents before children
             if tree[0] != "leaf":
@@ -257,25 +247,21 @@ class _Matcher:
                                self.leaves[key[1]] + self.leaves[key[2]])
         return node
 
-    def expr(self, i: int, min_prec: int, room: int,
-             spine: list | None = None):
+    def expr(self, i: int, min_prec: int, spine: list | None = None):
         """The longest expression at token i whose operators bind at least
-        min_prec, opening at most room nested groups, as (node, end); None
-        when none starts there; _DEEP or _BIG when the parse stopped.  With
-        spine, the tree after the first primary and after each operator of
-        this level is appended to it as (node, end)."""
+        min_prec, as (node, end); None when none starts there; _BIG when the
+        parse stopped.  With spine, the tree after the first primary and
+        after each operator of this level is appended to it as (node, end)."""
         key = (i, min_prec)
         if spine is None and key in self.memo:
-            result, at = self.memo[key]
-            if room <= at if result is _DEEP else room >= at:
-                return result
+            return self.memo[key]
         text = self.text
         result = None
         if i < len(text):
             if self.kind[i] is _IDENT:
                 result = self.node(("leaf", text[i])), i + 1
             elif text[i] == "(":
-                result = _DEEP if room == 0 else self.expr(i + 1, 1, room - 1)
+                result = self.expr(i + 1, 1)
                 if isinstance(result, tuple):
                     node, j = result
                     closed = j < len(text) and text[j] == ")"
@@ -287,11 +273,11 @@ class _Matcher:
             stop = None
             while j < len(text) and _SYM_PREC.get(text[j], 0) >= min_prec:
                 op = text[j]
-                right = self.expr(j + 1, _SYM_PREC[op] + 1, room)
+                right = self.expr(j + 1, _SYM_PREC[op] + 1)
                 if right is None:
                     break
-                if not isinstance(right, tuple):
-                    stop = right
+                if right is _BIG:
+                    stop = _BIG
                     break
                 node, j = self.node((op, node, right[0])), right[1]
                 if self.leaves[node] > self.leaves[self.target]:
@@ -304,22 +290,8 @@ class _Matcher:
                 if spine is not None:
                     spine.append((node, j))
             result = (node, j) if stop is None else stop
-        if spine is None:
-            self.memo[key] = (result, room)
+        self.memo[key] = result
         return result
-
-
-def _paren_closes(text: list[str]) -> list[int]:
-    """Per token, the index of the ')' matching it if it is a matched '(',
-    else -1."""
-    closes = [-1] * len(text)
-    open_at: list[int] = []
-    for j in [j for j, t in enumerate(text) if t == "(" or t == ")"]:
-        if text[j] == "(":
-            open_at.append(j)
-        elif open_at:
-            closes[open_at.pop()] = j
-    return closes
 
 
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
@@ -393,20 +365,21 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     # every accepted candidate equals the target, so shares its top operator
     prec = 3 if target[0] == "leaf" else _SYM_PREC[target[0]]
     text = tokens.text
-    closes = _paren_closes(text)
     directives_before = array("I", accumulate(tokens.in_directive, initial=0))
     matcher = _Matcher(tokens, target)
     raw: list[tuple[int, int]] = []
     # no tree equal to the target starts anywhere else
-    for i in [i for i, t in enumerate(text) if t == leftmost[1] or t == "("]:
+    starts = [i for i, t in enumerate(text) if t == leftmost[1] or t == "("]
+    # right to left, so every group a parse reaches is in the memo already
+    for i in reversed(starts):
         spine: list = []
-        matcher.expr(i, 1, MAX_PAREN_DEPTH, spine)
+        matcher.expr(i, 1, spine)
         for node, j in spine:
             if node != matcher.target:
                 continue
             if directives_before[j] != directives_before[i]:
                 continue
-            whole_paren = closes[i] == j - 1
+            whole_paren = text[i] == "(" and j == spine[0][1]
             if not _left_context_ok(tokens, i, prec, whole_paren):
                 continue
             if not _right_context_ok(tokens, j, prec, whole_paren):

@@ -235,8 +235,9 @@ class TestFailClosed:
         code, _, stderr = _run(capsys, "patch", spec_file, source)
         assert code == 0, stderr
         patched = (tmp_path / "deep.ci.c").read_text()
-        assert f"return {deep};" in patched
-        assert "return CI_F(a, b, c);" in patched
+        # the redundant parentheses around a do not hide the target
+        assert f"return {deep};" not in patched
+        assert patched.count("return CI_F(a, b, c);") == 2
 
     def test_site_before_a_deep_group_is_patched(self, tmp_path, capsys,
                                                  spec_file):

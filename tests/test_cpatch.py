@@ -3,7 +3,6 @@
 import random
 import re
 from dataclasses import dataclass
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -189,25 +188,49 @@ class TestFindCallSites:
         assert find_call_sites("int x = a % b;\n", spec) == []
 
 
+def _failed_groups(depth: int) -> str:
+    """A return of depth nested "a + b * (" groups whose innermost one,
+    "c, 1", is not an expression, so none of them parses."""
+    return ("int t(int a, int b, int c) { return "
+            + "a + b * (" * depth + "c, 1" + ")" * depth + "; }\n")
+
+
 class TestLinearMatching:
-    def test_failed_groups_nested_forty_deep(self, monkeypatch):
-        # each level's group fails on "c, 1"; a parser without memoization
-        # parses it twice per level, 2**40 times in all
-        calls = 0
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts the calls of _Matcher.expr, memo hits included."""
+        calls = [0]
         expr = cpatch._Matcher.expr
 
-        def counted(self, *args):
-            nonlocal calls
-            calls += 1
+        def counting(self, *args):
+            calls[0] += 1
             return expr(self, *args)
 
-        monkeypatch.setattr(cpatch._Matcher, "expr", counted)
+        monkeypatch.setattr(cpatch._Matcher, "expr", counting)
+        return calls
+
+    def test_failed_groups_nested_forty_deep(self, counted):
+        # each level's group fails on "c, 1"; a parser without memoization
+        # parses it twice per level, 2**40 times in all
         for depth in (20, 40):
-            src = ("int t(int a, int b, int c) { return "
-                   + "a + b * (" * depth + "c, 1" + ")" * depth + "; }\n")
-            calls = 0
+            src = _failed_groups(depth)
+            counted[0] = 0
             assert find_call_sites(src, MAC) == []
-            assert calls <= 2 * len(lex_c(src))
+            assert counted[0] <= 2 * len(lex_c(src))
+
+    @pytest.mark.parametrize("src, sites", [
+        (_failed_groups(1000), 0),
+        ("int t(int a, int b, int c) { return "
+         + "(" * 5000 + "a" + ")" * 5000 + " * b + c; }\n", 1),
+    ], ids=["failed-groups-1000", "parentheses-5000"])
+    def test_any_nesting_at_any_stack_depth(self, counted, src, sites):
+        # called 900 frames deep, so a parse that recursed once per group
+        # would pass Python's default limit of 1000 frames
+        def deep(frames, call):
+            return deep(frames - 1, call) if frames else call()
+
+        assert len(deep(900, lambda: find_call_sites(src, MAC))) == sites
+        assert counted[0] <= 2 * len(lex_c(src))
 
 
 def _spec_of(expr: str):
@@ -237,8 +260,8 @@ _TOKEN_SOUPS = st.recursive(
         lambda parts: "(" + " ".join(parts) + ")"),
     max_leaves=6)
 # Expressions of the matcher's grammar, with operands it cannot parse
-# ("2", a cast, a comma group) that end a parse mid-way, nested deeper than
-# the small parenthesis caps drawn below.
+# ("2", a cast, a comma group) that end a parse mid-way, nested in groups
+# that the matcher parses before the candidates around them.
 _EXPR_SOUPS = st.recursive(
     st.sampled_from(["a", "b", "c", "2", "(int) c", "(c, 1)", "sizeof a",
                      "f(a)"] + _TARGETS),
@@ -277,13 +300,10 @@ class TestSameAsTheReference:
     and test_tighter_operator_owns_the_last_leaf pin that difference."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_SOUPS, st.sampled_from(_TARGETS),
-           st.sampled_from([cpatch.MAX_PAREN_DEPTH, 1, 2, 3]))
-    # the first candidate runs out of room inside "((b))"; the second,
-    # one level in, has room for it and matches
-    @example("x = a * (a * ((b)));", "a * b", 2)
-    @example("x = ((a + b));", "a + b", 1)
-    def test_tokens_and_sites(self, source, expr, cap):
+    @given(_SOUPS, st.sampled_from(_TARGETS))
+    @example("x = a * (a * ((b)));", "a * b")
+    @example("x = ((a + b));", "a + b")
+    def test_tokens_and_sites(self, source, expr):
         try:
             expected_tokens = reference_lex_c(source)
         except LexError as exc:
@@ -293,12 +313,10 @@ class TestSameAsTheReference:
             return
         assert _columns(lex_c(source)) == _columns(expected_tokens)
         spec = _TARGET_SPECS[expr]
-        with mock.patch.object(cpatch, "MAX_PAREN_DEPTH", cap), \
-                mock.patch.dict(globals(), MAX_PAREN_DEPTH=cap):
-            expected = reference_find_call_sites(source, spec)
-            assume(not _site_a_tighter_operator_follows(
-                source, expected, spec_match_tree(spec)))
-            assert find_call_sites(source, spec) == expected
+        expected = reference_find_call_sites(source, spec)
+        assume(not _site_a_tighter_operator_follows(
+            source, expected, spec_match_tree(spec)))
+        assert find_call_sites(source, spec) == expected
 
 
 # Pieces of C over a wider alphabet than the matcher's soups: every token
@@ -610,29 +628,14 @@ def reference_lex_c(source: str) -> list[CToken]:
     return tokens
 
 
-# Deepest parenthesis nesting the matcher parses.  Its recursive descent
-# spends up to four Python frames per level, so this keeps it well inside
-# the default recursion limit of 1000.  A parse that reaches a deeper group
-# stops there, so it is not retried along other operator paths; the
-# prefixes it recorded before the group are still screened, and the rest
-# of the file is matched as usual.
-MAX_PAREN_DEPTH = 200
-
-
-class _TooDeep(Exception):
-    """The parse reached a group nested deeper than MAX_PAREN_DEPTH."""
-
-
-def _primary(tokens: list[CToken], i: int, depth: int):
+def _primary(tokens: list[CToken], i: int):
     if i >= len(tokens):
         return None
     tok = tokens[i]
     if tok.kind is TokKind.IDENT:
         return ("leaf", tok.text), i + 1
     if tok.kind is TokKind.PUNCT and tok.text == "(":
-        if depth == MAX_PAREN_DEPTH:
-            raise _TooDeep
-        inner = _expr(tokens, i + 1, 1, depth=depth + 1)
+        inner = _expr(tokens, i + 1, 1)
         if inner is None:
             return None
         tree, j = inner
@@ -644,8 +647,8 @@ def _primary(tokens: list[CToken], i: int, depth: int):
 
 
 def _expr(tokens: list[CToken], i: int, min_prec: int,
-          checkpoints: list | None = None, depth: int = 0):
-    first = _primary(tokens, i, depth)
+          checkpoints: list | None = None):
+    first = _primary(tokens, i)
     if first is None:
         return None
     tree, i = first
@@ -654,7 +657,7 @@ def _expr(tokens: list[CToken], i: int, min_prec: int,
     while i < len(tokens) and tokens[i].kind is TokKind.PUNCT \
             and _SYM_PREC.get(tokens[i].text, 0) >= min_prec:
         op = tokens[i].text
-        right = _expr(tokens, i + 1, _SYM_PREC[op] + 1, depth=depth)
+        right = _expr(tokens, i + 1, _SYM_PREC[op] + 1)
         if right is None:
             break
         rtree, i = right
@@ -744,10 +747,7 @@ def reference_find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     raw: list[tuple[int, int]] = []
     for i in range(len(tokens)):
         checkpoints: list = []
-        try:
-            _expr(tokens, i, 1, checkpoints)
-        except _TooDeep:
-            pass   # the prefixes read before the deep group still count
+        _expr(tokens, i, 1, checkpoints)
         for tree, j in checkpoints:
             if tree != target:
                 continue
