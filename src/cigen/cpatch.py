@@ -166,8 +166,13 @@ def lex_c(source: str) -> CTokens:
     parts = _TOKEN_RE.findall(source)
     offsets = list(accumulate(map(len, parts), initial=0))
     kinds = list(map(_FIRST_CHAR.get, map(itemgetter(0), parts), repeat(_LOOK)))
+    # directives are found as C finds them, once each comment is white
+    # space: here spaces of the comment's length, so offsets hold
+    uncommented = parts.copy()
     for k in [k for k, kind in enumerate(kinds) if kind is _LOOK]:
         kinds[k] = _look_closer(parts[k], source, offsets[k])
+        if kinds[k] is _SPACE and parts[k][0] == "/":
+            uncommented[k] = " " * len(parts[k])
     start = list(compress(offsets, kinds))   # the tokens' entries
     # line n holds the tokens that start before its newline, less those
     # that start before the newline of line n - 1
@@ -176,7 +181,7 @@ def lex_c(source: str) -> CTokens:
     line = list(chain.from_iterable(
         map(repeat, count(1), map(sub, before, [0, *before]))))
     in_directive = bytearray(len(start))
-    for m in _DIRECTIVE_RE.finditer(source):
+    for m in _DIRECTIVE_RE.finditer("".join(uncommented)):
         lo = bisect_left(start, m.start())
         hi = bisect_left(start, m.end(), lo)
         in_directive[lo:hi] = b"\1" * (hi - lo)

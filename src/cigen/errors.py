@@ -83,10 +83,6 @@ class InputOutOfRange(CigenError):
     """An input binding that does not fit its declared width and signedness."""
 
 
-class ProtocolViolation(CigenError):
-    """Handshake misuse detected under the simulator's strict mode."""
-
-
 class LexError(CigenError):
     """Unterminated string, character or comment while scanning C source."""
 

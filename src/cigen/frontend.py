@@ -101,11 +101,6 @@ class OpKind(enum.Enum):
     REMU = enum.auto()
 
 
-# Kinds whose result carries the sign of a division-family operation.
-DIV_FAMILY = frozenset({OpKind.DIVS, OpKind.DIVU, OpKind.MODS, OpKind.MODU,
-                        OpKind.REMS, OpKind.REMU})
-
-
 @dataclass(frozen=True)
 class OperandDecl:
     name: str

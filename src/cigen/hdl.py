@@ -4,7 +4,11 @@
 ``MappedDesign``: the control schedule, per-node truncation, root-to-port
 adaptation and the modulus correction all become nodes of the
 ``HdlDesign`` it returns.  ``emit_vhdl`` renders that design, holding all
-VHDL spelling; ``validate_structure`` walks it; the simulator executes it.
+VHDL spelling.  Two gates own its rules, each rule once:
+``validate_structure`` checks what only the VHDL text shows (the entity
+ports, legal and unique names, component declarations), and
+``sim.IndexedDesign`` checks connectivity (ports, drivers, targets, widths)
+when it lowers the design to execute it.
 
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
@@ -398,13 +402,13 @@ def _legal_identifier(name: str) -> bool:
 
 
 def validate_structure(design: ast.HdlDesign) -> list[Violation]:
-    """Check design invariants; an empty list means the design is sound.
+    """Check the design's VHDL naming and declarations, which executing it
+    cannot see; an empty list means it is sound.
 
     Rules: the entity port set is exactly the eight-port CI interface; every
     identifier is VHDL-legal and case-insensitively unique; signals are
-    declared once; each component is declared once and every instance binds
-    every declared port of a declared component to a declared signal or port;
-    assignment, load and reset targets are declared; nothing has two drivers.
+    declared once; each component is declared once; every instance's
+    component is declared.  Connectivity is ``sim.IndexedDesign``'s to check.
     """
     violations: list[Violation] = []
     arch = design.architecture
@@ -442,66 +446,14 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
         claim(inst.label, "instance")
     claim(arch.process.label, "process")
 
-    declared_values = {s.name for s in arch.signals} | \
-                      {p.name for p in design.entity.ports}
-    out_ports = {p.name for p in design.entity.ports if p.direction == "out"}
-    signal_names = {s.name for s in arch.signals}
-
-    components = {}
+    components: set[str] = set()
     for decl in arch.components:
         if decl.name in components:
             violations.append(Violation("duplicate-component", decl.name))
-        components[decl.name] = decl
-
-    drivers: dict[str, str] = {}
-
-    def drive(name: str, who: str) -> None:
-        if name in drivers:
-            violations.append(Violation("multiple-drivers", name,
-                                        f"{who} vs {drivers[name]}"))
-        else:
-            drivers[name] = who
-
+        components.add(decl.name)
     for inst in arch.instances:
         component = COMPONENT_DECLS[inst.kind].name
-        decl = components.get(component)
-        if decl is None:
+        if component not in components:
             violations.append(Violation("undeclared-component", component,
                                         f"instance {inst.label}"))
-            continue
-        decl_ports = {p.name: p for p in decl.ports}
-        bound = {name for name, _ in inst.port_map}
-        for missing in sorted(set(decl_ports) - bound):
-            violations.append(Violation("dangling-port", missing,
-                                        f"instance {inst.label}"))
-        for unknown in sorted(bound - set(decl_ports)):
-            violations.append(Violation("unknown-port", unknown,
-                                        f"instance {inst.label}"))
-        for name, value in inst.port_map:
-            if value not in declared_values:
-                violations.append(Violation("undeclared-signal", value,
-                                            f"{inst.label}.{name}"))
-            elif decl_ports.get(name) is not None and decl_ports[name].direction == "out":
-                drive(value, f"instance {inst.label}")
-
-    for assign in arch.assigns:
-        if assign.target not in signal_names | out_ports:
-            violations.append(Violation("assign-target", assign.target))
-        else:
-            drive(assign.target, "concurrent assignment")
-
-    process_targets = set()
-    for step in arch.process.steps:
-        for load in step.loads:
-            process_targets.add(load.target)
-            if load.target not in signal_names:
-                violations.append(Violation("load-target", load.target,
-                                            f"step {step.index}"))
-    for target in sorted(process_targets):
-        if target in signal_names:
-            drive(target, "control process")
-    for register in arch.process.registers:
-        if register not in signal_names:
-            violations.append(Violation("load-target", register, "reset"))
-
     return violations

@@ -135,39 +135,3 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
         ci_cycles=hw, sw_cycles=sw, speedup_estimate=sw / hw,
         components=counts, adapters=len(mapped.adapters), energy=energy)
 
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["name", "opcode", "operands", "operations", "levels",
-                 "load_cycles", "done_cycle", "ci_cycles", "sw_cycles",
-                 "speedup_estimate", "components", "adapters"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "opcode": {"type": "integer", "minimum": 0},
-        "operands": {"type": "integer", "minimum": 1},
-        "operations": {"type": "integer", "minimum": 0},
-        "levels": {"type": "integer", "minimum": 0},
-        "load_cycles": {"type": "integer", "minimum": 1},
-        "done_cycle": {"type": "integer", "minimum": 1},
-        "ci_cycles": {"type": "integer", "minimum": 2},
-        "sw_cycles": {"type": "integer", "minimum": 1},
-        "speedup_estimate": {"type": "number", "exclusiveMinimum": 0},
-        "components": {
-            "type": "object",
-            "additionalProperties": {"type": "integer", "minimum": 1},
-        },
-        "adapters": {"type": "integer", "minimum": 0},
-        "energy": {
-            "type": "object",
-            "required": ["P", "T", "E"],
-            "additionalProperties": False,
-            "properties": {
-                "P": {"type": "number", "minimum": 0},
-                "T": {"type": "number", "minimum": 0},
-                "E": {"type": "number", "minimum": 0},
-            },
-        },
-    },
-}

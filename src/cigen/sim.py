@@ -11,13 +11,14 @@ one-vector wrapper.  The other evaluator executes the ``HdlDesign`` that
 ``IndexedDesign`` lowers it once: the registers and widths it declares, each
 wire's single driver (an instance through the component library's column
 kernels, or a concurrent assignment) and, for every step of its control
-process from start to done, the drivers and register loads that step needs.
-Two drivers run that one lowered design over columns of plain ints, one
-entry per vector.  ``check_equivalence`` runs every vector through it and
-through the oracle together and compares each 32-bit result: that is the
-bit-exactness check the rest of the toolchain relies on.  ``simulate_ci``
-steps it cycle by cycle for one invocation, with clk_en gaps, resets,
-protocol checks and a trace.
+process, the drivers and register loads that step needs.  That lowering
+is the design's only connectivity check; ``hdl.validate_structure`` keeps
+the rules of VHDL naming.  Two drivers run that one lowered design over
+columns of plain ints, one entry per vector.  ``check_equivalence`` runs
+every vector through it and through the oracle together and compares each
+32-bit result: that is the bit-exactness check the rest of the toolchain
+relies on.  ``simulate_ci`` steps it cycle by cycle for one invocation,
+with clk_en gaps, resets and a trace.
 
 Only the testbench side comes from the ``MappedDesign``: which operands the
 driver puts on dataa and datab in each load cycle (the order the C header
@@ -44,7 +45,6 @@ from .errors import (
     DivideByZero,
     InputOutOfRange,
     InternalCheckError,
-    ProtocolViolation,
     WidthMismatch,
 )
 from .frontend import CiSpec, Dfg, OperandDecl, OpKind
@@ -198,18 +198,14 @@ class Stimulus:
     """Clock-level disturbances applied around the normal driver sequence.
 
     All cycle numbers are absolute (counting every clock edge from 0, enabled
-    or not).  strict makes a start pulse while the unit is busy an error
-    instead of a silently ignored line.
+    or not).
     """
     clk_en_low: frozenset[int] = frozenset()
     reset_cycles: frozenset[int] = frozenset()
-    extra_start_cycles: frozenset[int] = frozenset()
     start_cycle: int = 0
-    strict: bool = True
-    max_cycles: int | None = None
 
     def __post_init__(self):
-        for name in ("clk_en_low", "reset_cycles", "extra_start_cycles"):
+        for name in ("clk_en_low", "reset_cycles"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
 
@@ -248,17 +244,18 @@ class IndexedDesign:
     declarations; dataa and datab are set by the driver.  Every other signal
     read is a wire computed by its single driver, an instance through
     ``lpm.KERNELS`` or a concurrent assignment, each compiled once into an
-    op over plain-int columns.  Every step the control chain reaches from
-    step 0 to the done cycle is planned at index time: per register load,
-    the driver ops it needs that no earlier load of the step computed, in
-    dependency order.  A column holds one entry per vector, so the same plan
-    runs a whole batch (``run``) or one invocation cycle by cycle
-    (``simulate_ci``).
+    op over plain-int columns.  Every step, reached or not, is planned at
+    index time: per register load, the driver ops it needs that no earlier
+    load of the step computed, in dependency order.  A column holds one
+    entry per vector, so the same plan runs a whole batch (``run``) or one
+    invocation cycle by cycle (``simulate_ci``).
 
-    Faults of the design itself raise InternalCheckError while indexing:
-    a component or load whose widths break their contract, an unbound
-    component port, a wire without a driver or with two, a combinational
-    loop, a missing control step, or a chain that never sets done.
+    Indexing is the design's only connectivity check.  It raises
+    InternalCheckError for widths that break a component's or a load's
+    contract, a component port unbound or undeclared, an undeclared name,
+    a wire with no driver or two, a driver on a register or an entity port
+    other than result, an undeclared register, a load of a non-register, a
+    combinational loop, a missing step, or a chain that never sets done.
     """
 
     def __init__(self, design: ast.HdlDesign):
@@ -269,9 +266,16 @@ class IndexedDesign:
         for name, width in self.widths.items():
             self._check_width(width, name)
         self.registers = arch.process.registers
+        undeclared = set(self.registers).difference(s.name for s in arch.signals)
+        if undeclared:
+            raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
+                                     "is not a declared signal")
         self.steps = {step.index: step for step in arch.process.steps}
         self._register_set = frozenset(self.registers)
         self._sources = self._register_set | {"dataa", "datab"}
+        # of the entity ports, only result is a wire
+        self._undrivable = self._register_set | \
+            {p.name for p in design.entity.ports} - {"result"}
         # wire -> (signals read, wires written, op)
         self._drivers: dict[str, tuple[tuple[str, ...], tuple[str, ...], Op]] = {}
         for assign in arch.assigns:
@@ -279,7 +283,8 @@ class IndexedDesign:
                         self._assign_op(assign.target, assign.expr))
         for inst in arch.instances:
             self._drive(*self._instance_op(inst))
-        self._plans: dict[int, tuple[tuple[str, list[Op], Callable], ...]] = {}
+        self._plans = {step.index: self._plan(step)
+                       for step in arch.process.steps}
         self.chain = self._walk()
         self._result_ops = self._ops(("result",), set())
 
@@ -295,7 +300,7 @@ class IndexedDesign:
 
     def _drive(self, wires: tuple[str, ...], reads: tuple[str, ...], op: Op) -> None:
         for wire in wires:
-            if wire in self._sources:
+            if wire in self._undrivable:
                 raise InternalCheckError(f"{self.name}: {wire} is driven "
                                          "combinationally but is not a wire")
             if wire in self._drivers:
@@ -391,20 +396,17 @@ class IndexedDesign:
         ops.append(op)
         done.update(outputs)
 
-    def _plan(self, index: int) -> tuple[tuple[str, list[Op], Callable], ...]:
-        """Per load of step index: its target, the driver ops it needs that
-        no earlier load of the step computed, and its compiled expression."""
-        plan = self._plans.get(index)
-        if plan is None:
-            step, done, plan = self.step(index), set(), []
-            for load in step.loads:
-                if load.target not in self._register_set:
-                    raise InternalCheckError(f"{self.name}: step {index} loads "
-                                             f"{load.target}, which is no register")
-                read = self._compile(load.expr, load.target)
-                plan.append((load.target, self._ops(_reads(load.expr), done), read))
-            plan = self._plans[index] = tuple(plan)
-        return plan
+    def _plan(self, step: ast.ControlStep) -> tuple[tuple[str, list[Op], Callable], ...]:
+        """Per load of step: its target, the driver ops it needs that no
+        earlier load of the step computed, and its compiled expression."""
+        done, plan = set(), []
+        for load in step.loads:
+            if load.target not in self._register_set:
+                raise InternalCheckError(f"{self.name}: step {step.index} loads "
+                                         f"{load.target}, which is no register")
+            read = self._compile(load.expr, load.target)
+            plan.append((load.target, self._ops(_reads(load.expr), done), read))
+        return tuple(plan)
 
     def _walk(self) -> tuple[int, ...]:
         """The steps the counter runs through from start to done."""
@@ -412,10 +414,10 @@ class IndexedDesign:
         index = 0
         while len(chain) <= len(self.steps):   # longer chains revisit a step
             chain.append(index)
-            self._plan(index)
-            if self.steps[index].set_done:
+            step = self.step(index)
+            if step.set_done:
                 return tuple(chain)
-            index = self.steps[index].next_index
+            index = step.next_index
         raise InternalCheckError(f"{self.name}: done is never set after start")
 
     def step(self, index: int) -> ast.ControlStep:
@@ -429,7 +431,7 @@ class IndexedDesign:
         """Each register step index loads, with the column it latches from
         values; wires computed on the way join values and zero divisors join
         faults.  Apply the loads only after the last one is read."""
-        for target, ops, read in self._plan(index):
+        for target, ops, read in self._plans[index]:
             for op in ops:
                 op(values, faults)
             yield target, read(values)
@@ -494,10 +496,8 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
     done_target = done_cycle_enabled(mapped)
     pair_lines = operand_columns(mapped, [inputs])
 
-    limit = stim.max_cycles
-    if limit is None:
-        limit = stim.start_cycle + 4 * (done_target + 2) + \
-            len(stim.clk_en_low) + len(stim.reset_cycles) + 8
+    limit = stim.start_cycle + 4 * (done_target + 2) + \
+        len(stim.clk_en_low) + len(stim.reset_cycles) + 8
 
     cleared = {name: [0] for name in design.registers}
     values = dict(cleared)   # registers, ports and this cycle's wires
@@ -512,14 +512,9 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
     for cycle in range(limit + 1):
         reset = cycle in stim.reset_cycles
         clk_en = cycle not in stim.clk_en_low
-        wants_start = (not started and not reset and cycle >= stim.start_cycle) \
-            or cycle in stim.extra_start_cycles
+        wants_start = not started and not reset and cycle >= stim.start_cycle
         pair_index = min(enabled_count, loads - 1) if started else 0
         values["dataa"], values["datab"] = pair_lines[pair_index]
-
-        if stim.strict and wants_start and clk_en and not reset and cnt != 0:
-            raise ProtocolViolation(
-                f"start asserted at cycle {cycle} while busy (cnt={cnt})")
 
         if rows is not None:
             faults: set[int] = set()

@@ -1,8 +1,9 @@
 """Plain dataclasses describing the structure of a generated VHDL design.
 
-The emitter renders these to text, holding all VHDL spelling; the structural
-validator walks them and the simulator executes them directly, so checks
-never depend on parsing emitted VHDL back in.
+The emitter renders these to text, holding all VHDL spelling.  Two checks
+read them directly, so neither parses emitted VHDL back in:
+``hdl.validate_structure`` owns the naming and declaration rules, and
+``sim.IndexedDesign``, which lowers them to execute, owns connectivity.
 """
 
 from __future__ import annotations

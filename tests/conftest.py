@@ -1,11 +1,14 @@
 """Shared fixtures: the worked-example spec in two width flavors, plus a
-mixed-signedness divide/modulus spec; and helpers that run one component
-on single bit patterns."""
+mixed-signedness divide/modulus spec; helpers that run one component on
+single bit patterns; the wiring faults of the worked example's design; and
+the JSON schema of report.json."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from cigen import vhdl_ast as ast
 from cigen.errors import DivideByZero
 from cigen.frontend import parse_ci_spec
 from cigen.lpm import (
@@ -120,3 +123,136 @@ def narrow_mapped(narrow_spec):
 @pytest.fixture
 def golden_dir():
     return GOLDEN_DIR
+
+
+def with_arch(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
+    """design with the given architecture fields replaced."""
+    return dataclasses.replace(design, architecture=dataclasses.replace(
+        design.architecture, **changes))
+
+
+def _with_process(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
+    return with_arch(design, process=dataclasses.replace(
+        design.architecture.process, **changes))
+
+
+# --- wiring faults of the worked example's design (u_mul_0 drives w_1_p,
+# u_add_1 drives w_3) ---------------------------------------------------------
+
+def _unbound_result(design: ast.HdlDesign) -> ast.HdlDesign:
+    mul, add = design.architecture.instances
+    add = dataclasses.replace(add, port_map=tuple(
+        (port, wire) for port, wire in add.port_map if port != "result"))
+    return with_arch(design, instances=(mul, add))
+
+
+def _unknown_port(design: ast.HdlDesign) -> ast.HdlDesign:
+    mul, add = design.architecture.instances
+    add = dataclasses.replace(add, port_map=add.port_map + (("carry", "r_a"),))
+    return with_arch(design, instances=(mul, add))
+
+
+def _undeclared_bound_wire(design: ast.HdlDesign) -> ast.HdlDesign:
+    mul, add = design.architecture.instances
+    mul = dataclasses.replace(mul, port_map=tuple(
+        (port, "w_ghost" if port == "result" else wire)
+        for port, wire in mul.port_map))
+    return with_arch(design, instances=(mul, add))
+
+
+def _second_driver(design: ast.HdlDesign) -> ast.HdlDesign:
+    # the multiplier already drives w_1_p
+    return with_arch(design, assigns=design.architecture.assigns + (
+        ast.ConcurrentAssign("w_1_p", ast.Ref("r_a")),))
+
+
+def _undeclared_assign_target(design: ast.HdlDesign) -> ast.HdlDesign:
+    return with_arch(design, assigns=design.architecture.assigns + (
+        ast.ConcurrentAssign("w_ghost", ast.Ref("r_a")),))
+
+
+def _undeclared_load_target(design: ast.HdlDesign) -> ast.HdlDesign:
+    first, step, *rest = design.architecture.process.steps
+    step = dataclasses.replace(step, loads=step.loads + (
+        ast.RegisterLoad("s_ghost", ast.Ref("r_a")),))
+    return _with_process(design, steps=(first, step, *rest))
+
+
+def _driven_start(design: ast.HdlDesign) -> ast.HdlDesign:
+    return with_arch(design, assigns=design.architecture.assigns + (
+        ast.ConcurrentAssign("start", ast.Slice("r_a", 1)),))
+
+
+def _undeclared_reset_register(design: ast.HdlDesign) -> ast.HdlDesign:
+    registers = design.architecture.process.registers
+    return _with_process(design, registers=registers + ("s_ghost",))
+
+
+def _off_chain_load(design: ast.HdlDesign) -> ast.HdlDesign:
+    # no step leads to step 9
+    steps = design.architecture.process.steps
+    return _with_process(design, steps=steps + (ast.ControlStep(
+        9, (ast.RegisterLoad("s_ghost", ast.Ref("r_a")),), False, 0),))
+
+
+# Each wiring fault with the message sim.IndexedDesign refuses it with.
+# The ids name the validate_structure rule that once caught the fault; the
+# three rows without one keep the ids they had when only the lowering
+# checked them.
+WIRING_FAULTS = [
+    pytest.param(_unbound_result, "u_add_1 leaves port result unbound"),
+    pytest.param(_unknown_port, "u_add_1 binds port carry, which lpm_add_sub "
+                                "does not declare"),
+    pytest.param(_undeclared_bound_wire, "w_ghost is not declared",
+                 id="undeclared-signal"),
+    pytest.param(_second_driver, "w_1_p has a second driver"),
+    pytest.param(_undeclared_assign_target, "w_ghost is not declared",
+                 id="assign-target"),
+    pytest.param(_undeclared_load_target,
+                 "step 1 loads s_ghost, which is no register", id="load-target"),
+    pytest.param(_driven_start, "start is driven combinationally",
+                 id="assign-target-start"),
+    pytest.param(_undeclared_reset_register,
+                 "register s_ghost is not a declared signal",
+                 id="load-target-reset"),
+    pytest.param(_off_chain_load, "step 9 loads s_ghost, which is no register",
+                 id="load-target-off-chain"),
+]
+
+
+# What every report.json (and `cigen report --json`) must look like.
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["name", "opcode", "operands", "operations", "levels",
+                 "load_cycles", "done_cycle", "ci_cycles", "sw_cycles",
+                 "speedup_estimate", "components", "adapters"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string", "minLength": 1},
+        "opcode": {"type": "integer", "minimum": 0},
+        "operands": {"type": "integer", "minimum": 1},
+        "operations": {"type": "integer", "minimum": 0},
+        "levels": {"type": "integer", "minimum": 0},
+        "load_cycles": {"type": "integer", "minimum": 1},
+        "done_cycle": {"type": "integer", "minimum": 1},
+        "ci_cycles": {"type": "integer", "minimum": 2},
+        "sw_cycles": {"type": "integer", "minimum": 1},
+        "speedup_estimate": {"type": "number", "exclusiveMinimum": 0},
+        "components": {
+            "type": "object",
+            "additionalProperties": {"type": "integer", "minimum": 1},
+        },
+        "adapters": {"type": "integer", "minimum": 0},
+        "energy": {
+            "type": "object",
+            "required": ["P", "T", "E"],
+            "additionalProperties": False,
+            "properties": {
+                "P": {"type": "number", "minimum": 0},
+                "T": {"type": "number", "minimum": 0},
+                "E": {"type": "number", "minimum": 0},
+            },
+        },
+    },
+}

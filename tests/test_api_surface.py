@@ -1,8 +1,8 @@
 """The package ships no test-only API.
 
-Every function, method and class defined in ``src/cigen`` (dunder names
-aside) must be referenced by name in ``src/cigen`` outside its own
-definition, or in ``bench/*.py``.  A name that only the tests reach belongs
+Every function, method and class defined in ``src/cigen``, and every name
+a module assigns at its top level (dunder names aside), must be referenced
+by name in ``src/cigen`` outside its own definition, or in ``bench/*.py``.  A name that only the tests reach belongs
 in the tests.  A method counts as referenced only through an attribute
 (``x.name``) or a string naming it, so a local variable that happens to
 share its name does not hide it; a method that overrides one of a base
@@ -20,8 +20,13 @@ BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
 
 def _definitions(tree: ast.Module):
     """(name, node, owning class name or None) for every def and class,
-    nested ones too."""
-    found = []
+    nested ones too, and every name assigned at module level, whose node is
+    its assignment."""
+    found = [(target.id, node, None) for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+             if isinstance(target, ast.Name)]
 
     def visit(node: ast.AST, owner: str | None) -> None:
         for child in ast.iter_child_nodes(node):
@@ -66,7 +71,8 @@ def _unreferenced() -> list[str]:
             if name.startswith("__") or \
                     is_method and _overrides(path.stem, owner, name):
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            first = min([node.lineno] + [d.lineno for d in
+                                         getattr(node, "decorator_list", [])])
 
             def outside(ref_path: Path, line: int) -> bool:
                 return ref_path != path or not first <= line <= node.end_lineno

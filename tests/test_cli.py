@@ -10,14 +10,20 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import MAC_TEXT, GOLDEN_DIR, chain_text, nested_text
+from conftest import (
+    GOLDEN_DIR,
+    MAC_TEXT,
+    REPORT_SCHEMA,
+    WIRING_FAULTS,
+    chain_text,
+    nested_text,
+)
 import cigen
 from cigen import cli
 from cigen import vhdl_ast as ast
 from cigen.frontend import MAX_EXPR_DEPTH
 from cigen.hdl import Violation
 from cigen.lpm import ComponentKind
-from cigen.metrics import REPORT_SCHEMA
 
 SUB_TEXT = ("ci s(opcode=3) {\n  input a: signed<16>;\n"
             "  input b: signed<16>;\n  output y: signed<16>;\n"
@@ -302,15 +308,13 @@ def _narrow_first_slice(design: ast.HdlDesign) -> ast.HdlDesign:
 
 class TestBuildChecksTheWrittenDesign:
     """A fault injected into the design build emits must stop the build:
-    the check simulates that same object."""
+    the check simulates that same object, and lowering it for the check is
+    the only gate that sees wiring faults."""
 
-    @pytest.mark.parametrize("text, mutate", [
-        (SUB_TEXT, _swap_add_sub_operands),
-        (MAC_TEXT, _drop_first_stage_load),
-        (SUB_TEXT, _narrow_first_slice),
-    ], ids=["swapped-operands", "dropped-load", "narrow-slice"])
-    def test_mutated_design_is_refused(self, tmp_path, capsys, monkeypatch,
-                                       text, mutate):
+    @staticmethod
+    def _build(tmp_path, capsys, monkeypatch, text, mutate) -> str:
+        """Build text with mutate applied to its design, assert that
+        nothing was written, and return stderr."""
         spec = tmp_path / "spec.ci"
         spec.write_text(text)
         real = cli.build_design
@@ -321,6 +325,22 @@ class TestBuildChecksTheWrittenDesign:
         assert code == 2
         assert "no artifacts written" in stderr
         assert not out.exists()
+        return stderr
+
+    @pytest.mark.parametrize("text, mutate", [
+        (SUB_TEXT, _swap_add_sub_operands),
+        (MAC_TEXT, _drop_first_stage_load),
+        (SUB_TEXT, _narrow_first_slice),
+    ], ids=["swapped-operands", "dropped-load", "narrow-slice"])
+    def test_mutated_design_is_refused(self, tmp_path, capsys, monkeypatch,
+                                       text, mutate):
+        self._build(tmp_path, capsys, monkeypatch, text, mutate)
+
+    @pytest.mark.parametrize("mutate, message", WIRING_FAULTS)
+    def test_wiring_fault_is_refused(self, tmp_path, capsys, monkeypatch,
+                                     mutate, message):
+        stderr = self._build(tmp_path, capsys, monkeypatch, MAC_TEXT, mutate)
+        assert message in stderr
 
 
 class TestSimulate:

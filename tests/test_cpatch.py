@@ -1,5 +1,6 @@
 """C tokenizing, expression matching, header emission, source rewriting."""
 
+import dataclasses
 import random
 import re
 from dataclasses import dataclass
@@ -171,6 +172,18 @@ class TestFindCallSites:
                '// x = (a * b) + c;\n'
                "int live(int a, int b, int c) { return (a * b) + c; }\n")
         assert _sites(src) == ["(a * b) + c"]
+
+    @pytest.mark.parametrize("src, expected", [
+        # the comment's newline is no line end: the directive runs on
+        ("#define M /* the sum\n   */ x = a * b + c;", []),
+        # a # that opens a line inside a comment opens no directive
+        ("int y; /* c\n# */ int f(int a, int b, int c) "
+         "{ return a * b + c; }", ["a * b + c"]),
+        # a comment before the # is white space: this is a directive too
+        ("/* c */ #define M a * b + c\n", []),
+    ])
+    def test_directives_as_c_sees_them_without_comments(self, src, expected):
+        assert _sites(src) == expected
 
     def test_sites_in_source_order_and_disjoint(self):
         src = ("int t(int a, int b, int c) {\n"
@@ -528,7 +541,8 @@ class TestRewriteProperties:
 
 # --- the references: lex_c and find_call_sites as they were before the
 # matcher was made linear, and lex_c as it was before it returned columns,
-# kept verbatim (renamed) --------------------------------------------------
+# kept verbatim (renamed) but for how they flag directive lines, which
+# _flag_directives does for both -------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class CToken:
@@ -541,17 +555,27 @@ class CToken:
 
 
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
+
+
+def _flag_directives(source: str, tokens: list[CToken],
+                     comments: list[tuple[int, int]]) -> list[CToken]:
+    """tokens with in_directive set from the directive lines of source once
+    each comment span is spaces of its length (no newline): the one step
+    both references take differently from the code they were copied from."""
+    for a, b in comments:
+        source = source[:a] + " " * (b - a) + source[b:]
+    spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
+    return [dataclasses.replace(tok, in_directive=any(
+        a <= tok.start < b for a, b in spans)) for tok in tokens]
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*")
 
 
 def reference_lex_c(source: str) -> list[CToken]:
     """Tokenize C source, dropping comments but keeping byte offsets."""
-    directive_spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
-
-    def in_directive(pos: int) -> bool:
-        return any(a <= pos < b for a, b in directive_spans)
-
+    comments: list[tuple[int, int]] = []
     tokens: list[CToken] = []
     i, n, line = 0, len(source), 1
 
@@ -584,6 +608,7 @@ def reference_lex_c(source: str) -> list[CToken]:
             continue
         if source.startswith("//", i):
             nl = source.find("\n", i)
+            comments.append((i, n if nl < 0 else nl))
             i = n if nl < 0 else nl
             continue
         if source.startswith("/*", i):
@@ -591,41 +616,38 @@ def reference_lex_c(source: str) -> list[CToken]:
             if close < 0:
                 raise LexError(f"unterminated block comment on line {line}")
             line += source.count("\n", i, close)
+            comments.append((i, close + 2))
             i = close + 2
             continue
         if c == '"':
             end = take_quoted('"', "string literal")
-            tokens.append(CToken(TokKind.STRING, source[i:end], i, end, line,
-                                 in_directive(i)))
+            tokens.append(CToken(TokKind.STRING, source[i:end], i, end, line))
             i = end
             continue
         if c == "'":
             end = take_quoted("'", "character literal")
-            tokens.append(CToken(TokKind.CHAR, source[i:end], i, end, line,
-                                 in_directive(i)))
+            tokens.append(CToken(TokKind.CHAR, source[i:end], i, end, line))
             i = end
             continue
         m = _IDENT_RE.match(source, i)
         if m:
-            tokens.append(CToken(TokKind.IDENT, m.group(), i, m.end(), line,
-                                 in_directive(i)))
+            tokens.append(CToken(TokKind.IDENT, m.group(), i, m.end(), line))
             i = m.end()
             continue
         if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
             m = _NUMBER_RE.match(source, i)
-            tokens.append(CToken(TokKind.NUMBER, m.group(), i, m.end(), line,
-                                 in_directive(i)))
+            tokens.append(CToken(TokKind.NUMBER, m.group(), i, m.end(), line))
             i = m.end()
             continue
         for punct in _PUNCTS:
             if source.startswith(punct, i):
                 tokens.append(CToken(TokKind.PUNCT, punct, i, i + len(punct),
-                                     line, in_directive(i)))
+                                     line))
                 i += len(punct)
                 break
         else:
             raise LexError(f"stray character {c!r} on line {line}")
-    return tokens
+    return _flag_directives(source, tokens, comments)
 
 
 def _primary(tokens: list[CToken], i: int):
@@ -787,8 +809,7 @@ _UNTERMINATED = {'"': "string literal", "'": "character literal",
 
 def named_group_lex_c(source: str) -> list[CToken]:
     """Tokenize C source, dropping comments but keeping byte offsets."""
-    directive_spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
-    directive = 0   # the first directive span not wholly before i
+    comments: list[tuple[int, int]] = []
     tokens: list[CToken] = []
     i, n, line = 0, len(source), 1
     while i < n:
@@ -798,18 +819,14 @@ def named_group_lex_c(source: str) -> list[CToken]:
         kind, text, end = m.lastgroup, m.group(), m.end()
         if kind == "skip" or kind == "comment":
             line += text.count("\n")
+            if kind == "comment":
+                comments.append((i, end))
         elif kind == "unterminated":
             raise LexError(
                 f"unterminated {_UNTERMINATED[text]} on line {line}")
         else:
-            while (directive < len(directive_spans)
-                   and directive_spans[directive][1] <= i):
-                directive += 1
-            in_directive = (directive < len(directive_spans)
-                            and directive_spans[directive][0] <= i)
-            tokens.append(CToken(TokKind[kind], text, i, end, line,
-                                 in_directive))
+            tokens.append(CToken(TokKind[kind], text, i, end, line))
             if "\n" in text:   # a literal continued by a backslash-newline
                 line += text.count("\n")
         i = end
-    return tokens
+    return _flag_directives(source, tokens, comments)

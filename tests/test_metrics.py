@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, REPORT_SCHEMA
 from cigen.errors import CigenError
 from cigen.frontend import OpKind, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec
 from cigen.mapper import map_design
 from cigen.metrics import (
     DEFAULT_COSTS,
-    REPORT_SCHEMA,
     CostModel,
     ci_cycles,
     energy_microjoules,

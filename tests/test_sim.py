@@ -7,16 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import wrapped
-from cigen.errors import (
-    DivideByZero,
-    InputOutOfRange,
-    InternalCheckError,
-    ProtocolViolation,
-)
+from conftest import WIRING_FAULTS, with_arch, wrapped
+from cigen.errors import DivideByZero, InputOutOfRange, InternalCheckError
 from cigen import vhdl_ast as ast
 from cigen.frontend import (
-    DIV_FAMILY,
     CiSpec,
     Dfg,
     LeafNode,
@@ -41,6 +35,10 @@ from cigen.sim import (
 )
 
 MAC_INPUTS = {"a": 2, "b": 3, "c": 4}
+
+# Kinds whose result carries the sign of a division-family operation.
+DIV_FAMILY = frozenset({OpKind.DIVS, OpKind.DIVU, OpKind.MODS, OpKind.MODU,
+                        OpKind.REMS, OpKind.REMU})
 
 
 def _spec(body: str):
@@ -248,18 +246,6 @@ class TestStimulus:
         after_reset = out.rows[3]["regs"]
         assert all(v == 0 for v in after_reset.values())
 
-    def test_start_while_busy_is_a_protocol_violation(self, mac_spec,
-                                                      mac_mapped):
-        stim = Stimulus(extra_start_cycles={1})
-        with pytest.raises(ProtocolViolation):
-            simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
-
-    def test_lenient_mode_ignores_busy_start(self, mac_spec, mac_mapped):
-        stim = Stimulus(extra_start_cycles={1}, strict=False)
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
-        assert out.result.bits == 10
-        assert out.done_cycle_enabled == 3
-
     def test_delayed_start(self, mac_spec, mac_mapped):
         out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped,
                           Stimulus(start_cycle=4))
@@ -267,8 +253,10 @@ class TestStimulus:
         assert out.done_cycle_enabled == 3
 
     def test_never_done_is_an_internal_error(self, mac_spec, mac_mapped):
-        stim = Stimulus(clk_en_low=frozenset(range(64)), max_cycles=10)
-        with pytest.raises(InternalCheckError):
+        # a reset every third cycle restarts the unit two cycles into its
+        # three, as `cigen simulate --reset-at 2,5,8,...` would
+        stim = Stimulus(reset_cycles=frozenset(range(2, 1000, 3)))
+        with pytest.raises(InternalCheckError, match="done never observed"):
             simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
 
 
@@ -338,11 +326,6 @@ class TestEquivalence:
         assert records == []
 
 
-def _with_arch(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
-    return dataclasses.replace(design, architecture=dataclasses.replace(
-        design.architecture, **changes))
-
-
 class TestExecutesTheDesign:
     """The simulator runs the HdlDesign it is given, and faults of that
     design are internal check failures."""
@@ -356,7 +339,7 @@ class TestExecutesTheDesign:
 
     def test_undriven_wire(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
-        design = _with_arch(design,
+        design = with_arch(design,
                             instances=design.architecture.instances[1:])
         with pytest.raises(InternalCheckError, match="no driver"):
             check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
@@ -366,59 +349,38 @@ class TestExecutesTheDesign:
         mul, add = design.architecture.instances
         narrow = dataclasses.replace(
             add, generics=AddSubGenerics(16, Direction.ADD))
-        design = _with_arch(design, instances=(mul, narrow))
+        design = with_arch(design, instances=(mul, narrow))
         with pytest.raises(InternalCheckError):
             check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
 
 
 def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
     process = design.architecture.process
-    return _with_arch(design, process=dataclasses.replace(
+    return with_arch(design, process=dataclasses.replace(
         process, steps=process.steps[:2]))
 
 
 def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
     process = design.architecture.process
-    return _with_arch(design, process=dataclasses.replace(process, steps=tuple(
+    return with_arch(design, process=dataclasses.replace(process, steps=tuple(
         dataclasses.replace(step, set_done=False) for step in process.steps)))
 
 
 def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
-    return _with_arch(design, assigns=(ast.ConcurrentAssign("result",
+    return with_arch(design, assigns=(ast.ConcurrentAssign("result",
                                                             ast.Ref("result")),))
-
-
-def _second_driver(design: ast.HdlDesign) -> ast.HdlDesign:
-    # the multiplier already drives w_1_p
-    return _with_arch(design, assigns=design.architecture.assigns + (
-        ast.ConcurrentAssign("w_1_p", ast.Ref("r_a")),))
-
-
-def _unbound_result(design: ast.HdlDesign) -> ast.HdlDesign:
-    mul, add = design.architecture.instances
-    add = dataclasses.replace(add, port_map=tuple(
-        (port, wire) for port, wire in add.port_map if port != "result"))
-    return _with_arch(design, instances=(mul, add))
-
-
-def _unknown_port(design: ast.HdlDesign) -> ast.HdlDesign:
-    mul, add = design.architecture.instances
-    add = dataclasses.replace(add, port_map=add.port_map + (("carry", "r_a"),))
-    return _with_arch(design, instances=(mul, add))
 
 
 class TestLoweringChecks:
     """Faults of the control chain or the wiring are refused when the
-    design is lowered, before any vector runs."""
+    design is lowered, before any vector runs.  The lowering is the only
+    connectivity gate: validate_structure checks naming alone."""
 
     @pytest.mark.parametrize("mutate, message", [
         (_cut_steps, "no control step 2"),
         (_never_done, "done is never set"),
         (_result_reads_itself, "combinational loop"),
-        (_second_driver, "w_1_p has a second driver"),
-        (_unbound_result, "u_add_1 leaves port result unbound"),
-        (_unknown_port, "u_add_1 binds port carry, which lpm_add_sub does "
-                        "not declare"),
+        *WIRING_FAULTS,
     ])
     def test_refused(self, mac_spec, mac_mapped, mutate, message):
         design = mutate(build_design(mac_spec, mac_mapped))
