@@ -181,6 +181,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         clk_en_low=_parse_cycles(args.clk_en_gaps),
         reset_cycles=_parse_cycles(args.reset_at),
         start_cycle=args.start_cycle)
+    for flag, cycles in (("--clk-en-gaps", stimulus.clk_en_low),
+                         ("--reset-at", stimulus.reset_cycles),
+                         ("--start-cycle", {stimulus.start_cycle})):
+        if min(cycles, default=0) < 0:
+            raise CigenError(f"{flag}: cycle {min(cycles)} is negative")
     outcome = simulate_ci(spec, inputs, stimulus=stimulus,
                           record=args.trace is not None)
     if args.trace is not None:

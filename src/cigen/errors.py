@@ -68,14 +68,13 @@ class NotWidening(InternalCheckError):
 
 
 class DivideByZero(CigenError):
-    """Division with a zero divisor.  In simulation carries the cycle index."""
+    """Division with a zero divisor.  Carries the node that met it and, in
+    simulation, the enabled cycle, which the message names."""
 
     def __init__(self, message: str = "divide by zero", cycle: int | None = None,
                  node: int | None = None):
         self.cycle = cycle
         self.node = node
-        if cycle is not None:
-            message = f"{message} at cycle {cycle}"
         super().__init__(message)
 
 

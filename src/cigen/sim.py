@@ -13,12 +13,12 @@ wire's single driver (an instance through the component library's column
 kernels, or a concurrent assignment) and, for every step of its control
 process, the drivers and register loads that step needs.  That lowering
 is the design's only connectivity check; ``hdl.validate_structure`` keeps
-the rules of VHDL naming.  Two drivers run that one lowered design over
-columns of plain ints, one entry per vector.  ``check_equivalence`` runs
-every vector through it and through the oracle together and compares each
-32-bit result: that is the bit-exactness check the rest of the toolchain
-relies on.  ``simulate_ci`` steps it cycle by cycle for one invocation,
-with clk_en gaps, resets and a trace.
+the rules of VHDL naming.  ``IndexedDesign.execute``, the one interpreter
+of the control process, runs it over columns of plain ints, one entry per
+vector.  ``check_equivalence`` runs every vector through it and through
+the oracle together and compares each 32-bit result: that is the
+bit-exactness check the rest of the toolchain relies on.  ``simulate_ci``
+replays one invocation under clk_en gaps, resets and a late start.
 
 Only the testbench side comes from the ``MappedDesign``: which operands the
 driver puts on dataa and datab in each load cycle (the order the C header
@@ -26,16 +26,20 @@ sends them in) and the done cycle the latency contract promises.  Neither is
 read back from the design, so a design that loads the wrong port or finishes
 late disagrees with the reference instead of driving itself to agree.
 
-The clock model: every loop iteration of ``simulate_ci`` is one rising edge.
-A trace row shows the values visible during the cycle before that edge.
-Registers update on the edge only when clk_en is high; a high reset clears
-them on any edge, enabled or not.  The batched run is the same chain with
-clk_en always high and no reset.
+The clock model: each attempt after a reset replays the same invocation,
+so ``execute`` computes the state of each enabled cycle k since start once
+and the stimulus only picks the k whose values each wall cycle shows
+before its rising edge.  A reset edge sets k to 0, a clk_en-low edge holds
+it and any other edge advances it, but k leaves 0 only under start: from
+the start cycle on, without reset.  The result is read on the first
+enabled cycle without reset that shows done.  Past the last disturbance
+every edge advances k, so any finite stimulus completes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,7 +67,6 @@ from .lpm import (
 from .mapper import (
     MappedDesign,
     done_cycle_enabled,
-    load_cycle_count,
     map_design,
     node_reg,
 )
@@ -246,9 +249,9 @@ class IndexedDesign:
     ``lpm.KERNELS`` or a concurrent assignment, each compiled once into an
     op over plain-int columns.  Every step, reached or not, is planned at
     index time: per register load, the driver ops it needs that no earlier
-    load of the step computed, in dependency order.  A column holds one
-    entry per vector, so the same plan runs a whole batch (``run``) or one
-    invocation cycle by cycle (``simulate_ci``).
+    load of the step computed, in dependency order.  ``execute`` runs those
+    plans edge by edge, over one column entry per vector: a whole batch for
+    ``run``, one invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
@@ -271,6 +274,9 @@ class IndexedDesign:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
         self.steps = {step.index: step for step in arch.process.steps}
+        for index in {0}.union(step.next_index for step in self.steps.values()):
+            if index not in self.steps:
+                raise InternalCheckError(f"{self.name}: no control step {index}")
         self._register_set = frozenset(self.registers)
         self._sources = self._register_set | {"dataa", "datab"}
         # of the entity ports, only result is a wire
@@ -285,8 +291,8 @@ class IndexedDesign:
             self._drive(*self._instance_op(inst))
         self._plans = {step.index: self._plan(step)
                        for step in arch.process.steps}
-        self.chain = self._walk()
         self._result_ops = self._ops(("result",), set())
+        self.done_cycle = self._done_cycle()
 
     def _check_width(self, width: int, what: str) -> None:
         if not 1 <= width <= MAX_INTERNAL_WIDTH:
@@ -408,33 +414,44 @@ class IndexedDesign:
             plan.append((load.target, self._ops(_reads(load.expr), done), read))
         return tuple(plan)
 
-    def _walk(self) -> tuple[int, ...]:
-        """The steps the counter runs through from start to done."""
-        chain: list[int] = []
+    def _done_cycle(self) -> int:
+        """The enabled cycle on which done is high: the number of steps from
+        start through the first that sets done, each reached once."""
         index = 0
-        while len(chain) <= len(self.steps):   # longer chains revisit a step
-            chain.append(index)
-            step = self.step(index)
-            if step.set_done:
-                return tuple(chain)
-            index = step.next_index
+        for cycle in range(1, len(self.steps) + 1):
+            if self.steps[index].set_done:
+                return cycle
+            index = self.steps[index].next_index
         raise InternalCheckError(f"{self.name}: done is never set after start")
 
-    def step(self, index: int) -> ast.ControlStep:
-        step = self.steps.get(index)
-        if step is None:
-            raise InternalCheckError(f"{self.name}: no control step {index}")
-        return step
-
-    def loads(self, index: int, values: dict[str, Column],
-              faults: set[int]) -> Iterator[tuple[str, Column]]:
-        """Each register step index loads, with the column it latches from
-        values; wires computed on the way join values and zero divisors join
-        faults.  Apply the loads only after the last one is read."""
-        for target, ops, read in self._plans[index]:
-            for op in ops:
-                op(values, faults)
-            yield target, read(values)
+    def execute(self, pairs: list[tuple[Column, Column]], count: int,
+                faults: set[int]) -> Iterator[tuple[int, bool, dict[str, Column],
+                                                     str | None]]:
+        """Run count vectors from start with pairs[k] on dataa and datab in
+        enabled cycle k (the last pair held).  Yields for k = 0, 1, 2, ...
+        the counter, done and values of enabled cycle k, and the first
+        register whose load on the edge into it met a zero divisor (such
+        vectors join faults), or None.  Past done the counter runs on to 0,
+        where edges only lower done.  Each yield updates one values dict,
+        replacing columns, never writing into one."""
+        values: dict[str, Column] = {name: [0] * count for name in self.registers}
+        values["dataa"], values["datab"] = pairs[0]
+        index, done, fault, last = 0, False, None, len(pairs) - 1
+        for k in itertools.count(1):   # then the edge into enabled cycle k
+            yield index, done, values, fault
+            fault, done = None, False
+            if index or k == 1:
+                latched, step = [], self.steps[index]
+                for target, ops, read in self._plans[index]:
+                    seen = len(faults)
+                    for op in ops:
+                        op(values, faults)
+                    if fault is None and len(faults) > seen:
+                        fault = target
+                    latched.append((target, read(values)))
+                values.update(latched)
+                done, index = step.set_done, step.next_index
+            values["dataa"], values["datab"] = pairs[min(k, last)]
 
     def result(self, values: dict[str, Column], faults: set[int]) -> Column:
         """The result port's column under values."""
@@ -444,18 +461,13 @@ class IndexedDesign:
 
     def run(self, pairs: list[tuple[Column, Column]],
             count: int) -> tuple[Column, set[int], int]:
-        """Run count vectors at once from start to the done cycle, with
-        pairs[c] on dataa/datab in enabled cycle c (the last pair held).
-        Returns the result column, the vectors whose dividers met a zero
-        divisor, and the enabled cycle on which done is high."""
-        values: dict[str, Column] = {name: [0] * count for name in self.registers}
+        """Run count vectors at once from start to the done cycle.  Returns
+        the result column, the vectors whose dividers met a zero divisor,
+        and the enabled cycle on which done is high."""
         faults: set[int] = set()
-        for cycle, index in enumerate(self.chain):
-            values["dataa"], values["datab"] = pairs[min(cycle, len(pairs) - 1)]
-            values.update(list(self.loads(index, values, faults)))
-        done = len(self.chain)
-        values["dataa"], values["datab"] = pairs[min(done, len(pairs) - 1)]
-        return self.result(values, faults), faults, done
+        execution = self.execute(pairs, count, faults)
+        _, _, values, _ = next(itertools.islice(execution, self.done_cycle, None))
+        return self.result(values, faults), faults, self.done_cycle
 
 
 def operand_columns(mapped: MappedDesign,
@@ -475,112 +487,69 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
                 stimulus: Stimulus | None = None,
                 record: bool = True,
                 design: IndexedDesign | None = None) -> SimResult:
-    """Drive one invocation through the design cycle by cycle and return its
-    result.
+    """Drive one invocation through the design under the stimulus.
 
-    design defaults to build_design(spec, mapped), indexed; every cycle runs
-    its plans on one-element columns.  The driver issues start with the
-    first operand pair, streams the rest on the following enabled cycles,
-    holds every line through clk_en-low cycles, and reissues from scratch
-    after a reset pulse.  DivideByZero surfaces at the enabled cycle whose
-    register latch (or done-cycle result read) consumes the bad output, with
-    that cycle index attached.
-    """
+    design defaults to build_design(spec, mapped), indexed.  It executes
+    once, on one-element columns, and the stimulus timeline picks which of
+    its enabled cycles each wall cycle shows (see the module docstring).
+    DivideByZero carries the enabled cycle whose register latch (or
+    done-cycle result read) consumes the bad output."""
     if mapped is None:
         mapped = map_design(spec)
     validate_inputs(spec, inputs)
     if design is None:
         design = IndexedDesign(build_design(spec, mapped))
     stim = stimulus or Stimulus()
-    loads = load_cycle_count(mapped)
-    done_target = done_cycle_enabled(mapped)
-    pair_lines = operand_columns(mapped, [inputs])
+    execution = design.execute(operand_columns(mapped, [inputs]), 1, set())
 
-    limit = stim.start_cycle + 4 * (done_target + 2) + \
-        len(stim.clk_en_low) + len(stim.reset_cycles) + 8
+    def port(values: dict[str, Column]) -> int | None:
+        faults: set[int] = set()
+        value = design.result(values, faults)[0]
+        return None if faults else value
 
-    cleared = {name: [0] for name in design.registers}
-    values = dict(cleared)   # registers, ports and this cycle's wires
-    cnt = 0
-    done = False
-    started = False      # a start pulse was consumed at an earlier edge
-    enabled_count = 0    # enabled cycles completed since the start cycle
-    rows = [] if record else None
+    # enabled cycle k's done, values and trace fields, reached so far
+    states: list[tuple[bool, dict[str, Column], dict | None]] = []
+    rows: list[dict] = []
     observed: SimResult | None = None
-    drain = 2 if record else 0   # post-done cycles kept in the trace
-
-    for cycle in range(limit + 1):
+    k = 0
+    # before start_cycle the unit is idle whatever the stimulus
+    for cycle in itertools.count(0 if record else stim.start_cycle):
+        if k == len(states):
+            cnt, done, values, fault = next(execution)
+            if fault is not None:
+                node = next((n for n in mapped.analysis.operation_sequence
+                             if node_reg(n) == fault), None)
+                raise DivideByZero("divide by zero: zero divisor latched on "
+                                   f"enabled cycle {k - 1}", cycle=k - 1,
+                                   node=node)
+            values, shown = dict(values), None
+            if record:
+                regs = {"cnt": cnt}
+                regs.update((name, values[name][0]) for name in design.registers)
+                shown = {"dataa": values["dataa"][0], "datab": values["datab"][0],
+                         "regs": regs, "done": int(done), "result": port(values)}
+            states.append((done, values, shown))
+        done, values, shown = states[k]
         reset = cycle in stim.reset_cycles
         clk_en = cycle not in stim.clk_en_low
-        wants_start = not started and not reset and cycle >= stim.start_cycle
-        pair_index = min(enabled_count, loads - 1) if started else 0
-        values["dataa"], values["datab"] = pair_lines[pair_index]
-
-        if rows is not None:
-            faults: set[int] = set()
-            row_result = design.result(values, faults)[0]
-            row_regs = {"cnt": cnt}
-            row_regs.update((name, values[name][0]) for name in design.registers)
-            rows.append({
-                "cycle": cycle, "clk_en": int(clk_en),
-                "start": int(wants_start), "dataa": values["dataa"][0],
-                "datab": values["datab"][0], "regs": row_regs, "done": int(done),
-                "result": None if faults else row_result,
-            })
-
-        if observed is not None:
-            if cycle >= observed.done_cycle + drain:
-                observed.rows = rows or []
-                return observed
-        elif done and clk_en and not reset:
-            faults = set()
-            final = design.result(values, faults)[0]
-            if faults:
-                raise DivideByZero("zero divisor reached the result port: "
-                                   "divide by zero", cycle=enabled_count)
-            observed = SimResult(BitVec(design.widths["result"], final), cycle,
-                                 enabled_count)
-            if drain == 0:
-                observed.rows = rows or []
-                return observed
-
-        # clock edge
+        start = k == 0 and not reset and cycle >= stim.start_cycle
+        if record:
+            rows.append({"cycle": cycle, "clk_en": int(clk_en),
+                         "start": int(start), **shown})
+        if observed is None and done and clk_en and not reset:
+            final = port(values)
+            if final is None:
+                raise DivideByZero("divide by zero: zero divisor reached the "
+                                   f"result port on enabled cycle {k}", cycle=k)
+            observed = SimResult(BitVec(design.widths["result"], final),
+                                 cycle, k, rows)
+        # a trace keeps the two cycles after done
+        if observed is not None and cycle >= observed.done_cycle + 2 * record:
+            return observed
         if reset:
-            values.update(cleared)
-            cnt = 0
-            done = False
-            started = False
-            enabled_count = 0
-            continue
-        if not clk_en:
-            continue
-        if cnt == 0:
-            if not wants_start:
-                done = False
-                continue
-            started = True
-            enabled_count = 0
-        step = design.step(cnt)
-        latched = []
-        faults = set()
-        for target, column in design.loads(cnt, values, faults):
-            if faults:
-                node = next((n for n in mapped.analysis.operation_sequence
-                             if node_reg(n) == target), None)
-                raise DivideByZero(
-                    f"zero divisor latched on enabled cycle {enabled_count}: "
-                    "divide by zero", cycle=enabled_count, node=node)
-            latched.append((target, column))
-        values.update(latched)
-        done = step.set_done
-        cnt = step.next_index
-        enabled_count += 1
-
-    if observed is not None:
-        observed.rows = rows or []
-        return observed
-    raise InternalCheckError(
-        f"done never observed within {limit} cycles for {spec.name}")
+            k = 0
+        elif clk_en and (k or start):
+            k += 1
 
 
 def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,

@@ -6,7 +6,9 @@ recording wrapper, so a layer function renamed or deleted in ``src/cigen``
 would otherwise show only when a traced bench run fails.  These tests
 import both bench modules the way ``bench/run.py`` does, which resolves
 their imports from ``cigen``, and look up every wrapped name and every
-module global the runner and the workloads call or patch.
+module global the runner and the workloads call or patch.  The span hooks
+on ``simulate_ci`` also read its call and its outcome: ``record`` as a
+keyword, ``SimResult.done_cycle_enabled`` and ``DivideByZero.cycle``.
 """
 
 import importlib
@@ -17,6 +19,10 @@ import pytest
 
 import cigen.cli
 import cigen.fuzz
+import cigen.sim
+from cigen.errors import DivideByZero
+from cigen.frontend import parse_ci_spec
+from cigen.sim import simulate_ci
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +50,49 @@ def test_workloads_import_and_match_the_manifest(bench):
     # run.py calls cli.main; fuzz_texts swaps fuzz.parse_ci_spec
     assert callable(cigen.cli.main)
     assert callable(cigen.fuzz.parse_ci_spec)
+
+
+def test_simulate_resolves_in_cli_and_sim():
+    # spans._WRAPPED patches simulate_ci in both modules: cli calls it by
+    # its import, and callers inside sim through the module global
+    assert callable(cigen.cli.simulate_ci)
+    assert callable(cigen.sim.simulate_ci)
+
+
+@pytest.mark.parametrize("trace, span", [(False, "sim.simulate"),
+                                         (True, "sim.trace")])
+def test_simulate_command_passes_record_by_keyword(bench, monkeypatch,
+                                                   tmp_path, capsys,
+                                                   trace, span):
+    # spans._sim_span reads record from the keywords; passed by position,
+    # every call would be labelled sim.trace
+    spans = bench("spans")
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return simulate_ci(*args, **kwargs)
+    monkeypatch.setattr(cigen.cli, "simulate_ci", recording)
+    argv = ["simulate", str(ROOT / "tests" / "golden" / "f.ci"),
+            "--inputs", "a=2,b=3,c=4"]
+    if trace:
+        argv += ["--trace", str(tmp_path / "trace.jsonl")]
+    assert cigen.cli.main(argv) == 0
+    [(args, kwargs)] = calls
+    assert kwargs["record"] is trace
+    assert spans._sim_span(args, kwargs) == span
+
+
+def test_sim_counts_read_the_simulation_outcome(bench):
+    # spans._sim_counts reads SimResult.done_cycle_enabled and
+    # DivideByZero.cycle
+    spans = bench("spans")
+    mac = parse_ci_spec((ROOT / "tests" / "golden" / "f.ci").read_text())
+    outcome = simulate_ci(mac, {"a": 2, "b": 3, "c": 4}, record=False)
+    assert spans._sim_counts(outcome, None) == {"cycles": 4, "vectors": 1}
+    div = parse_ci_spec("ci d(opcode=0) { input a: signed<8>; "
+                        "input b: signed<8>; output q: signed<8>; q = a / b; }")
+    with pytest.raises(DivideByZero) as info:
+        simulate_ci(div, {"a": 1, "b": 0}, record=False)
+    assert spans._sim_counts(None, info.value) == \
+        {"cycles": 2, "vectors": 1, "divide_by_zero": 1}

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -392,6 +393,55 @@ class TestSimulate:
                                "--inputs", inputs)
         assert code == 1
         assert stderr.startswith("cigen: error:")
+
+
+    @pytest.mark.parametrize("text, inputs, message", [
+        (DIV_TEXT, "a=7,b=0", "reached the result port on enabled cycle 1"),
+        (DIV_TEXT.replace("q = a / b;", "q = (a / b) + a;"), "a=7,b=0",
+         "latched on enabled cycle 1"),
+        (MAC_TEXT.replace("(a * b) + c", "(a / b) + c"), "a=5,b=0,c=1",
+         "latched on enabled cycle 2"),
+    ])
+    def test_divide_message_names_its_cycle_once(self, tmp_path, capsys,
+                                                 text, inputs, message):
+        path = tmp_path / "d.ci"
+        path.write_text(text)
+        code, _, stderr = _run(capsys, "simulate", path, "--inputs", inputs)
+        assert code == 1
+        assert stderr == f"cigen: error: divide by zero: zero divisor {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--reset-at=-4"], "--reset-at: cycle -4 is negative"),
+        (["--clk-en-gaps=3,-1"], "--clk-en-gaps: cycle -1 is negative"),
+        (["--start-cycle", "-3"], "--start-cycle: cycle -3 is negative"),
+        (["--reset-at=-4", "--clk-en-gaps=-1", "--start-cycle", "-3"],
+         "--clk-en-gaps: cycle -1 is negative"),
+    ])
+    def test_negative_cycle_exits_one(self, capsys, spec_file, flags, message):
+        code, stdout, stderr = _run(capsys, "simulate", spec_file,
+                                    "--inputs", "a=2,b=3,c=4", *flags)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"cigen: error: {message}\n"
+
+    def test_resets_every_third_cycle_still_finish(self, capsys, spec_file):
+        # each reset comes two enabled cycles into the three the unit needs;
+        # after the last one, at cycle 398, it finishes
+        resets = ",".join(map(str, range(2, 399, 3)))
+        code, stdout, _ = _run(capsys, "simulate", spec_file,
+                               "--inputs", "a=2,b=3,c=4", "--reset-at", resets)
+        assert code == 0
+        assert "result = 10 (0x0000000A)" in stdout
+        assert "done cycle 3 (402 with stalls)" in stdout
+
+    def test_late_start_is_not_stepped_to(self, capsys, spec_file):
+        began = time.perf_counter()
+        code, stdout, _ = _run(capsys, "simulate", spec_file,
+                               "--inputs", "a=2,b=3,c=4",
+                               "--start-cycle", "1000000000000")
+        assert time.perf_counter() - began < 1.0
+        assert code == 0
+        assert "done cycle 3 (1000000000003 with stalls)" in stdout
 
 
 class TestPatch:

@@ -1,6 +1,7 @@
 """Reference evaluator and cycle-accurate netlist simulation."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -21,9 +22,10 @@ from cigen.frontend import (
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import build_design
 from cigen.lpm import AddSubGenerics, BitVec, Direction
-from cigen.mapper import done_cycle_enabled, map_design
+from cigen.mapper import done_cycle_enabled, map_design, node_reg
 from cigen.sim import (
     IndexedDesign,
+    SimResult,
     Stimulus,
     input_columns,
     operand_columns,
@@ -252,12 +254,16 @@ class TestStimulus:
         assert out.done_cycle == 7
         assert out.done_cycle_enabled == 3
 
-    def test_never_done_is_an_internal_error(self, mac_spec, mac_mapped):
+    def test_frequent_resets_still_finish(self, mac_spec, mac_mapped):
         # a reset every third cycle restarts the unit two cycles into its
-        # three, as `cigen simulate --reset-at 2,5,8,...` would
+        # three, as `cigen simulate --reset-at 2,5,8,...` would; the last
+        # one, at cycle 998, leaves it three enabled cycles to finish
         stim = Stimulus(reset_cycles=frozenset(range(2, 1000, 3)))
-        with pytest.raises(InternalCheckError, match="done never observed"):
-            simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
+        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
+        assert out.result.bits == 10
+        assert out.done_cycle == 1002
+        assert out.done_cycle_enabled == 3
+        assert len(out.rows) == 1005
 
 
 class TestSimulatedFaults:
@@ -360,6 +366,14 @@ def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
         process, steps=process.steps[:2]))
 
 
+def _jump_after_done(design: ast.HdlDesign) -> ast.HdlDesign:
+    # only the steps after done would reach the missing step
+    process = design.architecture.process
+    *steps, last = process.steps
+    return with_arch(design, process=dataclasses.replace(process, steps=(
+        *steps, dataclasses.replace(last, next_index=99))))
+
+
 def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
     process = design.architecture.process
     return with_arch(design, process=dataclasses.replace(process, steps=tuple(
@@ -378,6 +392,7 @@ class TestLoweringChecks:
 
     @pytest.mark.parametrize("mutate, message", [
         (_cut_steps, "no control step 2"),
+        (_jump_after_done, "no control step 99"),
         (_never_done, "done is never set"),
         (_result_reads_itself, "combinational loop"),
         *WIRING_FAULTS,
@@ -418,8 +433,9 @@ class TestProperties:
 
 
 class TestBatchMatchesStepper:
-    """The batched run and the cycle stepper execute one lowered design, so
-    they agree vector by vector, divide-by-zero included."""
+    """The batched run and simulate_ci execute one lowered design through
+    one interpreter, so they agree vector by vector, divide-by-zero
+    included."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -447,6 +463,63 @@ class TestBatchMatchesStepper:
             assert index not in faults
             assert results[index] == one.result.bits
             assert done == one.done_cycle_enabled
+
+
+def _simulated(simulate, *args):
+    """An invocation's outcome: its trace as `cigen simulate --trace` writes
+    it, result and both done cycles, or the cycle and node at which a zero
+    divisor was met."""
+    try:
+        out = simulate(*args)
+    except DivideByZero as exc:
+        return ("divide-by-zero", exc.cycle, exc.node)
+    trace = "".join(json.dumps(row) + "\n" for row in out.rows)
+    return (trace, out.result, out.done_cycle, out.done_cycle_enabled)
+
+
+class TestTimelineMatchesStepper:
+    """simulate_ci replays one execution of the design on the stimulus
+    timeline, and agrees with the cycle stepper kept at the bottom of this
+    file wherever that stepper finishes: the same trace bytes, result and
+    done cycles, or a zero divisor on the same cycle at the same node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data(),
+           st.sets(st.integers(0, 40), max_size=8),
+           st.sets(st.integers(0, 40), max_size=5),
+           st.integers(0, 12), st.booleans())
+    def test_same_outcome(self, seed, data, gaps, resets, start, record):
+        rng = random.Random(seed)
+        spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=4))
+        mapped = map_design(spec)
+        vec = random_vectors(rng, spec, 1)[0]
+        for name in _leaf_divisors(spec):
+            if data.draw(st.booleans()):
+                vec[name] = 0
+        design = IndexedDesign(build_design(spec, mapped))
+        stim = Stimulus(clk_en_low=gaps, reset_cycles=resets,
+                        start_cycle=start)
+        try:
+            expected = _simulated(stepper_simulate_ci, spec, vec, mapped,
+                                  stim, record, design)
+        except NeverDone:
+            return
+        assert _simulated(simulate_ci, spec, vec, mapped, stim, record,
+                          design) == expected
+
+    @pytest.mark.parametrize("stim", [
+        Stimulus(),
+        Stimulus(clk_en_low={0, 3, 4, 9}),
+        Stimulus(reset_cycles={1, 4, 6}, start_cycle=2),
+        Stimulus(clk_en_low={2, 5}, reset_cycles={5}, start_cycle=1),
+    ])
+    @pytest.mark.parametrize("inputs", [MAC_INPUTS, {"a": -1, "b": 7, "c": -9}])
+    def test_worked_example(self, mac_spec, mac_mapped, stim, inputs):
+        design = IndexedDesign(build_design(mac_spec, mac_mapped))
+        for record in (True, False):
+            args = (mac_spec, inputs, mac_mapped, stim, record, design)
+            assert _simulated(simulate_ci, *args) == \
+                _simulated(stepper_simulate_ci, *args)
 
 
 # --- the reference: eval_reference and mapper.adapt_root as they were
@@ -514,3 +587,111 @@ def scalar_adapt_root(value: BitVec, root_signed: bool,
 
 def _interpret(value: BitVec, signed: bool) -> int:
     return value.signed if signed else value.unsigned
+
+
+# --- the reference: simulate_ci as it was before it replayed
+# IndexedDesign.execute on a stimulus timeline, kept (renamed) with its own
+# cnt/started/done/enabled_count bookkeeping and its cycle limit.  It reads
+# the lowered steps and load plans through IndexedDesign's private
+# attributes -------------------------------------------------------------
+
+
+class NeverDone(Exception):
+    """The reference stepper gave up at its cycle limit."""
+
+
+def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
+                        stimulus: Stimulus, record: bool,
+                        design: IndexedDesign):
+    """Drive one invocation through the design cycle by cycle."""
+    validate_inputs(spec, inputs)
+    stim = stimulus
+    loads = len(mapped.loading.cycles)
+    done_target = done_cycle_enabled(mapped)
+    pair_lines = operand_columns(mapped, [inputs])
+
+    limit = stim.start_cycle + 4 * (done_target + 2) + \
+        len(stim.clk_en_low) + len(stim.reset_cycles) + 8
+
+    cleared = {name: [0] for name in design.registers}
+    values = dict(cleared)   # registers, ports and this cycle's wires
+    cnt = 0
+    done = False
+    started = False      # a start pulse was consumed at an earlier edge
+    enabled_count = 0    # enabled cycles completed since the start cycle
+    rows = [] if record else None
+    observed = None
+    drain = 2 if record else 0   # post-done cycles kept in the trace
+
+    for cycle in range(limit + 1):
+        reset = cycle in stim.reset_cycles
+        clk_en = cycle not in stim.clk_en_low
+        wants_start = not started and not reset and cycle >= stim.start_cycle
+        pair_index = min(enabled_count, loads - 1) if started else 0
+        values["dataa"], values["datab"] = pair_lines[pair_index]
+
+        if rows is not None:
+            faults: set[int] = set()
+            row_result = design.result(values, faults)[0]
+            row_regs = {"cnt": cnt}
+            row_regs.update((name, values[name][0]) for name in design.registers)
+            rows.append({
+                "cycle": cycle, "clk_en": int(clk_en),
+                "start": int(wants_start), "dataa": values["dataa"][0],
+                "datab": values["datab"][0], "regs": row_regs, "done": int(done),
+                "result": None if faults else row_result,
+            })
+
+        if observed is not None:
+            if cycle >= observed.done_cycle + drain:
+                observed.rows = rows or []
+                return observed
+        elif done and clk_en and not reset:
+            faults = set()
+            final = design.result(values, faults)[0]
+            if faults:
+                raise DivideByZero("zero divisor reached the result port",
+                                   cycle=enabled_count)
+            observed = SimResult(BitVec(design.widths["result"], final), cycle,
+                                 enabled_count)
+            if drain == 0:
+                observed.rows = rows or []
+                return observed
+
+        # clock edge
+        if reset:
+            values.update(cleared)
+            cnt = 0
+            done = False
+            started = False
+            enabled_count = 0
+            continue
+        if not clk_en:
+            continue
+        if cnt == 0:
+            if not wants_start:
+                done = False
+                continue
+            started = True
+            enabled_count = 0
+        step = design.steps[cnt]
+        latched = []
+        faults = set()
+        for target, ops, read in design._plans[cnt]:
+            for op in ops:
+                op(values, faults)
+            if faults:
+                node = next((n for n in mapped.analysis.operation_sequence
+                             if node_reg(n) == target), None)
+                raise DivideByZero("zero divisor latched",
+                                   cycle=enabled_count, node=node)
+            latched.append((target, read(values)))
+        values.update(latched)
+        done = step.set_done
+        cnt = step.next_index
+        enabled_count += 1
+
+    if observed is not None:
+        observed.rows = rows or []
+        return observed
+    raise NeverDone(f"done never observed within {limit} cycles")
