@@ -5,14 +5,13 @@ from .cpatch import emit_header, find_call_sites, rewrite
 from .frontend import CiSpec, parse_ci_spec
 from .hdl import build_design, emit_vhdl, validate_structure
 from .mapper import MappedDesign, done_cycle_enabled, map_design
-from .metrics import CostModel, estimate_metrics
+from .metrics import estimate_metrics
 from .sim import Stimulus, check_equivalence, eval_reference, simulate_ci
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CiSpec",
-    "CostModel",
     "MappedDesign",
     "Stimulus",
     "build_design",

@@ -26,7 +26,7 @@ from .frontend import CiSpec, parse_ci_spec
 from .fuzz import random_vectors
 from .hdl import build_design, emit_vhdl, validate_structure
 from .mapper import MappedDesign, done_cycle_enabled, map_design
-from .metrics import CostModel, estimate_metrics
+from .metrics import cost_table, estimate_metrics
 from .sim import Stimulus, check_equivalence, simulate_ci
 
 
@@ -94,7 +94,7 @@ def _load_config(path: str | None) -> dict:
     if "costs" in config:
         if not isinstance(config["costs"], dict):
             raise CigenError("config costs must be a JSON object")
-        metrics["costs"] = CostModel.from_dict(config["costs"])
+        metrics["costs"] = cost_table(config["costs"])
     for key in ("power_mw", "time_ms"):
         if key in config:
             try:
@@ -145,7 +145,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     design = build_design(spec, mapped)
     violations = validate_structure(design)
     if violations:
-        lines = "; ".join(f"{v.rule}: {v.name}" for v in violations)
+        lines = "; ".join(f"{v.rule}: {v.name} ({v.detail})"
+                          for v in violations)
         raise InternalCheckError(f"generated design is malformed ({lines})")
     text = emit_vhdl(design)
     print(f"[3/5] hdl: {spec.name}.vhd ({text.count(chr(10))} lines), "
@@ -164,7 +165,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     artifacts = {
         f"{spec.name}.vhd": text,
         header_filename(spec): emit_header(spec, mapped, config["intrinsic"]),
-        "report.json": json.dumps(report.to_dict(), indent=2) + "\n",
+        "report.json": json.dumps(report, indent=2) + "\n",
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,11 +234,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         kwargs["power_mw"] = args.power_mw
     if args.time_ms is not None:
         kwargs["time_ms"] = args.time_ms
-    report = estimate_metrics(spec, mapped, **kwargs)
+    d = estimate_metrics(spec, mapped, **kwargs)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(d, indent=2))
         return 0
-    d = report.to_dict()
     print(f"{d['name']} (opcode {d['opcode']})")
     print(f"  operands:    {d['operands']} over {d['load_cycles']} load cycles")
     print(f"  operations:  {d['operations']} across {d['levels']} levels")

@@ -3,7 +3,8 @@
 The matcher works on tokens, not text.  The lexer splits the source with
 one regular expression whose matches tile it, classifies each match by its
 first character and returns the tokens as parallel lists (kind, text,
-offset, line), plus one flag per token for preprocessor directive lines.
+offset), plus one flag per token that marks the tokens of preprocessor
+directives and the '#' opening each.
 A candidate starts only at a token that can open the instruction's
 expression: an identifier equal to its leftmost leaf, or an opening
 parenthesis.  From there it parses the longest expression the
@@ -16,8 +17,8 @@ matching is linear in the number of tokens.  Candidates run from the last
 token to the first; every opening parenthesis is one, so a parse that
 reaches a group finds its contents already in the memo, and the parser
 recurses no deeper than the operator precedence levels at any nesting.
-A hit is then screened by context guards so the replacement can never
-change what the surrounding expression means:
+A hit is then screened by context guards so the replacement keeps the
+parse of the surrounding expression:
 
 * a candidate preceded by a tighter-binding operator, a unary operator, a
   cast, or a member access is dropped, because its leftmost leaf belongs to
@@ -28,6 +29,10 @@ change what the surrounding expression means:
 * fully parenthesized candidates are exempt from the operator checks on
   both edges, and from the rest of the left-context screening unless the
   parenthesis is actually a call argument list.
+
+The guards read tokens, never C types, so a patched site can compute
+something else: C adds two signed char operands as int, so 100 + 100 is
+200, while a signed<8> instruction wraps the sum to -56.
 
 Flooring modulus exists in the instruction grammar but has no C operator,
 so expressions using it are reported as unmatchable instead of guessed at.
@@ -42,8 +47,8 @@ import string
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
-from operator import itemgetter, sub
+from itertools import accumulate, compress, count, repeat
+from operator import itemgetter
 
 from .errors import LexError, NoMatchFound
 from .frontend import CiSpec, OpKind
@@ -91,13 +96,12 @@ _IDENT = TokKind.IDENT
 @dataclass(slots=True)
 class CTokens:
     """The tokens of one C source, one list per field: token k is kind[k]
-    with text[k] at offset start[k] on line line[k], and in_directive[k] is
-    1 when it lies on a preprocessor directive line.  Token k ends at
-    start[k] + len(text[k])."""
+    with text[k] at offset start[k], and in_directive[k] is 2 when it is
+    the '#' that opens a preprocessor directive, 1 when it lies on the rest
+    of one, else 0.  Token k ends at start[k] + len(text[k])."""
     kind: list[TokKind]
     text: list[str]
     start: list[int]
-    line: list[int]
     in_directive: bytearray
 
     def __len__(self) -> int:
@@ -174,19 +178,13 @@ def lex_c(source: str) -> CTokens:
         if kinds[k] is _SPACE and parts[k][0] == "/":
             uncommented[k] = " " * len(parts[k])
     start = list(compress(offsets, kinds))   # the tokens' entries
-    # line n holds the tokens that start before its newline, less those
-    # that start before the newline of line n - 1
-    line_ends = accumulate(map((1).__add__, map(len, source.split("\n"))))
-    before = list(map(bisect_left, repeat(start), line_ends))
-    line = list(chain.from_iterable(
-        map(repeat, count(1), map(sub, before, [0, *before]))))
     in_directive = bytearray(len(start))
     for m in _DIRECTIVE_RE.finditer("".join(uncommented)):
         lo = bisect_left(start, m.start())
         hi = bisect_left(start, m.end(), lo)
-        in_directive[lo:hi] = b"\1" * (hi - lo)
+        in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
     return CTokens(list(filter(None, kinds)), list(compress(parts, kinds)),
-                   start, line, in_directive)
+                   start, in_directive)
 
 
 # --- expression matching ----------------------------------------------------
@@ -351,19 +349,21 @@ def _right_context_ok(tokens: CTokens, j: int, prec: int,
 
 @dataclass(frozen=True)
 class PatchSite:
-    """One byte span to replace, with the text it currently holds."""
+    """One byte span to replace: source[start:end]."""
     start: int
     end: int
-    text: str
 
 
-def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
+def find_call_sites(source: str, spec: CiSpec,
+                    tokens: CTokens | None = None) -> list[PatchSite]:
     """Every non-overlapping occurrence of the spec expression, outermost
-    parenthesization included, in source order."""
+    parenthesization included, in source order.  tokens, when given, are
+    lex_c(source)."""
     target = spec_match_tree(spec)
     if target is None:
         return []
-    tokens = lex_c(source)
+    if tokens is None:
+        tokens = lex_c(source)
     leftmost = target
     while leftmost[0] != "leaf":
         leftmost = leftmost[1]
@@ -395,7 +395,7 @@ def find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     last_end = -1
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
         if start >= last_end:
-            sites.append(PatchSite(start, end, source[start:end]))
+            sites.append(PatchSite(start, end))
             last_end = end
     return sites
 
@@ -460,16 +460,30 @@ def emit_header(spec: CiSpec, mapped: MappedDesign,
 @dataclass(frozen=True)
 class PatchPlan:
     """Everything a rewrite did: the spans replaced, the call text that
-    replaced them, and where the include line landed (-1 if it was already
-    present)."""
+    replaced them, and the patched source."""
     sites: tuple[PatchSite, ...]
     replacement: str
-    include_line: str
-    include_offset: int
     output: str
 
 
-_INCLUDE_RE = re.compile(r"(?m)^[ \t]*#[ \t]*include\b.*$")
+def _include(tokens: CTokens, header: str) -> tuple[int, str]:
+    """The offset and the text to insert there so that the source includes
+    header once: after the last #include directive, or at the top when
+    there is none.  Comments and the bodies of other directives hold no
+    directive."""
+    text, flags = tokens.text, tokens.in_directive
+    includes = [k for k in compress(count(), map("include".__eq__, text))
+                if k and flags[k - 1] == 2 and flags[k] == 1]
+    if any(text[k + 1:k + 2] == [f'"{header}"'] and flags[k + 1] == 1
+           for k in includes):
+        return 0, ""
+    if not includes:
+        return 0, f'#include "{header}"\n\n'
+    end = includes[-1] + 1   # then past the directive's last token
+    while end < len(text) and flags[end] == 1:
+        end += 1
+    # a line of its own, ahead of the blanks and comments ending that line
+    return tokens.start[end - 1] + len(text[end - 1]), f'\n#include "{header}"'
 
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
@@ -480,36 +494,25 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     second rewrite of already patched source fail loudly instead of nesting
     calls.
     """
-    sites = find_call_sites(source, spec)
+    if spec_match_tree(spec) is None:
+        raise NoMatchFound(
+            f"{spec.name} uses flooring modulus, which no C operator "
+            "computes; rewrite the C call site by hand")
+    tokens = lex_c(source)
+    sites = find_call_sites(source, spec, tokens)
     if not sites:
-        if spec_match_tree(spec) is None:
-            raise NoMatchFound(
-                f"{spec.name} uses flooring modulus, which no C operator "
-                "computes; rewrite the C call site by hand")
         raise NoMatchFound(
             f"no occurrence of the {spec.name} expression found")
 
     args = ", ".join(mapped.analysis.operand_sequence)
     replacement = f"{call_macro_name(spec)}({args})"
+    at, include = _include(tokens, header_filename(spec))
+    edits = [(site.start, site.end, replacement) for site in sites]
     pieces = []
     last = 0
-    for site in sites:
-        pieces += source[last:site.start], replacement
-        last = site.end
+    # the include sorts before a site starting where it goes
+    for start, end, text in sorted(edits + [(at, at, include)]):
+        pieces += source[last:start], text
+        last = end
     pieces.append(source[last:])
-    text = "".join(pieces)
-
-    include_line = f'#include "{header_filename(spec)}"'
-    include_offset = -1
-    if include_line not in text:
-        matches = list(_INCLUDE_RE.finditer(text))
-        if matches:
-            include_offset = matches[-1].end() + 1
-            insert = include_line + "\n"
-        else:
-            include_offset = 0
-            insert = include_line + "\n\n"
-        text = text[:include_offset] + insert + text[include_offset:]
-
-    return PatchPlan(tuple(sites), replacement, include_line,
-                     include_offset, text)
+    return PatchPlan(tuple(sites), replacement, "".join(pieces))

@@ -55,10 +55,6 @@ class OpcodeOutOfRange(CigenError):
         super().__init__(f"{line}:{col}: opcode {opcode} out of range 0..4")
 
 
-class NoInputs(CigenError):
-    """A design with zero used operands cannot be loaded."""
-
-
 class WidthMismatch(InternalCheckError):
     """Component inputs whose widths disagree with the component contract."""
 

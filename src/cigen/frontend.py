@@ -35,7 +35,8 @@ flooring modulus (sign of the divisor).
 
 Identifiers must be usable verbatim in generated VHDL and C, so beyond the
 ASCII ident rule above they may not contain "__", end in "_", collide
-case-insensitively, or be a reserved word of the DSL or of VHDL.
+case-insensitively, or be a reserved word of the DSL or of VHDL.  The CI
+name must not collide with a name of the generated VHDL either.
 """
 
 from __future__ import annotations
@@ -83,10 +84,13 @@ unaffected units until use variable wait when while with xnor xor
 """.split()) | {"ci_concat_extend"}
 
 # Additional reservations for the CI name itself: it becomes the entity name,
-# so it must not shadow the fixed port names or internal control names.
+# so it must not shadow the fixed port names, internal control names, the
+# LPM components or any name with a prefix the generated VHDL uses for its
+# registers, wires, adapters and instances (r_a, s_3, w_3_p, x_0, u_mult_1).
 CI_NAME_RESERVED = VHDL_RESERVED | frozenset(
     {"clk", "clk_en", "reset", "start", "dataa", "datab", "done", "result",
-     "cnt", "control", "rtl"})
+     "cnt", "control", "rtl", "lpm_add_sub", "lpm_mult", "lpm_divide"})
+CI_NAME_PREFIXES = ("r_", "s_", "w_", "x_", "u_")
 
 
 class OpKind(enum.Enum):
@@ -182,9 +186,6 @@ class Dfg:
     width: dict[int, int]
     signed: dict[int, bool]
     order: tuple[int, ...]
-
-    def node(self, node_id: int) -> DfgNode:
-        return self.nodes[node_id]
 
     def leaf_nodes(self) -> tuple[LeafNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, LeafNode))
@@ -289,12 +290,13 @@ class _Parser:
         return self.advance()
 
 
-def _check_name(tok: _Token, reserved: frozenset[str] = VHDL_RESERVED) -> str:
+def _check_name(tok: _Token, reserved: frozenset[str] = VHDL_RESERVED,
+                prefixes: tuple[str, ...] = ()) -> str:
     name = tok.text
     if "__" in name or name.endswith("_"):
         raise SpecSyntaxError(f"identifier {name!r} may not contain '__' or end in '_'",
                               tok.line, tok.col)
-    if name.lower() in reserved:
+    if name.lower() in reserved or name.lower().startswith(prefixes):
         raise SpecSyntaxError(f"identifier {name!r} is reserved", tok.line, tok.col)
     return name
 
@@ -314,7 +316,7 @@ def parse_ci_spec(text: str) -> CiSpec:
     p = _Parser(_tokenize(text))
     p.expect_kw("ci")
     name_tok = p.expect("ident", "instruction name")
-    ci_name = _check_name(name_tok, CI_NAME_RESERVED)
+    ci_name = _check_name(name_tok, CI_NAME_RESERVED, CI_NAME_PREFIXES)
     p.expect("(", "'('")
     p.expect_kw("opcode")
     p.expect("=", "'='")

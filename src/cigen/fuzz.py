@@ -74,19 +74,19 @@ def _draw_plan(spec: CiSpec) -> _Plan:
     return plan
 
 
-def _draw(rng: random.Random, plan: _Plan, corner_bias: float) -> dict[str, int]:
-    return {name: rng.choice(pool) if rng.random() < corner_bias
+def _draw(rng: random.Random, plan: _Plan) -> dict[str, int]:
+    """A quarter of the values come from the corners."""
+    return {name: rng.choice(pool) if rng.random() < 0.25
             else rng.randint(lo, hi) for name, lo, hi, pool in plan}
 
 
-def random_vector(rng: random.Random, spec: CiSpec,
-                  corner_bias: float = 0.25) -> dict[str, int]:
+def random_vector(rng: random.Random, spec: CiSpec) -> dict[str, int]:
     """One assignment of in-range values to every declared input."""
-    return _draw(rng, _draw_plan(spec), corner_bias)
+    return _draw(rng, _draw_plan(spec))
 
 
-def random_vectors(rng: random.Random, spec: CiSpec, count: int,
-                   corner_bias: float = 0.25) -> list[dict[str, int]]:
+def random_vectors(rng: random.Random, spec: CiSpec,
+                   count: int) -> list[dict[str, int]]:
     """count vectors, drawn as count random_vector calls would draw them."""
     plan = _draw_plan(spec)
-    return [_draw(rng, plan, corner_bias) for _ in range(count)]
+    return [_draw(rng, plan) for _ in range(count)]

@@ -73,7 +73,7 @@ class Violation:
     """One structural rule broken by a design, naming the offender."""
     rule: str
     name: str
-    detail: str = ""
+    detail: str
 
 
 def adapter_wire(index: int) -> str:
@@ -132,7 +132,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     adapter_index = {(a.node, a.side): i for i, a in enumerate(mapped.adapters)}
 
     def child_signal(node_id: int) -> str:
-        node = dfg.node(node_id)
+        node = dfg.nodes[node_id]
         if isinstance(node, LeafNode):
             return input_reg(node.decl.name)
         return node_reg(node_id)
@@ -148,7 +148,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
 
     for op_index, inst in enumerate(mapped.instances):
         node_id = inst.node
-        node = dfg.node(node_id)
+        node = dfg.nodes[node_id]
         assert isinstance(node, OpNode)
 
         inputs = []
@@ -449,7 +449,8 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     components: set[str] = set()
     for decl in arch.components:
         if decl.name in components:
-            violations.append(Violation("duplicate-component", decl.name))
+            violations.append(Violation("duplicate-component", decl.name,
+                                        "declared twice"))
         components.add(decl.name)
     for inst in arch.instances:
         component = COMPONENT_DECLS[inst.kind].name

@@ -485,20 +485,19 @@ def operand_columns(mapped: MappedDesign,
 def simulate_ci(spec: CiSpec, inputs: dict[str, int],
                 mapped: MappedDesign | None = None,
                 stimulus: Stimulus | None = None,
-                record: bool = True,
-                design: IndexedDesign | None = None) -> SimResult:
-    """Drive one invocation through the design under the stimulus.
+                record: bool = True) -> SimResult:
+    """Drive one invocation through build_design(spec, mapped) under the
+    stimulus.
 
-    design defaults to build_design(spec, mapped), indexed.  It executes
-    once, on one-element columns, and the stimulus timeline picks which of
-    its enabled cycles each wall cycle shows (see the module docstring).
+    The design executes once, on one-element columns, and the stimulus
+    timeline picks which of its enabled cycles each wall cycle shows (see
+    the module docstring).
     DivideByZero carries the enabled cycle whose register latch (or
     done-cycle result read) consumes the bad output."""
     if mapped is None:
         mapped = map_design(spec)
     validate_inputs(spec, inputs)
-    if design is None:
-        design = IndexedDesign(build_design(spec, mapped))
+    design = IndexedDesign(build_design(spec, mapped))
     stim = stimulus or Stimulus()
     execution = design.execute(operand_columns(mapped, [inputs]), 1, set())
 

@@ -36,7 +36,7 @@ class TestWorkedExample:
         begin = time.perf_counter()
         spec = parse_ci_spec(MAC_TEXT)
         mapped = map_design(spec)
-        kinds = [mapped.dfg.node(i).kind
+        kinds = [mapped.dfg.nodes[i].kind
                  for i in mapped.analysis.operation_sequence]
         assert kinds == [OpKind.MUL, OpKind.ADD]
         assert mapped.analysis.operand_sequence == ("a", "b", "c")
@@ -63,7 +63,7 @@ class TestDifferentialEquivalence:
             spec = random_spec(rng, f"fz{index}", config)
             mapped = map_design(spec)
             for node_id in mapped.analysis.operation_sequence:
-                kinds_seen.add(mapped.dfg.node(node_id).kind)
+                kinds_seen.add(mapped.dfg.nodes[node_id].kind)
             vectors = random_vectors(rng, spec, 200)
             assert check_equivalence(spec, mapped, vectors) == []
         assert kinds_seen == set(OpKind)
@@ -216,7 +216,8 @@ class TestSourcePatching:
             source = "\n".join(decoys + body) + "\n"
             sites = find_call_sites(source, spec)
             if live:
-                assert [s.text for s in sites] == ["(a * b) + c"]
+                assert [source[s.start:s.end] for s in sites] == \
+                    ["(a * b) + c"]
                 plan = rewrite(source, spec, mapped)
                 assert plan.output.count("CI_F(a, b, c)") == 1
                 for decoy in decoys:

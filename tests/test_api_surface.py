@@ -1,12 +1,19 @@
 """The package ships no test-only API.
 
-Every function, method and class defined in ``src/cigen``, and every name
-a module assigns at its top level (dunder names aside), must be referenced
-by name in ``src/cigen`` outside its own definition, or in ``bench/*.py``.  A name that only the tests reach belongs
-in the tests.  A method counts as referenced only through an attribute
-(``x.name``) or a string naming it, so a local variable that happens to
-share its name does not hide it; a method that overrides one of a base
-class (``argparse.ArgumentParser.error``, say) is referenced by that base.
+Every function, method and class defined in ``src/cigen``, every name a
+module assigns at its top level and every field a class body declares
+(dunder names aside) must be referenced by name in ``src/cigen`` outside
+its own definition, or in ``bench/*.py``.  A name that only the tests
+reach belongs in the tests.  A method or a field counts as referenced only
+through an attribute (``x.name``) or a string naming it, so a local
+variable that happens to share its name does not hide it; a method that
+overrides one of a base class (``argparse.ArgumentParser.error``, say) is
+referenced by that base.
+
+The check goes by name alone, not by type: a field is taken as read when
+any attribute of that name is read anywhere.  It could not have seen that
+nothing read ``CTokens.line``, say, because the spec parser's tokens have
+a ``line`` that the parser reads.
 """
 
 import ast
@@ -18,21 +25,29 @@ SRC_FILES = sorted((ROOT / "src" / "cigen").glob("*.py"))
 BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
 
 
+def _assigned(body: list[ast.stmt], owner: str | None):
+    """(name, node, owner) for every name a statement of body assigns,
+    whose node is its assignment."""
+    return [(target.id, node, owner) for node in body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)]
+
+
 def _definitions(tree: ast.Module):
     """(name, node, owning class name or None) for every def and class,
-    nested ones too, and every name assigned at module level, whose node is
-    its assignment."""
-    found = [(target.id, node, None) for node in tree.body
-             if isinstance(node, (ast.Assign, ast.AnnAssign))
-             for target in (node.targets if isinstance(node, ast.Assign)
-                            else [node.target])
-             if isinstance(target, ast.Name)]
+    nested ones too, every name assigned at module level and every field
+    of a class body, whose node is its assignment."""
+    found = _assigned(tree.body, None)
 
     def visit(node: ast.AST, owner: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 found.append((child.name, child, owner))
+            if isinstance(child, ast.ClassDef):
+                found.extend(_assigned(child.body, child.name))
             visit(child, child.name if isinstance(child, ast.ClassDef) else None)
     visit(tree, None)
     return found
@@ -67,16 +82,16 @@ def _unreferenced() -> list[str]:
     unused = []
     for path in SRC_FILES:
         for name, node, owner in _definitions(trees[path]):
-            is_method = owner is not None
+            is_member = owner is not None
             if name.startswith("__") or \
-                    is_method and _overrides(path.stem, owner, name):
+                    is_member and _overrides(path.stem, owner, name):
                 continue
             first = min([node.lineno] + [d.lineno for d in
                                          getattr(node, "decorator_list", [])])
 
             def outside(ref_path: Path, line: int) -> bool:
                 return ref_path != path or not first <= line <= node.end_lineno
-            if not any(ref == name and (by_attribute or not is_method)
+            if not any(ref == name and (by_attribute or not is_member)
                        and outside(ref_path, line)
                        for ref_path, file_refs in refs.items()
                        for ref, line, by_attribute in file_refs):

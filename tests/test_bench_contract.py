@@ -9,10 +9,13 @@ their imports from ``cigen``, and look up every wrapped name and every
 module global the runner and the workloads call or patch.  The span hooks
 on ``simulate_ci`` also read its call and its outcome: ``record`` as a
 keyword, ``SimResult.done_cycle_enabled`` and ``DivideByZero.cycle``.
+Names alone do not show that the workloads still run, so one test also
+runs the first operation of each workload and its own check.
 """
 
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,25 @@ def test_sim_counts_read_the_simulation_outcome(bench):
         simulate_ci(div, {"a": 1, "b": 0}, record=False)
     assert spans._sim_counts(None, info.value) == \
         {"cycles": 2, "vectors": 1, "divide_by_zero": 1}
+
+
+@pytest.mark.parametrize("workload", ["fuzz-build", "wide-build", "patch-c"])
+def test_first_op_of_each_workload_passes_its_check(bench, tmp_path, capsys,
+                                                    workload):
+    # run.py's loop for one operation, so a cigen feature that bench/
+    # relies on and that is deleted fails here, not first in a bench run.
+    # Preparing wide-build recurses once per level of its 960-term chain,
+    # which run.py can afford at the bottom of its stack but pytest cannot
+    # at the default limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        op = bench("workloads").PREPARE[workload](tmp_path, 1)[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    if op.before is not None:
+        op.before()
+    rc = cigen.cli.main(op.argv)
+    out, err = capsys.readouterr()
+    facts = op.check(rc, out, err)
+    assert facts and all(path.exists() for path in op.outputs)

@@ -98,6 +98,32 @@ class TestBuild:
         assert "internal check failed" in stderr
         assert not out.exists()
 
+    def test_structure_gate_names_each_violation(self, tmp_path, capsys,
+                                                 monkeypatch, spec_file):
+        # a CI name the parser refuses, handed to the gate behind it
+        parse = cli.parse_ci_spec
+        monkeypatch.setattr(cli, "parse_ci_spec", lambda text:
+                            dataclasses.replace(parse(text), name="s_1"))
+        out = tmp_path / "out"
+        code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
+        assert code == 2
+        assert "(name-collision: s_1 (signal vs entity))" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["s_1", "r_a", "w_1", "u_add_0",
+                                      "lpm_add_sub", "LPM_Mult", "X_0"])
+    def test_generated_name_as_ci_name_is_a_user_error(self, tmp_path,
+                                                       capsys, name):
+        spec = tmp_path / "n.ci"
+        spec.write_text(f"ci {name}(opcode=0) {{\n  input a: signed<8>;\n"
+                        "  input b: signed<8>;\n  output y: signed<8>;\n"
+                        "  y = a + b;\n}\n")
+        out = tmp_path / "out"
+        code, _, stderr = _run(capsys, "build", spec, "-o", out)
+        assert code == 1
+        assert stderr == f"cigen: error: 1:4: identifier {name!r} is reserved\n"
+        assert not out.exists()
+
     def test_equivalence_gate_blocks_artifacts(self, tmp_path, capsys,
                                                monkeypatch, spec_file):
         monkeypatch.setattr(

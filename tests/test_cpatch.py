@@ -42,21 +42,22 @@ MOD_TEXT = ("ci m(opcode=1) { input a: signed<8>; input b: signed<8>;"
 
 
 def _sites(source: str) -> list[str]:
-    return [site.text for site in find_call_sites(source, MAC)]
+    return [source[site.start:site.end]
+            for site in find_call_sites(source, MAC)]
 
 
 def _columns(tokens) -> tuple[list, ...]:
-    """kind, text, start, line and in_directive as lists, from lex_c's
-    columns or from a reference's CToken list."""
+    """kind, text, start and in_directive as lists, from lex_c's columns
+    or from a reference's CToken list."""
     if isinstance(tokens, CTokens):
-        columns = (tokens.kind, tokens.text, tokens.start, tokens.line,
+        columns = (tokens.kind, tokens.text, tokens.start,
                    list(tokens.in_directive))
         assert {len(column) for column in columns} == {len(tokens)}
         return columns
     assert all(tok.end == tok.start + len(tok.text) for tok in tokens)
     return ([tok.kind for tok in tokens], [tok.text for tok in tokens],
-            [tok.start for tok in tokens], [tok.line for tok in tokens],
-            [int(tok.in_directive) for tok in tokens])
+            [tok.start for tok in tokens],
+            [tok.in_directive for tok in tokens])
 
 
 class TestLexer:
@@ -85,18 +86,11 @@ class TestLexer:
         assert "c" in flagged and "b" in flagged
         assert not tokens.in_directive[-2]  # the declaration's "a"
 
-    def test_line_numbers(self):
-        tokens = lex_c("a\n\nb /* x\ny */ c\n")
-        assert list(zip(tokens.text, tokens.line)) == [("a", 1), ("b", 3),
-                                                       ("c", 4)]
-
     def test_line_continuation_inside_a_literal_counts(self):
         with pytest.raises(LexError, match="stray character '@' on line 3"):
             lex_c('char *s = "a\\\nb";\n@')
-        tokens = lex_c('s = "a\\\nb"; c = \'\\\n\';\nx')
-        assert list(zip(tokens.text, tokens.line)) == [
-            ("s", 1), ("=", 1), ('"a\\\nb"', 1), (";", 2), ("c", 2),
-            ("=", 2), ("'\\\n'", 2), (";", 3), ("x", 4)]
+        with pytest.raises(LexError, match="stray character '@' on line 4"):
+            lex_c('s = "a\\\nb"; c = \'\\\n\';\n@')
 
     @pytest.mark.parametrize("bad", [
         '"never closed\n',
@@ -191,10 +185,9 @@ class TestFindCallSites:
                "  int y = a * b + c;\n"
                "  return x + y;\n}\n")
         sites = find_call_sites(src, MAC)
-        assert [s.text for s in sites] == ["(a * b) + c", "a * b + c"]
+        assert [src[s.start:s.end] for s in sites] == ["(a * b) + c",
+                                                       "a * b + c"]
         assert sites[0].end <= sites[1].start
-        for site in sites:
-            assert src[site.start:site.end] == site.text
 
     def test_unmatchable_spec_finds_nothing(self):
         spec = parse_ci_spec(MOD_TEXT)
@@ -386,8 +379,8 @@ class TestSameAsTheNamedGroupLexer:
 
 class TestBenchContract:
     """What bench/spans.py relies on: it wraps cpatch.lex_c, so matching
-    must lex through that module global once per call, and it counts
-    tokens with len()."""
+    and rewriting must lex through that module global once per call, and
+    it counts tokens with len()."""
 
     def test_one_lex_per_call_through_the_module_global(self, monkeypatch):
         seen = []
@@ -402,13 +395,16 @@ class TestBenchContract:
         assert seen == [src]
         assert find_call_sites("int x;\n", MAC) == []
         assert seen == [src, "int x;\n"]
+        # rewrite places the include with the tokens it matched on
+        assert len(rewrite(src, MAC, MAC_MAPPED).sites) == 1
+        assert seen == [src, "int x;\n", src]
 
     def test_len_is_the_token_count(self):
         tokens = lex_c("int f(int a) { return a; } /* c */ // d\n"
                        "#define X 1\n")
         assert len(tokens) == 15
         assert tokens.text[-4:] == ["#", "define", "X", "1"]
-        assert list(tokens.in_directive) == [0] * 11 + [1] * 4
+        assert list(tokens.in_directive) == [0] * 11 + [2, 1, 1, 1]
 
 
 class TestHeader:
@@ -469,8 +465,7 @@ class TestRewrite:
         assert plan.output == (GOLDEN_DIR / "fixture_patched.c").read_text()
         assert len(plan.sites) == 1
         assert plan.replacement == "CI_F(a, b, c)"
-        assert plan.include_line == '#include "ci_f.h"'
-        assert plan.output.count(plan.include_line) == 1
+        assert plan.output.count('#include "ci_f.h"') == 1
 
     def test_second_pass_fails_loudly(self):
         source = (GOLDEN_DIR / "fixture.c").read_text()
@@ -481,7 +476,6 @@ class TestRewrite:
     def test_bytes_outside_sites_survive(self):
         src = "int f(int a, int b, int c) { return (a * b) + c; }\n"
         plan = rewrite(src, MAC, MAC_MAPPED)
-        assert plan.include_offset == 0
         assert plan.output == ('#include "ci_f.h"\n\n'
                                + src.replace("(a * b) + c", "CI_F(a, b, c)"))
 
@@ -497,8 +491,37 @@ class TestRewrite:
         src = ('#include "ci_f.h"\n'
                "int f(int a, int b, int c) { return (a * b) + c; }\n")
         plan = rewrite(src, MAC, MAC_MAPPED)
-        assert plan.include_offset == -1
-        assert plan.output.count('#include "ci_f.h"') == 1
+        assert plan.output == src.replace("(a * b) + c", "CI_F(a, b, c)")
+
+    @pytest.mark.parametrize("head, patched_head", [
+        # an include inside a comment is no directive
+        ("/* usage:\n#include <x.h>\n*/\n",
+         '#include "ci_f.h"\n\n/* usage:\n#include <x.h>\n*/\n'),
+        # nor is a comment or a directive body that mentions the header
+        ('/* see #include "ci_f.h" */\n',
+         '#include "ci_f.h"\n\n/* see #include "ci_f.h" */\n'),
+        ('#include <a.h>\n#define H # include "ci_f.h"\n',
+         '#include <a.h>\n#include "ci_f.h"\n#define H # include "ci_f.h"\n'),
+        # the line of the last include goes on after the include's tokens
+        ("#include <a.h> /* x\n y */\n#define Q 1\n",
+         '#include <a.h>\n#include "ci_f.h" /* x\n y */\n#define Q 1\n'),
+        ("#include <a.h> /* x\n y */ int z;\n",
+         '#include <a.h> /* x\n y */ int z;\n#include "ci_f.h"\n'),
+        ("# include \\\n  <a.h>\n",
+         '# include \\\n  <a.h>\n#include "ci_f.h"\n'),
+        ('#  include  "ci_f.h"\n', '#  include  "ci_f.h"\n'),
+    ])
+    def test_include_goes_by_directives_alone(self, head, patched_head):
+        body = "int f(int a, int b, int c) { return (a * b) + c; }\n"
+        plan = rewrite(head + body, MAC, MAC_MAPPED)
+        assert plan.output == patched_head + body.replace("(a * b) + c",
+                                                          "CI_F(a, b, c)")
+
+    def test_include_on_the_last_line_without_a_newline(self):
+        src = ("int f(int a, int b, int c) { return (a * b) + c; }\n"
+               "#include <a.h>")
+        plan = rewrite(src, MAC, MAC_MAPPED)
+        assert plan.output.endswith('#include <a.h>\n#include "ci_f.h"')
 
     def test_every_repeated_statement_is_replaced(self):
         src = ("int g(int a, int b, int c) {\n"
@@ -508,7 +531,7 @@ class TestRewrite:
         plan = rewrite(src, MAC, MAC_MAPPED)
         assert len(plan.sites) == 2
         assert plan.output.count("CI_F(a, b, c)") == 2
-        assert plan.output.count(plan.include_line) == 1
+        assert plan.output.count('#include "ci_f.h"') == 1
 
     def test_unmatchable_modulus_says_so(self):
         spec = parse_ci_spec(MOD_TEXT)
@@ -536,7 +559,7 @@ class TestRewriteProperties:
         plan = rewrite("\n".join(lines) + "\n", MAC, MAC_MAPPED)
         assert len(plan.sites) == planted
         assert plan.output.count("CI_F(a, b, c)") == planted
-        assert plan.output.count(plan.include_line) == 1
+        assert plan.output.count('#include "ci_f.h"') == 1
 
 
 # --- the references: lex_c and find_call_sites as they were before the
@@ -551,7 +574,7 @@ class CToken:
     start: int
     end: int
     line: int
-    in_directive: bool = False
+    in_directive: int = 0
 
 
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
@@ -560,13 +583,19 @@ _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
 def _flag_directives(source: str, tokens: list[CToken],
                      comments: list[tuple[int, int]]) -> list[CToken]:
     """tokens with in_directive set from the directive lines of source once
-    each comment span is spaces of its length (no newline): the one step
-    both references take differently from the code they were copied from."""
+    each comment span is spaces of its length (no newline), 2 on the first
+    token of each: the one step both references take differently from the
+    code they were copied from."""
     for a, b in comments:
         source = source[:a] + " " * (b - a) + source[b:]
-    spans = [m.span() for m in _DIRECTIVE_RE.finditer(source)]
-    return [dataclasses.replace(tok, in_directive=any(
-        a <= tok.start < b for a, b in spans)) for tok in tokens]
+    flags = [0] * len(tokens)
+    for m in _DIRECTIVE_RE.finditer(source):
+        inside = [k for k, tok in enumerate(tokens)
+                  if m.start() <= tok.start < m.end()]
+        for k in inside:
+            flags[k] = 2 if k == inside[0] else 1
+    return [dataclasses.replace(tok, in_directive=flag)
+            for tok, flag in zip(tokens, flags)]
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -784,7 +813,7 @@ def reference_find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
     last_end = -1
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
         if start >= last_end:
-            sites.append(PatchSite(start, end, source[start:end]))
+            sites.append(PatchSite(start, end))
             last_end = end
     return sites
 

@@ -36,7 +36,7 @@ def _spec(body: str, name: str = "t", opcode: int = 0) -> str:
 def _kinds(spec_text: str) -> list[OpKind]:
     dfg = parse_ci_spec(spec_text).dfg
     order = analyze(dfg).operation_sequence
-    return [dfg.node(i).kind for i in order]
+    return [dfg.nodes[i].kind for i in order]
 
 
 _SYMBOLS = {
@@ -205,7 +205,7 @@ class TestDfg:
                      "output x: signed<8>; x = (a + b) - (a + b);")
         dfg = parse_ci_spec(text).dfg
         assert len(dfg.leaf_nodes()) == 2
-        adds = [n for n in map(dfg.node, dfg.order) if n.kind is OpKind.ADD]
+        adds = [n for n in (dfg.nodes[i] for i in dfg.order) if n.kind is OpKind.ADD]
         assert len(adds) == 2
         assert adds[0].id != adds[1].id
 
@@ -213,7 +213,7 @@ class TestDfg:
         dfg = parse_ci_spec(_spec(
             "input a: signed<8>; output x: signed<8>; x = a * a;")).dfg
         assert len(dfg.leaf_nodes()) == 1
-        (op,) = map(dfg.node, dfg.order)
+        (op,) = (dfg.nodes[i] for i in dfg.order)
         assert op.left == op.right
 
     def test_levels_and_execution_order(self):
@@ -222,7 +222,7 @@ class TestDfg:
                      "output x: signed<8>; x = (a - b) * (c - d);")
         dfg = parse_ci_spec(text).dfg
         analysis = analyze(dfg)
-        kinds = [dfg.node(i).kind for i in analysis.operation_sequence]
+        kinds = [dfg.nodes[i].kind for i in analysis.operation_sequence]
         assert kinds == [OpKind.SUB, OpKind.SUB, OpKind.MUL]
         levels = [dfg.level[i] for i in analysis.operation_sequence]
         assert levels == [1, 1, 2]
@@ -248,7 +248,7 @@ class TestDfg:
         dfg = mac_spec.dfg
         ids = {n.decl.name: n.id for n in dfg.leaf_nodes()}
         assert ids == {"a": 0, "b": 2, "c": 4}
-        kinds = {i: dfg.node(i).kind for i in dfg.order}
+        kinds = {i: dfg.nodes[i].kind for i in dfg.order}
         assert kinds == {1: OpKind.MUL, 3: OpKind.ADD}
 
 
@@ -268,7 +268,7 @@ class TestProperties:
         if analysis.operation_sequence:
             assert analysis.max_level == levels[-1]
             assert dfg.root == analysis.operation_sequence[-1]
-        for node in map(dfg.node, dfg.order):
+        for node in (dfg.nodes[i] for i in dfg.order):
             assert dfg.level[node.id] == 1 + max(dfg.level[node.left],
                                                  dfg.level[node.right])
 

@@ -270,7 +270,7 @@ class TestMappedInvariants:
             assert adapter.to_width > adapter.from_width
 
         for inst in mapped.instances:
-            node = dfg.node(inst.node)
+            node = dfg.nodes[inst.node]
             width = dfg.width[inst.node]
             assert 1 <= width <= 32
             if inst.kind is ComponentKind.MULT:

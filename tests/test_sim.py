@@ -95,9 +95,10 @@ class TestReference:
 
 def _leaf_divisors(spec) -> list[str]:
     dfg = spec.dfg
-    return sorted({dfg.node(n.right).decl.name for n in map(dfg.node, dfg.order)
+    ops = [dfg.nodes[i] for i in dfg.order]
+    return sorted({dfg.nodes[n.right].decl.name for n in ops
                    if n.kind in DIV_FAMILY
-                   and isinstance(dfg.node(n.right), LeafNode)})
+                   and isinstance(dfg.nodes[n.right], LeafNode)})
 
 
 def _outcome(oracle, spec, vec):
@@ -336,13 +337,6 @@ class TestExecutesTheDesign:
     """The simulator runs the HdlDesign it is given, and faults of that
     design are internal check failures."""
 
-    def test_default_design_is_the_built_one(self, mac_spec, mac_mapped):
-        design = IndexedDesign(build_design(mac_spec, mac_mapped))
-        given = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, design=design)
-        default = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped)
-        assert given.rows == default.rows
-        assert given.result == default.result
-
     def test_undriven_wire(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
         design = with_arch(design,
@@ -444,7 +438,7 @@ class TestBatchMatchesStepper:
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=4))
         mapped = map_design(spec)
         dfg = mapped.dfg
-        assume(any(dfg.node(i).kind in DIV_FAMILY for i in dfg.order))
+        assume(any(dfg.nodes[i].kind in DIV_FAMILY for i in dfg.order))
         divisors = _leaf_divisors(spec)
         vectors = random_vectors(rng, spec, 16)
         for vec in vectors[::2]:
@@ -456,7 +450,7 @@ class TestBatchMatchesStepper:
                                            len(vectors))
         for index, vec in enumerate(vectors):
             try:
-                one = simulate_ci(spec, vec, mapped, record=False, design=design)
+                one = simulate_ci(spec, vec, mapped, record=False)
             except DivideByZero:
                 assert index in faults
                 continue
@@ -504,8 +498,8 @@ class TestTimelineMatchesStepper:
                                   stim, record, design)
         except NeverDone:
             return
-        assert _simulated(simulate_ci, spec, vec, mapped, stim, record,
-                          design) == expected
+        assert _simulated(simulate_ci, spec, vec, mapped, stim,
+                          record) == expected
 
     @pytest.mark.parametrize("stim", [
         Stimulus(),
@@ -517,9 +511,9 @@ class TestTimelineMatchesStepper:
     def test_worked_example(self, mac_spec, mac_mapped, stim, inputs):
         design = IndexedDesign(build_design(mac_spec, mac_mapped))
         for record in (True, False):
-            args = (mac_spec, inputs, mac_mapped, stim, record, design)
+            args = (mac_spec, inputs, mac_mapped, stim, record)
             assert _simulated(simulate_ci, *args) == \
-                _simulated(stepper_simulate_ci, *args)
+                _simulated(stepper_simulate_ci, *args, design)
 
 
 # --- the reference: eval_reference and mapper.adapt_root as they were
