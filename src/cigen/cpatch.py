@@ -182,7 +182,8 @@ def lex_c(source: str) -> CTokens:
     for m in _DIRECTIVE_RE.finditer("".join(uncommented)):
         lo = bisect_left(start, m.start())
         hi = bisect_left(start, m.end(), lo)
-        in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
+        if hi > lo:   # none when the line holds the end of a literal only
+            in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
     return CTokens(list(filter(None, kinds)), list(compress(parts, kinds)),
                    start, in_directive)
 
@@ -354,16 +355,13 @@ class PatchSite:
     end: int
 
 
-def find_call_sites(source: str, spec: CiSpec,
-                    tokens: CTokens | None = None) -> list[PatchSite]:
-    """Every non-overlapping occurrence of the spec expression, outermost
-    parenthesization included, in source order.  tokens, when given, are
-    lex_c(source)."""
+def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
+    """Every non-overlapping occurrence of the spec expression in the
+    lex_c tokens of a source, outermost parenthesization included, in
+    source order."""
     target = spec_match_tree(spec)
     if target is None:
         return []
-    if tokens is None:
-        tokens = lex_c(source)
     leftmost = target
     while leftmost[0] != "leaf":
         leftmost = leftmost[1]
@@ -466,7 +464,11 @@ class PatchPlan:
     output: str
 
 
-def _include(tokens: CTokens, header: str) -> tuple[int, str]:
+# the rest of a directive's logical line: its comments and splices too
+_REST_OF_LINE_RE = re.compile(r"(?://[^\n]*|/\*[\s\S]*?\*/|\\\n|[^\n])*")
+
+
+def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
     """The offset and the text to insert there so that the source includes
     header once: after the last #include directive, or at the top when
     there is none.  Comments and the bodies of other directives hold no
@@ -482,8 +484,10 @@ def _include(tokens: CTokens, header: str) -> tuple[int, str]:
     end = includes[-1] + 1   # then past the directive's last token
     while end < len(text) and flags[end] == 1:
         end += 1
-    # a line of its own, ahead of the blanks and comments ending that line
-    return tokens.start[end - 1] + len(text[end - 1]), f'\n#include "{header}"'
+    last = tokens.start[end - 1] + len(text[end - 1])
+    # a line of its own after the directive's, which keeps its comments
+    return (_REST_OF_LINE_RE.match(source, last).end(),
+            f'\n#include "{header}"')
 
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
@@ -494,19 +498,19 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     second rewrite of already patched source fail loudly instead of nesting
     calls.
     """
-    if spec_match_tree(spec) is None:
-        raise NoMatchFound(
-            f"{spec.name} uses flooring modulus, which no C operator "
-            "computes; rewrite the C call site by hand")
     tokens = lex_c(source)
-    sites = find_call_sites(source, spec, tokens)
+    sites = find_call_sites(tokens, spec)
     if not sites:
+        if spec_match_tree(spec) is None:
+            raise NoMatchFound(
+                f"{spec.name} uses flooring modulus, which no C operator "
+                "computes; rewrite the C call site by hand")
         raise NoMatchFound(
             f"no occurrence of the {spec.name} expression found")
 
     args = ", ".join(mapped.analysis.operand_sequence)
     replacement = f"{call_macro_name(spec)}({args})"
-    at, include = _include(tokens, header_filename(spec))
+    at, include = _include(source, tokens, header_filename(spec))
     edits = [(site.start, site.end, replacement) for site in sites]
     pieces = []
     last = 0

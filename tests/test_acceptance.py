@@ -16,7 +16,7 @@ import pytest
 
 from conftest import MAC_TEXT, GOLDEN_DIR, mod_corrected, run_component, wrapped
 from cigen import cli
-from cigen.cpatch import find_call_sites, rewrite
+from cigen.cpatch import find_call_sites, lex_c, rewrite
 from cigen.errors import DivideByZero, NoMatchFound
 from cigen.frontend import OpKind, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
@@ -214,7 +214,7 @@ class TestSourcePatching:
                 body.append("  return a - c;")
             body.append("}")
             source = "\n".join(decoys + body) + "\n"
-            sites = find_call_sites(source, spec)
+            sites = find_call_sites(lex_c(source), spec)
             if live:
                 assert [source[s.start:s.end] for s in sites] == \
                     ["(a * b) + c"]

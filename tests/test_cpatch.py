@@ -43,7 +43,7 @@ MOD_TEXT = ("ci m(opcode=1) { input a: signed<8>; input b: signed<8>;"
 
 def _sites(source: str) -> list[str]:
     return [source[site.start:site.end]
-            for site in find_call_sites(source, MAC)]
+            for site in find_call_sites(lex_c(source), MAC)]
 
 
 def _columns(tokens) -> tuple[list, ...]:
@@ -85,6 +85,12 @@ class TestLexer:
                    if flag]
         assert "c" in flagged and "b" in flagged
         assert not tokens.in_directive[-2]  # the declaration's "a"
+
+    def test_a_line_that_only_ends_a_literal_flags_nothing(self):
+        # the literal spliced onto a line opening with '#' starts before it
+        tokens = lex_c('s = "a\\\n#"\n;\n#define X 1\nint y;\n')
+        assert len(tokens.in_directive) == len(tokens)
+        assert list(tokens.in_directive) == [0] * 4 + [2, 1, 1, 1] + [0] * 3
 
     def test_line_continuation_inside_a_literal_counts(self):
         with pytest.raises(LexError, match="stray character '@' on line 3"):
@@ -155,7 +161,7 @@ class TestFindCallSites:
     ])
     def test_tighter_operator_owns_the_last_leaf(self, stmt):
         src = f"int t(int a, int b, int c, int d) {{ {stmt} }}\n"
-        assert find_call_sites(src, SUM) == []
+        assert find_call_sites(lex_c(src), SUM) == []
         with pytest.raises(NoMatchFound):
             rewrite(src, SUM, map_design(SUM))
 
@@ -184,14 +190,14 @@ class TestFindCallSites:
                "  int x = (a * b) + c;\n"
                "  int y = a * b + c;\n"
                "  return x + y;\n}\n")
-        sites = find_call_sites(src, MAC)
+        sites = find_call_sites(lex_c(src), MAC)
         assert [src[s.start:s.end] for s in sites] == ["(a * b) + c",
                                                        "a * b + c"]
         assert sites[0].end <= sites[1].start
 
     def test_unmatchable_spec_finds_nothing(self):
         spec = parse_ci_spec(MOD_TEXT)
-        assert find_call_sites("int x = a % b;\n", spec) == []
+        assert find_call_sites(lex_c("int x = a % b;\n"), spec) == []
 
 
 def _failed_groups(depth: int) -> str:
@@ -221,7 +227,7 @@ class TestLinearMatching:
         for depth in (20, 40):
             src = _failed_groups(depth)
             counted[0] = 0
-            assert find_call_sites(src, MAC) == []
+            assert find_call_sites(lex_c(src), MAC) == []
             assert counted[0] <= 2 * len(lex_c(src))
 
     @pytest.mark.parametrize("src, sites", [
@@ -235,7 +241,8 @@ class TestLinearMatching:
         def deep(frames, call):
             return deep(frames - 1, call) if frames else call()
 
-        assert len(deep(900, lambda: find_call_sites(src, MAC))) == sites
+        tokens = lex_c(src)
+        assert len(deep(900, lambda: find_call_sites(tokens, MAC))) == sites
         assert counted[0] <= 2 * len(lex_c(src))
 
 
@@ -309,6 +316,7 @@ class TestSameAsTheReference:
     @given(_SOUPS, st.sampled_from(_TARGETS))
     @example("x = a * (a * ((b)));", "a * b")
     @example("x = ((a + b));", "a + b")
+    @example('s = "a\\\n#"\n;\n#define X 1\na * b;\n', "a * b")
     def test_tokens_and_sites(self, source, expr):
         try:
             expected_tokens = reference_lex_c(source)
@@ -322,7 +330,7 @@ class TestSameAsTheReference:
         expected = reference_find_call_sites(source, spec)
         assume(not _site_a_tighter_operator_follows(
             source, expected, spec_match_tree(spec)))
-        assert find_call_sites(source, spec) == expected
+        assert find_call_sites(lex_c(source), spec) == expected
 
 
 # Pieces of C over a wider alphabet than the matcher's soups: every token
@@ -378,9 +386,9 @@ class TestSameAsTheNamedGroupLexer:
 
 
 class TestBenchContract:
-    """What bench/spans.py relies on: it wraps cpatch.lex_c, so matching
-    and rewriting must lex through that module global once per call, and
-    it counts tokens with len()."""
+    """What bench/spans.py relies on: it wraps cpatch.lex_c, so rewriting
+    must lex through that module global once per call, and it counts
+    tokens with len()."""
 
     def test_one_lex_per_call_through_the_module_global(self, monkeypatch):
         seen = []
@@ -391,13 +399,12 @@ class TestBenchContract:
 
         monkeypatch.setattr(cpatch, "lex_c", counted)
         src = "int f(int a, int b, int c) { return (a * b) + c; }\n"
-        assert len(find_call_sites(src, MAC)) == 1
-        assert seen == [src]
-        assert find_call_sites("int x;\n", MAC) == []
-        assert seen == [src, "int x;\n"]
-        # rewrite places the include with the tokens it matched on
+        # rewrite matches and places the include with the same tokens
         assert len(rewrite(src, MAC, MAC_MAPPED).sites) == 1
-        assert seen == [src, "int x;\n", src]
+        assert seen == [src]
+        with pytest.raises(NoMatchFound):
+            rewrite("int x;\n", MAC, MAC_MAPPED)
+        assert seen == [src, "int x;\n"]
 
     def test_len_is_the_token_count(self):
         tokens = lex_c("int f(int a) { return a; } /* c */ // d\n"
@@ -502,14 +509,23 @@ class TestRewrite:
          '#include "ci_f.h"\n\n/* see #include "ci_f.h" */\n'),
         ('#include <a.h>\n#define H # include "ci_f.h"\n',
          '#include <a.h>\n#include "ci_f.h"\n#define H # include "ci_f.h"\n'),
-        # the line of the last include goes on after the include's tokens
+        # the new include follows the whole line of the last one
+        ("#include <a.h> // printf\n",
+         '#include <a.h> // printf\n#include "ci_f.h"\n'),
         ("#include <a.h> /* x\n y */\n#define Q 1\n",
-         '#include <a.h>\n#include "ci_f.h" /* x\n y */\n#define Q 1\n'),
+         '#include <a.h> /* x\n y */\n#include "ci_f.h"\n#define Q 1\n'),
+        ("#include <a.h> /* x */ // y /* z\n",
+         '#include <a.h> /* x */ // y /* z\n#include "ci_f.h"\n'),
         ("#include <a.h> /* x\n y */ int z;\n",
          '#include <a.h> /* x\n y */ int z;\n#include "ci_f.h"\n'),
         ("# include \\\n  <a.h>\n",
          '# include \\\n  <a.h>\n#include "ci_f.h"\n'),
         ('#  include  "ci_f.h"\n', '#  include  "ci_f.h"\n'),
+        # a line that only ends a literal is no directive and moves no flag
+        ('s = "a\\\n#"\n;\n#include <a.h>\n',
+         's = "a\\\n#"\n;\n#include <a.h>\n#include "ci_f.h"\n'),
+        ('s = "a\\\n#"\n;\n#include "ci_f.h"\n',
+         's = "a\\\n#"\n;\n#include "ci_f.h"\n'),
     ])
     def test_include_goes_by_directives_alone(self, head, patched_head):
         body = "int f(int a, int b, int c) { return (a * b) + c; }\n"
