@@ -29,6 +29,10 @@ from .mapper import MappedDesign, done_cycle_enabled, map_design
 from .metrics import cost_table, estimate_metrics
 from .sim import Stimulus, check_equivalence, simulate_ci
 
+# The most vectors build checks, so a count typed by mistake cannot run
+# without end.
+MAX_VECTORS = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with user-error semantics (exit 1, not 2)."""
@@ -45,6 +49,13 @@ def _read_text(path: str | Path, what: str) -> str:
         raise CigenError(f"cannot read {what}: {exc}") from exc
 
 
+def _refuse_directories(paths) -> None:
+    """Refuse, before anything is written, a target that is a directory."""
+    for path in paths:
+        if path.is_dir():
+            raise CigenError(f"cannot write {path}: it is a directory")
+
+
 def _write_all(files: dict[Path, str]) -> None:
     """Write every file, or none when a write fails.
 
@@ -52,9 +63,7 @@ def _write_all(files: dict[Path, str]) -> None:
     written to a temporary name in its target's directory, and the targets
     are replaced only once every file is written; a replaced file keeps its
     permission bits."""
-    for path in files:
-        if path.is_dir():
-            raise CigenError(f"cannot write {path}: it is a directory")
+    _refuse_directories(files)
     temps: list[Path] = []
     try:
         for path, content in files.items():
@@ -111,10 +120,13 @@ def _parse_inputs(text: str) -> dict[str, int]:
         if not part:
             continue
         name, eq, raw = part.partition("=")
+        name = name.strip()
         if not eq:
             raise CigenError(f"bad input assignment '{part}', expected name=value")
+        if name in values:
+            raise CigenError(f"input '{name}' is given more than once")
         try:
-            values[name.strip()] = int(raw.strip(), 0)
+            values[name] = int(raw.strip(), 0)
         except ValueError as exc:
             raise CigenError(f"bad value in '{part}'") from exc
     return values
@@ -130,8 +142,9 @@ def _parse_cycles(text: str | None) -> frozenset[int]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    if args.vectors < 1:
-        raise CigenError(f"--vectors must be at least 1, got {args.vectors}")
+    if not 1 <= args.vectors <= MAX_VECTORS:
+        raise CigenError(f"--vectors must be between 1 and {MAX_VECTORS}, "
+                         f"got {args.vectors}")
     config = _load_config(args.config)
     spec = _load_spec(args.spec)
     print(f"[1/5] parse: {spec.name} (opcode {spec.opcode}, "
@@ -168,6 +181,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "report.json": json.dumps(report, indent=2) + "\n",
     }
     out = Path(args.out)
+    _refuse_directories(out / name for name in artifacts)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         (out / name).write_text(content)
@@ -265,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("spec", help="path to the .ci spec")
     p_build.add_argument("-o", "--out", required=True, help="output directory")
     p_build.add_argument("--vectors", type=int, default=256,
-                         help="random vectors for the pre-write check")
+                         help="random vectors for the pre-write check "
+                              f"(1 to {MAX_VECTORS})")
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--config", help="JSON config (intrinsic, costs, power)")
     p_build.set_defaults(func=_cmd_build)

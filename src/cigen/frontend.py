@@ -42,8 +42,10 @@ name must not collide with a name of the generated VHDL either.
 from __future__ import annotations
 
 import enum
+import re
 import string
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import (
     DuplicateDeclaration,
@@ -63,10 +65,6 @@ MAX_OPCODE = 4
 # limit per level of nesting.  The 960-term chain a + b + ... nests 959
 # deep.
 MAX_EXPR_DEPTH = 960
-
-_LETTERS = frozenset(string.ascii_letters)
-_DIGITS = frozenset(string.digits)
-_WORD = _LETTERS | _DIGITS | {"_"}
 
 DSL_KEYWORDS = frozenset({"ci", "input", "output", "signed", "unsigned", "opcode", "mod"})
 
@@ -143,12 +141,6 @@ class CiSpec:
     expr: ExprTree
     dfg: Dfg = field(compare=False, repr=False)   # derived from expr
 
-    def input_by_name(self, name: str) -> OperandDecl:
-        for decl in self.inputs:
-            if decl.name == name:
-                return decl
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class LeafNode:
@@ -204,100 +196,81 @@ class AnalysisResult:
     max_level: int
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'int', 'kw', symbol text, or 'eof'
-    text: str
-    line: int
-    col: int
+# One token per match: the white space and comments before it, then the
+# token itself, or "" at the end of the text.  A character that starts no
+# token is matched alone, and the lexer refuses it.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[^ \t\r\n#]|\Z)")
+# A keyword's or a symbol's kind is its text; other tokens go by their
+# first character.
+_KINDS = {"": "eof"} | {word: word for word in DSL_KEYWORDS} \
+    | {symbol: symbol for symbol in "(){}<>;:=+-*/%"}
+_FIRST_KINDS = dict.fromkeys(string.ascii_letters, "ident") \
+    | dict.fromkeys(string.digits, "int")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    symbols = "(){}<>;:=+-*/%"
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _LETTERS:
-            start = i
-            start_col = col
-            while i < n and text[i] in _WORD:
-                i += 1
-                col += 1
-            word = text[start:i]
-            kind = "kw" if word in DSL_KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, start_col))
-            continue
-        if ch in _DIGITS:
-            start = i
-            start_col = col
-            while i < n and text[i] in _DIGITS:
-                i += 1
-                col += 1
-            tokens.append(_Token("int", text[start:i], line, start_col))
-            continue
-        if ch in symbols:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the spec's tokens, as parallel lists that
+    end in one "eof" token with empty text."""
+    texts = _TOKEN_RE.findall(source)
+    if texts[-2:] == ["", ""]:   # white space or a comment ends the text
+        texts.pop()              # and the end matches once after it
+    kinds = [_KINDS.get(text) or _FIRST_KINDS.get(text[0]) for text in texts]
+    if None in kinds:
+        bad = kinds.index(None)
+        raise SpecSyntaxError(f"unexpected character {texts[bad]!r}",
+                              *_position(source, bad))
+    return kinds, texts
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """The line and the column, from 1, of the token at index.  The end of
+    input lies where a comment that runs to it begins."""
+    match = next(islice(_TOKEN_RE.finditer(source), index, None))
+    offset = match.start(1)
+    if offset == len(source):
+        comment = source.find("#", source.rfind("\n") + 1)
+        offset = comment if comment >= 0 else offset
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """A cursor over the spec's tokens.  Positions are counted from the
+    source only for a token that an error names."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts = _tokenize(source)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def where(self, index: int) -> tuple[int, int]:
+        return _position(self.source, index)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.kinds[self.pos]
+
+    def advance(self) -> int:
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise SpecSyntaxError(f"found {tok.text or 'end of input'!r}",
-                                  tok.line, tok.col, expected=what)
+    def expect(self, kind: str, what: str) -> int:
+        if self.peek() != kind:
+            raise self.found(self.pos, what)
         return self.advance()
 
-    def expect_kw(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            raise SpecSyntaxError(f"found {tok.text or 'end of input'!r}",
-                                  tok.line, tok.col, expected=f"'{word}'")
-        return self.advance()
+    def found(self, index: int, expected: str) -> SpecSyntaxError:
+        return SpecSyntaxError(f"found {self.texts[index] or 'end of input'!r}",
+                               *self.where(index), expected=expected)
 
 
-def _check_name(tok: _Token, reserved: frozenset[str] = VHDL_RESERVED,
+def _check_name(p: _Parser, index: int, reserved: frozenset[str] = VHDL_RESERVED,
                 prefixes: tuple[str, ...] = ()) -> str:
-    name = tok.text
+    name = p.texts[index]
     if "__" in name or name.endswith("_"):
         raise SpecSyntaxError(f"identifier {name!r} may not contain '__' or end in '_'",
-                              tok.line, tok.col)
+                              *p.where(index))
     if name.lower() in reserved or name.lower().startswith(prefixes):
-        raise SpecSyntaxError(f"identifier {name!r} is reserved", tok.line, tok.col)
+        raise SpecSyntaxError(f"identifier {name!r} is reserved", *p.where(index))
     return name
 
 
@@ -313,68 +286,65 @@ def _resolve_div_kind(symbol: str, signed: bool) -> OpKind:
 
 def parse_ci_spec(text: str) -> CiSpec:
     """Parse CI spec text into a CiSpec, raising on the first error."""
-    p = _Parser(_tokenize(text))
-    p.expect_kw("ci")
-    name_tok = p.expect("ident", "instruction name")
-    ci_name = _check_name(name_tok, CI_NAME_RESERVED, CI_NAME_PREFIXES)
+    p = _Parser(text)
+    p.expect("ci", "'ci'")
+    ci_name = _check_name(p, p.expect("ident", "instruction name"),
+                          CI_NAME_RESERVED, CI_NAME_PREFIXES)
     p.expect("(", "'('")
-    p.expect_kw("opcode")
+    p.expect("opcode", "'opcode'")
     p.expect("=", "'='")
-    opcode_tok = p.expect("int", "opcode value")
-    opcode = int(opcode_tok.text)
+    opcode_at = p.expect("int", "opcode value")
+    opcode = int(p.texts[opcode_at])
     if not MIN_OPCODE <= opcode <= MAX_OPCODE:
-        raise OpcodeOutOfRange(opcode, opcode_tok.line, opcode_tok.col)
+        raise OpcodeOutOfRange(opcode, *p.where(opcode_at))
     p.expect(")", "')'")
     p.expect("{", "'{'")
 
     inputs: list[OperandDecl] = []
     output: OperandDecl | None = None
     seen_lower: dict[str, str] = {}
-    while p.peek().kind == "kw" and p.peek().text in ("input", "output"):
-        role = p.advance().text
-        ident_tok = p.expect("ident", "operand name")
-        op_name = _check_name(ident_tok)
+    while p.peek() in ("input", "output"):
+        role = p.texts[p.advance()]
+        ident_at = p.expect("ident", "operand name")
+        op_name = _check_name(p, ident_at)
         if op_name.lower() in seen_lower or op_name.lower() == ci_name.lower():
-            raise DuplicateDeclaration(op_name, ident_tok.line, ident_tok.col)
+            raise DuplicateDeclaration(op_name, *p.where(ident_at))
         seen_lower[op_name.lower()] = op_name
         p.expect(":", "':'")
-        sign_tok = p.peek()
-        if sign_tok.kind != "kw" or sign_tok.text not in ("signed", "unsigned"):
-            raise SpecSyntaxError(f"found {sign_tok.text!r}", sign_tok.line,
-                                  sign_tok.col, expected="'signed' or 'unsigned'")
-        p.advance()
+        if p.peek() not in ("signed", "unsigned"):
+            raise SpecSyntaxError(f"found {p.texts[p.pos]!r}", *p.where(p.pos),
+                                  expected="'signed' or 'unsigned'")
+        sign = p.texts[p.advance()]
         p.expect("<", "'<'")
-        width_tok = p.expect("int", "bit width")
-        width = int(width_tok.text)
+        width_at = p.expect("int", "bit width")
+        width = int(p.texts[width_at])
         if not MIN_WIDTH <= width <= MAX_WIDTH:
-            raise WidthOutOfRange(width, width_tok.line, width_tok.col)
+            raise WidthOutOfRange(width, *p.where(width_at))
         p.expect(">", "'>'")
         p.expect(";", "';'")
-        decl = OperandDecl(op_name, sign_tok.text == "signed", width)
+        decl = OperandDecl(op_name, sign == "signed", width)
         if role == "input":
             inputs.append(decl)
         else:
             if output is not None:
                 raise SpecSyntaxError("only one output declaration is allowed",
-                                      ident_tok.line, ident_tok.col)
+                                      *p.where(ident_at))
             output = decl
 
     if output is None:
-        tok = p.peek()
-        raise SpecSyntaxError("missing output declaration", tok.line, tok.col,
+        raise SpecSyntaxError("missing output declaration", *p.where(p.pos),
                               expected="'output' declaration")
     if not inputs:
-        tok = p.peek()
-        raise SpecSyntaxError("missing input declaration", tok.line, tok.col,
+        raise SpecSyntaxError("missing input declaration", *p.where(p.pos),
                               expected="'input' declaration")
 
     decls = {d.name: d for d in inputs}
 
-    target_tok = p.expect("ident", "assignment target")
-    if target_tok.text != output.name:
-        raise SpecSyntaxError(f"assignment target {target_tok.text!r} is not the output",
-                              target_tok.line, target_tok.col,
-                              expected=f"'{output.name}'")
+    target_at = p.expect("ident", "assignment target")
+    if p.texts[target_at] != output.name:
+        raise SpecSyntaxError(
+            f"assignment target {p.texts[target_at]!r} is not the output",
+            *p.where(target_at), expected=f"'{output.name}'")
     p.expect("=", "'='")
     expr, dfg = _parse_expr(p, decls)
     p.expect(";", "';'")
@@ -383,13 +353,9 @@ def parse_ci_spec(text: str) -> CiSpec:
     return CiSpec(ci_name, opcode, tuple(inputs), output, expr, dfg)
 
 
-def _binary_precedence(tok: _Token) -> int | None:
-    """2 for a term operator, 1 for an expression operator, else None."""
-    if tok.kind in ("*", "/", "%") or (tok.kind == "kw" and tok.text == "mod"):
-        return 2
-    if tok.kind in ("+", "-"):
-        return 1
-    return None
+# A binary operator's precedence: 2 for a term operator, 1 for an
+# expression operator.
+_PRECEDENCE = {"*": 2, "/": 2, "%": 2, "mod": 2, "+": 1, "-": 1}
 
 
 def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
@@ -424,25 +390,27 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
     signed: dict[int, bool] = {}
     order: list[int] = []
     operands: list[tuple[ExprTree, int]] = []
-    pending: list[tuple[_Token, int] | None] = []
+    pending: list[tuple[int, int] | None] = []   # (token index, node id)
     open_parens = 0
+    kinds, texts = p.kinds, p.texts
 
     def reduce() -> None:
-        tok, node_id = pending.pop()
+        at, node_id = pending.pop()
         right, right_id = operands.pop()
         left, left_id = operands.pop()
         depth = 1 + max(level[left_id], level[right_id])
         if depth > MAX_EXPR_DEPTH:
             raise SpecSyntaxError(
                 f"expression nests operators deeper than {MAX_EXPR_DEPTH}",
-                tok.line, tok.col)
+                *p.where(at))
         is_signed = signed[left_id] or signed[right_id]
-        if tok.kind in ("+", "-"):
-            kind = OpKind.ADD if tok.kind == "+" else OpKind.SUB
-        elif tok.kind == "*":
+        symbol = kinds[at]
+        if symbol in ("+", "-"):
+            kind = OpKind.ADD if symbol == "+" else OpKind.SUB
+        elif symbol == "*":
             kind = OpKind.MUL
         else:
-            kind = _resolve_div_kind(tok.text, is_signed)
+            kind = _resolve_div_kind(symbol, is_signed)
         nodes[node_id] = OpNode(node_id, kind, left_id, right_id)
         level[node_id] = depth
         width[node_id] = op_result_width(kind, width[left_id], width[right_id])
@@ -451,35 +419,35 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
         operands.append((BinOp(kind, left, right), node_id))
 
     while True:
-        tok = p.advance()
-        if tok.kind == "(":
+        at = p.advance()
+        if kinds[at] == "(":
             pending.append(None)
             open_parens += 1
             continue
-        if tok.kind != "ident":
-            raise SpecSyntaxError(f"found {tok.text or 'end of input'!r}", tok.line,
-                                  tok.col, expected="operand or '('")
-        if tok.text not in decls:
-            raise UndeclaredIdentifier(tok.text, tok.line, tok.col)
-        if tok.text not in leaf_ids:
-            leaf_id = leaf_ids[tok.text] = len(nodes)
-            decl = decls[tok.text]
+        if kinds[at] != "ident":
+            raise p.found(at, "operand or '('")
+        name = texts[at]
+        if name not in decls:
+            raise UndeclaredIdentifier(name, *p.where(at))
+        if name not in leaf_ids:
+            leaf_id = leaf_ids[name] = len(nodes)
+            decl = decls[name]
             nodes.append(LeafNode(leaf_id, decl))
             level[leaf_id] = 0
             width[leaf_id] = decl.width
             signed[leaf_id] = decl.signed
-        operands.append((Leaf(tok.text), leaf_ids[tok.text]))
-        while open_parens and p.peek().kind == ")":
+        operands.append((Leaf(name), leaf_ids[name]))
+        while open_parens and p.peek() == ")":
             p.advance()
             while pending[-1] is not None:
                 reduce()
             pending.pop()
             open_parens -= 1
-        precedence = _binary_precedence(p.peek())
+        precedence = _PRECEDENCE.get(p.peek())
         if precedence is None:
             break
         while pending and pending[-1] is not None \
-                and _binary_precedence(pending[-1][0]) >= precedence:
+                and _PRECEDENCE[kinds[pending[-1][0]]] >= precedence:
             reduce()
         pending.append((p.advance(), len(nodes)))
         nodes.append(None)  # the operator's in-order slot

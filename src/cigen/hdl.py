@@ -137,7 +137,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
             return input_reg(node.decl.name)
         return node_reg(node_id)
 
-    signals = [ast.SignalDecl(input_reg(name), spec.input_by_name(name).width)
+    input_width = {decl.name: decl.width for decl in spec.inputs}
+    signals = [ast.SignalDecl(input_reg(name), input_width[name])
                for name in analysis.operand_sequence]
     registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
@@ -200,7 +201,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     def pair_loads(pair_index: int) -> tuple[ast.RegisterLoad, ...]:
         return tuple(
             ast.RegisterLoad(input_reg(name),
-                             _low_bits(port, 32, spec.input_by_name(name).width))
+                             _low_bits(port, 32, input_width[name]))
             for name, port in zip(mapped.loading.cycles[pair_index],
                                   ("dataa", "datab"))
             if name is not None)

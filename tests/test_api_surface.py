@@ -12,8 +12,8 @@ referenced by that base.
 
 The check goes by name alone, not by type: a field is taken as read when
 any attribute of that name is read anywhere.  It could not have seen that
-nothing read ``CTokens.line``, say, because the spec parser's tokens have
-a ``line`` that the parser reads.
+nothing read ``CTokens.line``, say, because the spec parser's tokens had
+a ``line`` that the parser read.
 """
 
 import ast

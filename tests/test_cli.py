@@ -187,6 +187,17 @@ class TestFailClosed:
         self._refused(capsys, ["build", spec_file, "-o", out,
                                "--vectors", count], out)
 
+    @pytest.mark.parametrize("count", [str(cli.MAX_VECTORS + 1),
+                                       "99999999999999999999999"])
+    def test_vector_count_above_the_ceiling(self, tmp_path, capsys,
+                                            monkeypatch, spec_file, count):
+        def draw(*args):
+            raise AssertionError("a vector was drawn")
+        monkeypatch.setattr(cli, "random_vectors", draw)
+        out = tmp_path / "out"
+        self._refused(capsys, ["build", spec_file, "-o", out,
+                               "--vectors", count], out)
+
     def test_non_numeric_power(self, tmp_path, capsys, spec_file):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"power_mw": "x"}))
@@ -291,6 +302,16 @@ class TestFailClosed:
         assert stderr.startswith("cigen: error:")
         assert len(stderr.strip().splitlines()) == 1
         assert out.read_text() == "keep"
+
+    def test_artifact_path_taken_by_a_directory_writes_nothing(
+            self, tmp_path, capsys, spec_file):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
+        assert code == 1
+        assert stderr.count("\n") == 1
+        assert "report.json: it is a directory" in stderr
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 def _swap_add_sub_operands(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -420,6 +441,12 @@ class TestSimulate:
         assert code == 1
         assert stderr.startswith("cigen: error:")
 
+
+    def test_repeated_input_exits_one(self, capsys, spec_file):
+        code, stdout, stderr = _run(capsys, "simulate", spec_file,
+                                    "--inputs", "a=1,b=2, a =3,c=4")
+        assert (code, stdout) == (1, "")
+        assert stderr == "cigen: error: input 'a' is given more than once\n"
 
     @pytest.mark.parametrize("text, inputs, message", [
         (DIV_TEXT, "a=7,b=0", "reached the result port on enabled cycle 1"),

@@ -1,5 +1,8 @@
 """Parser and dataflow-graph construction tests."""
 
+import string
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,14 @@ from cigen.errors import (
     WidthOutOfRange,
 )
 from cigen.frontend import (
+    DSL_KEYWORDS,
     MAX_EXPR_DEPTH,
     BinOp,
     Leaf,
     OpKind,
     OpNode,
+    _position,
+    _tokenize,
     analyze,
     parse_ci_spec,
 )
@@ -52,6 +58,96 @@ def _render(expr) -> str:
     if isinstance(expr, Leaf):
         return expr.name
     return f"({_render(expr.left)} {_SYMBOLS[expr.kind]} {_render(expr.right)})"
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'ident', 'int', 'kw', symbol text, or 'eof'
+    text: str
+    line: int
+    col: int
+
+
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_WORD = _LETTERS | _DIGITS | {"_"}
+
+
+def _reference_tokenize(text: str) -> list[_Token]:
+    """The spec lexer as it was written first, one character at a time,
+    with each token's line and column counted as it goes."""
+    tokens: list[_Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+    symbols = "(){}<>;:=+-*/%"
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in _LETTERS:
+            start = i
+            start_col = col
+            while i < n and text[i] in _WORD:
+                i += 1
+                col += 1
+            word = text[start:i]
+            kind = "kw" if word in DSL_KEYWORDS else "ident"
+            tokens.append(_Token(kind, word, line, start_col))
+            continue
+        if ch in _DIGITS:
+            start = i
+            start_col = col
+            while i < n and text[i] in _DIGITS:
+                i += 1
+                col += 1
+            tokens.append(_Token("int", text[start:i], line, start_col))
+            continue
+        if ch in symbols:
+            tokens.append(_Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+# The DSL's characters and words, and the white space and the characters
+# it refuses.
+_LEXER_PIECES = (list("aZx_09(){}<>;:=+-*/%") + sorted(DSL_KEYWORDS)
+                 + ["#", " ", "\t", "\r", "\n", "\f", "\u00e9"])
+
+
+class TestLexer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=40).map("".join))
+    def test_agrees_with_the_reference_lexer(self, text):
+        try:
+            reference = _reference_tokenize(text)
+        except SpecSyntaxError as exc:
+            with pytest.raises(SpecSyntaxError) as info:
+                _tokenize(text)
+            assert str(info.value) == str(exc)
+            return
+        kinds, texts = _tokenize(text)
+        # the lexer gives a keyword its own text as its kind
+        assert list(zip(kinds, texts)) == [
+            (t.text if t.kind == "kw" else t.kind, t.text) for t in reference]
+        assert [_position(text, k) for k in range(len(texts))] == \
+            [(t.line, t.col) for t in reference]
 
 
 class TestParse:
@@ -163,9 +259,31 @@ class TestParseErrors:
         assert (info.value.line, info.value.col) == (2, col)
 
     def test_error_carries_location(self):
-        with pytest.raises(SpecSyntaxError) as info:
-            parse_ci_spec("ci t(opcode=0) {\n  input a: signed<8>\n}")
-        assert info.value.line >= 2
+        rows = [
+            ("ci t(opcode=0) {\n  input a: signed<8>\n}",
+             "3:1: found '}' (expected ';')"),
+            # after a comment
+            ("ci t(opcode=0) { # open\n  input a: signed<8> }",
+             "2:22: found '}' (expected ';')"),
+            # after a tab: a tab is one column
+            ("ci t(opcode=0) {\n\tinput a:\tsigned<8>\t}",
+             "2:21: found '}' (expected ';')"),
+            # on a \r\n line: \r is one column, only \n ends a line
+            ("ci t(opcode=0) {\r\n  input a: signed<8>;\r\n"
+             "  output x: signed<8>; x = a $ a;\r\n}",
+             "3:30: unexpected character '$'"),
+            # at end of input, which lies where a trailing comment begins
+            ("ci t(opcode=0) {\n  input a: signed<8>;\n",
+             "3:1: missing output declaration (expected 'output' declaration)"),
+            ("ci t(opcode=0) {\n  input a: signed<8>; # no output",
+             "2:23: missing output declaration (expected 'output' declaration)"),
+        ]
+        for text, message in rows:
+            with pytest.raises(SpecSyntaxError) as info:
+                parse_ci_spec(text)
+            assert str(info.value) == message, text
+            line, col = message.split(":")[:2]
+            assert (info.value.line, info.value.col) == (int(line), int(col))
 
 
 class TestDepthLimit:
