@@ -46,9 +46,9 @@ import re
 import string
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
 from .frontend import CiSpec, OpKind
@@ -93,12 +93,12 @@ class TokKind(enum.Enum):
 _IDENT = TokKind.IDENT
 
 
-@dataclass(slots=True)
-class CTokens:
+class CTokens(NamedTuple):
     """The tokens of one C source, one list per field: token k is kind[k]
     with text[k] at offset start[k], and in_directive[k] is 2 when it is
     the '#' that opens a preprocessor directive, 1 when it lies on the rest
-    of one, else 0.  Token k ends at start[k] + len(text[k])."""
+    of one, else 0.  Token k ends at start[k] + len(text[k]).  Its len()
+    is the token count, not the field count."""
     kind: list[TokKind]
     text: list[str]
     start: list[int]
@@ -301,55 +301,54 @@ class _Matcher:
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
 
 
-def _ends_value(tokens: CTokens, k: int) -> bool:
-    return k >= 0 and (tokens.kind[k] in _VALUE_END_KINDS
-                       or tokens.text[k] in (")", "]", "++", "--"))
+def _ends_value(kind: list[TokKind], text: list[str], k: int) -> bool:
+    return k >= 0 and (kind[k] in _VALUE_END_KINDS
+                       or text[k] in (")", "]", "++", "--"))
 
 
-def _left_context_ok(tokens: CTokens, i: int, prec: int,
+def _left_context_ok(kind: list[TokKind], text: list[str], i: int, prec: int,
                      whole_paren: bool) -> bool:
     if i == 0:
         return True
     if whole_paren:
         # safe after anything except a callee or index expression
-        return not _ends_value(tokens, i - 1)
-    kind, text = tokens.kind[i - 1], tokens.text[i - 1]
-    if kind is TokKind.IDENT:
-        if text == "sizeof":
+        return not _ends_value(kind, text, i - 1)
+    left_kind, left = kind[i - 1], text[i - 1]
+    if left_kind is TokKind.IDENT:
+        if left == "sizeof":
             return False   # sizeof binds the leftmost leaf
-        if tokens.kind[i] is TokKind.PUNCT and tokens.text[i] == "(":
+        if kind[i] is TokKind.PUNCT and text[i] == "(":
             # ident '(' opens an argument list unless it is a keyword
-            return text in ("return", "else", "case")
+            return left in ("return", "else", "case")
         return True   # return, case, else and friends
-    if kind is not TokKind.PUNCT:
+    if left_kind is not TokKind.PUNCT:
         return False
-    if text in _SAFE_LEFT_PUNCTS:
+    if left in _SAFE_LEFT_PUNCTS:
         return True
-    if text in ("+", "-", "*", "&"):
-        if not _ends_value(tokens, i - 2):
+    if left in ("+", "-", "*", "&"):
+        if not _ends_value(kind, text, i - 2):
             return False   # unary use binds to our leftmost leaf
-        if text == "&":
+        if left == "&":
             return True    # binary & binds looser than any operator of ours
-        return _SYM_PREC[text] < prec
-    if text in ("/", "%"):
-        return _SYM_PREC[text] < prec
+        return _SYM_PREC[left] < prec
+    if left in ("/", "%"):
+        return _SYM_PREC[left] < prec
     return False   # ! ~ ++ -- . -> ) ] and anything exotic
 
 
-def _right_context_ok(tokens: CTokens, j: int, prec: int,
+def _right_context_ok(kind: list[TokKind], text: list[str], j: int, prec: int,
                       whole_paren: bool) -> bool:
-    if j >= len(tokens):
+    if j >= len(text):
         return True
-    if tokens.kind[j] in _VALUE_END_KINDS:
+    if kind[j] in _VALUE_END_KINDS:
         return False
-    text = tokens.text[j]
-    if not whole_paren and _SYM_PREC.get(text, 0) > prec:
+    right = text[j]
+    if not whole_paren and _SYM_PREC.get(right, 0) > prec:
         return False   # a tighter operator owns the rightmost leaf
-    return text not in ("(", "[", ".", "->", "++", "--")
+    return right not in ("(", "[", ".", "->", "++", "--")
 
 
-@dataclass(frozen=True)
-class PatchSite:
+class PatchSite(NamedTuple):
     """One byte span to replace: source[start:end]."""
     start: int
     end: int
@@ -367,7 +366,7 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
         leftmost = leftmost[1]
     # every accepted candidate equals the target, so shares its top operator
     prec = 3 if target[0] == "leaf" else _SYM_PREC[target[0]]
-    text = tokens.text
+    kind, text = tokens.kind, tokens.text
     directives_before = array("I", accumulate(tokens.in_directive, initial=0))
     matcher = _Matcher(tokens, target)
     raw: list[tuple[int, int]] = []
@@ -383,9 +382,9 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
             if directives_before[j] != directives_before[i]:
                 continue
             whole_paren = text[i] == "(" and j == spine[0][1]
-            if not _left_context_ok(tokens, i, prec, whole_paren):
+            if not _left_context_ok(kind, text, i, prec, whole_paren):
                 continue
-            if not _right_context_ok(tokens, j, prec, whole_paren):
+            if not _right_context_ok(kind, text, j, prec, whole_paren):
                 continue
             raw.append((tokens.start[i],
                         tokens.start[j - 1] + len(text[j - 1])))
@@ -455,8 +454,7 @@ def emit_header(spec: CiSpec, mapped: MappedDesign,
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PatchPlan:
+class PatchPlan(NamedTuple):
     """Everything a rewrite did: the spans replaced, the call text that
     replaced them, and the patched source."""
     sites: tuple[PatchSite, ...]

@@ -44,13 +44,17 @@ class DuplicateDeclaration(CigenError):
 
 
 class WidthOutOfRange(CigenError):
-    def __init__(self, width: int, line: int = 0, col: int = 0):
+    """A declared width outside 1..32, given by its decimal digits."""
+
+    def __init__(self, width: str, line: int = 0, col: int = 0):
         self.width = width
         super().__init__(f"{line}:{col}: width {width} out of range 1..32")
 
 
 class OpcodeOutOfRange(CigenError):
-    def __init__(self, opcode: int, line: int = 0, col: int = 0):
+    """An opcode outside 0..4, given by its decimal digits."""
+
+    def __init__(self, opcode: str, line: int = 0, col: int = 0):
         self.opcode = opcode
         super().__init__(f"{line}:{col}: opcode {opcode} out of range 0..4")
 

@@ -44,10 +44,11 @@ from __future__ import annotations
 import enum
 import re
 import string
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import (
+    CigenError,
     DuplicateDeclaration,
     OpcodeOutOfRange,
     SpecSyntaxError,
@@ -103,8 +104,7 @@ class OpKind(enum.Enum):
     REMU = enum.auto()
 
 
-@dataclass(frozen=True)
-class OperandDecl:
+class OperandDecl(NamedTuple):
     name: str
     signed: bool
     width: int
@@ -117,40 +117,35 @@ class OperandDecl:
         return 0, (1 << self.width) - 1
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     kind: OpKind
-    left: "ExprTree"
-    right: "ExprTree"
+    left: ExprTree
+    right: ExprTree
 
 
 ExprTree = Leaf | BinOp
 
 
-@dataclass(frozen=True)
-class CiSpec:
+class CiSpec(NamedTuple):
     name: str
     opcode: int
     inputs: tuple[OperandDecl, ...]
     output: OperandDecl
     expr: ExprTree
-    dfg: Dfg = field(compare=False, repr=False)   # derived from expr
+    dfg: Dfg   # derived from expr
 
 
-@dataclass(frozen=True)
-class LeafNode:
+class LeafNode(NamedTuple):
     """DFG leaf: one per distinct operand used in the expression."""
     id: int
     decl: OperandDecl
 
 
-@dataclass(frozen=True)
-class OpNode:
+class OpNode(NamedTuple):
     id: int
     kind: OpKind
     left: int
@@ -160,8 +155,7 @@ class OpNode:
 DfgNode = LeafNode | OpNode
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(NamedTuple):
     """Dataflow graph with per-node level, width and signedness annotations.
 
     Node ids follow source position: a leaf takes the next id where its
@@ -183,8 +177,7 @@ class Dfg:
         return tuple(n for n in self.nodes if isinstance(n, LeafNode))
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Level-priority schedule extracted from a DFG.
 
     operand_sequence lists used inputs by first appearance left to right.
@@ -284,6 +277,17 @@ def _resolve_div_kind(symbol: str, signed: bool) -> OpKind:
     raise AssertionError(symbol)
 
 
+def _in_range(p: _Parser, index: int, low: int, high: int,
+              error: type[CigenError]) -> int:
+    """The value of the int token at index; error, naming its digits, when
+    it lies outside low..high.  The digits are counted before int() reads
+    them, as int() refuses more than 4300."""
+    digits = p.texts[index].lstrip("0") or "0"
+    if len(digits) > len(str(high)) or not low <= int(digits) <= high:
+        raise error(digits, *p.where(index))
+    return int(digits)
+
+
 def parse_ci_spec(text: str) -> CiSpec:
     """Parse CI spec text into a CiSpec, raising on the first error."""
     p = _Parser(text)
@@ -293,10 +297,8 @@ def parse_ci_spec(text: str) -> CiSpec:
     p.expect("(", "'('")
     p.expect("opcode", "'opcode'")
     p.expect("=", "'='")
-    opcode_at = p.expect("int", "opcode value")
-    opcode = int(p.texts[opcode_at])
-    if not MIN_OPCODE <= opcode <= MAX_OPCODE:
-        raise OpcodeOutOfRange(opcode, *p.where(opcode_at))
+    opcode = _in_range(p, p.expect("int", "opcode value"),
+                       MIN_OPCODE, MAX_OPCODE, OpcodeOutOfRange)
     p.expect(")", "')'")
     p.expect("{", "'{'")
 
@@ -312,14 +314,11 @@ def parse_ci_spec(text: str) -> CiSpec:
         seen_lower[op_name.lower()] = op_name
         p.expect(":", "':'")
         if p.peek() not in ("signed", "unsigned"):
-            raise SpecSyntaxError(f"found {p.texts[p.pos]!r}", *p.where(p.pos),
-                                  expected="'signed' or 'unsigned'")
+            raise p.found(p.pos, "'signed' or 'unsigned'")
         sign = p.texts[p.advance()]
         p.expect("<", "'<'")
-        width_at = p.expect("int", "bit width")
-        width = int(p.texts[width_at])
-        if not MIN_WIDTH <= width <= MAX_WIDTH:
-            raise WidthOutOfRange(width, *p.where(width_at))
+        width = _in_range(p, p.expect("int", "bit width"),
+                          MIN_WIDTH, MAX_WIDTH, WidthOutOfRange)
         p.expect(">", "'>'")
         p.expect(";", "';'")
         decl = OperandDecl(op_name, sign == "signed", width)

@@ -9,15 +9,14 @@ corners without giving up uniform coverage.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frontend import CiSpec, parse_ci_spec
 
 _WIDTH_POOL = (1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24, 31, 32, 32)
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(NamedTuple):
     max_inputs: int = 5
     max_depth: int = 3
     widths: tuple[int, ...] = _WIDTH_POOL

@@ -31,10 +31,9 @@ endings, two-space indents).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .frontend import CiSpec, LeafNode, OperandDecl, OpNode
@@ -68,8 +67,7 @@ ENTITY_PORTS: tuple[ast.Port, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structural rule broken by a design, naming the offender."""
     rule: str
     name: str
@@ -292,14 +290,13 @@ def _generic_value(value: int | enum.Enum) -> str:
 
 def emit_instance(inst: ast.Instance, indent: str = "  ") -> str:
     """Render an instantiation; the generic map pairs the component's
-    generics with the generics dataclass fields, in order."""
+    generics with the fields of the generics record, in order."""
     decl = COMPONENT_DECLS[inst.kind]
-    values = [getattr(inst.generics, f.name) for f in dataclasses.fields(inst.generics)]
     inner = indent + "    "
     return "\n".join([
         f"{indent}{inst.label} : {decl.name}", f"{indent}  generic map (",
         *_listed([f"{g.name} => {_generic_value(v)}"
-                  for g, v in zip(decl.generics, values)], ",", inner),
+                  for g, v in zip(decl.generics, inst.generics)], ",", inner),
         f"{indent}  )", f"{indent}  port map (",
         *_listed([f"{name} => {value}" for name, value in inst.port_map], ",", inner),
         f"{indent}  );"])

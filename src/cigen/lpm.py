@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .errors import NotWidening, WidthMismatch
@@ -47,21 +47,25 @@ class Extension(enum.Enum):
     SIGN = "SIGN"
 
 
-@dataclass(frozen=True, slots=True)
-class BitVec:
+class _BitVecFields(NamedTuple):
+    width: int
+    bits: int
+
+
+class BitVec(_BitVecFields):
     """A two's-complement bit pattern of a fixed width.
 
     bits always holds the masked pattern; interpretation as a signed or
     unsigned value is up to the consumer.
     """
-    width: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.width <= MAX_INTERNAL_WIDTH:
-            raise WidthMismatch(f"BitVec width {self.width} outside 1..{MAX_INTERNAL_WIDTH}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise WidthMismatch(f"pattern {self.bits:#x} does not fit {self.width} bits")
+    def __new__(cls, width: int, bits: int):
+        if not 1 <= width <= MAX_INTERNAL_WIDTH:
+            raise WidthMismatch(f"BitVec width {width} outside 1..{MAX_INTERNAL_WIDTH}")
+        if not 0 <= bits < (1 << width):
+            raise WidthMismatch(f"pattern {bits:#x} does not fit {width} bits")
+        return super().__new__(cls, width, bits)
 
     @property
     def unsigned(self) -> int:
@@ -74,30 +78,26 @@ class BitVec:
         return self.bits
 
 
-@dataclass(frozen=True)
-class AddSubGenerics:
+class AddSubGenerics(NamedTuple):
     width: int
     direction: Direction
 
 
-@dataclass(frozen=True)
-class MultGenerics:
+class MultGenerics(NamedTuple):
     width_a: int
     width_b: int
     width_p: int
     representation: Representation
 
 
-@dataclass(frozen=True)
-class DivideGenerics:
+class DivideGenerics(NamedTuple):
     width_n: int
     width_d: int
     n_representation: Representation
     d_representation: Representation
 
 
-@dataclass(frozen=True)
-class ConcatExtendGenerics:
+class ConcatExtendGenerics(NamedTuple):
     from_width: int
     to_width: int
     extension: Extension

@@ -20,7 +20,7 @@ an unsigned modulus needs none because the remainder is already the modulus.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frontend import (
     AnalysisResult,
@@ -65,8 +65,7 @@ class DivOutput(enum.Enum):
     REMAINDER = "remainder"
 
 
-@dataclass(frozen=True)
-class AdapterPlan:
+class AdapterPlan(NamedTuple):
     """Widen one input of one op node before it reaches the component.
     The lowering refuses one that does not widen (``lpm.port_widths``)."""
     node: int
@@ -76,8 +75,7 @@ class AdapterPlan:
     extension: Extension
 
 
-@dataclass(frozen=True)
-class InstancePlan:
+class InstancePlan(NamedTuple):
     """One component instance for one op node.
 
     div_output says which divider output feeds the consumer; mod_correct
@@ -90,15 +88,13 @@ class InstancePlan:
     mod_correct: bool = False
 
 
-@dataclass(frozen=True)
-class LoadingPlan:
+class LoadingPlan(NamedTuple):
     """Operand delivery order: two operands per enabled cycle over
     (dataa, datab); an odd count leaves the final datab slot unused."""
     cycles: tuple[tuple[str, str | None], ...]
 
 
-@dataclass(frozen=True)
-class MappedDesign:
+class MappedDesign(NamedTuple):
     """A DFG mapped onto components: one instance per op node, in
     ``analysis.operation_sequence`` order, and the adapters its inputs need."""
     dfg: Dfg

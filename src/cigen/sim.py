@@ -38,10 +38,8 @@ every edge advances k, so any finite stimulus completes.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
@@ -96,10 +94,10 @@ def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Colu
     range-checked once.  When a vector is missing an input, names an unknown
     one or holds an out-of-range value, raises what validate_inputs raises
     for the first such vector."""
+    names = [decl.name for decl in spec.inputs]
     try:
-        if all(len(vec) == len(spec.inputs) for vec in vectors):
-            columns = {decl.name: [vec[decl.name] for vec in vectors]
-                       for decl in spec.inputs}
+        if all(len(vec) == len(names) for vec in vectors):
+            columns = {name: [vec[name] for vec in vectors] for name in names}
             bounds = (decl.bounds for decl in spec.inputs)
             if all(lo <= min(column, default=lo) and max(column, default=hi) <= hi
                    for (lo, hi), column in zip(bounds, columns.values())):
@@ -188,7 +186,7 @@ def eval_reference(spec: CiSpec, inputs: dict[str, int],
     that meets one.  ``dfg`` defaults to ``spec.dfg``.
     """
     if dfg is not None:
-        spec = dataclasses.replace(spec, dfg=dfg)
+        spec = spec._replace(dfg=dfg)
     reference = reference_columns(spec, input_columns(spec, [inputs]), 1)
     node = reference.zero_divisor[0]
     if node is not None:
@@ -196,24 +194,27 @@ def eval_reference(spec: CiSpec, inputs: dict[str, int],
     return BitVec(32, reference.result[0])
 
 
-@dataclass(frozen=True)
-class Stimulus:
+class _StimulusFields(NamedTuple):
+    clk_en_low: frozenset[int]
+    reset_cycles: frozenset[int]
+    start_cycle: int
+
+
+class Stimulus(_StimulusFields):
     """Clock-level disturbances applied around the normal driver sequence.
 
     All cycle numbers are absolute (counting every clock edge from 0, enabled
-    or not).
+    or not).  Cycle sets of any iterable type are stored as frozensets.
     """
-    clk_en_low: frozenset[int] = frozenset()
-    reset_cycles: frozenset[int] = frozenset()
-    start_cycle: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("clk_en_low", "reset_cycles"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
+    def __new__(cls, clk_en_low=frozenset(), reset_cycles=frozenset(),
+                start_cycle: int = 0):
+        return super().__new__(cls, frozenset(clk_en_low),
+                               frozenset(reset_cycles), start_cycle)
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     """Outcome of one simulated invocation.
 
     done_cycle counts every clock edge; done_cycle_enabled counts only
@@ -223,7 +224,7 @@ class SimResult:
     result: BitVec
     done_cycle: int
     done_cycle_enabled: int
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
 
 
 # Computes one driver's wires from the signal values, adding the vectors
@@ -498,7 +499,7 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
         mapped = map_design(spec)
     validate_inputs(spec, inputs)
     design = IndexedDesign(build_design(spec, mapped))
-    stim = stimulus or Stimulus()
+    clk_en_low, reset_cycles, start_cycle = stimulus or Stimulus()
     execution = design.execute(operand_columns(mapped, [inputs]), 1, set())
 
     def port(values: dict[str, Column]) -> int | None:
@@ -512,7 +513,7 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
     observed: SimResult | None = None
     k = 0
     # before start_cycle the unit is idle whatever the stimulus
-    for cycle in itertools.count(0 if record else stim.start_cycle):
+    for cycle in itertools.count(0 if record else start_cycle):
         if k == len(states):
             cnt, done, values, fault = next(execution)
             if fault is not None:
@@ -529,9 +530,9 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
                          "regs": regs, "done": int(done), "result": port(values)}
             states.append((done, values, shown))
         done, values, shown = states[k]
-        reset = cycle in stim.reset_cycles
-        clk_en = cycle not in stim.clk_en_low
-        start = k == 0 and not reset and cycle >= stim.start_cycle
+        reset = cycle in reset_cycles
+        clk_en = cycle not in clk_en_low
+        start = k == 0 and not reset and cycle >= start_cycle
         if record:
             rows.append({"cycle": cycle, "clk_en": int(clk_en),
                          "start": int(start), **shown})
@@ -573,10 +574,10 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
     results, faults, done = indexed.run(operand_columns(mapped, vectors),
                                         len(vectors))
     expected_done = done_cycle_enabled(mapped)
+    zero_divisor, expected = reference.zero_divisor, reference.result
     mismatches = []
     for index, vec in enumerate(vectors):
-        want = None if reference.zero_divisor[index] is not None \
-            else reference.result[index]
+        want = None if zero_divisor[index] is not None else expected[index]
         got = None if index in faults else results[index]
         if want is not None and got is not None:
             if want != got:

@@ -1,4 +1,4 @@
-"""Plain dataclasses describing the structure of a generated VHDL design.
+"""``NamedTuple`` records describing the structure of a generated VHDL design.
 
 The emitter renders these to text, holding all VHDL spelling.  Two checks
 read them directly, so neither parses emitted VHDL back in:
@@ -8,56 +8,48 @@ read them directly, so neither parses emitted VHDL back in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .lpm import ComponentKind, LpmGenerics
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     """Entity port.  width == 1 renders as std_logic, wider as a vector."""
     name: str
     direction: str  # 'in' or 'out'
     width: int
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     name: str
     ports: tuple[Port, ...]
 
 
-@dataclass(frozen=True)
-class GenericDecl:
+class GenericDecl(NamedTuple):
     name: str
     vhdl_type: str  # 'natural' or 'string'
 
 
-@dataclass(frozen=True)
-class PortDecl:
+class PortDecl(NamedTuple):
     """Component port with its type spelled out (ranges may use generics)."""
     name: str
     direction: str
     type_text: str
 
 
-@dataclass(frozen=True)
-class ComponentDecl:
+class ComponentDecl(NamedTuple):
     name: str
     generics: tuple[GenericDecl, ...]
     ports: tuple[PortDecl, ...]
 
 
-@dataclass(frozen=True)
-class SignalDecl:
+class SignalDecl(NamedTuple):
     name: str
     width: int
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """Component instantiation.  Port map values must be signal or port names."""
     label: str
     kind: ComponentKind
@@ -65,29 +57,25 @@ class Instance:
     port_map: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     """The value of a signal or port."""
     name: str
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     """The low width bits of a signal or port."""
     name: str
     width: int
 
 
-@dataclass(frozen=True)
-class Resize:
+class Resize(NamedTuple):
     """operand read as signed or unsigned, extended or cut to width."""
     operand: Expr
     signed: bool
     width: int
 
 
-@dataclass(frozen=True)
-class ModCorrect:
+class ModCorrect(NamedTuple):
     """A dividend-sign remainder turned into a divisor-sign modulus: the
     remainder plus the divisor when it is non-zero and the top bits of the
     two differ, else the remainder.  Both signals share one width."""
@@ -98,20 +86,17 @@ class ModCorrect:
 Expr = Ref | Slice | Resize | ModCorrect
 
 
-@dataclass(frozen=True)
-class ConcurrentAssign:
+class ConcurrentAssign(NamedTuple):
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class RegisterLoad:
+class RegisterLoad(NamedTuple):
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class ControlStep:
+class ControlStep(NamedTuple):
     """One branch of the clocked control chain, guarded by a counter value.
 
     index 0 is additionally guarded by start.  set_done drives the done
@@ -123,8 +108,7 @@ class ControlStep:
     next_index: int
 
 
-@dataclass(frozen=True)
-class ControlProcess:
+class ControlProcess(NamedTuple):
     """The clocked process.  Reset clears the counter, done and registers."""
     label: str
     counter: str
@@ -133,8 +117,7 @@ class ControlProcess:
     registers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(NamedTuple):
     name: str
     of_entity: str
     components: tuple[ComponentDecl, ...]
@@ -144,8 +127,7 @@ class Architecture:
     process: ControlProcess
 
 
-@dataclass(frozen=True)
-class HdlDesign:
+class HdlDesign(NamedTuple):
     """A complete design: one entity plus, when extension adapters exist,
     a trailing support entity providing the concat/extend component."""
     header_comment: tuple[str, ...]

@@ -3,7 +3,6 @@ mixed-signedness divide/modulus spec; helpers that run one component on
 single bit patterns; the wiring faults of the worked example's design; and
 the JSON schema of report.json."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -127,13 +126,12 @@ def golden_dir():
 
 def with_arch(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
     """design with the given architecture fields replaced."""
-    return dataclasses.replace(design, architecture=dataclasses.replace(
-        design.architecture, **changes))
+    return design._replace(architecture=design.architecture._replace(**changes))
 
 
 def _with_process(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
-    return with_arch(design, process=dataclasses.replace(
-        design.architecture.process, **changes))
+    return with_arch(design,
+                     process=design.architecture.process._replace(**changes))
 
 
 # --- wiring faults of the worked example's design (u_mul_0 drives w_1_p,
@@ -141,20 +139,20 @@ def _with_process(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
 
 def _unbound_result(design: ast.HdlDesign) -> ast.HdlDesign:
     mul, add = design.architecture.instances
-    add = dataclasses.replace(add, port_map=tuple(
+    add = add._replace(port_map=tuple(
         (port, wire) for port, wire in add.port_map if port != "result"))
     return with_arch(design, instances=(mul, add))
 
 
 def _unknown_port(design: ast.HdlDesign) -> ast.HdlDesign:
     mul, add = design.architecture.instances
-    add = dataclasses.replace(add, port_map=add.port_map + (("carry", "r_a"),))
+    add = add._replace(port_map=add.port_map + (("carry", "r_a"),))
     return with_arch(design, instances=(mul, add))
 
 
 def _undeclared_bound_wire(design: ast.HdlDesign) -> ast.HdlDesign:
     mul, add = design.architecture.instances
-    mul = dataclasses.replace(mul, port_map=tuple(
+    mul = mul._replace(port_map=tuple(
         (port, "w_ghost" if port == "result" else wire)
         for port, wire in mul.port_map))
     return with_arch(design, instances=(mul, add))
@@ -173,7 +171,7 @@ def _undeclared_assign_target(design: ast.HdlDesign) -> ast.HdlDesign:
 
 def _undeclared_load_target(design: ast.HdlDesign) -> ast.HdlDesign:
     first, step, *rest = design.architecture.process.steps
-    step = dataclasses.replace(step, loads=step.loads + (
+    step = step._replace(loads=step.loads + (
         ast.RegisterLoad("s_ghost", ast.Ref("r_a")),))
     return _with_process(design, steps=(first, step, *rest))
 

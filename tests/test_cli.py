@@ -1,6 +1,5 @@
 """End-to-end command line behavior."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -103,7 +102,7 @@ class TestBuild:
         # a CI name the parser refuses, handed to the gate behind it
         parse = cli.parse_ci_spec
         monkeypatch.setattr(cli, "parse_ci_spec", lambda text:
-                            dataclasses.replace(parse(text), name="s_1"))
+                            parse(text)._replace(name="s_1"))
         out = tmp_path / "out"
         code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
         assert code == 2
@@ -173,6 +172,7 @@ class TestFailClosed:
         assert stderr.startswith("cigen: error:")
         assert len(stderr.strip().splitlines()) == 1
         assert not out.exists()
+        return stderr
 
     def test_invalid_cost_writes_nothing(self, tmp_path, capsys, spec_file):
         config = tmp_path / "cfg.json"
@@ -197,6 +197,19 @@ class TestFailClosed:
         out = tmp_path / "out"
         self._refused(capsys, ["build", spec_file, "-o", out,
                                "--vectors", count], out)
+
+    @pytest.mark.parametrize("field", ["width", "opcode"])
+    def test_spec_integer_past_the_conversion_limit(self, tmp_path, capsys,
+                                                    field):
+        digits = "9" * 5000
+        old, new, where = {"width": ("signed<32>", f"signed<{digits}>", "2:19"),
+                           "opcode": ("opcode=0", f"opcode={digits}", "1:13")}[field]
+        spec = tmp_path / "huge.ci"
+        spec.write_text(MAC_TEXT.replace(old, new, 1))
+        out = tmp_path / "out"
+        stderr = self._refused(capsys, ["build", spec, "-o", out], out)
+        assert stderr.startswith(f"cigen: error: {where}: {field} {digits} "
+                                 "out of range ")
 
     def test_non_numeric_power(self, tmp_path, capsys, spec_file):
         config = tmp_path / "cfg.json"
@@ -320,11 +333,11 @@ def _swap_add_sub_operands(design: ast.HdlDesign) -> ast.HdlDesign:
             return inst
         ports = dict(inst.port_map)
         ports["dataa"], ports["datab"] = ports["datab"], ports["dataa"]
-        return dataclasses.replace(
-            inst, port_map=tuple((name, ports[name]) for name, _ in inst.port_map))
+        return inst._replace(
+            port_map=tuple((name, ports[name]) for name, _ in inst.port_map))
     arch = design.architecture
-    return dataclasses.replace(design, architecture=dataclasses.replace(
-        arch, instances=tuple(swap(i) for i in arch.instances)))
+    return design._replace(architecture=arch._replace(
+        instances=tuple(swap(i) for i in arch.instances)))
 
 
 def _drop_first_stage_load(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -334,24 +347,22 @@ def _drop_first_stage_load(design: ast.HdlDesign) -> ast.HdlDesign:
     step = proc.steps[index]
     dropped = next(load for load in step.loads if load.target.startswith("s_"))
     steps = list(proc.steps)
-    steps[index] = dataclasses.replace(
-        step, loads=tuple(load for load in step.loads if load is not dropped))
-    return dataclasses.replace(design, architecture=dataclasses.replace(
-        design.architecture,
-        process=dataclasses.replace(proc, steps=tuple(steps))))
+    steps[index] = step._replace(
+        loads=tuple(load for load in step.loads if load is not dropped))
+    return design._replace(architecture=design.architecture._replace(
+        process=proc._replace(steps=tuple(steps))))
 
 
 def _narrow_first_slice(design: ast.HdlDesign) -> ast.HdlDesign:
     proc = design.architecture.process
     first, *rest = proc.steps
     load = next(load for load in first.loads if isinstance(load.expr, ast.Slice))
-    narrow = dataclasses.replace(load, expr=ast.Slice(load.expr.name,
-                                                      load.expr.width - 1))
-    first = dataclasses.replace(first, loads=tuple(
+    narrow = load._replace(expr=ast.Slice(load.expr.name,
+                                          load.expr.width - 1))
+    first = first._replace(loads=tuple(
         narrow if other is load else other for other in first.loads))
-    return dataclasses.replace(design, architecture=dataclasses.replace(
-        design.architecture,
-        process=dataclasses.replace(proc, steps=(first, *rest))))
+    return design._replace(architecture=design.architecture._replace(
+        process=proc._replace(steps=(first, *rest))))
 
 
 class TestBuildChecksTheWrittenDesign:

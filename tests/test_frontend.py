@@ -258,6 +258,26 @@ class TestParseErrors:
             parse_ci_spec(_spec(f"{decl} output x: signed<8>; x = a;"))
         assert (info.value.line, info.value.col) == (2, col)
 
+    @pytest.mark.parametrize("text,exc,where", [
+        (_spec(f"input a: signed<{'9' * 5000}>; output x: signed<8>; x = a;"),
+         WidthOutOfRange, (2, 17)),
+        (f"ci t(opcode={'9' * 5000}) {{ input a: signed<8>;"
+         " output x: signed<8>; x = a; }", OpcodeOutOfRange, (1, 13)),
+        (_spec(f"input a: signed<1{'0' * 5000}>; output x: signed<8>; x = a;"),
+         WidthOutOfRange, (2, 17)),
+    ], ids=["width", "opcode", "width-1e5000"])
+    def test_integer_too_long_to_convert(self, text, exc, where):
+        # int() refuses a digit string longer than 4300 digits
+        with pytest.raises(exc, match=" out of range ") as info:
+            parse_ci_spec(text)
+        assert str(info.value).startswith("%d:%d: " % where)
+
+    def test_leading_zeros_add_no_digits(self):
+        spec = parse_ci_spec(
+            f"ci t(opcode={'0' * 5000}4) {{ input a: signed<{'0' * 5000}8>;"
+            " output x: signed<8>; x = a; }")
+        assert (spec.opcode, spec.inputs[0].width) == (4, 8)
+
     def test_error_carries_location(self):
         rows = [
             ("ci t(opcode=0) {\n  input a: signed<8>\n}",
@@ -277,6 +297,8 @@ class TestParseErrors:
              "3:1: missing output declaration (expected 'output' declaration)"),
             ("ci t(opcode=0) {\n  input a: signed<8>; # no output",
              "2:23: missing output declaration (expected 'output' declaration)"),
+            ("ci t(opcode=0) { input a:",
+             "1:26: found 'end of input' (expected 'signed' or 'unsigned')"),
         ]
         for text, message in rows:
             with pytest.raises(SpecSyntaxError) as info:

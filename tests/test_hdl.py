@@ -1,7 +1,6 @@
 """VHDL design construction, emission and the naming rules of
 validate_structure."""
 
-import dataclasses
 import random
 
 import pytest
@@ -35,8 +34,7 @@ def _rules(design: ast.HdlDesign) -> set[str]:
 
 
 def _replace_arch(design: ast.HdlDesign, **kwargs) -> ast.HdlDesign:
-    return dataclasses.replace(
-        design, architecture=dataclasses.replace(design.architecture, **kwargs))
+    return design._replace(architecture=design.architecture._replace(**kwargs))
 
 
 class TestGolden:
@@ -163,9 +161,8 @@ class TestValidatorNegatives:
         assert validate_structure(design) == []
 
     def test_missing_entity_port(self, design):
-        broken = dataclasses.replace(
-            design, entity=dataclasses.replace(
-                design.entity, ports=design.entity.ports[:-1]))
+        broken = design._replace(
+            entity=design.entity._replace(ports=design.entity.ports[:-1]))
         assert "entity-ports" in _rules(broken)
 
     def test_duplicate_signal(self, design):
@@ -189,7 +186,7 @@ class TestValidatorNegatives:
 
     def test_dangling_port(self, design):
         inst = design.architecture.instances[0]
-        broken_inst = dataclasses.replace(inst, port_map=inst.port_map[:-1])
+        broken_inst = inst._replace(port_map=inst.port_map[:-1])
         broken = _replace_arch(
             design, instances=(broken_inst,) + design.architecture.instances[1:])
         with pytest.raises(InternalCheckError,
@@ -198,8 +195,7 @@ class TestValidatorNegatives:
 
     def test_unknown_port(self, design):
         inst = design.architecture.instances[0]
-        broken_inst = dataclasses.replace(
-            inst, port_map=inst.port_map + (("carry", "r_a"),))
+        broken_inst = inst._replace(port_map=inst.port_map + (("carry", "r_a"),))
         broken = _replace_arch(
             design, instances=(broken_inst,) + design.architecture.instances[1:])
         with pytest.raises(InternalCheckError, match="u_mul_0 binds port carry, "
@@ -208,7 +204,7 @@ class TestValidatorNegatives:
 
     def test_undeclared_component(self, design):
         inst = design.architecture.instances[0]
-        patched = dataclasses.replace(inst, kind=ComponentKind.DIVIDE)
+        patched = inst._replace(kind=ComponentKind.DIVIDE)
         broken = _replace_arch(
             design, instances=(patched,) + design.architecture.instances[1:])
         assert "undeclared-component" in _rules(broken)

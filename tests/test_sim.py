@@ -1,6 +1,5 @@
 """Reference evaluator and cycle-accurate netlist simulation."""
 
-import dataclasses
 import json
 import random
 
@@ -310,10 +309,9 @@ class TestEquivalence:
     def test_corrupted_direction_is_caught(self, mac_spec, mac_mapped):
         add = next(i for i in mac_mapped.instances
                    if isinstance(i.generics, AddSubGenerics))
-        flipped = dataclasses.replace(
-            add, generics=AddSubGenerics(add.generics.width, Direction.SUB))
-        corrupted = dataclasses.replace(
-            mac_mapped,
+        flipped = add._replace(
+            generics=AddSubGenerics(add.generics.width, Direction.SUB))
+        corrupted = mac_mapped._replace(
             instances=tuple(flipped if i is add else i
                             for i in mac_mapped.instances))
         vectors = [dict(MAC_INPUTS), {"a": 1, "b": 1, "c": 1}]
@@ -347,8 +345,7 @@ class TestExecutesTheDesign:
     def test_component_contract_breach(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
         mul, add = design.architecture.instances
-        narrow = dataclasses.replace(
-            add, generics=AddSubGenerics(16, Direction.ADD))
+        narrow = add._replace(generics=AddSubGenerics(16, Direction.ADD))
         design = with_arch(design, instances=(mul, narrow))
         with pytest.raises(InternalCheckError):
             check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
@@ -356,22 +353,21 @@ class TestExecutesTheDesign:
 
 def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
     process = design.architecture.process
-    return with_arch(design, process=dataclasses.replace(
-        process, steps=process.steps[:2]))
+    return with_arch(design, process=process._replace(steps=process.steps[:2]))
 
 
 def _jump_after_done(design: ast.HdlDesign) -> ast.HdlDesign:
     # only the steps after done would reach the missing step
     process = design.architecture.process
     *steps, last = process.steps
-    return with_arch(design, process=dataclasses.replace(process, steps=(
-        *steps, dataclasses.replace(last, next_index=99))))
+    return with_arch(design, process=process._replace(steps=(
+        *steps, last._replace(next_index=99))))
 
 
 def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
     process = design.architecture.process
-    return with_arch(design, process=dataclasses.replace(process, steps=tuple(
-        dataclasses.replace(step, set_done=False) for step in process.steps)))
+    return with_arch(design, process=process._replace(steps=tuple(
+        step._replace(set_done=False) for step in process.steps)))
 
 
 def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -638,8 +634,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
 
         if observed is not None:
             if cycle >= observed.done_cycle + drain:
-                observed.rows = rows or []
-                return observed
+                return observed._replace(rows=rows or [])
         elif done and clk_en and not reset:
             faults = set()
             final = design.result(values, faults)[0]
@@ -647,10 +642,9 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                 raise DivideByZero("zero divisor reached the result port",
                                    cycle=enabled_count)
             observed = SimResult(BitVec(design.widths["result"], final), cycle,
-                                 enabled_count)
+                                 enabled_count, [])
             if drain == 0:
-                observed.rows = rows or []
-                return observed
+                return observed._replace(rows=rows or [])
 
         # clock edge
         if reset:
@@ -686,6 +680,5 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
         enabled_count += 1
 
     if observed is not None:
-        observed.rows = rows or []
-        return observed
+        return observed._replace(rows=rows or [])
     raise NeverDone(f"done never observed within {limit} cycles")
