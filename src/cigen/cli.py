@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import re
@@ -49,31 +50,46 @@ def _read_text(path: str | Path, what: str) -> str:
         raise CigenError(f"cannot read {what}: {exc}") from exc
 
 
-def _refuse_directories(paths) -> None:
-    """Refuse, before anything is written, a target that is a directory."""
+def _file_id(path) -> object:
+    """The file at path: its device and inode, or its absolute path if none."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return Path(path).absolute()
+    return info.st_dev, info.st_ino
+
+
+def _refuse_targets(paths, inputs) -> None:
+    """Refuse, before anything is written, a target that is a directory, an
+    input of the command (None for one not given) or another target."""
+    taken = {_file_id(path): "an input" for path in inputs if path}
     for path in paths:
         if path.is_dir():
             raise CigenError(f"cannot write {path}: it is a directory")
+        key = _file_id(path)
+        if key in taken:
+            raise CigenError(f"cannot write {path}: it is {taken[key]}")
+        taken[key] = "another output"
 
 
-def _write_all(files: dict[Path, str]) -> None:
+def _write_all(files: list[tuple[Path, str]], inputs) -> None:
     """Write every file, or none when a write fails.
 
-    A target that is a directory is refused first.  Each file is then
+    What _refuse_targets refuses is refused first.  Each file is then
     written to a temporary name in its target's directory, and the targets
     are replaced only once every file is written; a replaced file keeps its
     permission bits."""
-    _refuse_directories(files)
+    _refuse_targets([path for path, _ in files], inputs)
     temps: list[Path] = []
     try:
-        for path, content in files.items():
+        for path, content in files:
             path.parent.mkdir(parents=True, exist_ok=True)
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             temps.append(temp)
             temp.write_text(content)
             if path.exists():
                 shutil.copymode(path, temp)
-        for path, temp in zip(files, temps):
+        for (path, _), temp in zip(files, temps):
             os.replace(temp, path)
     finally:
         for temp in temps:
@@ -84,9 +100,20 @@ def _load_spec(path: str) -> CiSpec:
     return parse_ci_spec(_read_text(path, "spec"))
 
 
+def _non_negative(value, what: str) -> float:
+    """value as a float, refused unless it is a finite number >= 0."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise CigenError(f"{what} must be a number") from exc
+    if not 0 <= number < math.inf:
+        raise CigenError(f"{what} must be finite and non-negative, got {number}")
+    return number
+
+
 def _load_config(path: str | None) -> dict:
     """The header intrinsic and the estimate_metrics keywords of a config
-    file, every key checked before any other work is done."""
+    file, all checked before any other work; power and time finite, >= 0."""
     config = {}
     if path is not None:
         try:
@@ -106,10 +133,7 @@ def _load_config(path: str | None) -> dict:
         metrics["costs"] = cost_table(config["costs"])
     for key in ("power_mw", "time_ms"):
         if key in config:
-            try:
-                metrics[key] = float(config[key])
-            except (TypeError, ValueError) as exc:
-                raise CigenError(f"config {key} must be a number") from exc
+            metrics[key] = _non_negative(config[key], f"config {key}")
     return {"intrinsic": intrinsic, "metrics": metrics}
 
 
@@ -181,7 +205,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "report.json": json.dumps(report, indent=2) + "\n",
     }
     out = Path(args.out)
-    _refuse_directories(out / name for name in artifacts)
+    _refuse_targets([out / name for name in artifacts], (args.spec, args.config))
     out.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         (out / name).write_text(content)
@@ -201,6 +225,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                          ("--start-cycle", {stimulus.start_cycle})):
         if min(cycles, default=0) < 0:
             raise CigenError(f"{flag}: cycle {min(cycles)} is negative")
+    if args.trace is not None:
+        _refuse_targets([Path(args.trace)], (args.spec,))
     outcome = simulate_ci(spec, inputs, stimulus=stimulus,
                           record=args.trace is not None)
     if args.trace is not None:
@@ -227,12 +253,11 @@ def _cmd_patch(args: argparse.Namespace) -> int:
     plan = rewrite(source, spec, mapped)
     header_dir = Path(args.header_dir) if args.header_dir else source_path.parent
     header_path = header_dir / header_filename(spec)
-    if args.in_place:
-        out_path = source_path
-    else:
-        out_path = source_path.with_suffix(".ci.c")
-    _write_all({header_path: emit_header(spec, mapped, config["intrinsic"]),
-                out_path: plan.output})
+    out_path = source_path if args.in_place else source_path.with_suffix(".ci.c")
+    # with --in-place the source is the output
+    inputs = (args.spec, args.config, None if args.in_place else source_path)
+    _write_all([(header_path, emit_header(spec, mapped, config["intrinsic"])),
+                (out_path, plan.output)], inputs)
     print(f"patched {len(plan.sites)} call site(s) with {plan.replacement}")
     print(f"header: {header_path}")
     print(f"wrote {out_path}")
@@ -241,13 +266,12 @@ def _cmd_patch(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    kwargs = dict(config["metrics"])
+    for key, flag in (("power_mw", "--power"), ("time_ms", "--time")):
+        if getattr(args, key) is not None:
+            kwargs[key] = _non_negative(getattr(args, key), flag)
     spec = _load_spec(args.spec)
     mapped = map_design(spec)
-    kwargs = dict(config["metrics"])
-    if args.power_mw is not None:
-        kwargs["power_mw"] = args.power_mw
-    if args.time_ms is not None:
-        kwargs["time_ms"] = args.time_ms
     d = estimate_metrics(spec, mapped, **kwargs)
     if args.json:
         print(json.dumps(d, indent=2))

@@ -10,7 +10,7 @@ expression: an identifier equal to its leftmost leaf, or an opening
 parenthesis.  From there it parses the longest expression the
 instruction's grammar can produce (identifiers, parentheses, and the five
 binary operators with C precedence) and compares the parse tree, plus every
-prefix of its left spine, against the instruction's expression tree.  All
+prefix of its left spine, against the instruction's dataflow graph.  All
 candidates of one file share one memo, so each subexpression is parsed
 once, and a parse stops once its tree has more leaves than the target, so
 matching is linear in the number of tokens.  Candidates run from the last
@@ -51,7 +51,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
-from .frontend import CiSpec, OpKind
+from .frontend import CiSpec, Dfg, OpKind
 from .mapper import MappedDesign
 
 DEFAULT_INTRINSIC = "__builtin_custom_inii"
@@ -190,22 +190,9 @@ def lex_c(source: str) -> CTokens:
 
 # --- expression matching ----------------------------------------------------
 
-Tree = tuple  # ("leaf", name) | (symbol, left, right)
-
-
-def spec_match_tree(spec: CiSpec) -> Tree | None:
-    """The spec expression as an operator-symbol tree, or None when it uses
-    an operator C cannot spell."""
-    dfg = spec.dfg
-    trees: dict[int, Tree] = {leaf.id: ("leaf", leaf.decl.name)
-                              for leaf in dfg.leaf_nodes()}
-    for node_id in dfg.order:
-        node = dfg.nodes[node_id]
-        symbol = _OP_SYMBOL[node.kind]
-        if symbol is None:
-            return None
-        trees[node_id] = (symbol, trees[node.left], trees[node.right])
-    return trees[dfg.root]
+def _spelled_in_c(dfg: Dfg) -> bool:
+    """Whether C has an operator for every operation of dfg."""
+    return all(_OP_SYMBOL[dfg.nodes[node_id].kind] for node_id in dfg.order)
 
 
 # A parse outcome that ends the candidate it occurs in, besides a
@@ -226,21 +213,19 @@ class _Matcher:
     keeps the recursion within the three precedence levels.
     """
 
-    def __init__(self, tokens: CTokens, target: Tree):
+    def __init__(self, tokens: CTokens, dfg: Dfg):
         self.kind = tokens.kind
         self.text = tokens.text
         self.ids: dict[tuple, int] = {}
         self.leaves: list[int] = []   # leaf count per node id
         self.memo: dict[tuple[int, int], object] = {}
-        subtrees = [target]
-        for tree in subtrees:         # parents before children
-            if tree[0] != "leaf":
-                subtrees.extend(tree[1:])
-        nodes: dict[int, int] = {}    # id() of a subtree -> node id
-        for tree in reversed(subtrees):
-            nodes[id(tree)] = self.node(tree if tree[0] == "leaf" else (
-                tree[0], nodes[id(tree[1])], nodes[id(tree[2])]))
-        self.target = nodes[id(target)]
+        nodes = {leaf.id: self.node(("leaf", leaf.decl.name))
+                 for leaf in dfg.leaf_nodes()}   # DFG id -> node id
+        for node_id in dfg.order:
+            node = dfg.nodes[node_id]
+            nodes[node_id] = self.node(
+                (_OP_SYMBOL[node.kind], nodes[node.left], nodes[node.right]))
+        self.target = nodes[dfg.root]
 
     def node(self, key: tuple) -> int:
         """The id of ("leaf", name) or (symbol, left id, right id)."""
@@ -358,20 +343,18 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
     """Every non-overlapping occurrence of the spec expression in the
     lex_c tokens of a source, outermost parenthesization included, in
     source order."""
-    target = spec_match_tree(spec)
-    if target is None:
+    dfg = spec.dfg
+    if not _spelled_in_c(dfg):
         return []
-    leftmost = target
-    while leftmost[0] != "leaf":
-        leftmost = leftmost[1]
     # every accepted candidate equals the target, so shares its top operator
-    prec = 3 if target[0] == "leaf" else _SYM_PREC[target[0]]
+    prec = _SYM_PREC[_OP_SYMBOL[dfg.nodes[dfg.root].kind]] if dfg.order else 3
     kind, text = tokens.kind, tokens.text
     directives_before = array("I", accumulate(tokens.in_directive, initial=0))
-    matcher = _Matcher(tokens, target)
+    matcher = _Matcher(tokens, dfg)
     raw: list[tuple[int, int]] = []
-    # no tree equal to the target starts anywhere else
-    starts = [i for i, t in enumerate(text) if t == leftmost[1] or t == "("]
+    # no tree equal to the target starts elsewhere; its leftmost leaf is node 0
+    leftmost = dfg.nodes[0].decl.name
+    starts = [i for i, t in enumerate(text) if t == leftmost or t == "("]
     # right to left, so every group a parse reaches is in the memo already
     for i in reversed(starts):
         spine: list = []
@@ -499,7 +482,7 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     tokens = lex_c(source)
     sites = find_call_sites(tokens, spec)
     if not sites:
-        if spec_match_tree(spec) is None:
+        if not _spelled_in_c(spec.dfg):
             raise NoMatchFound(
                 f"{spec.name} uses flooring modulus, which no C operator "
                 "computes; rewrite the C call site by hand")

@@ -1,10 +1,10 @@
 """Error types shared across the toolchain.
 
 Every user-visible failure derives from CigenError so the CLI can map it to
-exit code 1.  InternalCheckError marks failures of the tool's own validation
-and equivalence gates, including a component used against its width
-contract, which only a faulty generated design can cause; it maps to exit
-code 2.
+exit code 1; every error in spec text is a SpecSyntaxError, positioned.
+InternalCheckError marks failures of the tool's own validation and
+equivalence gates, including a component used against its width contract,
+which only a faulty generated design can cause; it maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -29,34 +29,20 @@ class SpecSyntaxError(CigenError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-class UndeclaredIdentifier(CigenError):
+class UndeclaredIdentifier(SpecSyntaxError):
     """An expression identifier that is not a declared input."""
 
-    def __init__(self, name: str, line: int = 0, col: int = 0):
-        self.name = name
-        super().__init__(f"{line}:{col}: undeclared input '{name}'")
+
+class DuplicateDeclaration(SpecSyntaxError):
+    """An operand name taken, in any case, by another operand or the CI."""
 
 
-class DuplicateDeclaration(CigenError):
-    def __init__(self, name: str, line: int = 0, col: int = 0):
-        self.name = name
-        super().__init__(f"{line}:{col}: duplicate declaration of '{name}'")
+class WidthOutOfRange(SpecSyntaxError):
+    """A declared width outside frontend.MIN_WIDTH..MAX_WIDTH."""
 
 
-class WidthOutOfRange(CigenError):
-    """A declared width outside 1..32, given by its decimal digits."""
-
-    def __init__(self, width: str, line: int = 0, col: int = 0):
-        self.width = width
-        super().__init__(f"{line}:{col}: width {width} out of range 1..32")
-
-
-class OpcodeOutOfRange(CigenError):
-    """An opcode outside 0..4, given by its decimal digits."""
-
-    def __init__(self, opcode: str, line: int = 0, col: int = 0):
-        self.opcode = opcode
-        super().__init__(f"{line}:{col}: opcode {opcode} out of range 0..4")
+class OpcodeOutOfRange(SpecSyntaxError):
+    """An opcode outside frontend.MIN_OPCODE..MAX_OPCODE."""
 
 
 class WidthMismatch(InternalCheckError):

@@ -48,7 +48,6 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
-    CigenError,
     DuplicateDeclaration,
     OpcodeOutOfRange,
     SpecSyntaxError,
@@ -277,14 +276,15 @@ def _resolve_div_kind(symbol: str, signed: bool) -> OpKind:
     raise AssertionError(symbol)
 
 
-def _in_range(p: _Parser, index: int, low: int, high: int,
-              error: type[CigenError]) -> int:
-    """The value of the int token at index; error, naming its digits, when
-    it lies outside low..high.  The digits are counted before int() reads
-    them, as int() refuses more than 4300."""
+def _in_range(p: _Parser, index: int, what: str, low: int, high: int,
+              error: type[SpecSyntaxError]) -> int:
+    """The value of the int token at index; error, naming what and its
+    digits, when it lies outside low..high.  The digits are counted before
+    int() reads them, as int() refuses more than 4300."""
     digits = p.texts[index].lstrip("0") or "0"
     if len(digits) > len(str(high)) or not low <= int(digits) <= high:
-        raise error(digits, *p.where(index))
+        raise error(f"{what} {digits} out of range {low}..{high}",
+                    *p.where(index))
     return int(digits)
 
 
@@ -297,7 +297,7 @@ def parse_ci_spec(text: str) -> CiSpec:
     p.expect("(", "'('")
     p.expect("opcode", "'opcode'")
     p.expect("=", "'='")
-    opcode = _in_range(p, p.expect("int", "opcode value"),
+    opcode = _in_range(p, p.expect("int", "opcode value"), "opcode",
                        MIN_OPCODE, MAX_OPCODE, OpcodeOutOfRange)
     p.expect(")", "')'")
     p.expect("{", "'{'")
@@ -310,14 +310,15 @@ def parse_ci_spec(text: str) -> CiSpec:
         ident_at = p.expect("ident", "operand name")
         op_name = _check_name(p, ident_at)
         if op_name.lower() in seen_lower or op_name.lower() == ci_name.lower():
-            raise DuplicateDeclaration(op_name, *p.where(ident_at))
+            raise DuplicateDeclaration(
+                f"duplicate declaration of '{op_name}'", *p.where(ident_at))
         seen_lower[op_name.lower()] = op_name
         p.expect(":", "':'")
         if p.peek() not in ("signed", "unsigned"):
             raise p.found(p.pos, "'signed' or 'unsigned'")
         sign = p.texts[p.advance()]
         p.expect("<", "'<'")
-        width = _in_range(p, p.expect("int", "bit width"),
+        width = _in_range(p, p.expect("int", "bit width"), "width",
                           MIN_WIDTH, MAX_WIDTH, WidthOutOfRange)
         p.expect(">", "'>'")
         p.expect(";", "';'")
@@ -427,7 +428,7 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
             raise p.found(at, "operand or '('")
         name = texts[at]
         if name not in decls:
-            raise UndeclaredIdentifier(name, *p.where(at))
+            raise UndeclaredIdentifier(f"undeclared input '{name}'", *p.where(at))
         if name not in leaf_ids:
             leaf_id = leaf_ids[name] = len(nodes)
             decl = decls[name]

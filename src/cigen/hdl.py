@@ -41,8 +41,7 @@ from .lpm import (
     COMPONENT_DECLS,
     ComponentKind,
     ConcatExtendGenerics,
-    DivideGenerics,
-    MultGenerics,
+    port_widths,
 )
 from .mapper import (
     DivOutput,
@@ -74,14 +73,6 @@ class Violation(NamedTuple):
     detail: str
 
 
-def adapter_wire(index: int) -> str:
-    return f"w_x_{index}"
-
-
-def instance_label(op_index: int, kind_name: str) -> str:
-    return f"u_{kind_name.lower()}_{op_index}"
-
-
 def _vec_type(width: int) -> str:
     return f"std_logic_vector({width - 1} downto 0)"
 
@@ -89,14 +80,10 @@ def _vec_type(width: int) -> str:
 def _wire_names(inst: InstancePlan) -> tuple[tuple[str, int], ...]:
     """The wires on an instance's output ports, in declaration order, with
     their widths."""
-    if inst.kind is ComponentKind.ADD_SUB:
-        return ((f"w_{inst.node}", inst.generics.width),)
-    if inst.kind is ComponentKind.MULT:
-        assert isinstance(inst.generics, MultGenerics)
-        return ((f"w_{inst.node}_p", inst.generics.width_p),)
-    assert isinstance(inst.generics, DivideGenerics)
-    return ((f"w_{inst.node}_q", inst.generics.width_n),
-            (f"w_{inst.node}_r", inst.generics.width_d))
+    suffixes = {ComponentKind.ADD_SUB: ("",), ComponentKind.MULT: ("_p",),
+                ComponentKind.DIVIDE: ("_q", "_r")}[inst.kind]
+    widths = port_widths(inst.kind, inst.generics)[1]
+    return tuple((f"w_{inst.node}{s}", w) for s, w in zip(suffixes, widths))
 
 
 def _low_bits(name: str, width: int, take: int) -> ast.Expr:
@@ -156,7 +143,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
             index = adapter_index.get((node_id, side))
             if index is not None:
                 adapter = mapped.adapters[index]
-                wire = adapter_wire(index)
+                wire = f"w_x_{index}"
                 signals.append(ast.SignalDecl(wire, adapter.to_width))
                 instances.append(ast.Instance(
                     f"x_{index}", ComponentKind.CONCAT_EXTEND,
@@ -183,7 +170,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         # every component declares its input ports before its output ports
         ports = [p.name for p in COMPONENT_DECLS[inst.kind].ports]
         instances.append(ast.Instance(
-            instance_label(op_index, node.kind.name), inst.kind, inst.generics,
+            f"u_{node.kind.name.lower()}_{op_index}", inst.kind, inst.generics,
             tuple(zip(ports, inputs + [wire for wire, _ in wires]))))
         kinds.add(inst.kind)
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(

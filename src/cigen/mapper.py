@@ -112,70 +112,57 @@ def node_reg(node_id: int) -> str:
     return f"s_{node_id}"
 
 
-def _extension_for(signed: bool) -> Extension:
-    return Extension.SIGN if signed else Extension.ZERO
-
-
 def _plan_add_sub(node: OpNode, dfg: Dfg) -> tuple[InstancePlan, list[AdapterPlan]]:
     w = dfg.width[node.id]
     adapters = []
     for side, child in ((Side.LEFT, node.left), (Side.RIGHT, node.right)):
         cw = dfg.width[child]
         if cw < w:
-            adapters.append(AdapterPlan(node.id, side, cw, w,
-                                        _extension_for(dfg.signed[child])))
+            extension = Extension.SIGN if dfg.signed[child] else Extension.ZERO
+            adapters.append(AdapterPlan(node.id, side, cw, w, extension))
     direction = Direction.ADD if node.kind is OpKind.ADD else Direction.SUB
     inst = InstancePlan(node.id, ComponentKind.ADD_SUB, AddSubGenerics(w, direction))
     return inst, adapters
 
 
+def _operand_ports(node: OpNode, dfg: Dfg) -> tuple[
+        int, int, Representation, list[AdapterPlan]]:
+    """Port widths, representation and adapters of a multiply or divide
+    node: with mixed signedness the unsigned child is zero-extended by one
+    bit, so a single signed representation is exact."""
+    wl, wr = dfg.width[node.left], dfg.width[node.right]
+    sl, sr = dfg.signed[node.left], dfg.signed[node.right]
+    if sl == sr:
+        rep = Representation.SIGNED if sl else Representation.UNSIGNED
+        return wl, wr, rep, []
+    if sl:
+        return wl, wr + 1, Representation.SIGNED, [
+            AdapterPlan(node.id, Side.RIGHT, wr, wr + 1, Extension.ZERO)]
+    return wl + 1, wr, Representation.SIGNED, [
+        AdapterPlan(node.id, Side.LEFT, wl, wl + 1, Extension.ZERO)]
+
+
 def _plan_mult(node: OpNode, dfg: Dfg) -> tuple[InstancePlan, list[AdapterPlan]]:
     wl, wr = dfg.width[node.left], dfg.width[node.right]
     sl, sr = dfg.signed[node.left], dfg.signed[node.right]
-    adapters = []
-    if sl == sr:
-        rep = Representation.SIGNED if sl else Representation.UNSIGNED
-        pa, pb = wl, wr
+    if sl != sr and (wl if sl else wr) == 32:
+        # raw patterns agree on the low 32 bits of the product
+        pa, pb, rep, adapters = wl, wr, Representation.UNSIGNED, []
     else:
-        signed_width = wl if sl else wr
-        if signed_width == 32:
-            rep = Representation.UNSIGNED
-            pa, pb = wl, wr
-        else:
-            rep = Representation.SIGNED
-            if sl:
-                adapters.append(AdapterPlan(node.id, Side.RIGHT, wr, wr + 1, Extension.ZERO))
-                pa, pb = wl, wr + 1
-            else:
-                adapters.append(AdapterPlan(node.id, Side.LEFT, wl, wl + 1, Extension.ZERO))
-                pa, pb = wl + 1, wr
+        pa, pb, rep, adapters = _operand_ports(node, dfg)
     inst = InstancePlan(node.id, ComponentKind.MULT,
                         MultGenerics(pa, pb, min(32, pa + pb), rep))
     return inst, adapters
 
 
 def _plan_divide(node: OpNode, dfg: Dfg) -> tuple[InstancePlan, list[AdapterPlan]]:
-    wn, wd = dfg.width[node.left], dfg.width[node.right]
-    sn, sd = dfg.signed[node.left], dfg.signed[node.right]
-    adapters = []
-    if sn == sd:
-        rep = Representation.SIGNED if sn else Representation.UNSIGNED
-        n_rep = d_rep = rep
-        pn, pd = wn, wd
-    else:
-        n_rep = d_rep = Representation.SIGNED
-        if sn:
-            adapters.append(AdapterPlan(node.id, Side.RIGHT, wd, wd + 1, Extension.ZERO))
-            pn, pd = wn, wd + 1
-        else:
-            adapters.append(AdapterPlan(node.id, Side.LEFT, wn, wn + 1, Extension.ZERO))
-            pn, pd = wn + 1, wd
+    pn, pd, rep, adapters = _operand_ports(node, dfg)
     if node.kind in (OpKind.DIVS, OpKind.DIVU):
         div_output = DivOutput.QUOTIENT
     else:
         div_output = DivOutput.REMAINDER
     inst = InstancePlan(node.id, ComponentKind.DIVIDE,
-                        DivideGenerics(pn, pd, n_rep, d_rep),
+                        DivideGenerics(pn, pd, rep, rep),
                         div_output=div_output,
                         mod_correct=node.kind is OpKind.MODS)
     return inst, adapters

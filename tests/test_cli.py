@@ -218,6 +218,54 @@ class TestFailClosed:
         self._refused(capsys, ["build", spec_file, "-o", out,
                                "--config", config], out)
 
+    @pytest.mark.parametrize("config", [
+        {"power_mw": "nan", "time_ms": 1},
+        {"power_mw": 1, "time_ms": float("inf")},
+        {"power_mw": -1, "time_ms": 1},
+    ], ids=["nan", "inf", "negative"])
+    def test_power_and_time_are_finite_and_non_negative(self, tmp_path, capsys,
+                                                        spec_file, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, stdout, stderr = _run(capsys, "build", spec_file, "-o", out,
+                                    "--config", path)
+        assert (code, stdout) == (1, "")   # refused before [1/5]
+        assert stderr.startswith("cigen: error: config ")
+        assert "must be finite and non-negative" in stderr
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_spec_is_not_overwritten(self, tmp_path, capsys):
+        spec = tmp_path / "f.vhd"
+        spec.write_text(MAC_TEXT)
+        code, _, stderr = _run(capsys, "build", spec, "-o", tmp_path)
+        assert code == 1
+        assert stderr == f"cigen: error: cannot write {spec}: it is an input\n"
+        assert spec.read_text() == MAC_TEXT
+        assert [p.name for p in tmp_path.iterdir()] == ["f.vhd"]
+
+    def test_link_to_the_spec_is_not_overwritten(self, tmp_path, capsys,
+                                                 spec_file):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.link(spec_file, out / "f.vhd")
+        code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
+        assert code == 1
+        assert stderr.endswith(f"{out / 'f.vhd'}: it is an input\n")
+        assert spec_file.read_text() == MAC_TEXT
+
+    def test_config_is_not_overwritten(self, tmp_path, capsys, spec_file):
+        config = tmp_path / "report.json"
+        config.write_text("{}")
+        code, _, stderr = _run(capsys, "build", spec_file, "-o", tmp_path,
+                               "--config", config)
+        assert code == 1
+        assert stderr == f"cigen: error: cannot write {config}: it is an input\n"
+        assert config.read_text() == "{}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["f.ci", "report.json"]
+
     def test_non_utf8_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.ci"
         spec.write_bytes(MAC_TEXT.encode() + b"\xff\xfe")
@@ -410,6 +458,15 @@ class TestSimulate:
         assert "result = 10 (0x0000000A)" in stdout
         assert "done cycle 3 (3 with stalls), 4 enabled cycles total" in stdout
 
+    def test_trace_does_not_overwrite_the_spec(self, capsys, spec_file):
+        code, stdout, stderr = _run(capsys, "simulate", spec_file,
+                                    "--inputs", "a=2,b=3,c=4",
+                                    "--trace", spec_file)
+        assert (code, stdout) == (1, "")
+        assert stderr == \
+            f"cigen: error: cannot write {spec_file}: it is an input\n"
+        assert spec_file.read_text() == MAC_TEXT
+
     def test_trace_jsonl(self, tmp_path, capsys, spec_file):
         trace = tmp_path / "trace.jsonl"
         code, stdout, _ = _run(capsys, "simulate", spec_file,
@@ -586,6 +643,27 @@ class TestPatch:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["blocker", "f.ci", "prog.c"]
 
+    def test_source_named_like_the_header_is_not_overwritten(
+            self, tmp_path, capsys, spec_file):
+        source = tmp_path / "ci_f.h"
+        source.write_text((GOLDEN_DIR / "fixture.c").read_text())
+        code, _, stderr = _run(capsys, "patch", spec_file, source)
+        assert code == 1
+        assert stderr == f"cigen: error: cannot write {source}: it is an input\n"
+        assert source.read_text() == (GOLDEN_DIR / "fixture.c").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ci_f.h", "f.ci"]
+
+    def test_header_and_output_in_one_file_are_refused(self, tmp_path, capsys,
+                                                       spec_file):
+        source = tmp_path / "ci_f.h"
+        source.write_text((GOLDEN_DIR / "fixture.c").read_text())
+        code, _, stderr = _run(capsys, "patch", spec_file, source, "--in-place")
+        assert code == 1
+        assert stderr == \
+            f"cigen: error: cannot write {source}: it is another output\n"
+        assert source.read_text() == (GOLDEN_DIR / "fixture.c").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ci_f.h", "f.ci"]
+
     def test_in_place_keeps_the_permission_bits(self, capsys, spec_file,
                                                 c_file):
         c_file.chmod(0o640)
@@ -635,6 +713,19 @@ class TestReport:
                                "--time", "10")
         assert code == 0
         assert json.loads(stdout)["energy"]["E"] == 2980.0
+
+
+    @pytest.mark.parametrize("flags", [("--power", "inf", "--time", "0"),
+                                       ("--power", "1", "--time", "nan"),
+                                       ("--power", "-1", "--time", "1")],
+                             ids=["inf", "nan", "negative"])
+    def test_power_and_time_flags_are_finite_and_non_negative(
+            self, capsys, spec_file, flags):
+        code, stdout, stderr = _run(capsys, "report", spec_file, *flags)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("cigen: error: --")
+        assert "must be finite and non-negative" in stderr
+        assert stderr.count("\n") == 1
 
 
 class TestParser:

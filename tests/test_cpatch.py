@@ -12,20 +12,19 @@ from hypothesis import strategies as st
 from conftest import MAC_TEXT, GOLDEN_DIR
 from cigen import cpatch
 from cigen.cpatch import (
+    _OP_SYMBOL,
     _PUNCTS,
     _SAFE_LEFT_PUNCTS,
     _SYM_PREC,
     CTokens,
     PatchSite,
     TokKind,
-    Tree,
     call_macro_name,
     emit_header,
     find_call_sites,
     header_filename,
     lex_c,
     rewrite,
-    spec_match_tree,
 )
 from cigen.errors import LexError, NoMatchFound
 from cigen.frontend import CiSpec, parse_ci_spec
@@ -581,7 +580,8 @@ class TestRewriteProperties:
 # --- the references: lex_c and find_call_sites as they were before the
 # matcher was made linear, and lex_c as it was before it returned columns,
 # kept verbatim (renamed) but for how they flag directive lines, which
-# _flag_directives does for both -------------------------------------------
+# _flag_directives does for both; and spec_match_tree, the tree builder
+# find_call_sites used before it matched the DFG itself -----------------------
 
 @dataclass(frozen=True, slots=True)
 class CToken:
@@ -693,6 +693,24 @@ def reference_lex_c(source: str) -> list[CToken]:
         else:
             raise LexError(f"stray character {c!r} on line {line}")
     return _flag_directives(source, tokens, comments)
+
+
+Tree = tuple  # ("leaf", name) | (symbol, left, right)
+
+
+def spec_match_tree(spec: CiSpec) -> Tree | None:
+    """The spec expression as an operator-symbol tree, or None when it uses
+    an operator C cannot spell."""
+    dfg = spec.dfg
+    trees: dict[int, Tree] = {leaf.id: ("leaf", leaf.decl.name)
+                              for leaf in dfg.leaf_nodes()}
+    for node_id in dfg.order:
+        node = dfg.nodes[node_id]
+        symbol = _OP_SYMBOL[node.kind]
+        if symbol is None:
+            return None
+        trees[node_id] = (symbol, trees[node.left], trees[node.right])
+    return trees[dfg.root]
 
 
 def _primary(tokens: list[CToken], i: int):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_text, nested_text
-from cigen.cpatch import spec_match_tree
+from cigen.cpatch import find_call_sites, lex_c
 from cigen.errors import (
     DuplicateDeclaration,
     OpcodeOutOfRange,
@@ -299,6 +299,14 @@ class TestParseErrors:
              "2:23: missing output declaration (expected 'output' declaration)"),
             ("ci t(opcode=0) { input a:",
              "1:26: found 'end of input' (expected 'signed' or 'unsigned')"),
+            # the errors that name what is wrong with one token
+            ("ci t(opcode=0) {\n  input a: signed<8>;\n  output x: signed<8>;"
+             "\n  x = a + q;\n}", "4:11: undeclared input 'q'"),
+            ("ci t(opcode=0) {\n  input a: signed<8>;\n  input A: signed<8>;",
+             "3:9: duplicate declaration of 'A'"),
+            ("ci t(opcode=0) {\n  input a: signed<033>;",
+             "2:19: width 33 out of range 1..32"),
+            ("ci t(opcode=7) {", "1:13: opcode 7 out of range 0..4"),
         ]
         for text, message in rows:
             with pytest.raises(SpecSyntaxError) as info:
@@ -306,6 +314,12 @@ class TestParseErrors:
             assert str(info.value) == message, text
             line, col = message.split(":")[:2]
             assert (info.value.line, info.value.col) == (int(line), int(col))
+
+    @pytest.mark.parametrize("error", [UndeclaredIdentifier,
+                                       DuplicateDeclaration, WidthOutOfRange,
+                                       OpcodeOutOfRange])
+    def test_positioned_errors_are_syntax_errors(self, error):
+        assert issubclass(error, SpecSyntaxError)
 
 
 class TestDepthLimit:
@@ -335,8 +349,10 @@ class TestDepthLimit:
         mapped = deep(400, lambda: map_design(spec))
         assert mapped.analysis.max_level == MAX_EXPR_DEPTH
         assert deep(400, lambda: eval_reference(spec, vector)).signed == 5
-        tree = deep(400, lambda: spec_match_tree(spec))
-        assert tree[0] == "+" and tree[2] == ("leaf", f"a{MAX_EXPR_DEPTH}")
+        body = " + ".join(f"a{i}" for i in range(MAX_EXPR_DEPTH + 1))
+        tokens = lex_c(f"y = {body};\n")
+        sites = deep(400, lambda: find_call_sites(tokens, spec))
+        assert [(site.start, site.end) for site in sites] == [(4, 4 + len(body))]
 
 
 class TestDfg:

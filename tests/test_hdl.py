@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cigen import vhdl_ast as ast
 from cigen.errors import InternalCheckError
-from cigen.frontend import parse_ci_spec
+from cigen.frontend import CI_NAME_PREFIXES, CI_NAME_RESERVED, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec
 from cigen.hdl import (
     ENTITY_PORTS,
@@ -253,3 +253,33 @@ class TestFuzzedStructure:
         one = emit_vhdl(build_design(spec, map_design(spec)))
         two = emit_vhdl(build_design(spec, map_design(spec)))
         assert one == two
+
+
+class TestReservedNames:
+    """frontend cannot import hdl, so CI_NAME_RESERVED and CI_NAME_PREFIXES
+    restate the names the generated VHDL declares; a generated name missing
+    from them would let a spec name its instruction after it."""
+
+    @staticmethod
+    def _declared(design: ast.HdlDesign) -> list[str]:
+        arch = design.architecture
+        return [design.entity.name, *(p.name for p in design.entity.ports),
+                arch.name, arch.process.counter, arch.process.label,
+                *(sig.name for sig in arch.signals),
+                *(decl.name for decl in arch.components),
+                *(inst.label for inst in arch.instances)]
+
+    def test_every_generated_name_is_reserved(self):
+        rng = random.Random(5)
+        specs = [parse_ci_spec(text) for text in (MAC_TEXT, NARROW_TEXT, MOD_TEXT)]
+        specs += [random_spec(rng, f"fz{i}") for i in range(60)]
+        kinds = set()
+        for spec in specs:
+            design = build_design(spec, map_design(spec))
+            kinds.update(inst.kind for inst in design.architecture.instances)
+            for name in self._declared(design):
+                if name == spec.name:
+                    continue   # the one name the spec gives
+                assert name.lower() in CI_NAME_RESERVED \
+                    or name.lower().startswith(CI_NAME_PREFIXES), name
+        assert kinds == set(ComponentKind)
