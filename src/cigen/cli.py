@@ -104,6 +104,8 @@ def _non_negative(value, what: str) -> float:
     """value as a float, refused unless it is a finite number >= 0."""
     try:
         number = float(value)
+    except OverflowError:   # an integer beyond the largest float
+        number = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError) as exc:
         raise CigenError(f"{what} must be a number") from exc
     if not 0 <= number < math.inf:
@@ -118,7 +120,8 @@ def _load_config(path: str | None) -> dict:
     if path is not None:
         try:
             config = json.loads(_read_text(path, "config"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # also an integer of over 4300 digits, or nesting too deep
             raise CigenError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise CigenError("config must be a JSON object")

@@ -51,19 +51,17 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
-from .frontend import CiSpec, Dfg, OpKind
+from .frontend import OPERATORS, CiSpec, Dfg, OpKind
 from .mapper import MappedDesign
 
 DEFAULT_INTRINSIC = "__builtin_custom_inii"
 
-_OP_SYMBOL: dict[OpKind, str | None] = {
-    OpKind.ADD: "+", OpKind.SUB: "-", OpKind.MUL: "*",
-    OpKind.DIVS: "/", OpKind.DIVU: "/",
-    OpKind.REMS: "%", OpKind.REMU: "%",
-    OpKind.MODS: None, OpKind.MODU: None,
-}
-
-_SYM_PREC = {"*": 2, "/": 2, "%": 2, "+": 1, "-": 1}
+# C spells each operator of the instruction grammar but the flooring "mod"
+# the same way, at the same precedence.
+_SYM_PREC = {symbol: prec for symbol, (prec, _, _) in OPERATORS.items()
+             if symbol != "mod"}
+_OP_SYMBOL: dict[OpKind, str] = {kind: symbol for symbol in _SYM_PREC
+                                 for kind in OPERATORS[symbol][1:]}
 
 _PUNCTS = sorted([
     "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==",
@@ -192,7 +190,7 @@ def lex_c(source: str) -> CTokens:
 
 def _spelled_in_c(dfg: Dfg) -> bool:
     """Whether C has an operator for every operation of dfg."""
-    return all(_OP_SYMBOL[dfg.nodes[node_id].kind] for node_id in dfg.order)
+    return all(dfg.nodes[node_id].kind in _OP_SYMBOL for node_id in dfg.order)
 
 
 # A parse outcome that ends the candidate it occurs in, besides a
@@ -411,7 +409,7 @@ def emit_header(spec: CiSpec, mapped: MappedDesign,
         b = f"(int) (p_{second})" if second is not None else "0"
         return f"{intrinsic}({opcode_name}, {a}, {b})"
 
-    pairs = mapped.loading.cycles
+    pairs = mapped.loading
     if len(pairs) == 1:
         body = f"(({result_cast}) {one_call(pairs[0])})"
         macro_lines = [f"#define {macro}({', '.join(params)}) {body}"]

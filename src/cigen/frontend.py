@@ -28,10 +28,11 @@ alone add no depth.
 The parser builds the finished dataflow graph in the same pass as the tree:
 every node's id, level, width and signedness is set when the node is read.
 
-Operator spellings map to operation kinds by operand signedness: "/" is a
-truncating division (DIVS when either side is signed, else DIVU), "%" is the
-matching remainder (sign of the dividend), and the "mod" keyword is the
-flooring modulus (sign of the divisor).
+OPERATORS is the one table of the operators, which the C patcher and the
+fuzz generator read too: each spelling's precedence and the operation it
+denotes on unsigned and on signed operands (signed when either side is).
+"/" is a truncating division, "%" the matching remainder (sign of the
+dividend), and the "mod" keyword the flooring modulus (sign of the divisor).
 
 Identifiers must be usable verbatim in generated VHDL and C, so beyond the
 ASCII ident rule above they may not contain "__", end in "_", collide
@@ -101,6 +102,17 @@ class OpKind(enum.Enum):
     MODU = enum.auto()
     REMS = enum.auto()
     REMU = enum.auto()
+
+
+# spelling -> (precedence, kind on unsigned operands, kind on signed ones)
+OPERATORS: dict[str, tuple[int, OpKind, OpKind]] = {
+    "+": (1, OpKind.ADD, OpKind.ADD),
+    "-": (1, OpKind.SUB, OpKind.SUB),
+    "*": (2, OpKind.MUL, OpKind.MUL),
+    "/": (2, OpKind.DIVU, OpKind.DIVS),
+    "%": (2, OpKind.REMU, OpKind.REMS),
+    "mod": (2, OpKind.MODU, OpKind.MODS),
+}
 
 
 class OperandDecl(NamedTuple):
@@ -193,10 +205,9 @@ class AnalysisResult(NamedTuple):
 # token is matched alone, and the lexer refuses it.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[^ \t\r\n#]|\Z)")
-# A keyword's or a symbol's kind is its text; other tokens go by their
-# first character.
-_KINDS = {"": "eof"} | {word: word for word in DSL_KEYWORDS} \
-    | {symbol: symbol for symbol in "(){}<>;:=+-*/%"}
+# A keyword's, an operator's or a punctuator's kind is its text; other
+# tokens go by their first character.
+_KINDS = {"": "eof"} | {text: text for text in (*DSL_KEYWORDS, *OPERATORS, *"(){}<>;:=")}
 _FIRST_KINDS = dict.fromkeys(string.ascii_letters, "ident") \
     | dict.fromkeys(string.digits, "int")
 
@@ -264,16 +275,6 @@ def _check_name(p: _Parser, index: int, reserved: frozenset[str] = VHDL_RESERVED
     if name.lower() in reserved or name.lower().startswith(prefixes):
         raise SpecSyntaxError(f"identifier {name!r} is reserved", *p.where(index))
     return name
-
-
-def _resolve_div_kind(symbol: str, signed: bool) -> OpKind:
-    if symbol == "/":
-        return OpKind.DIVS if signed else OpKind.DIVU
-    if symbol == "%":
-        return OpKind.REMS if signed else OpKind.REMU
-    if symbol == "mod":
-        return OpKind.MODS if signed else OpKind.MODU
-    raise AssertionError(symbol)
 
 
 def _in_range(p: _Parser, index: int, what: str, low: int, high: int,
@@ -353,11 +354,6 @@ def parse_ci_spec(text: str) -> CiSpec:
     return CiSpec(ci_name, opcode, tuple(inputs), output, expr, dfg)
 
 
-# A binary operator's precedence: 2 for a term operator, 1 for an
-# expression operator.
-_PRECEDENCE = {"*": 2, "/": 2, "%": 2, "mod": 2, "+": 1, "-": 1}
-
-
 def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
     """Width rules
         add/sub    result width = max(input widths); the narrower side is
@@ -404,13 +400,8 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
                 f"expression nests operators deeper than {MAX_EXPR_DEPTH}",
                 *p.where(at))
         is_signed = signed[left_id] or signed[right_id]
-        symbol = kinds[at]
-        if symbol in ("+", "-"):
-            kind = OpKind.ADD if symbol == "+" else OpKind.SUB
-        elif symbol == "*":
-            kind = OpKind.MUL
-        else:
-            kind = _resolve_div_kind(symbol, is_signed)
+        _, unsigned_kind, signed_kind = OPERATORS[kinds[at]]
+        kind = signed_kind if is_signed else unsigned_kind
         nodes[node_id] = OpNode(node_id, kind, left_id, right_id)
         level[node_id] = depth
         width[node_id] = op_result_width(kind, width[left_id], width[right_id])
@@ -443,11 +434,11 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
                 reduce()
             pending.pop()
             open_parens -= 1
-        precedence = _PRECEDENCE.get(p.peek())
-        if precedence is None:
+        operator = OPERATORS.get(p.peek())
+        if operator is None:
             break
         while pending and pending[-1] is not None \
-                and _PRECEDENCE[kinds[pending[-1][0]]] >= precedence:
+                and OPERATORS[kinds[pending[-1][0]]][0] >= operator[0]:
             reduce()
         pending.append((p.advance(), len(nodes)))
         nodes.append(None)  # the operator's in-order slot

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .frontend import CiSpec, parse_ci_spec
+from .frontend import OPERATORS, CiSpec, parse_ci_spec
 
 _WIDTH_POOL = (1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24, 31, 32, 32)
 
@@ -34,15 +34,13 @@ def random_spec(rng: random.Random, name: str = "fz",
         width = rng.choice(cfg.widths)
         decls.append(f"  input {ident}: {sign}<{width}>;")
 
-    ops = ["+", "-", "*", "/", "%", "mod"]
+    ops = tuple(OPERATORS)
 
     def expr(depth: int) -> str:
         if depth >= cfg.max_depth or rng.random() < 0.4:
             return rng.choice(names)
         op = rng.choice(ops)
         left, right = expr(depth + 1), expr(depth + 1)
-        if op == "mod":
-            return f"({left} mod {right})"
         return f"({left} {op} {right})"
 
     body = expr(0)

@@ -37,20 +37,13 @@ from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .frontend import CiSpec, LeafNode, OperandDecl, OpNode
-from .lpm import (
-    COMPONENT_DECLS,
-    ComponentKind,
-    ConcatExtendGenerics,
-    port_widths,
-)
+from .lpm import COMPONENT_DECLS, ComponentKind, port_widths
 from .mapper import (
     DivOutput,
     InstancePlan,
     MappedDesign,
-    Side,
     done_cycle_enabled,
     input_reg,
-    load_cycle_count,
     node_reg,
 )
 
@@ -112,9 +105,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     """Assemble the complete VHDL AST for a mapped design."""
     dfg = mapped.dfg
     analysis = mapped.analysis
-    loads = load_cycle_count(mapped)
+    loads = len(mapped.loading)
     done_cycle = done_cycle_enabled(mapped)
-    adapter_index = {(a.node, a.side): i for i, a in enumerate(mapped.adapters)}
 
     def child_signal(node_id: int) -> str:
         node = dfg.nodes[node_id]
@@ -131,6 +123,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     kinds: set[ComponentKind] = set()
     stage_loads: dict[int, list[ast.RegisterLoad]] = {}
     value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
+    adapter_count = 0   # adapters are numbered over the instances, left first
 
     for op_index, inst in enumerate(mapped.instances):
         node_id = inst.node
@@ -138,19 +131,16 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         assert isinstance(node, OpNode)
 
         inputs = []
-        for side, child in ((Side.LEFT, node.left), (Side.RIGHT, node.right)):
+        for adapter, child in zip(inst.adapters, (node.left, node.right)):
             signal = child_signal(child)
-            index = adapter_index.get((node_id, side))
-            if index is not None:
-                adapter = mapped.adapters[index]
-                wire = f"w_x_{index}"
+            if adapter is not None:
+                wire = f"w_x_{adapter_count}"
                 signals.append(ast.SignalDecl(wire, adapter.to_width))
                 instances.append(ast.Instance(
-                    f"x_{index}", ComponentKind.CONCAT_EXTEND,
-                    ConcatExtendGenerics(adapter.from_width, adapter.to_width,
-                                         adapter.extension),
+                    f"x_{adapter_count}", ComponentKind.CONCAT_EXTEND, adapter,
                     (("a", signal), ("result", wire))))
                 kinds.add(ComponentKind.CONCAT_EXTEND)
+                adapter_count += 1
                 signal = wire
             inputs.append(signal)
 
@@ -187,7 +177,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         return tuple(
             ast.RegisterLoad(input_reg(name),
                              _low_bits(port, 32, input_width[name]))
-            for name, port in zip(mapped.loading.cycles[pair_index],
+            for name, port in zip(mapped.loading[pair_index],
                                   ("dataa", "datab"))
             if name is not None)
 

@@ -5,15 +5,18 @@ so it is the done cycle index plus one.  The software baseline charges a
 configurable per-operation cycle cost and sums over the DFG; speedup is the
 ratio of the two.  Energy is the usual product of average power and runtime,
 reported in microjoules when power is in milliwatts and time in
-milliseconds.
+milliseconds.  A figure a float cannot hold is refused, so the report
+is always valid JSON.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import CigenError
 from .frontend import CiSpec, OpKind
 from .lpm import ComponentKind
-from .mapper import MappedDesign, done_cycle_enabled, load_cycle_count
+from .mapper import MappedDesign, done_cycle_enabled
 
 DEFAULT_COSTS: dict[OpKind, int] = {
     OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 3,
@@ -31,10 +34,10 @@ def cost_table(overrides: dict[str, int]) -> dict[OpKind, int]:
     for key, value in overrides.items():
         kind = by_name.get(key.lower())
         if kind is None:
-            raise CigenError(f"unknown operation '{key}' in cost model")
+            raise CigenError(f"unknown operation {key!r} in cost model")
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise CigenError(
-                f"cost for '{key}' must be a positive integer, got {value!r}")
+                f"cost for {key!r} must be a positive integer, got {value!r}")
         costs[kind] = value
     return costs
 
@@ -55,7 +58,10 @@ def energy_microjoules(power_mw: float, time_ms: float) -> float:
     """Average power times runtime; mW times ms gives microjoules."""
     if power_mw < 0 or time_ms < 0:
         raise CigenError("power and time must be non-negative")
-    return power_mw * time_ms
+    energy = power_mw * time_ms
+    if not math.isfinite(energy):
+        raise CigenError(f"energy {power_mw} mW x {time_ms} ms is too large to report")
+    return energy
 
 
 def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
@@ -66,20 +72,25 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
     appears only when both a power and a time figure are supplied."""
     hw = ci_cycles(mapped)
     sw = sw_cycles(mapped, costs)
+    try:
+        speedup = sw / hw
+    except OverflowError:
+        raise CigenError("software cycle count is too large to report") from None
     counts: dict[str, int] = {}
     for inst in mapped.instances:
         counts[inst.kind.name] = counts.get(inst.kind.name, 0) + 1
-    if mapped.adapters:
-        counts[ComponentKind.CONCAT_EXTEND.name] = len(mapped.adapters)
+    adapters = sum(a is not None for inst in mapped.instances for a in inst.adapters)
+    if adapters:
+        counts[ComponentKind.CONCAT_EXTEND.name] = adapters
     report = {
         "name": spec.name, "opcode": spec.opcode,
         "operands": len(mapped.analysis.operand_sequence),
         "operations": len(mapped.analysis.operation_sequence),
         "levels": mapped.analysis.max_level,
-        "load_cycles": load_cycle_count(mapped),
+        "load_cycles": len(mapped.loading),
         "done_cycle": done_cycle_enabled(mapped),
-        "ci_cycles": hw, "sw_cycles": sw, "speedup_estimate": sw / hw,
-        "components": counts, "adapters": len(mapped.adapters),
+        "ci_cycles": hw, "sw_cycles": sw, "speedup_estimate": speedup,
+        "components": counts, "adapters": adapters,
     }
     if power_mw is not None and time_ms is not None:
         report["energy"] = {"P": float(power_mw), "T": float(time_ms),

@@ -480,7 +480,7 @@ def operand_columns(mapped: MappedDesign,
             return [0] * len(vectors)
         return [vec[name] & PORT_MASK for vec in vectors]
     return [(column(first), column(second))
-            for first, second in mapped.loading.cycles]
+            for first, second in mapped.loading]
 
 
 def simulate_ci(spec: CiSpec, inputs: dict[str, int],

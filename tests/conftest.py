@@ -10,6 +10,7 @@ import pytest
 from cigen import vhdl_ast as ast
 from cigen.errors import DivideByZero
 from cigen.frontend import parse_ci_spec
+from cigen.fuzz import FuzzConfig
 from cigen.lpm import (
     KERNELS,
     BitVec,
@@ -21,6 +22,12 @@ from cigen.lpm import (
 from cigen.mapper import map_design
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# The acceptance corpus (test_acceptance and the benchmark's fuzz-build):
+# its seed, its generator settings and the vectors drawn after each spec.
+CORPUS_SEED = 20260814
+CORPUS_CONFIG = FuzzConfig(max_inputs=6, max_depth=6, widths=(4, 8, 16, 32))
+CORPUS_VECTORS = 200
 
 # Three 32-bit signed operands, multiply-accumulate.  All widths equal, so
 # the mapped design needs no width adapters and the emitted file has no

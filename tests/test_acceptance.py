@@ -6,6 +6,7 @@ semantics, component deduplication, the latency formula, byte-determinism
 of builds, C source patching, and the energy estimate.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -14,13 +15,30 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MAC_TEXT, GOLDEN_DIR, mod_corrected, run_component, wrapped
+from conftest import (
+    CORPUS_CONFIG,
+    CORPUS_SEED,
+    CORPUS_VECTORS,
+    GOLDEN_DIR,
+    MAC_TEXT,
+    MOD_TEXT,
+    NARROW_TEXT,
+    mod_corrected,
+    run_component,
+    wrapped,
+)
 from cigen import cli
-from cigen.cpatch import find_call_sites, lex_c, rewrite
+from cigen.cpatch import (
+    DEFAULT_INTRINSIC,
+    emit_header,
+    find_call_sites,
+    lex_c,
+    rewrite,
+)
 from cigen.errors import DivideByZero, NoMatchFound
 from cigen.frontend import OpKind, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
-from cigen.hdl import build_design, validate_structure
+from cigen.hdl import build_design, emit_vhdl, validate_structure
 from cigen.lpm import (
     COMPONENT_DECLS,
     ComponentKind,
@@ -28,6 +46,7 @@ from cigen.lpm import (
     Representation,
 )
 from cigen.mapper import map_design
+from cigen.metrics import estimate_metrics
 from cigen.sim import Stimulus, check_equivalence, simulate_ci
 
 
@@ -55,16 +74,14 @@ class TestWorkedExample:
 class TestDifferentialEquivalence:
     def test_five_hundred_specs_against_the_reference(self):
         begin = time.perf_counter()
-        rng = random.Random(20260814)
-        config = FuzzConfig(max_inputs=6, max_depth=6,
-                            widths=(4, 8, 16, 32))
+        rng = random.Random(CORPUS_SEED)
         kinds_seen = set()
         for index in range(500):
-            spec = random_spec(rng, f"fz{index}", config)
+            spec = random_spec(rng, f"fz{index}", CORPUS_CONFIG)
             mapped = map_design(spec)
             for node_id in mapped.analysis.operation_sequence:
                 kinds_seen.add(mapped.dfg.nodes[node_id].kind)
-            vectors = random_vectors(rng, spec, 200)
+            vectors = random_vectors(rng, spec, CORPUS_VECTORS)
             assert check_equivalence(spec, mapped, vectors) == []
         assert kinds_seen == set(OpKind)
         assert time.perf_counter() - begin < 60.0
@@ -112,7 +129,9 @@ class TestComponentDeduplication:
             decl_names = [c.name for c in design.architecture.components]
             assert len(decl_names) == len(set(decl_names))
             kinds = {i.kind for i in mapped.instances}
-            if mapped.adapters:
+            adapters = [a for i in mapped.instances for a in i.adapters
+                        if a is not None]
+            if adapters:
                 kinds.add(ComponentKind.CONCAT_EXTEND)
             expected = {COMPONENT_DECLS[k].name for k in kinds}
             assert set(decl_names) == expected
@@ -125,7 +144,7 @@ class TestComponentDeduplication:
                                if name != "ci_concat_extend")
             assert op_instances == len(mapped.analysis.operation_sequence)
             assert by_component.get("ci_concat_extend", 0) == \
-                len(mapped.adapters)
+                len(adapters)
 
 
 class TestLatencyContract:
@@ -178,6 +197,33 @@ class TestBuildDeterminism:
             (GOLDEN_DIR / "ci_f.h").read_text()
         assert (tmp_path / "first" / "report.json").read_text() == \
             (GOLDEN_DIR / "report.json").read_text()
+
+
+# The .vhd, header and report.json text of g, h and the first 100 specs of
+# the acceptance corpus, as build writes them.
+ARTIFACTS_SHA256 = \
+    "e4a090edeacc800be72c1294c4b88116be01c6bb7168ab3876b08d062af71615"
+
+
+class TestPinnedArtifacts:
+    """Every artifact text of designs with adapters, dividers and mixed
+    signedness is pinned, so a renumbered adapter or a reordered instance
+    shows in any of them, not only in the three goldens."""
+
+    def test_build_artifacts_hash_to_the_recorded_digest(self):
+        specs = [parse_ci_spec(NARROW_TEXT), parse_ci_spec(MOD_TEXT)]
+        rng = random.Random(CORPUS_SEED)
+        for index in range(100):
+            specs.append(random_spec(rng, f"fz{index}", CORPUS_CONFIG))
+            random_vectors(rng, specs[-1], CORPUS_VECTORS)
+        digest = hashlib.sha256()
+        for spec in specs:
+            mapped = map_design(spec)
+            for text in (emit_vhdl(build_design(spec, mapped)),
+                         emit_header(spec, mapped, DEFAULT_INTRINSIC),
+                         json.dumps(estimate_metrics(spec, mapped), indent=2) + "\n"):
+                digest.update(text.encode() + b"\0")
+        assert digest.hexdigest() == ARTIFACTS_SHA256
 
 
 class TestSourcePatching:

@@ -1,14 +1,19 @@
 """End-to-end command line behavior."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN_DIR,
@@ -222,7 +227,8 @@ class TestFailClosed:
         {"power_mw": "nan", "time_ms": 1},
         {"power_mw": 1, "time_ms": float("inf")},
         {"power_mw": -1, "time_ms": 1},
-    ], ids=["nan", "inf", "negative"])
+        {"power_mw": 10**400, "time_ms": 1},
+    ], ids=["nan", "inf", "negative", "401-digit-integer"])
     def test_power_and_time_are_finite_and_non_negative(self, tmp_path, capsys,
                                                         spec_file, config):
         path = tmp_path / "cfg.json"
@@ -234,6 +240,37 @@ class TestFailClosed:
         assert stderr.startswith("cigen: error: config ")
         assert "must be finite and non-negative" in stderr
         assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "report"])
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        '{"costs": {"add": 1' + "0" * 5000 + "}}",
+    ], ids=["200000-nested-arrays", "5001-digit-integer"])
+    def test_config_the_json_reader_refuses(self, tmp_path, capsys, spec_file,
+                                            command, text):
+        # Python's reader raises RecursionError and a plain ValueError here
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = [command, spec_file, "--config", config]
+        code, stdout, stderr = _run(capsys, *argv,
+                                    *(["-o", out] if command == "build" else []))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("cigen: error: config is not valid JSON: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_energy_beyond_a_float_writes_nothing(self, tmp_path, capsys,
+                                                  spec_file):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"power_mw": 1e308, "time_ms": 1e10}')
+        out = tmp_path / "out"
+        code, _, stderr = _run(capsys, "build", spec_file, "-o", out,
+                               "--config", config)
+        assert code == 1
+        assert stderr == ("cigen: error: energy 1e+308 mW x 10000000000.0 ms "
+                          "is too large to report\n")
         assert not out.exists()
 
     def test_spec_is_not_overwritten(self, tmp_path, capsys):
@@ -726,6 +763,55 @@ class TestReport:
         assert stderr.startswith("cigen: error: --")
         assert "must be finite and non-negative" in stderr
         assert stderr.count("\n") == 1
+
+    def test_energy_beyond_a_float_is_refused(self, capsys, spec_file):
+        code, stdout, stderr = _run(capsys, "report", spec_file, "--json",
+                                    "--power", "1e308", "--time", "1e308")
+        assert (code, stdout) == (1, "")
+        assert stderr == ("cigen: error: energy 1e+308 mW x 1e+308 ms "
+                          "is too large to report\n")
+
+    def test_speedup_beyond_a_float_is_refused(self, tmp_path, capsys,
+                                               spec_file):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"costs": {"add": 10**400}}))
+        code, stdout, stderr = _run(capsys, "report", spec_file,
+                                    "--config", config)
+        assert (code, stdout) == (1, "")
+        assert stderr == \
+            "cigen: error: software cycle count is too large to report\n"
+
+
+# Arbitrary JSON documents whose object keys are often the config's own.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["intrinsic", "costs", "power_mw", "time_ms",
+                         "add", "mul", "divs", "modu"]) | st.text(max_size=6),
+        inner, max_size=4),
+    max_leaves=12)
+
+
+class TestAnyConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES.map(json.dumps))
+    @example("[" * 200_000)
+    @example('{"costs": {"add": 1' + "0" * 5000 + "}}")
+    @example(json.dumps({"costs": {"add": 10**400}}))
+    @example(json.dumps({"power_mw": 10**400, "time_ms": 1}))
+    @example('{"power_mw": 1e308, "time_ms": 1e308}')
+    @example(json.dumps({"costs": {"a\nb": 1}}))
+    def test_report_exits_zero_or_one_with_one_line(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec, config = Path(tmp, "f.ci"), Path(tmp, "cfg.json")
+            spec.write_text(MAC_TEXT)
+            config.write_text(text)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(["report", str(spec), "--config", str(config)])
+        assert code in (0, 1)
+        assert stderr.getvalue().count("\n") == code
 
 
 class TestParser:

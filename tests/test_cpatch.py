@@ -706,7 +706,7 @@ def spec_match_tree(spec: CiSpec) -> Tree | None:
                               for leaf in dfg.leaf_nodes()}
     for node_id in dfg.order:
         node = dfg.nodes[node_id]
-        symbol = _OP_SYMBOL[node.kind]
+        symbol = _OP_SYMBOL.get(node.kind)
         if symbol is None:
             return None
         trees[node_id] = (symbol, trees[node.left], trees[node.right])

@@ -9,8 +9,9 @@ import json
 import random
 
 import cigen.fuzz
+from conftest import CORPUS_CONFIG, CORPUS_SEED, CORPUS_VECTORS
 from cigen.frontend import parse_ci_spec
-from cigen.fuzz import FuzzConfig, random_spec, random_vector, random_vectors
+from cigen.fuzz import random_spec, random_vector, random_vectors
 
 PIN_SPECS = [
     "ci p(opcode=0) { input a: signed<1>; input b: unsigned<1>;"
@@ -24,12 +25,6 @@ PIN_SEEDS = (0, 1, 20260814)
 VECTORS_SHA256 = \
     "90e638c64a13ec7eb360411715cc4ab47f243b362be989dcf91701c6c9da7e05"
 
-# The acceptance corpus (test_acceptance.TestDifferentialEquivalence and the
-# benchmark's fuzz-build): its seed, its generator settings and the vectors
-# drawn after each spec.
-CORPUS_SEED = 20260814
-CORPUS_CONFIG = FuzzConfig(max_inputs=6, max_depth=6, widths=(4, 8, 16, 32))
-CORPUS_VECTORS = 200
 CORPUS_TEXTS_SHA256 = \
     "f00d6352fdfc0dd0586f96ced60587799b6e926ce0e9aaf0c5e0e065ccbea2ec"
 

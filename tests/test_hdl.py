@@ -239,7 +239,7 @@ class TestFuzzedStructure:
         # one declaration per used kind, one instance per op node
         decls = [c.name for c in design.architecture.components]
         kinds = {i.kind for i in mapped.instances}
-        if mapped.adapters:
+        if any(a is not None for i in mapped.instances for a in i.adapters):
             kinds.add(ComponentKind.CONCAT_EXTEND)
         assert len(decls) == len(set(decls)) == len(kinds)
         op_instances = [i for i in design.architecture.instances

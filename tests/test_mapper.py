@@ -18,10 +18,8 @@ from cigen.lpm import (
 from cigen.frontend import OperandDecl
 from cigen.mapper import (
     DivOutput,
-    Side,
     done_cycle_enabled,
     input_reg,
-    load_cycle_count,
     map_design,
     node_reg,
 )
@@ -76,11 +74,11 @@ class TestWorkedExample:
         assert mul.generics.representation is Representation.SIGNED
         assert add.generics.width == 32
         assert add.generics.direction is Direction.ADD
-        assert mac_mapped.adapters == ()
+        assert [i.adapters for i in mac_mapped.instances] == [(None, None)] * 2
 
     def test_loading_and_latency(self, mac_mapped):
-        assert mac_mapped.loading.cycles == (("a", "b"), ("c", None))
-        assert load_cycle_count(mac_mapped) == 2
+        assert mac_mapped.loading == (("a", "b"), ("c", None))
+        assert len(mac_mapped.loading) == 2
         assert done_cycle_enabled(mac_mapped) == 3
 
     def test_register_names(self, mac_mapped):
@@ -94,8 +92,8 @@ class TestAdapters:
     def test_add_widens_narrow_side(self):
         mapped = _mapped("input a: signed<8>; input b: signed<16>;"
                          "output x: signed<16>; x = a + b;")
-        (adapter,) = mapped.adapters
-        assert adapter.side is Side.LEFT
+        adapter, right = _only_instance(mapped).adapters
+        assert right is None
         assert (adapter.from_width, adapter.to_width) == (8, 16)
         assert adapter.extension is Extension.SIGN
         assert _only_instance(mapped).generics.width == 16
@@ -103,15 +101,15 @@ class TestAdapters:
     def test_add_zero_extends_unsigned_narrow_side(self):
         mapped = _mapped("input a: unsigned<4>; input b: signed<12>;"
                          "output x: signed<12>; x = b - a;")
-        (adapter,) = mapped.adapters
-        assert adapter.side is Side.RIGHT
+        left, adapter = _only_instance(mapped).adapters
+        assert left is None
         assert adapter.extension is Extension.ZERO
         assert (adapter.from_width, adapter.to_width) == (4, 12)
 
     def test_mult_same_sign_needs_no_adapter(self):
         mapped = _mapped("input a: unsigned<8>; input b: unsigned<4>;"
                          "output x: unsigned<12>; x = a * b;")
-        assert mapped.adapters == ()
+        assert _only_instance(mapped).adapters == (None, None)
         gen = _only_instance(mapped).generics
         assert (gen.width_a, gen.width_b, gen.width_p) == (8, 4, 12)
         assert gen.representation is Representation.UNSIGNED
@@ -119,8 +117,8 @@ class TestAdapters:
     def test_mult_mixed_zero_extends_unsigned_side(self):
         mapped = _mapped("input a: signed<4>; input b: unsigned<4>;"
                          "output x: signed<8>; x = a * b;")
-        (adapter,) = mapped.adapters
-        assert adapter.side is Side.RIGHT
+        left, adapter = _only_instance(mapped).adapters
+        assert left is None
         assert (adapter.from_width, adapter.to_width) == (4, 5)
         assert adapter.extension is Extension.ZERO
         gen = _only_instance(mapped).generics
@@ -132,7 +130,7 @@ class TestAdapters:
         # unsigned are exact modulo 2^32, which is all that survives.
         mapped = _mapped("input a: signed<32>; input b: unsigned<8>;"
                          "output x: signed<32>; x = a * b;")
-        assert mapped.adapters == ()
+        assert _only_instance(mapped).adapters == (None, None)
         gen = _only_instance(mapped).generics
         assert gen.representation is Representation.UNSIGNED
         assert (gen.width_a, gen.width_b, gen.width_p) == (32, 8, 32)
@@ -146,8 +144,8 @@ class TestAdapters:
     def test_divide_mixed_zero_extends_unsigned_side(self):
         mapped = _mapped("input a: unsigned<8>; input b: signed<8>;"
                          "output x: signed<8>; x = a / b;")
-        (adapter,) = mapped.adapters
-        assert adapter.side is Side.LEFT
+        adapter, right = _only_instance(mapped).adapters
+        assert right is None
         assert (adapter.from_width, adapter.to_width) == (8, 9)
         assert adapter.extension is Extension.ZERO
         gen = _only_instance(mapped).generics
@@ -187,12 +185,12 @@ class TestLoadingPlan:
         decls = "".join(f"input {n}: signed<8>;" for n in names)
         expr = " + ".join(names)
         mapped = _mapped(f"{decls} output x: signed<8>; x = {expr};")
-        assert mapped.loading.cycles == cycles
+        assert mapped.loading == cycles
 
     def test_only_used_operands_load(self):
         mapped = _mapped("input a: signed<8>; input unused: signed<8>;"
                          "output x: signed<8>; x = a;")
-        assert mapped.loading.cycles == (("a", None),)
+        assert mapped.loading == (("a", None),)
 
 
 class TestLatencyFormula:
@@ -212,7 +210,7 @@ class TestLatencyFormula:
     ])
     def test_done_cycle(self, body, loads, levels, done):
         mapped = _mapped(body)
-        assert load_cycle_count(mapped) == loads
+        assert len(mapped.loading) == loads
         assert mapped.analysis.max_level == levels
         assert done_cycle_enabled(mapped) == done
 
@@ -261,16 +259,13 @@ class TestMappedInvariants:
         assert tuple(i.node for i in mapped.instances) \
             == mapped.analysis.operation_sequence
 
-        # at most one adapter per (node, side); adapters strictly widen
-        seen = set()
-        for adapter in mapped.adapters:
-            key = (adapter.node, adapter.side)
-            assert key not in seen
-            seen.add(key)
-            assert adapter.to_width > adapter.from_width
-
         for inst in mapped.instances:
             node = dfg.nodes[inst.node]
+            # at most one adapter per input; adapters strictly widen
+            for adapter, child in zip(inst.adapters, (node.left, node.right),
+                                      strict=True):
+                if adapter is not None:
+                    assert adapter.to_width > adapter.from_width == dfg.width[child]
             width = dfg.width[inst.node]
             assert 1 <= width <= 32
             if inst.kind is ComponentKind.MULT:
@@ -282,10 +277,10 @@ class TestMappedInvariants:
                 assert inst.mod_correct == (node.kind is OpKind.MODS)
 
         # loading covers each used operand exactly once, two per cycle
-        flat = [n for pair in mapped.loading.cycles for n in pair
+        flat = [n for pair in mapped.loading for n in pair
                 if n is not None]
         assert tuple(flat) == mapped.analysis.operand_sequence
-        assert all(pair[0] is not None for pair in mapped.loading.cycles)
+        assert all(pair[0] is not None for pair in mapped.loading)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -596,7 +596,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
     """Drive one invocation through the design cycle by cycle."""
     validate_inputs(spec, inputs)
     stim = stimulus
-    loads = len(mapped.loading.cycles)
+    loads = len(mapped.loading)
     done_target = done_cycle_enabled(mapped)
     pair_lines = operand_columns(mapped, [inputs])
 
