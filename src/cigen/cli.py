@@ -115,7 +115,8 @@ def _non_negative(value, what: str) -> float:
 
 def _load_config(path: str | None) -> dict:
     """The header intrinsic and the estimate_metrics keywords of a config
-    file, all checked before any other work; power and time finite, >= 0."""
+    file, all checked before any other work; power and time JSON numbers,
+    finite, >= 0."""
     config = {}
     if path is not None:
         try:
@@ -136,6 +137,8 @@ def _load_config(path: str | None) -> dict:
         metrics["costs"] = cost_table(config["costs"])
     for key in ("power_mw", "time_ms"):
         if key in config:
+            if isinstance(config[key], (str, bool)):   # JSON numbers only
+                raise CigenError(f"config {key} must be a number")
             metrics[key] = _non_negative(config[key], f"config {key}")
     return {"intrinsic": intrinsic, "metrics": metrics}
 

@@ -31,16 +31,14 @@ endings, two-space indents).
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .frontend import CiSpec, LeafNode, OperandDecl, OpNode
-from .lpm import COMPONENT_DECLS, ComponentKind, port_widths
+from .lpm import COMPONENT_DECLS, KIND_PORTS, ComponentKind, port_widths
 from .mapper import (
     DivOutput,
-    InstancePlan,
     MappedDesign,
     done_cycle_enabled,
     input_reg,
@@ -68,15 +66,6 @@ class Violation(NamedTuple):
 
 def _vec_type(width: int) -> str:
     return f"std_logic_vector({width - 1} downto 0)"
-
-
-def _wire_names(inst: InstancePlan) -> tuple[tuple[str, int], ...]:
-    """The wires on an instance's output ports, in declaration order, with
-    their widths."""
-    suffixes = {ComponentKind.ADD_SUB: ("",), ComponentKind.MULT: ("_p",),
-                ComponentKind.DIVIDE: ("_q", "_r")}[inst.kind]
-    widths = port_widths(inst.kind, inst.generics)[1]
-    return tuple((f"w_{inst.node}{s}", w) for s, w in zip(suffixes, widths))
 
 
 def _low_bits(name: str, width: int, take: int) -> ast.Expr:
@@ -144,10 +133,13 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                 signal = wire
             inputs.append(signal)
 
-        wires = _wire_names(inst)
-        signals.extend(ast.SignalDecl(wire, width) for wire, width in wires)
-        value, value_width = wires[1] if inst.div_output is DivOutput.REMAINDER \
-            else wires[0]
+        # the wires on the output ports, in declaration order
+        kind = KIND_PORTS[inst.kind]
+        wires = [f"w_{node_id}{suffix}" for suffix in kind.wire_suffixes]
+        out_widths = port_widths(inst.kind, inst.generics)[1]
+        signals.extend(map(ast.SignalDecl, wires, out_widths))
+        value_port = 1 if inst.div_output is DivOutput.REMAINDER else 0
+        value, value_width = wires[value_port], out_widths[value_port]
         if inst.mod_correct:
             assigns.append(ast.ConcurrentAssign(
                 f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
@@ -157,11 +149,9 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         registers.append(node_reg(node_id))
         value_wires[node_id] = value, value_width
 
-        # every component declares its input ports before its output ports
-        ports = [p.name for p in COMPONENT_DECLS[inst.kind].ports]
         instances.append(ast.Instance(
             f"u_{node.kind.name.lower()}_{op_index}", inst.kind, inst.generics,
-            tuple(zip(ports, inputs + [wire for wire, _ in wires]))))
+            tuple(zip(kind.ports, inputs + wires))))
         kinds.add(inst.kind)
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
             node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
@@ -261,22 +251,29 @@ def emit_component_decl(decl: ast.ComponentDecl, indent: str = "  ") -> str:
         f"{indent}  );", f"{indent}end component;"])
 
 
-def _generic_value(value: int | enum.Enum) -> str:
-    return f'"{value.value}"' if isinstance(value, enum.Enum) else str(value)
+def _instance_text(decl: ast.ComponentDecl) -> str:
+    """The text of every instance of decl, left to fill with the label, the
+    port map and the fields of the generics record, in order.  A string
+    generic holds an enum and prints as its quoted value."""
+    generics = ",\n".join(
+        f"      {g.name} => "
+        + (f'"{{{i}.value}}"' if g.vhdl_type == "string" else f"{{{i}}}")
+        for i, g in enumerate(decl.generics))
+    return (f"  {{label}} : {decl.name}\n    generic map (\n{generics}\n"
+            "    )\n    port map (\n      {ports}\n    );")
 
 
-def emit_instance(inst: ast.Instance, indent: str = "  ") -> str:
-    """Render an instantiation; the generic map pairs the component's
-    generics with the fields of the generics record, in order."""
-    decl = COMPONENT_DECLS[inst.kind]
-    inner = indent + "    "
-    return "\n".join([
-        f"{indent}{inst.label} : {decl.name}", f"{indent}  generic map (",
-        *_listed([f"{g.name} => {_generic_value(v)}"
-                  for g, v in zip(decl.generics, inst.generics)], ",", inner),
-        f"{indent}  )", f"{indent}  port map (",
-        *_listed([f"{name} => {value}" for name, value in inst.port_map], ",", inner),
-        f"{indent}  );"])
+_INSTANCE_TEXT = {kind: _instance_text(entry.decl)
+                  for kind, entry in KIND_PORTS.items()}
+
+
+def emit_instance(inst: ast.Instance) -> str:
+    """Render an instantiation: the generic map pairs the component's
+    generics with the fields of the generics record, in order, and the port
+    map keeps the instance's own order."""
+    ports = ",\n      ".join([f"{port} => {wire}" for port, wire in inst.port_map])
+    return _INSTANCE_TEXT[inst.kind].format(*inst.generics, label=inst.label,
+                                            ports=ports)
 
 
 def emit_expr(expr: ast.Expr, widths: dict[str, int]) -> str:

@@ -277,3 +277,32 @@ COMPONENT_DECLS: dict[ComponentKind, ast.ComponentDecl] = {
     ComponentKind.DIVIDE: _DIVIDE_DECL,
     ComponentKind.CONCAT_EXTEND: _CONCAT_EXTEND_DECL,
 }
+
+
+class KindPorts(NamedTuple):
+    """What every instance of a kind shares, derived once from its
+    declaration and kernel: ``hdl.build_design`` and the simulator's
+    lowering read it per instance, and ``hdl`` derives each kind's instance
+    text from it."""
+    decl: ast.ComponentDecl
+    ports: tuple[str, ...]          # in declaration order, inputs first
+    inputs: int                     # how many of ports are inputs
+    declared: frozenset[str]
+    kernel: Callable[..., tuple[Column, ...]]
+    wire_suffixes: tuple[str, ...]  # per output: build_design's w_<node><suffix>
+
+
+def _kind_ports(kind: ComponentKind, *wire_suffixes: str) -> KindPorts:
+    decl = COMPONENT_DECLS[kind]
+    ports = tuple(p.name for p in decl.ports)
+    inputs = sum(p.direction == "in" for p in decl.ports)
+    return KindPorts(decl, ports, inputs, frozenset(ports), KERNELS[kind],
+                     wire_suffixes)
+
+
+KIND_PORTS: dict[ComponentKind, KindPorts] = {
+    ComponentKind.ADD_SUB: _kind_ports(ComponentKind.ADD_SUB, ""),
+    ComponentKind.MULT: _kind_ports(ComponentKind.MULT, "_p"),
+    ComponentKind.DIVIDE: _kind_ports(ComponentKind.DIVIDE, "_q", "_r"),
+    ComponentKind.CONCAT_EXTEND: _kind_ports(ComponentKind.CONCAT_EXTEND, ""),
+}

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
@@ -52,11 +53,12 @@ from .errors import (
 from .frontend import CiSpec, Dfg, OperandDecl, OpKind
 from .hdl import build_design
 from .lpm import (
-    COMPONENT_DECLS,
-    KERNELS,
+    KIND_PORTS,
     MAX_INTERNAL_WIDTH,
     BitVec,
     Column,
+    KindPorts,
+    LpmGenerics,
     low_bits,
     mod_correct,
     port_widths,
@@ -232,13 +234,36 @@ class SimResult(NamedTuple):
 Op = Callable[[dict[str, Column], set[int]], None]
 
 
-def _reads(expr: ast.Expr) -> tuple[str, ...]:
-    """The signals an expression reads."""
-    if isinstance(expr, (ast.Ref, ast.Slice)):
-        return (expr.name,)
-    if isinstance(expr, ast.Resize):
-        return _reads(expr.operand)
-    return (expr.remainder, expr.divisor)
+def _assign_op(target: str, read: Callable[[dict], Column]) -> Op:
+    def op(values: dict[str, Column], faults: set[int]) -> None:
+        values[target] = read(values)
+    return op
+
+
+def _instance_op(kernel: Callable[..., tuple[Column, ...]],
+                 generics: LpmGenerics, ins: tuple[str, ...],
+                 outs: tuple[str, ...]) -> Op:
+    """An op running kernel from the input wires to the output wires.  The
+    one-output kinds are spelled out, and their names bound as defaults,
+    which are cheaper to make and to read than closure cells: a wide design
+    has thousands of them."""
+    if len(outs) == 1 and len(ins) == 2:
+        (a, b), (out,) = ins, outs
+
+        def op(values, faults, kernel=kernel, generics=generics, a=a, b=b,
+               out=out) -> None:
+            values[out], = kernel(generics, faults, values[a], values[b])
+    elif len(outs) == 1 and len(ins) == 1:
+        (a,), (out,) = ins, outs
+
+        def op(values, faults, kernel=kernel, generics=generics, a=a,
+               out=out) -> None:
+            values[out], = kernel(generics, faults, values[a])
+    else:
+        def op(values: dict[str, Column], faults: set[int]) -> None:
+            values.update(zip(outs, kernel(generics, faults,
+                                           *[values[wire] for wire in ins])))
+    return op
 
 
 class IndexedDesign:
@@ -256,21 +281,25 @@ class IndexedDesign:
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
-    contract, a component port unbound or undeclared, an undeclared name,
-    a wire with no driver or two, a driver on a register or an entity port
-    other than result, an undeclared register, a load of a non-register, a
-    combinational loop, a missing step, or a chain that never sets done.
+    contract, a component port unbound, undeclared or bound twice, an
+    undeclared name, a wire with no driver or two, a driver on a register or
+    an entity port other than result, an undeclared register, a load of a
+    non-register, a combinational loop, a missing step, or a chain that
+    never sets done.
     """
 
     def __init__(self, design: ast.HdlDesign):
         arch = design.architecture
         self.name = design.entity.name
+        signals = {s.name: s.width for s in arch.signals}
         self.widths = {p.name: p.width for p in design.entity.ports}
-        self.widths.update((s.name, s.width) for s in arch.signals)
-        for name, width in self.widths.items():
-            self._check_width(width, name)
+        self.widths.update(signals)
+        widths = self.widths.values()
+        if min(widths, default=1) < 1 or max(widths, default=1) > MAX_INTERNAL_WIDTH:
+            for name, width in self.widths.items():
+                self._check_width(width, name)
         self.registers = arch.process.registers
-        undeclared = set(self.registers).difference(s.name for s in arch.signals)
+        undeclared = set(self.registers).difference(signals)
         if undeclared:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
@@ -285,14 +314,14 @@ class IndexedDesign:
             {p.name for p in design.entity.ports} - {"result"}
         # wire -> (signals read, wires written, op)
         self._drivers: dict[str, tuple[tuple[str, ...], tuple[str, ...], Op]] = {}
-        for assign in arch.assigns:
-            self._drive((assign.target,), _reads(assign.expr),
-                        self._assign_op(assign.target, assign.expr))
+        for target, expr in arch.assigns:
+            read, reads = self._compile(expr, target)
+            self._drive((target,), reads, _assign_op(target, read))
         for inst in arch.instances:
-            self._drive(*self._instance_op(inst))
+            self._lower_instance(inst)
         self._plans = {step.index: self._plan(step)
                        for step in arch.process.steps}
-        self._result_ops = self._ops(("result",), set())
+        self._result_ops = self._ops(("result",), {})
         self.done_cycle = self._done_cycle()
 
     def _check_width(self, width: int, what: str) -> None:
@@ -314,106 +343,119 @@ class IndexedDesign:
                 raise InternalCheckError(f"{self.name}: {wire} has a second driver")
             self._drivers[wire] = (reads, wires, op)
 
-    def _instance_op(self, inst: ast.Instance):
-        bound = dict(inst.port_map)
-        decl = COMPONENT_DECLS[inst.kind]
-        ports = decl.ports
-        for port in ports:
-            if port.name not in bound:
-                raise InternalCheckError(f"{self.name}: {inst.label} leaves "
-                                         f"port {port.name} unbound")
-        declared = {port.name for port in ports}
-        for name, _ in inst.port_map:
-            if name not in declared:
+    def _lower_instance(self, inst: ast.Instance) -> None:
+        """Check inst's port map and wire widths against its kind, then
+        drive its output wires through the kind's kernel."""
+        label, kind_name, generics, port_map = inst
+        kind = KIND_PORTS[kind_name]
+        ports, wires = zip(*port_map) if port_map else ((), ())
+        if ports != kind.ports:
+            wires = self._bind_by_name(inst, kind)
+        in_widths, out_widths = port_widths(kind_name, generics)
+        widths = in_widths + out_widths
+        if tuple(map(self.widths.get, wires)) != widths:
+            for wire, width in zip(wires, widths):
+                if self._width(wire) != width:
+                    raise WidthMismatch(f"{self.name}: {label} needs {width} "
+                                        f"bits on {wire}, declared "
+                                        f"{self._width(wire)}")
+        ins, outs = wires[:kind.inputs], wires[kind.inputs:]
+        self._drive(outs, ins, _instance_op(kind.kernel, generics, ins, outs))
+
+    def _bind_by_name(self, inst: ast.Instance, kind: KindPorts) -> tuple[str, ...]:
+        """The wires inst binds to kind's ports, in declaration order, once
+        every port is bound exactly once and nothing else is."""
+        bound: dict[str, str] = {}
+        for port, wire in inst.port_map:
+            if port not in kind.declared:
                 raise InternalCheckError(
-                    f"{self.name}: {inst.label} binds port {name}, which "
-                    f"{decl.name} does not declare")
-        ins = tuple(bound[p.name] for p in ports if p.direction == "in")
-        outs = tuple(bound[p.name] for p in ports if p.direction == "out")
-        in_widths, out_widths = port_widths(inst.kind, inst.generics)
-        for wire, width in zip(ins + outs, in_widths + out_widths):
-            if self._width(wire) != width:
-                raise WidthMismatch(f"{self.name}: {inst.label} needs {width} bits "
-                                    f"on {wire}, declared {self._width(wire)}")
-        kernel, generics = KERNELS[inst.kind], inst.generics
+                    f"{self.name}: {inst.label} binds port {port}, which "
+                    f"{kind.decl.name} does not declare")
+            if port in bound:
+                raise InternalCheckError(f"{self.name}: {inst.label} binds "
+                                         f"port {port} twice")
+            bound[port] = wire
+        for port in kind.ports:
+            if port not in bound:
+                raise InternalCheckError(f"{self.name}: {inst.label} leaves "
+                                         f"port {port} unbound")
+        return tuple(bound[port] for port in kind.ports)
 
-        def op(values: dict[str, Column], faults: set[int]) -> None:
-            values.update(zip(outs, kernel(generics, faults,
-                                           *[values[wire] for wire in ins])))
-        return outs, ins, op
-
-    def _assign_op(self, target: str, expr: ast.Expr) -> Op:
-        read = self._compile(expr, target)
-
-        def op(values: dict[str, Column], faults: set[int]) -> None:
-            values[target] = read(values)
-        return op
-
-    def _compile(self, expr: ast.Expr, target: str) -> Callable[[dict], Column]:
-        """expr as a function of the signal values, once its width is
-        checked against target's."""
-        read, width = self._expr(expr)
+    def _compile(self, expr: ast.Expr,
+                 target: str) -> tuple[Callable[[dict], Column], tuple[str, ...]]:
+        """expr as a function of the signal values, with the signals it
+        reads, once its width is checked against target's."""
+        read, width, reads = self._expr(expr)
         if width != self._width(target):
             raise InternalCheckError(f"{self.name}: {width}-bit value on "
                                      f"{target}, declared {self._width(target)}")
-        return read
+        return read, reads
 
-    def _expr(self, expr: ast.Expr) -> tuple[Callable[[dict], Column], int]:
+    def _expr(self, expr: ast.Expr) -> tuple[Callable[[dict], Column], int,
+                                              tuple[str, ...]]:
         if isinstance(expr, ast.Ref):
             name = expr.name
-            return (lambda values: values[name]), self._width(name)
+            return itemgetter(name), self._width(name), (name,)
         if isinstance(expr, ast.Slice):
             name, width, whole = expr.name, expr.width, self._width(expr.name)
             if not 1 <= width <= whole:
                 raise InternalCheckError(f"{self.name}: slice of {width} "
                                          f"bits from {whole}-bit {name}")
-            return (lambda values: low_bits(values[name], width)), width
+            return (lambda values, name=name, width=width:
+                    low_bits(values[name], width)), width, (name,)
         if isinstance(expr, ast.Resize):
-            inner, from_width = self._expr(expr.operand)
+            inner, from_width, reads = self._expr(expr.operand)
             signed, width = expr.signed, expr.width
             self._check_width(width, "resize")
             return (lambda values: resize(inner(values), from_width, signed,
-                                          width)), width
+                                          width)), width, reads
         r, d, width = expr.remainder, expr.divisor, self._width(expr.remainder)
         if self._width(d) != width:
             raise WidthMismatch(f"{self.name}: mod correction of {width}-bit "
                                 f"{r} by {self._width(d)}-bit {d}")
-        return (lambda values: mod_correct(values[r], values[d], width)), width
+        return (lambda values: mod_correct(values[r], values[d], width)), \
+            width, (r, d)
 
-    def _ops(self, names: tuple[str, ...], done: set[str]) -> list[Op]:
+    def _ops(self, names: tuple[str, ...], done: dict[str, bool]) -> tuple[Op, ...]:
         """The driver ops computing the wires among names that done lacks,
-        each after the ops it reads from; their outputs join done."""
+        each after the ops it reads from.  done maps the wires met so far
+        to True once computed, False while their reads are resolved."""
         ops: list[Op] = []
         for name in names:
-            self._need(name, frozenset(), done, ops)
-        return ops
+            if name not in self._sources:
+                self._need(name, done, ops)
+        return tuple(ops)
 
-    def _need(self, name: str, pending: frozenset[str], done: set[str],
-              ops: list[Op]) -> None:
-        if name in self._sources or name in done:
+    def _need(self, name: str, done: dict[str, bool], ops: list[Op]) -> None:
+        state = done.get(name)
+        if state:
             return
+        if state is False:
+            raise InternalCheckError(f"{self.name}: combinational loop through {name}")
         driver = self._drivers.get(name)
         if driver is None:
             raise InternalCheckError(f"{self.name}: {name} has no driver")
-        if name in pending:
-            raise InternalCheckError(f"{self.name}: combinational loop through {name}")
+        done[name] = False
         reads, outputs, op = driver
         for read in reads:
-            self._need(read, pending | {name}, done, ops)
+            if read not in self._sources:
+                self._need(read, done, ops)
         ops.append(op)
-        done.update(outputs)
+        for wire in outputs:
+            done[wire] = True
 
-    def _plan(self, step: ast.ControlStep) -> tuple[tuple[str, list[Op], Callable], ...]:
+    def _plan(self, step: ast.ControlStep) -> list[tuple[str, tuple[Op, ...], Callable]]:
         """Per load of step: its target, the driver ops it needs that no
         earlier load of the step computed, and its compiled expression."""
-        done, plan = set(), []
-        for load in step.loads:
-            if load.target not in self._register_set:
+        done: dict[str, bool] = {}
+        plan = []
+        for target, expr in step.loads:
+            if target not in self._register_set:
                 raise InternalCheckError(f"{self.name}: step {step.index} loads "
-                                         f"{load.target}, which is no register")
-            read = self._compile(load.expr, load.target)
-            plan.append((load.target, self._ops(_reads(load.expr), done), read))
-        return tuple(plan)
+                                         f"{target}, which is no register")
+            read, reads = self._compile(expr, target)
+            plan.append((target, self._ops(reads, done), read))
+        return plan
 
     def _done_cycle(self) -> int:
         """The enabled cycle on which done is high: the number of steps from
@@ -435,15 +477,16 @@ class IndexedDesign:
         vectors join faults), or None.  Past done the counter runs on to 0,
         where edges only lower done.  Each yield updates one values dict,
         replacing columns, never writing into one."""
-        values: dict[str, Column] = {name: [0] * count for name in self.registers}
+        values: dict[str, Column] = dict.fromkeys(self.registers, [0] * count)
         values["dataa"], values["datab"] = pairs[0]
         index, done, fault, last = 0, False, None, len(pairs) - 1
+        steps, plans = self.steps, self._plans
         for k in itertools.count(1):   # then the edge into enabled cycle k
             yield index, done, values, fault
             fault, done = None, False
             if index or k == 1:
-                latched, step = [], self.steps[index]
-                for target, ops, read in self._plans[index]:
+                step, latched = steps[index], []
+                for target, ops, read in plans[index]:
                     seen = len(faults)
                     for op in ops:
                         op(values, faults)

@@ -157,6 +157,13 @@ def _unknown_port(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(design, instances=(mul, add))
 
 
+def _port_bound_twice(design: ast.HdlDesign) -> ast.HdlDesign:
+    # emit_vhdl would print "dataa =>" twice, which no VHDL tool accepts
+    mul, add = design.architecture.instances
+    mul = mul._replace(port_map=mul.port_map[:1] + mul.port_map)
+    return with_arch(design, instances=(mul, add))
+
+
 def _undeclared_bound_wire(design: ast.HdlDesign) -> ast.HdlDesign:
     mul, add = design.architecture.instances
     mul = mul._replace(port_map=tuple(
@@ -208,6 +215,8 @@ WIRING_FAULTS = [
     pytest.param(_unbound_result, "u_add_1 leaves port result unbound"),
     pytest.param(_unknown_port, "u_add_1 binds port carry, which lpm_add_sub "
                                 "does not declare"),
+    pytest.param(_port_bound_twice, "u_mul_0 binds port dataa twice",
+                 id="port-bound-twice"),
     pytest.param(_undeclared_bound_wire, "w_ghost is not declared",
                  id="undeclared-signal"),
     pytest.param(_second_driver, "w_1_p has a second driver"),

@@ -224,7 +224,7 @@ class TestFailClosed:
                                "--config", config], out)
 
     @pytest.mark.parametrize("config", [
-        {"power_mw": "nan", "time_ms": 1},
+        {"power_mw": float("nan"), "time_ms": 1},   # the JSON literal NaN
         {"power_mw": 1, "time_ms": float("inf")},
         {"power_mw": -1, "time_ms": 1},
         {"power_mw": 10**400, "time_ms": 1},
@@ -240,6 +240,26 @@ class TestFailClosed:
         assert stderr.startswith("cigen: error: config ")
         assert "must be finite and non-negative" in stderr
         assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "report"])
+    @pytest.mark.parametrize("config, key", [
+        ({"power_mw": " 2_98 ", "time_ms": 1}, "power_mw"),
+        ({"power_mw": "nan", "time_ms": 1}, "power_mw"),
+        ({"power_mw": 298, "time_ms": True}, "time_ms"),
+        ({"power_mw": False, "time_ms": 1}, "power_mw"),
+    ], ids=["string", "nan-string", "true", "false"])
+    def test_power_and_time_must_be_json_numbers(self, tmp_path, capsys,
+                                                 spec_file, command, config,
+                                                 key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, spec_file, "--config", path]
+        code, stdout, stderr = _run(capsys, *argv,
+                                    *(["-o", out] if command == "build" else []))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"cigen: error: config {key} must be a number\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["build", "report"])

@@ -19,7 +19,7 @@ from cigen.frontend import (
     parse_ci_spec,
 )
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
-from cigen.hdl import build_design
+from cigen.hdl import build_design, emit_instance
 from cigen.lpm import AddSubGenerics, BitVec, Direction
 from cigen.mapper import done_cycle_enabled, map_design, node_reg
 from cigen.sim import (
@@ -391,6 +391,38 @@ class TestLoweringChecks:
         design = mutate(build_design(mac_spec, mac_mapped))
         with pytest.raises(InternalCheckError, match=message):
             IndexedDesign(design)
+
+
+class TestPortsByName:
+    """A port map binds by port name: its order changes nothing the
+    lowering runs, and emit_instance prints it as the instance gives it."""
+
+    SPEC = ("input a: signed<8>; input b: unsigned<12>; output x: signed<16>;"
+            "x = (a % b) * a + b / a;")
+
+    def test_any_port_order_lowers_and_checks_the_same(self):
+        spec = _spec(self.SPEC)
+        mapped = map_design(spec)
+        design = build_design(spec, mapped)
+        instances = design.architecture.instances
+        kinds = {inst.kind.name for inst in instances}
+        assert kinds == {"ADD_SUB", "MULT", "DIVIDE", "CONCAT_EXTEND"}
+        # each map rotated by one: no port left where its declaration puts it
+        shuffled = with_arch(design, instances=tuple(
+            inst._replace(port_map=inst.port_map[1:] + inst.port_map[:1])
+            for inst in instances))
+        moved = shuffled.architecture.instances
+
+        vectors = random_vectors(random.Random(11), spec, 200)
+        pairs = operand_columns(mapped, vectors)
+        assert IndexedDesign(shuffled).run(pairs, len(vectors)) == \
+            IndexedDesign(design).run(pairs, len(vectors))
+        assert check_equivalence(spec, mapped, vectors, design=shuffled) == []
+        for inst in moved:
+            ports = emit_instance(inst).split("port map (\n")[1]
+            assert [line.split(" => ")[0].strip()
+                    for line in ports.splitlines()[:-1]] == \
+                [port for port, _ in inst.port_map]
 
 
 class TestProperties:
