@@ -4,11 +4,12 @@
 ``MappedDesign``: the control schedule, per-node truncation, root-to-port
 adaptation and the modulus correction all become nodes of the
 ``HdlDesign`` it returns.  ``emit_vhdl`` renders that design, holding all
-VHDL spelling.  Two gates own its rules, each rule once:
-``validate_structure`` checks what only the VHDL text shows (the entity
-ports, legal and unique names, component declarations), and
-``sim.IndexedDesign`` checks connectivity (ports, drivers, targets, widths)
-when it lowers the design to execute it.
+VHDL spelling: an instance prints from the text of its generics class,
+derived once from the class's component declaration.  Two gates own its
+rules, each rule once: ``validate_structure`` checks what only the VHDL
+text shows (the entity ports, legal and unique names, component
+declarations), and ``sim.IndexedDesign`` checks connectivity (ports,
+drivers, targets, widths) when it lowers the design to execute it.
 
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
@@ -32,11 +33,12 @@ endings, two-space indents).
 from __future__ import annotations
 
 import re
+import typing
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .frontend import CiSpec, LeafNode, OperandDecl, OpNode
-from .lpm import COMPONENT_DECLS, KIND_PORTS, ComponentKind, port_widths
+from .lpm import ConcatExtendGenerics, LpmGenerics
 from .mapper import (
     DivOutput,
     MappedDesign,
@@ -109,7 +111,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
     assigns: list[ast.ConcurrentAssign] = []
-    kinds: set[ComponentKind] = set()
+    kinds: set[type[LpmGenerics]] = set()  # the generics classes used
     stage_loads: dict[int, list[ast.RegisterLoad]] = {}
     value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
     adapter_count = 0   # adapters are numbered over the instances, left first
@@ -126,17 +128,17 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                 wire = f"w_x_{adapter_count}"
                 signals.append(ast.SignalDecl(wire, adapter.to_width))
                 instances.append(ast.Instance(
-                    f"x_{adapter_count}", ComponentKind.CONCAT_EXTEND, adapter,
-                    (("a", signal), ("result", wire))))
-                kinds.add(ComponentKind.CONCAT_EXTEND)
+                    f"x_{adapter_count}", adapter,
+                    tuple(zip(adapter.component.ports, (signal, wire)))))
+                kinds.add(ConcatExtendGenerics)
                 adapter_count += 1
                 signal = wire
             inputs.append(signal)
 
         # the wires on the output ports, in declaration order
-        kind = KIND_PORTS[inst.kind]
-        wires = [f"w_{node_id}{suffix}" for suffix in kind.wire_suffixes]
-        out_widths = port_widths(inst.kind, inst.generics)[1]
+        component = inst.generics.component
+        wires = [f"w_{node_id}{suffix}" for suffix in component.wire_suffixes]
+        out_widths = inst.generics.port_widths()[1]
         signals.extend(map(ast.SignalDecl, wires, out_widths))
         value_port = 1 if inst.div_output is DivOutput.REMAINDER else 0
         value, value_width = wires[value_port], out_widths[value_port]
@@ -150,9 +152,9 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         value_wires[node_id] = value, value_width
 
         instances.append(ast.Instance(
-            f"u_{node.kind.name.lower()}_{op_index}", inst.kind, inst.generics,
-            tuple(zip(kind.ports, inputs + wires))))
-        kinds.add(inst.kind)
+            f"u_{node.kind.name.lower()}_{op_index}", inst.generics,
+            tuple(zip(component.ports, inputs + wires))))
+        kinds.add(type(inst.generics))
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
             node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
 
@@ -180,11 +182,11 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     process = ast.ControlProcess("control", "cnt", done_cycle, tuple(steps),
                                  tuple(registers))
 
-    components = tuple(COMPONENT_DECLS[kind]
-                       for kind in sorted(kinds, key=lambda kind: kind.name))
+    components = tuple(kind.component.decl for kind in
+                       sorted(kinds, key=lambda kind: kind.component.name))
     libraries = ["library ieee;", "use ieee.std_logic_1164.all;",
                  "use ieee.numeric_std.all;"]
-    if kinds - {ComponentKind.CONCAT_EXTEND}:
+    if kinds - {ConcatExtendGenerics}:
         libraries += ["library lpm;", "use lpm.lpm_components.all;"]
 
     header = (
@@ -197,7 +199,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                                     tuple(instances), tuple(assigns), process)
     return ast.HdlDesign(header, tuple(libraries),
                          ast.Entity(spec.name, ENTITY_PORTS), architecture,
-                         support_concat=ComponentKind.CONCAT_EXTEND in kinds)
+                         support_concat=ConcatExtendGenerics in kinds)
 
 
 # --- emission -------------------------------------------------------------
@@ -263,8 +265,8 @@ def _instance_text(decl: ast.ComponentDecl) -> str:
             "    )\n    port map (\n      {ports}\n    );")
 
 
-_INSTANCE_TEXT = {kind: _instance_text(entry.decl)
-                  for kind, entry in KIND_PORTS.items()}
+_INSTANCE_TEXT = {kind: _instance_text(kind.component.decl)
+                  for kind in typing.get_args(LpmGenerics)}
 
 
 def emit_instance(inst: ast.Instance) -> str:
@@ -272,8 +274,8 @@ def emit_instance(inst: ast.Instance) -> str:
     generics with the fields of the generics record, in order, and the port
     map keeps the instance's own order."""
     ports = ",\n      ".join([f"{port} => {wire}" for port, wire in inst.port_map])
-    return _INSTANCE_TEXT[inst.kind].format(*inst.generics, label=inst.label,
-                                            ports=ports)
+    return _INSTANCE_TEXT[type(inst.generics)].format(
+        *inst.generics, label=inst.label, ports=ports)
 
 
 def emit_expr(expr: ast.Expr, widths: dict[str, int]) -> str:
@@ -425,7 +427,7 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
                                         "declared twice"))
         components.add(decl.name)
     for inst in arch.instances:
-        component = COMPONENT_DECLS[inst.kind].name
+        component = inst.generics.component.decl.name
         if component not in components:
             violations.append(Violation("undeclared-component", component,
                                         f"instance {inst.label}"))

@@ -2,15 +2,18 @@
 
 Each generated datapath is assembled from four component kinds: a shared
 add/subtract unit, a multiplier, a divider producing quotient and remainder,
-and a concat/extend unit that widens vectors.  This module writes each
-kind's bit-exact semantics once, as a kernel over columns of plain-int
-two's-complement patterns (one entry per vector, ``KERNELS``), together with
-its width contract (``port_widths``) and its VHDL component declaration.
-The expression forms of a design (slice, resize, mod correction) have their
-column kernels here too.  The simulator runs every instance and expression
-through these kernels, over a whole batch of vectors or over one-element
-columns.  The emitter renders every instance from the declaration, so each
-component's behaviour and interface are written once.
+and a concat/extend unit that widens vectors.  A kind is its generics
+record, one class of ``LpmGenerics``.  Its class attribute ``component``
+holds the kind's bit-exact semantics, written once as a kernel over columns
+of plain-int two's-complement patterns (one entry per vector), and its VHDL
+component declaration; its method ``port_widths()`` is the width contract,
+raising WidthMismatch or NotWidening for generics that describe no
+buildable component.  The expression forms of a design (slice, resize, mod
+correction) have their column kernels here too.  The simulator runs every
+instance and expression through these kernels, over a whole batch of
+vectors or over one-element columns.  The emitter renders every instance
+from the declaration, so each component's behaviour and interface are
+written once.
 """
 
 from __future__ import annotations
@@ -23,13 +26,6 @@ from . import vhdl_ast as ast
 from .errors import NotWidening, WidthMismatch
 
 MAX_INTERNAL_WIDTH = 64  # widest internal vector: a 32x32 full product
-
-
-class ComponentKind(enum.Enum):
-    ADD_SUB = enum.auto()
-    MULT = enum.auto()
-    DIVIDE = enum.auto()
-    CONCAT_EXTEND = enum.auto()
 
 
 class Direction(enum.Enum):
@@ -76,34 +72,6 @@ class BitVec(_BitVecFields):
         if self.bits & (1 << (self.width - 1)):
             return self.bits - (1 << self.width)
         return self.bits
-
-
-class AddSubGenerics(NamedTuple):
-    width: int
-    direction: Direction
-
-
-class MultGenerics(NamedTuple):
-    width_a: int
-    width_b: int
-    width_p: int
-    representation: Representation
-
-
-class DivideGenerics(NamedTuple):
-    width_n: int
-    width_d: int
-    n_representation: Representation
-    d_representation: Representation
-
-
-class ConcatExtendGenerics(NamedTuple):
-    from_width: int
-    to_width: int
-    extension: Extension
-
-
-LpmGenerics = AddSubGenerics | MultGenerics | DivideGenerics | ConcatExtendGenerics
 
 
 Column = list[int]  # one bit pattern per vector of a batch
@@ -194,115 +162,118 @@ def _concat_extend(generics: ConcatExtendGenerics, faults: set[int],
                    generics.to_width),)
 
 
-# Per kind: generics, a fault set and the input ports' columns in declaration
-# order to the output ports' columns in declaration order.  Every kernel
-# expects inputs at the widths port_widths gives and masks its outputs.
-KERNELS: dict[ComponentKind, Callable[..., tuple[Column, ...]]] = {
-    ComponentKind.ADD_SUB: _add_sub,
-    ComponentKind.MULT: _mult,
-    ComponentKind.DIVIDE: _divide,
-    ComponentKind.CONCAT_EXTEND: _concat_extend,
-}
-
-
-def port_widths(kind: ComponentKind, generics: LpmGenerics) -> tuple[
-        tuple[int, ...], tuple[int, ...]]:
-    """The widths of a component's input and output ports, in declaration
-    order.  Raises WidthMismatch or NotWidening for generics that describe
-    no buildable component."""
-    if kind is ComponentKind.ADD_SUB:
-        ins, outs = (generics.width, generics.width), (generics.width,)
-    elif kind is ComponentKind.MULT:
-        if generics.width_p > generics.width_a + generics.width_b:
-            raise WidthMismatch("mult product width exceeds full product")
-        ins, outs = (generics.width_a, generics.width_b), (generics.width_p,)
-    elif kind is ComponentKind.DIVIDE:
-        ins = outs = (generics.width_n, generics.width_d)
-    else:
-        if generics.to_width <= generics.from_width:
-            raise NotWidening(
-                f"extension {generics.from_width}->{generics.to_width} does not widen")
-        ins, outs = (generics.from_width,), (generics.to_width,)
-    for width in ins + outs:
-        if not 1 <= width <= MAX_INTERNAL_WIDTH:
-            raise WidthMismatch(f"{kind.name.lower()} port width {width} "
-                                f"outside 1..{MAX_INTERNAL_WIDTH}")
-    return ins, outs
-
-
-_ADD_SUB_DECL = ast.ComponentDecl(
-    "lpm_add_sub",
-    (ast.GenericDecl("LPM_WIDTH", "natural"),
-     ast.GenericDecl("LPM_DIRECTION", "string")),
-    (ast.PortDecl("dataa", "in", "std_logic_vector(LPM_WIDTH - 1 downto 0)"),
-     ast.PortDecl("datab", "in", "std_logic_vector(LPM_WIDTH - 1 downto 0)"),
-     ast.PortDecl("result", "out", "std_logic_vector(LPM_WIDTH - 1 downto 0)")),
-)
-
-_MULT_DECL = ast.ComponentDecl(
-    "lpm_mult",
-    (ast.GenericDecl("LPM_WIDTHA", "natural"),
-     ast.GenericDecl("LPM_WIDTHB", "natural"),
-     ast.GenericDecl("LPM_WIDTHP", "natural"),
-     ast.GenericDecl("LPM_REPRESENTATION", "string")),
-    (ast.PortDecl("dataa", "in", "std_logic_vector(LPM_WIDTHA - 1 downto 0)"),
-     ast.PortDecl("datab", "in", "std_logic_vector(LPM_WIDTHB - 1 downto 0)"),
-     ast.PortDecl("result", "out", "std_logic_vector(LPM_WIDTHP - 1 downto 0)")),
-)
-
-_DIVIDE_DECL = ast.ComponentDecl(
-    "lpm_divide",
-    (ast.GenericDecl("LPM_WIDTHN", "natural"),
-     ast.GenericDecl("LPM_WIDTHD", "natural"),
-     ast.GenericDecl("LPM_NREPRESENTATION", "string"),
-     ast.GenericDecl("LPM_DREPRESENTATION", "string")),
-    (ast.PortDecl("numer", "in", "std_logic_vector(LPM_WIDTHN - 1 downto 0)"),
-     ast.PortDecl("denom", "in", "std_logic_vector(LPM_WIDTHD - 1 downto 0)"),
-     ast.PortDecl("quotient", "out", "std_logic_vector(LPM_WIDTHN - 1 downto 0)"),
-     ast.PortDecl("remain", "out", "std_logic_vector(LPM_WIDTHD - 1 downto 0)")),
-)
-
-_CONCAT_EXTEND_DECL = ast.ComponentDecl(
-    "ci_concat_extend",
-    (ast.GenericDecl("FROM_WIDTH", "natural"),
-     ast.GenericDecl("TO_WIDTH", "natural"),
-     ast.GenericDecl("EXTEND_MODE", "string")),
-    (ast.PortDecl("a", "in", "std_logic_vector(FROM_WIDTH - 1 downto 0)"),
-     ast.PortDecl("result", "out", "std_logic_vector(TO_WIDTH - 1 downto 0)")),
-)
-
-COMPONENT_DECLS: dict[ComponentKind, ast.ComponentDecl] = {
-    ComponentKind.ADD_SUB: _ADD_SUB_DECL,
-    ComponentKind.MULT: _MULT_DECL,
-    ComponentKind.DIVIDE: _DIVIDE_DECL,
-    ComponentKind.CONCAT_EXTEND: _CONCAT_EXTEND_DECL,
-}
-
-
-class KindPorts(NamedTuple):
-    """What every instance of a kind shares, derived once from its
-    declaration and kernel: ``hdl.build_design`` and the simulator's
-    lowering read it per instance, and ``hdl`` derives each kind's instance
-    text from it."""
+class Component(NamedTuple):
+    """What every instance of one kind shares: ``hdl.build_design`` and the
+    simulator's lowering read it per instance, and ``hdl`` derives the
+    kind's instance text from decl.  The kernel maps generics, a fault set
+    and the input ports' columns in declaration order to the output ports'
+    columns in declaration order; it expects inputs at the widths
+    ``port_widths()`` gives, in the same order, and masks its outputs."""
+    name: str                       # the kind, as the report counts it
     decl: ast.ComponentDecl
     ports: tuple[str, ...]          # in declaration order, inputs first
-    inputs: int                     # how many of ports are inputs
-    declared: frozenset[str]
     kernel: Callable[..., tuple[Column, ...]]
     wire_suffixes: tuple[str, ...]  # per output: build_design's w_<node><suffix>
 
 
-def _kind_ports(kind: ComponentKind, *wire_suffixes: str) -> KindPorts:
-    decl = COMPONENT_DECLS[kind]
-    ports = tuple(p.name for p in decl.ports)
-    inputs = sum(p.direction == "in" for p in decl.ports)
-    return KindPorts(decl, ports, inputs, frozenset(ports), KERNELS[kind],
+def _component(name: str, kernel: Callable[..., tuple[Column, ...]],
+               wire_suffixes: tuple[str, ...],
+               decl: ast.ComponentDecl) -> Component:
+    return Component(name, decl, tuple(p.name for p in decl.ports), kernel,
                      wire_suffixes)
 
 
-KIND_PORTS: dict[ComponentKind, KindPorts] = {
-    ComponentKind.ADD_SUB: _kind_ports(ComponentKind.ADD_SUB, ""),
-    ComponentKind.MULT: _kind_ports(ComponentKind.MULT, "_p"),
-    ComponentKind.DIVIDE: _kind_ports(ComponentKind.DIVIDE, "_q", "_r"),
-    ComponentKind.CONCAT_EXTEND: _kind_ports(ComponentKind.CONCAT_EXTEND, ""),
-}
+_Widths = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _in_range(component: Component, ins: tuple[int, ...],
+              outs: tuple[int, ...]) -> _Widths:
+    for width in ins + outs:
+        if not 1 <= width <= MAX_INTERNAL_WIDTH:
+            raise WidthMismatch(f"{component.name.lower()} port width {width} "
+                                f"outside 1..{MAX_INTERNAL_WIDTH}")
+    return ins, outs
+
+
+class AddSubGenerics(NamedTuple):
+    width: int
+    direction: Direction
+
+    component = _component("ADD_SUB", _add_sub, ("",), ast.ComponentDecl(
+        "lpm_add_sub",
+        (ast.GenericDecl("LPM_WIDTH", "natural"),
+         ast.GenericDecl("LPM_DIRECTION", "string")),
+        (ast.PortDecl("dataa", "in", "std_logic_vector(LPM_WIDTH - 1 downto 0)"),
+         ast.PortDecl("datab", "in", "std_logic_vector(LPM_WIDTH - 1 downto 0)"),
+         ast.PortDecl("result", "out", "std_logic_vector(LPM_WIDTH - 1 downto 0)"))))
+
+    def port_widths(self) -> _Widths:
+        return _in_range(self.component, (self.width, self.width), (self.width,))
+
+
+class MultGenerics(NamedTuple):
+    width_a: int
+    width_b: int
+    width_p: int
+    representation: Representation
+
+    component = _component("MULT", _mult, ("_p",), ast.ComponentDecl(
+        "lpm_mult",
+        (ast.GenericDecl("LPM_WIDTHA", "natural"),
+         ast.GenericDecl("LPM_WIDTHB", "natural"),
+         ast.GenericDecl("LPM_WIDTHP", "natural"),
+         ast.GenericDecl("LPM_REPRESENTATION", "string")),
+        (ast.PortDecl("dataa", "in", "std_logic_vector(LPM_WIDTHA - 1 downto 0)"),
+         ast.PortDecl("datab", "in", "std_logic_vector(LPM_WIDTHB - 1 downto 0)"),
+         ast.PortDecl("result", "out", "std_logic_vector(LPM_WIDTHP - 1 downto 0)"))))
+
+    def port_widths(self) -> _Widths:
+        if self.width_p > self.width_a + self.width_b:
+            raise WidthMismatch("mult product width exceeds full product")
+        return _in_range(self.component, (self.width_a, self.width_b),
+                         (self.width_p,))
+
+
+class DivideGenerics(NamedTuple):
+    width_n: int
+    width_d: int
+    n_representation: Representation
+    d_representation: Representation
+
+    component = _component("DIVIDE", _divide, ("_q", "_r"), ast.ComponentDecl(
+        "lpm_divide",
+        (ast.GenericDecl("LPM_WIDTHN", "natural"),
+         ast.GenericDecl("LPM_WIDTHD", "natural"),
+         ast.GenericDecl("LPM_NREPRESENTATION", "string"),
+         ast.GenericDecl("LPM_DREPRESENTATION", "string")),
+        (ast.PortDecl("numer", "in", "std_logic_vector(LPM_WIDTHN - 1 downto 0)"),
+         ast.PortDecl("denom", "in", "std_logic_vector(LPM_WIDTHD - 1 downto 0)"),
+         ast.PortDecl("quotient", "out", "std_logic_vector(LPM_WIDTHN - 1 downto 0)"),
+         ast.PortDecl("remain", "out", "std_logic_vector(LPM_WIDTHD - 1 downto 0)"))))
+
+    def port_widths(self) -> _Widths:
+        widths = (self.width_n, self.width_d)
+        return _in_range(self.component, widths, widths)
+
+
+class ConcatExtendGenerics(NamedTuple):
+    from_width: int
+    to_width: int
+    extension: Extension
+
+    component = _component("CONCAT_EXTEND", _concat_extend, ("",), ast.ComponentDecl(
+        "ci_concat_extend",
+        (ast.GenericDecl("FROM_WIDTH", "natural"),
+         ast.GenericDecl("TO_WIDTH", "natural"),
+         ast.GenericDecl("EXTEND_MODE", "string")),
+        (ast.PortDecl("a", "in", "std_logic_vector(FROM_WIDTH - 1 downto 0)"),
+         ast.PortDecl("result", "out", "std_logic_vector(TO_WIDTH - 1 downto 0)"))))
+
+    def port_widths(self) -> _Widths:
+        if self.to_width <= self.from_width:
+            raise NotWidening(
+                f"extension {self.from_width}->{self.to_width} does not widen")
+        return _in_range(self.component, (self.from_width,), (self.to_width,))
+
+
+LpmGenerics = AddSubGenerics | MultGenerics | DivideGenerics | ConcatExtendGenerics

@@ -33,7 +33,6 @@ from .frontend import (
 )
 from .lpm import (
     AddSubGenerics,
-    ComponentKind,
     ConcatExtendGenerics,
     Direction,
     DivideGenerics,
@@ -55,14 +54,14 @@ _Adapters = tuple[ConcatExtendGenerics | None, ConcatExtendGenerics | None]
 class InstancePlan(NamedTuple):
     """One component instance for one op node.
 
-    adapters are the extension adapters of its left and right input, None
-    for an input that reaches the component at its own width; the lowering
-    refuses one that does not widen (``lpm.port_widths``).  div_output says
+    The generics record's class is the component kind.  adapters are the
+    extension adapters of its left and right input, None for an input that
+    reaches the component at its own width; the lowering refuses one that
+    does not widen (``ConcatExtendGenerics.port_widths``).  div_output says
     which divider output feeds the consumer; mod_correct marks a
     flooring-modulus correction on the remainder.
     """
     node: int
-    kind: ComponentKind
     generics: LpmGenerics
     adapters: _Adapters
     div_output: DivOutput | None = None
@@ -97,8 +96,7 @@ def _plan_add_sub(node: OpNode, dfg: Dfg) -> InstancePlan:
         if dfg.width[child] < w else None
         for child in (node.left, node.right))
     direction = Direction.ADD if node.kind is OpKind.ADD else Direction.SUB
-    return InstancePlan(node.id, ComponentKind.ADD_SUB,
-                        AddSubGenerics(w, direction), adapters)
+    return InstancePlan(node.id, AddSubGenerics(w, direction), adapters)
 
 
 def _operand_ports(node: OpNode, dfg: Dfg) -> tuple[
@@ -126,8 +124,8 @@ def _plan_mult(node: OpNode, dfg: Dfg) -> InstancePlan:
         pa, pb, rep, adapters = wl, wr, Representation.UNSIGNED, (None, None)
     else:
         pa, pb, rep, adapters = _operand_ports(node, dfg)
-    return InstancePlan(node.id, ComponentKind.MULT,
-                        MultGenerics(pa, pb, min(32, pa + pb), rep), adapters)
+    return InstancePlan(node.id, MultGenerics(pa, pb, min(32, pa + pb), rep),
+                        adapters)
 
 
 def _plan_divide(node: OpNode, dfg: Dfg) -> InstancePlan:
@@ -136,8 +134,7 @@ def _plan_divide(node: OpNode, dfg: Dfg) -> InstancePlan:
         div_output = DivOutput.QUOTIENT
     else:
         div_output = DivOutput.REMAINDER
-    return InstancePlan(node.id, ComponentKind.DIVIDE,
-                        DivideGenerics(pn, pd, rep, rep), adapters,
+    return InstancePlan(node.id, DivideGenerics(pn, pd, rep, rep), adapters,
                         div_output=div_output,
                         mod_correct=node.kind is OpKind.MODS)
 

@@ -15,7 +15,7 @@ import math
 
 from .errors import CigenError
 from .frontend import CiSpec, OpKind
-from .lpm import ComponentKind
+from .lpm import ConcatExtendGenerics
 from .mapper import MappedDesign, done_cycle_enabled
 
 DEFAULT_COSTS: dict[OpKind, int] = {
@@ -78,10 +78,11 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
         raise CigenError("software cycle count is too large to report") from None
     counts: dict[str, int] = {}
     for inst in mapped.instances:
-        counts[inst.kind.name] = counts.get(inst.kind.name, 0) + 1
+        name = inst.generics.component.name
+        counts[name] = counts.get(name, 0) + 1
     adapters = sum(a is not None for inst in mapped.instances for a in inst.adapters)
     if adapters:
-        counts[ComponentKind.CONCAT_EXTEND.name] = adapters
+        counts[ConcatExtendGenerics.component.name] = adapters
     report = {
         "name": spec.name, "opcode": spec.opcode,
         "operands": len(mapped.analysis.operand_sequence),

@@ -53,15 +53,13 @@ from .errors import (
 from .frontend import CiSpec, Dfg, OperandDecl, OpKind
 from .hdl import build_design
 from .lpm import (
-    KIND_PORTS,
     MAX_INTERNAL_WIDTH,
     BitVec,
     Column,
-    KindPorts,
+    Component,
     LpmGenerics,
     low_bits,
     mod_correct,
-    port_widths,
     resize,
 )
 from .mapper import (
@@ -271,13 +269,13 @@ class IndexedDesign:
 
     Registers and their widths come from the control process and the signal
     declarations; dataa and datab are set by the driver.  Every other signal
-    read is a wire computed by its single driver, an instance through
-    ``lpm.KERNELS`` or a concurrent assignment, each compiled once into an
-    op over plain-int columns.  Every step, reached or not, is planned at
-    index time: per register load, the driver ops it needs that no earlier
-    load of the step computed, in dependency order.  ``execute`` runs those
-    plans edge by edge, over one column entry per vector: a whole batch for
-    ``run``, one invocation for ``simulate_ci``.
+    read is a wire computed by its single driver, an instance through its
+    generics' ``component.kernel`` or a concurrent assignment, each compiled
+    once into an op over plain-int columns.  Every step, reached or not, is
+    planned at index time: per register load, the driver ops it needs that
+    no earlier load of the step computed, in dependency order.  ``execute``
+    runs those plans edge by edge, over one column entry per vector: a whole
+    batch for ``run``, one invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
@@ -346,12 +344,12 @@ class IndexedDesign:
     def _lower_instance(self, inst: ast.Instance) -> None:
         """Check inst's port map and wire widths against its kind, then
         drive its output wires through the kind's kernel."""
-        label, kind_name, generics, port_map = inst
-        kind = KIND_PORTS[kind_name]
+        label, generics, port_map = inst
+        component = generics.component
         ports, wires = zip(*port_map) if port_map else ((), ())
-        if ports != kind.ports:
-            wires = self._bind_by_name(inst, kind)
-        in_widths, out_widths = port_widths(kind_name, generics)
+        if ports != component.ports:
+            wires = self._bind_by_name(inst, component)
+        in_widths, out_widths = generics.port_widths()
         widths = in_widths + out_widths
         if tuple(map(self.widths.get, wires)) != widths:
             for wire, width in zip(wires, widths):
@@ -359,27 +357,28 @@ class IndexedDesign:
                     raise WidthMismatch(f"{self.name}: {label} needs {width} "
                                         f"bits on {wire}, declared "
                                         f"{self._width(wire)}")
-        ins, outs = wires[:kind.inputs], wires[kind.inputs:]
-        self._drive(outs, ins, _instance_op(kind.kernel, generics, ins, outs))
+        ins, outs = wires[:len(in_widths)], wires[len(in_widths):]
+        self._drive(outs, ins, _instance_op(component.kernel, generics, ins, outs))
 
-    def _bind_by_name(self, inst: ast.Instance, kind: KindPorts) -> tuple[str, ...]:
-        """The wires inst binds to kind's ports, in declaration order, once
-        every port is bound exactly once and nothing else is."""
+    def _bind_by_name(self, inst: ast.Instance,
+                      component: Component) -> tuple[str, ...]:
+        """The wires inst binds to component's ports, in declaration order,
+        once every port is bound exactly once and nothing else is."""
         bound: dict[str, str] = {}
         for port, wire in inst.port_map:
-            if port not in kind.declared:
+            if port not in component.ports:
                 raise InternalCheckError(
                     f"{self.name}: {inst.label} binds port {port}, which "
-                    f"{kind.decl.name} does not declare")
+                    f"{component.decl.name} does not declare")
             if port in bound:
                 raise InternalCheckError(f"{self.name}: {inst.label} binds "
                                          f"port {port} twice")
             bound[port] = wire
-        for port in kind.ports:
+        for port in component.ports:
             if port not in bound:
                 raise InternalCheckError(f"{self.name}: {inst.label} leaves "
                                          f"port {port} unbound")
-        return tuple(bound[port] for port in kind.ports)
+        return tuple(bound[port] for port in component.ports)
 
     def _compile(self, expr: ast.Expr,
                  target: str) -> tuple[Callable[[dict], Column], tuple[str, ...]]:

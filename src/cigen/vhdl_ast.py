@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from .lpm import ComponentKind, LpmGenerics
+    from .lpm import LpmGenerics
 
 
 class Port(NamedTuple):
@@ -50,9 +50,10 @@ class SignalDecl(NamedTuple):
 
 
 class Instance(NamedTuple):
-    """Component instantiation.  Port map values must be signal or port names."""
+    """Component instantiation.  The generics record's class is the
+    component kind (``lpm.LpmGenerics``).  Port map values must be signal or
+    port names."""
     label: str
-    kind: ComponentKind
     generics: LpmGenerics
     port_map: tuple[tuple[str, str], ...]
 

@@ -11,14 +11,7 @@ from cigen import vhdl_ast as ast
 from cigen.errors import DivideByZero
 from cigen.frontend import parse_ci_spec
 from cigen.fuzz import FuzzConfig
-from cigen.lpm import (
-    KERNELS,
-    BitVec,
-    ComponentKind,
-    LpmGenerics,
-    mod_correct,
-    port_widths,
-)
+from cigen.lpm import BitVec, LpmGenerics, mod_correct
 from cigen.mapper import map_design
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -87,14 +80,14 @@ def wrapped(value: int, width: int) -> BitVec:
     return BitVec(width, value & ((1 << width) - 1))
 
 
-def run_component(kind: ComponentKind, generics: LpmGenerics,
-                  *inputs: BitVec) -> tuple[BitVec, ...]:
-    """One component evaluation: its lpm.KERNELS entry on one-element
-    columns, after lpm.port_widths has checked the generics.  The outputs
-    carry the port widths; a zero divisor raises DivideByZero."""
-    _, out_widths = port_widths(kind, generics)
+def run_component(generics: LpmGenerics, *inputs: BitVec) -> tuple[BitVec, ...]:
+    """One component evaluation: its kernel on one-element columns, after
+    generics.port_widths() has checked the generics.  The outputs carry the
+    port widths; a zero divisor raises DivideByZero."""
+    _, out_widths = generics.port_widths()
     faults: set[int] = set()
-    columns = KERNELS[kind](generics, faults, *([value.bits] for value in inputs))
+    columns = generics.component.kernel(generics, faults,
+                                        *([value.bits] for value in inputs))
     if faults:
         raise DivideByZero()
     return tuple(BitVec(width, column[0]) for width, column in zip(out_widths, columns))

@@ -39,12 +39,7 @@ from cigen.errors import DivideByZero, NoMatchFound
 from cigen.frontend import OpKind, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import build_design, emit_vhdl, validate_structure
-from cigen.lpm import (
-    COMPONENT_DECLS,
-    ComponentKind,
-    DivideGenerics,
-    Representation,
-)
+from cigen.lpm import ConcatExtendGenerics, DivideGenerics, Representation
 from cigen.mapper import map_design
 from cigen.metrics import estimate_metrics
 from cigen.sim import Stimulus, check_equivalence, simulate_ci
@@ -98,8 +93,7 @@ class TestSignedDivisionSemantics:
                 if d == 0:
                     continue
                 dv = wrapped(d, 8)
-                quotient, remainder = run_component(ComponentKind.DIVIDE,
-                                                    generics, nv, dv)
+                quotient, remainder = run_component(generics, nv, dv)
                 q, r = quotient.signed, remainder.signed
                 m = mod_corrected(remainder, dv).signed
 
@@ -128,17 +122,17 @@ class TestComponentDeduplication:
 
             decl_names = [c.name for c in design.architecture.components]
             assert len(decl_names) == len(set(decl_names))
-            kinds = {i.kind for i in mapped.instances}
+            kinds = {type(i.generics) for i in mapped.instances}
             adapters = [a for i in mapped.instances for a in i.adapters
                         if a is not None]
             if adapters:
-                kinds.add(ComponentKind.CONCAT_EXTEND)
-            expected = {COMPONENT_DECLS[k].name for k in kinds}
+                kinds.add(ConcatExtendGenerics)
+            expected = {k.component.decl.name for k in kinds}
             assert set(decl_names) == expected
 
             by_component = {}
             for inst in design.architecture.instances:
-                component = COMPONENT_DECLS[inst.kind].name
+                component = inst.generics.component.decl.name
                 by_component[component] = by_component.get(component, 0) + 1
             op_instances = sum(count for name, count in by_component.items()
                                if name != "ci_concat_extend")
@@ -285,3 +279,56 @@ class TestEnergyEstimate:
                          "--power", "298", "--time", "10"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["energy"] == {"P": 298.0, "T": 10.0, "E": 2980.0}
+
+
+class TestPaper3d:
+    """The paper's 3D sample application: one row of an affine point
+    transform, r = m0*px + m1*py + m2*pz + tt, as a spec and a C loop that
+    loads the row's operands into locals (tests/golden/t3d.ci and t3d.c).
+    Each command runs once on them and its figures are pinned."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        for name in ("t3d.ci", "t3d.c"):
+            (tmp_path / name).write_text((GOLDEN_DIR / name).read_text())
+        return tmp_path / "t3d.ci", tmp_path / "t3d.c"
+
+    def test_build(self, paths, tmp_path, capsys):
+        spec, _ = paths
+        assert cli.main(["build", str(spec), "-o", str(tmp_path / "out")]) == 0
+        stdout = capsys.readouterr().out
+        assert "6 operations, 4 levels, done cycle 7" in stdout
+        assert "t3d.vhd (208 lines), structure clean" in stdout
+        vhdl = (tmp_path / "out" / "t3d.vhd").read_text()
+        assert vhdl.count("\n") == 208
+
+    def test_report(self, paths, capsys):
+        spec, _ = paths
+        assert cli.main(["report", str(spec)]) == 0
+        human = capsys.readouterr().out
+        assert "latency:     8 cycles (software 12)" in human
+        assert "speedup:     1.500x" in human
+        assert cli.main(["report", str(spec), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["operations"], report["levels"], report["done_cycle"],
+                report["ci_cycles"], report["sw_cycles"]) == (6, 4, 7, 8, 12)
+        assert report["components"] == {"MULT": 3, "ADD_SUB": 3}
+
+    def test_patch_rewrites_the_one_site(self, paths, tmp_path, capsys):
+        spec, source = paths
+        assert cli.main(["patch", str(spec), str(source)]) == 0
+        call = "CI_T3D(m0, px, m1, py, m2, pz, tt)"
+        assert f"patched 1 call site(s) with {call}" in capsys.readouterr().out
+        original = source.read_text()
+        assert (tmp_path / "t3d.ci.c").read_text() == original.replace(
+            "#include <stdint.h>\n", '#include <stdint.h>\n#include "ci_t3d.h"\n'
+        ).replace("m0*px + m1*py + m2*pz + tt", call)
+
+    def test_indexed_operands_are_not_a_site(self, paths, capsys):
+        spec, source = paths
+        source.write_text(source.read_text().replace(
+            "m0*px + m1*py + m2*pz + tt",
+            "m[0][0] * p[i].x + m[0][1] * p[i].y + m[0][2] * p[i].z + t[0]"))
+        assert cli.main(["patch", str(spec), str(source)]) == 1
+        assert "no occurrence of the t3d expression found" in \
+            capsys.readouterr().err

@@ -10,11 +10,13 @@ module global the runner and the workloads call or patch.  The span hooks
 on ``simulate_ci`` also read its call and its outcome: ``record`` as a
 keyword, ``SimResult.done_cycle_enabled`` and ``DivideByZero.cycle``.
 Names alone do not show that the workloads still run, so one test also
-runs the first operation of each workload and its own check.
+runs the first operation of each workload and its own check, and another
+runs the benchmark's self-test.
 """
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,3 +123,11 @@ def test_first_op_of_each_workload_passes_its_check(bench, tmp_path, capsys,
     out, err = capsys.readouterr()
     facts = op.check(rc, out, err)
     assert facts and all(path.exists() for path in op.outputs)
+
+
+def test_bench_selftest_passes():
+    # the benchmark's own self-test imports cigen too (cigen.lpm among
+    # others), so a refactor that breaks it fails here
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -28,7 +28,7 @@ from cigen import cli
 from cigen import vhdl_ast as ast
 from cigen.frontend import MAX_EXPR_DEPTH
 from cigen.hdl import Violation
-from cigen.lpm import ComponentKind
+from cigen.lpm import AddSubGenerics
 
 SUB_TEXT = ("ci s(opcode=3) {\n  input a: signed<16>;\n"
             "  input b: signed<16>;\n  output y: signed<16>;\n"
@@ -434,7 +434,7 @@ class TestFailClosed:
 
 def _swap_add_sub_operands(design: ast.HdlDesign) -> ast.HdlDesign:
     def swap(inst: ast.Instance) -> ast.Instance:
-        if inst.kind is not ComponentKind.ADD_SUB:
+        if type(inst.generics) is not AddSubGenerics:
             return inst
         ports = dict(inst.port_map)
         ports["dataa"], ports["datab"] = ports["datab"], ports["dataa"]

@@ -2,6 +2,7 @@
 validate_structure."""
 
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,25 @@ from hypothesis import strategies as st
 from cigen import vhdl_ast as ast
 from cigen.errors import InternalCheckError
 from cigen.frontend import CI_NAME_PREFIXES, CI_NAME_RESERVED, parse_ci_spec
-from cigen.fuzz import FuzzConfig, random_spec
+from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import (
     ENTITY_PORTS,
     build_design,
     emit_vhdl,
     validate_structure,
 )
-from cigen.lpm import ComponentKind
+from cigen.lpm import (
+    AddSubGenerics,
+    ConcatExtendGenerics,
+    Direction,
+    DivideGenerics,
+    Extension,
+    LpmGenerics,
+    MultGenerics,
+    Representation,
+)
 from cigen.mapper import map_design
-from cigen.sim import IndexedDesign
+from cigen.sim import IndexedDesign, check_equivalence
 
 from conftest import MAC_TEXT, MOD_TEXT, NARROW_TEXT
 
@@ -204,7 +214,8 @@ class TestValidatorNegatives:
 
     def test_undeclared_component(self, design):
         inst = design.architecture.instances[0]
-        patched = inst._replace(kind=ComponentKind.DIVIDE)
+        patched = inst._replace(generics=DivideGenerics(
+            32, 32, Representation.SIGNED, Representation.SIGNED))
         broken = _replace_arch(
             design, instances=(patched,) + design.architecture.instances[1:])
         assert "undeclared-component" in _rules(broken)
@@ -226,6 +237,58 @@ class TestValidatorNegatives:
             IndexedDesign(broken)
 
 
+def _record_of(kind, ins: tuple[int, ...], outs: tuple[int, ...]):
+    """A legal generics record of kind, at the widths of another
+    component's ports where kind allows them."""
+    if kind is AddSubGenerics:
+        return AddSubGenerics(ins[0], Direction.ADD)
+    if kind is MultGenerics:
+        return MultGenerics(ins[0], ins[1], min(outs[0], ins[0] + ins[1]),
+                            Representation.SIGNED)
+    if kind is DivideGenerics:
+        return DivideGenerics(ins[0], ins[1], Representation.SIGNED,
+                              Representation.SIGNED)
+    return ConcatExtendGenerics(ins[0], ins[0] + 1, Extension.SIGN)
+
+
+class TestKindSwap:
+    """An instance's kind is its generics record's class.  A record of
+    another kind put on an op instance is caught by one of the three gates:
+    the VHDL naming rules, the lowering, or the equivalence check."""
+
+    def _outcome(self, spec, mapped, design, vectors) -> str:
+        if validate_structure(design):
+            return "violation"
+        try:
+            IndexedDesign(design)
+        except InternalCheckError:
+            return "refused"
+        assert check_equivalence(spec, mapped, vectors, design=design) != []
+        return "mismatch"
+
+    def test_every_swap_is_caught(self, mac_spec):
+        rng = random.Random(18)
+        specs = [mac_spec] + [random_spec(rng, f"ks{i}") for i in range(20)]
+        outcomes = set()
+        for spec in specs:
+            mapped = map_design(spec)
+            design = build_design(spec, mapped)
+            vectors = random_vectors(rng, spec, 64)
+            instances = design.architecture.instances
+            for index, inst in enumerate(instances):
+                if not inst.label.startswith("u_"):
+                    continue
+                for kind in typing.get_args(LpmGenerics):
+                    if kind is type(inst.generics):
+                        continue
+                    swapped = inst._replace(
+                        generics=_record_of(kind, *inst.generics.port_widths()))
+                    broken = _replace_arch(design, instances=instances[:index]
+                                           + (swapped,) + instances[index + 1:])
+                    outcomes.add(self._outcome(spec, mapped, broken, vectors))
+        assert outcomes == {"violation", "refused", "mismatch"}
+
+
 class TestFuzzedStructure:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -238,9 +301,9 @@ class TestFuzzedStructure:
         assert design.entity.ports == ENTITY_PORTS
         # one declaration per used kind, one instance per op node
         decls = [c.name for c in design.architecture.components]
-        kinds = {i.kind for i in mapped.instances}
+        kinds = {type(i.generics) for i in mapped.instances}
         if any(a is not None for i in mapped.instances for a in i.adapters):
-            kinds.add(ComponentKind.CONCAT_EXTEND)
+            kinds.add(ConcatExtendGenerics)
         assert len(decls) == len(set(decls)) == len(kinds)
         op_instances = [i for i in design.architecture.instances
                         if i.label.startswith("u_")]
@@ -276,10 +339,11 @@ class TestReservedNames:
         kinds = set()
         for spec in specs:
             design = build_design(spec, map_design(spec))
-            kinds.update(inst.kind for inst in design.architecture.instances)
+            kinds.update(type(inst.generics)
+                         for inst in design.architecture.instances)
             for name in self._declared(design):
                 if name == spec.name:
                     continue   # the one name the spec gives
                 assert name.lower() in CI_NAME_RESERVED \
                     or name.lower().startswith(CI_NAME_PREFIXES), name
-        assert kinds == set(ComponentKind)
+        assert kinds == set(typing.get_args(LpmGenerics))

@@ -1,6 +1,6 @@
 """Arithmetic component semantics, checked against independent oracles.
 
-Every component runs through its ``lpm.KERNELS`` entry, on one-element
+Every component runs through its generics' ``component.kernel``, on one-element
 columns (``run_component``) or on columns holding every operand pattern.
 The division oracles below are built from exact rational truncation and
 Python's floor modulus, not from the library's own formulas, so agreement is
@@ -9,6 +9,7 @@ meaningful.
 
 import itertools
 import math
+import typing
 from fractions import Fraction
 
 import pytest
@@ -19,19 +20,16 @@ from conftest import mod_corrected, run_component, wrapped
 from cigen import vhdl_ast as ast
 from cigen.errors import DivideByZero, NotWidening, WidthMismatch
 from cigen.lpm import (
-    COMPONENT_DECLS,
-    KERNELS,
     AddSubGenerics,
     BitVec,
-    ComponentKind,
     ConcatExtendGenerics,
     Direction,
     DivideGenerics,
     Extension,
+    LpmGenerics,
     MultGenerics,
     Representation,
     mod_correct,
-    port_widths,
     resize,
 )
 from cigen.hdl import emit_instance
@@ -43,20 +41,19 @@ def trunc_quotient(n: int, d: int) -> int:
 
 
 def add_sub(a: BitVec, b: BitVec, direction: Direction) -> BitVec:
-    return run_component(ComponentKind.ADD_SUB, AddSubGenerics(a.width, direction),
-                         a, b)[0]
+    return run_component(AddSubGenerics(a.width, direction), a, b)[0]
 
 
 def mult(a: BitVec, b: BitVec, generics: MultGenerics) -> BitVec:
-    return run_component(ComponentKind.MULT, generics, a, b)[0]
+    return run_component(generics, a, b)[0]
 
 
 def divide(n: BitVec, d: BitVec, generics: DivideGenerics) -> tuple[BitVec, ...]:
-    return run_component(ComponentKind.DIVIDE, generics, n, d)
+    return run_component(generics, n, d)
 
 
 def concat_extend(a: BitVec, generics: ConcatExtendGenerics) -> BitVec:
-    return run_component(ComponentKind.CONCAT_EXTEND, generics, a)[0]
+    return run_component(generics, a)[0]
 
 
 def sdiv8(n: int, d: int) -> tuple[BitVec, ...]:
@@ -143,8 +140,7 @@ class TestMult:
 
     def test_rejects_product_wider_than_full(self):
         with pytest.raises(WidthMismatch):
-            port_widths(ComponentKind.MULT,
-                        MultGenerics(4, 4, 9, Representation.UNSIGNED))
+            MultGenerics(4, 4, 9, Representation.UNSIGNED).port_widths()
 
     @settings(max_examples=250, deadline=None)
     @given(st.data())
@@ -257,8 +253,7 @@ class TestConcatExtend:
     @pytest.mark.parametrize("frm,to", [(8, 8), (8, 4)])
     def test_must_widen(self, frm, to):
         with pytest.raises(NotWidening):
-            port_widths(ComponentKind.CONCAT_EXTEND,
-                        ConcatExtendGenerics(frm, to, Extension.ZERO))
+            ConcatExtendGenerics(frm, to, Extension.ZERO).port_widths()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -279,9 +274,9 @@ def _all_pairs(width_a: int, width_b: int) -> tuple[list[int], list[int]]:
     return [a for a, _ in pairs], [b for _, b in pairs]
 
 
-def _kernel(kind, generics, *columns):
+def _kernel(generics, *columns):
     faults = set()
-    return KERNELS[kind](generics, faults, *columns), faults
+    return generics.component.kernel(generics, faults, *columns), faults
 
 
 def _value(bits: int, width: int, signed: bool) -> int:
@@ -300,8 +295,7 @@ class TestColumnKernels:
     @pytest.mark.parametrize("direction", list(Direction))
     def test_add_sub(self, width, direction):
         a, b = _all_pairs(width, width)
-        (out,), faults = _kernel(ComponentKind.ADD_SUB,
-                                 AddSubGenerics(width, direction), a, b)
+        (out,), faults = _kernel(AddSubGenerics(width, direction), a, b)
         assert not faults
         sign = 1 if direction is Direction.ADD else -1
         assert out == [(x + sign * y) % (1 << width) for x, y in zip(a, b)]
@@ -313,7 +307,7 @@ class TestColumnKernels:
         signed = rep is Representation.SIGNED
         for wp in range(1, wa + wb + 1):
             generics = MultGenerics(wa, wb, wp, rep)
-            (out,), faults = _kernel(ComponentKind.MULT, generics, a, b)
+            (out,), faults = _kernel(generics, a, b)
             assert not faults
             assert out == [_value(x, wa, signed) * _value(y, wb, signed) % (1 << wp)
                            for x, y in zip(a, b)]
@@ -324,8 +318,7 @@ class TestColumnKernels:
     def test_divide(self, wn, wd, n_rep, d_rep):
         generics = DivideGenerics(wn, wd, n_rep, d_rep)
         n, d = _all_pairs(wn, wd)
-        (quotients, remainders), faults = _kernel(ComponentKind.DIVIDE,
-                                                  generics, n, d)
+        (quotients, remainders), faults = _kernel(generics, n, d)
         assert faults == {i for i, y in enumerate(d) if y == 0}
         for i, (x, y) in enumerate(zip(n, d)):
             nv = _value(x, wn, n_rep is Representation.SIGNED)
@@ -354,7 +347,7 @@ class TestColumnKernels:
         signed = extension is Extension.SIGN
         for to in range(frm + 1, 9):
             generics = ConcatExtendGenerics(frm, to, extension)
-            (out,), faults = _kernel(ComponentKind.CONCAT_EXTEND, generics, a)
+            (out,), faults = _kernel(generics, a)
             assert not faults
             assert out == [_value(x, frm, signed) % (1 << to) for x in a]
 
@@ -366,9 +359,9 @@ class TestColumnKernels:
                                               for x in a]
 
 
-def rendered_generic_map(kind, generics) -> dict[str, str]:
+def rendered_generic_map(generics) -> dict[str, str]:
     """Name/value pairs of the generic map emitted for one instance."""
-    inst = ast.Instance("u_0", kind, generics, ())
+    inst = ast.Instance("u_0", generics, ())
     block = emit_instance(inst).split("generic map (")[1].split(")")[0]
     return dict(line.strip().rstrip(",").split(" => ")
                 for line in block.strip().splitlines())
@@ -376,15 +369,14 @@ def rendered_generic_map(kind, generics) -> dict[str, str]:
 
 class TestRenderInstance:
     def test_add_sub_generic_map(self):
-        pairs = rendered_generic_map(ComponentKind.ADD_SUB,
-                                     AddSubGenerics(32, Direction.ADD))
+        pairs = rendered_generic_map(AddSubGenerics(32, Direction.ADD))
         assert ("LPM_WIDTH", "32") in pairs.items()
         assert ("LPM_DIRECTION", '"ADD"') in pairs.items()
-        assert COMPONENT_DECLS[ComponentKind.ADD_SUB].name == "lpm_add_sub"
+        assert AddSubGenerics.component.decl.name == "lpm_add_sub"
 
     def test_divide_generic_map_both_signed(self):
         gen = DivideGenerics(8, 4, Representation.SIGNED, Representation.SIGNED)
-        pairs = rendered_generic_map(ComponentKind.DIVIDE, gen)
+        pairs = rendered_generic_map(gen)
         assert pairs["LPM_WIDTHN"] == "8"
         assert pairs["LPM_WIDTHD"] == "4"
         assert pairs["LPM_NREPRESENTATION"] == '"SIGNED"'
@@ -392,6 +384,37 @@ class TestRenderInstance:
 
     def test_concat_extend_generic_map(self):
         gen = ConcatExtendGenerics(8, 32, Extension.SIGN)
-        pairs = rendered_generic_map(ComponentKind.CONCAT_EXTEND, gen)
+        pairs = rendered_generic_map(gen)
         assert pairs == {"FROM_WIDTH": "8", "TO_WIDTH": "32",
                          "EXTEND_MODE": '"SIGN"'}
+
+
+class TestComponentTable:
+    """Each generics class and its component record agree: hdl pairs the
+    record's fields with the declared generics in order, the lowering splits
+    the port map by the widths port_widths() gives, and the kernel yields
+    one column per output port."""
+
+    @staticmethod
+    def _record(kind):
+        # widths 8, 16, 24, ... in field order: legal for every kind
+        widths = itertools.count(8, 8)
+        return kind(*(next(widths) if hint is int else list(hint)[0]
+                      for hint in typing.get_type_hints(kind).values()))
+
+    @pytest.mark.parametrize("kind", typing.get_args(LpmGenerics),
+                             ids=lambda kind: kind.__name__)
+    def test_generics_ports_and_kernel_agree(self, kind):
+        decl = kind.component.decl
+        hints = typing.get_type_hints(kind)
+        assert list(hints) == list(kind._fields)
+        assert [g.vhdl_type for g in decl.generics] == \
+            ["natural" if hint is int else "string" for hint in hints.values()]
+        record = self._record(kind)
+        ins, outs = record.port_widths()
+        assert [p.direction for p in decl.ports] == \
+            ["in"] * len(ins) + ["out"] * len(outs)
+        assert kind.component.ports == tuple(p.name for p in decl.ports)
+        assert len(kind.component.wire_suffixes) == len(outs)
+        columns = kind.component.kernel(record, set(), *([1] for _ in ins))
+        assert len(columns) == len(outs)

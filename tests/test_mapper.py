@@ -10,9 +10,11 @@ from conftest import wrapped
 from cigen.frontend import OpKind, analyze, op_result_width, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec
 from cigen.lpm import (
-    ComponentKind,
+    AddSubGenerics,
     Direction,
+    DivideGenerics,
     Extension,
+    MultGenerics,
     Representation,
 )
 from cigen.frontend import OperandDecl
@@ -63,12 +65,12 @@ class TestWidthRules:
 
 class TestWorkedExample:
     def test_generics(self, mac_mapped):
-        kinds = {inst.kind for inst in mac_mapped.instances}
-        assert kinds == {ComponentKind.MULT, ComponentKind.ADD_SUB}
+        kinds = {type(inst.generics) for inst in mac_mapped.instances}
+        assert kinds == {MultGenerics, AddSubGenerics}
         mul = next(i for i in mac_mapped.instances
-                   if i.kind is ComponentKind.MULT)
+                   if type(i.generics) is MultGenerics)
         add = next(i for i in mac_mapped.instances
-                   if i.kind is ComponentKind.ADD_SUB)
+                   if type(i.generics) is AddSubGenerics)
         assert (mul.generics.width_a, mul.generics.width_b,
                 mul.generics.width_p) == (32, 32, 32)
         assert mul.generics.representation is Representation.SIGNED
@@ -268,11 +270,11 @@ class TestMappedInvariants:
                     assert adapter.to_width > adapter.from_width == dfg.width[child]
             width = dfg.width[inst.node]
             assert 1 <= width <= 32
-            if inst.kind is ComponentKind.MULT:
+            if type(inst.generics) is MultGenerics:
                 gen = inst.generics
                 assert gen.width_p == min(32, gen.width_a + gen.width_b)
                 assert width <= gen.width_p
-            if inst.kind is ComponentKind.DIVIDE:
+            if type(inst.generics) is DivideGenerics:
                 assert inst.div_output is not None
                 assert inst.mod_correct == (node.kind is OpKind.MODS)
 

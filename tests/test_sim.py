@@ -405,7 +405,7 @@ class TestPortsByName:
         mapped = map_design(spec)
         design = build_design(spec, mapped)
         instances = design.architecture.instances
-        kinds = {inst.kind.name for inst in instances}
+        kinds = {inst.generics.component.name for inst in instances}
         assert kinds == {"ADD_SUB", "MULT", "DIVIDE", "CONCAT_EXTEND"}
         # each map rotated by one: no port left where its declaration puts it
         shuffled = with_arch(design, instances=tuple(
