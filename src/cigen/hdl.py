@@ -5,11 +5,13 @@
 adaptation and the modulus correction all become nodes of the
 ``HdlDesign`` it returns.  ``emit_vhdl`` renders that design, holding all
 VHDL spelling: an instance prints from the text of its generics class,
-derived once from the class's component declaration.  Two gates own its
-rules, each rule once: ``validate_structure`` checks what only the VHDL
-text shows (the entity ports, legal and unique names, component
-declarations), and ``sim.IndexedDesign`` checks connectivity (ports,
-drivers, targets, widths) when it lowers the design to execute it.
+derived once from the class's component declaration; the component
+declarations, libraries, support entity and counter range it derives from
+the instances and steps.  Two gates own the design's rules, each rule once:
+``validate_structure`` checks what only the VHDL text shows (the entity
+ports, legal and unique names), and ``sim.IndexedDesign`` checks
+connectivity (ports, drivers, targets, widths, steps) when it lowers the
+design to execute it.
 
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
@@ -37,15 +39,9 @@ import typing
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
-from .frontend import CiSpec, LeafNode, OperandDecl, OpNode
+from .frontend import CiSpec, LeafNode, OperandDecl, OpKind, OpNode
 from .lpm import ConcatExtendGenerics, LpmGenerics
-from .mapper import (
-    DivOutput,
-    MappedDesign,
-    done_cycle_enabled,
-    input_reg,
-    node_reg,
-)
+from .mapper import MappedDesign, done_cycle_enabled, input_reg, node_reg
 
 ENTITY_PORTS: tuple[ast.Port, ...] = (
     ast.Port("clk", "in", 1),
@@ -57,6 +53,10 @@ ENTITY_PORTS: tuple[ast.Port, ...] = (
     ast.Port("done", "out", 1),
     ast.Port("result", "out", 32),
 )
+
+ARCHITECTURE, PROCESS, COUNTER = "rtl", "control", "cnt"
+# the node kinds whose value is a divider's remainder, not its quotient
+_REMAINDER_KINDS = (OpKind.REMS, OpKind.REMU, OpKind.MODS, OpKind.MODU)
 
 
 class Violation(NamedTuple):
@@ -111,7 +111,6 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
     assigns: list[ast.ConcurrentAssign] = []
-    kinds: set[type[LpmGenerics]] = set()  # the generics classes used
     stage_loads: dict[int, list[ast.RegisterLoad]] = {}
     value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
     adapter_count = 0   # adapters are numbered over the instances, left first
@@ -130,7 +129,6 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                 instances.append(ast.Instance(
                     f"x_{adapter_count}", adapter,
                     tuple(zip(adapter.component.ports, (signal, wire)))))
-                kinds.add(ConcatExtendGenerics)
                 adapter_count += 1
                 signal = wire
             inputs.append(signal)
@@ -140,9 +138,11 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         wires = [f"w_{node_id}{suffix}" for suffix in component.wire_suffixes]
         out_widths = inst.generics.port_widths()[1]
         signals.extend(map(ast.SignalDecl, wires, out_widths))
-        value_port = 1 if inst.div_output is DivOutput.REMAINDER else 0
+        # the divider's remainder has the dividend's sign: a signed mod
+        # corrects it to the divisor's, an unsigned one needs no correction
+        value_port = 1 if node.kind in _REMAINDER_KINDS else 0
         value, value_width = wires[value_port], out_widths[value_port]
-        if inst.mod_correct:
+        if node.kind is OpKind.MODS:
             assigns.append(ast.ConcurrentAssign(
                 f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
             value = f"w_{node_id}_m"
@@ -154,7 +154,6 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         instances.append(ast.Instance(
             f"u_{node.kind.name.lower()}_{op_index}", inst.generics,
             tuple(zip(component.ports, inputs + wires))))
-        kinds.add(type(inst.generics))
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
             node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
 
@@ -173,21 +172,13 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                                   ("dataa", "datab"))
             if name is not None)
 
-    steps = [ast.ControlStep(0, pair_loads(0), done_cycle == 1, 1)]
+    steps = [ast.ControlStep(pair_loads(0), done_cycle == 1, 1)]
     for c in range(1, done_cycle + 1):
         step_loads = pair_loads(c) if c < loads \
             else tuple(stage_loads.get(c - loads + 1, ()))
-        steps.append(ast.ControlStep(c, step_loads, c == done_cycle - 1,
+        steps.append(ast.ControlStep(step_loads, c == done_cycle - 1,
                                      c + 1 if c < done_cycle else 0))
-    process = ast.ControlProcess("control", "cnt", done_cycle, tuple(steps),
-                                 tuple(registers))
-
-    components = tuple(kind.component.decl for kind in
-                       sorted(kinds, key=lambda kind: kind.component.name))
-    libraries = ["library ieee;", "use ieee.std_logic_1164.all;",
-                 "use ieee.numeric_std.all;"]
-    if kinds - {ConcatExtendGenerics}:
-        libraries += ["library lpm;", "use lpm.lpm_components.all;"]
+    process = ast.ControlProcess(tuple(steps), tuple(registers))
 
     header = (
         f"-- {spec.name}: multicycle custom-instruction datapath (opcode {spec.opcode}).",
@@ -195,11 +186,16 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         "-- on consecutive enabled cycles; done pulses for one enabled cycle when",
         "-- the result is valid.",
     )
-    architecture = ast.Architecture("rtl", spec.name, components, tuple(signals),
-                                    tuple(instances), tuple(assigns), process)
-    return ast.HdlDesign(header, tuple(libraries),
-                         ast.Entity(spec.name, ENTITY_PORTS), architecture,
-                         support_concat=ConcatExtendGenerics in kinds)
+    architecture = ast.Architecture(tuple(signals), tuple(instances),
+                                    tuple(assigns), process)
+    return ast.HdlDesign(header, ast.Entity(spec.name, ENTITY_PORTS),
+                         architecture)
+
+
+def _kinds(arch: ast.Architecture) -> list[type[LpmGenerics]]:
+    """The components arch declares: its instances' generics classes."""
+    return sorted({type(inst.generics) for inst in arch.instances},
+                  key=lambda kind: kind.component.name)
 
 
 # --- emission -------------------------------------------------------------
@@ -295,9 +291,9 @@ def emit_expr(expr: ast.Expr, widths: dict[str, int]) -> str:
 
 
 def _emit_process(proc: ast.ControlProcess, widths: dict[str, int]) -> str:
-    lines = [f"  {proc.label} : process (clk)", "  begin",
+    lines = [f"  {PROCESS} : process (clk)", "  begin",
              "    if rising_edge(clk) then", "      if reset = '1' then",
-             f"        {proc.counter} <= 0;", "        done <= '0';"]
+             f"        {COUNTER} <= 0;", "        done <= '0';"]
     lines += [f"        {register} <= (others => '0');" for register in proc.registers]
     lines.append("      elsif clk_en = '1' then")
     lines.append("        done <= '0';")
@@ -307,26 +303,32 @@ def _emit_process(proc: ast.ControlProcess, widths: dict[str, int]) -> str:
                for load in step.loads]
         if step.set_done:
             out.append(f"{indent}done <= '1';")
-        return out + [f"{indent}{proc.counter} <= {step.next_index};"]
+        return out + [f"{indent}{COUNTER} <= {step.next_index};"]
 
     first, *rest = proc.steps
-    lines += [f"        if {proc.counter} = 0 then", "          if start = '1' then",
+    lines += [f"        if {COUNTER} = 0 then", "          if start = '1' then",
               *step_lines(first, "            "), "          end if;"]
-    for step in rest:
-        lines += [f"        elsif {proc.counter} = {step.index} then",
+    for index, step in enumerate(rest, 1):
+        lines += [f"        elsif {COUNTER} = {index} then",
                   *step_lines(step, "          ")]
     lines.append("        end if;")
     lines.append("      end if;")
     lines.append("    end if;")
-    lines.append(f"  end process {proc.label};")
+    lines.append(f"  end process {PROCESS};")
     return "\n".join(lines)
 
 
 def emit_vhdl(design: ast.HdlDesign) -> str:
     """Render a design to deterministic VHDL text."""
+    arch = design.architecture
+    kinds = _kinds(arch)
+    libraries = ["library ieee;", "use ieee.std_logic_1164.all;",
+                 "use ieee.numeric_std.all;"]
+    if any(kind is not ConcatExtendGenerics for kind in kinds):
+        libraries += ["library lpm;", "use lpm.lpm_components.all;"]
     parts: list[str] = []
     parts.append("\n".join(design.header_comment))
-    parts.append("\n".join(design.libraries))
+    parts.append("\n".join(libraries))
 
     entity = design.entity
     parts.append("\n".join([
@@ -335,14 +337,13 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
                   for port in entity.ports], ";", "    "),
         "  );", f"end entity {entity.name};"]))
 
-    arch = design.architecture
-    body: list[str] = [f"architecture {arch.name} of {arch.of_entity} is"]
-    for decl in arch.components:
+    body: list[str] = [f"architecture {ARCHITECTURE} of {entity.name} is"]
+    for kind in kinds:
         body.append("")
-        body.append(emit_component_decl(decl))
+        body.append(emit_component_decl(kind.component.decl))
     body.append("")
     proc = arch.process
-    body.append(f"  signal {proc.counter} : integer range 0 to {proc.counter_max};")
+    body.append(f"  signal {COUNTER} : integer range 0 to {len(proc.steps) - 1};")
     for sig in arch.signals:
         body.append(f"  signal {sig.name} : {_vec_type(sig.width)};")
     body.append("")
@@ -357,11 +358,11 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
     body.append("")
     body.append(_emit_process(proc, widths))
     body.append("")
-    body.append(f"end architecture {arch.name};")
+    body.append(f"end architecture {ARCHITECTURE};")
     parts.append("\n".join(body))
 
     text = "\n\n".join(parts) + "\n"
-    if design.support_concat:
+    if ConcatExtendGenerics in kinds:
         text += "\n" + SUPPORT_ENTITY_TEXT
     return text
 
@@ -380,9 +381,10 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     cannot see; an empty list means it is sound.
 
     Rules: the entity port set is exactly the eight-port CI interface; every
-    identifier is VHDL-legal and case-insensitively unique; signals are
-    declared once; each component is declared once; every instance's
-    component is declared.  Connectivity is ``sim.IndexedDesign``'s to check.
+    identifier, the fixed names and the used components' included, is
+    VHDL-legal and case-insensitively unique; signals are declared once.
+    ``emit_vhdl`` declares each used component once by construction.
+    Connectivity is ``sim.IndexedDesign``'s to check.
     """
     violations: list[Violation] = []
     arch = design.architecture
@@ -411,24 +413,13 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     claim(design.entity.name, "entity")
     for port in design.entity.ports:
         claim(port.name, "port")
-    claim(arch.process.counter, "signal")
+    claim(ARCHITECTURE, "architecture")
+    claim(COUNTER, "signal")
     for sig in arch.signals:
         claim(sig.name, "signal")
-    for decl in arch.components:
-        claim(decl.name, "component")
+    for kind in _kinds(arch):
+        claim(kind.component.decl.name, "component")
     for inst in arch.instances:
         claim(inst.label, "instance")
-    claim(arch.process.label, "process")
-
-    components: set[str] = set()
-    for decl in arch.components:
-        if decl.name in components:
-            violations.append(Violation("duplicate-component", decl.name,
-                                        "declared twice"))
-        components.add(decl.name)
-    for inst in arch.instances:
-        component = inst.generics.component.decl.name
-        if component not in components:
-            violations.append(Violation("undeclared-component", component,
-                                        f"instance {inst.label}"))
+    claim(PROCESS, "process")
     return violations

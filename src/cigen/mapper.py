@@ -13,14 +13,12 @@ Signedness
     32 bits wide instead runs unsigned on raw patterns, which agrees on the
     low 32 result bits and keeps the full product within 64 bits.
 
-The divider natively produces a truncating quotient and a dividend-sign
-remainder.  Flooring modulus nodes add a correction stage on the remainder;
-an unsigned modulus needs none because the remainder is already the modulus.
+One divider serves every division kind; which of its outputs a node reads
+is ``hdl.build_design``'s to pick from the node's kind.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from .frontend import (
@@ -43,11 +41,6 @@ from .lpm import (
 )
 
 
-class DivOutput(enum.Enum):
-    QUOTIENT = "quotient"
-    REMAINDER = "remainder"
-
-
 _Adapters = tuple[ConcatExtendGenerics | None, ConcatExtendGenerics | None]
 
 
@@ -57,15 +50,11 @@ class InstancePlan(NamedTuple):
     The generics record's class is the component kind.  adapters are the
     extension adapters of its left and right input, None for an input that
     reaches the component at its own width; the lowering refuses one that
-    does not widen (``ConcatExtendGenerics.port_widths``).  div_output says
-    which divider output feeds the consumer; mod_correct marks a
-    flooring-modulus correction on the remainder.
+    does not widen (``ConcatExtendGenerics.port_widths``).
     """
     node: int
     generics: LpmGenerics
     adapters: _Adapters
-    div_output: DivOutput | None = None
-    mod_correct: bool = False
 
 
 class MappedDesign(NamedTuple):
@@ -130,13 +119,7 @@ def _plan_mult(node: OpNode, dfg: Dfg) -> InstancePlan:
 
 def _plan_divide(node: OpNode, dfg: Dfg) -> InstancePlan:
     pn, pd, rep, adapters = _operand_ports(node, dfg)
-    if node.kind in (OpKind.DIVS, OpKind.DIVU):
-        div_output = DivOutput.QUOTIENT
-    else:
-        div_output = DivOutput.REMAINDER
-    return InstancePlan(node.id, DivideGenerics(pn, pd, rep, rep), adapters,
-                        div_output=div_output,
-                        mod_correct=node.kind is OpKind.MODS)
+    return InstancePlan(node.id, DivideGenerics(pn, pd, rep, rep), adapters)
 
 
 def map_design(spec: CiSpec) -> MappedDesign:

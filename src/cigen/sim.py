@@ -271,19 +271,20 @@ class IndexedDesign:
     declarations; dataa and datab are set by the driver.  Every other signal
     read is a wire computed by its single driver, an instance through its
     generics' ``component.kernel`` or a concurrent assignment, each compiled
-    once into an op over plain-int columns.  Every step, reached or not, is
-    planned at index time: per register load, the driver ops it needs that
-    no earlier load of the step computed, in dependency order.  ``execute``
-    runs those plans edge by edge, over one column entry per vector: a whole
-    batch for ``run``, one invocation for ``simulate_ci``.
+    once into an op over plain-int columns.  A step's number, the counter
+    value that selects it, is its position in the process's steps.  Every
+    step is planned at index time: per register load, the driver ops it
+    needs that no earlier load of the step computed, in dependency order.
+    ``execute`` runs those plans edge by edge, over one column entry per
+    vector: a whole batch for ``run``, one invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
     contract, a component port unbound, undeclared or bound twice, an
     undeclared name, a wire with no driver or two, a driver on a register or
     an entity port other than result, an undeclared register, a load of a
-    non-register, a combinational loop, a missing step, or a chain that
-    never sets done.
+    non-register, a combinational loop, a next step number out of range, or
+    a chain that never sets done.
     """
 
     def __init__(self, design: ast.HdlDesign):
@@ -301,9 +302,9 @@ class IndexedDesign:
         if undeclared:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
-        self.steps = {step.index: step for step in arch.process.steps}
-        for index in {0}.union(step.next_index for step in self.steps.values()):
-            if index not in self.steps:
+        self.steps = arch.process.steps
+        for index in {0}.union(step.next_index for step in self.steps):
+            if not 0 <= index < len(self.steps):
                 raise InternalCheckError(f"{self.name}: no control step {index}")
         self._register_set = frozenset(self.registers)
         self._sources = self._register_set | {"dataa", "datab"}
@@ -317,8 +318,8 @@ class IndexedDesign:
             self._drive((target,), reads, _assign_op(target, read))
         for inst in arch.instances:
             self._lower_instance(inst)
-        self._plans = {step.index: self._plan(step)
-                       for step in arch.process.steps}
+        self._plans = [self._plan(index, step)
+                       for index, step in enumerate(self.steps)]
         self._result_ops = self._ops(("result",), {})
         self.done_cycle = self._done_cycle()
 
@@ -443,14 +444,15 @@ class IndexedDesign:
         for wire in outputs:
             done[wire] = True
 
-    def _plan(self, step: ast.ControlStep) -> list[tuple[str, tuple[Op, ...], Callable]]:
-        """Per load of step: its target, the driver ops it needs that no
-        earlier load of the step computed, and its compiled expression."""
+    def _plan(self, index: int,
+              step: ast.ControlStep) -> list[tuple[str, tuple[Op, ...], Callable]]:
+        """Per load of step number index: its target, the driver ops it needs
+        that no earlier load of the step computed, and its compiled expression."""
         done: dict[str, bool] = {}
         plan = []
         for target, expr in step.loads:
             if target not in self._register_set:
-                raise InternalCheckError(f"{self.name}: step {step.index} loads "
+                raise InternalCheckError(f"{self.name}: step {index} loads "
                                          f"{target}, which is no register")
             read, reads = self._compile(expr, target)
             plan.append((target, self._ops(reads, done), read))

@@ -2,8 +2,9 @@
 
 The emitter renders these to text, holding all VHDL spelling.  Two checks
 read them directly, so neither parses emitted VHDL back in:
-``hdl.validate_structure`` owns the naming and declaration rules, and
-``sim.IndexedDesign``, which lowers them to execute, owns connectivity.
+``hdl.validate_structure`` owns the naming rules, and ``sim.IndexedDesign``,
+which lowers them to execute, owns connectivity.  A record holds only what
+a check reads; ``emit_vhdl`` derives the rest of the text from it.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ class RegisterLoad(NamedTuple):
 
 
 class ControlStep(NamedTuple):
-    """One branch of the clocked control chain, guarded by a counter value.
+    """One branch of the clocked control chain, guarded by the counter value
+    that is its position in ``ControlProcess.steps``.
 
-    index 0 is additionally guarded by start.  set_done drives the done
+    Step 0 is additionally guarded by start.  set_done drives the done
     register high for the following enabled cycle.
     """
-    index: int
     loads: tuple[RegisterLoad, ...]
     set_done: bool
     next_index: int
@@ -111,17 +112,11 @@ class ControlStep(NamedTuple):
 
 class ControlProcess(NamedTuple):
     """The clocked process.  Reset clears the counter, done and registers."""
-    label: str
-    counter: str
-    counter_max: int
     steps: tuple[ControlStep, ...]
     registers: tuple[str, ...]
 
 
 class Architecture(NamedTuple):
-    name: str
-    of_entity: str
-    components: tuple[ComponentDecl, ...]
     signals: tuple[SignalDecl, ...]
     instances: tuple[Instance, ...]
     assigns: tuple[ConcurrentAssign, ...]
@@ -129,10 +124,7 @@ class Architecture(NamedTuple):
 
 
 class HdlDesign(NamedTuple):
-    """A complete design: one entity plus, when extension adapters exist,
-    a trailing support entity providing the concat/extend component."""
+    """A complete design: one entity and its architecture."""
     header_comment: tuple[str, ...]
-    libraries: tuple[str, ...]
     entity: Entity
     architecture: Architecture
-    support_concat: bool = False

@@ -3,6 +3,7 @@ mixed-signedness divide/modulus spec; helpers that run one component on
 single bit patterns; the wiring faults of the worked example's design; and
 the JSON schema of report.json."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,11 @@ def golden_dir():
     return GOLDEN_DIR
 
 
+def declared_components(vhdl: str) -> list[str]:
+    """The names of the components emitted VHDL declares, in order."""
+    return re.findall(r"^  component (\w+)$", vhdl, re.MULTILINE)
+
+
 def with_arch(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
     """design with the given architecture fields replaced."""
     return design._replace(architecture=design.architecture._replace(**changes))
@@ -194,10 +200,10 @@ def _undeclared_reset_register(design: ast.HdlDesign) -> ast.HdlDesign:
 
 
 def _off_chain_load(design: ast.HdlDesign) -> ast.HdlDesign:
-    # no step leads to step 9
+    # no step leads to the appended step 4
     steps = design.architecture.process.steps
     return _with_process(design, steps=steps + (ast.ControlStep(
-        9, (ast.RegisterLoad("s_ghost", ast.Ref("r_a")),), False, 0),))
+        (ast.RegisterLoad("s_ghost", ast.Ref("r_a")),), False, 0),))
 
 
 # Each wiring fault with the message sim.IndexedDesign refuses it with.
@@ -222,7 +228,7 @@ WIRING_FAULTS = [
     pytest.param(_undeclared_reset_register,
                  "register s_ghost is not a declared signal",
                  id="load-target-reset"),
-    pytest.param(_off_chain_load, "step 9 loads s_ghost, which is no register",
+    pytest.param(_off_chain_load, "step 4 loads s_ghost, which is no register",
                  id="load-target-off-chain"),
 ]
 

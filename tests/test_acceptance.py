@@ -23,6 +23,7 @@ from conftest import (
     MAC_TEXT,
     MOD_TEXT,
     NARROW_TEXT,
+    declared_components,
     mod_corrected,
     run_component,
     wrapped,
@@ -120,7 +121,7 @@ class TestComponentDeduplication:
             design = build_design(spec, mapped)
             assert validate_structure(design) == []
 
-            decl_names = [c.name for c in design.architecture.components]
+            decl_names = declared_components(emit_vhdl(design))
             assert len(decl_names) == len(set(decl_names))
             kinds = {type(i.generics) for i in mapped.instances}
             adapters = [a for i in mapped.instances for a in i.adapters

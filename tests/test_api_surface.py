@@ -14,11 +14,22 @@ The check goes by name alone, not by type: a field is taken as read when
 any attribute of that name is read anywhere.  It could not have seen that
 nothing read ``CTokens.line``, say, because the spec parser's tokens had
 a ``line`` that the parser read.
+
+A narrower rule holds for the design record, because the build checks it
+before it writes it: every field of a ``vhdl_ast`` record that
+``HdlDesign`` reaches must be read by the checks, ``sim.py`` or
+``hdl.validate_structure``, the header comment alone excepted.  A field
+only ``emit_vhdl`` printed could make the written VHDL differ from the
+checked design.  There a record unpacked into names counts as read under
+those names.
 """
 
 import ast
 import importlib
+import typing
 from pathlib import Path
+
+from cigen import lpm, vhdl_ast
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_FILES = sorted((ROOT / "src" / "cigen").glob("*.py"))
@@ -101,3 +112,51 @@ def _unreferenced() -> list[str]:
 
 def test_every_definition_is_used_outside_the_tests():
     assert _unreferenced() == []
+
+
+def _design_fields() -> list[tuple[str, str]]:
+    """(record, field) for every field of a vhdl_ast record that HdlDesign
+    reaches through the annotations of its fields."""
+    def records(hint):
+        if isinstance(hint, type) and hint.__module__ == vhdl_ast.__name__:
+            yield hint
+        for arg in typing.get_args(hint):
+            yield from records(arg)
+
+    seen, fields, todo = set(), [], [vhdl_ast.HdlDesign]
+    while todo:
+        record = todo.pop()
+        if record in seen:
+            continue
+        seen.add(record)
+        hints = typing.get_type_hints(
+            record, localns={"LpmGenerics": lpm.LpmGenerics})
+        for name, hint in hints.items():
+            fields.append((record.__name__, name))
+            todo.extend(records(hint))
+    return fields
+
+
+def _checked_names() -> set[str]:
+    """The attribute names sim.py and hdl.validate_structure read, and the
+    names they bind by unpacking."""
+    sim = ast.parse((ROOT / "src" / "cigen" / "sim.py").read_text())
+    hdl = ast.parse((ROOT / "src" / "cigen" / "hdl.py").read_text())
+    validate = next(node for node in hdl.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "validate_structure")
+    names = set()
+    for tree in (sim, validate):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store):
+                names.update(elt.id for elt in node.elts
+                             if isinstance(elt, ast.Name))
+    return names
+
+
+def test_every_design_field_is_checked():
+    checked = _checked_names()
+    assert [f"{record}.{name}" for record, name in _design_fields()
+            if name not in checked and name != "header_comment"] == []

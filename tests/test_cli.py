@@ -470,6 +470,25 @@ def _narrow_first_slice(design: ast.HdlDesign) -> ast.HdlDesign:
         process=proc._replace(steps=(first, *rest))))
 
 
+def _with_steps(design: ast.HdlDesign, reorder) -> ast.HdlDesign:
+    """design with its control steps put in the order reorder returns."""
+    proc = design.architecture.process
+    return design._replace(architecture=design.architecture._replace(
+        process=proc._replace(steps=tuple(reorder(*proc.steps)))))
+
+
+def _swap_first_steps(design: ast.HdlDesign) -> ast.HdlDesign:
+    # step 0 is now the one guarded by start, and step 1 runs after it
+    return _with_steps(design, lambda first, second, *rest:
+                       (second, first, *rest))
+
+
+def _repeat_second_step(design: ast.HdlDesign) -> ast.HdlDesign:
+    # every later step moves one counter value up
+    return _with_steps(design, lambda first, second, *rest:
+                       (first, second, second, *rest))
+
+
 class TestBuildChecksTheWrittenDesign:
     """A fault injected into the design build emits must stop the build:
     the check simulates that same object, and lowering it for the check is
@@ -495,7 +514,10 @@ class TestBuildChecksTheWrittenDesign:
         (SUB_TEXT, _swap_add_sub_operands),
         (MAC_TEXT, _drop_first_stage_load),
         (SUB_TEXT, _narrow_first_slice),
-    ], ids=["swapped-operands", "dropped-load", "narrow-slice"])
+        (MAC_TEXT, _swap_first_steps),
+        (MAC_TEXT, _repeat_second_step),
+    ], ids=["swapped-operands", "dropped-load", "narrow-slice",
+            "swapped-steps", "repeated-step"])
     def test_mutated_design_is_refused(self, tmp_path, capsys, monkeypatch,
                                        text, mutate):
         self._build(tmp_path, capsys, monkeypatch, text, mutate)

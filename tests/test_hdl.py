@@ -10,10 +10,18 @@ from hypothesis import strategies as st
 
 from cigen import vhdl_ast as ast
 from cigen.errors import InternalCheckError
-from cigen.frontend import CI_NAME_PREFIXES, CI_NAME_RESERVED, parse_ci_spec
+from cigen.frontend import (
+    CI_NAME_PREFIXES,
+    CI_NAME_RESERVED,
+    OpKind,
+    parse_ci_spec,
+)
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import (
+    ARCHITECTURE,
+    COUNTER,
     ENTITY_PORTS,
+    PROCESS,
     build_design,
     emit_vhdl,
     validate_structure,
@@ -28,10 +36,15 @@ from cigen.lpm import (
     MultGenerics,
     Representation,
 )
-from cigen.mapper import map_design
-from cigen.sim import IndexedDesign, check_equivalence
+from cigen.mapper import map_design, node_reg
+from cigen.sim import (
+    IndexedDesign,
+    check_equivalence,
+    input_columns,
+    reference_columns,
+)
 
-from conftest import MAC_TEXT, MOD_TEXT, NARROW_TEXT
+from conftest import MAC_TEXT, MOD_TEXT, NARROW_TEXT, declared_components
 
 
 def _design(text: str) -> ast.HdlDesign:
@@ -45,6 +58,26 @@ def _rules(design: ast.HdlDesign) -> set[str]:
 
 def _replace_arch(design: ast.HdlDesign, **kwargs) -> ast.HdlDesign:
     return design._replace(architecture=design.architecture._replace(**kwargs))
+
+
+def _counter_range(text: str) -> int:
+    """The top of the counter range emitted VHDL declares."""
+    prefix = f"  signal {COUNTER} : integer range 0 to "
+    line, = (line for line in text.splitlines() if line.startswith(prefix))
+    return int(line.removeprefix(prefix).rstrip(";"))
+
+
+def _load_sources(design: ast.HdlDesign) -> dict[str, str]:
+    """Each loaded register and the signal its load reads."""
+    return {load.target: load.expr.name
+            for step in design.architecture.process.steps
+            for load in step.loads}
+
+
+def _mod_corrected(design: ast.HdlDesign) -> set[str]:
+    """The wires a mod correction drives."""
+    return {assign.target for assign in design.architecture.assigns
+            if isinstance(assign.expr, ast.ModCorrect)}
 
 
 class TestGolden:
@@ -90,20 +123,22 @@ class TestEntity:
     def test_entity_named_after_spec(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
         assert design.entity.name == "f"
-        assert design.architecture.of_entity == "f"
+        assert f"architecture {ARCHITECTURE} of f is" \
+            in emit_vhdl(design).splitlines()
 
 
 class TestDesignShape:
     def test_worked_example_contents(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
         arch = design.architecture
-        assert [c.name for c in arch.components] == ["lpm_add_sub", "lpm_mult"]
+        text = emit_vhdl(design)
+        assert declared_components(text) == ["lpm_add_sub", "lpm_mult"]
         assert [i.label for i in arch.instances] == ["u_mul_0", "u_add_1"]
         signal_names = [s.name for s in arch.signals]
-        assert arch.process.counter == "cnt"
+        assert _counter_range(text) == 3
         for reg in ("r_a", "r_b", "r_c", "s_1", "s_3"):
             assert reg in signal_names
-        assert not design.support_concat
+        assert "ci_concat_extend" not in text
         assert arch.assigns[-1].target == "result"
 
     def test_one_declaration_per_kind(self):
@@ -111,34 +146,37 @@ class TestDesignShape:
             "ci t(opcode=0) { input a: signed<8>; input b: signed<8>;"
             "input c: signed<8>; input d: signed<8>; output x: signed<8>;"
             "x = (a + b) - (c + d); }")
-        arch = design.architecture
-        assert [c.name for c in arch.components] == ["lpm_add_sub"]
-        assert len(arch.instances) == 3
+        assert declared_components(emit_vhdl(design)) == ["lpm_add_sub"]
+        assert len(design.architecture.instances) == 3
+
+    def test_declarations_follow_the_instances(self, mac_spec, mac_mapped):
+        # the multiplier's generics swapped for a divider's: the text
+        # declares the divider, not the multiplier
+        design = build_design(mac_spec, mac_mapped)
+        mul, add = design.architecture.instances
+        divider = mul._replace(generics=DivideGenerics(
+            32, 32, Representation.SIGNED, Representation.SIGNED))
+        text = emit_vhdl(_replace_arch(design, instances=(divider, add)))
+        assert declared_components(text) == ["lpm_add_sub", "lpm_divide"]
 
     def test_identity_design(self):
         design = _design("ci t(opcode=0) { input a: unsigned<8>;"
                          "output x: unsigned<8>; x = a; }")
-        arch = design.architecture
-        assert arch.components == ()
-        assert arch.instances == ()
-        assert design.libraries == ("library ieee;",
-                                    "use ieee.std_logic_1164.all;",
-                                    "use ieee.numeric_std.all;")
-        assert arch.process.counter_max == 1
+        assert design.architecture.instances == ()
         text = emit_vhdl(design)
+        assert declared_components(text) == []
+        assert "library ieee;\nuse ieee.std_logic_1164.all;\n" \
+               "use ieee.numeric_std.all;\n\nentity t is" in text
+        assert _counter_range(text) == 1
         assert "lpm" not in text
         assert validate_structure(design) == []
 
     def test_support_entity_only_with_adapters(self, narrow_spec, mac_spec):
-        narrow = build_design(narrow_spec, map_design(narrow_spec))
-        assert narrow.support_concat
-        text = emit_vhdl(narrow)
+        text = emit_vhdl(build_design(narrow_spec, map_design(narrow_spec)))
         assert text.count("entity ci_concat_extend is") == 1
-        assert "ci_concat_extend" in [c.name for c
-                                      in narrow.architecture.components]
+        assert "ci_concat_extend" in declared_components(text)
 
         flat = build_design(mac_spec, map_design(mac_spec))
-        assert not flat.support_concat
         assert "ci_concat_extend" not in emit_vhdl(flat)
 
     def test_mod_correction_is_a_concurrent_assign(self):
@@ -149,13 +187,45 @@ class TestDesignShape:
         assert any(isinstance(e, ast.ModCorrect) for e in exprs)
 
     def test_control_sets_done_once(self, mac_spec, mac_mapped):
-        proc = build_design(mac_spec, mac_mapped).architecture.process
+        design = build_design(mac_spec, mac_mapped)
+        proc = design.architecture.process
         assert [s.set_done for s in proc.steps].count(True) == 1
-        assert proc.counter_max == 3
+        assert len(proc.steps) == 4
         last = proc.steps[-1]
         assert last.next_index == 0
-        assert proc.counter == "cnt"
+        text = emit_vhdl(design)
+        assert _counter_range(text) == 3
+        assert f"  {PROCESS} : process (clk)" in text.splitlines()
         assert set(proc.registers) == {"r_a", "r_b", "r_c", "s_1", "s_3"}
+
+
+class TestDividerOutput:
+    """A divider's node register loads its quotient for / and its
+    remainder for % and mod, through a mod correction for a signed mod."""
+
+    @staticmethod
+    def _one_op(body: str) -> tuple[ast.HdlDesign, int]:
+        spec = parse_ci_spec(f"ci t(opcode=0) {{ {body} }}")
+        mapped = map_design(spec)
+        inst, = mapped.instances
+        return build_design(spec, mapped), inst.node
+
+    @pytest.mark.parametrize("symbol, suffix, corrected", [
+        ("/", "_q", False),
+        ("%", "_r", False),
+        ("mod", "_m", True),
+    ])
+    def test_divider_output_selection_signed(self, symbol, suffix, corrected):
+        design, node = self._one_op(f"input a: signed<8>; input b: signed<8>;"
+                                    f"output x: signed<8>; x = a {symbol} b;")
+        assert _load_sources(design)[f"s_{node}"] == f"w_{node}{suffix}"
+        assert bool(_mod_corrected(design)) is corrected
+
+    def test_unsigned_mod_needs_no_correction(self):
+        design, node = self._one_op("input a: unsigned<8>; input b: unsigned<8>;"
+                                    "output x: unsigned<8>; x = a mod b;")
+        assert _load_sources(design)[f"s_{node}"] == f"w_{node}_r"
+        assert _mod_corrected(design) == set()
 
 
 class TestValidatorNegatives:
@@ -212,20 +282,6 @@ class TestValidatorNegatives:
                                                      "which lpm_mult does not"):
             IndexedDesign(broken)
 
-    def test_undeclared_component(self, design):
-        inst = design.architecture.instances[0]
-        patched = inst._replace(generics=DivideGenerics(
-            32, 32, Representation.SIGNED, Representation.SIGNED))
-        broken = _replace_arch(
-            design, instances=(patched,) + design.architecture.instances[1:])
-        assert "undeclared-component" in _rules(broken)
-
-    def test_duplicate_component(self, design):
-        comps = design.architecture.components
-        broken = _replace_arch(design, components=comps + (comps[0],))
-        rules = _rules(broken)
-        assert "duplicate-component" in rules or "name-collision" in rules
-
     def test_multiple_drivers(self, design):
         # Drive the multiplier's output wire from an assign as well.
         wire = dict(design.architecture.instances[0].port_map)["result"]
@@ -253,8 +309,11 @@ def _record_of(kind, ins: tuple[int, ...], outs: tuple[int, ...]):
 
 class TestKindSwap:
     """An instance's kind is its generics record's class.  A record of
-    another kind put on an op instance is caught by one of the three gates:
-    the VHDL naming rules, the lowering, or the equivalence check."""
+    another kind put on an op instance is caught by the lowering or by the
+    equivalence check; the VHDL naming rules have nothing to catch, since
+    the text declares whichever kinds the instances use.  A swap may pass
+    the check only when no vector's value can reach the result, that is
+    when the reference divides by zero on every vector."""
 
     def _outcome(self, spec, mapped, design, vectors) -> str:
         if validate_structure(design):
@@ -263,8 +322,12 @@ class TestKindSwap:
             IndexedDesign(design)
         except InternalCheckError:
             return "refused"
-        assert check_equivalence(spec, mapped, vectors, design=design) != []
-        return "mismatch"
+        if check_equivalence(spec, mapped, vectors, design=design):
+            return "mismatch"
+        reference = reference_columns(spec, input_columns(spec, vectors),
+                                      len(vectors))
+        assert None not in reference.zero_divisor
+        return "masked"
 
     def test_every_swap_is_caught(self, mac_spec):
         rng = random.Random(18)
@@ -286,7 +349,7 @@ class TestKindSwap:
                     broken = _replace_arch(design, instances=instances[:index]
                                            + (swapped,) + instances[index + 1:])
                     outcomes.add(self._outcome(spec, mapped, broken, vectors))
-        assert outcomes == {"violation", "refused", "mismatch"}
+        assert outcomes - {"masked"} == {"refused", "mismatch"}
 
 
 class TestFuzzedStructure:
@@ -300,7 +363,7 @@ class TestFuzzedStructure:
         assert validate_structure(design) == []
         assert design.entity.ports == ENTITY_PORTS
         # one declaration per used kind, one instance per op node
-        decls = [c.name for c in design.architecture.components]
+        decls = declared_components(emit_vhdl(design))
         kinds = {type(i.generics) for i in mapped.instances}
         if any(a is not None for i in mapped.instances for a in i.adapters):
             kinds.add(ConcatExtendGenerics)
@@ -308,6 +371,15 @@ class TestFuzzedStructure:
         op_instances = [i for i in design.architecture.instances
                         if i.label.startswith("u_")]
         assert len(op_instances) == len(mapped.instances)
+        # a divider's register reads the output its node kind selects
+        sources, corrected = _load_sources(design), _mod_corrected(design)
+        for inst in mapped.instances:
+            if type(inst.generics) is DivideGenerics:
+                kind, node = mapped.dfg.nodes[inst.node].kind, inst.node
+                suffix = "_q" if kind in (OpKind.DIVS, OpKind.DIVU) \
+                    else "_m" if kind is OpKind.MODS else "_r"
+                assert sources[node_reg(node)] == f"w_{node}{suffix}"
+                assert (f"w_{node}_m" in corrected) == (kind is OpKind.MODS)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -327,9 +399,9 @@ class TestReservedNames:
     def _declared(design: ast.HdlDesign) -> list[str]:
         arch = design.architecture
         return [design.entity.name, *(p.name for p in design.entity.ports),
-                arch.name, arch.process.counter, arch.process.label,
+                ARCHITECTURE, COUNTER, PROCESS,
                 *(sig.name for sig in arch.signals),
-                *(decl.name for decl in arch.components),
+                *declared_components(emit_vhdl(design)),
                 *(inst.label for inst in arch.instances)]
 
     def test_every_generated_name_is_reserved(self):

@@ -12,14 +12,12 @@ from cigen.fuzz import FuzzConfig, random_spec
 from cigen.lpm import (
     AddSubGenerics,
     Direction,
-    DivideGenerics,
     Extension,
     MultGenerics,
     Representation,
 )
 from cigen.frontend import OperandDecl
 from cigen.mapper import (
-    DivOutput,
     done_cycle_enabled,
     input_reg,
     map_design,
@@ -155,25 +153,6 @@ class TestAdapters:
         assert gen.n_representation is Representation.SIGNED
         assert gen.d_representation is Representation.SIGNED
 
-    @pytest.mark.parametrize("symbol,output,correct", [
-        ("/", DivOutput.QUOTIENT, False),
-        ("%", DivOutput.REMAINDER, False),
-        ("mod", DivOutput.REMAINDER, True),
-    ])
-    def test_divider_output_selection_signed(self, symbol, output, correct):
-        mapped = _mapped(f"input a: signed<8>; input b: signed<8>;"
-                         f"output x: signed<8>; x = a {symbol} b;")
-        inst = _only_instance(mapped)
-        assert inst.div_output is output
-        assert inst.mod_correct is correct
-
-    def test_unsigned_mod_needs_no_correction(self):
-        mapped = _mapped("input a: unsigned<8>; input b: unsigned<8>;"
-                         "output x: unsigned<8>; x = a mod b;")
-        inst = _only_instance(mapped)
-        assert inst.div_output is DivOutput.REMAINDER
-        assert inst.mod_correct is False
-
 
 class TestLoadingPlan:
     @pytest.mark.parametrize("names,cycles", [
@@ -274,9 +253,6 @@ class TestMappedInvariants:
                 gen = inst.generics
                 assert gen.width_p == min(32, gen.width_a + gen.width_b)
                 assert width <= gen.width_p
-            if type(inst.generics) is DivideGenerics:
-                assert inst.div_output is not None
-                assert inst.mod_correct == (node.kind is OpKind.MODS)
 
         # loading covers each used operand exactly once, two per cycle
         flat = [n for pair in mapped.loading for n in pair
