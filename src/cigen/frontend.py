@@ -113,6 +113,10 @@ OPERATORS: dict[str, tuple[int, OpKind, OpKind]] = {
     "%": (2, OpKind.REMU, OpKind.REMS),
     "mod": (2, OpKind.MODU, OpKind.MODS),
 }
+# read once for op_result_width, which runs per node: a class attribute
+# read of an enum goes through the slow EnumType.__getattr__ hook
+_ADDITIVE, _MUL = (OpKind.ADD, OpKind.SUB), OpKind.MUL
+_QUOTIENTS = (OpKind.DIVS, OpKind.DIVU)
 
 
 class OperandDecl(NamedTuple):
@@ -365,11 +369,11 @@ def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
         divide     quotient width = numerator width
         mod/rem    result width = denominator width
     """
-    if kind in (OpKind.ADD, OpKind.SUB):
+    if kind in _ADDITIVE:
         return max(w_left, w_right)
-    if kind is OpKind.MUL:
+    if kind is _MUL:
         return min(32, w_left + w_right)
-    if kind in (OpKind.DIVS, OpKind.DIVU):
+    if kind in _QUOTIENTS:
         return w_left
     return w_right
 

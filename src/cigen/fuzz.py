@@ -63,11 +63,16 @@ _Plan = list[tuple[str, int, int, list[int]]]
 
 
 def _draw_plan(spec: CiSpec) -> _Plan:
+    """The plan of spec's inputs; inputs with equal bounds share one pool."""
+    pools: dict[tuple[int, int], list[int]] = {}
     plan = []
     for decl in spec.inputs:
-        lo, hi = decl.bounds
-        corners = {lo, hi, 0, 1, lo + 1, hi - 1, -1, 2}
-        plan.append((decl.name, lo, hi, [v for v in corners if lo <= v <= hi]))
+        lo, hi = bounds = decl.bounds
+        pool = pools.get(bounds)
+        if pool is None:
+            corners = {lo, hi, 0, 1, lo + 1, hi - 1, -1, 2}
+            pool = pools[bounds] = [v for v in corners if lo <= v <= hi]
+        plan.append((decl.name, lo, hi, pool))
     return plan
 
 

@@ -43,6 +43,11 @@ class Extension(enum.Enum):
     SIGN = "SIGN"
 
 
+# the members the kernels test for, read once: an enum class attribute
+# read goes through the enum's slow attribute lookup
+_ADD, _SIGNED, _SIGN = Direction.ADD, Representation.SIGNED, Extension.SIGN
+
+
 class _BitVecFields(NamedTuple):
     width: int
     bits: int
@@ -93,7 +98,8 @@ def resize(column: Column, from_width: int, signed: bool, width: int) -> Column:
     """from_width-bit patterns read as signed or unsigned values, then
     extended or cut to width bits."""
     if signed and width > from_width:
-        return low_bits(_signed_values(column, from_width), width)
+        top, mask = 1 << (from_width - 1), (1 << width) - 1
+        return [((x ^ top) - top) & mask for x in column]
     return column if width >= from_width else low_bits(column, width)
 
 
@@ -112,7 +118,7 @@ def _add_sub(generics: AddSubGenerics, faults: set[int],
              a: Column, b: Column) -> tuple[Column]:
     """Sum or difference modulo 2^width."""
     mask = (1 << generics.width) - 1
-    if generics.direction is Direction.ADD:
+    if generics.direction is _ADD:
         return ([(x + y) & mask for x, y in zip(a, b)],)
     return ([(x - y) & mask for x, y in zip(a, b)],)
 
@@ -121,10 +127,11 @@ def _mult(generics: MultGenerics, faults: set[int],
           a: Column, b: Column) -> tuple[Column]:
     """Full product under the configured representation, then the low
     width_p bits of its two's-complement pattern."""
-    if generics.representation is Representation.SIGNED:
-        a = _signed_values(a, generics.width_a)
-        b = _signed_values(b, generics.width_b)
     mask = (1 << generics.width_p) - 1
+    if generics.representation is _SIGNED:
+        top_a, top_b = 1 << (generics.width_a - 1), 1 << (generics.width_b - 1)
+        return ([((x ^ top_a) - top_a) * ((y ^ top_b) - top_b) & mask
+                 for x, y in zip(a, b)],)
     return ([(x * y) & mask for x, y in zip(a, b)],)
 
 
@@ -135,9 +142,9 @@ def _divide(generics: DivideGenerics, faults: set[int],
     the exact quotient modulo 2^width_n (only -2^(w-1)/-1 wraps); the
     remainder pattern is the exact remainder modulo 2^width_d.  A zero
     divisor adds its vector's index to faults and yields zero patterns."""
-    if generics.n_representation is Representation.SIGNED:
+    if generics.n_representation is _SIGNED:
         n = _signed_values(n, generics.width_n)
-    if generics.d_representation is Representation.SIGNED:
+    if generics.d_representation is _SIGNED:
         d = _signed_values(d, generics.width_d)
     q_mask, r_mask = (1 << generics.width_n) - 1, (1 << generics.width_d) - 1
     quotients, remainders = [], []
@@ -158,7 +165,7 @@ def _divide(generics: DivideGenerics, faults: set[int],
 def _concat_extend(generics: ConcatExtendGenerics, faults: set[int],
                    a: Column) -> tuple[Column]:
     """Widen by concatenating replicated sign bits or zeros on top."""
-    return (resize(a, generics.from_width, generics.extension is Extension.SIGN,
+    return (resize(a, generics.from_width, generics.extension is _SIGN,
                    generics.to_width),)
 
 

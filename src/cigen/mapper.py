@@ -40,6 +40,12 @@ from .lpm import (
     Representation,
 )
 
+# read once for the per-node planners: a class attribute read of an enum
+# goes through the slow EnumType.__getattr__ hook
+_ADDITIVE, _ADD, _MUL = (OpKind.ADD, OpKind.SUB), OpKind.ADD, OpKind.MUL
+_DIR_ADD, _DIR_SUB = Direction.ADD, Direction.SUB
+_SIGNED, _UNSIGNED = Representation.SIGNED, Representation.UNSIGNED
+_SIGN, _ZERO = Extension.SIGN, Extension.ZERO
 
 _Adapters = tuple[ConcatExtendGenerics | None, ConcatExtendGenerics | None]
 
@@ -81,10 +87,10 @@ def _plan_add_sub(node: OpNode, dfg: Dfg) -> InstancePlan:
     w = dfg.width[node.id]
     adapters = tuple(
         ConcatExtendGenerics(dfg.width[child], w,
-                             Extension.SIGN if dfg.signed[child] else Extension.ZERO)
+                             _SIGN if dfg.signed[child] else _ZERO)
         if dfg.width[child] < w else None
         for child in (node.left, node.right))
-    direction = Direction.ADD if node.kind is OpKind.ADD else Direction.SUB
+    direction = _DIR_ADD if node.kind is _ADD else _DIR_SUB
     return InstancePlan(node.id, AddSubGenerics(w, direction), adapters)
 
 
@@ -96,13 +102,13 @@ def _operand_ports(node: OpNode, dfg: Dfg) -> tuple[
     wl, wr = dfg.width[node.left], dfg.width[node.right]
     sl, sr = dfg.signed[node.left], dfg.signed[node.right]
     if sl == sr:
-        rep = Representation.SIGNED if sl else Representation.UNSIGNED
+        rep = _SIGNED if sl else _UNSIGNED
         return wl, wr, rep, (None, None)
     if sl:
-        return wl, wr + 1, Representation.SIGNED, (
-            None, ConcatExtendGenerics(wr, wr + 1, Extension.ZERO))
-    return wl + 1, wr, Representation.SIGNED, (
-        ConcatExtendGenerics(wl, wl + 1, Extension.ZERO), None)
+        return wl, wr + 1, _SIGNED, (
+            None, ConcatExtendGenerics(wr, wr + 1, _ZERO))
+    return wl + 1, wr, _SIGNED, (
+        ConcatExtendGenerics(wl, wl + 1, _ZERO), None)
 
 
 def _plan_mult(node: OpNode, dfg: Dfg) -> InstancePlan:
@@ -110,7 +116,7 @@ def _plan_mult(node: OpNode, dfg: Dfg) -> InstancePlan:
     sl, sr = dfg.signed[node.left], dfg.signed[node.right]
     if sl != sr and (wl if sl else wr) == 32:
         # raw patterns agree on the low 32 bits of the product
-        pa, pb, rep, adapters = wl, wr, Representation.UNSIGNED, (None, None)
+        pa, pb, rep, adapters = wl, wr, _UNSIGNED, (None, None)
     else:
         pa, pb, rep, adapters = _operand_ports(node, dfg)
     return InstancePlan(node.id, MultGenerics(pa, pb, min(32, pa + pb), rep),
@@ -132,9 +138,9 @@ def map_design(spec: CiSpec) -> MappedDesign:
     for node_id in analysis.operation_sequence:
         node = dfg.nodes[node_id]
         assert isinstance(node, OpNode)
-        if node.kind in (OpKind.ADD, OpKind.SUB):
+        if node.kind in _ADDITIVE:
             instances.append(_plan_add_sub(node, dfg))
-        elif node.kind is OpKind.MUL:
+        elif node.kind is _MUL:
             instances.append(_plan_mult(node, dfg))
         else:
             instances.append(_plan_divide(node, dfg))

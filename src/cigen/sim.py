@@ -8,13 +8,16 @@ port.  It reads only the DFG and the width rules, never component
 instances, adapters or the control schedule.  ``eval_reference`` is its
 one-vector wrapper.  The other evaluator executes the ``HdlDesign`` that
 ``emit_vhdl`` prints.
-``IndexedDesign`` lowers it once: the registers and widths it declares, each
-wire's single driver (an instance through the component library's column
-kernels, or a concurrent assignment) and, for every step of its control
-process, the drivers and register loads that step needs.  That lowering
-is the design's only connectivity check; ``hdl.validate_structure`` keeps
-the rules of VHDL naming.  ``IndexedDesign.execute``, the one interpreter
-of the control process, runs it over columns of plain ints, one entry per
+``IndexedDesign`` lowers it once: the registers and widths it declares,
+each wire's single driver as a plain record (an instance's kernel from
+the component library, its generics, input wires and output wires; each
+node of an expression, assigned or loaded, over the library's expression
+kernels) and, for every step of its control process, one flat
+program: the records the step's register loads need, in dependency
+order, and the loads.  That lowering is the design's only connectivity
+check; ``hdl.validate_structure`` keeps the rules of VHDL naming.
+``IndexedDesign.execute``, the one interpreter of the control process,
+runs the programs in one loop over columns of plain ints, one entry per
 vector.  ``check_equivalence`` runs every vector through it and through
 the oracle together and compares each 32-bit result: that is the
 bit-exactness check the rest of the toolchain relies on.  ``simulate_ci``
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
-from operator import itemgetter
+from operator import attrgetter, itemgetter, le
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
@@ -70,6 +73,10 @@ from .mapper import (
 )
 
 PORT_MASK = (1 << 32) - 1  # dataa, datab and result are 32 bits wide
+# read once for the oracle's per-node dispatch: a class attribute read of
+# an enum goes through the slow EnumType.__getattr__ hook
+_ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
+_DIVS, _REMS, _DIVU = OpKind.DIVS, OpKind.REMS, OpKind.DIVU
 
 
 def validate_inputs(spec: CiSpec, inputs: dict[str, int]) -> None:
@@ -95,12 +102,16 @@ def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Colu
     one or holds an out-of-range value, raises what validate_inputs raises
     for the first such vector."""
     names = [decl.name for decl in spec.inputs]
+    if not vectors:
+        return dict.fromkeys(names, [])
     try:
-        if all(len(vec) == len(names) for vec in vectors):
-            columns = {name: [vec[name] for vec in vectors] for name in names}
-            bounds = (decl.bounds for decl in spec.inputs)
-            if all(lo <= min(column, default=lo) and max(column, default=hi) <= hi
-                   for (lo, hi), column in zip(bounds, columns.values())):
+        if set(map(len, vectors)) == {len(names)}:
+            row = itemgetter(*names)   # a vector's values, as a tuple if several
+            rows = map(row, vectors) if len(names) > 1 else zip(map(row, vectors))
+            columns = dict(zip(names, map(list, zip(*rows))))
+            lows, highs = zip(*[decl.bounds for decl in spec.inputs])
+            if all(map(le, lows, map(min, columns.values()))) and \
+                    all(map(le, map(max, columns.values()), highs)):
                 return columns
     except KeyError:   # a vector lacks an input
         pass
@@ -137,11 +148,11 @@ def reference_columns(spec: CiSpec, columns: dict[str, Column],
         # with its signedness: half is the sign bit's weight, or 0
         mask = (1 << dfg.width[node_id]) - 1
         half = (mask + 1) >> 1 if dfg.signed[node_id] else 0
-        if kind is OpKind.ADD:
+        if kind is _ADD:
             column = [((a + b + half) & mask) - half for a, b in zip(left, right)]
-        elif kind is OpKind.SUB:
+        elif kind is _SUB:
             column = [((a - b + half) & mask) - half for a, b in zip(left, right)]
-        elif kind is OpKind.MUL:
+        elif kind is _MUL:
             column = [((a * b + half) & mask) - half for a, b in zip(left, right)]
         else:
             if 0 in right:
@@ -150,13 +161,13 @@ def reference_columns(spec: CiSpec, columns: dict[str, Column],
                         zero_divisor[index] = node_id
                 right = [b or 1 for b in right]
             pairs = zip(left, right)
-            if kind is OpKind.DIVS:
+            if kind is _DIVS:
                 raw = [-(-a // b) if (a < 0) != (b < 0) else a // b
                        for a, b in pairs]
-            elif kind is OpKind.REMS:
+            elif kind is _REMS:
                 raw = [-(-a % b) if (a < 0) != (b < 0) else a % b
                        for a, b in pairs]
-            elif kind is OpKind.DIVU:
+            elif kind is _DIVU:
                 raw = [a // b for a, b in pairs]
             else:   # REMU, MODU and MODS: the flooring remainder
                 raw = [a % b for a, b in pairs]
@@ -227,56 +238,80 @@ class SimResult(NamedTuple):
     rows: list[dict]
 
 
-# Computes one driver's wires from the signal values, adding the vectors
-# whose dividers meet a zero divisor to the fault set.
-Op = Callable[[dict[str, Column], set[int]], None]
+# A driver record (kernel, params, keys read, keys written):
+# kernel(params, faults, *columns read) returns the columns of the keys
+# written, in order, adding the vectors whose dividers meet a zero divisor
+# to faults.  A key is a signal name, or an int naming the value of an
+# expression node that no signal holds.
+Record = tuple[Callable[..., tuple[Column, ...]], object,
+               tuple[str | int, ...], tuple[str | int, ...]]
+# In a step's program, the load of a register from a key's value.
+Load = tuple[None, str, str | int, None]
 
 
-def _assign_op(target: str, read: Callable[[dict], Column]) -> Op:
-    def op(values: dict[str, Column], faults: set[int]) -> None:
-        values[target] = read(values)
-    return op
+def _same(params: None, faults: set[int], column: Column) -> tuple[Column]:
+    return (column,)
 
 
-def _instance_op(kernel: Callable[..., tuple[Column, ...]],
-                 generics: LpmGenerics, ins: tuple[str, ...],
-                 outs: tuple[str, ...]) -> Op:
-    """An op running kernel from the input wires to the output wires.  The
-    one-output kinds are spelled out, and their names bound as defaults,
-    which are cheaper to make and to read than closure cells: a wide design
-    has thousands of them."""
-    if len(outs) == 1 and len(ins) == 2:
-        (a, b), (out,) = ins, outs
+def _slice(width: int, faults: set[int], column: Column) -> tuple[Column]:
+    return (low_bits(column, width),)
 
-        def op(values, faults, kernel=kernel, generics=generics, a=a, b=b,
-               out=out) -> None:
-            values[out], = kernel(generics, faults, values[a], values[b])
-    elif len(outs) == 1 and len(ins) == 1:
-        (a,), (out,) = ins, outs
 
-        def op(values, faults, kernel=kernel, generics=generics, a=a,
-               out=out) -> None:
-            values[out], = kernel(generics, faults, values[a])
-    else:
-        def op(values: dict[str, Column], faults: set[int]) -> None:
-            values.update(zip(outs, kernel(generics, faults,
-                                           *[values[wire] for wire in ins])))
-    return op
+def _resize(params: tuple[int, bool, int], faults: set[int],
+            column: Column) -> tuple[Column]:
+    return (resize(column, *params),)
+
+
+def _mod_correct(width: int, faults: set[int], remainder: Column,
+                 divisor: Column) -> tuple[Column]:
+    return (mod_correct(remainder, divisor, width),)
+
+
+def _run(program: list[Record | Load], values: dict,
+         faults: set[int]) -> tuple[list[tuple[str, Column]], str | None]:
+    """Run program's records over values, in order.  Returns its loads as
+    (register, column) pairs, and the first register whose load's records
+    met a zero divisor, or None."""
+    seen, latched, fault = len(faults), [], None
+    for kernel, params, reads, writes in program:
+        if kernel is None:   # a Load of register params from key reads
+            if fault is None and len(faults) > seen:
+                fault = params
+            latched.append((params, values[reads]))
+            continue
+        if len(reads) == 2:
+            a, b = reads
+            columns = kernel(params, faults, values[a], values[b])
+        elif len(reads) == 1:
+            columns = kernel(params, faults, values[reads[0]])
+        else:
+            columns = kernel(params, faults, *map(values.__getitem__, reads))
+        if len(writes) == 1:
+            values[writes[0]], = columns
+        else:
+            values.update(zip(writes, columns))
+    return latched, fault
+
+
+_NEXT_INDEX = attrgetter("next_index")
 
 
 class IndexedDesign:
     """An HdlDesign lowered once for execution over columns of vectors.
 
     Registers and their widths come from the control process and the signal
-    declarations; dataa and datab are set by the driver.  Every other signal
-    read is a wire computed by its single driver, an instance through its
-    generics' ``component.kernel`` or a concurrent assignment, each compiled
-    once into an op over plain-int columns.  A step's number, the counter
-    value that selects it, is its position in the process's steps.  Every
-    step is planned at index time: per register load, the driver ops it
-    needs that no earlier load of the step computed, in dependency order.
-    ``execute`` runs those plans edge by edge, over one column entry per
-    vector: a whole batch for ``run``, one invocation for ``simulate_ci``.
+    declarations; dataa and datab are set by the driver.  Every other value
+    read is computed by its single driver, a plain record (kernel,
+    parameters, keys read, keys written): an instance is (its generics'
+    ``component.kernel``, the generics, its input wires, its output wires),
+    and each node of an expression is a record over the lpm expression
+    kernels, writing an int key when no signal holds its value.  A step's
+    number, the counter value that selects it, is its position in the
+    process's steps.  Each step is lowered to one flat program: per register
+    load, the records it needs that no earlier load of the step computed, in
+    dependency order, then the load.  ``execute`` runs the programs edge by
+    edge, over one column entry per vector: a whole batch for ``run``, one
+    invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
@@ -298,30 +333,32 @@ class IndexedDesign:
             for name, width in self.widths.items():
                 self._check_width(width, name)
         self.registers = arch.process.registers
-        undeclared = set(self.registers).difference(signals)
+        self._register_set = frozenset(self.registers)
+        undeclared = self._register_set.difference(signals)
         if undeclared:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
-        self.steps = arch.process.steps
-        for index in {0}.union(step.next_index for step in self.steps):
-            if not 0 <= index < len(self.steps):
-                raise InternalCheckError(f"{self.name}: no control step {index}")
-        self._register_set = frozenset(self.registers)
+        steps = arch.process.steps
+        numbers = {0}.union(map(_NEXT_INDEX, steps))
+        if min(numbers) < 0 or max(numbers) >= len(steps):
+            for index in numbers:
+                if not 0 <= index < len(steps):
+                    raise InternalCheckError(f"{self.name}: no control step {index}")
         self._sources = self._register_set | {"dataa", "datab"}
         # of the entity ports, only result is a wire
         self._undrivable = self._register_set | \
             {p.name for p in design.entity.ports} - {"result"}
-        # wire -> (signals read, wires written, op)
-        self._drivers: dict[str, tuple[tuple[str, ...], tuple[str, ...], Op]] = {}
+        self._drivers: dict[str | int, Record] = {}
+        self._keyed: dict[ast.Expr, tuple[int, int]] = {}
         for target, expr in arch.assigns:
-            read, reads = self._compile(expr, target)
-            self._drive((target,), reads, _assign_op(target, read))
-        for inst in arch.instances:
-            self._lower_instance(inst)
-        self._plans = [self._plan(index, step)
-                       for index, step in enumerate(self.steps)]
-        self._result_ops = self._ops(("result",), {})
-        self.done_cycle = self._done_cycle()
+            kernel, params, reads, width = self._expr(expr)
+            self._check_value(width, target)
+            self._drive((kernel, params, reads, (target,)))
+        self._lower_instances(arch.instances)
+        self._programs = self._lower_steps(steps)
+        self._result_program: list[Record] = []
+        self._need("result", {}, self._result_program)
+        self.done_cycle = self._done_cycle(steps)
 
     def _check_width(self, width: int, what: str) -> None:
         if not 1 <= width <= MAX_INTERNAL_WIDTH:
@@ -333,33 +370,54 @@ class IndexedDesign:
             raise InternalCheckError(f"{self.name}: {name} is not declared")
         return width
 
-    def _drive(self, wires: tuple[str, ...], reads: tuple[str, ...], op: Op) -> None:
-        for wire in wires:
-            if wire in self._undrivable:
-                raise InternalCheckError(f"{self.name}: {wire} is driven "
-                                         "combinationally but is not a wire")
-            if wire in self._drivers:
-                raise InternalCheckError(f"{self.name}: {wire} has a second driver")
-            self._drivers[wire] = (reads, wires, op)
+    def _check_value(self, width: int, target: str) -> None:
+        if width != self._width(target):
+            raise InternalCheckError(f"{self.name}: {width}-bit value on "
+                                     f"{target}, declared {self._width(target)}")
 
-    def _lower_instance(self, inst: ast.Instance) -> None:
-        """Check inst's port map and wire widths against its kind, then
-        drive its output wires through the kind's kernel."""
-        label, generics, port_map = inst
-        component = generics.component
-        ports, wires = zip(*port_map) if port_map else ((), ())
-        if ports != component.ports:
-            wires = self._bind_by_name(inst, component)
-        in_widths, out_widths = generics.port_widths()
-        widths = in_widths + out_widths
-        if tuple(map(self.widths.get, wires)) != widths:
-            for wire, width in zip(wires, widths):
-                if self._width(wire) != width:
-                    raise WidthMismatch(f"{self.name}: {label} needs {width} "
-                                        f"bits on {wire}, declared "
-                                        f"{self._width(wire)}")
-        ins, outs = wires[:len(in_widths)], wires[len(in_widths):]
-        self._drive(outs, ins, _instance_op(component.kernel, generics, ins, outs))
+    def _drive(self, record: Record) -> None:
+        for wire in record[3]:
+            if wire in self._undrivable or wire in self._drivers:
+                self._refuse_driver(wire)
+            self._drivers[wire] = record
+
+    def _refuse_driver(self, wire: str) -> None:
+        if wire in self._undrivable:
+            raise InternalCheckError(f"{self.name}: {wire} is driven "
+                                     "combinationally but is not a wire")
+        raise InternalCheckError(f"{self.name}: {wire} has a second driver")
+
+    def _lower_instances(self, instances: tuple[ast.Instance, ...]) -> None:
+        """Check each instance's port map and wire widths against its kind,
+        then drive its output wires through the kind's kernel."""
+        # generics -> the kernel, every port's width and the input count;
+        # records of two kinds never compare equal (test_records.py)
+        kinds: dict[LpmGenerics, tuple[Callable, tuple[int, ...], int]] = {}
+        declared, drivers, undrivable = self.widths.get, self._drivers, self._undrivable
+        for inst in instances:
+            label, generics, port_map = inst
+            component = generics.component
+            ports, wires = zip(*port_map) if port_map else ((), ())
+            if ports != component.ports:
+                wires = self._bind_by_name(inst, component)
+            kind = kinds.get(generics)
+            if kind is None:
+                in_widths, out_widths = generics.port_widths()
+                kind = kinds[generics] = (component.kernel, in_widths + out_widths,
+                                          len(in_widths))
+            kernel, widths, split = kind
+            if tuple(map(declared, wires)) != widths:
+                for wire, width in zip(wires, widths):
+                    if self._width(wire) != width:
+                        raise WidthMismatch(f"{self.name}: {label} needs {width} "
+                                            f"bits on {wire}, declared "
+                                            f"{self._width(wire)}")
+            outs = wires[split:]
+            record = kernel, generics, wires[:split], outs
+            for wire in outs:
+                if wire in drivers or wire in undrivable:
+                    self._refuse_driver(wire)
+                drivers[wire] = record
 
     def _bind_by_name(self, inst: ast.Instance,
                       component: Component) -> tuple[str, ...]:
@@ -381,91 +439,99 @@ class IndexedDesign:
                                          f"port {port} unbound")
         return tuple(bound[port] for port in component.ports)
 
-    def _compile(self, expr: ast.Expr,
-                 target: str) -> tuple[Callable[[dict], Column], tuple[str, ...]]:
-        """expr as a function of the signal values, with the signals it
-        reads, once its width is checked against target's."""
-        read, width, reads = self._expr(expr)
-        if width != self._width(target):
-            raise InternalCheckError(f"{self.name}: {width}-bit value on "
-                                     f"{target}, declared {self._width(target)}")
-        return read, reads
-
-    def _expr(self, expr: ast.Expr) -> tuple[Callable[[dict], Column], int,
-                                              tuple[str, ...]]:
+    def _expr(self, expr: ast.Expr) -> tuple[Callable[..., tuple[Column, ...]],
+                                              object, tuple[str | int, ...], int]:
+        """The kernel, parameters and keys read of expr's top node, and its
+        width; each inner node becomes the driver of a new int key."""
         if isinstance(expr, ast.Ref):
-            name = expr.name
-            return itemgetter(name), self._width(name), (name,)
+            return _same, None, (expr.name,), self._width(expr.name)
         if isinstance(expr, ast.Slice):
             name, width, whole = expr.name, expr.width, self._width(expr.name)
             if not 1 <= width <= whole:
                 raise InternalCheckError(f"{self.name}: slice of {width} "
                                          f"bits from {whole}-bit {name}")
-            return (lambda values, name=name, width=width:
-                    low_bits(values[name], width)), width, (name,)
+            return _slice, width, (name,), width
         if isinstance(expr, ast.Resize):
-            inner, from_width, reads = self._expr(expr.operand)
+            key, from_width = self._key(expr.operand)
             signed, width = expr.signed, expr.width
             self._check_width(width, "resize")
-            return (lambda values: resize(inner(values), from_width, signed,
-                                          width)), width, reads
+            return _resize, (from_width, signed, width), (key,), width
         r, d, width = expr.remainder, expr.divisor, self._width(expr.remainder)
         if self._width(d) != width:
             raise WidthMismatch(f"{self.name}: mod correction of {width}-bit "
                                 f"{r} by {self._width(d)}-bit {d}")
-        return (lambda values: mod_correct(values[r], values[d], width)), \
-            width, (r, d)
+        return _mod_correct, width, (r, d), width
 
-    def _ops(self, names: tuple[str, ...], done: dict[str, bool]) -> tuple[Op, ...]:
-        """The driver ops computing the wires among names that done lacks,
-        each after the ops it reads from.  done maps the wires met so far
-        to True once computed, False while their reads are resolved."""
-        ops: list[Op] = []
-        for name in names:
-            if name not in self._sources:
-                self._need(name, done, ops)
-        return tuple(ops)
+    def _key(self, expr: ast.Expr) -> tuple[str | int, int]:
+        """The key holding expr's value, and its width: a Ref's signal, or
+        the int key driven by the record of expr, one per distinct expr."""
+        if isinstance(expr, ast.Ref):
+            return expr.name, self._width(expr.name)
+        keyed = self._keyed.get(expr)
+        if keyed is None:
+            kernel, params, reads, width = self._expr(expr)
+            key = len(self._keyed)
+            self._drivers[key] = (kernel, params, reads, (key,))
+            keyed = self._keyed[expr] = key, width
+        return keyed
 
-    def _need(self, name: str, done: dict[str, bool], ops: list[Op]) -> None:
-        state = done.get(name)
+    def _need(self, key: str | int, done: dict[str | int, bool],
+              program: list[Record | Load]) -> None:
+        """Append to program the records computing key that done lacks, each
+        after the records it reads from.  done maps the keys met so far to
+        True once computed, False while their reads are resolved."""
+        state = done.get(key)
         if state:
             return
         if state is False:
-            raise InternalCheckError(f"{self.name}: combinational loop through {name}")
-        driver = self._drivers.get(name)
-        if driver is None:
-            raise InternalCheckError(f"{self.name}: {name} has no driver")
-        done[name] = False
-        reads, outputs, op = driver
-        for read in reads:
-            if read not in self._sources:
-                self._need(read, done, ops)
-        ops.append(op)
-        for wire in outputs:
+            raise InternalCheckError(f"{self.name}: combinational loop through {key}")
+        record = self._drivers.get(key)
+        if record is None:
+            raise InternalCheckError(f"{self.name}: {key} has no driver")
+        done[key] = False
+        sources = self._sources
+        for read in record[2]:
+            if read not in sources:
+                self._need(read, done, program)
+        program.append(record)
+        for wire in record[3]:
             done[wire] = True
 
-    def _plan(self, index: int,
-              step: ast.ControlStep) -> list[tuple[str, tuple[Op, ...], Callable]]:
-        """Per load of step number index: its target, the driver ops it needs
-        that no earlier load of the step computed, and its compiled expression."""
-        done: dict[str, bool] = {}
-        plan = []
-        for target, expr in step.loads:
-            if target not in self._register_set:
-                raise InternalCheckError(f"{self.name}: step {index} loads "
-                                         f"{target}, which is no register")
-            read, reads = self._compile(expr, target)
-            plan.append((target, self._ops(reads, done), read))
-        return plan
+    def _lower_steps(self, steps: tuple[ast.ControlStep, ...]
+                     ) -> list[tuple[list[Record | Load], bool, int]]:
+        """Per step number: its flat program, whether it sets done, and the
+        next step's number."""
+        registers, sources, widths = self._register_set, self._sources, self.widths
+        need, ref = self._need, ast.Ref
+        programs = []
+        for index, (loads, set_done, next_index) in enumerate(steps):
+            done: dict[str | int, bool] = {}
+            program: list[Record | Load] = []
+            for target, expr in loads:
+                if target not in registers:
+                    raise InternalCheckError(f"{self.name}: step {index} loads "
+                                             f"{target}, which is no register")
+                if isinstance(expr, ref):
+                    key = expr.name
+                    width = widths.get(key) or self._width(key)   # or refuse
+                else:
+                    key, width = self._key(expr)
+                if width != widths[target]:
+                    self._check_value(width, target)
+                if key not in sources:
+                    need(key, done, program)
+                program.append((None, target, key, None))
+            programs.append((program, set_done, next_index))
+        return programs
 
-    def _done_cycle(self) -> int:
+    def _done_cycle(self, steps: tuple[ast.ControlStep, ...]) -> int:
         """The enabled cycle on which done is high: the number of steps from
         start through the first that sets done, each reached once."""
         index = 0
-        for cycle in range(1, len(self.steps) + 1):
-            if self.steps[index].set_done:
+        for cycle in range(1, len(steps) + 1):
+            if steps[index].set_done:
                 return cycle
-            index = self.steps[index].next_index
+            index = steps[index].next_index
         raise InternalCheckError(f"{self.name}: done is never set after start")
 
     def execute(self, pairs: list[tuple[Column, Column]], count: int,
@@ -478,30 +544,24 @@ class IndexedDesign:
         vectors join faults), or None.  Past done the counter runs on to 0,
         where edges only lower done.  Each yield updates one values dict,
         replacing columns, never writing into one."""
-        values: dict[str, Column] = dict.fromkeys(self.registers, [0] * count)
+        values: dict = dict.fromkeys(self.registers, [0] * count)
         values["dataa"], values["datab"] = pairs[0]
         index, done, fault, last = 0, False, None, len(pairs) - 1
-        steps, plans = self.steps, self._plans
+        programs = self._programs
         for k in itertools.count(1):   # then the edge into enabled cycle k
             yield index, done, values, fault
             fault, done = None, False
             if index or k == 1:
-                step, latched = steps[index], []
-                for target, ops, read in plans[index]:
-                    seen = len(faults)
-                    for op in ops:
-                        op(values, faults)
-                    if fault is None and len(faults) > seen:
-                        fault = target
-                    latched.append((target, read(values)))
+                program, set_done, next_index = programs[index]
+                latched, fault = _run(program, values, faults)
                 values.update(latched)
-                done, index = step.set_done, step.next_index
-            values["dataa"], values["datab"] = pairs[min(k, last)]
+                done, index = set_done, next_index
+            if k <= last:
+                values["dataa"], values["datab"] = pairs[k]
 
     def result(self, values: dict[str, Column], faults: set[int]) -> Column:
         """The result port's column under values."""
-        for op in self._result_ops:
-            op(values, faults)
+        _run(self._result_program, values, faults)
         return values["result"]
 
     def run(self, pairs: list[tuple[Column, Column]],
@@ -515,16 +575,18 @@ class IndexedDesign:
         return self.result(values, faults), faults, self.done_cycle
 
 
-def operand_columns(mapped: MappedDesign,
-                   vectors: list[dict[str, int]]) -> list[tuple[Column, Column]]:
-    """The dataa and datab columns of each load cycle: the operand order the
-    C header sends, taken from the mapping and never from the design."""
-    def column(name: str | None) -> Column:
-        if name is None:
-            return [0] * len(vectors)
-        return [vec[name] & PORT_MASK for vec in vectors]
-    return [(column(first), column(second))
-            for first, second in mapped.loading]
+def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
+                    count: int) -> list[tuple[Column, Column]]:
+    """The dataa and datab columns of each load cycle, from input_columns'
+    count-vector columns: the operand order the C header sends, taken from
+    the mapping and never from the design.  A column with no negative value
+    is its own 32-bit pattern and is shared, as columns are never written
+    into."""
+    ports: dict[str | None, Column] = {None: [0] * count}
+    for name, column in columns.items():
+        ports[name] = column if min(column, default=0) >= 0 \
+            else [value & PORT_MASK for value in column]
+    return [(ports[first], ports[second]) for first, second in mapped.loading]
 
 
 def simulate_ci(spec: CiSpec, inputs: dict[str, int],
@@ -541,10 +603,10 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
     done-cycle result read) consumes the bad output."""
     if mapped is None:
         mapped = map_design(spec)
-    validate_inputs(spec, inputs)
+    columns = input_columns(spec, [inputs])
     design = IndexedDesign(build_design(spec, mapped))
     clk_en_low, reset_cycles, start_cycle = stimulus or Stimulus()
-    execution = design.execute(operand_columns(mapped, [inputs]), 1, set())
+    execution = design.execute(operand_columns(mapped, columns, 1), 1, set())
 
     def port(values: dict[str, Column]) -> int | None:
         faults: set[int] = set()
@@ -611,12 +673,12 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
         mapped = map_design(spec)
     if not vectors:
         return []
-    reference = reference_columns(spec, input_columns(spec, vectors),
-                                  len(vectors))
+    columns = input_columns(spec, vectors)
+    reference = reference_columns(spec, columns, len(vectors))
     indexed = IndexedDesign(design if design is not None
                             else build_design(spec, mapped))
-    results, faults, done = indexed.run(operand_columns(mapped, vectors),
-                                        len(vectors))
+    results, faults, done = indexed.run(
+        operand_columns(mapped, columns, len(vectors)), len(vectors))
     expected_done = done_cycle_enabled(mapped)
     zero_divisor, expected = reference.zero_divisor, reference.result
     mismatches = []

@@ -20,7 +20,14 @@ from cigen.frontend import (
 )
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.hdl import build_design, emit_instance
-from cigen.lpm import AddSubGenerics, BitVec, Direction
+from cigen.lpm import (
+    AddSubGenerics,
+    BitVec,
+    Direction,
+    low_bits,
+    mod_correct,
+    resize,
+)
 from cigen.mapper import done_cycle_enabled, map_design, node_reg
 from cigen.sim import (
     IndexedDesign,
@@ -414,7 +421,8 @@ class TestPortsByName:
         moved = shuffled.architecture.instances
 
         vectors = random_vectors(random.Random(11), spec, 200)
-        pairs = operand_columns(mapped, vectors)
+        pairs = operand_columns(mapped, input_columns(spec, vectors),
+                                len(vectors))
         assert IndexedDesign(shuffled).run(pairs, len(vectors)) == \
             IndexedDesign(design).run(pairs, len(vectors))
         assert check_equivalence(spec, mapped, vectors, design=shuffled) == []
@@ -474,8 +482,9 @@ class TestBatchMatchesStepper:
                 if data.draw(st.booleans()):
                     vec[name] = 0
         design = IndexedDesign(build_design(spec, mapped))
-        results, faults, done = design.run(operand_columns(mapped, vectors),
-                                           len(vectors))
+        results, faults, done = design.run(
+            operand_columns(mapped, input_columns(spec, vectors), len(vectors)),
+            len(vectors))
         for index, vec in enumerate(vectors):
             try:
                 one = simulate_ci(spec, vec, mapped, record=False)
@@ -518,7 +527,7 @@ class TestTimelineMatchesStepper:
         for name in _leaf_divisors(spec):
             if data.draw(st.booleans()):
                 vec[name] = 0
-        design = IndexedDesign(build_design(spec, mapped))
+        design = build_design(spec, mapped)
         stim = Stimulus(clk_en_low=gaps, reset_cycles=resets,
                         start_cycle=start)
         try:
@@ -537,7 +546,7 @@ class TestTimelineMatchesStepper:
     ])
     @pytest.mark.parametrize("inputs", [MAC_INPUTS, {"a": -1, "b": 7, "c": -9}])
     def test_worked_example(self, mac_spec, mac_mapped, stim, inputs):
-        design = IndexedDesign(build_design(mac_spec, mac_mapped))
+        design = build_design(mac_spec, mac_mapped)
         for record in (True, False):
             args = (mac_spec, inputs, mac_mapped, stim, record)
             assert _simulated(simulate_ci, *args) == \
@@ -614,29 +623,89 @@ def _interpret(value: BitVec, signed: bool) -> int:
 # --- the reference: simulate_ci as it was before it replayed
 # IndexedDesign.execute on a stimulus timeline, kept (renamed) with its own
 # cnt/started/done/enabled_count bookkeeping and its cycle limit.  It reads
-# the lowered steps and load plans through IndexedDesign's private
-# attributes -------------------------------------------------------------
+# the HdlDesign itself, never the lowering: DesignWires computes each wire
+# on demand from its driver, an instance through its generics'
+# component.kernel or a concurrent assignment through lpm's low_bits,
+# resize and mod_correct ---------------------------------------------------
 
 
 class NeverDone(Exception):
     """The reference stepper gave up at its cycle limit."""
 
 
+class DesignWires:
+    """The wires of an HdlDesign, each computed when first read in a cycle
+    from the registers, dataa and datab."""
+
+    def __init__(self, design: ast.HdlDesign):
+        arch = design.architecture
+        self.widths = {p.name: p.width for p in design.entity.ports}
+        self.widths.update((s.name, s.width) for s in arch.signals)
+        self.drivers: dict[str, object] = dict(arch.assigns)
+        for inst in arch.instances:
+            component = inst.generics.component
+            bound = dict(inst.port_map)
+            outputs = len(component.ports) - len(inst.generics.port_widths()[0])
+            for port in component.ports[-outputs:]:
+                self.drivers[bound[port]] = inst
+
+    def width(self, expr) -> int:
+        if isinstance(expr, ast.Ref):
+            return self.widths[expr.name]
+        if isinstance(expr, ast.ModCorrect):
+            return self.widths[expr.remainder]
+        return expr.width
+
+    def value(self, expr, values: dict, faults: set[int], cycle: dict) -> list[int]:
+        """expr's column under the register values, adding zero-divisor
+        vectors to faults; cycle holds the wires computed so far."""
+        if isinstance(expr, ast.Ref):
+            return self.wire(expr.name, values, faults, cycle)
+        if isinstance(expr, ast.Slice):
+            return low_bits(self.wire(expr.name, values, faults, cycle), expr.width)
+        if isinstance(expr, ast.Resize):
+            return resize(self.value(expr.operand, values, faults, cycle),
+                          self.width(expr.operand), expr.signed, expr.width)
+        return mod_correct(self.wire(expr.remainder, values, faults, cycle),
+                           self.wire(expr.divisor, values, faults, cycle),
+                           self.widths[expr.remainder])
+
+    def wire(self, name: str, values: dict, faults: set[int], cycle: dict) -> list[int]:
+        if name in values:
+            return values[name]
+        if name not in cycle:
+            driver = self.drivers[name]
+            if isinstance(driver, ast.Instance):
+                component = driver.generics.component
+                bound = dict(driver.port_map)
+                ins = len(driver.generics.port_widths()[0])
+                outs = component.kernel(driver.generics, faults, *[
+                    self.wire(bound[port], values, faults, cycle)
+                    for port in component.ports[:ins]])
+                cycle.update(zip([bound[port] for port in component.ports[ins:]],
+                                 outs))
+            else:
+                cycle[name] = self.value(driver, values, faults, cycle)
+        return cycle[name]
+
+
 def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                         stimulus: Stimulus, record: bool,
-                        design: IndexedDesign):
+                        design: ast.HdlDesign):
     """Drive one invocation through the design cycle by cycle."""
     validate_inputs(spec, inputs)
     stim = stimulus
     loads = len(mapped.loading)
     done_target = done_cycle_enabled(mapped)
-    pair_lines = operand_columns(mapped, [inputs])
+    pair_lines = operand_columns(mapped, input_columns(spec, [inputs]), 1)
+    wires = DesignWires(design)
+    process = design.architecture.process
 
     limit = stim.start_cycle + 4 * (done_target + 2) + \
         len(stim.clk_en_low) + len(stim.reset_cycles) + 8
 
-    cleared = {name: [0] for name in design.registers}
-    values = dict(cleared)   # registers, ports and this cycle's wires
+    cleared = {name: [0] for name in process.registers}
+    values = dict(cleared)   # registers and ports
     cnt = 0
     done = False
     started = False      # a start pulse was consumed at an earlier edge
@@ -654,9 +723,9 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
 
         if rows is not None:
             faults: set[int] = set()
-            row_result = design.result(values, faults)[0]
+            row_result = wires.wire("result", values, faults, {})[0]
             row_regs = {"cnt": cnt}
-            row_regs.update((name, values[name][0]) for name in design.registers)
+            row_regs.update((name, values[name][0]) for name in process.registers)
             rows.append({
                 "cycle": cycle, "clk_en": int(clk_en),
                 "start": int(wants_start), "dataa": values["dataa"][0],
@@ -669,11 +738,11 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                 return observed._replace(rows=rows or [])
         elif done and clk_en and not reset:
             faults = set()
-            final = design.result(values, faults)[0]
+            final = wires.wire("result", values, faults, {})[0]
             if faults:
                 raise DivideByZero("zero divisor reached the result port",
                                    cycle=enabled_count)
-            observed = SimResult(BitVec(design.widths["result"], final), cycle,
+            observed = SimResult(BitVec(wires.widths["result"], final), cycle,
                                  enabled_count, [])
             if drain == 0:
                 return observed._replace(rows=rows or [])
@@ -694,18 +763,17 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                 continue
             started = True
             enabled_count = 0
-        step = design.steps[cnt]
+        step = process.steps[cnt]
         latched = []
         faults = set()
-        for target, ops, read in design._plans[cnt]:
-            for op in ops:
-                op(values, faults)
+        computed: dict = {}
+        for target, expr in step.loads:
+            latched.append((target, wires.value(expr, values, faults, computed)))
             if faults:
                 node = next((n for n in mapped.analysis.operation_sequence
                              if node_reg(n) == target), None)
                 raise DivideByZero("zero divisor latched",
                                    cycle=enabled_count, node=node)
-            latched.append((target, read(values)))
         values.update(latched)
         done = step.set_done
         cnt = step.next_index

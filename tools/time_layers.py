@@ -8,9 +8,13 @@ each layer of the build pipeline on each design: parse, map,
 ``check_equivalence`` as ``build`` calls it (lowering, run and oracle
 together).  Each layer starts after a full garbage collection, so it pays
 for the collections its own allocations set off, not for those of the
-layers before it.  Prints the median of each over the repeats, per design
-and summed, and then the top ``cProfile`` entries of lowering the
-960-term chain.  Run from the repository root:
+layers before it; a ``gc.callbacks`` hook counts those collections and
+times them.  Prints the median of each over the repeats, per design and
+summed, then the collections and their time per layer, summed over the
+designs, then one line comparing the median of ``IndexedDesign`` plus
+``run`` with the median of ``build_design`` on the 960-term chain, and
+last the top ``cProfile`` entries of lowering that chain.  Run from the
+repository root:
 
     python3 tools/time_layers.py [--repeats 9] [--top 15] [--json out.json]
 """
@@ -36,7 +40,12 @@ from cigen.frontend import parse_ci_spec  # noqa: E402
 from cigen.fuzz import random_vectors  # noqa: E402
 from cigen.hdl import build_design, emit_vhdl, validate_structure  # noqa: E402
 from cigen.mapper import map_design  # noqa: E402
-from cigen.sim import IndexedDesign, check_equivalence, operand_columns  # noqa: E402
+from cigen.sim import (  # noqa: E402
+    IndexedDesign,
+    check_equivalence,
+    input_columns,
+    operand_columns,
+)
 
 LAYERS = ("parse", "map", "build_design", "validate_structure", "emit_vhdl",
           "IndexedDesign", "run", "check_equivalence")
@@ -55,15 +64,38 @@ def wide_texts() -> list[tuple[str, str]]:
     return texts
 
 
-def time_once(text: str, vectors_seed: int) -> dict[str, float]:
-    """Milliseconds spent in each layer on one build of text."""
-    times: dict[str, float] = {}
+class _Collections:
+    """Counts the garbage collections that run while installed, and the
+    milliseconds they take."""
+
+    def __init__(self):
+        self.count, self.ms, self._start = 0, 0.0, 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.count += 1
+            self.ms += (time.perf_counter() - self._start) * 1e3
+
+
+def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float]]:
+    """Per layer of one build of text: its milliseconds, and the garbage
+    collections that ran in it with their milliseconds."""
+    times: dict[str, tuple[float, int, float]] = {}
+    collections = _Collections()
 
     def timed(layer: str, call, *args, **kwargs):
         gc.collect()
-        start = time.perf_counter()
-        value = call(*args, **kwargs)
-        times[layer] = (time.perf_counter() - start) * 1e3
+        collections.count, collections.ms = 0, 0.0
+        gc.callbacks.append(collections)
+        try:
+            start = time.perf_counter()
+            value = call(*args, **kwargs)
+            ms = (time.perf_counter() - start) * 1e3
+        finally:
+            gc.callbacks.remove(collections)
+        times[layer] = ms, collections.count, collections.ms
         return value
 
     spec = timed("parse", parse_ci_spec, text)
@@ -74,7 +106,7 @@ def time_once(text: str, vectors_seed: int) -> dict[str, float]:
     vectors = random_vectors(random.Random(vectors_seed), spec,
                              workloads.WIDE_VECTORS)
     indexed = timed("IndexedDesign", IndexedDesign, design)
-    pairs = operand_columns(mapped, vectors)
+    pairs = operand_columns(mapped, input_columns(spec, vectors), len(vectors))
     timed("run", indexed.run, pairs, len(vectors))
     timed("check_equivalence", check_equivalence, spec, mapped, vectors,
           design=design)
@@ -93,13 +125,19 @@ def main(argv: list[str] | None = None) -> int:
     samples = {name: {layer: [] for layer in LAYERS} for name, _ in texts}
     for repeat in range(args.repeats):
         for name, text in texts:
-            for layer, ms in time_once(text, repeat).items():
-                samples[name][layer].append(ms)
-    medians = {name: {layer: statistics.median(values)
+            for layer, sample in time_once(text, repeat).items():
+                samples[name][layer].append(sample)
+    medians = {name: {layer: statistics.median(ms for ms, _, _ in values)
                       for layer, values in layers.items()}
                for name, layers in samples.items()}
     medians["total"] = {layer: sum(medians[name][layer] for name, _ in texts)
                         for layer in LAYERS}
+    # per layer, over the designs: median collections and their ms per build
+    collected = {layer: {
+        "collections": sum(statistics.median(n for _, n, _ in samples[name][layer])
+                           for name, _ in texts),
+        "ms": sum(statistics.median(ms for _, _, ms in samples[name][layer])
+                  for name, _ in texts)} for layer in LAYERS}
 
     width = max(len(layer) for layer in LAYERS)
     print(f"median ms over {args.repeats} repeats, "
@@ -108,6 +146,20 @@ def main(argv: list[str] | None = None) -> int:
     for layer in LAYERS:
         print(f"{layer:<{width}}" + "".join(
             f"{medians[name][layer]:>10.2f}" for name in medians))
+    print("\ngarbage collections in each layer, median per build summed "
+          "over the designs")
+    print(" " * width + f"{'count':>10}{'ms':>10}")
+    for layer in LAYERS:
+        print(f"{layer:<{width}}{collected[layer]['collections']:>10.1f}"
+              f"{collected[layer]['ms']:>10.2f}")
+
+    chain_name = texts[-1][0]
+    runs = samples[chain_name]
+    lowered = statistics.median(lower + run for (lower, _, _), (run, _, _)
+                                in zip(runs["IndexedDesign"], runs["run"]))
+    built = medians[chain_name]["build_design"]
+    print(f"\n{chain_name}: IndexedDesign + run {lowered:.2f} ms against "
+          f"build_design {built:.2f} ms (medians; ratio {lowered / built:.2f})")
 
     chain = texts[-1][1]
     design = build_design(parse_ci_spec(chain),
@@ -121,7 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"repeats": args.repeats, "vectors": workloads.WIDE_VECTORS,
-             "median_ms": medians}, indent=2) + "\n")
+             "median_ms": medians, "gc": collected,
+             "chain": {"design": chain_name, "lowering_and_run_ms": lowered,
+                       "build_design_ms": built}}, indent=2) + "\n")
     return 0
 
 
