@@ -241,15 +241,12 @@ def _listed(items: list[str], sep: str, indent: str) -> list[str]:
             for i, item in enumerate(items)]
 
 
-def emit_component_decl(decl: ast.ComponentDecl, indent: str = "  ") -> str:
-    inner = indent + "    "
-    return "\n".join([
-        f"{indent}component {decl.name}", f"{indent}  generic (",
-        *_listed([f"{g.name} : {g.vhdl_type}" for g in decl.generics], ";", inner),
-        f"{indent}  );", f"{indent}  port (",
-        *_listed([f"{p.name} : {p.direction} {p.type_text}" for p in decl.ports],
-                 ";", inner),
-        f"{indent}  );", f"{indent}end component;"])
+def emit_component_decl(decl: ast.ComponentDecl) -> str:
+    generics = [f"{g.name} : {g.vhdl_type}" for g in decl.generics]
+    ports = [f"{p.name} : {p.direction} {p.type_text}" for p in decl.ports]
+    return "\n".join([f"  component {decl.name}", "    generic (",
+                      *_listed(generics, ";", "      "), "    );", "    port (",
+                      *_listed(ports, ";", "      "), "    );", "  end component;"])
 
 
 def _instance_text(decl: ast.ComponentDecl) -> str:

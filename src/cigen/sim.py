@@ -18,16 +18,19 @@ order, and the loads.  That lowering is the design's only connectivity
 check; ``hdl.validate_structure`` keeps the rules of VHDL naming.
 ``IndexedDesign.execute``, the one interpreter of the control process,
 runs the programs in one loop over columns of plain ints, one entry per
-vector.  ``check_equivalence`` runs every vector through it and through
-the oracle together and compares each 32-bit result: that is the
-bit-exactness check the rest of the toolchain relies on.  ``simulate_ci``
-replays one invocation under clk_en gaps, resets and a late start.
+vector.  ``check_equivalence`` compares the design's done cycle with the
+latency contract's once, before any vector runs, then runs every vector
+through the design and the oracle together and compares each 32-bit
+result: that is the bit-exactness check the rest of the toolchain relies
+on.  ``simulate_ci`` replays one invocation under clk_en gaps, resets
+and a late start.
 
 Only the testbench side comes from the ``MappedDesign``: which operands the
 driver puts on dataa and datab in each load cycle (the order the C header
 sends them in) and the done cycle the latency contract promises.  Neither is
-read back from the design, so a design that loads the wrong port or finishes
-late disagrees with the reference instead of driving itself to agree.
+read back from the design, so a design that loads the wrong port disagrees
+with the reference, and one that finishes late is refused, instead of
+driving itself to agree.
 
 The clock model: each attempt after a reset replays the same invocation,
 so ``execute`` computes the state of each enabled cycle k since start once
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
-from operator import attrgetter, itemgetter, le
+from operator import itemgetter, le
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
@@ -124,7 +127,6 @@ class Reference(NamedTuple):
     """The oracle's values for a batch of vectors, one entry per vector."""
     result: Column                  # the 32-bit result port
     zero_divisor: list[int | None]  # first node in Dfg.order with a zero divisor
-    nodes: dict[int, Column]        # every node, read with its signedness
 
 
 def reference_columns(spec: CiSpec, columns: dict[str, Column],
@@ -173,8 +175,7 @@ def reference_columns(spec: CiSpec, columns: dict[str, Column],
                 raw = [a % b for a, b in pairs]
             column = [((x + half) & mask) - half for x in raw]
         values[node_id] = column
-    return Reference(adapt_root(values[dfg.root], spec.output), zero_divisor,
-                     values)
+    return Reference(adapt_root(values[dfg.root], spec.output), zero_divisor)
 
 
 def adapt_root(root: Column, out: OperandDecl) -> Column:
@@ -205,24 +206,16 @@ def eval_reference(spec: CiSpec, inputs: dict[str, int],
     return BitVec(32, reference.result[0])
 
 
-class _StimulusFields(NamedTuple):
-    clk_en_low: frozenset[int]
-    reset_cycles: frozenset[int]
-    start_cycle: int
-
-
-class Stimulus(_StimulusFields):
+class Stimulus(NamedTuple):
     """Clock-level disturbances applied around the normal driver sequence.
 
     All cycle numbers are absolute (counting every clock edge from 0, enabled
-    or not).  Cycle sets of any iterable type are stored as frozensets.
+    or not): the cycles on which clk_en is low, the cycles on which reset is
+    high, and the first cycle on which start is high.
     """
-    __slots__ = ()
-
-    def __new__(cls, clk_en_low=frozenset(), reset_cycles=frozenset(),
-                start_cycle: int = 0):
-        return super().__new__(cls, frozenset(clk_en_low),
-                               frozenset(reset_cycles), start_cycle)
+    clk_en_low: frozenset[int] = frozenset()
+    reset_cycles: frozenset[int] = frozenset()
+    start_cycle: int = 0
 
 
 class SimResult(NamedTuple):
@@ -293,9 +286,6 @@ def _run(program: list[Record | Load], values: dict,
     return latched, fault
 
 
-_NEXT_INDEX = attrgetter("next_index")
-
-
 class IndexedDesign:
     """An HdlDesign lowered once for execution over columns of vectors.
 
@@ -328,10 +318,9 @@ class IndexedDesign:
         signals = {s.name: s.width for s in arch.signals}
         self.widths = {p.name: p.width for p in design.entity.ports}
         self.widths.update(signals)
-        widths = self.widths.values()
-        if min(widths, default=1) < 1 or max(widths, default=1) > MAX_INTERNAL_WIDTH:
-            for name, width in self.widths.items():
-                self._check_width(width, name)
+        for name, width in self.widths.items():
+            if not 1 <= width <= MAX_INTERNAL_WIDTH:
+                raise WidthMismatch(f"{self.name}: {width}-bit {name}")
         self.registers = arch.process.registers
         self._register_set = frozenset(self.registers)
         undeclared = self._register_set.difference(signals)
@@ -339,11 +328,9 @@ class IndexedDesign:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
         steps = arch.process.steps
-        numbers = {0}.union(map(_NEXT_INDEX, steps))
-        if min(numbers) < 0 or max(numbers) >= len(steps):
-            for index in numbers:
-                if not 0 <= index < len(steps):
-                    raise InternalCheckError(f"{self.name}: no control step {index}")
+        for index in {0}.union(step.next_index for step in steps):
+            if not 0 <= index < len(steps):
+                raise InternalCheckError(f"{self.name}: no control step {index}")
         self._sources = self._register_set | {"dataa", "datab"}
         # of the entity ports, only result is a wire
         self._undrivable = self._register_set | \
@@ -360,10 +347,6 @@ class IndexedDesign:
         self._need("result", {}, self._result_program)
         self.done_cycle = self._done_cycle(steps)
 
-    def _check_width(self, width: int, what: str) -> None:
-        if not 1 <= width <= MAX_INTERNAL_WIDTH:
-            raise WidthMismatch(f"{self.name}: {width}-bit {what}")
-
     def _width(self, name: str) -> int:
         width = self.widths.get(name)
         if width is None:
@@ -377,15 +360,12 @@ class IndexedDesign:
 
     def _drive(self, record: Record) -> None:
         for wire in record[3]:
-            if wire in self._undrivable or wire in self._drivers:
-                self._refuse_driver(wire)
+            if wire in self._undrivable:
+                raise InternalCheckError(f"{self.name}: {wire} is driven "
+                                         "combinationally but is not a wire")
+            if wire in self._drivers:
+                raise InternalCheckError(f"{self.name}: {wire} has a second driver")
             self._drivers[wire] = record
-
-    def _refuse_driver(self, wire: str) -> None:
-        if wire in self._undrivable:
-            raise InternalCheckError(f"{self.name}: {wire} is driven "
-                                     "combinationally but is not a wire")
-        raise InternalCheckError(f"{self.name}: {wire} has a second driver")
 
     def _lower_instances(self, instances: tuple[ast.Instance, ...]) -> None:
         """Check each instance's port map and wire widths against its kind,
@@ -393,7 +373,7 @@ class IndexedDesign:
         # generics -> the kernel, every port's width and the input count;
         # records of two kinds never compare equal (test_records.py)
         kinds: dict[LpmGenerics, tuple[Callable, tuple[int, ...], int]] = {}
-        declared, drivers, undrivable = self.widths.get, self._drivers, self._undrivable
+        declared = self.widths.get
         for inst in instances:
             label, generics, port_map = inst
             component = generics.component
@@ -412,12 +392,7 @@ class IndexedDesign:
                         raise WidthMismatch(f"{self.name}: {label} needs {width} "
                                             f"bits on {wire}, declared "
                                             f"{self._width(wire)}")
-            outs = wires[split:]
-            record = kernel, generics, wires[:split], outs
-            for wire in outs:
-                if wire in drivers or wire in undrivable:
-                    self._refuse_driver(wire)
-                drivers[wire] = record
+            self._drive((kernel, generics, wires[:split], wires[split:]))
 
     def _bind_by_name(self, inst: ast.Instance,
                       component: Component) -> tuple[str, ...]:
@@ -454,7 +429,8 @@ class IndexedDesign:
         if isinstance(expr, ast.Resize):
             key, from_width = self._key(expr.operand)
             signed, width = expr.signed, expr.width
-            self._check_width(width, "resize")
+            if not 1 <= width <= MAX_INTERNAL_WIDTH:
+                raise WidthMismatch(f"{self.name}: {width}-bit resize")
             return _resize, (from_width, signed, width), (key,), width
         r, d, width = expr.remainder, expr.divisor, self._width(expr.remainder)
         if self._width(d) != width:
@@ -478,32 +454,40 @@ class IndexedDesign:
     def _need(self, key: str | int, done: dict[str | int, bool],
               program: list[Record | Load]) -> None:
         """Append to program the records computing key that done lacks, each
-        after the records it reads from.  done maps the keys met so far to
-        True once computed, False while their reads are resolved."""
-        state = done.get(key)
-        if state:
+        after the records it reads from, in the order a depth-first walk of
+        the reads completes them.  done maps the keys met so far to True
+        once computed, False while their reads are resolved.  The walk keeps
+        its own stack of the keys being resolved, so no chain of wires is
+        too deep for it."""
+        drivers, sources = self._drivers, self._sources
+        if key in sources or done.get(key):
             return
-        if state is False:
-            raise InternalCheckError(f"{self.name}: combinational loop through {key}")
-        record = self._drivers.get(key)
-        if record is None:
-            raise InternalCheckError(f"{self.name}: {key} has no driver")
-        done[key] = False
-        sources = self._sources
-        for read in record[2]:
-            if read not in sources:
-                self._need(read, done, program)
-        program.append(record)
-        for wire in record[3]:
-            done[wire] = True
+        stack = [key]
+        while stack:
+            key = stack[-1]
+            record = drivers.get(key)
+            if key not in done:
+                if record is None:
+                    raise InternalCheckError(f"{self.name}: {key} has no driver")
+                done[key] = False
+            for read in record[2]:   # the first read not yet computed
+                if read not in sources and not done.get(read):
+                    if read in done:
+                        raise InternalCheckError(f"{self.name}: combinational "
+                                                 f"loop through {read}")
+                    stack.append(read)
+                    break
+            else:
+                stack.pop()
+                program.append(record)
+                for wire in record[3]:
+                    done[wire] = True
 
     def _lower_steps(self, steps: tuple[ast.ControlStep, ...]
                      ) -> list[tuple[list[Record | Load], bool, int]]:
         """Per step number: its flat program, whether it sets done, and the
         next step's number."""
-        registers, sources, widths = self._register_set, self._sources, self.widths
-        need, ref = self._need, ast.Ref
-        programs = []
+        registers, need, programs = self._register_set, self._need, []
         for index, (loads, set_done, next_index) in enumerate(steps):
             done: dict[str | int, bool] = {}
             program: list[Record | Load] = []
@@ -511,15 +495,9 @@ class IndexedDesign:
                 if target not in registers:
                     raise InternalCheckError(f"{self.name}: step {index} loads "
                                              f"{target}, which is no register")
-                if isinstance(expr, ref):
-                    key = expr.name
-                    width = widths.get(key) or self._width(key)   # or refuse
-                else:
-                    key, width = self._key(expr)
-                if width != widths[target]:
-                    self._check_value(width, target)
-                if key not in sources:
-                    need(key, done, program)
+                key, width = self._key(expr)
+                self._check_value(width, target)
+                need(key, done, program)
                 program.append((None, target, key, None))
             programs.append((program, set_done, next_index))
         return programs
@@ -565,14 +543,14 @@ class IndexedDesign:
         return values["result"]
 
     def run(self, pairs: list[tuple[Column, Column]],
-            count: int) -> tuple[Column, set[int], int]:
+            count: int) -> tuple[Column, set[int]]:
         """Run count vectors at once from start to the done cycle.  Returns
-        the result column, the vectors whose dividers met a zero divisor,
-        and the enabled cycle on which done is high."""
+        the result column read on that cycle and the vectors whose dividers
+        met a zero divisor."""
         faults: set[int] = set()
         execution = self.execute(pairs, count, faults)
         _, _, values, _ = next(itertools.islice(execution, self.done_cycle, None))
-        return self.result(values, faults), faults, self.done_cycle
+        return self.result(values, faults), faults
 
 
 def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
@@ -590,22 +568,20 @@ def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
 
 
 def simulate_ci(spec: CiSpec, inputs: dict[str, int],
-                mapped: MappedDesign | None = None,
-                stimulus: Stimulus | None = None,
+                stimulus: Stimulus = Stimulus(),
                 record: bool = True) -> SimResult:
-    """Drive one invocation through build_design(spec, mapped) under the
-    stimulus.
+    """Drive one invocation through the design build_design makes of spec
+    and its mapping, under the stimulus.
 
     The design executes once, on one-element columns, and the stimulus
     timeline picks which of its enabled cycles each wall cycle shows (see
     the module docstring).
     DivideByZero carries the enabled cycle whose register latch (or
     done-cycle result read) consumes the bad output."""
-    if mapped is None:
-        mapped = map_design(spec)
+    mapped = map_design(spec)
     columns = input_columns(spec, [inputs])
     design = IndexedDesign(build_design(spec, mapped))
-    clk_en_low, reset_cycles, start_cycle = stimulus or Stimulus()
+    clk_en_low, reset_cycles, start_cycle = stimulus
     execution = design.execute(operand_columns(mapped, columns, 1), 1, set())
 
     def port(values: dict[str, Column]) -> int | None:
@@ -658,41 +634,35 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
             k += 1
 
 
-def check_equivalence(spec: CiSpec, mapped: MappedDesign | None = None,
-                      vectors: list[dict[str, int]] | None = None,
-                      design: ast.HdlDesign | None = None) -> list[dict]:
-    """Compare the design against the reference evaluator.
+def check_equivalence(spec: CiSpec, mapped: MappedDesign,
+                      vectors: list[dict[str, int]],
+                      design: ast.HdlDesign) -> list[dict]:
+    """Compare design, built from spec's mapping, with the reference oracle.
 
-    design defaults to build_design(spec, mapped).  It is lowered once and
-    every vector runs through it together, one column entry per vector.
-    Returns one record per disagreement: differing result bits, a division
-    fault on one side only, or a done pulse off its scheduled cycle.  An
-    empty list means every vector matched bit for bit.
+    The design is lowered first, and its done cycle is compared with the
+    one mapped's latency contract promises, once and before any vector
+    runs: a mismatch raises InternalCheckError, whatever the vectors.  Then
+    every vector runs through the design together, one column entry per
+    vector.  Returns one record per disagreement: differing result bits,
+    or a division fault on one side only.  An empty list means every
+    vector matched bit for bit.
     """
-    if mapped is None:
-        mapped = map_design(spec)
-    if not vectors:
-        return []
+    indexed = IndexedDesign(design)
+    expected_done = done_cycle_enabled(mapped)
+    if indexed.done_cycle != expected_done:
+        raise InternalCheckError(
+            f"{indexed.name}: done is high on enabled cycle "
+            f"{indexed.done_cycle}, the latency contract says {expected_done}")
     columns = input_columns(spec, vectors)
     reference = reference_columns(spec, columns, len(vectors))
-    indexed = IndexedDesign(design if design is not None
-                            else build_design(spec, mapped))
-    results, faults, done = indexed.run(
+    results, faults = indexed.run(
         operand_columns(mapped, columns, len(vectors)), len(vectors))
-    expected_done = done_cycle_enabled(mapped)
     zero_divisor, expected = reference.zero_divisor, reference.result
     mismatches = []
     for index, vec in enumerate(vectors):
         want = None if zero_divisor[index] is not None else expected[index]
         got = None if index in faults else results[index]
-        if want is not None and got is not None:
-            if want != got:
-                mismatches.append({"inputs": dict(vec),
-                                   "reference": want, "simulated": got})
-            elif done != expected_done:
-                mismatches.append({"inputs": dict(vec), "done_cycle": done,
-                                   "expected_done_cycle": expected_done})
-        elif (want is None) != (got is None):
+        if want != got:
             mismatches.append({
                 "inputs": dict(vec),
                 "reference": "divide-by-zero" if want is None else want,

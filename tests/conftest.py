@@ -70,6 +70,18 @@ def chain_text(terms: int) -> str:
     return f"ci w(opcode=0) {{\n{decls}  output y: signed<32>;\n  y = {body};\n}}\n"
 
 
+# Every vector meets a zero divisor: a mod a is 0 for any a, so the check
+# compares no result value on this spec.
+UNDEFINED_TEXT = """\
+ci u(opcode=0) {
+  input a: unsigned<7>;
+  input b: unsigned<7>;
+  output y: unsigned<8>;
+  y = (a % a) % (a mod a) + b;
+}
+"""
+
+
 def nested_text(depth: int, inner: str) -> str:
     """A spec whose expression is inner wrapped in depth parentheses."""
     return ("ci p(opcode=0) { input a: signed<8>; input b: signed<8>; "
@@ -138,6 +150,16 @@ def with_arch(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
 def _with_process(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
     return with_arch(design,
                      process=design.architecture.process._replace(**changes))
+
+
+def done_one_step_late(design: ast.HdlDesign) -> ast.HdlDesign:
+    """design with done set by the step after the one that sets it."""
+    steps = list(design.architecture.process.steps)
+    index = next(i for i, step in enumerate(steps) if step.set_done)
+    later = steps[index].next_index
+    steps[index] = steps[index]._replace(set_done=False)
+    steps[later] = steps[later]._replace(set_done=True)
+    return _with_process(design, steps=tuple(steps))
 
 
 # --- wiring faults of the worked example's design (u_mul_0 drives w_1_p,

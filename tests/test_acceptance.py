@@ -78,7 +78,8 @@ class TestDifferentialEquivalence:
             for node_id in mapped.analysis.operation_sequence:
                 kinds_seen.add(mapped.dfg.nodes[node_id].kind)
             vectors = random_vectors(rng, spec, CORPUS_VECTORS)
-            assert check_equivalence(spec, mapped, vectors) == []
+            assert check_equivalence(spec, mapped, vectors,
+                                     build_design(spec, mapped)) == []
         assert kinds_seen == set(OpKind)
         assert time.perf_counter() - begin < 60.0
 
@@ -156,7 +157,7 @@ class TestLatencyContract:
             plain = None
             for vec in random_vectors(rng, spec, 20):
                 try:
-                    plain = simulate_ci(spec, vec, mapped, record=False)
+                    plain = simulate_ci(spec, vec, record=False)
                 except DivideByZero:
                     continue
                 break
@@ -167,8 +168,8 @@ class TestLatencyContract:
 
             for _ in range(10):
                 gaps = frozenset(rng.sample(range(40), rng.randint(0, 10)))
-                gated = simulate_ci(spec, vec, mapped,
-                                    Stimulus(clk_en_low=gaps), record=False)
+                gated = simulate_ci(spec, vec, Stimulus(clk_en_low=gaps),
+                                    record=False)
                 assert gated.done_cycle_enabled == expected
                 assert gated.result.bits == plain.result.bits
         assert tested >= 20

@@ -19,8 +19,10 @@ from conftest import (
     GOLDEN_DIR,
     MAC_TEXT,
     REPORT_SCHEMA,
+    UNDEFINED_TEXT,
     WIRING_FAULTS,
     chain_text,
+    done_one_step_late,
     nested_text,
 )
 import cigen
@@ -516,8 +518,9 @@ class TestBuildChecksTheWrittenDesign:
         (SUB_TEXT, _narrow_first_slice),
         (MAC_TEXT, _swap_first_steps),
         (MAC_TEXT, _repeat_second_step),
+        (UNDEFINED_TEXT, done_one_step_late),
     ], ids=["swapped-operands", "dropped-load", "narrow-slice",
-            "swapped-steps", "repeated-step"])
+            "swapped-steps", "repeated-step", "late-done-every-vector-faults"])
     def test_mutated_design_is_refused(self, tmp_path, capsys, monkeypatch,
                                        text, mutate):
         self._build(tmp_path, capsys, monkeypatch, text, mutate)

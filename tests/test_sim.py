@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import WIRING_FAULTS, with_arch, wrapped
+from conftest import (
+    UNDEFINED_TEXT,
+    WIRING_FAULTS,
+    done_one_step_late,
+    with_arch,
+    wrapped,
+)
 from cigen.errors import DivideByZero, InputOutOfRange, InternalCheckError
 from cigen import vhdl_ast as ast
 from cigen.frontend import (
@@ -148,13 +154,19 @@ class TestOracleSameAsTheScalarReference:
     def test_node_columns(self):
         # a is node 0, a * b (6 bits) node 1, b node 2, the difference
         # (6 bits) node 3; the 4-bit output keeps the low bits of the root
-        spec = _spec("input a: signed<4>; input b: unsigned<2>;"
-                     "output x: signed<4>; x = (a * b) - a;")
-        reference = reference_columns(spec, {"a": [-8, 7], "b": [3, 0]}, 2)
-        assert reference.nodes == {0: [-8, 7], 1: [-24, 0], 2: [3, 0],
-                                   3: [-16, -7]}
+        inputs = "input a: signed<4>; input b: unsigned<2>;"
+        columns = {"a": [-8, 7], "b": [3, 0]}
+        reference = reference_columns(
+            _spec(inputs + "output x: signed<4>; x = (a * b) - a;"), columns, 2)
         assert reference.zero_divisor == [None, None]
         assert reference.result == [0, 0xFFFFFFF9]
+        # each node, read with its signedness, is the root of a spec whose
+        # 32-bit signed output keeps all of it
+        for expr, node in [("a", [-8, 7]), ("a * b", [-24, 0]), ("b", [3, 0]),
+                           ("(a * b) - a", [-16, -7])]:
+            spec = _spec(inputs + f"output x: signed<32>; x = {expr};")
+            assert reference_columns(spec, columns, 2).result == \
+                [value & 0xFFFFFFFF for value in node]
 
     def test_first_zero_divisor_in_order_wins(self):
         spec = _spec("input a: signed<8>; input b: signed<8>;"
@@ -188,20 +200,21 @@ class TestCheckEquivalenceInputs:
                    *later]
         with pytest.raises(InputOutOfRange) as expected:
             validate_inputs(spec, bad)
+        mapped = map_design(spec)
         with pytest.raises(InputOutOfRange) as info:
-            check_equivalence(spec, vectors=vectors)
+            check_equivalence(spec, mapped, vectors, build_design(spec, mapped))
         assert str(info.value) == str(expected.value)
 
 
 class TestSimulateWorkedExample:
-    def test_result_and_done(self, mac_spec, mac_mapped):
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped)
+    def test_result_and_done(self, mac_spec):
+        out = simulate_ci(mac_spec, MAC_INPUTS)
         assert out.result.bits == 10
         assert out.done_cycle == 3
         assert out.done_cycle_enabled == 3
 
-    def test_trace_rows(self, mac_spec, mac_mapped):
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped)
+    def test_trace_rows(self, mac_spec):
+        out = simulate_ci(mac_spec, MAC_INPUTS)
         assert [row["cycle"] for row in out.rows] == [0, 1, 2, 3, 4, 5]
         for row in out.rows:
             assert set(row) == {"cycle", "clk_en", "start", "dataa", "datab",
@@ -215,8 +228,8 @@ class TestSimulateWorkedExample:
         assert [r["start"] for r in out.rows] == [1, 0, 0, 0, 0, 0]
         assert out.rows[4]["regs"]["cnt"] == 0
 
-    def test_register_timeline(self, mac_spec, mac_mapped):
-        rows = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped).rows
+    def test_register_timeline(self, mac_spec):
+        rows = simulate_ci(mac_spec, MAC_INPUTS).rows
         # pair (a,b) latches at the end of cycle 0, c one cycle later,
         # the product at the end of cycle 2
         assert rows[0]["regs"]["r_a"] == 0
@@ -227,46 +240,44 @@ class TestSimulateWorkedExample:
         assert rows[2]["regs"]["s_1"] == 0
         assert rows[3]["regs"]["s_1"] == 6
 
-    def test_record_flag_controls_rows(self, mac_spec, mac_mapped):
-        assert simulate_ci(mac_spec, MAC_INPUTS, mac_mapped,
-                           record=False).rows == []
+    def test_record_flag_controls_rows(self, mac_spec):
+        assert simulate_ci(mac_spec, MAC_INPUTS, record=False).rows == []
 
 
 class TestStimulus:
-    def test_clk_en_gaps_shift_only_absolute_time(self, mac_spec, mac_mapped):
-        stim = Stimulus(clk_en_low={1, 2, 5})
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
+    def test_clk_en_gaps_shift_only_absolute_time(self, mac_spec):
+        stim = Stimulus(clk_en_low=frozenset({1, 2, 5}))
+        out = simulate_ci(mac_spec, MAC_INPUTS, stim)
         assert out.result.bits == 10
         assert out.done_cycle_enabled == 3
         assert out.done_cycle == 6
 
-    def test_registers_hold_through_gaps(self, mac_spec, mac_mapped):
-        stim = Stimulus(clk_en_low={1, 2, 5})
-        rows = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim).rows
+    def test_registers_hold_through_gaps(self, mac_spec):
+        stim = Stimulus(clk_en_low=frozenset({1, 2, 5}))
+        rows = simulate_ci(mac_spec, MAC_INPUTS, stim).rows
         for i, row in enumerate(rows[:-1]):
             if not row["clk_en"]:
                 assert rows[i + 1]["regs"] == row["regs"]
 
-    def test_reset_mid_flight_restarts(self, mac_spec, mac_mapped):
-        stim = Stimulus(reset_cycles={2})
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
+    def test_reset_mid_flight_restarts(self, mac_spec):
+        stim = Stimulus(reset_cycles=frozenset({2}))
+        out = simulate_ci(mac_spec, MAC_INPUTS, stim)
         assert out.result.bits == 10
         assert out.done_cycle == 6  # 2 wasted cycles + reset cycle itself
         after_reset = out.rows[3]["regs"]
         assert all(v == 0 for v in after_reset.values())
 
-    def test_delayed_start(self, mac_spec, mac_mapped):
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped,
-                          Stimulus(start_cycle=4))
+    def test_delayed_start(self, mac_spec):
+        out = simulate_ci(mac_spec, MAC_INPUTS, Stimulus(start_cycle=4))
         assert out.done_cycle == 7
         assert out.done_cycle_enabled == 3
 
-    def test_frequent_resets_still_finish(self, mac_spec, mac_mapped):
+    def test_frequent_resets_still_finish(self, mac_spec):
         # a reset every third cycle restarts the unit two cycles into its
         # three, as `cigen simulate --reset-at 2,5,8,...` would; the last
         # one, at cycle 998, leaves it three enabled cycles to finish
         stim = Stimulus(reset_cycles=frozenset(range(2, 1000, 3)))
-        out = simulate_ci(mac_spec, MAC_INPUTS, mac_mapped, stim)
+        out = simulate_ci(mac_spec, MAC_INPUTS, stim)
         assert out.result.bits == 10
         assert out.done_cycle == 1002
         assert out.done_cycle_enabled == 3
@@ -294,7 +305,9 @@ class TestSimulatedFaults:
     def test_fault_matches_reference(self):
         spec = _spec("input a: signed<8>; input b: signed<8>;"
                      "output x: signed<8>; x = a % b;")
-        assert check_equivalence(spec, vectors=[{"a": 5, "b": 0}]) == []
+        mapped = map_design(spec)
+        assert check_equivalence(spec, mapped, [{"a": 5, "b": 0}],
+                                 build_design(spec, mapped)) == []
 
 
 class TestIdentity:
@@ -311,7 +324,8 @@ class TestEquivalence:
     def test_worked_example_vectors(self, mac_spec, mac_mapped):
         rng = random.Random(7)
         vectors = random_vectors(rng, mac_spec, 100)
-        assert check_equivalence(mac_spec, mac_mapped, vectors) == []
+        assert check_equivalence(mac_spec, mac_mapped, vectors,
+                                 build_design(mac_spec, mac_mapped)) == []
 
     def test_corrupted_direction_is_caught(self, mac_spec, mac_mapped):
         add = next(i for i in mac_mapped.instances
@@ -322,7 +336,8 @@ class TestEquivalence:
             instances=tuple(flipped if i is add else i
                             for i in mac_mapped.instances))
         vectors = [dict(MAC_INPUTS), {"a": 1, "b": 1, "c": 1}]
-        mismatches = check_equivalence(mac_spec, corrupted, vectors)
+        mismatches = check_equivalence(mac_spec, corrupted, vectors,
+                                       build_design(mac_spec, corrupted))
         assert mismatches
         assert {"inputs", "reference", "simulated"} <= set(mismatches[0])
 
@@ -334,7 +349,8 @@ class TestEquivalence:
                      "output x: signed<8>; x = a / b;")
         mapped = map_design(spec)
         records = check_equivalence(spec, mapped,
-                                    [{"a": 1, "b": 0}, {"a": 1, "b": 1}])
+                                    [{"a": 1, "b": 0}, {"a": 1, "b": 1}],
+                                    build_design(spec, mapped))
         assert records == []
 
 
@@ -356,6 +372,50 @@ class TestExecutesTheDesign:
         design = with_arch(design, instances=(mul, narrow))
         with pytest.raises(InternalCheckError):
             check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
+
+    def test_chain_deeper_than_the_recursion_limit(self, mac_spec, mac_mapped):
+        # 1200 assignments on one load's path: more than Python's default
+        # recursion limit of 1000 frames
+        design = _chained_operand(build_design(mac_spec, mac_mapped), 1200)
+        vectors = random_vectors(random.Random(5), mac_spec, 16)
+        assert check_equivalence(mac_spec, mac_mapped, vectors, design) == []
+
+
+def _chained_operand(design: ast.HdlDesign, length: int) -> ast.HdlDesign:
+    """design with the multiplier reading r_a through a chain of length
+    concurrent assignments: w_c0 <= r_a, w_c1 <= w_c0, and so on."""
+    arch = design.architecture
+    chain = [f"w_c{i}" for i in range(length)]
+    mul, add = arch.instances
+    mul = mul._replace(port_map=tuple(
+        (port, chain[-1] if wire == "r_a" else wire) for port, wire in mul.port_map))
+    return with_arch(
+        design, instances=(mul, add),
+        signals=arch.signals + tuple(ast.SignalDecl(name, 32) for name in chain),
+        assigns=arch.assigns + tuple(ast.ConcurrentAssign(name, ast.Ref(source))
+                                     for name, source in zip(chain, ["r_a", *chain])))
+
+
+class TestDoneContract:
+    """check_equivalence compares the lowered design's done cycle with the
+    latency contract once per design, before any vector runs, so a late
+    done is refused even where no vector compares a result."""
+
+    def test_late_done_is_refused_when_every_vector_faults(self):
+        spec = parse_ci_spec(UNDEFINED_TEXT)
+        mapped = map_design(spec)
+        design = build_design(spec, mapped)
+        vectors = random_vectors(random.Random(15), spec, 256)
+        reference = reference_columns(spec, input_columns(spec, vectors),
+                                      len(vectors))
+        assert None not in reference.zero_divisor
+        assert check_equivalence(spec, mapped, vectors, design) == []
+        late = done_one_step_late(design)
+        for batch in (vectors, []):
+            with pytest.raises(InternalCheckError, match=(
+                    "u: done is high on enabled cycle 4, the latency "
+                    "contract says 3")):
+                check_equivalence(spec, mapped, batch, late)
 
 
 def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -441,7 +501,8 @@ class TestProperties:
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=3))
         mapped = map_design(spec)
         vectors = random_vectors(rng, spec, 12)
-        assert check_equivalence(spec, mapped, vectors) == []
+        assert check_equivalence(spec, mapped, vectors,
+                                 build_design(spec, mapped)) == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 20), max_size=6))
@@ -451,10 +512,10 @@ class TestProperties:
         mapped = map_design(spec)
         vec = random_vectors(rng, spec, 1)[0]
         try:
-            plain = simulate_ci(spec, vec, mapped, record=False)
+            plain = simulate_ci(spec, vec, record=False)
         except DivideByZero:
             return
-        gated = simulate_ci(spec, vec, mapped, Stimulus(clk_en_low=gaps),
+        gated = simulate_ci(spec, vec, Stimulus(clk_en_low=frozenset(gaps)),
                             record=False)
         assert gated.result.bits == plain.result.bits
         assert gated.done_cycle_enabled == plain.done_cycle_enabled \
@@ -482,18 +543,18 @@ class TestBatchMatchesStepper:
                 if data.draw(st.booleans()):
                     vec[name] = 0
         design = IndexedDesign(build_design(spec, mapped))
-        results, faults, done = design.run(
+        results, faults = design.run(
             operand_columns(mapped, input_columns(spec, vectors), len(vectors)),
             len(vectors))
         for index, vec in enumerate(vectors):
             try:
-                one = simulate_ci(spec, vec, mapped, record=False)
+                one = simulate_ci(spec, vec, record=False)
             except DivideByZero:
                 assert index in faults
                 continue
             assert index not in faults
             assert results[index] == one.result.bits
-            assert done == one.done_cycle_enabled
+            assert design.done_cycle == one.done_cycle_enabled
 
 
 def _simulated(simulate, *args):
@@ -528,29 +589,29 @@ class TestTimelineMatchesStepper:
             if data.draw(st.booleans()):
                 vec[name] = 0
         design = build_design(spec, mapped)
-        stim = Stimulus(clk_en_low=gaps, reset_cycles=resets,
-                        start_cycle=start)
+        stim = Stimulus(clk_en_low=frozenset(gaps),
+                        reset_cycles=frozenset(resets), start_cycle=start)
         try:
             expected = _simulated(stepper_simulate_ci, spec, vec, mapped,
                                   stim, record, design)
         except NeverDone:
             return
-        assert _simulated(simulate_ci, spec, vec, mapped, stim,
-                          record) == expected
+        assert _simulated(simulate_ci, spec, vec, stim, record) == expected
 
     @pytest.mark.parametrize("stim", [
         Stimulus(),
-        Stimulus(clk_en_low={0, 3, 4, 9}),
-        Stimulus(reset_cycles={1, 4, 6}, start_cycle=2),
-        Stimulus(clk_en_low={2, 5}, reset_cycles={5}, start_cycle=1),
+        Stimulus(clk_en_low=frozenset({0, 3, 4, 9})),
+        Stimulus(reset_cycles=frozenset({1, 4, 6}), start_cycle=2),
+        Stimulus(clk_en_low=frozenset({2, 5}), reset_cycles=frozenset({5}),
+             start_cycle=1),
     ])
     @pytest.mark.parametrize("inputs", [MAC_INPUTS, {"a": -1, "b": 7, "c": -9}])
     def test_worked_example(self, mac_spec, mac_mapped, stim, inputs):
         design = build_design(mac_spec, mac_mapped)
         for record in (True, False):
-            args = (mac_spec, inputs, mac_mapped, stim, record)
-            assert _simulated(simulate_ci, *args) == \
-                _simulated(stepper_simulate_ci, *args, design)
+            assert _simulated(simulate_ci, mac_spec, inputs, stim, record) == \
+                _simulated(stepper_simulate_ci, mac_spec, inputs, mac_mapped,
+                           stim, record, design)
 
 
 # --- the reference: eval_reference and mapper.adapt_root as they were
