@@ -196,8 +196,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
           "structure clean")
 
     rng = random.Random(args.seed)
-    vectors = random_vectors(rng, spec, args.vectors)
-    mismatches = check_equivalence(spec, mapped, vectors, design=design)
+    columns = random_vectors(rng, spec, args.vectors)
+    mismatches = check_equivalence(spec, mapped, columns, design=design)
     if mismatches:
         raise InternalCheckError(
             f"simulation disagrees with the reference on "

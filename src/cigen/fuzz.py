@@ -4,14 +4,24 @@ Specs are produced as DSL text and fed back through the parser, so fuzzing
 exercises the frontend as well as the mapper and both evaluators.  Vectors
 lean on boundary values often enough to hit overflow, sign and zero-divisor
 corners without giving up uniform coverage.
+
+Vectors are drawn column-major: ``random_vectors`` appends each value
+straight to its input's column, the form ``sim.check_equivalence`` takes,
+so ``build`` makes no per-vector dict between the draw and the check.  The
+draw mirrors CPython's ``randint`` and ``choice``, inlining their rejection
+over ``getrandbits``, so it consumes the generator exactly as those calls
+do; ``tests/test_fuzz.py`` pins the draws (``TestPinnedDraws``) and holds
+them to those calls on the running Python.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .frontend import OPERATORS, CiSpec, parse_ci_spec
+from .lpm import Column
 
 _WIDTH_POOL = (1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24, 31, 32, 32)
 
@@ -58,12 +68,15 @@ def random_spec(rng: random.Random, name: str = "fz",
     return parse_ci_spec(text)
 
 
-# Per input: its name, its bounds and the in-range corner values.
-_Plan = list[tuple[str, int, int, list[int]]]
+# Per input: its lower bound, the size of its range and the bits drawn for
+# it, its corner values, their count and the bits drawn for them, and the
+# append of its column.
+_Plan = list[tuple[int, int, int, list[int], int, int, Callable[[int], None]]]
 
 
-def _draw_plan(spec: CiSpec) -> _Plan:
-    """The plan of spec's inputs; inputs with equal bounds share one pool."""
+def _draw_plan(spec: CiSpec, columns: dict[str, Column]) -> _Plan:
+    """The plan of spec's inputs, appending to one new column each in
+    columns; inputs with equal bounds share one corner pool."""
     pools: dict[tuple[int, int], list[int]] = {}
     plan = []
     for decl in spec.inputs:
@@ -72,23 +85,40 @@ def _draw_plan(spec: CiSpec) -> _Plan:
         if pool is None:
             corners = {lo, hi, 0, 1, lo + 1, hi - 1, -1, 2}
             pool = pools[bounds] = [v for v in corners if lo <= v <= hi]
-        plan.append((decl.name, lo, hi, pool))
+        span, size = hi - lo + 1, len(pool)
+        column = columns[decl.name] = []
+        plan.append((lo, span, span.bit_length(), pool, size,
+                     size.bit_length(), column.append))
     return plan
 
 
-def _draw(rng: random.Random, plan: _Plan) -> dict[str, int]:
-    """A quarter of the values come from the corners."""
-    return {name: rng.choice(pool) if rng.random() < 0.25
-            else rng.randint(lo, hi) for name, lo, hi, pool in plan}
+def random_vectors(rng: random.Random, spec: CiSpec,
+                   count: int) -> dict[str, Column]:
+    """count vectors as one column per declared input, in declaration
+    order, drawn vector by vector and input by input: rng.random(), then a
+    quarter of the time a corner as rng.choice picks one, else a value as
+    rng.randint(lo, hi) draws it (k = n.bit_length() bits, redrawn while
+    >= n)."""
+    columns: dict[str, Column] = {}
+    plan = _draw_plan(spec, columns)
+    uniform, getrandbits = rng.random, rng.getrandbits
+    for _ in range(count):
+        for lo, span, k, pool, size, j, append in plan:
+            if uniform() < 0.25:
+                r = getrandbits(j)
+                while r >= size:
+                    r = getrandbits(j)
+                append(pool[r])
+            else:
+                r = getrandbits(k)
+                while r >= span:
+                    r = getrandbits(k)
+                append(lo + r)
+    return columns
 
 
 def random_vector(rng: random.Random, spec: CiSpec) -> dict[str, int]:
-    """One assignment of in-range values to every declared input."""
-    return _draw(rng, _draw_plan(spec))
-
-
-def random_vectors(rng: random.Random, spec: CiSpec,
-                   count: int) -> list[dict[str, int]]:
-    """count vectors, drawn as count random_vector calls would draw them."""
-    plan = _draw_plan(spec)
-    return [_draw(rng, plan) for _ in range(count)]
+    """One assignment of in-range values to every declared input: the one
+    row of a one-vector draw."""
+    return {name: column[0]
+            for name, column in random_vectors(rng, spec, 1).items()}

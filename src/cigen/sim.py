@@ -22,8 +22,11 @@ vector.  ``check_equivalence`` compares the design's done cycle with the
 latency contract's once, before any vector runs, then runs every vector
 through the design and the oracle together and compares each 32-bit
 result: that is the bit-exactness check the rest of the toolchain relies
-on.  ``simulate_ci`` replays one invocation under clk_en gaps, resets
-and a late start.
+on.  It takes the vectors as ``fuzz.random_vectors`` draws them, one
+column per input, checks each column with one ``min``/``max`` pass and
+makes a vector's dict only for a record of a disagreement; dict vectors
+become columns through ``input_columns``.  ``simulate_ci`` replays one
+invocation under clk_en gaps, resets and a late start.
 
 Only the testbench side comes from the ``MappedDesign``: which operands the
 driver puts on dataa and datab in each load cycle (the order the C header
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
-from operator import itemgetter, le
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
@@ -82,45 +84,48 @@ _ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
 _DIVS, _REMS, _DIVU = OpKind.DIVS, OpKind.REMS, OpKind.DIVU
 
 
-def validate_inputs(spec: CiSpec, inputs: dict[str, int]) -> None:
-    """Reject missing, unknown, or out-of-range operand values."""
+def input_count(spec: CiSpec, columns: dict[str, Column]) -> int:
+    """The number of vectors in columns, once they hold one column per
+    declared input, all of one length and every value in range.  Else raises
+    InputOutOfRange for the first fault: an unknown name, then per declared
+    input in order a missing column, a length unlike the first column's or
+    the column's first out-of-range value."""
     declared = {decl.name for decl in spec.inputs}
-    for name in inputs:
+    for name in columns:
         if name not in declared:
             raise InputOutOfRange(f"'{name}' is not an input of {spec.name}")
+    count = None
     for decl in spec.inputs:
-        if decl.name not in inputs:
+        column = columns.get(decl.name)
+        if column is None:
             raise InputOutOfRange(f"missing value for input '{decl.name}'")
-        value = inputs[decl.name]
+        if count is None:
+            first, count = decl.name, len(column)
+        elif len(column) != count:
+            raise InputOutOfRange(f"input '{decl.name}' has {len(column)} "
+                                  f"values, input '{first}' has {count}")
         lo, hi = decl.bounds
-        if not lo <= value <= hi:
+        if column and not lo <= min(column) <= max(column) <= hi:
+            value = next(v for v in column if not lo <= v <= hi)
             kind = "signed" if decl.signed else "unsigned"
             raise InputOutOfRange(
                 f"input '{decl.name}' = {value} does not fit {kind}<{decl.width}>")
+    return count
+
+
+def validate_inputs(spec: CiSpec, inputs: dict[str, int]) -> None:
+    """Reject missing, unknown, or out-of-range operand values."""
+    input_count(spec, {name: [value] for name, value in inputs.items()})
 
 
 def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Column]:
-    """The vectors as one column per declared input, each column
-    range-checked once.  When a vector is missing an input, names an unknown
-    one or holds an out-of-range value, raises what validate_inputs raises
-    for the first such vector."""
-    names = [decl.name for decl in spec.inputs]
-    if not vectors:
-        return dict.fromkeys(names, [])
-    try:
-        if set(map(len, vectors)) == {len(names)}:
-            row = itemgetter(*names)   # a vector's values, as a tuple if several
-            rows = map(row, vectors) if len(names) > 1 else zip(map(row, vectors))
-            columns = dict(zip(names, map(list, zip(*rows))))
-            lows, highs = zip(*[decl.bounds for decl in spec.inputs])
-            if all(map(le, lows, map(min, columns.values()))) and \
-                    all(map(le, map(max, columns.values()), highs)):
-                return columns
-    except KeyError:   # a vector lacks an input
-        pass
+    """The vectors as one column per declared input.  When a vector is
+    missing an input, names an unknown one or holds an out-of-range value,
+    raises what validate_inputs raises for the first such vector."""
     for vec in vectors:
         validate_inputs(spec, vec)
-    raise AssertionError("unreachable: validate_inputs accepted every vector")
+    return {decl.name: [vec[decl.name] for vec in vectors]
+            for decl in spec.inputs}
 
 
 class Reference(NamedTuple):
@@ -635,17 +640,19 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
 
 
 def check_equivalence(spec: CiSpec, mapped: MappedDesign,
-                      vectors: list[dict[str, int]],
+                      columns: dict[str, Column],
                       design: ast.HdlDesign) -> list[dict]:
     """Compare design, built from spec's mapping, with the reference oracle.
 
     The design is lowered first, and its done cycle is compared with the
     one mapped's latency contract promises, once and before any vector
     runs: a mismatch raises InternalCheckError, whatever the vectors.  Then
-    every vector runs through the design together, one column entry per
-    vector.  Returns one record per disagreement: differing result bits,
-    or a division fault on one side only.  An empty list means every
-    vector matched bit for bit.
+    columns, one per declared input as random_vectors draws them, are
+    checked as input_count checks them, and every vector runs through the
+    design together, one column entry per vector.  Returns one record per
+    disagreement: the vector's inputs, and the differing result bits or a
+    division fault on one side only.  An empty list means every vector
+    matched bit for bit.
     """
     indexed = IndexedDesign(design)
     expected_done = done_cycle_enabled(mapped)
@@ -653,18 +660,18 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign,
         raise InternalCheckError(
             f"{indexed.name}: done is high on enabled cycle "
             f"{indexed.done_cycle}, the latency contract says {expected_done}")
-    columns = input_columns(spec, vectors)
-    reference = reference_columns(spec, columns, len(vectors))
-    results, faults = indexed.run(
-        operand_columns(mapped, columns, len(vectors)), len(vectors))
+    count = input_count(spec, columns)
+    reference = reference_columns(spec, columns, count)
+    results, faults = indexed.run(operand_columns(mapped, columns, count), count)
     zero_divisor, expected = reference.zero_divisor, reference.result
     mismatches = []
-    for index, vec in enumerate(vectors):
+    for index in range(count):
         want = None if zero_divisor[index] is not None else expected[index]
         got = None if index in faults else results[index]
         if want != got:
             mismatches.append({
-                "inputs": dict(vec),
+                "inputs": {decl.name: columns[decl.name][index]
+                           for decl in spec.inputs},
                 "reference": "divide-by-zero" if want is None else want,
                 "simulated": "divide-by-zero" if got is None else got})
     return mismatches

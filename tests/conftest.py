@@ -1,6 +1,7 @@
 """Shared fixtures: the worked-example spec in two width flavors, plus a
-mixed-signedness divide/modulus spec; helpers that run one component on
-single bit patterns; the wiring faults of the worked example's design; and
+mixed-signedness divide/modulus spec; a helper that turns drawn columns
+into one dict per vector; helpers that run one component on single bit
+patterns; the wiring faults of the worked example's design; and
 the JSON schema of report.json."""
 
 import re
@@ -86,6 +87,12 @@ def nested_text(depth: int, inner: str) -> str:
     """A spec whose expression is inner wrapped in depth parentheses."""
     return ("ci p(opcode=0) { input a: signed<8>; input b: signed<8>; "
             f"output y: signed<8>; y = {'(' * depth}{inner}{')' * depth}; }}")
+
+
+def rows(columns: dict[str, list[int]]) -> list[dict[str, int]]:
+    """The vectors of columns as random_vectors draws them, one dict per
+    vector, in the columns' order."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def wrapped(value: int, width: int) -> BitVec:

@@ -25,6 +25,7 @@ from conftest import (
     NARROW_TEXT,
     declared_components,
     mod_corrected,
+    rows,
     run_component,
     wrapped,
 )
@@ -155,7 +156,7 @@ class TestLatencyContract:
             expected = math.ceil(k / 2) + max(mapped.analysis.max_level, 1) - 1
 
             plain = None
-            for vec in random_vectors(rng, spec, 20):
+            for vec in rows(random_vectors(rng, spec, 20)):
                 try:
                     plain = simulate_ci(spec, vec, record=False)
                 except DivideByZero:

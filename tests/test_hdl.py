@@ -40,7 +40,7 @@ from cigen.mapper import map_design, node_reg
 from cigen.sim import (
     IndexedDesign,
     check_equivalence,
-    input_columns,
+    input_count,
     reference_columns,
 )
 
@@ -324,8 +324,7 @@ class TestKindSwap:
             return "refused"
         if check_equivalence(spec, mapped, vectors, design=design):
             return "mismatch"
-        reference = reference_columns(spec, input_columns(spec, vectors),
-                                      len(vectors))
+        reference = reference_columns(spec, vectors, input_count(spec, vectors))
         assert None not in reference.zero_divisor
         return "masked"
 

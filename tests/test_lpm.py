@@ -330,6 +330,29 @@ class TestColumnKernels:
             assert (quotients[i], remainders[i]) \
                 == (q % (1 << wn), (nv - q * dv) % (1 << wd))
 
+    @pytest.mark.parametrize("n_rep,d_rep",
+                             itertools.product(Representation, Representation))
+    def test_divide_as_one_vector_at_a_time(self, n_rep, d_rep):
+        # every 4-bit by 4-bit pair, zero divisors included, against the
+        # division of one vector at a time through abs
+        n, d = _all_pairs(4, 4)
+        (quotients, remainders), faults = _kernel(
+            DivideGenerics(4, 4, n_rep, d_rep), n, d)
+        expected, expected_faults = [], set()
+        for index, (x, y) in enumerate(zip(n, d)):
+            x = _value(x, 4, n_rep is Representation.SIGNED)
+            y = _value(y, 4, d_rep is Representation.SIGNED)
+            if y == 0:
+                expected_faults.add(index)
+                expected.append((0, 0))
+                continue
+            q = abs(x) // abs(y)
+            if (x < 0) != (y < 0):
+                q = -q
+            expected.append((q & 15, (x - q * y) & 15))
+        assert faults == expected_faults
+        assert list(zip(quotients, remainders)) == expected
+
     @pytest.mark.parametrize("width", WIDTHS)
     def test_mod_correct(self, width):
         r, d = _all_pairs(width, width)

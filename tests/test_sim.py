@@ -11,6 +11,7 @@ from conftest import (
     UNDEFINED_TEXT,
     WIRING_FAULTS,
     done_one_step_late,
+    rows,
     with_arch,
     wrapped,
 )
@@ -24,7 +25,7 @@ from cigen.frontend import (
     OpKind,
     parse_ci_spec,
 )
-from cigen.fuzz import FuzzConfig, random_spec, random_vectors
+from cigen.fuzz import FuzzConfig, random_spec, random_vector, random_vectors
 from cigen.hdl import build_design, emit_instance
 from cigen.lpm import (
     AddSubGenerics,
@@ -135,7 +136,7 @@ class TestOracleSameAsTheScalarReference:
     def test_results_and_zero_divisors(self, seed, config, data):
         rng = random.Random(seed)
         spec = random_spec(rng, "p", config)
-        vectors = random_vectors(rng, spec, 24)
+        vectors = rows(random_vectors(rng, spec, 24))
         for vec in vectors[::2]:
             for name in _leaf_divisors(spec):
                 if data.draw(st.booleans()):
@@ -179,8 +180,13 @@ class TestOracleSameAsTheScalarReference:
 
 
 class TestCheckEquivalenceInputs:
-    """check_equivalence range-checks whole input columns, and names the
-    first vector that validate_inputs refuses as validate_inputs does."""
+    """Bad inputs are refused with validate_inputs' messages: input_columns
+    range-checks whole columns and names the first vector that
+    validate_inputs refuses as validate_inputs does, and check_equivalence
+    refuses a missing, unknown, short or out-of-range column."""
+
+    SPEC = ("input s: signed<8>; input u: unsigned<8>;"
+            "output x: signed<8>; x = s + u;")
 
     @pytest.mark.parametrize("bad", [
         {"s": 0},
@@ -194,15 +200,43 @@ class TestCheckEquivalenceInputs:
         [{"s": 0, "u": 256}, {"ghost": 0}],
     ], ids=["then-good", "then-bad"])
     def test_same_error_as_validate_inputs(self, bad, later):
-        spec = _spec("input s: signed<8>; input u: unsigned<8>;"
-                     "output x: signed<8>; x = s + u;")
+        spec = _spec(self.SPEC)
         vectors = [{"s": -128, "u": 255}, {"s": 127, "u": 0}, dict(bad),
                    *later]
         with pytest.raises(InputOutOfRange) as expected:
             validate_inputs(spec, bad)
+        with pytest.raises(InputOutOfRange) as info:
+            input_columns(spec, vectors)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"s": [0, 1, 2]}, "missing value for input 'u'"),
+        ({"s": [0, 1, 2], "u": [0, 1, 2], "ghost": [0, 0, 0]},
+         "'ghost' is not an input of t"),
+        ({"s": [0, 1, 2], "u": [0, 1]}, "input 'u' has 2 values, input 's' has 3"),
+        ({"s": [0, 1, 2], "u": [0, 1, 2, 3]},
+         "input 'u' has 4 values, input 's' has 3"),
+        ({"s": [0, -129, 2], "u": [0, 1, 2]},
+         "input 's' = -129 does not fit signed<8>"),
+        ({"s": [0, 1, 2], "u": [255, 0, 256]},
+         "input 'u' = 256 does not fit unsigned<8>"),
+    ], ids=["missing", "unknown", "short", "long", "below", "above"])
+    def test_bad_columns(self, columns, message):
+        spec = _spec(self.SPEC)
         mapped = map_design(spec)
         with pytest.raises(InputOutOfRange) as info:
-            check_equivalence(spec, mapped, vectors, build_design(spec, mapped))
+            check_equivalence(spec, mapped, columns, build_design(spec, mapped))
+        assert str(info.value) == message
+
+    def test_out_of_range_column_names_what_validate_inputs_names(self):
+        spec = _spec(self.SPEC)
+        mapped = map_design(spec)
+        vector = {"s": 5, "u": 300}
+        with pytest.raises(InputOutOfRange) as expected:
+            validate_inputs(spec, vector)
+        with pytest.raises(InputOutOfRange) as info:
+            check_equivalence(spec, mapped, {"s": [1, 5], "u": [2, 300]},
+                              build_design(spec, mapped))
         assert str(info.value) == str(expected.value)
 
 
@@ -306,7 +340,8 @@ class TestSimulatedFaults:
         spec = _spec("input a: signed<8>; input b: signed<8>;"
                      "output x: signed<8>; x = a % b;")
         mapped = map_design(spec)
-        assert check_equivalence(spec, mapped, [{"a": 5, "b": 0}],
+        assert check_equivalence(spec, mapped,
+                                 input_columns(spec, [{"a": 5, "b": 0}]),
                                  build_design(spec, mapped)) == []
 
 
@@ -336,10 +371,12 @@ class TestEquivalence:
             instances=tuple(flipped if i is add else i
                             for i in mac_mapped.instances))
         vectors = [dict(MAC_INPUTS), {"a": 1, "b": 1, "c": 1}]
-        mismatches = check_equivalence(mac_spec, corrupted, vectors,
+        mismatches = check_equivalence(mac_spec, corrupted,
+                                       input_columns(mac_spec, vectors),
                                        build_design(mac_spec, corrupted))
         assert mismatches
         assert {"inputs", "reference", "simulated"} <= set(mismatches[0])
+        assert [record["inputs"] for record in mismatches] == vectors
 
     def test_divide_fault_on_one_side_only_is_caught(self, mac_spec,
                                                      mac_mapped):
@@ -348,9 +385,9 @@ class TestEquivalence:
         spec = _spec("input a: signed<8>; input b: signed<8>;"
                      "output x: signed<8>; x = a / b;")
         mapped = map_design(spec)
-        records = check_equivalence(spec, mapped,
-                                    [{"a": 1, "b": 0}, {"a": 1, "b": 1}],
-                                    build_design(spec, mapped))
+        records = check_equivalence(
+            spec, mapped, input_columns(spec, [{"a": 1, "b": 0}, {"a": 1, "b": 1}]),
+            build_design(spec, mapped))
         assert records == []
 
 
@@ -363,7 +400,8 @@ class TestExecutesTheDesign:
         design = with_arch(design,
                             instances=design.architecture.instances[1:])
         with pytest.raises(InternalCheckError, match="no driver"):
-            check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
+            check_equivalence(mac_spec, mac_mapped,
+                              input_columns(mac_spec, [MAC_INPUTS]), design=design)
 
     def test_component_contract_breach(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
@@ -371,7 +409,8 @@ class TestExecutesTheDesign:
         narrow = add._replace(generics=AddSubGenerics(16, Direction.ADD))
         design = with_arch(design, instances=(mul, narrow))
         with pytest.raises(InternalCheckError):
-            check_equivalence(mac_spec, mac_mapped, [MAC_INPUTS], design=design)
+            check_equivalence(mac_spec, mac_mapped,
+                              input_columns(mac_spec, [MAC_INPUTS]), design=design)
 
     def test_chain_deeper_than_the_recursion_limit(self, mac_spec, mac_mapped):
         # 1200 assignments on one load's path: more than Python's default
@@ -406,12 +445,11 @@ class TestDoneContract:
         mapped = map_design(spec)
         design = build_design(spec, mapped)
         vectors = random_vectors(random.Random(15), spec, 256)
-        reference = reference_columns(spec, input_columns(spec, vectors),
-                                      len(vectors))
+        reference = reference_columns(spec, vectors, 256)
         assert None not in reference.zero_divisor
         assert check_equivalence(spec, mapped, vectors, design) == []
         late = done_one_step_late(design)
-        for batch in (vectors, []):
+        for batch in (vectors, input_columns(spec, [])):
             with pytest.raises(InternalCheckError, match=(
                     "u: done is high on enabled cycle 4, the latency "
                     "contract says 3")):
@@ -481,10 +519,9 @@ class TestPortsByName:
         moved = shuffled.architecture.instances
 
         vectors = random_vectors(random.Random(11), spec, 200)
-        pairs = operand_columns(mapped, input_columns(spec, vectors),
-                                len(vectors))
-        assert IndexedDesign(shuffled).run(pairs, len(vectors)) == \
-            IndexedDesign(design).run(pairs, len(vectors))
+        pairs = operand_columns(mapped, vectors, 200)
+        assert IndexedDesign(shuffled).run(pairs, 200) == \
+            IndexedDesign(design).run(pairs, 200)
         assert check_equivalence(spec, mapped, vectors, design=shuffled) == []
         for inst in moved:
             ports = emit_instance(inst).split("port map (\n")[1]
@@ -510,7 +547,7 @@ class TestProperties:
         rng = random.Random(seed)
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=4, max_depth=3))
         mapped = map_design(spec)
-        vec = random_vectors(rng, spec, 1)[0]
+        vec = random_vector(rng, spec)
         try:
             plain = simulate_ci(spec, vec, record=False)
         except DivideByZero:
@@ -537,7 +574,7 @@ class TestBatchMatchesStepper:
         dfg = mapped.dfg
         assume(any(dfg.nodes[i].kind in DIV_FAMILY for i in dfg.order))
         divisors = _leaf_divisors(spec)
-        vectors = random_vectors(rng, spec, 16)
+        vectors = rows(random_vectors(rng, spec, 16))
         for vec in vectors[::2]:
             for name in divisors:
                 if data.draw(st.booleans()):
@@ -584,7 +621,7 @@ class TestTimelineMatchesStepper:
         rng = random.Random(seed)
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=4))
         mapped = map_design(spec)
-        vec = random_vectors(rng, spec, 1)[0]
+        vec = random_vector(rng, spec)
         for name in _leaf_divisors(spec):
             if data.draw(st.booleans()):
                 vec[name] = 0

@@ -26,7 +26,8 @@ def test_layer_timer_times_every_layer_of_every_wide_design(tmp_path):
     assert list(medians) == ["sop64c", "sop64t", "sop128c", "sop128t",
                              "add960", "total"]
     layers = ["parse", "map", "build_design", "validate_structure",
-              "emit_vhdl", "IndexedDesign", "run", "check_equivalence"]
+              "emit_vhdl", "random_vectors", "IndexedDesign", "run",
+              "check_equivalence"]
     for design in medians.values():
         assert list(design) == layers
         assert all(ms > 0 for ms in design.values())

@@ -3,17 +3,19 @@
 Builds the five designs of the benchmark's wide-build workload with the
 generators of ``bench/workloads.py`` (imported, not changed), then times
 each layer of the build pipeline on each design: parse, map,
-``build_design``, ``validate_structure``, ``emit_vhdl``, lowering
+``build_design``, ``validate_structure``, ``emit_vhdl``, the draw of the
+check vectors (``random_vectors``, one column per input), lowering
 (``IndexedDesign``), ``run`` over the check vectors, and
-``check_equivalence`` as ``build`` calls it (lowering, run and oracle
-together).  Each layer starts after a full garbage collection, so it pays
-for the collections its own allocations set off, not for those of the
-layers before it; a ``gc.callbacks`` hook counts those collections and
-times them.  Prints the median of each over the repeats, per design and
-summed, then the collections and their time per layer, summed over the
-designs, then one line comparing the median of ``IndexedDesign`` plus
-``run`` with the median of ``build_design`` on the 960-term chain, and
-last the top ``cProfile`` entries of lowering that chain.  Run from the
+``check_equivalence`` on the drawn columns as ``build`` calls it
+(column check, lowering, run and oracle together).  Each layer starts
+after a full garbage collection, so it pays for the collections its own
+allocations set off, not for those of the layers before it; a
+``gc.callbacks`` hook counts those collections and times them.  Prints the
+median of each over the repeats, per design and summed, then the
+collections and their time per layer, summed over the designs, then one
+line comparing the median of ``IndexedDesign`` plus ``run`` with the
+median of ``build_design`` on the 960-term chain, and last the top
+``cProfile`` entries of lowering that chain.  Run from the
 repository root:
 
     python3 tools/time_layers.py [--repeats 9] [--top 15] [--json out.json]
@@ -40,15 +42,10 @@ from cigen.frontend import parse_ci_spec  # noqa: E402
 from cigen.fuzz import random_vectors  # noqa: E402
 from cigen.hdl import build_design, emit_vhdl, validate_structure  # noqa: E402
 from cigen.mapper import map_design  # noqa: E402
-from cigen.sim import (  # noqa: E402
-    IndexedDesign,
-    check_equivalence,
-    input_columns,
-    operand_columns,
-)
+from cigen.sim import IndexedDesign, check_equivalence, operand_columns  # noqa: E402
 
 LAYERS = ("parse", "map", "build_design", "validate_structure", "emit_vhdl",
-          "IndexedDesign", "run", "check_equivalence")
+          "random_vectors", "IndexedDesign", "run", "check_equivalence")
 
 
 def wide_texts() -> list[tuple[str, str]]:
@@ -103,12 +100,13 @@ def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float
     design = timed("build_design", build_design, spec, mapped)
     timed("validate_structure", validate_structure, design)
     timed("emit_vhdl", emit_vhdl, design)
-    vectors = random_vectors(random.Random(vectors_seed), spec,
-                             workloads.WIDE_VECTORS)
+    count = workloads.WIDE_VECTORS
+    columns = timed("random_vectors", random_vectors,
+                    random.Random(vectors_seed), spec, count)
     indexed = timed("IndexedDesign", IndexedDesign, design)
-    pairs = operand_columns(mapped, input_columns(spec, vectors), len(vectors))
-    timed("run", indexed.run, pairs, len(vectors))
-    timed("check_equivalence", check_equivalence, spec, mapped, vectors,
+    pairs = operand_columns(mapped, columns, count)
+    timed("run", indexed.run, pairs, count)
+    timed("check_equivalence", check_equivalence, spec, mapped, columns,
           design=design)
     return times
 
