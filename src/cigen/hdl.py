@@ -5,13 +5,14 @@
 adaptation and the modulus correction all become nodes of the
 ``HdlDesign`` it returns.  ``emit_vhdl`` renders that design, holding all
 VHDL spelling: an instance prints from the text of its generics class,
-derived once from the class's component declaration; the component
-declarations, libraries, support entity and counter range it derives from
-the instances and steps.  Two gates own the design's rules, each rule once:
-``validate_structure`` checks what only the VHDL text shows (the entity
-ports, legal and unique names), and ``sim.IndexedDesign`` checks
-connectivity (ports, drivers, targets, widths, steps) when it lowers the
-design to execute it.
+derived once from the class's component declaration, with its wires bound
+to the component's ports in declaration order; the entity ports, the
+component declarations, libraries, support entity, counter range and each
+step's successor it derives from ``ENTITY_PORTS``, the instances and the
+steps.  Two gates own the design's rules, each rule once:
+``validate_structure`` checks what only the VHDL text shows (legal and
+unique names), and ``sim.IndexedDesign`` checks connectivity (wire counts,
+drivers, targets, widths, done) when it lowers the design to execute it.
 
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
@@ -129,16 +130,15 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
             if adapter is not None:
                 wire = f"w_x_{adapter_count}"
                 signals.append(ast.SignalDecl(wire, adapter.to_width))
-                instances.append(ast.Instance(
-                    f"x_{adapter_count}", adapter,
-                    tuple(zip(adapter.component.ports, (signal, wire)))))
+                instances.append(ast.Instance(f"x_{adapter_count}", adapter,
+                                              (signal, wire)))
                 adapter_count += 1
                 signal = wire
             inputs.append(signal)
 
         # the wires on the output ports, in declaration order
-        component = inst.generics.component
-        wires = [f"w_{node_id}{suffix}" for suffix in component.wire_suffixes]
+        wires = [f"w_{node_id}{suffix}"
+                 for suffix in inst.generics.component.wire_suffixes]
         out_widths = inst.generics.port_widths()[1]
         signals.extend(map(ast.SignalDecl, wires, out_widths))
         # the divider's remainder has the dividend's sign: a signed mod
@@ -156,7 +156,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
 
         instances.append(ast.Instance(
             f"{_LABEL_PREFIX[node.kind]}{op_index}", inst.generics,
-            tuple(zip(component.ports, inputs + wires))))
+            (*inputs, *wires)))
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
             node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
 
@@ -165,8 +165,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     assigns.append(ast.ConcurrentAssign("result", _result_port_expr(
         *base, dfg.width[root], dfg.signed[root], spec.output)))
 
-    # the counter runs 0..done_cycle, wrapping to idle on the edge that ends
-    # the done cycle; level l latches on step loads + l - 1
+    # step by step the counter runs 0..done_cycle, wrapping to idle on the
+    # edge that ends the done cycle; level l latches on step loads + l - 1
     def pair_loads(pair_index: int) -> tuple[ast.RegisterLoad, ...]:
         return tuple(
             ast.RegisterLoad(input_reg(name),
@@ -175,12 +175,11 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                                   ("dataa", "datab"))
             if name is not None)
 
-    steps = [ast.ControlStep(pair_loads(0), done_cycle == 1, 1)]
+    steps = [ast.ControlStep(pair_loads(0), done_cycle == 1)]
     for c in range(1, done_cycle + 1):
         step_loads = pair_loads(c) if c < loads \
             else tuple(stage_loads.get(c - loads + 1, ()))
-        steps.append(ast.ControlStep(step_loads, c == done_cycle - 1,
-                                     c + 1 if c < done_cycle else 0))
+        steps.append(ast.ControlStep(step_loads, c == done_cycle - 1))
     process = ast.ControlProcess(tuple(steps), tuple(registers))
 
     header = (
@@ -191,8 +190,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     )
     architecture = ast.Architecture(tuple(signals), tuple(instances),
                                     tuple(assigns), process)
-    return ast.HdlDesign(header, ast.Entity(spec.name, ENTITY_PORTS),
-                         architecture)
+    return ast.HdlDesign(header, spec.name, architecture)
 
 
 def _kinds(arch: ast.Architecture) -> list[type[LpmGenerics]]:
@@ -269,9 +267,10 @@ _INSTANCE_TEXT = {kind: _instance_text(kind.component.decl)
 
 def emit_instance(inst: ast.Instance) -> str:
     """Render an instantiation: the generic map pairs the component's
-    generics with the fields of the generics record, in order, and the port
-    map keeps the instance's own order."""
-    ports = ",\n      ".join([f"{port} => {wire}" for port, wire in inst.port_map])
+    generics with the fields of the generics record, and the port map its
+    ports with the instance's wires, in order."""
+    ports = ",\n      ".join([f"{port} => {wire}" for port, wire
+                              in zip(inst.generics.component.ports, inst.wires)])
     return _INSTANCE_TEXT[type(inst.generics)].format(
         *inst.generics, label=inst.label, ports=ports)
 
@@ -300,19 +299,19 @@ def _emit_process(proc: ast.ControlProcess, widths: dict[str, int]) -> str:
     lines.append("      elsif clk_en = '1' then")
     lines.append("        done <= '0';")
 
-    def step_lines(step: ast.ControlStep, indent: str) -> list[str]:
+    def step_lines(index: int, indent: str) -> list[str]:
+        step = proc.steps[index]
         out = [f"{indent}{load.target} <= {emit_expr(load.expr, widths)};"
                for load in step.loads]
         if step.set_done:
             out.append(f"{indent}done <= '1';")
-        return out + [f"{indent}{COUNTER} <= {step.next_index};"]
+        return out + [f"{indent}{COUNTER} <= {proc.successor(index)};"]
 
-    first, *rest = proc.steps
     lines += [f"        if {COUNTER} = 0 then", "          if start = '1' then",
-              *step_lines(first, "            "), "          end if;"]
-    for index, step in enumerate(rest, 1):
+              *step_lines(0, "            "), "          end if;"]
+    for index in range(1, len(proc.steps)):
         lines += [f"        elsif {COUNTER} = {index} then",
-                  *step_lines(step, "          ")]
+                  *step_lines(index, "          ")]
     lines.append("        end if;")
     lines.append("      end if;")
     lines.append("    end if;")
@@ -332,14 +331,13 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
     parts.append("\n".join(design.header_comment))
     parts.append("\n".join(libraries))
 
-    entity = design.entity
     parts.append("\n".join([
-        f"entity {entity.name} is", "  port (",
+        f"entity {design.name} is", "  port (",
         *_listed([f"{port.name} : {port.direction} {_port_type(port)}"
-                  for port in entity.ports], ";", "    "),
-        "  );", f"end entity {entity.name};"]))
+                  for port in ENTITY_PORTS], ";", "    "),
+        "  );", f"end entity {design.name};"]))
 
-    body: list[str] = [f"architecture {ARCHITECTURE} of {entity.name} is"]
+    body: list[str] = [f"architecture {ARCHITECTURE} of {design.name} is"]
     for kind in kinds:
         body.append("")
         body.append(emit_component_decl(kind.component.decl))
@@ -382,23 +380,14 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     """Check the design's VHDL naming and declarations, which executing it
     cannot see; an empty list means it is sound.
 
-    Rules: the entity port set is exactly the eight-port CI interface; every
-    identifier, the fixed names and the used components' included, is
-    VHDL-legal and case-insensitively unique; signals are declared once.
-    ``emit_vhdl`` declares each used component once by construction.
-    Connectivity is ``sim.IndexedDesign``'s to check.
+    Rules: every identifier, the entity's fixed ports and the used
+    components' included, is VHDL-legal and case-insensitively unique;
+    signals are declared once.  ``emit_vhdl`` prints ``ENTITY_PORTS`` and
+    declares each used component once by construction.  Connectivity is
+    ``sim.IndexedDesign``'s to check.
     """
     violations: list[Violation] = []
     arch = design.architecture
-
-    expected = {(p.name, p.direction, p.width) for p in ENTITY_PORTS}
-    actual = {(p.name, p.direction, p.width) for p in design.entity.ports}
-    if actual != expected:
-        missing = expected - actual
-        extra = actual - expected
-        violations.append(Violation("entity-ports", design.entity.name,
-                                    f"missing {sorted(missing)}, extra {sorted(extra)}"))
-
     names: dict[str, str] = {}
 
     def claim(name: str, role: str) -> None:
@@ -412,8 +401,8 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
         else:
             names[key] = role
 
-    claim(design.entity.name, "entity")
-    for port in design.entity.ports:
+    claim(design.name, "entity")
+    for port in ENTITY_PORTS:
         claim(port.name, "port")
     claim(ARCHITECTURE, "architecture")
     claim(COUNTER, "signal")

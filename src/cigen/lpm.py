@@ -8,8 +8,11 @@ holds the kind's bit-exact semantics, written once as a kernel over columns
 of plain-int two's-complement patterns (one entry per vector), and its VHDL
 component declaration; its method ``port_widths()`` is the width contract,
 raising WidthMismatch or NotWidening for generics that describe no
-buildable component.  The expression forms of a design (slice, resize, mod
-correction) have their column kernels here too.  The simulator runs every
+buildable component.  The range of a width is not its concern: every port
+width must equal the declared width of the wire bound to it, and the
+simulator's lowering range-checks every declared width.  The expression
+forms of a design (slice, resize, mod correction) have their column
+kernels here too.  The simulator runs every
 instance and expression through these kernels, over a whole batch of
 vectors or over one-element columns.  The emitter renders every instance
 from the declaration, so each component's behaviour and interface are
@@ -193,15 +196,6 @@ def _component(name: str, kernel: Callable[..., tuple[Column, ...]],
 _Widths = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _in_range(component: Component, ins: tuple[int, ...],
-              outs: tuple[int, ...]) -> _Widths:
-    for width in ins + outs:
-        if not 1 <= width <= MAX_INTERNAL_WIDTH:
-            raise WidthMismatch(f"{component.name.lower()} port width {width} "
-                                f"outside 1..{MAX_INTERNAL_WIDTH}")
-    return ins, outs
-
-
 class AddSubGenerics(NamedTuple):
     width: int
     direction: Direction
@@ -215,7 +209,7 @@ class AddSubGenerics(NamedTuple):
          ast.PortDecl("result", "out", "std_logic_vector(LPM_WIDTH - 1 downto 0)"))))
 
     def port_widths(self) -> _Widths:
-        return _in_range(self.component, (self.width, self.width), (self.width,))
+        return (self.width, self.width), (self.width,)
 
 
 class MultGenerics(NamedTuple):
@@ -237,8 +231,7 @@ class MultGenerics(NamedTuple):
     def port_widths(self) -> _Widths:
         if self.width_p > self.width_a + self.width_b:
             raise WidthMismatch("mult product width exceeds full product")
-        return _in_range(self.component, (self.width_a, self.width_b),
-                         (self.width_p,))
+        return (self.width_a, self.width_b), (self.width_p,)
 
 
 class DivideGenerics(NamedTuple):
@@ -260,7 +253,7 @@ class DivideGenerics(NamedTuple):
 
     def port_widths(self) -> _Widths:
         widths = (self.width_n, self.width_d)
-        return _in_range(self.component, widths, widths)
+        return widths, widths
 
 
 class ConcatExtendGenerics(NamedTuple):
@@ -280,7 +273,7 @@ class ConcatExtendGenerics(NamedTuple):
         if self.to_width <= self.from_width:
             raise NotWidening(
                 f"extension {self.from_width}->{self.to_width} does not widen")
-        return _in_range(self.component, (self.from_width,), (self.to_width,))
+        return (self.from_width,), (self.to_width,)
 
 
 LpmGenerics = AddSubGenerics | MultGenerics | DivideGenerics | ConcatExtendGenerics

@@ -10,12 +10,14 @@ one-vector wrapper.  The other evaluator executes the ``HdlDesign`` that
 ``emit_vhdl`` prints.
 ``IndexedDesign`` lowers it once: the registers and widths it declares,
 each wire's single driver as a plain record (an instance's kernel from
-the component library, its generics, input wires and output wires; each
-node of an expression, assigned or loaded, over the library's expression
-kernels) and, for every step of its control process, one flat
-program: the records the step's register loads need, in dependency
-order, and the loads.  That lowering is the design's only connectivity
-check; ``hdl.validate_structure`` keeps the rules of VHDL naming.
+the component library, its generics, input wires and output wires, bound
+to the component's ports in declaration order; each node of an
+expression, assigned or loaded, over the library's expression kernels)
+and, for every step of its control process, one flat program: the records
+the step's register loads need, in dependency order, and the loads.  Each
+step leads to the one ``ControlProcess.successor`` names, as the VHDL text
+prints it.  That lowering is the design's only connectivity check;
+``hdl.validate_structure`` keeps the rules of VHDL naming.
 ``IndexedDesign.execute``, the one interpreter of the control process,
 runs the programs in one loop over columns of plain ints, one entry per
 vector.  ``check_equivalence`` compares the design's done cycle with the
@@ -59,12 +61,11 @@ from .errors import (
     WidthMismatch,
 )
 from .frontend import CiSpec, Dfg, OperandDecl, OpKind
-from .hdl import build_design
+from .hdl import ENTITY_PORTS, build_design
 from .lpm import (
     MAX_INTERNAL_WIDTH,
     BitVec,
     Column,
-    Component,
     LpmGenerics,
     low_bits,
     mod_correct,
@@ -280,10 +281,8 @@ def _run(program: list[Record | Load], values: dict,
         if len(reads) == 2:
             a, b = reads
             columns = kernel(params, faults, values[a], values[b])
-        elif len(reads) == 1:
+        else:   # every kernel reads one column or two
             columns = kernel(params, faults, values[reads[0]])
-        else:
-            columns = kernel(params, faults, *map(values.__getitem__, reads))
         if len(writes) == 1:
             values[writes[0]], = columns
         else:
@@ -302,26 +301,27 @@ class IndexedDesign:
     and each node of an expression is a record over the lpm expression
     kernels, writing an int key when no signal holds its value.  A step's
     number, the counter value that selects it, is its position in the
-    process's steps.  Each step is lowered to one flat program: per register
-    load, the records it needs that no earlier load of the step computed, in
+    process's steps, and its successor is ``ControlProcess.successor``'s.
+    Each step is lowered to one flat program: per register load, the
+    records it needs that no earlier load of the step computed, in
     dependency order, then the load.  ``execute`` runs the programs edge by
     edge, over one column entry per vector: a whole batch for ``run``, one
     invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
-    contract, a component port unbound, undeclared or bound twice, an
-    undeclared name, a wire with no driver or two, a driver on a register or
-    an entity port other than result, an undeclared register, a load of a
-    non-register, a combinational loop, a next step number out of range, or
-    a chain that never sets done.
+    contract, an instance with more or fewer wires than its component has
+    ports, an undeclared name, a wire with no driver or two, a driver on a
+    register or an entity port other than result, an undeclared register, a
+    load of a non-register, a combinational loop, or steps none of which
+    sets done.
     """
 
     def __init__(self, design: ast.HdlDesign):
         arch = design.architecture
-        self.name = design.entity.name
+        self.name = design.name
         signals = {s.name: s.width for s in arch.signals}
-        self.widths = {p.name: p.width for p in design.entity.ports}
+        self.widths = {p.name: p.width for p in ENTITY_PORTS}
         self.widths.update(signals)
         for name, width in self.widths.items():
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
@@ -332,14 +332,10 @@ class IndexedDesign:
         if undeclared:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
-        steps = arch.process.steps
-        for index in {0}.union(step.next_index for step in steps):
-            if not 0 <= index < len(steps):
-                raise InternalCheckError(f"{self.name}: no control step {index}")
         self._sources = self._register_set | {"dataa", "datab"}
         # of the entity ports, only result is a wire
         self._undrivable = self._register_set | \
-            {p.name for p in design.entity.ports} - {"result"}
+            {p.name for p in ENTITY_PORTS} - {"result"}
         self._drivers: dict[str | int, Record] = {}
         self._keyed: dict[ast.Expr, tuple[int, int]] = {}
         for target, expr in arch.assigns:
@@ -347,10 +343,10 @@ class IndexedDesign:
             self._check_value(width, target)
             self._drive((kernel, params, reads, (target,)))
         self._lower_instances(arch.instances)
-        self._programs = self._lower_steps(steps)
+        self._programs = self._lower_steps(arch.process)
         self._result_program: list[Record] = []
         self._need("result", {}, self._result_program)
-        self.done_cycle = self._done_cycle(steps)
+        self.done_cycle = self._done_cycle(arch.process.steps)
 
     def _width(self, name: str) -> int:
         width = self.widths.get(name)
@@ -373,51 +369,30 @@ class IndexedDesign:
             self._drivers[wire] = record
 
     def _lower_instances(self, instances: tuple[ast.Instance, ...]) -> None:
-        """Check each instance's port map and wire widths against its kind,
-        then drive its output wires through the kind's kernel."""
+        """Check each instance's wire count and wire widths against its
+        kind, then drive its output wires through the kind's kernel."""
         # generics -> the kernel, every port's width and the input count;
         # records of two kinds never compare equal (test_records.py)
         kinds: dict[LpmGenerics, tuple[Callable, tuple[int, ...], int]] = {}
         declared = self.widths.get
-        for inst in instances:
-            label, generics, port_map = inst
-            component = generics.component
-            ports, wires = zip(*port_map) if port_map else ((), ())
-            if ports != component.ports:
-                wires = self._bind_by_name(inst, component)
+        for label, generics, wires in instances:
             kind = kinds.get(generics)
             if kind is None:
                 in_widths, out_widths = generics.port_widths()
-                kind = kinds[generics] = (component.kernel, in_widths + out_widths,
-                                          len(in_widths))
+                kind = kinds[generics] = (generics.component.kernel,
+                                          in_widths + out_widths, len(in_widths))
             kernel, widths, split = kind
             if tuple(map(declared, wires)) != widths:
+                if len(wires) != len(widths):
+                    raise InternalCheckError(
+                        f"{self.name}: {label} binds {len(wires)} wires to the "
+                        f"{len(widths)} ports of {generics.component.decl.name}")
                 for wire, width in zip(wires, widths):
                     if self._width(wire) != width:
                         raise WidthMismatch(f"{self.name}: {label} needs {width} "
                                             f"bits on {wire}, declared "
                                             f"{self._width(wire)}")
             self._drive((kernel, generics, wires[:split], wires[split:]))
-
-    def _bind_by_name(self, inst: ast.Instance,
-                      component: Component) -> tuple[str, ...]:
-        """The wires inst binds to component's ports, in declaration order,
-        once every port is bound exactly once and nothing else is."""
-        bound: dict[str, str] = {}
-        for port, wire in inst.port_map:
-            if port not in component.ports:
-                raise InternalCheckError(
-                    f"{self.name}: {inst.label} binds port {port}, which "
-                    f"{component.decl.name} does not declare")
-            if port in bound:
-                raise InternalCheckError(f"{self.name}: {inst.label} binds "
-                                         f"port {port} twice")
-            bound[port] = wire
-        for port in component.ports:
-            if port not in bound:
-                raise InternalCheckError(f"{self.name}: {inst.label} leaves "
-                                         f"port {port} unbound")
-        return tuple(bound[port] for port in component.ports)
 
     def _expr(self, expr: ast.Expr) -> tuple[Callable[..., tuple[Column, ...]],
                                               object, tuple[str | int, ...], int]:
@@ -488,12 +463,12 @@ class IndexedDesign:
                 for wire in record[3]:
                     done[wire] = True
 
-    def _lower_steps(self, steps: tuple[ast.ControlStep, ...]
+    def _lower_steps(self, process: ast.ControlProcess
                      ) -> list[tuple[list[Record | Load], bool, int]]:
-        """Per step number: its flat program, whether it sets done, and the
-        next step's number."""
+        """Per step number: its flat program, whether it sets done, and its
+        successor's number."""
         registers, need, programs = self._register_set, self._need, []
-        for index, (loads, set_done, next_index) in enumerate(steps):
+        for index, (loads, set_done) in enumerate(process.steps):
             done: dict[str | int, bool] = {}
             program: list[Record | Load] = []
             for target, expr in loads:
@@ -504,17 +479,16 @@ class IndexedDesign:
                 self._check_value(width, target)
                 need(key, done, program)
                 program.append((None, target, key, None))
-            programs.append((program, set_done, next_index))
+            programs.append((program, set_done, process.successor(index)))
         return programs
 
     def _done_cycle(self, steps: tuple[ast.ControlStep, ...]) -> int:
-        """The enabled cycle on which done is high: the number of steps from
-        start through the first that sets done, each reached once."""
-        index = 0
-        for cycle in range(1, len(steps) + 1):
-            if steps[index].set_done:
-                return cycle
-            index = steps[index].next_index
+        """The enabled cycle on which done is high: as steps run in
+        sequence from start, one past the position of the first step that
+        sets done."""
+        for position, step in enumerate(steps):
+            if step.set_done:
+                return position + 1
         raise InternalCheckError(f"{self.name}: done is never set after start")
 
     def execute(self, pairs: list[tuple[Column, Column]], count: int,
@@ -535,10 +509,10 @@ class IndexedDesign:
             yield index, done, values, fault
             fault, done = None, False
             if index or k == 1:
-                program, set_done, next_index = programs[index]
+                program, set_done, successor = programs[index]
                 latched, fault = _run(program, values, faults)
                 values.update(latched)
-                done, index = set_done, next_index
+                done, index = set_done, successor
             if k <= last:
                 values["dataa"], values["datab"] = pairs[k]
 

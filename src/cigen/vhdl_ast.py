@@ -4,7 +4,9 @@ The emitter renders these to text, holding all VHDL spelling.  Two checks
 read them directly, so neither parses emitted VHDL back in:
 ``hdl.validate_structure`` owns the naming rules, and ``sim.IndexedDesign``,
 which lowers them to execute, owns connectivity.  A record holds only what
-a check reads; ``emit_vhdl`` derives the rest of the text from it.
+a check reads; ``emit_vhdl`` derives the rest of the text from it: the
+entity's ports, the port name each wire binds to and each step's
+successor.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ class Port(NamedTuple):
     name: str
     direction: str  # 'in' or 'out'
     width: int
-
-
-class Entity(NamedTuple):
-    name: str
-    ports: tuple[Port, ...]
 
 
 class GenericDecl(NamedTuple):
@@ -52,11 +49,11 @@ class SignalDecl(NamedTuple):
 
 class Instance(NamedTuple):
     """Component instantiation.  The generics record's class is the
-    component kind (``lpm.LpmGenerics``).  Port map values must be signal or
-    port names."""
+    component kind (``lpm.LpmGenerics``).  wires holds the signal or port
+    name bound to each of the component's ports, in declaration order."""
     label: str
     generics: LpmGenerics
-    port_map: tuple[tuple[str, str], ...]
+    wires: tuple[str, ...]
 
 
 class Ref(NamedTuple):
@@ -107,13 +104,17 @@ class ControlStep(NamedTuple):
     """
     loads: tuple[RegisterLoad, ...]
     set_done: bool
-    next_index: int
 
 
 class ControlProcess(NamedTuple):
     """The clocked process.  Reset clears the counter, done and registers."""
     steps: tuple[ControlStep, ...]
     registers: tuple[str, ...]
+
+    def successor(self, index: int) -> int:
+        """The counter value step index sets: the next step, or 0 after the
+        last."""
+        return (index + 1) % len(self.steps)
 
 
 class Architecture(NamedTuple):
@@ -124,7 +125,8 @@ class Architecture(NamedTuple):
 
 
 class HdlDesign(NamedTuple):
-    """A complete design: one entity and its architecture."""
+    """A complete design: the architecture of the entity name, whose ports
+    are always ``hdl.ENTITY_PORTS``."""
     header_comment: tuple[str, ...]
-    entity: Entity
+    name: str
     architecture: Architecture

@@ -161,9 +161,10 @@ def _with_process(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
 
 def done_one_step_late(design: ast.HdlDesign) -> ast.HdlDesign:
     """design with done set by the step after the one that sets it."""
-    steps = list(design.architecture.process.steps)
+    process = design.architecture.process
+    steps = list(process.steps)
     index = next(i for i, step in enumerate(steps) if step.set_done)
-    later = steps[index].next_index
+    later = process.successor(index)
     steps[index] = steps[index]._replace(set_done=False)
     steps[later] = steps[later]._replace(set_done=True)
     return _with_process(design, steps=tuple(steps))
@@ -173,30 +174,23 @@ def done_one_step_late(design: ast.HdlDesign) -> ast.HdlDesign:
 # u_add_1 drives w_3) ---------------------------------------------------------
 
 def _unbound_result(design: ast.HdlDesign) -> ast.HdlDesign:
+    # one wire too few: the adder's result port is left without one
     mul, add = design.architecture.instances
-    add = add._replace(port_map=tuple(
-        (port, wire) for port, wire in add.port_map if port != "result"))
+    add = add._replace(wires=add.wires[:-1])
     return with_arch(design, instances=(mul, add))
 
 
 def _unknown_port(design: ast.HdlDesign) -> ast.HdlDesign:
+    # one wire too many: emit_vhdl would bind it to no port
     mul, add = design.architecture.instances
-    add = add._replace(port_map=add.port_map + (("carry", "r_a"),))
-    return with_arch(design, instances=(mul, add))
-
-
-def _port_bound_twice(design: ast.HdlDesign) -> ast.HdlDesign:
-    # emit_vhdl would print "dataa =>" twice, which no VHDL tool accepts
-    mul, add = design.architecture.instances
-    mul = mul._replace(port_map=mul.port_map[:1] + mul.port_map)
+    add = add._replace(wires=add.wires + ("r_a",))
     return with_arch(design, instances=(mul, add))
 
 
 def _undeclared_bound_wire(design: ast.HdlDesign) -> ast.HdlDesign:
+    # the multiplier's result port bound to an undeclared wire
     mul, add = design.architecture.instances
-    mul = mul._replace(port_map=tuple(
-        (port, "w_ghost" if port == "result" else wire)
-        for port, wire in mul.port_map))
+    mul = mul._replace(wires=(*mul.wires[:-1], "w_ghost"))
     return with_arch(design, instances=(mul, add))
 
 
@@ -229,22 +223,24 @@ def _undeclared_reset_register(design: ast.HdlDesign) -> ast.HdlDesign:
 
 
 def _off_chain_load(design: ast.HdlDesign) -> ast.HdlDesign:
-    # no step leads to the appended step 4
+    # the appended step 4 runs only after done, on the way back to idle
     steps = design.architecture.process.steps
     return _with_process(design, steps=steps + (ast.ControlStep(
-        (ast.RegisterLoad("s_ghost", ast.Ref("r_a")),), False, 0),))
+        (ast.RegisterLoad("s_ghost", ast.Ref("r_a")),), False),))
 
 
 # Each wiring fault with the message sim.IndexedDesign refuses it with.
 # The ids name the validate_structure rule that once caught the fault; the
-# three rows without one keep the ids they had when only the lowering
-# checked them.
+# three other rows keep the ids they had when only the lowering checked
+# them, the first two from when it bound ports by name.
 WIRING_FAULTS = [
-    pytest.param(_unbound_result, "u_add_1 leaves port result unbound"),
-    pytest.param(_unknown_port, "u_add_1 binds port carry, which lpm_add_sub "
-                                "does not declare"),
-    pytest.param(_port_bound_twice, "u_mul_0 binds port dataa twice",
-                 id="port-bound-twice"),
+    pytest.param(_unbound_result,
+                 "u_add_1 binds 2 wires to the 3 ports of lpm_add_sub",
+                 id="_unbound_result-u_add_1 leaves port result unbound"),
+    pytest.param(_unknown_port,
+                 "u_add_1 binds 4 wires to the 3 ports of lpm_add_sub",
+                 id="_unknown_port-u_add_1 binds port carry, which "
+                    "lpm_add_sub does not declare"),
     pytest.param(_undeclared_bound_wire, "w_ghost is not declared",
                  id="undeclared-signal"),
     pytest.param(_second_driver, "w_1_p has a second driver"),

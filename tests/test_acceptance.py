@@ -7,11 +7,14 @@ of builds, C source patching, and the energy estimate.
 """
 
 import hashlib
+import importlib
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,11 +43,13 @@ from cigen.cpatch import (
 from cigen.errors import DivideByZero, NoMatchFound
 from cigen.frontend import OpKind, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec, random_vectors
-from cigen.hdl import build_design, emit_vhdl, validate_structure
+from cigen.hdl import ENTITY_PORTS, build_design, emit_vhdl, validate_structure
 from cigen.lpm import ConcatExtendGenerics, DivideGenerics, Representation
 from cigen.mapper import map_design
 from cigen.metrics import estimate_metrics
 from cigen.sim import Stimulus, check_equivalence, simulate_ci
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestWorkedExample:
@@ -58,8 +63,8 @@ class TestWorkedExample:
         assert mapped.analysis.operand_sequence == ("a", "b", "c")
 
         design = build_design(spec, mapped)
-        ports = [(p.name, p.direction, p.width)
-                 for p in design.entity.ports]
+        assert design.name == "f"
+        ports = [(p.name, p.direction, p.width) for p in ENTITY_PORTS]
         assert ports == [
             ("clk", "in", 1), ("clk_en", "in", 1), ("reset", "in", 1),
             ("start", "in", 1), ("dataa", "in", 32), ("datab", "in", 32),
@@ -221,6 +226,36 @@ class TestPinnedArtifacts:
                          json.dumps(estimate_metrics(spec, mapped), indent=2) + "\n"):
                 digest.update(text.encode() + b"\0")
         assert digest.hexdigest() == ARTIFACTS_SHA256
+
+
+# The .vhd text of the benchmark's five wide-build designs, the longest
+# with a 1439-step control chain.
+WIDE_VHDL_SHA256 = \
+    "5188e7c3cd09f245a7733f9240e14f58127a7dab02a85a57fdca05885bba06f9"
+
+
+class TestPinnedWideDesigns:
+    """The wide designs' VHDL is pinned too: their long control chains are
+    where each step's printed successor shows a change of succession."""
+
+    def test_wide_vhdl_hashes_to_the_recorded_digest(self, monkeypatch,
+                                                     tmp_path):
+        # the benchmark's generators, imported as bench/run.py imports them
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workloads = importlib.import_module("workloads")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)
+        try:
+            ops = workloads.wide_build(tmp_path, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        digest = hashlib.sha256()
+        for op in ops:
+            spec = parse_ci_spec(Path(op.argv[1]).read_text())
+            digest.update(emit_vhdl(build_design(spec, map_design(spec)))
+                          .encode() + b"\0")
+        assert len(ops) == 5
+        assert digest.hexdigest() == WIDE_VHDL_SHA256
 
 
 class TestSourcePatching:

@@ -97,7 +97,7 @@ class TestBuild:
                                              monkeypatch, spec_file):
         monkeypatch.setattr(
             cli, "validate_structure",
-            lambda design: [Violation("entity-ports", "f", "forced")])
+            lambda design: [Violation("name-collision", "f", "forced")])
         out = tmp_path / "out"
         code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
         assert code == 2
@@ -438,10 +438,8 @@ def _swap_add_sub_operands(design: ast.HdlDesign) -> ast.HdlDesign:
     def swap(inst: ast.Instance) -> ast.Instance:
         if type(inst.generics) is not AddSubGenerics:
             return inst
-        ports = dict(inst.port_map)
-        ports["dataa"], ports["datab"] = ports["datab"], ports["dataa"]
-        return inst._replace(
-            port_map=tuple((name, ports[name]) for name, _ in inst.port_map))
+        dataa, datab, result = inst.wires
+        return inst._replace(wires=(datab, dataa, result))
     arch = design.architecture
     return design._replace(architecture=arch._replace(
         instances=tuple(swap(i) for i in arch.instances)))

@@ -2,6 +2,7 @@
 validate_structure."""
 
 import random
+import re
 import typing
 
 import pytest
@@ -111,18 +112,21 @@ class TestGolden:
 
 class TestEntity:
     def test_ports_are_the_fixed_eight(self, mac_spec, mac_mapped):
-        design = build_design(mac_spec, mac_mapped)
-        assert design.entity.ports == ENTITY_PORTS
-        names = [p.name for p in design.entity.ports]
+        # the design names its entity; every entity prints ENTITY_PORTS
+        text = emit_vhdl(build_design(mac_spec, mac_mapped))
+        names = [p.name for p in ENTITY_PORTS]
         assert names == ["clk", "clk_en", "reset", "start",
                          "dataa", "datab", "done", "result"]
-        widths = {p.name: p.width for p in design.entity.ports}
+        widths = {p.name: p.width for p in ENTITY_PORTS}
         assert widths["dataa"] == widths["datab"] == widths["result"] == 32
         assert widths["clk"] == widths["done"] == 1
+        entity = text[text.index("entity f is"):text.index("end entity f;")]
+        assert [line.split(" : ")[0].strip() for line in entity.splitlines()
+                if " : " in line] == names
 
     def test_entity_named_after_spec(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
-        assert design.entity.name == "f"
+        assert design.name == "f"
         assert f"architecture {ARCHITECTURE} of f is" \
             in emit_vhdl(design).splitlines()
 
@@ -191,12 +195,25 @@ class TestDesignShape:
         proc = design.architecture.process
         assert [s.set_done for s in proc.steps].count(True) == 1
         assert len(proc.steps) == 4
-        last = proc.steps[-1]
-        assert last.next_index == 0
         text = emit_vhdl(design)
+        # each step leads to the next, the last back to idle
+        assert [proc.successor(i) for i in range(4)] == [1, 2, 3, 0]
+        assert "cnt <= 0;" in text.split("elsif cnt = 3 then")[1]
         assert _counter_range(text) == 3
         assert f"  {PROCESS} : process (clk)" in text.splitlines()
         assert set(proc.registers) == {"r_a", "r_b", "r_c", "s_1", "s_3"}
+
+    def test_steps_run_in_sequence(self):
+        # the printed counter assignments are each step's successor: the
+        # next step, and idle after the last
+        rng = random.Random(23)
+        for index in range(20):
+            spec = random_spec(rng, f"sq{index}")
+            design = build_design(spec, map_design(spec))
+            text = emit_vhdl(design).split("elsif clk_en = '1' then")[1]
+            count = len(design.architecture.process.steps)
+            assert [int(n) for n in re.findall(r"cnt <= (\d+);", text)] == \
+                [*range(1, count), 0]
 
 
 class TestDividerOutput:
@@ -240,11 +257,6 @@ class TestValidatorNegatives:
     def test_clean_design_has_no_violations(self, design):
         assert validate_structure(design) == []
 
-    def test_missing_entity_port(self, design):
-        broken = design._replace(
-            entity=design.entity._replace(ports=design.entity.ports[:-1]))
-        assert "entity-ports" in _rules(broken)
-
     def test_duplicate_signal(self, design):
         sig = design.architecture.signals[1]
         broken = _replace_arch(design,
@@ -265,26 +277,28 @@ class TestValidatorNegatives:
         assert "illegal-identifier" in _rules(broken)
 
     def test_dangling_port(self, design):
+        # one wire too few: the multiplier's result port has none
         inst = design.architecture.instances[0]
-        broken_inst = inst._replace(port_map=inst.port_map[:-1])
+        broken_inst = inst._replace(wires=inst.wires[:-1])
         broken = _replace_arch(
             design, instances=(broken_inst,) + design.architecture.instances[1:])
         with pytest.raises(InternalCheckError,
-                           match="u_mul_0 leaves port result unbound"):
+                           match="u_mul_0 binds 2 wires to the 3 ports of lpm_mult"):
             IndexedDesign(broken)
 
     def test_unknown_port(self, design):
+        # one wire too many: it would bind to a port lpm_mult does not declare
         inst = design.architecture.instances[0]
-        broken_inst = inst._replace(port_map=inst.port_map + (("carry", "r_a"),))
+        broken_inst = inst._replace(wires=inst.wires + ("r_a",))
         broken = _replace_arch(
             design, instances=(broken_inst,) + design.architecture.instances[1:])
-        with pytest.raises(InternalCheckError, match="u_mul_0 binds port carry, "
-                                                     "which lpm_mult does not"):
+        with pytest.raises(InternalCheckError,
+                           match="u_mul_0 binds 4 wires to the 3 ports of lpm_mult"):
             IndexedDesign(broken)
 
     def test_multiple_drivers(self, design):
         # Drive the multiplier's output wire from an assign as well.
-        wire = dict(design.architecture.instances[0].port_map)["result"]
+        wire = design.architecture.instances[0].wires[-1]
         extra = ast.ConcurrentAssign(wire, ast.Ref("r_a"))
         broken = _replace_arch(
             design, assigns=design.architecture.assigns + (extra,))
@@ -360,7 +374,7 @@ class TestFuzzedStructure:
         mapped = map_design(spec)
         design = build_design(spec, mapped)
         assert validate_structure(design) == []
-        assert design.entity.ports == ENTITY_PORTS
+        assert design.name == "p"
         # one declaration per used kind, one instance per op node
         decls = declared_components(emit_vhdl(design))
         kinds = {type(i.generics) for i in mapped.instances}
@@ -397,7 +411,7 @@ class TestReservedNames:
     @staticmethod
     def _declared(design: ast.HdlDesign) -> list[str]:
         arch = design.architecture
-        return [design.entity.name, *(p.name for p in design.entity.ports),
+        return [design.name, *(p.name for p in ENTITY_PORTS),
                 ARCHITECTURE, COUNTER, PROCESS,
                 *(sig.name for sig in arch.signals),
                 *declared_components(emit_vhdl(design)),

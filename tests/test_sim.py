@@ -15,7 +15,12 @@ from conftest import (
     with_arch,
     wrapped,
 )
-from cigen.errors import DivideByZero, InputOutOfRange, InternalCheckError
+from cigen.errors import (
+    DivideByZero,
+    InputOutOfRange,
+    InternalCheckError,
+    WidthMismatch,
+)
 from cigen import vhdl_ast as ast
 from cigen.frontend import (
     CiSpec,
@@ -26,7 +31,7 @@ from cigen.frontend import (
     parse_ci_spec,
 )
 from cigen.fuzz import FuzzConfig, random_spec, random_vector, random_vectors
-from cigen.hdl import build_design, emit_instance
+from cigen.hdl import ENTITY_PORTS, build_design, emit_instance
 from cigen.lpm import (
     AddSubGenerics,
     BitVec,
@@ -426,8 +431,8 @@ def _chained_operand(design: ast.HdlDesign, length: int) -> ast.HdlDesign:
     arch = design.architecture
     chain = [f"w_c{i}" for i in range(length)]
     mul, add = arch.instances
-    mul = mul._replace(port_map=tuple(
-        (port, chain[-1] if wire == "r_a" else wire) for port, wire in mul.port_map))
+    mul = mul._replace(wires=tuple(chain[-1] if wire == "r_a" else wire
+                                   for wire in mul.wires))
     return with_arch(
         design, instances=(mul, add),
         signals=arch.signals + tuple(ast.SignalDecl(name, 32) for name in chain),
@@ -461,14 +466,6 @@ def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(design, process=process._replace(steps=process.steps[:2]))
 
 
-def _jump_after_done(design: ast.HdlDesign) -> ast.HdlDesign:
-    # only the steps after done would reach the missing step
-    process = design.architecture.process
-    *steps, last = process.steps
-    return with_arch(design, process=process._replace(steps=(
-        *steps, last._replace(next_index=99))))
-
-
 def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
     process = design.architecture.process
     return with_arch(design, process=process._replace(steps=tuple(
@@ -486,8 +483,7 @@ class TestLoweringChecks:
     connectivity gate: validate_structure checks naming alone."""
 
     @pytest.mark.parametrize("mutate, message", [
-        (_cut_steps, "no control step 2"),
-        (_jump_after_done, "no control step 99"),
+        (_cut_steps, "done is never set"),
         (_never_done, "done is never set"),
         (_result_reads_itself, "combinational loop"),
         *WIRING_FAULTS,
@@ -497,37 +493,52 @@ class TestLoweringChecks:
         with pytest.raises(InternalCheckError, match=message):
             IndexedDesign(design)
 
+    def test_port_wider_than_any_declared_width(self, mac_spec, mac_mapped):
+        # port_widths() leaves the 1..64 range to the lowering, which
+        # declares no signal wider than 64 bits
+        design = build_design(mac_spec, mac_mapped)
+        mul, add = design.architecture.instances
+        wide = add._replace(generics=AddSubGenerics(65, Direction.ADD))
+        assert wide.generics.port_widths() == ((65, 65), (65,))
+        with pytest.raises(WidthMismatch,
+                           match="u_add_1 needs 65 bits on s_1, declared 32"):
+            IndexedDesign(with_arch(design, instances=(mul, wide)))
 
-class TestPortsByName:
-    """A port map binds by port name: its order changes nothing the
-    lowering runs, and emit_instance prints it as the instance gives it."""
+
+class TestPortsInOrder:
+    """An instance's wires bind to its component's ports in declaration
+    order: emit_instance prints them so, and a reordered wire list is
+    another wiring, which the lowering or the check refuses."""
 
     SPEC = ("input a: signed<8>; input b: unsigned<12>; output x: signed<16>;"
             "x = (a % b) * a + b / a;")
 
-    def test_any_port_order_lowers_and_checks_the_same(self):
+    def test_port_map_pairs_each_port_with_its_wire(self):
+        spec = _spec(self.SPEC)
+        for inst in build_design(spec, map_design(spec)).architecture.instances:
+            ports = emit_instance(inst).split("port map (\n")[1]
+            assert [tuple(line.strip().rstrip(",").split(" => "))
+                    for line in ports.splitlines()[:-1]] == \
+                list(zip(inst.generics.component.ports, inst.wires))
+
+    def test_rotated_wires_are_refused(self):
         spec = _spec(self.SPEC)
         mapped = map_design(spec)
         design = build_design(spec, mapped)
         instances = design.architecture.instances
         kinds = {inst.generics.component.name for inst in instances}
         assert kinds == {"ADD_SUB", "MULT", "DIVIDE", "CONCAT_EXTEND"}
-        # each map rotated by one: no port left where its declaration puts it
-        shuffled = with_arch(design, instances=tuple(
-            inst._replace(port_map=inst.port_map[1:] + inst.port_map[:1])
-            for inst in instances))
-        moved = shuffled.architecture.instances
-
         vectors = random_vectors(random.Random(11), spec, 200)
-        pairs = operand_columns(mapped, vectors, 200)
-        assert IndexedDesign(shuffled).run(pairs, 200) == \
-            IndexedDesign(design).run(pairs, 200)
-        assert check_equivalence(spec, mapped, vectors, design=shuffled) == []
-        for inst in moved:
-            ports = emit_instance(inst).split("port map (\n")[1]
-            assert [line.split(" => ")[0].strip()
-                    for line in ports.splitlines()[:-1]] == \
-                [port for port, _ in inst.port_map]
+        for index, inst in enumerate(instances):
+            # rotated by one: no wire left on the port it was built for
+            rotated = inst._replace(wires=inst.wires[1:] + inst.wires[:1])
+            broken = with_arch(design, instances=(
+                *instances[:index], rotated, *instances[index + 1:]))
+            try:
+                mismatches = check_equivalence(spec, mapped, vectors, broken)
+            except InternalCheckError:
+                continue
+            assert mismatches, inst.label
 
 
 class TestProperties:
@@ -737,15 +748,13 @@ class DesignWires:
 
     def __init__(self, design: ast.HdlDesign):
         arch = design.architecture
-        self.widths = {p.name: p.width for p in design.entity.ports}
+        self.widths = {p.name: p.width for p in ENTITY_PORTS}
         self.widths.update((s.name, s.width) for s in arch.signals)
         self.drivers: dict[str, object] = dict(arch.assigns)
         for inst in arch.instances:
-            component = inst.generics.component
-            bound = dict(inst.port_map)
-            outputs = len(component.ports) - len(inst.generics.port_widths()[0])
-            for port in component.ports[-outputs:]:
-                self.drivers[bound[port]] = inst
+            ins = len(inst.generics.port_widths()[0])
+            for wire in inst.wires[ins:]:
+                self.drivers[wire] = inst
 
     def width(self, expr) -> int:
         if isinstance(expr, ast.Ref):
@@ -774,14 +783,12 @@ class DesignWires:
         if name not in cycle:
             driver = self.drivers[name]
             if isinstance(driver, ast.Instance):
-                component = driver.generics.component
-                bound = dict(driver.port_map)
                 ins = len(driver.generics.port_widths()[0])
-                outs = component.kernel(driver.generics, faults, *[
-                    self.wire(bound[port], values, faults, cycle)
-                    for port in component.ports[:ins]])
-                cycle.update(zip([bound[port] for port in component.ports[ins:]],
-                                 outs))
+                outs = driver.generics.component.kernel(
+                    driver.generics, faults,
+                    *[self.wire(wire, values, faults, cycle)
+                      for wire in driver.wires[:ins]])
+                cycle.update(zip(driver.wires[ins:], outs))
             else:
                 cycle[name] = self.value(driver, values, faults, cycle)
         return cycle[name]
@@ -874,7 +881,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                                    cycle=enabled_count, node=node)
         values.update(latched)
         done = step.set_done
-        cnt = step.next_index
+        cnt = process.successor(cnt)
         enabled_count += 1
 
     if observed is not None:
