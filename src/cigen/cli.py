@@ -7,17 +7,24 @@ estimates.  Exit codes: 0 on success, 1 for user errors (bad arguments,
 unparsable specs or configs, unreadable or unwritable files, failed
 matches), 2 when an internal consistency check caught a bad design before
 it reached disk.
+
+While a command runs, CollectionPolicy raises the young generation's
+collection threshold: its records die by reference count, unwalked by the
+cyclic collector.  _write_all writes each file to a new temporary name, then
+renames each old target aside and the new one in: no truncation, no rename
+over a file (ext4 would flush) and no fsync, so no durability on power loss.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import math
 import os
 import random
 import re
-import shutil
 import sys
 from pathlib import Path
 
@@ -59,41 +66,53 @@ def _file_id(path) -> object:
     return info.st_dev, info.st_ino
 
 
-def _refuse_targets(paths, inputs) -> None:
-    """Refuse, before anything is written, a target that is a directory, an
-    input of the command (None for one not given) or another target."""
+def _free_name(path: Path, tag: str) -> Path:
+    names = (path.with_name(f".{path.name}.{os.getpid()}.{n}.{tag}")
+             for n in range(sys.maxsize))
+    return next(name for name in names if not os.path.lexists(name))
+
+
+def _write_all(files: list[tuple[Path, str]], inputs) -> None:
+    """Write every file as the module docstring says, or none."""
     taken = {_file_id(path): "an input" for path in inputs if path}
-    for path in paths:
+    for path, _ in files:
         if path.is_dir():
             raise CigenError(f"cannot write {path}: it is a directory")
         key = _file_id(path)
         if key in taken:
             raise CigenError(f"cannot write {path}: it is {taken[key]}")
         taken[key] = "another output"
-
-
-def _write_all(files: list[tuple[Path, str]], inputs) -> None:
-    """Write every file, or none when a write fails.
-
-    What _refuse_targets refuses is refused first.  Each file is then
-    written to a temporary name in its target's directory, and the targets
-    are replaced only once every file is written; a replaced file keeps its
-    permission bits."""
-    _refuse_targets([path for path, _ in files], inputs)
-    temps: list[Path] = []
+    temps, made, placed = [], [], []   # made: directories made here
     try:
         for path, content in files:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            temps.append(temp)
-            temp.write_text(content)
-            if path.exists():
-                shutil.copymode(path, temp)
+            if not path.parent.is_dir():
+                made += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+                path.parent.mkdir(parents=True)
+            temps.append(_free_name(path, "tmp"))
+            with open(temps[-1], "x") as handle:
+                handle.write(content)
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(temps[-1], os.stat(path).st_mode & 0o7777)
         for (path, _), temp in zip(files, temps):
-            os.replace(temp, path)
-    finally:
+            old = path.exists() and _free_name(path, "old")
+            if old:
+                os.rename(path, old)
+            placed.append((path, old))
+            os.rename(temp, path)
+    except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
+        for path, old in placed:
+            if old:
+                os.rename(old, path)
+            else:
+                path.unlink(missing_ok=True)
+        for directory in sorted(made, reverse=True):
+            directory.rmdir()
+        raise
+    for _, old in placed:
+        if old:
+            os.unlink(old)
 
 
 def _load_spec(path: str) -> CiSpec:
@@ -211,10 +230,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "report.json": json.dumps(report, indent=2) + "\n",
     }
     out = Path(args.out)
-    _refuse_targets([out / name for name in artifacts], (args.spec, args.config))
-    out.mkdir(parents=True, exist_ok=True)
-    for name, content in artifacts.items():
-        (out / name).write_text(content)
+    _write_all([(out / name, content) for name, content in artifacts.items()],
+               (args.spec, args.config))
     print(f"[5/5] write: {' '.join(str(out / name) for name in artifacts)}")
     return 0
 
@@ -231,14 +248,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                          ("--start-cycle", {stimulus.start_cycle})):
         if min(cycles, default=0) < 0:
             raise CigenError(f"{flag}: cycle {min(cycles)} is negative")
-    if args.trace is not None:
-        _refuse_targets([Path(args.trace)], (args.spec,))
     outcome = simulate_ci(spec, inputs, stimulus=stimulus,
                           record=args.trace is not None)
     if args.trace is not None:
-        with open(args.trace, "w") as handle:
-            for row in outcome.rows:
-                handle.write(json.dumps(row) + "\n")
+        _write_all([(Path(args.trace), "".join(
+            json.dumps(row) + "\n" for row in outcome.rows))], (args.spec,))
         print(f"trace: {len(outcome.rows)} rows -> {args.trace}")
     value = outcome.result
     print(f"result = {value.signed if spec.output.signed else value.unsigned} "
@@ -348,19 +362,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class CollectionPolicy:
+    """The module docstring's collection policy; its exit allocates nothing."""
+
+    def __enter__(self):
+        self.saved = gc.get_threshold()
+        gc.set_threshold(200_000, 30, 30)
+
+    def __exit__(self, *exc):
+        gc.set_threshold(*self.saved)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (CigenError, OSError) as exc:
-        print(f"cigen: error: {exc}", file=sys.stderr)
-        return 1
-    except InternalCheckError as exc:
-        # every command checks before it writes
-        print(f"cigen: internal check failed: {exc}; no artifacts written",
-              file=sys.stderr)
-        return 2
+    with CollectionPolicy():
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (CigenError, OSError) as exc:
+            print(f"cigen: error: {exc}", file=sys.stderr)
+            return 1
+        except InternalCheckError as exc:
+            # every command checks before it writes
+            print(f"cigen: internal check failed: {exc}; no artifacts written",
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """End-to-end command line behavior."""
 
 import contextlib
+import errno
+import gc
 import io
 import json
 import os
@@ -855,6 +857,254 @@ class TestAnyConfig:
                 code = cli.main(["report", str(spec), "--config", str(config)])
         assert code in (0, 1)
         assert stderr.getvalue().count("\n") == code
+
+
+def _snapshot(directory: Path) -> dict[str, tuple[bytes, int]]:
+    """Every file under directory, hidden ones included: its bytes and mode."""
+    return {str(path.relative_to(directory)): (path.read_bytes(),
+                                               path.stat().st_mode)
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def _fail_write(monkeypatch, nth: int) -> None:
+    """Make cli's nth new file fail after it is created, as a full disk
+    would."""
+    opened = []
+
+    def create(file, mode="r", *args, **kwargs):
+        if "x" not in mode:
+            return open(file, mode, *args, **kwargs)
+        opened.append(file)
+        handle = open(file, mode, *args, **kwargs)
+        if len(opened) == nth:
+            handle.close()
+            raise OSError(errno.ENOSPC, "No space left on device", str(file))
+        return handle
+
+    monkeypatch.setattr(cli, "open", create, raising=False)
+
+
+class TestAllOrNothingWrites:
+    """A command whose write fails exits 1 and leaves every target, and
+    every other file, as it was: no temporary or set-aside file remains."""
+
+    ARTIFACTS = ("f.vhd", "ci_f.h", "report.json")
+
+    def _old_out(self, tmp_path) -> Path:
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in self.ARTIFACTS:
+            (out / name).write_text(f"old {name}\n")
+        (out / "notes.txt").write_text("unrelated\n")
+        (out / "report.json").chmod(0o600)
+        return out
+
+    def _failed(self, capsys, *argv) -> str:
+        code, stdout, stderr = _run(capsys, *argv)
+        assert code == 1
+        assert stderr.startswith("cigen: error:")
+        assert stderr.count("\n") == 1
+        return stdout
+
+    def test_failed_third_artifact_leaves_out_as_it_was(
+            self, tmp_path, capsys, monkeypatch, spec_file):
+        out = self._old_out(tmp_path)
+        before = _snapshot(out)
+        _fail_write(monkeypatch, 3)
+        stdout = self._failed(capsys, "build", spec_file, "-o", out)
+        assert "[5/5]" not in stdout
+        assert _snapshot(out) == before
+
+    def test_failed_build_into_a_missing_out_makes_no_directory(
+            self, tmp_path, capsys, monkeypatch, spec_file):
+        before = sorted(tmp_path.iterdir())
+        _fail_write(monkeypatch, 3)
+        self._failed(capsys, "build", spec_file,
+                     "-o", tmp_path / "new" / "deeper" / "out")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_rename_puts_back_every_target(
+            self, tmp_path, capsys, monkeypatch, spec_file):
+        out = self._old_out(tmp_path)
+        (out / "ci_f.h").unlink()   # a new target, placed before the failure
+        before = _snapshot(out)
+        rename = os.rename
+
+        def fail_onto_report(src, dst):   # the new report, not the old
+            if Path(dst).name == "report.json" and str(src).endswith(".tmp"):
+                raise OSError(errno.EIO, "Input/output error", str(dst))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", fail_onto_report)
+        self._failed(capsys, "build", spec_file, "-o", out)
+        assert _snapshot(out) == before
+
+    def test_replaced_artifacts_keep_their_mode_bits(self, tmp_path, capsys,
+                                                     spec_file):
+        out = self._old_out(tmp_path)
+        (out / "f.vhd").chmod(0o751)
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        assert (out / "f.vhd").read_bytes() == \
+            (GOLDEN_DIR / "f.vhd").read_bytes()
+        assert (out / "f.vhd").stat().st_mode & 0o7777 == 0o751
+        assert (out / "report.json").stat().st_mode & 0o7777 == 0o600
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([*self.ARTIFACTS, "notes.txt"])
+
+    def test_failed_in_place_patch_leaves_the_source(self, tmp_path, capsys,
+                                                     monkeypatch, spec_file):
+        source = tmp_path / "prog.c"
+        source.write_text((GOLDEN_DIR / "fixture.c").read_text())
+        (tmp_path / "ci_f.h").write_text("old header\n")
+        before = _snapshot(tmp_path)
+        _fail_write(monkeypatch, 2)   # the header is written first
+        self._failed(capsys, "patch", spec_file, source, "--in-place")
+        assert _snapshot(tmp_path) == before
+
+    def test_failed_trace_leaves_the_old_trace(self, tmp_path, capsys,
+                                               monkeypatch, spec_file):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("old\n")
+        before = _snapshot(tmp_path)
+        _fail_write(monkeypatch, 1)
+        self._failed(capsys, "simulate", spec_file, "--inputs", "a=2,b=3,c=4",
+                     "--trace", trace)
+        assert _snapshot(tmp_path) == before
+
+
+@pytest.fixture
+def odd_thresholds():
+    """Collection thresholds no command sets, restored after the test."""
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 5, 6)
+    yield (1234, 5, 6)
+    gc.set_threshold(*saved)
+
+
+class TestCollectionPolicy:
+    """main raises the young generation's threshold while a command runs
+    and gives the caller its own thresholds back however it ends."""
+
+    @pytest.mark.parametrize("exit_code", [0, 1, 2])
+    def test_thresholds_come_back_after_each_exit_code(
+            self, capsys, monkeypatch, spec_file, odd_thresholds, exit_code):
+        seen = []
+        real = cli.map_design
+
+        def map_design(spec):
+            seen.append(gc.get_threshold())
+            if exit_code == 2:
+                raise cli.InternalCheckError("injected")
+            return real(spec)
+
+        monkeypatch.setattr(cli, "map_design", map_design)
+        spec = spec_file if exit_code != 1 else spec_file.with_name("ghost.ci")
+        assert _run(capsys, "report", spec)[0] == exit_code
+        assert gc.get_threshold() == odd_thresholds
+        assert all(threshold[0] > odd_thresholds[0] for threshold in seen)
+
+    def test_thresholds_come_back_after_an_argument_error(self,
+                                                          odd_thresholds):
+        with pytest.raises(SystemExit):
+            cli.main(["build"])
+        assert gc.get_threshold() == odd_thresholds
+
+    def test_chain_build_runs_no_young_collection(self, tmp_path, capsys):
+        spec = tmp_path / "chain.ci"
+        spec.write_text(chain_text(960))
+        young = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 0:
+                young.append(info)
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = cli.main(["build", str(spec), "-o", str(tmp_path / "out"),
+                             "--vectors", "4"])
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0, capsys.readouterr().err
+        assert young == []
+
+
+def _spliced(text: str) -> st.SearchStrategy[bytes]:
+    """text's bytes with a run of arbitrary bytes put in place of a slice."""
+    data = text.encode()
+    return st.tuples(st.integers(0, len(data)), st.integers(0, 8),
+                     st.binary(max_size=8)).map(
+        lambda cut: data[:cut[0]] + cut[2] + data[cut[0] + cut[1]:])
+
+
+class TestAnyInputBytes:
+    """Arbitrary bytes as the spec, the C source or the config end in exit
+    0, 1 or 2 and never in a traceback; a failed command leaves -o and the C
+    source as they were."""
+
+    @staticmethod
+    def _main(*argv) -> tuple[int, str]:
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main([str(a) for a in argv])
+        assert code in (0, 1, 2)
+        assert stderr.getvalue().count("\n") == (code != 0)
+        return code, stderr.getvalue()
+
+    def _build(self, spec_bytes: bytes, config_bytes: bytes | None) -> int:
+        with tempfile.TemporaryDirectory() as tmp:
+            spec, config, out = (Path(tmp, name)
+                                 for name in ("f.ci", "cfg.json", "out"))
+            spec.write_bytes(spec_bytes)
+            out.mkdir()
+            (out / "f.vhd").write_text("old\n")
+            (out / "notes.txt").write_text("unrelated\n")
+            before = _snapshot(out)
+            argv = ["build", spec, "-o", out, "--vectors", "4"]
+            if config_bytes is not None:
+                config.write_bytes(config_bytes)
+                argv += ["--config", config]
+            code, _ = self._main(*argv)
+            if code:
+                assert _snapshot(out) == before
+            return code
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=200) | _spliced(MAC_TEXT))
+    @example(MAC_TEXT.encode())
+    @example(MAC_TEXT.replace("signed<32>", f"signed<{'9' * 5000}>", 1).encode())
+    @example(MAC_TEXT.replace("opcode=0", f"opcode={'1' * 4301}", 1).encode())
+    @example(b"\xff\xfe" + MAC_TEXT.encode())
+    def test_spec_bytes(self, data):
+        self._build(data, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=200)
+           | _spliced('{"intrinsic": "my_ci", "costs": {"mul": 5}, '
+                      '"power_mw": 298, "time_ms": 10}'))
+    @example(b'{"power_mw": 1' + b"0" * 5000 + b"}")
+    @example(b"[" * 100_000)
+    @example(b"{}")
+    def test_config_bytes(self, data):
+        self._build(MAC_TEXT.encode(), data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=200)
+           | _spliced((GOLDEN_DIR / "fixture.c").read_text()), st.booleans())
+    @example((GOLDEN_DIR / "fixture.c").read_bytes(), True)
+    @example(b"int f(int a, int b, int c) { return a * b + c; } /* \xff */",
+             False)
+    def test_c_source_bytes(self, data, in_place):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec, source = Path(tmp, "f.ci"), Path(tmp, "prog.c")
+            spec.write_text(MAC_TEXT)
+            source.write_bytes(data)
+            before = _snapshot(Path(tmp))
+            code, _ = self._main("patch", spec, source,
+                                 *["--in-place"] * in_place)
+            if code:
+                assert _snapshot(Path(tmp)) == before
 
 
 class TestParser:

@@ -7,16 +7,16 @@ each layer of the build pipeline on each design: parse, map,
 check vectors (``random_vectors``, one column per input), lowering
 (``IndexedDesign``), ``run`` over the check vectors, and
 ``check_equivalence`` on the drawn columns as ``build`` calls it
-(column check, lowering, run and oracle together).  Each layer starts
-after a full garbage collection, so it pays for the collections its own
-allocations set off, not for those of the layers before it; a
-``gc.callbacks`` hook counts those collections and times them.  Prints the
-median of each over the repeats, per design and summed, then the
-collections and their time per layer, summed over the designs, then one
-line comparing the median of ``IndexedDesign`` plus ``run`` with the
-median of ``build_design`` on the 960-term chain, and last the top
-``cProfile`` entries of lowering that chain.  Run from the
-repository root:
+(column check, lowering, run and oracle together).  Each build starts
+after a full garbage collection and runs under ``cli.CollectionPolicy``,
+the collection policy of a ``cigen`` command, so each layer pays for the
+collections a command pays in it; a ``gc.callbacks`` hook counts those
+collections and times them.  Prints the median of each over the repeats,
+per design and summed, then the collections and their time per layer,
+summed over the designs, then one line comparing the median of
+``IndexedDesign`` plus ``run`` with the median of ``build_design`` on the
+960-term chain, and last the top ``cProfile`` entries of lowering that
+chain.  Run from the repository root:
 
     python3 tools/time_layers.py [--repeats 9] [--top 15] [--json out.json]
 """
@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  (bench/workloads.py, read only)
+from cigen.cli import CollectionPolicy  # noqa: E402
 from cigen.frontend import parse_ci_spec  # noqa: E402
 from cigen.fuzz import random_vectors  # noqa: E402
 from cigen.hdl import build_design, emit_vhdl, validate_structure  # noqa: E402
@@ -83,7 +84,6 @@ def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float
     collections = _Collections()
 
     def timed(layer: str, call, *args, **kwargs):
-        gc.collect()
         collections.count, collections.ms = 0, 0.0
         gc.callbacks.append(collections)
         try:
@@ -95,19 +95,21 @@ def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float
         times[layer] = ms, collections.count, collections.ms
         return value
 
-    spec = timed("parse", parse_ci_spec, text)
-    mapped = timed("map", map_design, spec)
-    design = timed("build_design", build_design, spec, mapped)
-    timed("validate_structure", validate_structure, design)
-    timed("emit_vhdl", emit_vhdl, design)
-    count = workloads.WIDE_VECTORS
-    columns = timed("random_vectors", random_vectors,
-                    random.Random(vectors_seed), spec, count)
-    indexed = timed("IndexedDesign", IndexedDesign, design)
-    pairs = operand_columns(mapped, columns, count)
-    timed("run", indexed.run, pairs, count)
-    timed("check_equivalence", check_equivalence, spec, mapped, columns,
-          design=design)
+    gc.collect()
+    with CollectionPolicy():
+        spec = timed("parse", parse_ci_spec, text)
+        mapped = timed("map", map_design, spec)
+        design = timed("build_design", build_design, spec, mapped)
+        timed("validate_structure", validate_structure, design)
+        timed("emit_vhdl", emit_vhdl, design)
+        count = workloads.WIDE_VECTORS
+        columns = timed("random_vectors", random_vectors,
+                        random.Random(vectors_seed), spec, count)
+        indexed = timed("IndexedDesign", IndexedDesign, design)
+        pairs = operand_columns(mapped, columns, count)
+        timed("run", indexed.run, pairs, count)
+        timed("check_equivalence", check_equivalence, spec, mapped, columns,
+              design=design)
     return times
 
 
