@@ -11,8 +11,8 @@ it reached disk.
 While a command runs, CollectionPolicy raises the young generation's
 collection threshold: its records die by reference count, unwalked by the
 cyclic collector.  _write_all writes each file to a new temporary name, then
-renames each old target aside and the new one in: no truncation, no rename
-over a file (ext4 would flush) and no fsync, so no durability on power loss.
+renames each old plain file aside (for roll-back) and the new one in; pipes,
+devices and links are written through, last.  No fsync: no power-loss safety.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import os
 import random
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -57,15 +58,6 @@ def _read_text(path: str | Path, what: str) -> str:
         raise CigenError(f"cannot read {what}: {exc}") from exc
 
 
-def _file_id(path) -> object:
-    """The file at path: its device and inode, or its absolute path if none."""
-    try:
-        info = os.stat(path)
-    except OSError:
-        return Path(path).absolute()
-    return info.st_dev, info.st_ino
-
-
 def _free_name(path: Path, tag: str) -> Path:
     names = (path.with_name(f".{path.name}.{os.getpid()}.{n}.{tag}")
              for n in range(sys.maxsize))
@@ -73,32 +65,50 @@ def _free_name(path: Path, tag: str) -> Path:
 
 
 def _write_all(files: list[tuple[Path, str]], inputs) -> None:
-    """Write every file as the module docstring says, or none."""
-    taken = {_file_id(path): "an input" for path in inputs if path}
-    for path, _ in files:
-        if path.is_dir():
+    """Write every file as the module docstring says, or none; refuse a
+    directory, an input (None: not given) or a file named twice."""
+    taken, fresh, through = {}, [], []   # (path, content, the target's stat or None)
+    for path, content in [(Path(p), None) for p in inputs if p] + files:
+        try:
+            info = os.lstat(path)
+        except OSError:   # nothing there yet, or no directory to hold it
+            info = None
+        plain = info is None or stat.S_ISREG(info.st_mode) and info.st_nlink == 1
+        if not plain:   # follow a symlink; a dangling one stays as it is
+            with contextlib.suppress(OSError):
+                info = os.stat(path)
+        key = (info.st_dev, info.st_ino) if info else path.absolute()
+        if content is None:
+            taken[key] = "an input"
+        elif info and stat.S_ISDIR(info.st_mode):
             raise CigenError(f"cannot write {path}: it is a directory")
-        key = _file_id(path)
-        if key in taken:
+        elif key in taken:
             raise CigenError(f"cannot write {path}: it is {taken[key]}")
-        taken[key] = "another output"
+        else:
+            taken[key] = "another output"
+            (fresh if plain else through).append((path, content, info))
     temps, made, placed = [], [], []   # made: directories made here
     try:
-        for path, content in files:
-            if not path.parent.is_dir():
-                made += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-                path.parent.mkdir(parents=True)
+        for path, content, info in fresh:
+            if info is None and not path.parent.is_dir():
+                for directory in reversed([d for d in (path.parent, *path.parent.parents)
+                                           if not d.exists()]):
+                    directory.mkdir()
+                    made.append(directory)
             temps.append(_free_name(path, "tmp"))
             with open(temps[-1], "x") as handle:
                 handle.write(content)
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(temps[-1], os.stat(path).st_mode & 0o7777)
-        for (path, _), temp in zip(files, temps):
-            old = path.exists() and _free_name(path, "old")
+            if info:
+                os.chmod(temps[-1], info.st_mode & 0o7777)
+        for (path, _, info), temp in zip(fresh, temps):
+            old = info and _free_name(path, "old")
             if old:
                 os.rename(path, old)
             placed.append((path, old))
             os.rename(temp, path)
+        for path, content, _ in through:
+            with open(path, "w") as handle:
+                handle.write(content)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
@@ -107,7 +117,7 @@ def _write_all(files: list[tuple[Path, str]], inputs) -> None:
                 os.rename(old, path)
             else:
                 path.unlink(missing_ok=True)
-        for directory in sorted(made, reverse=True):
+        for directory in reversed(made):
             directory.rmdir()
         raise
     for _, old in placed:
@@ -367,7 +377,7 @@ class CollectionPolicy:
 
     def __enter__(self):
         self.saved = gc.get_threshold()
-        gc.set_threshold(200_000, 30, 30)
+        gc.set_threshold(200_000)
 
     def __exit__(self, *exc):
         gc.set_threshold(*self.saved)

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -970,6 +971,98 @@ class TestAllOrNothingWrites:
         self._failed(capsys, "simulate", spec_file, "--inputs", "a=2,b=3,c=4",
                      "--trace", trace)
         assert _snapshot(tmp_path) == before
+
+    def test_out_under_a_regular_file_reports_the_first_error(
+            self, tmp_path, capsys, spec_file):
+        (tmp_path / "file").write_text("not a directory\n")
+        before = _snapshot(tmp_path)
+        code, _, stderr = _run(capsys, "build", spec_file,
+                               "-o", tmp_path / "file" / "x" / "out")
+        assert code == 1
+        assert "Not a directory" in stderr
+        assert _snapshot(tmp_path) == before
+
+    def test_out_that_cannot_be_made_reports_the_first_error(
+            self, tmp_path, capsys, monkeypatch, spec_file):
+        def refuse(directory, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied",
+                                  str(directory))
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        code, _, stderr = _run(capsys, "build", spec_file,
+                               "-o", tmp_path / "new" / "out")
+        assert code == 1
+        assert stderr == ("cigen: error: [Errno 13] Permission denied: "
+                          f"'{tmp_path / 'new'}'\n")
+
+    def test_failed_write_through_a_link_puts_back_the_rest(
+            self, tmp_path, capsys, spec_file):
+        out = self._old_out(tmp_path)
+        (out / "report.json").unlink()
+        (out / "report.json").symlink_to(tmp_path / "missing" / "r.json")
+        before = _snapshot(out)
+        self._failed(capsys, "build", spec_file, "-o", out)
+        assert _snapshot(out) == before
+        assert (out / "report.json").is_symlink()
+
+
+class TestTargetsThatAreNotPlainFiles:
+    """A target that is not a plain file of one link is written through in
+    place, as open(path, "w") would: it is never renamed aside or over."""
+
+    INPUTS = ("--inputs", "a=2,b=3,c=4")
+
+    def _trace(self, capsys, spec_file, target) -> str:
+        code, stdout, _ = _run(capsys, "simulate", spec_file, *self.INPUTS,
+                               "--trace", target)
+        assert code == 0
+        assert f"trace: 6 rows -> {target}" in stdout
+        return stdout
+
+    def test_trace_into_a_fifo(self, tmp_path, capsys, spec_file):
+        plain = tmp_path / "plain.jsonl"
+        self._trace(capsys, spec_file, plain)
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            self._trace(capsys, spec_file, fifo)
+            chunks = iter(lambda: os.read(reader, 1 << 16), b"")
+            assert b"".join(chunks) == plain.read_bytes()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["f.ci", "plain.jsonl", "trace.fifo"]
+
+    def test_trace_through_a_dangling_symlink(self, tmp_path, capsys,
+                                              spec_file):
+        plain = tmp_path / "plain.jsonl"
+        self._trace(capsys, spec_file, plain)
+        link = tmp_path / "trace.jsonl"
+        link.symlink_to(tmp_path / "real.jsonl")
+        self._trace(capsys, spec_file, link)
+        assert link.is_symlink()
+        assert (tmp_path / "real.jsonl").read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["f.ci", "plain.jsonl", "real.jsonl", "trace.jsonl"]
+
+    def test_linked_artifacts_are_updated_in_place(self, tmp_path, capsys,
+                                                   spec_file):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        (elsewhere / "f.vhd").write_text("old\n")
+        (out / "f.vhd").symlink_to(elsewhere / "f.vhd")
+        (elsewhere / "ci_f.h").write_text("old\n")
+        os.link(elsewhere / "ci_f.h", out / "ci_f.h")
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        assert (out / "f.vhd").is_symlink()
+        for name in ("f.vhd", "ci_f.h"):
+            assert (elsewhere / name).read_bytes() == \
+                (GOLDEN_DIR / name).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["ci_f.h", "f.vhd", "report.json"]
 
 
 @pytest.fixture
