@@ -12,7 +12,10 @@ While a command runs, CollectionPolicy raises the young generation's
 collection threshold: its records die by reference count, unwalked by the
 cyclic collector.  _write_all writes each file to a new temporary name, then
 renames each old plain file aside (for roll-back) and the new one in; pipes,
-devices and links are written through, last.  No fsync: no power-loss safety.
+devices and links are written through, last.  A plain file already holding
+the new bytes is left untouched (same inode, mode and mtime): ninja's restat
+and make skip its dependents, though make re-runs cigen while the spec is
+newer.  No fsync: no power-loss safety.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -68,6 +72,7 @@ def _write_all(files: list[tuple[Path, str]], inputs) -> None:
     """Write every file as the module docstring says, or none; refuse a
     directory, an input (None: not given) or a file named twice."""
     taken, fresh, through = {}, [], []   # (path, content, the target's stat or None)
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding   # open()'s, for text
     for path, content in [(Path(p), None) for p in inputs if p] + files:
         try:
             info = os.lstat(path)
@@ -86,6 +91,11 @@ def _write_all(files: list[tuple[Path, str]], inputs) -> None:
             raise CigenError(f"cannot write {path}: it is {taken[key]}")
         else:
             taken[key] = "another output"
+            data = content.encode(encoding)
+            if plain and info and info.st_size == len(data):
+                with contextlib.suppress(OSError), open(path, "rb") as handle:
+                    if handle.read() == data:
+                        continue   # it holds what open() would write: untouched
             (fresh if plain else through).append((path, content, info))
     temps, made, placed = [], [], []   # made: directories made here
     try:

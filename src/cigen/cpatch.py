@@ -106,7 +106,7 @@ class CTokens(NamedTuple):
         return len(self.text)
 
 
-_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
+_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\r?\n|[^\n])*")
 
 # One alternative per token class, tried in this order at each position, and
 # a catch-all for a stray character, so the matches tile the source: white
@@ -114,10 +114,10 @@ _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
 # an identifier, a number, an opening quote or comment that the complete
 # forms before it could not close, a punctuator.
 _TOKEN_RE = re.compile("|".join([
-    r"(?:[ \t\r\f\v\n]|\\\n)+",
+    r"(?:[ \t\r\f\v\n]|\\\r?\n)+",
     r"//[^\n]*|/\*[\s\S]*?\*/",
-    r'"(?:\\[\s\S]|[^"\\\n])*"',
-    r"'(?:\\[\s\S]|[^'\\\n])*'",
+    r'"(?:\\\r\n|\\[\s\S]|[^"\\\n])*"',
+    r"'(?:\\\r\n|\\[\s\S]|[^'\\\n])*'",
     r"[A-Za-z_][A-Za-z0-9_]*",
     r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*",
     r"/\*|[\"']",
@@ -444,7 +444,7 @@ class PatchPlan(NamedTuple):
 
 
 # the rest of a directive's logical line: its comments and splices too
-_REST_OF_LINE_RE = re.compile(r"(?://[^\n]*|/\*[\s\S]*?\*/|\\\n|[^\n])*")
+_REST_OF_LINE_RE = re.compile(r"(?://[^\n]*|/\*[\s\S]*?\*/|\\\r?\n|[^\n])*")
 
 
 def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
@@ -458,15 +458,18 @@ def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
     if any(text[k + 1:k + 2] == [f'"{header}"'] and flags[k + 1] == 1
            for k in includes):
         return 0, ""
-    if not includes:
-        return 0, f'#include "{header}"\n\n'
+    if not includes:   # the added lines end as the first line ends
+        eol = "\r\n" if source.partition("\n")[0].endswith("\r") else "\n"
+        return 0, f'#include "{header}"{eol}{eol}'
     end = includes[-1] + 1   # then past the directive's last token
     while end < len(text) and flags[end] == 1:
         end += 1
     last = tokens.start[end - 1] + len(text[end - 1])
     # a line of its own after the directive's, which keeps its comments
-    return (_REST_OF_LINE_RE.match(source, last).end(),
-            f'\n#include "{header}"')
+    # and its line break: a CR LF one goes on before the added line
+    at = _REST_OF_LINE_RE.match(source, last).end()
+    crlf = source.startswith("\r\n", at - 1)
+    return at - crlf, ("\r\n" if crlf else "\n") + f'#include "{header}"'
 
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:

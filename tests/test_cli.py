@@ -1065,6 +1065,122 @@ class TestTargetsThatAreNotPlainFiles:
             ["ci_f.h", "f.vhd", "report.json"]
 
 
+def _file_ids(directory: Path, names) -> dict[str, tuple[int, int, int]]:
+    """Each named file's inode, mode and mtime in nanoseconds."""
+    return {name: (info.st_ino, info.st_mode, info.st_mtime_ns)
+            for name in names for info in [os.stat(directory / name)]}
+
+
+def _record_opens(monkeypatch) -> list[str]:
+    """The modes of every file cli opens from now on."""
+    modes = []
+
+    def recording(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording, raising=False)
+    return modes
+
+
+class TestUnchangedTargets:
+    """A plain target that already holds the bytes a command would write is
+    left untouched: no temporary file, the same inode, mode and mtime.  One
+    that differs, even in bytes alone, is replaced as before.  spec_file
+    holds the text of tests/golden/f.ci."""
+
+    ARTIFACTS = ("f.vhd", "ci_f.h", "report.json")
+
+    def _all_replaced(self, out: Path, before: dict) -> None:
+        after = _file_ids(out, self.ARTIFACTS)
+        for name in self.ARTIFACTS:
+            assert after[name][0] != before[name][0]
+            assert (out / name).read_bytes() == \
+                (GOLDEN_DIR / name).read_bytes()
+
+    def test_rebuild_into_the_same_out_touches_nothing(
+            self, tmp_path, capsys, monkeypatch, spec_file):
+        out = tmp_path / "out"
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        before = _file_ids(out, self.ARTIFACTS)
+        modes = _record_opens(monkeypatch)
+        code, stdout, _ = _run(capsys, "build", spec_file, "-o", out)
+        assert code == 0
+        assert stdout.endswith(f"[5/5] write: {out / 'f.vhd'} "
+                               f"{out / 'ci_f.h'} {out / 'report.json'}\n")
+        assert _file_ids(out, self.ARTIFACTS) == before
+        assert not [mode for mode in modes if "x" in mode or "w" in mode]
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
+
+    def test_expression_edit_replaces_only_what_changed(self, tmp_path, capsys,
+                                                        spec_file):
+        out = tmp_path / "out"
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        before = _file_ids(out, self.ARTIFACTS)
+        spec_file.write_text(MAC_TEXT.replace("(a * b) + c", "(a * b) - c"))
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        after = _file_ids(out, self.ARTIFACTS)
+        assert after["f.vhd"][0] != before["f.vhd"][0]
+        # subtracting needs the same ADD_SUB unit, so the report is the same
+        assert after["ci_f.h"] == before["ci_f.h"]
+        assert after["report.json"] == before["report.json"]
+        fresh = tmp_path / "fresh"
+        assert _run(capsys, "build", spec_file, "-o", fresh)[0] == 0
+        assert _snapshot(out) == _snapshot(fresh)
+        assert (fresh / "f.vhd").read_bytes() != \
+            (GOLDEN_DIR / "f.vhd").read_bytes()
+
+    @pytest.mark.parametrize("head", ["", "/* café, naïve */\n"],
+                             ids=["fixture", "not-ascii"])
+    def test_second_patch_touches_nothing(self, tmp_path, capsys,
+                                          monkeypatch, spec_file, head):
+        source = tmp_path / "prog.c"
+        source.write_text(head + (GOLDEN_DIR / "fixture.c").read_text())
+        assert _run(capsys, "patch", spec_file, source)[0] == 0
+        written = ("ci_f.h", "prog.ci.c")
+        before = _file_ids(tmp_path, written)
+        modes = _record_opens(monkeypatch)
+        code, stdout, _ = _run(capsys, "patch", spec_file, source)
+        assert code == 0
+        assert stdout.endswith(f"wrote {tmp_path / 'prog.ci.c'}\n")
+        assert _file_ids(tmp_path, written) == before
+        assert not [mode for mode in modes if "x" in mode or "w" in mode]
+        assert (tmp_path / "prog.ci.c").read_text() == \
+            head + (GOLDEN_DIR / "fixture_patched.c").read_text()
+
+    @pytest.mark.parametrize("other", [
+        lambda golden: golden.swapcase(),
+        lambda golden: b"\xff" * len(golden),   # not UTF-8
+    ], ids=["other-bytes", "not-utf8"])
+    def test_same_size_other_bytes_are_replaced(self, tmp_path, capsys,
+                                                spec_file, other):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in self.ARTIFACTS:
+            old = other((GOLDEN_DIR / name).read_bytes())
+            assert len(old) == os.path.getsize(GOLDEN_DIR / name)
+            (out / name).write_bytes(old)
+        before = _file_ids(out, self.ARTIFACTS)
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        self._all_replaced(out, before)
+
+    def test_unreadable_old_artifact_is_replaced(self, tmp_path, capsys,
+                                                monkeypatch, spec_file):
+        out = tmp_path / "out"
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        before = _file_ids(out, self.ARTIFACTS)
+
+        def refuse_reads(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                raise PermissionError(errno.EACCES, "Permission denied",
+                                      str(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse_reads, raising=False)
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        self._all_replaced(out, before)
+
+
 @pytest.fixture
 def odd_thresholds():
     """Collection thresholds no command sets, restored after the test."""

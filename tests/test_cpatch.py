@@ -97,6 +97,15 @@ class TestLexer:
         with pytest.raises(LexError, match="stray character '@' on line 4"):
             lex_c('s = "a\\\nb"; c = \'\\\n\';\n@')
 
+    def test_splices_may_end_in_cr_lf(self):
+        # gcc splices a backslash and CR LF as it does a backslash and LF
+        tokens = lex_c("#define A (1 + \\\r\n 2)\r\n")
+        assert tokens.text == ["#", "define", "A", "(", "1", "+", "2", ")"]
+        assert list(tokens.in_directive) == [2] + [1] * 7
+        tokens = lex_c('s = "ab\\\r\ncd";\r\n')
+        assert tokens.text == ["s", "=", '"ab\\\r\ncd"', ";"]
+        assert tokens.kind[2] is TokKind.STRING
+
     @pytest.mark.parametrize("bad", [
         '"never closed\n',
         "'a\n",
@@ -316,6 +325,8 @@ class TestSameAsTheReference:
     @example("x = a * (a * ((b)));", "a * b")
     @example("x = ((a + b));", "a + b")
     @example('s = "a\\\n#"\n;\n#define X 1\na * b;\n', "a * b")
+    @example("#define A (1 + \\\r\n 2)\r\nx = a * b;\r\n", "a * b")
+    @example('s = "ab\\\r\ncd";\r\nx = a + b;\r\n', "a + b")
     def test_tokens_and_sites(self, source, expr):
         try:
             expected_tokens = reference_lex_c(source)
@@ -344,8 +355,9 @@ _WIDE_PIECES = [
     "// a comment", "//", "/* a block */", "/* across\nlines */", "/**/",
     "/*/ x */",
     "'q'", "'\\n'", "'\\''", "'\\\\'", '"s"', '""', '"a\\"b"', '"x\\\ny"',
-    "'\\\n'",
+    "'\\\n'", '"x\\\r\ny"', "'\\\r\n'",
     " ", "\t", "\r", "\f", "\v", "\n", "\r\n", "\\\n", " \\\n\t",
+    "\\\r\n",
 ]
 _WIDE_FAULTS = ["\\", "@", "$", "`", "é", "٣", '"', "'", "/*"]
 _WIDE_DIRECTIVES = st.builds(
@@ -373,6 +385,8 @@ class TestSameAsTheNamedGroupLexer:
     @example("#define M(x) x * \\\n  2\nint y = .5 + 0x1F; /* open")
     @example("a\\ b")
     @example("x = 1.5e+3 ... -> <<= ## \t\r\f\v $")
+    @example("#define A (1 + \\\r\n 2)\r\n")
+    @example('s = "ab\\\r\ncd";\r\n@')
     def test_same_columns_and_errors(self, source):
         try:
             expected = named_group_lex_c(source)
@@ -538,6 +552,18 @@ class TestRewrite:
         plan = rewrite(src, MAC, MAC_MAPPED)
         assert plan.output.endswith('#include <a.h>\n#include "ci_f.h"')
 
+    def test_added_include_ends_as_the_line_before_it(self):
+        body = "int f(int a, int b, int c) { return (a * b) + c; }\r\n"
+        plan = rewrite('#include "m.h" // m\r\n' + body, MAC, MAC_MAPPED)
+        assert plan.output == ('#include "m.h" // m\r\n#include "ci_f.h"\r\n'
+                               + body.replace("(a * b) + c", "CI_F(a, b, c)"))
+
+    def test_include_at_the_top_ends_as_the_first_line(self):
+        body = "int f(int a, int b, int c) { return (a * b) + c; }\r\n\n"
+        plan = rewrite(body, MAC, MAC_MAPPED)
+        assert plan.output == ('#include "ci_f.h"\r\n\r\n'
+                               + body.replace("(a * b) + c", "CI_F(a, b, c)"))
+
     def test_every_repeated_statement_is_replaced(self):
         src = ("int g(int a, int b, int c) {\n"
                "  int x = (a * b) + c;\n"
@@ -580,7 +606,8 @@ class TestRewriteProperties:
 # --- the references: lex_c and find_call_sites as they were before the
 # matcher was made linear, and lex_c as it was before it returned columns,
 # kept verbatim (renamed) but for how they flag directive lines, which
-# _flag_directives does for both; and spec_match_tree, the tree builder
+# _flag_directives does for both, and for splices ending in CR LF, which
+# they accept as lex_c does; and spec_match_tree, the tree builder
 # find_call_sites used before it matched the DFG itself -----------------------
 
 @dataclass(frozen=True, slots=True)
@@ -593,7 +620,7 @@ class CToken:
     in_directive: int = 0
 
 
-_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\n|[^\n])*")
+_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\r?\n|[^\n])*")
 
 
 def _flag_directives(source: str, tokens: list[CToken],
@@ -628,8 +655,8 @@ def reference_lex_c(source: str) -> list[CToken]:
         j = i + 1
         while j < n:
             c = source[j]
-            if c == "\\":
-                j += 2
+            if c == "\\":   # an escape, or a splice that may end in CR LF
+                j += 3 if source.startswith("\\\r\n", j) else 2
                 continue
             if c == quote:
                 return j + 1
@@ -647,9 +674,9 @@ def reference_lex_c(source: str) -> list[CToken]:
         if c in " \t\r\f\v":
             i += 1
             continue
-        if source.startswith("\\\n", i):
+        if source.startswith(("\\\n", "\\\r\n"), i):
             line += 1
-            i += 2
+            i = source.index("\n", i) + 1
             continue
         if source.startswith("//", i):
             nl = source.find("\n", i)
@@ -857,10 +884,10 @@ def reference_find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
 # the line count; "unterminated" is an opening quote or comment that the
 # complete forms before it could not close.
 _NAMED_TOKEN_RE = re.compile("|".join([
-    r"(?P<skip>(?:[ \t\r\f\v\n]|\\\n)+)",
+    r"(?P<skip>(?:[ \t\r\f\v\n]|\\\r?\n)+)",
     r"(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)",
-    r'(?P<STRING>"(?:\\[\s\S]|[^"\\\n])*")',
-    r"(?P<CHAR>'(?:\\[\s\S]|[^'\\\n])*')",
+    r'(?P<STRING>"(?:\\\r\n|\\[\s\S]|[^"\\\n])*")',
+    r"(?P<CHAR>'(?:\\\r\n|\\[\s\S]|[^'\\\n])*')",
     r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
     r"(?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)",
     r"(?P<unterminated>/\*|[\"'])",
