@@ -5,8 +5,9 @@ artifacts, simulate runs one invocation cycle by cycle, patch rewrites a C
 source to call the instruction, and report prints the latency and energy
 estimates.  Exit codes: 0 on success, 1 for user errors (bad arguments,
 unparsable specs or configs, unreadable or unwritable files, failed
-matches), 2 when an internal consistency check caught a bad design before
-it reached disk.
+matches, no memory left), 2 when an internal consistency check caught a
+bad design before it reached disk.  A command builds only its subcommand's
+parser; help, usage and unknown-argument texts come from the full parser.
 
 While a command runs, CollectionPolicy raises the young generation's
 collection threshold: its records die by reference count, unwalked by the
@@ -45,6 +46,8 @@ from .sim import Stimulus, check_equivalence, simulate_ci
 # The most vectors build checks, so a count typed by mistake cannot run
 # without end.
 MAX_VECTORS = 1 << 20
+
+_COMMANDS = ("build", "simulate", "patch", "report")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,53 +335,58 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cigen parser with every subcommand, or only the one named."""
     parser = _Parser(prog="cigen",
                      description="Compile dataflow arithmetic specs into "
                                  "custom-instruction VHDL with a checked "
                                  "simulation model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="compile a spec into artifacts")
-    p_build.add_argument("spec", help="path to the .ci spec")
-    p_build.add_argument("-o", "--out", required=True, help="output directory")
-    p_build.add_argument("--vectors", type=int, default=256,
-                         help="random vectors for the pre-write check "
-                              f"(1 to {MAX_VECTORS})")
-    p_build.add_argument("--seed", type=int, default=0)
-    p_build.add_argument("--config", help="JSON config (intrinsic, costs, power)")
-    p_build.set_defaults(func=_cmd_build)
+    if command in (None, "build"):
+        p_build = sub.add_parser("build", help="compile a spec into artifacts")
+        p_build.add_argument("spec", help="path to the .ci spec")
+        p_build.add_argument("-o", "--out", required=True, help="output directory")
+        p_build.add_argument("--vectors", type=int, default=256,
+                             help="random vectors for the pre-write check "
+                                  f"(1 to {MAX_VECTORS})")
+        p_build.add_argument("--seed", type=int, default=0)
+        p_build.add_argument("--config", help="JSON config (intrinsic, costs, power)")
+        p_build.set_defaults(func=_cmd_build)
 
-    p_sim = sub.add_parser("simulate", help="run one invocation cycle by cycle")
-    p_sim.add_argument("spec")
-    p_sim.add_argument("--inputs", required=True,
-                       help="comma separated name=value pairs")
-    p_sim.add_argument("--trace", help="write a JSONL trace here")
-    p_sim.add_argument("--clk-en-gaps", help="cycles with clk_en low, e.g. 2,3")
-    p_sim.add_argument("--reset-at", help="cycles with reset high")
-    p_sim.add_argument("--start-cycle", type=int, default=0)
-    p_sim.set_defaults(func=_cmd_simulate)
+    if command in (None, "simulate"):
+        p_sim = sub.add_parser("simulate", help="run one invocation cycle by cycle")
+        p_sim.add_argument("spec")
+        p_sim.add_argument("--inputs", required=True,
+                           help="comma separated name=value pairs")
+        p_sim.add_argument("--trace", help="write a JSONL trace here")
+        p_sim.add_argument("--clk-en-gaps", help="cycles with clk_en low, e.g. 2,3")
+        p_sim.add_argument("--reset-at", help="cycles with reset high")
+        p_sim.add_argument("--start-cycle", type=int, default=0)
+        p_sim.set_defaults(func=_cmd_simulate)
 
-    p_patch = sub.add_parser("patch", help="rewrite a C source to call the CI")
-    p_patch.add_argument("spec")
-    p_patch.add_argument("source", help="C file to patch")
-    p_patch.add_argument("--in-place", action="store_true",
-                         help="rewrite the file itself instead of writing "
-                              "a .ci.c copy beside it")
-    p_patch.add_argument("--header-dir",
-                         help="where to write the header (default: beside the source)")
-    p_patch.add_argument("--config", help="JSON config (intrinsic spelling)")
-    p_patch.set_defaults(func=_cmd_patch)
+    if command in (None, "patch"):
+        p_patch = sub.add_parser("patch", help="rewrite a C source to call the CI")
+        p_patch.add_argument("spec")
+        p_patch.add_argument("source", help="C file to patch")
+        p_patch.add_argument("--in-place", action="store_true",
+                             help="rewrite the file itself instead of writing "
+                                  "a .ci.c copy beside it")
+        p_patch.add_argument("--header-dir", help="where to write the header "
+                                                  "(default: beside the source)")
+        p_patch.add_argument("--config", help="JSON config (intrinsic spelling)")
+        p_patch.set_defaults(func=_cmd_patch)
 
-    p_report = sub.add_parser("report", help="print latency and energy estimates")
-    p_report.add_argument("spec")
-    p_report.add_argument("--power", dest="power_mw", type=float, metavar="MW",
-                          help="average power in milliwatts")
-    p_report.add_argument("--time", dest="time_ms", type=float, metavar="MS",
-                          help="runtime in milliseconds")
-    p_report.add_argument("--json", action="store_true")
-    p_report.add_argument("--config", help="JSON config (costs, power, time)")
-    p_report.set_defaults(func=_cmd_report)
+    if command in (None, "report"):
+        p_report = sub.add_parser("report", help="print latency and energy estimates")
+        p_report.add_argument("spec")
+        p_report.add_argument("--power", dest="power_mw", type=float, metavar="MW",
+                              help="average power in milliwatts")
+        p_report.add_argument("--time", dest="time_ms", type=float, metavar="MS",
+                              help="runtime in milliseconds")
+        p_report.add_argument("--json", action="store_true")
+        p_report.add_argument("--config", help="JSON config (costs, power, time)")
+        p_report.set_defaults(func=_cmd_report)
     return parser
 
 
@@ -394,12 +402,19 @@ class CollectionPolicy:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     with CollectionPolicy():
-        args = build_parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args, extra = build_parser(command).parse_known_args(argv)
+        if extra:
+            build_parser().parse_args(argv)   # exits with the full usage line
         try:
             return args.func(args)
         except (CigenError, OSError) as exc:
             print(f"cigen: error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:   # _write_all has rolled back what it wrote
+            print("cigen: error: out of memory; no files written", file=sys.stderr)
             return 1
         except InternalCheckError as exc:
             # every command checks before it writes

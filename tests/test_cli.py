@@ -184,6 +184,16 @@ class TestFailClosed:
         assert not out.exists()
         return stderr
 
+    def test_out_of_memory_writes_nothing(self, tmp_path, capsys,
+                                          monkeypatch, spec_file):
+        def random_vectors(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "random_vectors", random_vectors)
+        out = tmp_path / "out"
+        stderr = self._refused(capsys, ["build", spec_file, "-o", out], out)
+        assert stderr.startswith("cigen: error: out of memory")
+
     def test_invalid_cost_writes_nothing(self, tmp_path, capsys, spec_file):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"costs": {"mul": 0}}))
@@ -1316,6 +1326,29 @@ class TestAnyInputBytes:
                 assert _snapshot(Path(tmp)) == before
 
 
+# Every text argparse prints, by golden file name; the file holds the
+# stream that is not empty (stdout for help, exit 0; stderr, exit 1).  A
+# command parsed by its own subparser alone must still print the full
+# parser's texts.  argparse's layout differs between Python versions: these
+# are 3.11's, at 80 columns.
+CLI_TEXTS = {
+    "help": ["-h"],
+    "no_command": [],
+    "unknown_command": ["frobnicate"],
+    "build_help": ["build", "-h"],
+    "simulate_help": ["simulate", "-h"],
+    "patch_help": ["patch", "-h"],
+    "report_help": ["report", "-h"],
+    "build_missing_out": ["build", "f.ci"],
+    "simulate_missing_inputs": ["simulate", "f.ci"],
+    "patch_missing_source": ["patch", "f.ci"],
+    "report_missing_spec": ["report"],
+    "build_bad_vectors": ["build", "f.ci", "-o", "out", "--vectors", "abc"],
+    "build_unrecognized": ["build", "f.ci", "-o", "out", "--bogus"],
+    "report_unrecognized": ["report", "f.ci", "extra"],
+}
+
+
 class TestParser:
     def test_unknown_subcommand_exits_one(self):
         with pytest.raises(SystemExit) as info:
@@ -1326,3 +1359,40 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             cli.main([])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("name", list(CLI_TEXTS))
+    def test_texts_match_goldens(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            cli.main(CLI_TEXTS[name])
+        code = info.value.code
+        assert code == (0 if name.endswith("help") else 1)
+        golden = (GOLDEN_DIR / "cli" /
+                  f"{name}.{'stderr' if code else 'stdout'}").read_text()
+        assert capsys.readouterr() == (("", golden) if code else (golden, ""))
+
+    def test_a_command_builds_only_its_own_subparser(self, tmp_path, capsys,
+                                                     monkeypatch, spec_file):
+        made = []
+        init = cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert _run(capsys, "build", spec_file, "-o", tmp_path / "out")[0] == 0
+        assert made == ["cigen", "cigen build"]
+
+    def test_a_command_leaves_few_objects_in_cycles(self, capsys, spec_file):
+        # the four-command parser left 231 objects in cycles per command
+        calls = 20
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(calls):
+                assert _run(capsys, "report", spec_file)[0] == 0
+            cyclic = gc.collect()
+        finally:
+            gc.enable()
+        assert cyclic <= 100 * calls
