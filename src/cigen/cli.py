@@ -6,8 +6,8 @@ source to call the instruction, and report prints the latency and energy
 estimates.  Exit codes: 0 on success, 1 for user errors (bad arguments,
 unparsable specs or configs, unreadable or unwritable files, failed
 matches, no memory left), 2 when an internal consistency check caught a
-bad design before it reached disk.  A command builds only its subcommand's
-parser; help, usage and unknown-argument texts come from the full parser.
+bad design before it reached disk.  A command builds its own parser alone;
+help, usage and unknown-argument texts come from the full parser.
 
 While a command runs, CollectionPolicy raises the young generation's
 collection threshold: its records die by reference count, unwalked by the
@@ -47,7 +47,12 @@ from .sim import Stimulus, check_equivalence, simulate_ci
 # without end.
 MAX_VECTORS = 1 << 20
 
-_COMMANDS = ("build", "simulate", "patch", "report")
+_COMMANDS = {
+    "build": "compile a spec into artifacts",
+    "simulate": "run one invocation cycle by cycle",
+    "patch": "rewrite a C source to call the CI",
+    "report": "print latency and energy estimates",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,58 +340,56 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The cigen parser with every subcommand, or only the one named."""
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add command's arguments to its parser, standalone or a subparser."""
+    if command == "build":
+        parser.add_argument("spec", help="path to the .ci spec")
+        parser.add_argument("-o", "--out", required=True, help="output directory")
+        parser.add_argument("--vectors", type=int, default=256,
+                            help="random vectors for the pre-write check "
+                                 f"(1 to {MAX_VECTORS})")
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--config", help="JSON config (intrinsic, costs, power)")
+        parser.set_defaults(func=_cmd_build)
+    elif command == "simulate":
+        parser.add_argument("spec")
+        parser.add_argument("--inputs", required=True,
+                            help="comma separated name=value pairs")
+        parser.add_argument("--trace", help="write a JSONL trace here")
+        parser.add_argument("--clk-en-gaps", help="cycles with clk_en low, e.g. 2,3")
+        parser.add_argument("--reset-at", help="cycles with reset high")
+        parser.add_argument("--start-cycle", type=int, default=0)
+        parser.set_defaults(func=_cmd_simulate)
+    elif command == "patch":
+        parser.add_argument("spec")
+        parser.add_argument("source", help="C file to patch")
+        parser.add_argument("--in-place", action="store_true",
+                            help="rewrite the file itself instead of writing "
+                                 "a .ci.c copy beside it")
+        parser.add_argument("--header-dir", help="where to write the header "
+                                                 "(default: beside the source)")
+        parser.add_argument("--config", help="JSON config (intrinsic spelling)")
+        parser.set_defaults(func=_cmd_patch)
+    else:   # report
+        parser.add_argument("spec")
+        parser.add_argument("--power", dest="power_mw", type=float, metavar="MW",
+                            help="average power in milliwatts")
+        parser.add_argument("--time", dest="time_ms", type=float, metavar="MS",
+                            help="runtime in milliseconds")
+        parser.add_argument("--json", action="store_true")
+        parser.add_argument("--config", help="JSON config (costs, power, time)")
+        parser.set_defaults(func=_cmd_report)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The cigen parser with every subcommand."""
     parser = _Parser(prog="cigen",
                      description="Compile dataflow arithmetic specs into "
                                  "custom-instruction VHDL with a checked "
                                  "simulation model.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if command in (None, "build"):
-        p_build = sub.add_parser("build", help="compile a spec into artifacts")
-        p_build.add_argument("spec", help="path to the .ci spec")
-        p_build.add_argument("-o", "--out", required=True, help="output directory")
-        p_build.add_argument("--vectors", type=int, default=256,
-                             help="random vectors for the pre-write check "
-                                  f"(1 to {MAX_VECTORS})")
-        p_build.add_argument("--seed", type=int, default=0)
-        p_build.add_argument("--config", help="JSON config (intrinsic, costs, power)")
-        p_build.set_defaults(func=_cmd_build)
-
-    if command in (None, "simulate"):
-        p_sim = sub.add_parser("simulate", help="run one invocation cycle by cycle")
-        p_sim.add_argument("spec")
-        p_sim.add_argument("--inputs", required=True,
-                           help="comma separated name=value pairs")
-        p_sim.add_argument("--trace", help="write a JSONL trace here")
-        p_sim.add_argument("--clk-en-gaps", help="cycles with clk_en low, e.g. 2,3")
-        p_sim.add_argument("--reset-at", help="cycles with reset high")
-        p_sim.add_argument("--start-cycle", type=int, default=0)
-        p_sim.set_defaults(func=_cmd_simulate)
-
-    if command in (None, "patch"):
-        p_patch = sub.add_parser("patch", help="rewrite a C source to call the CI")
-        p_patch.add_argument("spec")
-        p_patch.add_argument("source", help="C file to patch")
-        p_patch.add_argument("--in-place", action="store_true",
-                             help="rewrite the file itself instead of writing "
-                                  "a .ci.c copy beside it")
-        p_patch.add_argument("--header-dir", help="where to write the header "
-                                                  "(default: beside the source)")
-        p_patch.add_argument("--config", help="JSON config (intrinsic spelling)")
-        p_patch.set_defaults(func=_cmd_patch)
-
-    if command in (None, "report"):
-        p_report = sub.add_parser("report", help="print latency and energy estimates")
-        p_report.add_argument("spec")
-        p_report.add_argument("--power", dest="power_mw", type=float, metavar="MW",
-                              help="average power in milliwatts")
-        p_report.add_argument("--time", dest="time_ms", type=float, metavar="MS",
-                              help="runtime in milliseconds")
-        p_report.add_argument("--json", action="store_true")
-        p_report.add_argument("--config", help="JSON config (costs, power, time)")
-        p_report.set_defaults(func=_cmd_report)
+    for command, summary in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=summary), command)
     return parser
 
 
@@ -404,10 +407,14 @@ class CollectionPolicy:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     with CollectionPolicy():
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args, extra = build_parser(command).parse_known_args(argv)
-        if extra:
-            build_parser().parse_args(argv)   # exits with the full usage line
+        if argv and argv[0] in _COMMANDS:
+            parser = _Parser(prog=f"cigen {argv[0]}")
+            _add_arguments(parser, argv[0])
+            args, extra = parser.parse_known_args(argv[1:])
+            if extra:
+                build_parser().parse_args(argv)   # exits with the full usage line
+        else:   # help, usage, no command or an unknown one
+            args = build_parser().parse_args(argv)
         try:
             return args.func(args)
         except (CigenError, OSError) as exc:

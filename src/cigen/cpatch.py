@@ -1,10 +1,9 @@
 """Patch C sources to call the generated custom instruction.
 
-The matcher works on tokens, not text.  The lexer splits the source with
-one regular expression whose matches tile it, classifies each match by its
-first character and returns the tokens as parallel lists (kind, text,
-offset), plus one flag per token that marks the tokens of preprocessor
-directives and the '#' opening each.
+The matcher works on tokens, not text.  The lexer splices lines first, as
+C's translation phase 2 does, then tiles the spliced text with one regular
+expression and classifies each match by its first character; the tokens
+keep their spliced texts at the original source's offsets.
 A candidate starts only at a token that can open the instruction's
 expression: an identifier equal to its leftmost leaf, or an opening
 parenthesis.  From there it parses the longest expression the
@@ -13,10 +12,7 @@ binary operators with C precedence) and compares the parse tree, plus every
 prefix of its left spine, against the instruction's dataflow graph.  All
 candidates of one file share one memo, so each subexpression is parsed
 once, and a parse stops once its tree has more leaves than the target, so
-matching is linear in the number of tokens.  Candidates run from the last
-token to the first; every opening parenthesis is one, so a parse that
-reaches a group finds its contents already in the memo, and the parser
-recurses no deeper than the operator precedence levels at any nesting.
+matching is linear in the number of tokens (see _Matcher for the order).
 A hit is then screened by context guards so the replacement keeps the
 parse of the surrounding expression:
 
@@ -45,7 +41,7 @@ import enum
 import re
 import string
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -95,29 +91,34 @@ class CTokens(NamedTuple):
     """The tokens of one C source, one list per field: token k is kind[k]
     with text[k] at offset start[k], and in_directive[k] is 2 when it is
     the '#' that opens a preprocessor directive, 1 when it lies on the rest
-    of one, else 0.  Token k ends at start[k] + len(text[k]).  Its len()
-    is the token count, not the field count."""
+    of one, else 0.  Token k ends at end(k), ends[k] when a splice was cut
+    from a text.  Its len() is the token count, not the field count."""
     kind: list[TokKind]
     text: list[str]
     start: list[int]
     in_directive: bytearray
+    ends: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.text)
 
+    def end(self, k: int) -> int:
+        return self.ends[k] if self.ends else self.start[k] + len(self.text[k])
 
-_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\r?\n|[^\n])*")
+
+_SPLICE_RE = re.compile(r"(\\\r?\n)")
+_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[^\n]*")
 
 # One alternative per token class, tried in this order at each position, and
-# a catch-all for a stray character, so the matches tile the source: white
-# space (and backslash-newlines), a comment, a string or character literal,
-# an identifier, a number, an opening quote or comment that the complete
-# forms before it could not close, a punctuator.
+# a catch-all for a stray character, so the matches tile the spliced source:
+# white space, a comment, a string or character literal, an identifier, a
+# number, an opening quote or comment that the complete forms before it
+# could not close, a punctuator.
 _TOKEN_RE = re.compile("|".join([
-    r"(?:[ \t\r\f\v\n]|\\\r?\n)+",
+    r"[ \t\r\f\v\n]+",
     r"//[^\n]*|/\*[\s\S]*?\*/",
-    r'"(?:\\\r\n|\\[\s\S]|[^"\\\n])*"',
-    r"'(?:\\\r\n|\\[\s\S]|[^'\\\n])*'",
+    r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"',
+    r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'",
     r"[A-Za-z_][A-Za-z0-9_]*",
     r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*",
     r"/\*|[\"']",
@@ -137,43 +138,51 @@ _FIRST_CHAR: dict[str, object] = {
     **dict.fromkeys(string.ascii_letters + "_", TokKind.IDENT),
     **dict.fromkeys(string.digits, TokKind.NUMBER),
     **dict.fromkeys("".join(_PUNCTS), TokKind.PUNCT),
-    **dict.fromkeys("/\"'.\\", _LOOK),
+    **dict.fromkeys("/\"'.", _LOOK),
 }
 
 
-def _look_closer(text: str, source: str, offset: int):
-    """The kind of a _LOOK match at offset, or _SPACE for a comment or a
-    backslash-newline; raises LexError for an unterminated or stray one."""
+def _look_closer(text: str, source: str, offset: int, at):
+    """The kind of a _LOOK match at offset, source's at(offset), or _SPACE
+    for a comment; raises LexError for an unterminated or stray one."""
     first = text[0]
     if text in _UNTERMINATED:
         problem = f"unterminated {_UNTERMINATED[text]}"
     elif first == "/":
         return _SPACE if text[1:2] in ("/", "*") else TokKind.PUNCT
-    elif first == '"':
-        return TokKind.STRING
-    elif first == "'":
-        return TokKind.CHAR
+    elif first in "\"'":
+        return TokKind.STRING if first == '"' else TokKind.CHAR
     elif first == ".":
         return TokKind.PUNCT if text in (".", "...") else TokKind.NUMBER
-    elif first == "\\" and len(text) > 1:
-        return _SPACE
     else:
         problem = f"stray character {first!r}"
-    line = source.count("\n", 0, offset) + 1
+    line = source.count("\n", 0, at(offset)) + 1
     raise LexError(f"{problem} on line {line}")
 
 
+def _splice(source: str):
+    """source spliced as C's phase 2 does, and a map back to its offsets."""
+    pieces = _SPLICE_RE.split(source)   # text, splice, text, ..., text
+    if len(pieces) == 1:
+        return source, int   # the identity: no map
+    cuts = list(accumulate(map(len, pieces[:-1:2])))
+    shifts = list(accumulate(map(len, pieces[1::2]), initial=0))
+    return "".join(pieces[::2]), lambda at: at + shifts[bisect_right(cuts, at)]
+
+
 def lex_c(source: str) -> CTokens:
-    """Tokenize C source, dropping comments but keeping offsets."""
-    parts = _TOKEN_RE.findall(source)
+    """Tokenize C source, dropping comments, once its lines are spliced as
+    C splices them: texts are spliced, offsets and error lines source's."""
+    spliced, at = _splice(source)
+    parts = _TOKEN_RE.findall(spliced)
     offsets = list(accumulate(map(len, parts), initial=0))
     kinds = list(map(_FIRST_CHAR.get, map(itemgetter(0), parts), repeat(_LOOK)))
     # directives are found as C finds them, once each comment is white
     # space: here spaces of the comment's length, so offsets hold
     uncommented = parts.copy()
     for k in [k for k, kind in enumerate(kinds) if kind is _LOOK]:
-        kinds[k] = _look_closer(parts[k], source, offsets[k])
-        if kinds[k] is _SPACE and parts[k][0] == "/":
+        kinds[k] = _look_closer(parts[k], source, offsets[k], at)
+        if kinds[k] is _SPACE:
             uncommented[k] = " " * len(parts[k])
     start = list(compress(offsets, kinds))   # the tokens' entries
     in_directive = bytearray(len(start))
@@ -182,8 +191,11 @@ def lex_c(source: str) -> CTokens:
         hi = bisect_left(start, m.end(), lo)
         if hi > lo:   # none when the line holds the end of a literal only
             in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
-    return CTokens(list(filter(None, kinds)), list(compress(parts, kinds)),
-                   start, in_directive)
+    text, ends = list(compress(parts, kinds)), None
+    if at is not int:
+        ends = [at(s + len(t) - 1) + 1 for s, t in zip(start, text)]
+        start = list(map(at, start))
+    return CTokens(list(filter(None, kinds)), text, start, in_directive, ends)
 
 
 # --- expression matching ----------------------------------------------------
@@ -363,12 +375,9 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
             if directives_before[j] != directives_before[i]:
                 continue
             whole_paren = text[i] == "(" and j == spine[0][1]
-            if not _left_context_ok(kind, text, i, prec, whole_paren):
-                continue
-            if not _right_context_ok(kind, text, j, prec, whole_paren):
-                continue
-            raw.append((tokens.start[i],
-                        tokens.start[j - 1] + len(text[j - 1])))
+            if _left_context_ok(kind, text, i, prec, whole_paren) and \
+                    _right_context_ok(kind, text, j, prec, whole_paren):
+                raw.append((tokens.start[i], tokens.end(j - 1)))
     sites: list[PatchSite] = []
     last_end = -1
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
@@ -443,8 +452,8 @@ class PatchPlan(NamedTuple):
     output: str
 
 
-# the rest of a directive's logical line: its comments and splices too
-_REST_OF_LINE_RE = re.compile(r"(?://[^\n]*|/\*[\s\S]*?\*/|\\\r?\n|[^\n])*")
+# the rest of a directive's spliced line: its comments too
+_REST_OF_LINE_RE = re.compile(r"(?://[^\n]*|/\*[\s\S]*?\*/|[^\n])*")
 
 
 def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
@@ -464,12 +473,13 @@ def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
     end = includes[-1] + 1   # then past the directive's last token
     while end < len(text) and flags[end] == 1:
         end += 1
-    last = tokens.start[end - 1] + len(text[end - 1])
-    # a line of its own after the directive's, which keeps its comments
-    # and its line break: a CR LF one goes on before the added line
-    at = _REST_OF_LINE_RE.match(source, last).end()
-    crlf = source.startswith("\r\n", at - 1)
-    return at - crlf, ("\r\n" if crlf else "\n") + f'#include "{header}"'
+    last = tokens.end(end - 1)
+    # a line of its own after the directive's spliced one, which keeps its
+    # comments and its line break: a CR LF one goes on before the added line
+    rest, at = _splice(source[last:])
+    eol = _REST_OF_LINE_RE.match(rest).end()
+    newline = "\r\n" if rest.startswith("\r\n", eol - 1) else "\n"
+    return last + at(eol + 1 - len(newline)), newline + f'#include "{header}"'
 
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:

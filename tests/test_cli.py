@@ -1382,7 +1382,7 @@ class TestParser:
 
         monkeypatch.setattr(cli._Parser, "__init__", counted)
         assert _run(capsys, "build", spec_file, "-o", tmp_path / "out")[0] == 0
-        assert made == ["cigen", "cigen build"]
+        assert made == ["cigen build"]
 
     def test_a_command_leaves_few_objects_in_cycles(self, capsys, spec_file):
         # the four-command parser left 231 objects in cycles per command

@@ -3,6 +3,8 @@
 import dataclasses
 import random
 import re
+import shutil
+import subprocess
 from dataclasses import dataclass
 
 import pytest
@@ -46,16 +48,16 @@ def _sites(source: str) -> list[str]:
 
 
 def _columns(tokens) -> tuple[list, ...]:
-    """kind, text, start and in_directive as lists, from lex_c's columns
-    or from a reference's CToken list."""
+    """kind, text, start, end and in_directive as lists, from lex_c's
+    columns or from a reference's CToken list."""
     if isinstance(tokens, CTokens):
         columns = (tokens.kind, tokens.text, tokens.start,
+                   list(map(tokens.end, range(len(tokens)))),
                    list(tokens.in_directive))
         assert {len(column) for column in columns} == {len(tokens)}
         return columns
-    assert all(tok.end == tok.start + len(tok.text) for tok in tokens)
     return ([tok.kind for tok in tokens], [tok.text for tok in tokens],
-            [tok.start for tok in tokens],
+            [tok.start for tok in tokens], [tok.end for tok in tokens],
             [tok.in_directive for tok in tokens])
 
 
@@ -102,9 +104,11 @@ class TestLexer:
         tokens = lex_c("#define A (1 + \\\r\n 2)\r\n")
         assert tokens.text == ["#", "define", "A", "(", "1", "+", "2", ")"]
         assert list(tokens.in_directive) == [2] + [1] * 7
-        tokens = lex_c('s = "ab\\\r\ncd";\r\n')
-        assert tokens.text == ["s", "=", '"ab\\\r\ncd"', ";"]
+        src = 's = "ab\\\r\ncd";\r\n'
+        tokens = lex_c(src)
+        assert tokens.text == ["s", "=", '"abcd"', ";"]
         assert tokens.kind[2] is TokKind.STRING
+        assert src[tokens.start[2]:tokens.end(2)] == '"ab\\\r\ncd"'
 
     @pytest.mark.parametrize("bad", [
         '"never closed\n',
@@ -116,6 +120,53 @@ class TestLexer:
     def test_lex_errors(self, bad):
         with pytest.raises(LexError):
             lex_c(bad)
+
+
+class TestSplicesComeFirst:
+    """A backslash-newline is removed before comments and tokens form, so
+    it can open or continue a comment and join the halves of a token; each
+    case here is read as gcc -E reads it."""
+
+    def test_a_line_comment_continues_past_a_splice(self):
+        src = ("int f(int a, int b, int c) {\n  // was: \\\n"
+               "  w = (a * b) + c;\n  return (a * b) + c;\n}\n")
+        plan = rewrite(src, MAC, MAC_MAPPED)
+        assert [src[site.start:site.end] for site in plan.sites] == \
+            ["(a * b) + c"]
+        assert plan.output.count("CI_F(a, b, c)") == 1
+        assert "  w = (a * b) + c;" in plan.output
+
+    def test_a_split_slash_star_opens_a_block_comment(self):
+        src = "int w = 2; /\\\n* old: w = (a * b) + c; */\n"
+        assert lex_c(src).text == ["int", "w", "=", "2", ";"]
+        with pytest.raises(NoMatchFound):
+            rewrite(src, MAC, MAC_MAPPED)
+
+    def test_a_split_slash_slash_opens_a_line_comment(self):
+        src = "x = 1 /\\\n/ (a * b) + c;\ny = 2;\n"
+        assert lex_c(src).text == ["x", "=", "1", "y", "=", "2", ";"]
+        assert _sites(src) == []
+
+    def test_a_splice_joins_the_halves_of_an_identifier(self):
+        spec = parse_ci_spec("ci g(opcode=2) { input ab: signed<8>; "
+                             "input c: signed<8>; output y: signed<16>; "
+                             "y = ab * c; }")
+        src = "int g(int ab, int c) { return a\\\nb * c; }\n"
+        tokens = lex_c(src)
+        k = tokens.text.index("return") + 1
+        assert tokens.text[k] == "ab"
+        assert src[tokens.start[k]:tokens.end(k)] == "a\\\nb"
+        plan = rewrite(src, spec, map_design(spec))
+        assert [src[site.start:site.end] for site in plan.sites] == \
+            ["a\\\nb * c"]
+        assert "return CI_G(ab, c); }" in plan.output
+
+    def test_the_include_goes_after_a_spliced_comment(self):
+        src = ('#include <stdio.h> // a comment \\\n that goes on\n'
+               'int f(int a, int b, int c) { return (a * b) + c; }\n')
+        assert rewrite(src, MAC, MAC_MAPPED).output.startswith(
+            '#include <stdio.h> // a comment \\\n that goes on\n'
+            '#include "ci_f.h"\n')
 
 
 class TestMatchTree:
@@ -398,6 +449,73 @@ class TestSameAsTheNamedGroupLexer:
         assert _columns(lex_c(source)) == _columns(expected)
 
 
+# Pieces of directive-free C for gcc to read: identifiers without a letter
+# that prefixes a literal (L, u, U, R), numbers, the five operators and
+# what two of them spell, both comment forms, and literals with escapes.
+# Each piece may be cut by a line end, and a line end or a space may follow
+# it; a line end is LF, CR LF or either spliced.
+_GCC_PIECES = [
+    "a", "b_1", "x9", "_t", "0", "42", "1.5e+3", ".5", "0x1F",
+    "+", "-", "*", "/", "%", "++", "--",
+    "// c", "//", "/* c */", "/**/", "/* a\n b */",
+    '"s"', '""', '"a\\"b"', '"\\\\"', '"/*"', '"\'"',
+    "'q'", "'\\n'", "'\\''", "'\\\\'", "'\"'",
+]
+_LINE_ENDS = ["\n", "\r\n", "\\\n", "\\\r\n"]
+_GCC_SOURCES = st.lists(st.tuples(
+    st.sampled_from(_GCC_PIECES), st.integers(0, 8),
+    st.sampled_from(["", "", *_LINE_ENDS]),
+    st.sampled_from(["", " ", *_LINE_ENDS])), max_size=12).map(
+    lambda pieces: "".join(piece[:cut] + inside + piece[cut:] + after
+                           for piece, cut, inside, after in pieces))
+# gcc's output holds no comment or splice; \S is a character that starts
+# no token, as an unterminated quote does
+_OUTPUT_TOKEN_RE = re.compile("|".join([
+    r'"(?:\\.|[^"\\\n])*"', r"'(?:\\.|[^'\\\n])*'", r"[A-Za-z_]\w*",
+    r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*", r"\+\+|--|[-+*/%]", r"\S"]))
+_GCC = shutil.which("gcc")
+
+
+def gcc_tokens(source: str) -> list[str] | None:
+    """The tokens that gcc's preprocessor reads in directive-free source,
+    or None when it finds a lex error: an unterminated comment or literal,
+    or a character that starts no token."""
+    run = subprocess.run([_GCC, "-E", "-P", "-undef", "-nostdinc", "-"],
+                         input=source.encode(), capture_output=True,
+                         check=False, timeout=60)
+    if run.returncode or b"missing terminating" in run.stderr:
+        return None
+    tokens = _OUTPUT_TOKEN_RE.findall(run.stdout.decode())
+    return None if {'"', "'", "\\"} & set(tokens) else tokens
+
+
+@pytest.mark.skipif(_GCC is None, reason="gcc is not installed")
+class TestSameAsGcc:
+    """lex_c reads directive-free C as gcc -E does (differential testing,
+    after McKeeman 1998): the same token texts, a lex error exactly where
+    gcc finds one, and each token's span in the source spliced to its
+    text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GCC_SOURCES)
+    @example("a // c \\\n b\nx9\n")
+    @example("a /\\\n* c */ b\n")
+    @example("a /\\\n/ c\nb\n")
+    @example("a\\\r\nb * c\n")
+    @example('"a\\\\\\\n\nb"\n')
+    def test_tokens_and_errors(self, source):
+        expected = gcc_tokens(source)
+        if expected is None:
+            with pytest.raises(LexError):
+                lex_c(source)
+            return
+        tokens = lex_c(source)
+        assert tokens.text == expected
+        for k, text in enumerate(tokens.text):
+            span = source[tokens.start[k]:tokens.end(k)]
+            assert re.sub(r"\\\r?\n", "", span) == text
+
+
 class TestBenchContract:
     """What bench/spans.py relies on: it wraps cpatch.lex_c, so rewriting
     must lex through that module global once per call, and it counts
@@ -606,8 +724,8 @@ class TestRewriteProperties:
 # --- the references: lex_c and find_call_sites as they were before the
 # matcher was made linear, and lex_c as it was before it returned columns,
 # kept verbatim (renamed) but for how they flag directive lines, which
-# _flag_directives does for both, and for splices ending in CR LF, which
-# they accept as lex_c does; and spec_match_tree, the tree builder
+# _flag_directives does for both, and for splices, which _in_source removes
+# before either lexes, as C does; and spec_match_tree, the tree builder
 # find_call_sites used before it matched the DFG itself -----------------------
 
 @dataclass(frozen=True, slots=True)
@@ -616,11 +734,10 @@ class CToken:
     text: str
     start: int
     end: int
-    line: int
     in_directive: int = 0
 
 
-_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#(?:\\\r?\n|[^\n])*")
+_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[^\n]*")
 
 
 def _flag_directives(source: str, tokens: list[CToken],
@@ -641,42 +758,57 @@ def _flag_directives(source: str, tokens: list[CToken],
             for tok, flag in zip(tokens, flags)]
 
 
+def _in_source(lex, source: str) -> list[CToken]:
+    """lex(spliced, line) run on source with every backslash-newline
+    removed, as C's translation phase 2 does, its tokens moved back to
+    source's offsets; line(i) is the line of source holding spliced[i]."""
+    kept = []   # the source offset of each character of spliced
+    i = 0
+    while i < len(source):
+        if source.startswith(("\\\n", "\\\r\n"), i):
+            i = source.index("\n", i) + 1
+        else:
+            kept.append(i)
+            i += 1
+    spliced = "".join(map(source.__getitem__, kept))
+    kept.append(len(source))
+    tokens = lex(spliced, lambda i: source.count("\n", 0, kept[i]) + 1)
+    return [dataclasses.replace(tok, start=kept[tok.start],
+                                end=kept[tok.end - 1] + 1) for tok in tokens]
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*")
 
 
 def reference_lex_c(source: str) -> list[CToken]:
     """Tokenize C source, dropping comments but keeping byte offsets."""
+    return _in_source(_reference_lex_spliced, source)
+
+
+def _reference_lex_spliced(source: str, line) -> list[CToken]:
     comments: list[tuple[int, int]] = []
     tokens: list[CToken] = []
-    i, n, line = 0, len(source), 1
+    i, n = 0, len(source)
 
     def take_quoted(quote: str, what: str) -> int:
         j = i + 1
         while j < n:
             c = source[j]
-            if c == "\\":   # an escape, or a splice that may end in CR LF
-                j += 3 if source.startswith("\\\r\n", j) else 2
+            if c == "\\" and not source.startswith("\\\n", j):
+                j += 2   # an escape
                 continue
             if c == quote:
                 return j + 1
             if c == "\n":
-                raise LexError(f"unterminated {what} on line {line}")
+                raise LexError(f"unterminated {what} on line {line(i)}")
             j += 1
-        raise LexError(f"unterminated {what} on line {line}")
+        raise LexError(f"unterminated {what} on line {line(i)}")
 
     while i < n:
         c = source[i]
-        if c == "\n":
-            line += 1
+        if c in " \t\r\f\v\n":
             i += 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-        if source.startswith(("\\\n", "\\\r\n"), i):
-            line += 1
-            i = source.index("\n", i) + 1
             continue
         if source.startswith("//", i):
             nl = source.find("\n", i)
@@ -686,39 +818,37 @@ def reference_lex_c(source: str) -> list[CToken]:
         if source.startswith("/*", i):
             close = source.find("*/", i + 2)
             if close < 0:
-                raise LexError(f"unterminated block comment on line {line}")
-            line += source.count("\n", i, close)
+                raise LexError(f"unterminated block comment on line {line(i)}")
             comments.append((i, close + 2))
             i = close + 2
             continue
         if c == '"':
             end = take_quoted('"', "string literal")
-            tokens.append(CToken(TokKind.STRING, source[i:end], i, end, line))
+            tokens.append(CToken(TokKind.STRING, source[i:end], i, end))
             i = end
             continue
         if c == "'":
             end = take_quoted("'", "character literal")
-            tokens.append(CToken(TokKind.CHAR, source[i:end], i, end, line))
+            tokens.append(CToken(TokKind.CHAR, source[i:end], i, end))
             i = end
             continue
         m = _IDENT_RE.match(source, i)
         if m:
-            tokens.append(CToken(TokKind.IDENT, m.group(), i, m.end(), line))
+            tokens.append(CToken(TokKind.IDENT, m.group(), i, m.end()))
             i = m.end()
             continue
         if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
             m = _NUMBER_RE.match(source, i)
-            tokens.append(CToken(TokKind.NUMBER, m.group(), i, m.end(), line))
+            tokens.append(CToken(TokKind.NUMBER, m.group(), i, m.end()))
             i = m.end()
             continue
         for punct in _PUNCTS:
             if source.startswith(punct, i):
-                tokens.append(CToken(TokKind.PUNCT, punct, i, i + len(punct),
-                                     line))
+                tokens.append(CToken(TokKind.PUNCT, punct, i, i + len(punct)))
                 i += len(punct)
                 break
         else:
-            raise LexError(f"stray character {c!r} on line {line}")
+            raise LexError(f"stray character {c!r} on line {line(i)}")
     return _flag_directives(source, tokens, comments)
 
 
@@ -884,10 +1014,10 @@ def reference_find_call_sites(source: str, spec: CiSpec) -> list[PatchSite]:
 # the line count; "unterminated" is an opening quote or comment that the
 # complete forms before it could not close.
 _NAMED_TOKEN_RE = re.compile("|".join([
-    r"(?P<skip>(?:[ \t\r\f\v\n]|\\\r?\n)+)",
+    r"(?P<skip>[ \t\r\f\v\n]+)",
     r"(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)",
-    r'(?P<STRING>"(?:\\\r\n|\\[\s\S]|[^"\\\n])*")',
-    r"(?P<CHAR>'(?:\\\r\n|\\[\s\S]|[^'\\\n])*')",
+    r'(?P<STRING>"(?:\\.|[^"\\\n])*")',
+    r"(?P<CHAR>'(?:\\.|[^'\\\n])*')",
     r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
     r"(?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)",
     r"(?P<unterminated>/\*|[\"'])",
@@ -899,24 +1029,24 @@ _UNTERMINATED = {'"': "string literal", "'": "character literal",
 
 def named_group_lex_c(source: str) -> list[CToken]:
     """Tokenize C source, dropping comments but keeping byte offsets."""
+    return _in_source(_named_group_lex_spliced, source)
+
+
+def _named_group_lex_spliced(source: str, line) -> list[CToken]:
     comments: list[tuple[int, int]] = []
     tokens: list[CToken] = []
-    i, n, line = 0, len(source), 1
+    i, n = 0, len(source)
     while i < n:
         m = _NAMED_TOKEN_RE.match(source, i)
         if m is None:
-            raise LexError(f"stray character {source[i]!r} on line {line}")
+            raise LexError(f"stray character {source[i]!r} on line {line(i)}")
         kind, text, end = m.lastgroup, m.group(), m.end()
-        if kind == "skip" or kind == "comment":
-            line += text.count("\n")
-            if kind == "comment":
-                comments.append((i, end))
+        if kind == "comment":
+            comments.append((i, end))
         elif kind == "unterminated":
             raise LexError(
-                f"unterminated {_UNTERMINATED[text]} on line {line}")
-        else:
-            tokens.append(CToken(TokKind[kind], text, i, end, line))
-            if "\n" in text:   # a literal continued by a backslash-newline
-                line += text.count("\n")
+                f"unterminated {_UNTERMINATED[text]} on line {line(i)}")
+        elif kind != "skip":
+            tokens.append(CToken(TokKind[kind], text, i, end))
         i = end
     return _flag_directives(source, tokens, comments)
