@@ -63,9 +63,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_text(path: str | Path, what: str) -> str:
+def _read_text(path: str | Path, what: str, newline: str | None = None) -> str:
     try:
-        return Path(path).read_text()
+        with Path(path).open(newline=newline) as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CigenError(f"cannot read {what}: {exc}") from exc
 
@@ -296,7 +297,7 @@ def _cmd_patch(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     mapped = map_design(spec)
     source_path = Path(args.source)
-    source = _read_text(source_path, "C source")
+    source = _read_text(source_path, "C source", newline="")   # its line ends kept
 
     plan = rewrite(source, spec, mapped)
     header_dir = Path(args.header_dir) if args.header_dir else source_path.parent

@@ -37,7 +37,6 @@ Preprocessor directive lines are never patched.
 
 from __future__ import annotations
 
-import enum
 import re
 import string
 from array import array
@@ -47,7 +46,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
-from .frontend import OPERATORS, CiSpec, Dfg, OpKind
+from .frontend import OPERATORS, CiSpec, Dfg
 from .mapper import MappedDesign
 
 DEFAULT_INTRINSIC = "__builtin_custom_inii"
@@ -56,8 +55,8 @@ DEFAULT_INTRINSIC = "__builtin_custom_inii"
 # the same way, at the same precedence.
 _SYM_PREC = {symbol: prec for symbol, (prec, _, _) in OPERATORS.items()
              if symbol != "mod"}
-_OP_SYMBOL: dict[OpKind, str] = {kind: symbol for symbol in _SYM_PREC
-                                 for kind in OPERATORS[symbol][1:]}
+_OP_SYMBOL: dict[str, str] = {kind: symbol for symbol in _SYM_PREC
+                              for kind in OPERATORS[symbol][1:]}
 
 _PUNCTS = sorted([
     "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==",
@@ -74,17 +73,8 @@ _SAFE_LEFT_PUNCTS = frozenset({
 })
 
 
-class TokKind(enum.Enum):
-    IDENT = enum.auto()
-    NUMBER = enum.auto()
-    STRING = enum.auto()
-    CHAR = enum.auto()
-    PUNCT = enum.auto()
-
-
-# for the matcher's inner loop: reading a member through its enum class
-# costs a metaclass lookup
-_IDENT = TokKind.IDENT
+class TokKind:
+    IDENT, NUMBER, STRING, CHAR, PUNCT = "ident", "number", "string", "char", "punct"
 
 
 class CTokens(NamedTuple):
@@ -93,7 +83,7 @@ class CTokens(NamedTuple):
     the '#' that opens a preprocessor directive, 1 when it lies on the rest
     of one, else 0.  Token k ends at end(k), ends[k] when a splice was cut
     from a text.  Its len() is the token count, not the field count."""
-    kind: list[TokKind]
+    kind: list[str]
     text: list[str]
     start: list[int]
     in_directive: bytearray
@@ -106,6 +96,8 @@ class CTokens(NamedTuple):
         return self.ends[k] if self.ends else self.start[k] + len(self.text[k])
 
 
+_LONE_CR_RE = re.compile(r"\r(?!\n)")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 _SPLICE_RE = re.compile(r"(\\\r?\n)")
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[^\n]*")
 
@@ -171,8 +163,10 @@ def _splice(source: str):
 
 
 def lex_c(source: str) -> CTokens:
-    """Tokenize C source, dropping comments, once its lines are spliced as
-    C splices them: texts are spliced, offsets and error lines source's."""
+    """Tokenize C source, dropping comments, once each lone CR is read as
+    LF, as gcc reads it, and its lines are spliced as C splices them: texts
+    are spliced, offsets and error lines source's."""
+    source = _LONE_CR_RE.sub("\n", source)   # C's phase 1: no offset moves
     spliced, at = _splice(source)
     parts = _TOKEN_RE.findall(spliced)
     offsets = list(accumulate(map(len, parts), initial=0))
@@ -257,7 +251,7 @@ class _Matcher:
         text = self.text
         result = None
         if i < len(text):
-            if self.kind[i] is _IDENT:
+            if self.kind[i] == TokKind.IDENT:
                 result = self.node(("leaf", text[i])), i + 1
             elif text[i] == "(":
                 result = self.expr(i + 1, 1)
@@ -296,12 +290,12 @@ class _Matcher:
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
 
 
-def _ends_value(kind: list[TokKind], text: list[str], k: int) -> bool:
+def _ends_value(kind: list[str], text: list[str], k: int) -> bool:
     return k >= 0 and (kind[k] in _VALUE_END_KINDS
                        or text[k] in (")", "]", "++", "--"))
 
 
-def _left_context_ok(kind: list[TokKind], text: list[str], i: int, prec: int,
+def _left_context_ok(kind: list[str], text: list[str], i: int, prec: int,
                      whole_paren: bool) -> bool:
     if i == 0:
         return True
@@ -309,14 +303,14 @@ def _left_context_ok(kind: list[TokKind], text: list[str], i: int, prec: int,
         # safe after anything except a callee or index expression
         return not _ends_value(kind, text, i - 1)
     left_kind, left = kind[i - 1], text[i - 1]
-    if left_kind is TokKind.IDENT:
+    if left_kind == TokKind.IDENT:
         if left == "sizeof":
             return False   # sizeof binds the leftmost leaf
-        if kind[i] is TokKind.PUNCT and text[i] == "(":
+        if kind[i] == TokKind.PUNCT and text[i] == "(":
             # ident '(' opens an argument list unless it is a keyword
             return left in ("return", "else", "case")
         return True   # return, case, else and friends
-    if left_kind is not TokKind.PUNCT:
+    if left_kind != TokKind.PUNCT:
         return False
     if left in _SAFE_LEFT_PUNCTS:
         return True
@@ -331,7 +325,7 @@ def _left_context_ok(kind: list[TokKind], text: list[str], i: int, prec: int,
     return False   # ! ~ ++ -- . -> ) ] and anything exotic
 
 
-def _right_context_ok(kind: list[TokKind], text: list[str], j: int, prec: int,
+def _right_context_ok(kind: list[str], text: list[str], j: int, prec: int,
                       whole_paren: bool) -> bool:
     if j >= len(text):
         return True
@@ -453,7 +447,7 @@ class PatchPlan(NamedTuple):
 
 
 # the rest of a directive's spliced line: its comments too
-_REST_OF_LINE_RE = re.compile(r"(?://[^\n]*|/\*[\s\S]*?\*/|[^\n])*")
+_REST_OF_LINE_RE = re.compile(r"(?://[^\r\n]*|/\*[\s\S]*?\*/|[^\r\n])*")
 
 
 def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
@@ -468,18 +462,19 @@ def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
            for k in includes):
         return 0, ""
     if not includes:   # the added lines end as the first line ends
-        eol = "\r\n" if source.partition("\n")[0].endswith("\r") else "\n"
+        eol = _LINE_END_RE.search(source)
+        eol = eol[0] if eol else "\n"
         return 0, f'#include "{header}"{eol}{eol}'
     end = includes[-1] + 1   # then past the directive's last token
     while end < len(text) and flags[end] == 1:
         end += 1
     last = tokens.end(end - 1)
     # a line of its own after the directive's spliced one, which keeps its
-    # comments and its line break: a CR LF one goes on before the added line
-    rest, at = _splice(source[last:])
-    eol = _REST_OF_LINE_RE.match(rest).end()
-    newline = "\r\n" if rest.startswith("\r\n", eol - 1) else "\n"
-    return last + at(eol + 1 - len(newline)), newline + f'#include "{header}"'
+    # comments and its line break, and ends as that line ends
+    rest, at = _splice(_LONE_CR_RE.sub("\n", source[last:]))
+    last += at(_REST_OF_LINE_RE.match(rest).end())   # at the line break, if any
+    eol = _LINE_END_RE.match(source, last)
+    return last, (eol[0] if eol else "\n") + f'#include "{header}"'
 
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:

@@ -42,7 +42,6 @@ name must not collide with a name of the generated VHDL either.
 
 from __future__ import annotations
 
-import enum
 import re
 import string
 from itertools import islice
@@ -92,20 +91,15 @@ CI_NAME_RESERVED = VHDL_RESERVED | frozenset(
 CI_NAME_PREFIXES = ("r_", "s_", "w_", "x_", "u_")
 
 
-class OpKind(enum.Enum):
-    ADD = enum.auto()
-    SUB = enum.auto()
-    MUL = enum.auto()
-    DIVS = enum.auto()
-    DIVU = enum.auto()
-    MODS = enum.auto()
-    MODU = enum.auto()
-    REMS = enum.auto()
-    REMU = enum.auto()
+class OpKind:
+    """The operations, each spelled as its lowercase name: the infix of its
+    instances' labels and its key in the cost model."""
+    ADD, SUB, MUL = "add", "sub", "mul"
+    DIVS, DIVU, MODS, MODU, REMS, REMU = "divs", "divu", "mods", "modu", "rems", "remu"
 
 
 # spelling -> (precedence, kind on unsigned operands, kind on signed ones)
-OPERATORS: dict[str, tuple[int, OpKind, OpKind]] = {
+OPERATORS: dict[str, tuple[int, str, str]] = {
     "+": (1, OpKind.ADD, OpKind.ADD),
     "-": (1, OpKind.SUB, OpKind.SUB),
     "*": (2, OpKind.MUL, OpKind.MUL),
@@ -113,10 +107,6 @@ OPERATORS: dict[str, tuple[int, OpKind, OpKind]] = {
     "%": (2, OpKind.REMU, OpKind.REMS),
     "mod": (2, OpKind.MODU, OpKind.MODS),
 }
-# read once for op_result_width, which runs per node: a class attribute
-# read of an enum goes through the slow EnumType.__getattr__ hook
-_ADDITIVE, _MUL = (OpKind.ADD, OpKind.SUB), OpKind.MUL
-_QUOTIENTS = (OpKind.DIVS, OpKind.DIVU)
 
 
 class OperandDecl(NamedTuple):
@@ -137,7 +127,7 @@ class Leaf(NamedTuple):
 
 
 class BinOp(NamedTuple):
-    kind: OpKind
+    kind: str
     left: ExprTree
     right: ExprTree
 
@@ -162,7 +152,7 @@ class LeafNode(NamedTuple):
 
 class OpNode(NamedTuple):
     id: int
-    kind: OpKind
+    kind: str
     left: int
     right: int
 
@@ -358,7 +348,7 @@ def parse_ci_spec(text: str) -> CiSpec:
     return CiSpec(ci_name, opcode, tuple(inputs), output, expr, dfg)
 
 
-def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
+def op_result_width(kind: str, w_left: int, w_right: int) -> int:
     """Width rules
         add/sub    result width = max(input widths); the narrower side is
                    widened by an extension adapter so the unit sees equal
@@ -369,11 +359,11 @@ def op_result_width(kind: OpKind, w_left: int, w_right: int) -> int:
         divide     quotient width = numerator width
         mod/rem    result width = denominator width
     """
-    if kind in _ADDITIVE:
+    if kind in (OpKind.ADD, OpKind.SUB):
         return max(w_left, w_right)
-    if kind is _MUL:
+    if kind == OpKind.MUL:
         return min(32, w_left + w_right)
-    if kind in _QUOTIENTS:
+    if kind in (OpKind.DIVS, OpKind.DIVU):
         return w_left
     return w_right
 

@@ -58,9 +58,6 @@ ENTITY_PORTS: tuple[ast.Port, ...] = (
 ARCHITECTURE, PROCESS, COUNTER = "rtl", "control", "cnt"
 # the node kinds whose value is a divider's remainder, not its quotient
 _REMAINDER_KINDS = (OpKind.REMS, OpKind.REMU, OpKind.MODS, OpKind.MODU)
-# read once: an enum's member and property reads are slow on a hot path
-_MODS = OpKind.MODS
-_LABEL_PREFIX = {kind: f"u_{kind.name.lower()}_" for kind in OpKind}
 
 
 class Violation(NamedTuple):
@@ -145,7 +142,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         # corrects it to the divisor's, an unsigned one needs no correction
         value_port = 1 if node.kind in _REMAINDER_KINDS else 0
         value, value_width = wires[value_port], out_widths[value_port]
-        if node.kind is _MODS:
+        if node.kind == OpKind.MODS:
             assigns.append(ast.ConcurrentAssign(
                 f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
             value = f"w_{node_id}_m"
@@ -155,7 +152,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         value_wires[node_id] = value, value_width
 
         instances.append(ast.Instance(
-            f"{_LABEL_PREFIX[node.kind]}{op_index}", inst.generics,
+            f"u_{node.kind}_{op_index}", inst.generics,
             (*inputs, *wires)))
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
             node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
@@ -249,13 +246,11 @@ def emit_component_decl(decl: ast.ComponentDecl) -> str:
 
 def _instance_text(decl: ast.ComponentDecl) -> str:
     """The text of every instance of decl, left to fill with the label, the
-    port map and the fields of the generics record, in order.  A string
-    generic holds an enum and prints as its quoted value, read from the
-    member's ``_value_`` attribute: the ``value`` property is slow on a
-    path that formats every instance."""
+    port map and the fields of the generics record, in order; a string
+    generic prints quoted."""
     generics = ",\n".join(
         f"      {g.name} => "
-        + (f'"{{{i}._value_}}"' if g.vhdl_type == "string" else f"{{{i}}}")
+        + (f'"{{{i}}}"' if g.vhdl_type == "string" else f"{{{i}}}")
         for i, g in enumerate(decl.generics))
     return (f"  {{label}} : {decl.name}\n    generic map (\n{generics}\n"
             "    )\n    port map (\n      {ports}\n    );")

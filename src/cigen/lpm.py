@@ -21,7 +21,6 @@ written once.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -31,24 +30,17 @@ from .errors import NotWidening, WidthMismatch
 MAX_INTERNAL_WIDTH = 64  # widest internal vector: a 32x32 full product
 
 
-class Direction(enum.Enum):
-    ADD = "ADD"
-    SUB = "SUB"
+# the values of the string generics, each the text a generic map prints
+class Direction:
+    ADD, SUB = "ADD", "SUB"
 
 
-class Representation(enum.Enum):
-    SIGNED = "SIGNED"
-    UNSIGNED = "UNSIGNED"
+class Representation:
+    SIGNED, UNSIGNED = "SIGNED", "UNSIGNED"
 
 
-class Extension(enum.Enum):
-    ZERO = "ZERO"
-    SIGN = "SIGN"
-
-
-# the members the kernels test for, read once: an enum class attribute
-# read goes through the enum's slow attribute lookup
-_ADD, _SIGNED, _SIGN = Direction.ADD, Representation.SIGNED, Extension.SIGN
+class Extension:
+    ZERO, SIGN = "ZERO", "SIGN"
 
 
 class _BitVecFields(NamedTuple):
@@ -121,7 +113,7 @@ def _add_sub(generics: AddSubGenerics, faults: set[int],
              a: Column, b: Column) -> tuple[Column]:
     """Sum or difference modulo 2^width."""
     mask = (1 << generics.width) - 1
-    if generics.direction is _ADD:
+    if generics.direction == Direction.ADD:
         return ([(x + y) & mask for x, y in zip(a, b)],)
     return ([(x - y) & mask for x, y in zip(a, b)],)
 
@@ -131,7 +123,7 @@ def _mult(generics: MultGenerics, faults: set[int],
     """Full product under the configured representation, then the low
     width_p bits of its two's-complement pattern."""
     mask = (1 << generics.width_p) - 1
-    if generics.representation is _SIGNED:
+    if generics.representation == Representation.SIGNED:
         top_a, top_b = 1 << (generics.width_a - 1), 1 << (generics.width_b - 1)
         return ([((x ^ top_a) - top_a) * ((y ^ top_b) - top_b) & mask
                  for x, y in zip(a, b)],)
@@ -145,9 +137,9 @@ def _divide(generics: DivideGenerics, faults: set[int],
     the exact quotient modulo 2^width_n (only -2^(w-1)/-1 wraps); the
     remainder pattern is the exact remainder modulo 2^width_d.  A zero
     divisor adds its vector's index to faults and yields zero patterns."""
-    if generics.n_representation is _SIGNED:
+    if generics.n_representation == Representation.SIGNED:
         n = _signed_values(n, generics.width_n)
-    if generics.d_representation is _SIGNED:
+    if generics.d_representation == Representation.SIGNED:
         d = _signed_values(d, generics.width_d)
     q_mask, r_mask = (1 << generics.width_n) - 1, (1 << generics.width_d) - 1
     quotients, remainders = [], []
@@ -168,7 +160,7 @@ def _divide(generics: DivideGenerics, faults: set[int],
 def _concat_extend(generics: ConcatExtendGenerics, faults: set[int],
                    a: Column) -> tuple[Column]:
     """Widen by concatenating replicated sign bits or zeros on top."""
-    return (resize(a, generics.from_width, generics.extension is _SIGN,
+    return (resize(a, generics.from_width, generics.extension == Extension.SIGN,
                    generics.to_width),)
 
 
@@ -198,7 +190,7 @@ _Widths = tuple[tuple[int, ...], tuple[int, ...]]
 
 class AddSubGenerics(NamedTuple):
     width: int
-    direction: Direction
+    direction: str
 
     component = _component("ADD_SUB", _add_sub, ("",), ast.ComponentDecl(
         "lpm_add_sub",
@@ -216,7 +208,7 @@ class MultGenerics(NamedTuple):
     width_a: int
     width_b: int
     width_p: int
-    representation: Representation
+    representation: str
 
     component = _component("MULT", _mult, ("_p",), ast.ComponentDecl(
         "lpm_mult",
@@ -237,8 +229,8 @@ class MultGenerics(NamedTuple):
 class DivideGenerics(NamedTuple):
     width_n: int
     width_d: int
-    n_representation: Representation
-    d_representation: Representation
+    n_representation: str
+    d_representation: str
 
     component = _component("DIVIDE", _divide, ("_q", "_r"), ast.ComponentDecl(
         "lpm_divide",
@@ -259,7 +251,7 @@ class DivideGenerics(NamedTuple):
 class ConcatExtendGenerics(NamedTuple):
     from_width: int
     to_width: int
-    extension: Extension
+    extension: str
 
     component = _component("CONCAT_EXTEND", _concat_extend, ("",), ast.ComponentDecl(
         "ci_concat_extend",

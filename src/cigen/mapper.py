@@ -40,13 +40,6 @@ from .lpm import (
     Representation,
 )
 
-# read once for the per-node planners: a class attribute read of an enum
-# goes through the slow EnumType.__getattr__ hook
-_ADDITIVE, _ADD, _MUL = (OpKind.ADD, OpKind.SUB), OpKind.ADD, OpKind.MUL
-_DIR_ADD, _DIR_SUB = Direction.ADD, Direction.SUB
-_SIGNED, _UNSIGNED = Representation.SIGNED, Representation.UNSIGNED
-_SIGN, _ZERO = Extension.SIGN, Extension.ZERO
-
 _Adapters = tuple[ConcatExtendGenerics | None, ConcatExtendGenerics | None]
 
 
@@ -87,28 +80,28 @@ def _plan_add_sub(node: OpNode, dfg: Dfg) -> InstancePlan:
     w = dfg.width[node.id]
     adapters = tuple(
         ConcatExtendGenerics(dfg.width[child], w,
-                             _SIGN if dfg.signed[child] else _ZERO)
+                             Extension.SIGN if dfg.signed[child] else Extension.ZERO)
         if dfg.width[child] < w else None
         for child in (node.left, node.right))
-    direction = _DIR_ADD if node.kind is _ADD else _DIR_SUB
+    direction = Direction.ADD if node.kind == OpKind.ADD else Direction.SUB
     return InstancePlan(node.id, AddSubGenerics(w, direction), adapters)
 
 
 def _operand_ports(node: OpNode, dfg: Dfg) -> tuple[
-        int, int, Representation, _Adapters]:
+        int, int, str, _Adapters]:
     """Port widths, representation and adapters of a multiply or divide
     node: with mixed signedness the unsigned child is zero-extended by one
     bit, so a single signed representation is exact."""
     wl, wr = dfg.width[node.left], dfg.width[node.right]
     sl, sr = dfg.signed[node.left], dfg.signed[node.right]
     if sl == sr:
-        rep = _SIGNED if sl else _UNSIGNED
+        rep = Representation.SIGNED if sl else Representation.UNSIGNED
         return wl, wr, rep, (None, None)
     if sl:
-        return wl, wr + 1, _SIGNED, (
-            None, ConcatExtendGenerics(wr, wr + 1, _ZERO))
-    return wl + 1, wr, _SIGNED, (
-        ConcatExtendGenerics(wl, wl + 1, _ZERO), None)
+        return wl, wr + 1, Representation.SIGNED, (
+            None, ConcatExtendGenerics(wr, wr + 1, Extension.ZERO))
+    return wl + 1, wr, Representation.SIGNED, (
+        ConcatExtendGenerics(wl, wl + 1, Extension.ZERO), None)
 
 
 def _plan_mult(node: OpNode, dfg: Dfg) -> InstancePlan:
@@ -116,7 +109,7 @@ def _plan_mult(node: OpNode, dfg: Dfg) -> InstancePlan:
     sl, sr = dfg.signed[node.left], dfg.signed[node.right]
     if sl != sr and (wl if sl else wr) == 32:
         # raw patterns agree on the low 32 bits of the product
-        pa, pb, rep, adapters = wl, wr, _UNSIGNED, (None, None)
+        pa, pb, rep, adapters = wl, wr, Representation.UNSIGNED, (None, None)
     else:
         pa, pb, rep, adapters = _operand_ports(node, dfg)
     return InstancePlan(node.id, MultGenerics(pa, pb, min(32, pa + pb), rep),
@@ -138,9 +131,9 @@ def map_design(spec: CiSpec) -> MappedDesign:
     for node_id in analysis.operation_sequence:
         node = dfg.nodes[node_id]
         assert isinstance(node, OpNode)
-        if node.kind in _ADDITIVE:
+        if node.kind in (OpKind.ADD, OpKind.SUB):
             instances.append(_plan_add_sub(node, dfg))
-        elif node.kind is _MUL:
+        elif node.kind == OpKind.MUL:
             instances.append(_plan_mult(node, dfg))
         else:
             instances.append(_plan_divide(node, dfg))

@@ -18,7 +18,7 @@ from .frontend import CiSpec, OpKind
 from .lpm import ConcatExtendGenerics
 from .mapper import MappedDesign, done_cycle_enabled
 
-DEFAULT_COSTS: dict[OpKind, int] = {
+DEFAULT_COSTS: dict[str, int] = {   # keyed by OpKind
     OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 3,
     OpKind.DIVS: 35, OpKind.DIVU: 35,
     OpKind.MODS: 35, OpKind.MODU: 35,
@@ -26,14 +26,13 @@ DEFAULT_COSTS: dict[OpKind, int] = {
 }
 
 
-def cost_table(overrides: dict[str, int]) -> dict[OpKind, int]:
+def cost_table(overrides: dict[str, int]) -> dict[str, int]:
     """Per-operation software cycle costs: DEFAULT_COSTS with overrides
     keyed by lowercase operation name, each a positive integer."""
-    by_name = {kind.name.lower(): kind for kind in OpKind}
     costs = dict(DEFAULT_COSTS)
     for key, value in overrides.items():
-        kind = by_name.get(key.lower())
-        if kind is None:
+        kind = key.lower()
+        if kind not in DEFAULT_COSTS:
             raise CigenError(f"unknown operation {key!r} in cost model")
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise CigenError(
@@ -48,7 +47,7 @@ def ci_cycles(mapped: MappedDesign) -> int:
 
 
 def sw_cycles(mapped: MappedDesign,
-              costs: dict[OpKind, int] = DEFAULT_COSTS) -> int:
+              costs: dict[str, int] = DEFAULT_COSTS) -> int:
     """Software baseline cycle count, never below one instruction."""
     return max(1, sum(costs[mapped.dfg.nodes[node_id].kind]
                       for node_id in mapped.analysis.operation_sequence))
@@ -65,7 +64,7 @@ def energy_microjoules(power_mw: float, time_ms: float) -> float:
 
 
 def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
-                     costs: dict[OpKind, int] = DEFAULT_COSTS,
+                     costs: dict[str, int] = DEFAULT_COSTS,
                      power_mw: float | None = None,
                      time_ms: float | None = None) -> dict:
     """The report, as the object report.json holds; the energy block

@@ -79,10 +79,6 @@ from .mapper import (
 )
 
 PORT_MASK = (1 << 32) - 1  # dataa, datab and result are 32 bits wide
-# read once for the oracle's per-node dispatch: a class attribute read of
-# an enum goes through the slow EnumType.__getattr__ hook
-_ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
-_DIVS, _REMS, _DIVU = OpKind.DIVS, OpKind.REMS, OpKind.DIVU
 
 
 def input_count(spec: CiSpec, columns: dict[str, Column]) -> int:
@@ -156,11 +152,11 @@ def reference_columns(spec: CiSpec, columns: dict[str, Column],
         # with its signedness: half is the sign bit's weight, or 0
         mask = (1 << dfg.width[node_id]) - 1
         half = (mask + 1) >> 1 if dfg.signed[node_id] else 0
-        if kind is _ADD:
+        if kind == OpKind.ADD:
             column = [((a + b + half) & mask) - half for a, b in zip(left, right)]
-        elif kind is _SUB:
+        elif kind == OpKind.SUB:
             column = [((a - b + half) & mask) - half for a, b in zip(left, right)]
-        elif kind is _MUL:
+        elif kind == OpKind.MUL:
             column = [((a * b + half) & mask) - half for a, b in zip(left, right)]
         else:
             if 0 in right:
@@ -169,13 +165,13 @@ def reference_columns(spec: CiSpec, columns: dict[str, Column],
                         zero_divisor[index] = node_id
                 right = [b or 1 for b in right]
             pairs = zip(left, right)
-            if kind is _DIVS:
+            if kind == OpKind.DIVS:
                 raw = [-(-a // b) if (a < 0) != (b < 0) else a // b
                        for a, b in pairs]
-            elif kind is _REMS:
+            elif kind == OpKind.REMS:
                 raw = [-(-a % b) if (a < 0) != (b < 0) else a % b
                        for a, b in pairs]
-            elif kind is _DIVU:
+            elif kind == OpKind.DIVU:
                 raw = [a // b for a, b in pairs]
             else:   # REMU, MODU and MODS: the flooring remainder
                 raw = [a % b for a, b in pairs]

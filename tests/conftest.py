@@ -10,13 +10,24 @@ from pathlib import Path
 import pytest
 
 from cigen import vhdl_ast as ast
+from cigen.cpatch import TokKind
 from cigen.errors import DivideByZero
-from cigen.frontend import parse_ci_spec
+from cigen.frontend import OpKind, parse_ci_spec
 from cigen.fuzz import FuzzConfig
-from cigen.lpm import BitVec, LpmGenerics, mod_correct
+from cigen.lpm import (BitVec, Direction, Extension, LpmGenerics,
+                       Representation, mod_correct)
 from cigen.mapper import map_design
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# a kind's parameter id is its class and name, such as Direction.ADD
+_KIND_IDS = {value: f"{kind.__name__}.{name}"
+             for kind in (OpKind, Direction, Representation, Extension, TokKind)
+             for name, value in vars(kind).items() if name.isupper()}
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    return _KIND_IDS.get(val) if isinstance(val, str) else None
 
 # The acceptance corpus (test_acceptance and the benchmark's fuzz-build):
 # its seed, its generator settings and the vectors drawn after each spec.

@@ -38,12 +38,14 @@ BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
 
 def _assigned(body: list[ast.stmt], owner: str | None):
     """(name, node, owner) for every name a statement of body assigns,
-    whose node is its assignment."""
-    return [(target.id, node, owner) for node in body
+    alone or in a tuple, whose node is its assignment."""
+    return [(name.id, node, owner) for node in body
             if isinstance(node, (ast.Assign, ast.AnnAssign))
             for target in (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
-            if isinstance(target, ast.Name)]
+            for name in (target.elts if isinstance(target, ast.Tuple)
+                         else [target])
+            if isinstance(name, ast.Name)]
 
 
 def _definitions(tree: ast.Module):

@@ -682,6 +682,23 @@ class TestPatch:
         assert c_file.read_text() == \
             (GOLDEN_DIR / "fixture_patched.c").read_text()
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["cr-lf", "cr"])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_line_ends_are_kept(self, tmp_path, capsys, spec_file, in_place,
+                                eol):
+        def golden(name: str) -> bytes:
+            return (GOLDEN_DIR / name).read_bytes().replace(b"\n", eol.encode())
+
+        source = tmp_path / "prog.c"
+        source.write_bytes(golden("fixture.c"))
+        code, _, _ = _run(capsys, "patch", spec_file, source,
+                          *["--in-place"] * in_place)
+        assert code == 0
+        out = source if in_place else tmp_path / "prog.ci.c"
+        assert out.read_bytes() == golden("fixture_patched.c")
+        assert (tmp_path / "ci_f.h").read_bytes() == \
+            (GOLDEN_DIR / "ci_f.h").read_bytes()
+
     def test_second_pass_exits_one(self, capsys, spec_file, c_file):
         assert _run(capsys, "patch", spec_file, c_file, "--in-place")[0] == 0
         code, _, stderr = _run(capsys, "patch", spec_file, c_file,

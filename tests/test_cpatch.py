@@ -107,7 +107,7 @@ class TestLexer:
         src = 's = "ab\\\r\ncd";\r\n'
         tokens = lex_c(src)
         assert tokens.text == ["s", "=", '"abcd"', ";"]
-        assert tokens.kind[2] is TokKind.STRING
+        assert tokens.kind[2] == TokKind.STRING
         assert src[tokens.start[2]:tokens.end(2)] == '"ab\\\r\ncd"'
 
     @pytest.mark.parametrize("bad", [
@@ -120,6 +120,39 @@ class TestLexer:
     def test_lex_errors(self, bad):
         with pytest.raises(LexError):
             lex_c(bad)
+
+
+class TestALoneCrEndsALine:
+    """gcc reads a lone CR as a line end, as C's translation phase 1 may:
+    it ends a line comment, a directive and a counted line, and a backslash
+    before it is a splice.  The output keeps the source's own line ends."""
+
+    def test_a_line_comment_ends_at_a_lone_cr(self):
+        plan = rewrite("int f(int a, int b, int c) { // note\r"
+                       " return (a * b) + c; }\n", MAC, MAC_MAPPED)
+        assert len(plan.sites) == 1
+        assert plan.output == ('#include "ci_f.h"\r\rint f(int a, int b, int c)'
+                               ' { // note\r return CI_F(a, b, c); }\n')
+
+    def test_a_directive_ends_at_a_lone_cr(self):
+        tokens = lex_c("#define X 1\rx = a * b;")
+        assert list(tokens.in_directive) == [2, 1, 1, 1] + [0] * 6
+
+    def test_error_lines_count_a_lone_cr(self):
+        with pytest.raises(LexError, match="stray character '@' on line 4"):
+            lex_c("a\rb\r\nc\r@")
+
+    def test_a_backslash_and_a_lone_cr_splice(self):
+        src = "ab\\\rc = d;\r"
+        tokens = lex_c(src)
+        assert tokens.text == ["abc", "=", "d", ";"]
+        assert src[tokens.start[0]:tokens.end(0)] == "ab\\\rc"
+
+    def test_an_added_include_ends_as_the_line_before_it(self):
+        plan = rewrite('#include "m.h"\rint f(int a, int b, int c)'
+                       " { return (a * b) + c; }\r", MAC, MAC_MAPPED)
+        assert plan.output == ('#include "m.h"\r#include "ci_f.h"\rint f(int a,'
+                               " int b, int c) { return CI_F(a, b, c); }\r")
 
 
 class TestSplicesComeFirst:
@@ -453,7 +486,7 @@ class TestSameAsTheNamedGroupLexer:
 # that prefixes a literal (L, u, U, R), numbers, the five operators and
 # what two of them spell, both comment forms, and literals with escapes.
 # Each piece may be cut by a line end, and a line end or a space may follow
-# it; a line end is LF, CR LF or either spliced.
+# it; a line end is LF, CR LF or a lone CR, or one of them spliced.
 _GCC_PIECES = [
     "a", "b_1", "x9", "_t", "0", "42", "1.5e+3", ".5", "0x1F",
     "+", "-", "*", "/", "%", "++", "--",
@@ -461,7 +494,7 @@ _GCC_PIECES = [
     '"s"', '""', '"a\\"b"', '"\\\\"', '"/*"', '"\'"',
     "'q'", "'\\n'", "'\\''", "'\\\\'", "'\"'",
 ]
-_LINE_ENDS = ["\n", "\r\n", "\\\n", "\\\r\n"]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\\\n", "\\\r\n", "\\\r"]
 _GCC_SOURCES = st.lists(st.tuples(
     st.sampled_from(_GCC_PIECES), st.integers(0, 8),
     st.sampled_from(["", "", *_LINE_ENDS]),
@@ -502,6 +535,8 @@ class TestSameAsGcc:
     @example("a /\\\n* c */ b\n")
     @example("a /\\\n/ c\nb\n")
     @example("a\\\r\nb * c\n")
+    @example("a // c\rb\n")
+    @example("a\\\rb * c\n")
     @example('"a\\\\\\\n\nb"\n')
     def test_tokens_and_errors(self, source):
         expected = gcc_tokens(source)
@@ -513,7 +548,7 @@ class TestSameAsGcc:
         assert tokens.text == expected
         for k, text in enumerate(tokens.text):
             span = source[tokens.start[k]:tokens.end(k)]
-            assert re.sub(r"\\\r?\n", "", span) == text
+            assert re.sub(r"\\(?:\r\n?|\n)", "", span) == text
 
 
 class TestBenchContract:
@@ -724,13 +759,14 @@ class TestRewriteProperties:
 # --- the references: lex_c and find_call_sites as they were before the
 # matcher was made linear, and lex_c as it was before it returned columns,
 # kept verbatim (renamed) but for how they flag directive lines, which
-# _flag_directives does for both, and for splices, which _in_source removes
-# before either lexes, as C does; and spec_match_tree, the tree builder
-# find_call_sites used before it matched the DFG itself -----------------------
+# _flag_directives does for both, and for lone CRs and splices, which
+# _in_source reads as LFs and removes before either lexes, as C does; and
+# spec_match_tree, the tree builder find_call_sites used before it matched
+# the DFG itself --------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class CToken:
-    kind: TokKind
+    kind: str
     text: str
     start: int
     end: int
@@ -759,9 +795,11 @@ def _flag_directives(source: str, tokens: list[CToken],
 
 
 def _in_source(lex, source: str) -> list[CToken]:
-    """lex(spliced, line) run on source with every backslash-newline
-    removed, as C's translation phase 2 does, its tokens moved back to
-    source's offsets; line(i) is the line of source holding spliced[i]."""
+    """lex(spliced, line) run on source with every lone CR read as LF and
+    then every backslash-newline removed, as C's translation phases 1 and 2
+    do, its tokens moved back to source's offsets; line(i) is the line of
+    source holding spliced[i]."""
+    source = re.sub(r"\r(?!\n)", "\n", source)   # of the same length
     kept = []   # the source offset of each character of spliced
     i = 0
     while i < len(source):
@@ -874,14 +912,14 @@ def _primary(tokens: list[CToken], i: int):
     if i >= len(tokens):
         return None
     tok = tokens[i]
-    if tok.kind is TokKind.IDENT:
+    if tok.kind == TokKind.IDENT:
         return ("leaf", tok.text), i + 1
-    if tok.kind is TokKind.PUNCT and tok.text == "(":
+    if tok.kind == TokKind.PUNCT and tok.text == "(":
         inner = _expr(tokens, i + 1, 1)
         if inner is None:
             return None
         tree, j = inner
-        if j < len(tokens) and tokens[j].kind is TokKind.PUNCT \
+        if j < len(tokens) and tokens[j].kind == TokKind.PUNCT \
                 and tokens[j].text == ")":
             return tree, j + 1
         return None
@@ -896,7 +934,7 @@ def _expr(tokens: list[CToken], i: int, min_prec: int,
     tree, i = first
     if checkpoints is not None:
         checkpoints.append((tree, i))
-    while i < len(tokens) and tokens[i].kind is TokKind.PUNCT \
+    while i < len(tokens) and tokens[i].kind == TokKind.PUNCT \
             and _SYM_PREC.get(tokens[i].text, 0) >= min_prec:
         op = tokens[i].text
         right = _expr(tokens, i + 1, _SYM_PREC[op] + 1)
@@ -917,7 +955,7 @@ def _paren_close(tokens: list[CToken], i: int) -> int | None:
     """Index of the ')' matching an '(' at i, or None."""
     depth = 0
     for j in range(i, len(tokens)):
-        if tokens[j].kind is not TokKind.PUNCT:
+        if tokens[j].kind != TokKind.PUNCT:
             continue
         if tokens[j].text == "(":
             depth += 1
@@ -941,19 +979,19 @@ def _left_context_ok(tokens: list[CToken], i: int, j: int, tree: Tree) -> bool:
     if prev is None:
         return True
     first = tokens[i]
-    whole_paren = (first.kind is TokKind.PUNCT and first.text == "("
+    whole_paren = (first.kind == TokKind.PUNCT and first.text == "("
                    and _paren_close(tokens, i) == j - 1)
     if whole_paren:
         # safe after anything except a callee or index expression
         return not _ends_value(prev)
-    if prev.kind is TokKind.IDENT:
+    if prev.kind == TokKind.IDENT:
         if prev.text == "sizeof":
             return False   # sizeof binds the leftmost leaf
-        if first.kind is TokKind.PUNCT and first.text == "(":
+        if first.kind == TokKind.PUNCT and first.text == "(":
             # ident '(' opens an argument list unless it is a keyword
             return prev.text in ("return", "else", "case")
         return True   # return, case, else and friends
-    if prev.kind is not TokKind.PUNCT:
+    if prev.kind != TokKind.PUNCT:
         return False
     text = prev.text
     if text in _SAFE_LEFT_PUNCTS:
@@ -1047,6 +1085,6 @@ def _named_group_lex_spliced(source: str, line) -> list[CToken]:
             raise LexError(
                 f"unterminated {_UNTERMINATED[text]} on line {line(i)}")
         elif kind != "skip":
-            tokens.append(CToken(TokKind[kind], text, i, end))
+            tokens.append(CToken(getattr(TokKind, kind), text, i, end))
         i = end
     return _flag_directives(source, tokens, comments)

@@ -39,7 +39,7 @@ def _spec(body: str, name: str = "t", opcode: int = 0) -> str:
     return f"ci {name}(opcode={opcode}) {{\n{body}\n}}"
 
 
-def _kinds(spec_text: str) -> list[OpKind]:
+def _kinds(spec_text: str) -> list[str]:
     dfg = parse_ci_spec(spec_text).dfg
     order = analyze(dfg).operation_sequence
     return [dfg.nodes[i].kind for i in order]
@@ -158,8 +158,8 @@ class TestParse:
         assert all(d.signed and d.width == 32 for d in mac_spec.inputs)
         assert mac_spec.output.name == "X"
         expr = mac_spec.expr
-        assert isinstance(expr, BinOp) and expr.kind is OpKind.ADD
-        assert isinstance(expr.left, BinOp) and expr.left.kind is OpKind.MUL
+        assert isinstance(expr, BinOp) and expr.kind == OpKind.ADD
+        assert isinstance(expr.left, BinOp) and expr.left.kind == OpKind.MUL
         assert isinstance(expr.left.left, Leaf) and expr.left.left.name == "a"
         assert isinstance(expr.right, Leaf) and expr.right.name == "c"
 
@@ -361,7 +361,7 @@ class TestDfg:
                      "output x: signed<8>; x = (a + b) - (a + b);")
         dfg = parse_ci_spec(text).dfg
         assert len(dfg.leaf_nodes()) == 2
-        adds = [n for n in (dfg.nodes[i] for i in dfg.order) if n.kind is OpKind.ADD]
+        adds = [n for n in (dfg.nodes[i] for i in dfg.order) if n.kind == OpKind.ADD]
         assert len(adds) == 2
         assert adds[0].id != adds[1].id
 

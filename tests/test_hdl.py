@@ -390,9 +390,9 @@ class TestFuzzedStructure:
             if type(inst.generics) is DivideGenerics:
                 kind, node = mapped.dfg.nodes[inst.node].kind, inst.node
                 suffix = "_q" if kind in (OpKind.DIVS, OpKind.DIVU) \
-                    else "_m" if kind is OpKind.MODS else "_r"
+                    else "_m" if kind == OpKind.MODS else "_r"
                 assert sources[node_reg(node)] == f"w_{node}{suffix}"
-                assert (f"w_{node}_m" in corrected) == (kind is OpKind.MODS)
+                assert (f"w_{node}_m" in corrected) == (kind == OpKind.MODS)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

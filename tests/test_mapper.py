@@ -71,9 +71,9 @@ class TestWorkedExample:
                    if type(i.generics) is AddSubGenerics)
         assert (mul.generics.width_a, mul.generics.width_b,
                 mul.generics.width_p) == (32, 32, 32)
-        assert mul.generics.representation is Representation.SIGNED
+        assert mul.generics.representation == Representation.SIGNED
         assert add.generics.width == 32
-        assert add.generics.direction is Direction.ADD
+        assert add.generics.direction == Direction.ADD
         assert [i.adapters for i in mac_mapped.instances] == [(None, None)] * 2
 
     def test_loading_and_latency(self, mac_mapped):
@@ -95,7 +95,7 @@ class TestAdapters:
         adapter, right = _only_instance(mapped).adapters
         assert right is None
         assert (adapter.from_width, adapter.to_width) == (8, 16)
-        assert adapter.extension is Extension.SIGN
+        assert adapter.extension == Extension.SIGN
         assert _only_instance(mapped).generics.width == 16
 
     def test_add_zero_extends_unsigned_narrow_side(self):
@@ -103,7 +103,7 @@ class TestAdapters:
                          "output x: signed<12>; x = b - a;")
         left, adapter = _only_instance(mapped).adapters
         assert left is None
-        assert adapter.extension is Extension.ZERO
+        assert adapter.extension == Extension.ZERO
         assert (adapter.from_width, adapter.to_width) == (4, 12)
 
     def test_mult_same_sign_needs_no_adapter(self):
@@ -112,7 +112,7 @@ class TestAdapters:
         assert _only_instance(mapped).adapters == (None, None)
         gen = _only_instance(mapped).generics
         assert (gen.width_a, gen.width_b, gen.width_p) == (8, 4, 12)
-        assert gen.representation is Representation.UNSIGNED
+        assert gen.representation == Representation.UNSIGNED
 
     def test_mult_mixed_zero_extends_unsigned_side(self):
         mapped = _mapped("input a: signed<4>; input b: unsigned<4>;"
@@ -120,10 +120,10 @@ class TestAdapters:
         left, adapter = _only_instance(mapped).adapters
         assert left is None
         assert (adapter.from_width, adapter.to_width) == (4, 5)
-        assert adapter.extension is Extension.ZERO
+        assert adapter.extension == Extension.ZERO
         gen = _only_instance(mapped).generics
         assert (gen.width_a, gen.width_b, gen.width_p) == (4, 5, 9)
-        assert gen.representation is Representation.SIGNED
+        assert gen.representation == Representation.SIGNED
 
     def test_mult_mixed_with_full_width_signed_side_goes_raw(self):
         # Zero-extending past 32 is impossible; raw patterns multiplied
@@ -132,7 +132,7 @@ class TestAdapters:
                          "output x: signed<32>; x = a * b;")
         assert _only_instance(mapped).adapters == (None, None)
         gen = _only_instance(mapped).generics
-        assert gen.representation is Representation.UNSIGNED
+        assert gen.representation == Representation.UNSIGNED
         assert (gen.width_a, gen.width_b, gen.width_p) == (32, 8, 32)
 
     def test_mult_product_width_capped(self):
@@ -147,11 +147,11 @@ class TestAdapters:
         adapter, right = _only_instance(mapped).adapters
         assert right is None
         assert (adapter.from_width, adapter.to_width) == (8, 9)
-        assert adapter.extension is Extension.ZERO
+        assert adapter.extension == Extension.ZERO
         gen = _only_instance(mapped).generics
         assert (gen.width_n, gen.width_d) == (9, 8)
-        assert gen.n_representation is Representation.SIGNED
-        assert gen.d_representation is Representation.SIGNED
+        assert gen.n_representation == Representation.SIGNED
+        assert gen.d_representation == Representation.SIGNED
 
 
 class TestLoadingPlan:

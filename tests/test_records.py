@@ -1,5 +1,6 @@
-"""The tool's records are NamedTuples: importing cigen builds no record
-methods from source, and records of two classes never compare equal.
+"""The tool's records are NamedTuples and its kinds plain strings:
+importing cigen builds no record methods from source, no module defines an
+Enum, and records of two classes never compare equal.
 
 Tuple equality ignores the class, so two records of one union that held
 equal values would be taken for each other wherever the tool compares
@@ -8,6 +9,8 @@ of one field; the test builds each member from the closest values those
 types allow (True and 1 compare equal, as do a str and itself) and checks
 that every pair still compares unequal."""
 
+import enum
+import importlib
 import itertools
 import json
 import os
@@ -20,6 +23,9 @@ import pytest
 
 from cigen import frontend, lpm
 from cigen import vhdl_ast as ast
+from cigen.hdl import build_design
+from cigen.mapper import map_design
+from cigen.metrics import DEFAULT_COSTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,6 +43,39 @@ def test_import_builds_no_dataclasses():
     assert not added & {"dataclasses", "inspect"}
 
 
+# every operation: a signed and an unsigned flavour of each division
+ALL_KINDS_TEXT = """\
+ci k(opcode=1) {
+  input a: signed<8>; input b: signed<8>;
+  input c: unsigned<8>; input d: unsigned<8>;
+  output y: signed<32>;
+  y = (a + b) - (a * b) + (a / b) + (a % b) + (a mod b)
+      + (c / d) + (c % d) + (c mod d);
+}
+"""
+
+
+def test_kinds_are_plain_strings():
+    modules = [importlib.import_module(f"cigen.{path.stem}")
+               for path in sorted((SRC / "cigen").glob("*.py"))
+               if path.stem != "__main__"]
+    assert [f"{module.__name__}.{name}" for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, enum.Enum)
+            and value.__module__ == module.__name__] == []
+    # an operation's text is its cost-model key and its instances' label infix
+    kinds = {value for name, value in vars(frontend.OpKind).items()
+             if name.isupper()}
+    assert kinds == set(DEFAULT_COSTS)
+    spec = frontend.parse_ci_spec(ALL_KINDS_TEXT)
+    mapped = map_design(spec)
+    instances = build_design(spec, mapped).architecture.instances
+    labels = [inst.label for inst in instances if inst.label.startswith("u_")]
+    node_kinds = [mapped.dfg.nodes[plan.node].kind for plan in mapped.instances]
+    assert set(node_kinds) == kinds
+    assert labels == [f"u_{kind}_{index}" for index, kind in enumerate(node_kinds)]
+
+
 # The closest value of each field type: every int field holds 1 and every
 # bool field True, which compare equal.
 _CLOSEST = {
@@ -44,11 +83,7 @@ _CLOSEST = {
     "int": 1,
     "bool": True,
     "Expr": ast.Ref("a"),
-    "Direction": lpm.Direction.ADD,
-    "Representation": lpm.Representation.SIGNED,
-    "Extension": lpm.Extension.SIGN,
     "OperandDecl": frontend.OperandDecl("a", True, 1),
-    "OpKind": frontend.OpKind.ADD,
     "ExprTree": frontend.Leaf("a"),
 }
 

@@ -688,11 +688,11 @@ def scalar_eval_reference(spec: CiSpec, inputs: dict[str, int],
     for node_id in dfg.order:
         node = dfg.nodes[node_id]
         left, right = value[node.left], value[node.right]
-        if node.kind is OpKind.ADD:
+        if node.kind == OpKind.ADD:
             raw = left + right
-        elif node.kind is OpKind.SUB:
+        elif node.kind == OpKind.SUB:
             raw = left - right
-        elif node.kind is OpKind.MUL:
+        elif node.kind == OpKind.MUL:
             raw = left * right
         else:
             if right == 0:
