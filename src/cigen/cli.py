@@ -6,8 +6,12 @@ source to call the instruction, and report prints the latency and energy
 estimates.  Exit codes: 0 on success, 1 for user errors (bad arguments,
 unparsable specs or configs, unreadable or unwritable files, failed
 matches, no memory left), 2 when an internal consistency check caught a
-bad design before it reached disk.  A command builds its own parser alone;
-help, usage and unknown-argument texts come from the full parser.
+bad design before it reached disk.  A command builds its own parser alone
+(help, usage and unknown-argument texts come from the full parser) and
+imports only its modules: report frontend, mapper and metrics; patch those
+and cpatch; simulate frontend and sim (and hdl); build all these and fuzz;
+-h none.  main binds a command's stage names here through __getattr__,
+which keeps a name bound already, such as a tracing wrapper.
 
 While a command runs, CollectionPolicy raises the young generation's
 collection threshold: its records die by reference count, unwalked by the
@@ -33,26 +37,43 @@ import re
 import stat
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cpatch import DEFAULT_INTRINSIC, emit_header, header_filename, rewrite
 from .errors import CigenError, InternalCheckError
-from .frontend import CiSpec, parse_ci_spec
-from .fuzz import random_vectors
-from .hdl import build_design, emit_vhdl, validate_structure
-from .mapper import MappedDesign, done_cycle_enabled, map_design
-from .metrics import cost_table, estimate_metrics
-from .sim import Stimulus, check_equivalence, simulate_ci
+
+if TYPE_CHECKING:
+    from .frontend import CiSpec
 
 # The most vectors build checks, so a count typed by mistake cannot run
 # without end.
 MAX_VECTORS = 1 << 20
 
-_COMMANDS = {
-    "build": "compile a spec into artifacts",
-    "simulate": "run one invocation cycle by cycle",
-    "patch": "rewrite a C source to call the CI",
-    "report": "print latency and energy estimates",
+_COMMANDS = {   # each command's help and the modules it calls
+    "build": ("compile a spec into artifacts",
+              "frontend mapper metrics hdl fuzz sim cpatch"),
+    "simulate": ("run one invocation cycle by cycle", "frontend sim"),
+    "patch": ("rewrite a C source to call the CI", "frontend mapper metrics cpatch"),
+    "report": ("print latency and energy estimates", "frontend mapper metrics"),
 }
+
+# The names the commands call, by home module
+_HOMES = {name: home for home, names in (
+    ("frontend", "DEFAULT_INTRINSIC parse_ci_spec"),
+    ("mapper", "done_cycle_enabled map_design"),
+    ("metrics", "cost_table estimate_metrics"),
+    ("hdl", "build_design emit_vhdl validate_structure"),
+    ("fuzz", "random_vectors"),
+    ("sim", "Stimulus check_equivalence simulate_ci"),
+    ("cpatch", "emit_header header_filename rewrite"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    """name, bound here from its home module unless bound already (PEP 562)."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = __import__(f"cigen.{_HOMES[name]}", fromlist=[name])
+    return globals().setdefault(name, getattr(home, name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -389,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "custom-instruction VHDL with a checked "
                                  "simulation model.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _COMMANDS.items():
+    for command, (summary, _) in _COMMANDS.items():
         _add_arguments(sub.add_parser(command, help=summary), command)
     return parser
 
@@ -409,13 +430,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     with CollectionPolicy():
         if argv and argv[0] in _COMMANDS:
-            parser = _Parser(prog=f"cigen {argv[0]}")
-            _add_arguments(parser, argv[0])
+            command = argv[0]
+            parser = _Parser(prog=f"cigen {command}")
+            _add_arguments(parser, command)
             args, extra = parser.parse_known_args(argv[1:])
             if extra:
                 build_parser().parse_args(argv)   # exits with the full usage line
         else:   # help, usage, no command or an unknown one
             args = build_parser().parse_args(argv)
+            command = args.command
+        for name, home in _HOMES.items():   # a name bound already is kept
+            if name not in globals() and home in _COMMANDS[command][1].split():
+                __getattr__(name)
         try:
             return args.func(args)
         except (CigenError, OSError) as exc:

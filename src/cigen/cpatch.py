@@ -46,10 +46,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
-from .frontend import OPERATORS, CiSpec, Dfg
+from .frontend import DEFAULT_INTRINSIC, OPERATORS, CiSpec, Dfg
 from .mapper import MappedDesign
-
-DEFAULT_INTRINSIC = "__builtin_custom_inii"
 
 # C spells each operator of the instruction grammar but the flooring "mod"
 # the same way, at the same precedence.

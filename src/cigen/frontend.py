@@ -59,6 +59,8 @@ MIN_WIDTH = 1
 MAX_WIDTH = 32
 MIN_OPCODE = 0
 MAX_OPCODE = 4
+# The builtin a generated header calls unless a config names another one
+DEFAULT_INTRINSIC = "__builtin_custom_inii"
 # Deepest operator nesting an expression may have.  No walk over the tree
 # or the DFG recurses, and cpatch compares hash-consed node ids rather than
 # nested trees, so no stage spends a level of the interpreter's recursion

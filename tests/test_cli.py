@@ -1413,3 +1413,111 @@ class TestParser:
         finally:
             gc.enable()
         assert cyclic <= 100 * calls
+
+
+SRC = Path(cigen.__file__).parent.parent
+ROOT = SRC.parent
+
+
+def _fresh(code: str, *args: str, cwd: Path = ROOT) -> list[str]:
+    """The last stdout line of code run in a new interpreter, split."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+_LOADED = """
+import sys
+from cigen import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exit:
+    code = exit.code
+print(code, *sorted(m for m in sys.modules if m.startswith("cigen")))
+"""
+
+# what every command but -h loads for the spec alone
+_SPEC = {"cigen", "cigen.cli", "cigen.errors", "cigen.frontend",
+         "cigen.lpm", "cigen.mapper", "cigen.vhdl_ast"}
+
+
+class TestImports:
+    """A command imports only the modules it calls, and the names stay
+    reachable as cigen.cli attributes, where bench/spans.py wraps them."""
+
+    def test_import_cigen_loads_no_submodule(self):
+        assert _fresh("import sys, cigen; print(sorted("
+                      "m for m in sys.modules if m.startswith('cigen')))") \
+            == ["['cigen']"]
+
+    def test_the_package_keeps_its_public_names(self):
+        homes = {"CiSpec": "frontend", "MappedDesign": "mapper",
+                 "Stimulus": "sim", "build_design": "hdl",
+                 "check_equivalence": "sim", "done_cycle_enabled": "mapper",
+                 "emit_header": "cpatch", "emit_vhdl": "hdl",
+                 "estimate_metrics": "metrics", "eval_reference": "sim",
+                 "find_call_sites": "cpatch", "map_design": "mapper",
+                 "parse_ci_spec": "frontend", "rewrite": "cpatch",
+                 "simulate_ci": "sim", "validate_structure": "hdl"}
+        code = f"""
+import importlib
+import cigen
+assert set(cigen.__all__) <= set(dir(cigen)), dir(cigen)   # before any is read
+names = {{}}
+exec("from cigen import *", names)
+homes = {homes!r}
+assert cigen.__all__ == [*homes, "__version__"], cigen.__all__
+assert all(names[name] is getattr(cigen, name) is
+           getattr(importlib.import_module("cigen." + home), name)
+           for name, home in homes.items())
+print(len(names.keys() & set(cigen.__all__)), cigen.__version__)
+"""
+        assert _fresh(code) == [str(len(homes) + 1), "0.1.0"]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["-h"], {"cigen", "cigen.cli", "cigen.errors"}),
+        (["report", "f.ci"], _SPEC | {"cigen.metrics"}),
+        (["patch", "f.ci", "fixture.c"], _SPEC | {"cigen.metrics", "cigen.cpatch"}),
+        (["simulate", "f.ci", "--inputs", "a=2,b=3,c=4"],
+         _SPEC | {"cigen.hdl", "cigen.sim"}),
+        (["build", "f.ci", "-o", "out"],
+         _SPEC | {"cigen.metrics", "cigen.cpatch", "cigen.hdl", "cigen.sim",
+                  "cigen.fuzz"}),
+    ], ids=["help", "report", "patch", "simulate", "build"])
+    def test_a_command_loads_only_its_modules(self, tmp_path, argv, loaded):
+        for name in ("f.ci", "fixture.c"):
+            (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+        code, *modules = _fresh(_LOADED, *argv, cwd=tmp_path)
+        assert code == "0"
+        assert set(modules) == loaded
+
+    def test_the_bench_spans_see_every_call(self, tmp_path):
+        # Recorder.install reads each wrapped name before any command has
+        # bound it, and main must keep the wrappers it finds there
+        (tmp_path / "fixture.c").write_bytes(
+            (GOLDEN_DIR / "fixture.c").read_bytes())
+        code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(ROOT / "bench")!r})
+import spans
+import cigen.cli
+recorder = spans.Recorder()
+recorder.install()
+reached = []
+for argv in (["build", "-o", "out"], ["patch", "fixture.c"]):
+    first = len(recorder.spans)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cigen.cli.main([argv[0], {str(GOLDEN_DIR / "f.ci")!r}, *argv[1:]]) == 0
+    reached.append(",".join(sorted({{s[0] for s in recorder.spans[first:]}})))
+print(*reached)
+"""
+        build = ["frontend.parse", "mapper.map", "hdl.build_design",
+                 "hdl.validate", "hdl.emit", "fuzz.random_vectors",
+                 "sim.check", "metrics.estimate", "cpatch.header"]
+        patch = ["frontend.parse", "mapper.map", "cpatch.lex", "cpatch.match",
+                 "cpatch.rewrite", "cpatch.header"]
+        assert _fresh(code, cwd=tmp_path) == [",".join(sorted(build)),
+                                               ",".join(sorted(patch))]
