@@ -4,15 +4,17 @@ The matcher works on tokens, not text.  The lexer splices lines first, as
 C's translation phase 2 does, then tiles the spliced text with one regular
 expression and classifies each match by its first character; the tokens
 keep their spliced texts at the original source's offsets.
-A candidate starts only at a token that can open the instruction's
-expression: an identifier equal to its leftmost leaf, or an opening
-parenthesis.  From there it parses the longest expression the
-instruction's grammar can produce (identifiers, parentheses, and the five
-binary operators with C precedence) and compares the parse tree, plus every
-prefix of its left spine, against the instruction's dataflow graph.  All
-candidates of one file share one memo, so each subexpression is parsed
-once, and a parse stops once its tree has more leaves than the target, so
-matching is linear in the number of tokens (see _Matcher for the order).
+Matching first looks for the instruction's tokens (its first 32) in
+source order with only parentheses between them, as every tree equal to
+it prints.  A parse never crosses a ';', '{' or '}', so only the runs of
+tokens between two of them that hold such a hit outside a directive are
+parsed, from right to left, at each identifier equal to the leftmost leaf
+and each opening parenthesis: the longest expression of the instruction's
+grammar (identifiers, parentheses, and the five binary operators with C
+precedence) and every prefix of its left spine are compared with the
+instruction's dataflow graph.  One memo serves every candidate, so each
+subexpression is parsed once, and a parse stops once its tree has more
+leaves than the target: matching is linear in the number of tokens.
 A hit is then screened by context guards so the replacement keeps the
 parse of the surrounding expression:
 
@@ -39,14 +41,14 @@ from __future__ import annotations
 
 import re
 import string
-from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, count, repeat
+from contextlib import suppress
+from itertools import accumulate, compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
-from .frontend import DEFAULT_INTRINSIC, OPERATORS, CiSpec, Dfg
+from .frontend import DEFAULT_INTRINSIC, OPERATORS, CiSpec, Dfg, OpNode
 from .mapper import MappedDesign
 
 # C spells each operator of the instruction grammar but the flooring "mod"
@@ -98,6 +100,8 @@ _LONE_CR_RE = re.compile(r"\r(?!\n)")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
 _SPLICE_RE = re.compile(r"(\\\r?\n)")
 _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[^\n]*")
+_STMT_ENDS = ("\n;\n", "\n{\n", "\n}\n")   # in texts joined by newlines
+_STMT_END_RE = re.compile("|".join(map(re.escape, _STMT_ENDS)))
 
 # One alternative per token class, tried in this order at each position, and
 # a catch-all for a stray character, so the matches tile the spliced source:
@@ -285,6 +289,30 @@ class _Matcher:
         return result
 
 
+def _statements_holding(tokens: CTokens, dfg: Dfg):
+    """(lo, hi) for each run tokens[lo:hi] between ';', '{' and '}' tokens
+    that holds a hit (see the module docstring) from outside a directive."""
+    nodes, spelling, stack = dfg.nodes, [], [dfg.nodes[dfg.root]]
+    while stack and len(spelling) < 32:   # a short prefix keeps every hit
+        node = stack.pop()
+        if isinstance(node, OpNode):
+            stack += nodes[node.right], _OP_SYMBOL[node.kind], nodes[node.left]
+        else:
+            spelling.append(node if isinstance(node, str) else node.decl.name)
+    hit_re = re.compile("\n" + re.escape(spelling[0]) + "(?=" + "".join(
+        "(?:\n[()])*\n" + re.escape(text) for text in spelling[1:]) + "\n)")
+    # token k follows newline k; a ';' past the last token ends the last run
+    joined = "\n" + "\n".join(tokens.text) + "\n;\n"
+    end = at = k = 0   # the last run's end offset; token k at offset at
+    for hit in hit_re.finditer(joined):   # overlapping ones too
+        k, at = k + joined.count("\n", at, hit.start()), hit.start()
+        if at >= end and not tokens.in_directive[k]:
+            lo = max(map(joined.rfind, _STMT_ENDS, repeat(end), repeat(at + 1)))
+            end = _STMT_END_RE.search(joined, at).start()
+            yield (k - joined.count("\n", lo, at) + 1 if lo >= 0 else 0,
+                   k + joined.count("\n", at, end))
+
+
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
 
 
@@ -351,25 +379,23 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
     # every accepted candidate equals the target, so shares its top operator
     prec = _SYM_PREC[_OP_SYMBOL[dfg.nodes[dfg.root].kind]] if dfg.order else 3
     kind, text = tokens.kind, tokens.text
-    directives_before = array("I", accumulate(tokens.in_directive, initial=0))
     matcher = _Matcher(tokens, dfg)
     raw: list[tuple[int, int]] = []
     # no tree equal to the target starts elsewhere; its leftmost leaf is node 0
     leftmost = dfg.nodes[0].decl.name
-    starts = [i for i, t in enumerate(text) if t == leftmost or t == "("]
-    # right to left, so every group a parse reaches is in the memo already
-    for i in reversed(starts):
-        spine: list = []
-        matcher.expr(i, 1, spine)
-        for node, j in spine:
-            if node != matcher.target:
+    for lo, hi in _statements_holding(tokens, dfg):
+        # right to left, so every group a parse reaches is in the memo already
+        for i in range(hi - 1, lo - 1, -1):
+            if text[i] != leftmost and text[i] != "(":
                 continue
-            if directives_before[j] != directives_before[i]:
-                continue
-            whole_paren = text[i] == "(" and j == spine[0][1]
-            if _left_context_ok(kind, text, i, prec, whole_paren) and \
-                    _right_context_ok(kind, text, j, prec, whole_paren):
-                raw.append((tokens.start[i], tokens.end(j - 1)))
+            matcher.expr(i, 1, spine := [])
+            for node, j in spine:
+                if node != matcher.target or any(tokens.in_directive[i:j]):
+                    continue
+                whole_paren = text[i] == "(" and j == spine[0][1]
+                if _left_context_ok(kind, text, i, prec, whole_paren) and \
+                        _right_context_ok(kind, text, j, prec, whole_paren):
+                    raw.append((tokens.start[i], tokens.end(j - 1)))
     sites: list[PatchSite] = []
     last_end = -1
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
@@ -454,8 +480,12 @@ def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
     there is none.  Comments and the bodies of other directives hold no
     directive."""
     text, flags = tokens.text, tokens.in_directive
-    includes = [k for k in compress(count(), map("include".__eq__, text))
-                if k and flags[k - 1] == 2 and flags[k] == 1]
+    includes, k = [], 0
+    with suppress(ValueError):   # when no "include" is left
+        while True:
+            k = text.index("include", k + 1)
+            if flags[k - 1] == 2 and flags[k] == 1:
+                includes.append(k)
     if any(text[k + 1:k + 2] == [f'"{header}"'] and flags[k + 1] == 1
            for k in includes):
         return 0, ""

@@ -291,6 +291,25 @@ class TestFindCallSites:
         spec = parse_ci_spec(MOD_TEXT)
         assert find_call_sites(lex_c("int x = a % b;\n"), spec) == []
 
+    @pytest.mark.parametrize("src, expected", [
+        # the occurrence that starts in the directive overlaps the site
+        ("#define M a\n+ (a + a);\n", ["(a + a)"]),
+        # the directive's occurrence and the site share one statement
+        ("#define M (a + a)\nx = a + a;\n", ["a + a"]),
+    ])
+    def test_a_directive_occurrence_hides_no_site(self, src, expected):
+        spec = _spec_of("a + a")
+        assert [src[site.start:site.end]
+                for site in find_call_sites(lex_c(src), spec)] == expected
+
+    def test_a_long_expression_is_matched_whole(self):
+        # 39 tokens: the search reads the first 32, the parse the rest
+        expr = " + ".join("abcdefghijklmnopqrsu")
+        near_miss = expr[:-3] + "- u"
+        src = f"void f(void) {{ x = {expr}; y = {near_miss}; }}\n"
+        sites = find_call_sites(lex_c(src), _spec_of(expr))
+        assert [src[site.start:site.end] for site in sites] == [expr]
+
 
 def _failed_groups(depth: int) -> str:
     """A return of depth nested "a + b * (" groups whose innermost one,
@@ -324,9 +343,11 @@ class TestLinearMatching:
 
     @pytest.mark.parametrize("src, sites", [
         (_failed_groups(1000), 0),
+        (_failed_groups(1000).replace("return", "return a * b + c -"), 1),
         ("int t(int a, int b, int c) { return "
          + "(" * 5000 + "a" + ")" * 5000 + " * b + c; }\n", 1),
-    ], ids=["failed-groups-1000", "parentheses-5000"])
+    ], ids=["failed-groups-1000", "failed-groups-1000-beside-a-site",
+            "parentheses-5000"])
     def test_any_nesting_at_any_stack_depth(self, counted, src, sites):
         # called 900 frames deep, so a parse that recursed once per group
         # would pass Python's default limit of 1000 frames
@@ -337,6 +358,21 @@ class TestLinearMatching:
         assert len(deep(900, lambda: find_call_sites(tokens, MAC))) == sites
         assert counted[0] <= 2 * len(lex_c(src))
 
+    def test_no_parse_where_the_tokens_occur_only_off_code(self, counted):
+        # the target's tokens appear only in directives, comments and
+        # strings; the code around them has groups and leftmost leaves
+        src = "".join(
+            f"#define M_{k} ((a * b) + c)\n"
+            f"/* x = (a * b) + c; */\n"
+            f'const char *s_{k} = "(a * b) + c";\n'
+            f"int f_{k}(int a, int b, int c) "
+            f"{{ return (a - (b * c)) + g(a, (b), c) / a; }}\n"
+            for k in range(300))
+        tokens = lex_c(src)
+        assert tokens.text.count("a") > 1000 and tokens.text.count("(") > 1000
+        assert find_call_sites(tokens, MAC) == []
+        assert counted[0] == 0
+
 
 def _spec_of(expr: str):
     names = sorted(set(re.findall(r"[a-z]", expr)))
@@ -346,7 +382,8 @@ def _spec_of(expr: str):
 
 
 _TARGETS = ["a + b", "a * b", "a * b + c", "a - b - c", "a * (b + c)",
-            "(a + b) % c", "a / b", "a"]
+            "(a + b) % c", "a / b", "a", "a + a", "a * a + a",
+            "(a + a) * (a - a)"]
 _TARGET_SPECS = {expr: _spec_of(expr) for expr in _TARGETS}
 _SOUP_TOKENS = ["a", "b", "c", "(", ")", "*", "+", "-", "/", "%", ",", ";",
                 "#", "\n", "sizeof", "return", "->", "[", "]", '"s"']
@@ -407,6 +444,7 @@ class TestSameAsTheReference:
     @settings(max_examples=300, deadline=None)
     @given(_SOUPS, st.sampled_from(_TARGETS))
     @example("x = a * (a * ((b)));", "a * b")
+    @example("#define M a\n+ (a + a);\n", "a + a")
     @example("x = ((a + b));", "a + b")
     @example('s = "a\\\n#"\n;\n#define X 1\na * b;\n', "a * b")
     @example("#define A (1 + \\\r\n 2)\r\nx = a * b;\r\n", "a * b")
@@ -419,12 +457,15 @@ class TestSameAsTheReference:
                 lex_c(source)
             assert str(info.value) == str(exc)
             return
-        assert _columns(lex_c(source)) == _columns(expected_tokens)
+        tokens = lex_c(source)
+        assert _columns(tokens) == _columns(expected_tokens)
+        # find_call_sites joins the token texts with newlines
+        assert not any("\n" in text for text in tokens.text)
         spec = _TARGET_SPECS[expr]
         expected = reference_find_call_sites(source, spec)
         assume(not _site_a_tighter_operator_follows(
             source, expected, spec_match_tree(spec)))
-        assert find_call_sites(lex_c(source), spec) == expected
+        assert find_call_sites(tokens, spec) == expected
 
 
 # Pieces of C over a wider alphabet than the matcher's soups: every token
