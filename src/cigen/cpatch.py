@@ -4,17 +4,22 @@ The matcher works on tokens, not text.  The lexer splices lines first, as
 C's translation phase 2 does, then tiles the spliced text with one regular
 expression and classifies each match by its first character; the tokens
 keep their spliced texts at the original source's offsets.
-Matching first looks for the instruction's tokens (its first 32) in
-source order with only parentheses between them, as every tree equal to
-it prints.  A parse never crosses a ';', '{' or '}', so only the runs of
-tokens between two of them that hold such a hit outside a directive are
-parsed, from right to left, at each identifier equal to the leftmost leaf
-and each opening parenthesis: the longest expression of the instruction's
-grammar (identifiers, parentheses, and the five binary operators with C
-precedence) and every prefix of its left spine are compared with the
-instruction's dataflow graph.  One memo serves every candidate, so each
-subexpression is parsed once, and a parse stops once its tree has more
-leaves than the target: matching is linear in the number of tokens.
+rewrite first scans the spliced text for comments, literals, directive
+lines and lex errors; with those blanked, it finds the instruction's first
+32 tokens with only white space and parentheses between, as any equal
+tree prints, and lexes just the runs between ';', '{' and '}' that hold
+them, since no parse crosses one.
+find_call_sites searches the tokens the same way, then parses the runs
+that hold a hit outside a directive from right to left, at each identifier
+equal to the leftmost leaf and each opening parenthesis: the longest
+expression of the instruction's grammar (identifiers, parentheses, and the
+five binary operators with C precedence) and every prefix of its left spine
+are compared with the instruction's dataflow graph.  One memo serves every
+candidate, so each subexpression is parsed once, a parse stops once its
+tree has more leaves than the target, and a count of a run's directive
+tokens tests each prefix at once.  So patching takes time linear in the
+source, at any nesting and with any number of sites, directives, splices,
+literals or comments (tests/test_growth.py::test_patching_is_linear).
 A hit is then screened by context guards so the replacement keeps the
 parse of the surrounding expression:
 
@@ -42,7 +47,6 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from itertools import accumulate, compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -99,23 +103,28 @@ class CTokens(NamedTuple):
 _LONE_CR_RE = re.compile(r"\r(?!\n)")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
 _SPLICE_RE = re.compile(r"(\\\r?\n)")
-_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[^\n]*")
+_DIRECTIVE_RE = re.compile(r"\n[ \t]*#[^\r\n]*")   # in text after a "\n"
 _STMT_ENDS = ("\n;\n", "\n{\n", "\n}\n")   # in texts joined by newlines
 _STMT_END_RE = re.compile("|".join(map(re.escape, _STMT_ENDS)))
+_CODE_END_RE = re.compile("[;{}]")   # in _skeleton's code
 
-# One alternative per token class, tried in this order at each position, and
-# a catch-all for a stray character, so the matches tile the spliced source:
-# white space, a comment, a string or character literal, an identifier, a
-# number, an opening quote or comment that the complete forms before it
-# could not close, a punctuator.
-_TOKEN_RE = re.compile("|".join([
-    r"[ \t\r\f\v\n]+",
-    r"//[^\n]*|/\*[\s\S]*?\*/",
+# A comment, a string or character literal, or an opening quote or comment
+# that the complete forms before it could not close.
+_SKELETON_RE = re.compile("|".join([
+    r"//[^\r\n]*|/\*[\s\S]*?\*/",
     r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"',
     r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'",
+    r"""/\*|"|'""",
+]))
+# One alternative per token class, tried in this order at each position, and
+# a catch-all for a stray character, so the matches tile the spliced source:
+# white space, the skeleton's, an identifier, a number, a punctuator.  No
+# other token holds a skeleton match's first character: a scan finds them.
+_TOKEN_RE = re.compile("|".join([
+    r"[ \t\r\f\v\n]+",
+    _SKELETON_RE.pattern,
     r"[A-Za-z_][A-Za-z0-9_]*",
     r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*",
-    r"/\*|[\"']",
     *map(re.escape, _PUNCTS),
     r"[\s\S]",
 ]))
@@ -134,6 +143,10 @@ _FIRST_CHAR: dict[str, object] = {
     **dict.fromkeys("".join(_PUNCTS), TokKind.PUNCT),
     **dict.fromkeys("/\"'.", _LOOK),
 }
+# A character that starts no token; a directive line whose first token is
+# followed by "include", up to the token after it, after a "\n".
+_STRAY_RE = re.compile("[^" + re.escape("".join(_FIRST_CHAR)) + "]")
+_INCLUDE_RE = re.compile(r"\n[ \t]*##?[ \t\f\v]*include(?![A-Za-z0-9_])[ \t\f\v]*")
 
 
 def _look_closer(text: str, source: str, offset: int, at):
@@ -182,9 +195,9 @@ def lex_c(source: str) -> CTokens:
             uncommented[k] = " " * len(parts[k])
     start = list(compress(offsets, kinds))   # the tokens' entries
     in_directive = bytearray(len(start))
-    for m in _DIRECTIVE_RE.finditer("".join(uncommented)):
-        lo = bisect_left(start, m.start())
-        hi = bisect_left(start, m.end(), lo)
+    for m in _DIRECTIVE_RE.finditer("\n" + "".join(uncommented)):
+        lo = bisect_left(start, m.start())   # the line's offset, past "\n"
+        hi = bisect_left(start, m.end() - 1, lo)
         if hi > lo:   # none when the line holds the end of a literal only
             in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
     text, ends = list(compress(parts, kinds)), None
@@ -289,16 +302,23 @@ class _Matcher:
         return result
 
 
-def _statements_holding(tokens: CTokens, dfg: Dfg):
-    """(lo, hi) for each run tokens[lo:hi] between ';', '{' and '}' tokens
-    that holds a hit (see the module docstring) from outside a directive."""
+def _spelling(dfg: Dfg) -> list[str]:
+    """The first 32 tokens of dfg as C would spell it, without parentheses."""
     nodes, spelling, stack = dfg.nodes, [], [dfg.nodes[dfg.root]]
     while stack and len(spelling) < 32:   # a short prefix keeps every hit
         node = stack.pop()
         if isinstance(node, OpNode):
-            stack += nodes[node.right], _OP_SYMBOL[node.kind], nodes[node.left]
+            symbol = _OP_SYMBOL.get(node.kind, "mod")   # mod: rewrite finds none
+            stack += nodes[node.right], symbol, nodes[node.left]
         else:
             spelling.append(node if isinstance(node, str) else node.decl.name)
+    return spelling
+
+
+def _statements_holding(tokens: CTokens, dfg: Dfg):
+    """(lo, hi) for each run tokens[lo:hi] between ';', '{' and '}' tokens
+    that holds a hit (see the module docstring) from outside a directive."""
+    spelling = _spelling(dfg)
     hit_re = re.compile("\n" + re.escape(spelling[0]) + "(?=" + "".join(
         "(?:\n[()])*\n" + re.escape(text) for text in spelling[1:]) + "\n)")
     # token k follows newline k; a ';' past the last token ends the last run
@@ -384,13 +404,15 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
     # no tree equal to the target starts elsewhere; its leftmost leaf is node 0
     leftmost = dfg.nodes[0].decl.name
     for lo, hi in _statements_holding(tokens, dfg):
+        # flags[k - lo] > 0: a directive token before token k of the run
+        flags = list(accumulate(tokens.in_directive[lo:hi], initial=0))
         # right to left, so every group a parse reaches is in the memo already
         for i in range(hi - 1, lo - 1, -1):
             if text[i] != leftmost and text[i] != "(":
                 continue
             matcher.expr(i, 1, spine := [])
             for node, j in spine:
-                if node != matcher.target or any(tokens.in_directive[i:j]):
+                if node != matcher.target or flags[j - lo] != flags[i - lo]:
                     continue
                 whole_paren = text[i] == "(" and j == spine[0][1]
                 if _left_context_ok(kind, text, i, prec, whole_paren) and \
@@ -470,37 +492,48 @@ class PatchPlan(NamedTuple):
     output: str
 
 
-# the rest of a directive's spliced line: its comments too
-_REST_OF_LINE_RE = re.compile(r"(?://[^\r\n]*|/\*[\s\S]*?\*/|[^\r\n])*")
+def _skeleton(source: str, spec: CiSpec):
+    """source spliced, the map back, source blanked but for each run of code
+    between ';', '{' and '}' that holds a hit (see the module docstring) and
+    its bounds, and the offsets past "include" and of the line break of each
+    #include line; raises lex_c(source)'s first LexError."""
+    spliced, at = _splice(_LONE_CR_RE.sub("\n", source))
+    # code: comments blanked, literals and directives opaque, openers stray
+    code = "\n" + _SKELETON_RE.sub(lambda m: (
+        "@" if m[0] in _UNTERMINATED else " " if m[0][0] == "/" else '"')
+        * len(m[0]), spliced)
+    if _STRAY_RE.search(code):
+        lex_c(source)   # raises the first
+    includes = [(m.start() + include.end() - 1, m.end() - 1)
+                for m in _DIRECTIVE_RE.finditer(code)
+                if (include := _INCLUDE_RE.match(m[0]))]
+    code = _DIRECTIVE_RE.sub(lambda m: "\n" + "#" * (len(m[0]) - 1), code)[1:] + ";"
+    hits = re.compile(r"[\s()]*".join(map(re.escape, _spelling(spec.dfg))))
+    pieces, last, end = [], 0, 0   # end: the last run's closing ';', '{', '}'
+    for at_hit in (hit.start() for hit in hits.finditer(code)):
+        if at_hit >= end:
+            lo = max(map(code.rfind, ";{}", repeat(end), repeat(at_hit)))
+            lo, end = max(at(lo), last), _CODE_END_RE.search(code, at_hit).start()
+            pieces += " " * (lo - last), source[lo:at(end) + 1]
+            last = at(end) + 1
+    return spliced, at, "".join(pieces) + " " * (len(source) - last), includes
 
 
-def _include(source: str, tokens: CTokens, header: str) -> tuple[int, str]:
+def _include(source: str, spliced: str, at, includes,
+             header: str) -> tuple[int, str]:
     """The offset and the text to insert there so that the source includes
     header once: after the last #include directive, or at the top when
     there is none.  Comments and the bodies of other directives hold no
     directive."""
-    text, flags = tokens.text, tokens.in_directive
-    includes, k = [], 0
-    with suppress(ValueError):   # when no "include" is left
-        while True:
-            k = text.index("include", k + 1)
-            if flags[k - 1] == 2 and flags[k] == 1:
-                includes.append(k)
-    if any(text[k + 1:k + 2] == [f'"{header}"'] and flags[k + 1] == 1
-           for k in includes):
+    if any(spliced.startswith(f'"{header}"', past) for past, _ in includes):
         return 0, ""
     if not includes:   # the added lines end as the first line ends
         eol = _LINE_END_RE.search(source)
         eol = eol[0] if eol else "\n"
         return 0, f'#include "{header}"{eol}{eol}'
-    end = includes[-1] + 1   # then past the directive's last token
-    while end < len(text) and flags[end] == 1:
-        end += 1
-    last = tokens.end(end - 1)
     # a line of its own after the directive's spliced one, which keeps its
     # comments and its line break, and ends as that line ends
-    rest, at = _splice(_LONE_CR_RE.sub("\n", source[last:]))
-    last += at(_REST_OF_LINE_RE.match(rest).end())   # at the line break, if any
+    last = at(includes[-1][1])   # at the line break, if any
     eol = _LINE_END_RE.match(source, last)
     return last, (eol[0] if eol else "\n") + f'#include "{header}"'
 
@@ -513,8 +546,8 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     second rewrite of already patched source fail loudly instead of nesting
     calls.
     """
-    tokens = lex_c(source)
-    sites = find_call_sites(tokens, spec)
+    spliced, at, runs, includes = _skeleton(source, spec)
+    sites = find_call_sites(lex_c(runs), spec)
     if not sites:
         if not _spelled_in_c(spec.dfg):
             raise NoMatchFound(
@@ -525,12 +558,12 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
 
     args = ", ".join(mapped.analysis.operand_sequence)
     replacement = f"{call_macro_name(spec)}({args})"
-    at, include = _include(source, tokens, header_filename(spec))
+    offset, include = _include(source, spliced, at, includes,
+                               header_filename(spec))
     edits = [(site.start, site.end, replacement) for site in sites]
-    pieces = []
-    last = 0
+    pieces, last = [], 0
     # the include sorts before a site starting where it goes
-    for start, end, text in sorted(edits + [(at, at, include)]):
+    for start, end, text in sorted(edits + [(offset, offset, include)]):
         pieces += source[last:start], text
         last = end
     pieces.append(source[last:])

@@ -605,13 +605,20 @@ class TestBenchContract:
             return lex_c(source)
 
         monkeypatch.setattr(cpatch, "lex_c", counted)
-        src = "int f(int a, int b, int c) { return (a * b) + c; }\n"
-        # rewrite matches and places the include with the same tokens
+        # one call per rewrite, of the source blanked at its offsets but for
+        # the runs of code that can hold a site, with their bounds
+        run = "{ return (a * b) + c;"
+        src = f"int x;\nint f(int a, int b, int c) {run} }}\n"
         assert len(rewrite(src, MAC, MAC_MAPPED).sites) == 1
-        assert seen == [src]
+        at = src.index(run)
+        assert seen == [" " * at + run + " " * (len(src) - at - len(run))]
+        # none when nothing can hold a site, and the whole source, which
+        # raises, when it holds a lex error
         with pytest.raises(NoMatchFound):
             rewrite("int x;\n", MAC, MAC_MAPPED)
-        assert seen == [src, "int x;\n"]
+        with pytest.raises(LexError):
+            rewrite("int @;\n", MAC, MAC_MAPPED)
+        assert seen[1:] == [" " * 7, "int @;\n"]
 
     def test_len_is_the_token_count(self):
         tokens = lex_c("int f(int a) { return a; } /* c */ // d\n"
@@ -795,6 +802,74 @@ class TestRewriteProperties:
         assert len(plan.sites) == planted
         assert plan.output.count("CI_F(a, b, c)") == planted
         assert plan.output.count('#include "ci_f.h"') == 1
+
+
+# Pieces of C for the differential of rewrite: comments and literals that
+# hold ';', '{', '}' or a target, splices, lone CRs, stray characters and
+# unterminated openers, and directive lines, #include ones among them, that
+# may fall inside a statement.
+_RUN_PIECES = [
+    "a", "b", "c", "ab", "(", ")", "*", "+", "-", "/", "%", ",", ";", "{", "}",
+    "=", "return", "sizeof", "->", "[", "]", "&", "!", "++", "1", ".5", "f(",
+    "#", "##", " ", "\t", "\f", "\n", "\r\n", "\r", "\\\n", "\\\r\n", "\\\r",
+    "/* ; { } a * b + c */", "/*\n;}*/", "// a + b ; }", '"a * b; {"', '"}"',
+    "'{'", "';'", "'\\''", '"a\\\nb"', "a\\\n+ b", "a /* x */ * b",
+]
+_RUN_DIRECTIVES = [
+    "#define M a * b;", "#define M ; a + b", "#x { a * b + c", "#x } a",
+    "#if 1", "#endif", "#", '#include "ci_t.h"', "#include <x.h> /* c\n */",
+    ' # include "y.h" // c', '##include "ci_t.h"', '#/**/include "z.h"',
+    '#\tinclude"ci_t.h"', '#includes "q.h"', "#define include x",
+    '/* c */ #include "w.h"', '#include "ci_t.h" x', '#include \\\n"ci_t.h"',
+    '#inc\\\nlude "v.h"', '# # include "u.h"', '#include "ci_t.h.x"',
+]
+_RUN_SOUPS = st.lists(st.one_of(
+    st.sampled_from(_RUN_PIECES),
+    st.tuples(st.sampled_from(["x = ", "return ", "(", ""]),
+              st.sampled_from(_TARGETS),
+              st.sampled_from([";", " }", ")", ""])).map("".join),
+    st.tuples(st.sampled_from(["\n", "\r\n", "\r"]),
+              st.sampled_from(_RUN_DIRECTIVES),
+              st.sampled_from(["\n", "\r\n", "\r", ""])).map("".join),
+    st.sampled_from(_WIDE_FAULTS)), max_size=30).map("".join)
+_MAPPED = {expr: map_design(spec) for expr, spec in _TARGET_SPECS.items()}
+
+
+class TestOnlyTheRunsThatCanHoldASite:
+    """rewrite, which lexes only the runs of code that can hold a site and
+    reads the #include lines from its scan, gives the sites, the patched
+    source and the lex error that lexing the whole file gives
+    (whole_file_rewrite)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_RUN_SOUPS, st.sampled_from(_TARGETS))
+    @example('#x { a\n+ b;\n', "a + b")
+    @example("x } # a a + b;", "a + b")
+    @example('##include "h.h"\nx = a;', "a")
+    @example('#include "ci_t.h" \\\r\n\r\nx = a;', "a")
+    @example('#include "a.h" // c\r\n#includes "b.h"\nx = a;', "a")
+    @example('x = a /*', "a")
+    @example('x = "a;\n@ a;', "a")
+    def test_same_as_the_whole_file(self, source, expr):
+        spec, mapped = _TARGET_SPECS[expr], _MAPPED[expr]
+        try:
+            sites, output = whole_file_rewrite(source, spec, mapped)
+        except LexError as exc:
+            with pytest.raises(LexError) as info:
+                rewrite(source, spec, mapped)
+            assert str(info.value) == str(exc)
+            return
+        if not sites:
+            with pytest.raises(NoMatchFound):
+                rewrite(source, spec, mapped)
+            return
+        plan = rewrite(source, spec, mapped)
+        assert (list(plan.sites), plan.output) == (sites, output)
+
+    def test_a_lex_error_comes_before_an_unmatchable_spec(self):
+        spec = parse_ci_spec(MOD_TEXT)
+        with pytest.raises(LexError, match="stray character '@' on line 2"):
+            rewrite("x = a % b;\n@\n", spec, map_design(spec))
 
 
 # --- the references: lex_c and find_call_sites as they were before the
@@ -1129,3 +1204,44 @@ def _named_group_lex_spliced(source: str, line) -> list[CToken]:
             tokens.append(CToken(getattr(TokKind, kind), text, i, end))
         i = end
     return _flag_directives(source, tokens, comments)
+
+
+# --- rewrite as it was when it lexed the whole file: sites from
+# find_call_sites(lex_c(source)), and the include placed by the directive
+# flags of the whole file's tokens ---------------------------------------------
+
+_REST_OF_LINE_RE = re.compile(r"(?://[^\r\n]*|/\*[\s\S]*?\*/|[^\r\n])*")
+
+
+def whole_file_rewrite(source: str, spec: CiSpec, mapped) -> tuple[list, str]:
+    """The sites and the patched source; no source when there is no site."""
+    tokens = lex_c(source)
+    sites = find_call_sites(tokens, spec)
+    if not sites:
+        return sites, None
+    header, text, flags = header_filename(spec), tokens.text, tokens.in_directive
+    includes = [k for k in range(1, len(text)) if text[k] == "include"
+                and flags[k - 1] == 2 and flags[k] == 1]
+    at, include = 0, ""
+    if not includes:
+        eol = re.search(r"\r\n?|\n", source)
+        eol = eol[0] if eol else "\n"
+        include = f'#include "{header}"{eol}{eol}'
+    elif not any(text[k + 1:k + 2] == [f'"{header}"'] and flags[k + 1] == 1
+                 for k in includes):
+        end = includes[-1] + 1
+        while end < len(text) and flags[end] == 1:
+            end += 1
+        at = tokens.end(end - 1)
+        rest, back = cpatch._splice(re.sub(r"\r(?!\n)", "\n", source[at:]))
+        at += back(_REST_OF_LINE_RE.match(rest).end())
+        eol = re.compile(r"\r\n?|\n").match(source, at)
+        include = (eol[0] if eol else "\n") + f'#include "{header}"'
+    replacement = (f"{call_macro_name(spec)}"
+                   f"({', '.join(mapped.analysis.operand_sequence)})")
+    pieces, last = [], 0
+    for start, end, new in sorted([(site.start, site.end, replacement)
+                                   for site in sites] + [(at, at, include)]):
+        pieces += source[last:start], new
+        last = end
+    return sites, "".join(pieces + [source[last:]])
