@@ -4,22 +4,24 @@ The matcher works on tokens, not text.  The lexer splices lines first, as
 C's translation phase 2 does, then tiles the spliced text with one regular
 expression and classifies each match by its first character; the tokens
 keep their spliced texts at the original source's offsets.
-rewrite first scans the spliced text for comments, literals, directive
-lines and lex errors; with those blanked, it finds the instruction's first
-32 tokens with only white space and parentheses between, as any equal
-tree prints, and lexes just the runs between ';', '{' and '}' that hold
-them, since no parse crosses one.
-find_call_sites searches the tokens the same way, then parses the runs
-that hold a hit outside a directive from right to left, at each identifier
-equal to the leftmost leaf and each opening parenthesis: the longest
-expression of the instruction's grammar (identifiers, parentheses, and the
-five binary operators with C precedence) and every prefix of its left spine
-are compared with the instruction's dataflow graph.  One memo serves every
-candidate, so each subexpression is parsed once, a parse stops once its
-tree has more leaves than the target, and a count of a run's directive
-tokens tests each prefix at once.  So patching takes time linear in the
-source, at any nesting and with any number of sites, directives, splices,
-literals or comments (tests/test_growth.py::test_patching_is_linear).
+rewrite searches once: one scan of the spliced source finds lex errors,
+blanks comments, makes literals and directive lines opaque and records the
+#include lines, and one search of the code left finds the instruction's
+first 32 tokens with only white space and parentheses between, as any equal
+tree prints.  Only the runs between ';', '{' and '}' that hold a hit are
+lexed (no parse crosses one), and find_call_sites gets their token ranges
+(tests/test_cpatch.py::TestOnlyTheRunsThatCanHoldASite); given a whole
+file's tokens, it searches their texts the same way.  It parses each run
+from right to left at each '(' and each identifier equal to the leftmost
+leaf: the longest expression of the instruction's grammar (identifiers,
+parentheses and the five binary operators, with C precedence) and every
+prefix of its left spine are compared with the instruction's dataflow
+graph.  One memo serves every candidate, so each subexpression is parsed
+once; a parse stops once its tree has more leaves than the target; a run
+holding directive tokens counts them once to test each prefix.  So patching
+takes time linear in the source, at any nesting and with any number of
+sites, directives, splices, literals or comments
+(tests/test_growth.py::test_patching_is_linear).
 A hit is then screened by context guards so the replacement keeps the
 parse of the surrounding expression:
 
@@ -35,11 +37,9 @@ parse of the surrounding expression:
 
 The guards read tokens, never C types, so a patched site can compute
 something else: C adds two signed char operands as int, so 100 + 100 is
-200, while a signed<8> instruction wraps the sum to -56.
-
-Flooring modulus exists in the instruction grammar but has no C operator,
-so expressions using it are reported as unmatchable instead of guessed at.
-Preprocessor directive lines are never patched.
+200, while a signed<8> instruction wraps the sum to -56.  Flooring modulus
+has no C operator, so a spec using it is reported as unmatchable instead of
+guessed at; directive lines are never patched.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import LexError, NoMatchFound
@@ -104,9 +104,6 @@ _LONE_CR_RE = re.compile(r"\r(?!\n)")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
 _SPLICE_RE = re.compile(r"(\\\r?\n)")
 _DIRECTIVE_RE = re.compile(r"\n[ \t]*#[^\r\n]*")   # in text after a "\n"
-_STMT_ENDS = ("\n;\n", "\n{\n", "\n}\n")   # in texts joined by newlines
-_STMT_END_RE = re.compile("|".join(map(re.escape, _STMT_ENDS)))
-_CODE_END_RE = re.compile("[;{}]")   # in _skeleton's code
 
 # A comment, a string or character literal, or an opening quote or comment
 # that the complete forms before it could not close.
@@ -167,6 +164,25 @@ def _look_closer(text: str, source: str, offset: int, at):
     raise LexError(f"{problem} on line {line}")
 
 
+class _SpliceMap(NamedTuple):
+    """Splice m was cut at offset cuts[m] of a spliced text of size
+    characters, after shifts[m] characters of splices."""
+    cuts: list[int]
+    shifts: list[int]
+    size: int
+
+    def __call__(self, at: int) -> int:
+        return at + self.shifts[bisect_right(self.cuts, at)]
+
+    def each(self, offsets: list[int], past: bool = False) -> list[int]:
+        """offsets mapped by one lookup each in a table holding the shift of
+        each offset x from -1 to size at x + 1; past: each is past a character."""
+        table = [0, *chain.from_iterable(map(repeat, self.shifts, map(
+            sub, self.cuts + [self.size + 1], [0] + self.cuts)))]
+        keys = offsets if past else map((1).__add__, offsets)
+        return list(map(add, offsets, map(table.__getitem__, keys)))
+
+
 def _splice(source: str):
     """source spliced as C's phase 2 does, and a map back to its offsets."""
     pieces = _SPLICE_RE.split(source)   # text, splice, text, ..., text
@@ -174,7 +190,8 @@ def _splice(source: str):
         return source, int   # the identity: no map
     cuts = list(accumulate(map(len, pieces[:-1:2])))
     shifts = list(accumulate(map(len, pieces[1::2]), initial=0))
-    return "".join(pieces[::2]), lambda at: at + shifts[bisect_right(cuts, at)]
+    spliced = "".join(pieces[::2])
+    return spliced, _SpliceMap(cuts, shifts, len(spliced))
 
 
 def lex_c(source: str) -> CTokens:
@@ -186,8 +203,8 @@ def lex_c(source: str) -> CTokens:
     parts = _TOKEN_RE.findall(spliced)
     offsets = list(accumulate(map(len, parts), initial=0))
     kinds = list(map(_FIRST_CHAR.get, map(itemgetter(0), parts), repeat(_LOOK)))
-    # directives are found as C finds them, once each comment is white
-    # space: here spaces of the comment's length, so offsets hold
+    # directives, in a text that holds a '#', are found as C finds them once
+    # each comment is white space: here spaces of its length, so offsets hold
     uncommented = parts.copy()
     for k in [k for k, kind in enumerate(kinds) if kind is _LOOK]:
         kinds[k] = _look_closer(parts[k], source, offsets[k], at)
@@ -195,15 +212,16 @@ def lex_c(source: str) -> CTokens:
             uncommented[k] = " " * len(parts[k])
     start = list(compress(offsets, kinds))   # the tokens' entries
     in_directive = bytearray(len(start))
-    for m in _DIRECTIVE_RE.finditer("\n" + "".join(uncommented)):
+    lines = "\n" + "".join(uncommented) if "#" in spliced else ""
+    for m in _DIRECTIVE_RE.finditer(lines):
         lo = bisect_left(start, m.start())   # the line's offset, past "\n"
         hi = bisect_left(start, m.end() - 1, lo)
         if hi > lo:   # none when the line holds the end of a literal only
             in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
     text, ends = list(compress(parts, kinds)), None
     if at is not int:
-        ends = [at(s + len(t) - 1) + 1 for s, t in zip(start, text)]
-        start = list(map(at, start))
+        ends = at.each(list(map(add, start, map(len, text))), past=True)
+        start = at.each(start)
     return CTokens(list(filter(None, kinds)), text, start, in_directive, ends)
 
 
@@ -222,19 +240,15 @@ _BIG = "big"
 
 class _Matcher:
     """Expression parses over one token list, shared by every candidate
-    start of one find_call_sites call.
-
-    Trees are hash-consed into integer node ids, so equal trees have equal
-    ids and comparing a candidate with the target costs one integer
+    start of one find_call_sites call.  Trees are hash-consed into integer
+    node ids, so comparing a candidate with the target costs one integer
     comparison at any depth.  expr results are memoized per (token index,
-    minimum precedence).  Once a group's contents are in the memo, reading
+    minimum precedence): once a group's contents are in the memo, reading
     the group costs one lookup, so parsing the starts from right to left
-    keeps the recursion within the three precedence levels.
-    """
+    keeps the recursion within the three precedence levels."""
 
     def __init__(self, tokens: CTokens, dfg: Dfg):
-        self.kind = tokens.kind
-        self.text = tokens.text
+        self.kind, self.text = tokens.kind, tokens.text
         self.ids: dict[tuple, int] = {}
         self.leaves: list[int] = []   # leaf count per node id
         self.memo: dict[tuple[int, int], object] = {}
@@ -282,10 +296,8 @@ class _Matcher:
             while j < len(text) and _SYM_PREC.get(text[j], 0) >= min_prec:
                 op = text[j]
                 right = self.expr(j + 1, _SYM_PREC[op] + 1)
-                if right is None:
-                    break
-                if right is _BIG:
-                    stop = _BIG
+                if right is None or right is _BIG:
+                    stop = right   # None: the expression ends before op
                     break
                 node, j = self.node((op, node, right[0])), right[1]
                 if self.leaves[node] > self.leaves[self.target]:
@@ -321,14 +333,16 @@ def _statements_holding(tokens: CTokens, dfg: Dfg):
     spelling = _spelling(dfg)
     hit_re = re.compile("\n" + re.escape(spelling[0]) + "(?=" + "".join(
         "(?:\n[()])*\n" + re.escape(text) for text in spelling[1:]) + "\n)")
-    # token k follows newline k; a ';' past the last token ends the last run
-    joined = "\n" + "\n".join(tokens.text) + "\n;\n"
+    # token k follows newline k; every '{' and '}' token a ';', and a ';'
+    # past the last token ends the last run
+    joined = ("\n" + "\n".join(tokens.text) + "\n;\n").replace(
+        "{", ";").replace("}", ";")
     end = at = k = 0   # the last run's end offset; token k at offset at
     for hit in hit_re.finditer(joined):   # overlapping ones too
         k, at = k + joined.count("\n", at, hit.start()), hit.start()
         if at >= end and not tokens.in_directive[k]:
-            lo = max(map(joined.rfind, _STMT_ENDS, repeat(end), repeat(at + 1)))
-            end = _STMT_END_RE.search(joined, at).start()
+            lo = joined.rfind("\n;\n", end, at + 1)
+            end = joined.find("\n;\n", at)
             yield (k - joined.count("\n", lo, at) + 1 if lo >= 0 else 0,
                    k + joined.count("\n", at, end))
 
@@ -389,10 +403,12 @@ class PatchSite(NamedTuple):
     end: int
 
 
-def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
+def find_call_sites(tokens: CTokens, spec: CiSpec, runs=None) -> list[PatchSite]:
     """Every non-overlapping occurrence of the spec expression in the
     lex_c tokens of a source, outermost parenthesization included, in
-    source order."""
+    source order.  runs, when given, are (lo, hi) token ranges that hold
+    the first token of every site; by default they are the runs between
+    ';', '{' and '}' tokens that hold a hit."""
     dfg = spec.dfg
     if not _spelled_in_c(dfg):
         return []
@@ -403,27 +419,27 @@ def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
     raw: list[tuple[int, int]] = []
     # no tree equal to the target starts elsewhere; its leftmost leaf is node 0
     leftmost = dfg.nodes[0].decl.name
-    for lo, hi in _statements_holding(tokens, dfg):
-        # flags[k - lo] > 0: a directive token before token k of the run
-        flags = list(accumulate(tokens.in_directive[lo:hi], initial=0))
+    for lo, hi in _statements_holding(tokens, dfg) if runs is None else runs:
+        # flags[k - lo] > 0: a directive token before token k (if the run has any)
+        flags = any(tokens.in_directive[lo:hi]) and \
+            list(accumulate(tokens.in_directive[lo:hi], initial=0))
         # right to left, so every group a parse reaches is in the memo already
         for i in range(hi - 1, lo - 1, -1):
             if text[i] != leftmost and text[i] != "(":
                 continue
             matcher.expr(i, 1, spine := [])
             for node, j in spine:
-                if node != matcher.target or flags[j - lo] != flags[i - lo]:
+                if node != matcher.target or \
+                        flags and flags[j - lo] != flags[i - lo]:
                     continue
                 whole_paren = text[i] == "(" and j == spine[0][1]
                 if _left_context_ok(kind, text, i, prec, whole_paren) and \
                         _right_context_ok(kind, text, j, prec, whole_paren):
                     raw.append((tokens.start[i], tokens.end(j - 1)))
     sites: list[PatchSite] = []
-    last_end = -1
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
-        if start >= last_end:
+        if not sites or start >= sites[-1].end:
             sites.append(PatchSite(start, end))
-            last_end = end
     return sites
 
 
@@ -447,41 +463,22 @@ def emit_header(spec: CiSpec, mapped: MappedDesign,
     arguments pass through the 32-bit operand registers unchanged.
     """
     macro = call_macro_name(spec)
-    guard = f"{macro}_H"
-    opcode_name = f"{macro}_OPCODE"
-    params = [f"p_{name}" for name in mapped.analysis.operand_sequence]
-    result_cast = "int" if spec.output.signed else "unsigned int"
-
-    def one_call(pair: tuple[str, str | None]) -> str:
-        first, second = pair
-        a = f"(int) (p_{first})"
-        b = f"(int) (p_{second})" if second is not None else "0"
-        return f"{intrinsic}({opcode_name}, {a}, {b})"
-
-    pairs = mapped.loading
-    if len(pairs) == 1:
-        body = f"(({result_cast}) {one_call(pairs[0])})"
-        macro_lines = [f"#define {macro}({', '.join(params)}) {body}"]
+    params = ", ".join(f"p_{name}" for name in mapped.analysis.operand_sequence)
+    cast = "int" if spec.output.signed else "unsigned int"
+    calls = [f"{intrinsic}({macro}_OPCODE, (int) (p_{first}), "
+             + (f"(int) (p_{second}))" if second is not None else "0)")
+             for first, second in mapped.loading]
+    if len(calls) == 1:
+        body = [f"#define {macro}({params}) (({cast}) {calls[0]})"]
     else:
-        macro_lines = [f"#define {macro}({', '.join(params)}) \\"]
-        macro_lines.append("  (" + f"(void) {one_call(pairs[0])}, \\")
-        for pair in pairs[1:-1]:
-            macro_lines.append(f"   (void) {one_call(pair)}, \\")
-        macro_lines.append(f"   ({result_cast}) {one_call(pairs[-1])})")
-
-    lines = [
-        f"#ifndef {guard}",
-        f"#define {guard}",
-        "",
-        f"/* Invocation macro for the {spec.name} custom instruction. */",
-        "",
-        f"#define {opcode_name} {spec.opcode}",
-        "",
-        *macro_lines,
-        "",
-        f"#endif /* {guard} */",
-    ]
-    return "\n".join(lines) + "\n"
+        body = [f"#define {macro}({params}) \\", f"  ((void) {calls[0]}, \\",
+                *(f"   (void) {call}, \\" for call in calls[1:-1]),
+                f"   ({cast}) {calls[-1]})"]
+    return "\n".join([
+        f"#ifndef {macro}_H", f"#define {macro}_H", "",
+        f"/* Invocation macro for the {spec.name} custom instruction. */", "",
+        f"#define {macro}_OPCODE {spec.opcode}", "", *body, "",
+        f"#endif /* {macro}_H */", ""])
 
 
 class PatchPlan(NamedTuple):
@@ -493,10 +490,10 @@ class PatchPlan(NamedTuple):
 
 
 def _skeleton(source: str, spec: CiSpec):
-    """source spliced, the map back, source blanked but for each run of code
-    between ';', '{' and '}' that holds a hit (see the module docstring) and
-    its bounds, and the offsets past "include" and of the line break of each
-    #include line; raises lex_c(source)'s first LexError."""
+    """source blanked but for each run of code between ';', '{' and '}' that
+    holds a hit (see the module docstring) and its bounds, the source
+    offsets of those bounds (-1 for none), and the header's include (see
+    _include); raises lex_c(source)'s first LexError."""
     spliced, at = _splice(_LONE_CR_RE.sub("\n", source))
     # code: comments blanked, literals and directives opaque, openers stray
     code = "\n" + _SKELETON_RE.sub(lambda m: (
@@ -504,62 +501,65 @@ def _skeleton(source: str, spec: CiSpec):
         * len(m[0]), spliced)
     if _STRAY_RE.search(code):
         lex_c(source)   # raises the first
-    includes = [(m.start() + include.end() - 1, m.end() - 1)
-                for m in _DIRECTIVE_RE.finditer(code)
-                if (include := _INCLUDE_RE.match(m[0]))]
-    code = _DIRECTIVE_RE.sub(lambda m: "\n" + "#" * (len(m[0]) - 1), code)[1:] + ";"
+    includes = []   # offsets past "include" and of the line break
+
+    def opaque(line: re.Match) -> str:
+        if include := _INCLUDE_RE.match(code, line.start()):
+            includes.append((include.end() - 1, line.end() - 1))
+        return "\n" + "#" * (line.end() - line.start() - 1)
+
+    # every ';', '{' and '}' of the code a ';', and one past its end
+    code = _DIRECTIVE_RE.sub(opaque, code)[1:].replace(
+        "{", ";").replace("}", ";") + ";"
     hits = re.compile(r"[\s()]*".join(map(re.escape, _spelling(spec.dfg))))
-    pieces, last, end = [], 0, 0   # end: the last run's closing ';', '{', '}'
-    for at_hit in (hit.start() for hit in hits.finditer(code)):
-        if at_hit >= end:
-            lo = max(map(code.rfind, ";{}", repeat(end), repeat(at_hit)))
-            lo, end = max(at(lo), last), _CODE_END_RE.search(code, at_hit).start()
-            pieces += " " * (lo - last), source[lo:at(end) + 1]
-            last = at(end) + 1
-    return spliced, at, "".join(pieces) + " " * (len(source) - last), includes
+    bounds, end = [], 0   # end: the last run's closing ';'
+    while hit := hits.search(code, end):
+        lo = code.rfind(";", end, hit.start())
+        end = code.find(";", hit.end())
+        bounds += lo, end
+    bounds = list(map(at, bounds))
+    pieces, last = [], 0
+    for lo, end in zip(bounds[::2], bounds[1::2]):
+        lo = max(lo, last)
+        pieces += " " * (lo - last), source[lo:end + 1]
+        last = end + 1
+    return ("".join(pieces) + " " * (len(source) - last), bounds,
+            _include(source, spliced, at, includes, header_filename(spec)))
 
 
-def _include(source: str, spliced: str, at, includes,
-             header: str) -> tuple[int, str]:
+def _include(source: str, spliced: str, at, includes, header: str) -> tuple[int, str]:
     """The offset and the text to insert there so that the source includes
-    header once: after the last #include directive, or at the top when
-    there is none.  Comments and the bodies of other directives hold no
-    directive."""
+    header once: after the last of the #include lines, or at the top."""
     if any(spliced.startswith(f'"{header}"', past) for past, _ in includes):
         return 0, ""
     if not includes:   # the added lines end as the first line ends
-        eol = _LINE_END_RE.search(source)
-        eol = eol[0] if eol else "\n"
+        eol = (_LINE_END_RE.search(source) or ["\n"])[0]
         return 0, f'#include "{header}"{eol}{eol}'
     # a line of its own after the directive's spliced one, which keeps its
     # comments and its line break, and ends as that line ends
     last = at(includes[-1][1])   # at the line break, if any
-    eol = _LINE_END_RE.match(source, last)
-    return last, (eol[0] if eol else "\n") + f'#include "{header}"'
+    return last, (_LINE_END_RE.match(source, last) or ["\n"])[0] + \
+        f'#include "{header}"'
 
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     """Replace every occurrence of the spec expression with the invocation
-    macro and make sure the header is included once.
-
-    Raises NoMatchFound when nothing is left to patch, which also makes a
-    second rewrite of already patched source fail loudly instead of nesting
-    calls.
-    """
-    spliced, at, runs, includes = _skeleton(source, spec)
-    sites = find_call_sites(lex_c(runs), spec)
+    macro and make sure the header is included once; raise NoMatchFound
+    when nothing is left to patch, so that a second rewrite of a patched
+    source fails loudly instead of nesting calls."""
+    runs, bounds, (offset, include) = _skeleton(source, spec)
+    tokens = lex_c(runs)
+    # the tokens after each run's left bound and before its right one
+    sites = find_call_sites(tokens, spec, [
+        (bisect_right(tokens.start, lo), bisect_left(tokens.start, end))
+        for lo, end in zip(bounds[::2], bounds[1::2])])
     if not sites:
-        if not _spelled_in_c(spec.dfg):
-            raise NoMatchFound(
-                f"{spec.name} uses flooring modulus, which no C operator "
-                "computes; rewrite the C call site by hand")
         raise NoMatchFound(
-            f"no occurrence of the {spec.name} expression found")
-
+            f"no occurrence of the {spec.name} expression found"
+            if _spelled_in_c(spec.dfg) else f"{spec.name} uses flooring "
+            "modulus, which no C operator computes; rewrite the C call site by hand")
     args = ", ".join(mapped.analysis.operand_sequence)
     replacement = f"{call_macro_name(spec)}({args})"
-    offset, include = _include(source, spliced, at, includes,
-                               header_filename(spec))
     edits = [(site.start, site.end, replacement) for site in sites]
     pieces, last = [], 0
     # the include sorts before a site starting where it goes

@@ -5,7 +5,9 @@ import random
 import re
 import shutil
 import subprocess
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -870,6 +872,53 @@ class TestOnlyTheRunsThatCanHoldASite:
         spec = parse_ci_spec(MOD_TEXT)
         with pytest.raises(LexError, match="stray character '@' on line 2"):
             rewrite("x = a % b;\n@\n", spec, map_design(spec))
+
+    def test_the_matcher_gets_the_runs_the_scan_found(self, monkeypatch):
+        # rewrite searches the source once: find_call_sites parses the
+        # token ranges of the scan's runs and searches no token text; the
+        # other sources have runs that hold directive tokens, one with a
+        # ';', and one a tree equal to the target from inside a directive
+        sources = [(GOLDEN_DIR / "fixture.c").read_text(),
+                   "x = a * b + c;\n#define M ;\n{ y = (a\n#if 1\n* b) + c +\n"
+                   "#endif\na * b + c; }\n",
+                   "x = a * b + c +\n#define M a\n* b + c;\n"]
+        expected = [whole_file_rewrite(src, MAC, MAC_MAPPED) for src in sources]
+
+        def searched(*args):
+            raise AssertionError("rewrite searched the tokens again")
+
+        monkeypatch.setattr(cpatch, "_statements_holding", searched)
+        plans = [rewrite(src, MAC, MAC_MAPPED) for src in sources]
+        assert [(list(plan.sites), plan.output) for plan in plans] == expected
+        assert plans[0].output == (GOLDEN_DIR / "fixture_patched.c").read_text()
+        assert [len(plan.sites) for plan in plans] == [1, 2, 1]
+
+
+class TestSplicedOffsetsMapByOneTable:
+    """The map back from a spliced text, one table lookup per offset, maps
+    each offset as bisecting the cut offsets did, and an offset past a
+    character past that character (_SpliceMap.each), on the soups above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_RUN_PIECES), max_size=30).map("".join))
+    @example("\\\n\\\n")
+    @example("a\\\r\nb\\\n")
+    def test_same_as_bisecting_the_cuts(self, source):
+        spliced, at = cpatch._splice(source)
+        pieces = re.split(r"(\\\r?\n)", source)
+        assert spliced == "".join(pieces[::2])
+        cuts = list(accumulate(map(len, pieces[:-1:2])))
+        shifts = list(accumulate(map(len, pieces[1::2]), initial=0))
+
+        def back(offset: int) -> int:
+            return offset + shifts[bisect_right(cuts, offset)]
+
+        offsets = list(range(-1, len(spliced) + 1))
+        assert list(map(at, offsets)) == list(map(back, offsets))
+        if at is not int:   # int, the identity, for a source with no splice
+            assert at.each(offsets) == list(map(back, offsets))
+            assert at.each(offsets[2:], past=True) == \
+                [back(offset - 1) + 1 for offset in offsets[2:]]
 
 
 # --- the references: lex_c and find_call_sites as they were before the

@@ -1,17 +1,20 @@
-"""Growth rates of `patch`: each bound the docs state, pinned on the shapes
-that would break it.
+"""Growth rates of `patch` and `build`: each bound the docs state, pinned
+on the shapes that would break it.
 
-Each family builds a C source of size n and one of size 8n and patches
-both with `rewrite`.  A linear stage takes about 8 times as long on the
-larger one and a quadratic one about 64 times, so the test asserts a ratio
-below 16.  Times are thread CPU times with the garbage collector off, the
-least of three runs (the larger size stops at the first under the bound),
-and the base sizes make the small run take tens of milliseconds, well above
-the clock's noise.  After empirical computational complexity (Goldsmith,
-Aiken and Wilkerson, FSE 2007).
+Each family builds an input of size n and one of size 8n and runs the
+stages on both: `rewrite` for a C source, and for a spec everything `build`
+does before it writes (parse, map, build, validate, emit, and the check at
+4 vectors).  A linear stage takes about 8 times as long on the larger one
+and a quadratic one about 64 times, so the test asserts a ratio below 16.
+Times are thread CPU times with the garbage collector off, the least of
+five runs at each size (the larger size stops at the first under the
+bound, which keeps the verdict of the least of five), so that a burst of
+load on the host reads as a slow run, not a slow size.  After empirical
+computational complexity (Goldsmith, Aiken and Wilkerson, FSE 2007).
 """
 
 import gc
+import random
 import time
 
 import pytest
@@ -19,7 +22,10 @@ import pytest
 from conftest import MAC_TEXT
 from cigen.cpatch import rewrite
 from cigen.frontend import parse_ci_spec
+from cigen.fuzz import random_vectors
+from cigen.hdl import build_design, emit_vhdl, validate_structure
 from cigen.mapper import map_design
+from cigen.sim import check_equivalence
 
 MAC = parse_ci_spec(MAC_TEXT)
 MAC_MAPPED = map_design(MAC)
@@ -69,29 +75,82 @@ FAMILIES = [
 ]
 
 
-def _least_time(source: str, sites: int, enough: float = 0.0) -> float:
-    """The least thread time of three rewrites of source, or the first one
-    under enough."""
+def _least_time(run, enough: float = 0.0) -> float:
+    """The least thread time of five calls of run, or the first one under
+    enough."""
     best = float("inf")
     gc.collect()
     gc.disable()
     try:
-        for _ in range(3):
+        for _ in range(5):
             start = time.thread_time()
-            plan = rewrite(source, MAC, MAC_MAPPED)
+            run()
             best = min(best, time.thread_time() - start)
             if best < enough:
                 break
     finally:
         gc.enable()
-    assert len(plan.sites) == sites
     return best
+
+
+def _assert_linear(run, small_input, large_input) -> None:
+    small = _least_time(lambda: run(small_input))
+    large = _least_time(lambda: run(large_input), enough=16 * small)
+    assert large < 16 * small, \
+        f"{large / small:.1f} times the time for 8 times the size"
 
 
 @pytest.mark.parametrize("family, n, sites", FAMILIES,
                          ids=[family.__name__[1:] for family, _, _ in FAMILIES])
 def test_patching_is_linear(family, n, sites):
-    small = _least_time(family(n), sites or n)
-    large = _least_time(family(8 * n), sites or 8 * n, enough=16 * small)
-    assert large < 16 * small, \
-        f"{large / small:.1f} times the time for 8 times the size"
+    sources = {size: family(size) for size in (n, 8 * n)}
+
+    def patch(size: int) -> None:
+        plan = rewrite(sources[size], MAC, MAC_MAPPED)
+        assert len(plan.sites) == (sites or size)
+
+    _assert_linear(patch, n, 8 * n)
+
+
+def _spec(inputs: list[str], expr: str) -> str:
+    decls = "".join(f"input {name}: signed<8>; " for name in inputs)
+    return f"ci g(opcode=0) {{ {decls}output y: signed<32>; y = {expr}; }}"
+
+
+def _many_inputs(n: int) -> str:
+    names = [f"a{k}" for k in range(n)]
+    terms = names
+    while len(terms) > 1:   # a balanced sum: about log2(n) levels
+        terms = [f"({' + '.join(terms[k:k + 2])})"
+                 for k in range(0, len(terms), 2)]
+    return _spec(names, terms[0])
+
+
+def _long_chain(n: int) -> str:   # n terms of depth 3 nest n + 2 deep
+    term = "(a * b - c / d + (a - b) * (c + d))"
+    return _spec(["a", "b", "c", "d"], " + ".join([term] * n))
+
+
+def _deep_parentheses(n: int) -> str:
+    return _spec(["a", "b"], "(" * n + "a * b" + ")" * n + " + a")
+
+
+# the chain nests 8 * 118 + 2 = 946 deep at 8n, within MAX_EXPR_DEPTH
+SPEC_FAMILIES = [(_many_inputs, 400), (_long_chain, 118),
+                 (_deep_parentheses, 20000)]
+
+
+def _build(text: str) -> None:
+    spec = parse_ci_spec(text)
+    mapped = map_design(spec)
+    design = build_design(spec, mapped)
+    assert validate_structure(design) == []
+    emit_vhdl(design)
+    columns = random_vectors(random.Random(1), spec, 4)
+    assert check_equivalence(spec, mapped, columns, design=design) == []
+
+
+@pytest.mark.parametrize("family, n", SPEC_FAMILIES,
+                         ids=[family.__name__[1:] for family, _ in SPEC_FAMILIES])
+def test_building_is_linear(family, n):
+    _assert_linear(_build, family(n), family(8 * n))
