@@ -4,24 +4,23 @@ The matcher works on tokens, not text.  The lexer splices lines first, as
 C's translation phase 2 does, then tiles the spliced text with one regular
 expression and classifies each match by its first character; the tokens
 keep their spliced texts at the original source's offsets.
-rewrite searches once: one scan of the spliced source finds lex errors,
-blanks comments, makes literals and directive lines opaque and records the
-#include lines, and one search of the code left finds the instruction's
-first 32 tokens with only white space and parentheses between, as any equal
-tree prints.  Only the runs between ';', '{' and '}' that hold a hit are
-lexed (no parse crosses one), and find_call_sites gets their token ranges
-(tests/test_cpatch.py::TestOnlyTheRunsThatCanHoldASite); given a whole
-file's tokens, it searches their texts the same way.  It parses each run
-from right to left at each '(' and each identifier equal to the leftmost
-leaf: the longest expression of the instruction's grammar (identifiers,
-parentheses and the five binary operators, with C precedence) and every
-prefix of its left spine are compared with the instruction's dataflow
-graph.  One memo serves every candidate, so each subexpression is parsed
-once; a parse stops once its tree has more leaves than the target; a run
-holding directive tokens counts them once to test each prefix.  So patching
-takes time linear in the source, at any nesting and with any number of
-sites, directives, splices, literals or comments
-(tests/test_growth.py::test_patching_is_linear).
+rewrite searches once, and that scan is the only prefilter: one scan of the
+spliced source finds lex errors, blanks comments, makes literals and
+directive lines opaque and records the #include lines, and one search of the
+code left finds the instruction's first 32 tokens with only white space and
+parentheses between, as any equal tree prints.  Only the runs between ';',
+'{' and '}' that hold a hit are lexed, since no parse crosses one
+(tests/test_cpatch.py::TestOnlyTheRunsThatCanHoldASite).  find_call_sites
+parses the tokens it is given from right to left at each '(' and each
+identifier equal to the leftmost leaf: the longest expression of the
+instruction's grammar (identifiers, parentheses and the five binary
+operators, with C precedence) and every prefix of its left spine are
+compared with the instruction's dataflow graph.  One memo serves every
+candidate, so each subexpression is parsed once; a parse stops once its tree
+has more leaves than the target; one prefix count of the directive tokens,
+made when there is one, tests each prefix.  So patching takes time linear in
+the source, at any nesting and with any number of sites, directives,
+splices, literals or comments (tests/test_growth.py::test_patching_is_linear).
 A hit is then screened by context guards so the replacement keeps the
 parse of the surrounding expression:
 
@@ -115,12 +114,14 @@ _SKELETON_RE = re.compile("|".join([
 ]))
 # One alternative per token class, tried in this order at each position, and
 # a catch-all for a stray character, so the matches tile the spliced source:
-# white space, the skeleton's, an identifier, a number, a punctuator.  No
-# other token holds a skeleton match's first character: a scan finds them.
+# white space, the skeleton's, an identifier, a punctuator that starts no
+# longer token (common, so tried early), a number, a punctuator.  No other
+# token holds a skeleton match's first character: a scan finds them.
 _TOKEN_RE = re.compile("|".join([
     r"[ \t\r\f\v\n]+",
     _SKELETON_RE.pattern,
     r"[A-Za-z_][A-Za-z0-9_]*",
+    r"[()[\]{};,?~:]",
     r"\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*",
     *map(re.escape, _PUNCTS),
     r"[\s\S]",
@@ -327,26 +328,6 @@ def _spelling(dfg: Dfg) -> list[str]:
     return spelling
 
 
-def _statements_holding(tokens: CTokens, dfg: Dfg):
-    """(lo, hi) for each run tokens[lo:hi] between ';', '{' and '}' tokens
-    that holds a hit (see the module docstring) from outside a directive."""
-    spelling = _spelling(dfg)
-    hit_re = re.compile("\n" + re.escape(spelling[0]) + "(?=" + "".join(
-        "(?:\n[()])*\n" + re.escape(text) for text in spelling[1:]) + "\n)")
-    # token k follows newline k; every '{' and '}' token a ';', and a ';'
-    # past the last token ends the last run
-    joined = ("\n" + "\n".join(tokens.text) + "\n;\n").replace(
-        "{", ";").replace("}", ";")
-    end = at = k = 0   # the last run's end offset; token k at offset at
-    for hit in hit_re.finditer(joined):   # overlapping ones too
-        k, at = k + joined.count("\n", at, hit.start()), hit.start()
-        if at >= end and not tokens.in_directive[k]:
-            lo = joined.rfind("\n;\n", end, at + 1)
-            end = joined.find("\n;\n", at)
-            yield (k - joined.count("\n", lo, at) + 1 if lo >= 0 else 0,
-                   k + joined.count("\n", at, end))
-
-
 _VALUE_END_KINDS = (TokKind.IDENT, TokKind.NUMBER, TokKind.STRING, TokKind.CHAR)
 
 
@@ -403,12 +384,11 @@ class PatchSite(NamedTuple):
     end: int
 
 
-def find_call_sites(tokens: CTokens, spec: CiSpec, runs=None) -> list[PatchSite]:
+def find_call_sites(tokens: CTokens, spec: CiSpec) -> list[PatchSite]:
     """Every non-overlapping occurrence of the spec expression in the
     lex_c tokens of a source, outermost parenthesization included, in
-    source order.  runs, when given, are (lo, hi) token ranges that hold
-    the first token of every site; by default they are the runs between
-    ';', '{' and '}' tokens that hold a hit."""
+    source order.  It parses at every '(' and leftmost leaf it is given,
+    so rewrite gives it only the tokens of the runs its scan kept."""
     dfg = spec.dfg
     if not _spelled_in_c(dfg):
         return []
@@ -419,23 +399,21 @@ def find_call_sites(tokens: CTokens, spec: CiSpec, runs=None) -> list[PatchSite]
     raw: list[tuple[int, int]] = []
     # no tree equal to the target starts elsewhere; its leftmost leaf is node 0
     leftmost = dfg.nodes[0].decl.name
-    for lo, hi in _statements_holding(tokens, dfg) if runs is None else runs:
-        # flags[k - lo] > 0: a directive token before token k (if the run has any)
-        flags = any(tokens.in_directive[lo:hi]) and \
-            list(accumulate(tokens.in_directive[lo:hi], initial=0))
-        # right to left, so every group a parse reaches is in the memo already
-        for i in range(hi - 1, lo - 1, -1):
-            if text[i] != leftmost and text[i] != "(":
+    # flags[k] > 0: a directive token before token k (built if there is one)
+    flags = any(tokens.in_directive) and \
+        list(accumulate(tokens.in_directive, initial=0))
+    # right to left, so every group a parse reaches is in the memo already
+    for i in range(len(text) - 1, -1, -1):
+        if text[i] != leftmost and text[i] != "(":
+            continue
+        matcher.expr(i, 1, spine := [])
+        for node, j in spine:
+            if node != matcher.target or flags and flags[j] != flags[i]:
                 continue
-            matcher.expr(i, 1, spine := [])
-            for node, j in spine:
-                if node != matcher.target or \
-                        flags and flags[j - lo] != flags[i - lo]:
-                    continue
-                whole_paren = text[i] == "(" and j == spine[0][1]
-                if _left_context_ok(kind, text, i, prec, whole_paren) and \
-                        _right_context_ok(kind, text, j, prec, whole_paren):
-                    raw.append((tokens.start[i], tokens.end(j - 1)))
+            whole_paren = text[i] == "(" and j == spine[0][1]
+            if _left_context_ok(kind, text, i, prec, whole_paren) and \
+                    _right_context_ok(kind, text, j, prec, whole_paren):
+                raw.append((tokens.start[i], tokens.end(j - 1)))
     sites: list[PatchSite] = []
     for start, end in sorted(raw, key=lambda span: (span[0], -span[1])):
         if not sites or start >= sites[-1].end:
@@ -491,9 +469,9 @@ class PatchPlan(NamedTuple):
 
 def _skeleton(source: str, spec: CiSpec):
     """source blanked but for each run of code between ';', '{' and '}' that
-    holds a hit (see the module docstring) and its bounds, the source
-    offsets of those bounds (-1 for none), and the header's include (see
-    _include); raises lex_c(source)'s first LexError."""
+    holds a hit (see the module docstring) and its bounds, and the header's
+    include (see _include); raises lex_c(source)'s first LexError.  This
+    scan is rewrite's one prefilter: find_call_sites parses what it keeps."""
     spliced, at = _splice(_LONE_CR_RE.sub("\n", source))
     # code: comments blanked, literals and directives opaque, openers stray
     code = "\n" + _SKELETON_RE.sub(lambda m: (
@@ -523,7 +501,7 @@ def _skeleton(source: str, spec: CiSpec):
         lo = max(lo, last)
         pieces += " " * (lo - last), source[lo:end + 1]
         last = end + 1
-    return ("".join(pieces) + " " * (len(source) - last), bounds,
+    return ("".join(pieces) + " " * (len(source) - last),
             _include(source, spliced, at, includes, header_filename(spec)))
 
 
@@ -547,12 +525,8 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     macro and make sure the header is included once; raise NoMatchFound
     when nothing is left to patch, so that a second rewrite of a patched
     source fails loudly instead of nesting calls."""
-    runs, bounds, (offset, include) = _skeleton(source, spec)
-    tokens = lex_c(runs)
-    # the tokens after each run's left bound and before its right one
-    sites = find_call_sites(tokens, spec, [
-        (bisect_right(tokens.start, lo), bisect_left(tokens.start, end))
-        for lo, end in zip(bounds[::2], bounds[1::2])])
+    runs, (offset, include) = _skeleton(source, spec)
+    sites = find_call_sites(lex_c(runs), spec)
     if not sites:
         raise NoMatchFound(
             f"no occurrence of the {spec.name} expression found"

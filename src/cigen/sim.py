@@ -110,17 +110,12 @@ def input_count(spec: CiSpec, columns: dict[str, Column]) -> int:
     return count
 
 
-def validate_inputs(spec: CiSpec, inputs: dict[str, int]) -> None:
-    """Reject missing, unknown, or out-of-range operand values."""
-    input_count(spec, {name: [value] for name, value in inputs.items()})
-
-
 def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Column]:
-    """The vectors as one column per declared input.  When a vector is
-    missing an input, names an unknown one or holds an out-of-range value,
-    raises what validate_inputs raises for the first such vector."""
+    """The vectors as one column per declared input.  For the first vector
+    that misses an input, names an unknown one or holds an out-of-range
+    value, raises InputOutOfRange as input_count does for it alone."""
     for vec in vectors:
-        validate_inputs(spec, vec)
+        input_count(spec, {name: [value] for name, value in vec.items()})
     return {decl.name: [vec[decl.name] for vec in vectors]
             for decl in spec.inputs}
 

@@ -362,7 +362,8 @@ class TestLinearMatching:
 
     def test_no_parse_where_the_tokens_occur_only_off_code(self, counted):
         # the target's tokens appear only in directives, comments and
-        # strings; the code around them has groups and leftmost leaves
+        # strings; the code around them has groups and leftmost leaves,
+        # which rewrite's scan leaves unlexed
         src = "".join(
             f"#define M_{k} ((a * b) + c)\n"
             f"/* x = (a * b) + c; */\n"
@@ -372,7 +373,8 @@ class TestLinearMatching:
             for k in range(300))
         tokens = lex_c(src)
         assert tokens.text.count("a") > 1000 and tokens.text.count("(") > 1000
-        assert find_call_sites(tokens, MAC) == []
+        with pytest.raises(NoMatchFound):
+            rewrite(src, MAC, MAC_MAPPED)
         assert counted[0] == 0
 
 
@@ -461,7 +463,8 @@ class TestSameAsTheReference:
             return
         tokens = lex_c(source)
         assert _columns(tokens) == _columns(expected_tokens)
-        # find_call_sites joins the token texts with newlines
+        # no token text holds a line break: a literal ends at one, and
+        # splices are cut first
         assert not any("\n" in text for text in tokens.text)
         spec = _TARGET_SPECS[expr]
         expected = reference_find_call_sites(source, spec)
@@ -873,21 +876,16 @@ class TestOnlyTheRunsThatCanHoldASite:
         with pytest.raises(LexError, match="stray character '@' on line 2"):
             rewrite("x = a % b;\n@\n", spec, map_design(spec))
 
-    def test_the_matcher_gets_the_runs_the_scan_found(self, monkeypatch):
+    def test_the_matcher_gets_the_runs_the_scan_found(self):
         # rewrite searches the source once: find_call_sites parses the
-        # token ranges of the scan's runs and searches no token text; the
-        # other sources have runs that hold directive tokens, one with a
-        # ';', and one a tree equal to the target from inside a directive
+        # tokens of the scan's runs; the other sources have runs that hold
+        # directive tokens, one with a ';', and one a tree equal to the
+        # target from inside a directive
         sources = [(GOLDEN_DIR / "fixture.c").read_text(),
                    "x = a * b + c;\n#define M ;\n{ y = (a\n#if 1\n* b) + c +\n"
                    "#endif\na * b + c; }\n",
                    "x = a * b + c +\n#define M a\n* b + c;\n"]
         expected = [whole_file_rewrite(src, MAC, MAC_MAPPED) for src in sources]
-
-        def searched(*args):
-            raise AssertionError("rewrite searched the tokens again")
-
-        monkeypatch.setattr(cpatch, "_statements_holding", searched)
         plans = [rewrite(src, MAC, MAC_MAPPED) for src in sources]
         assert [(list(plan.sites), plan.output) for plan in plans] == expected
         assert plans[0].output == (GOLDEN_DIR / "fixture_patched.c").read_text()

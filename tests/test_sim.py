@@ -51,7 +51,6 @@ from cigen.sim import (
     eval_reference,
     reference_columns,
     simulate_ci,
-    validate_inputs,
 )
 
 MAC_INPUTS = {"a": 2, "b": 3, "c": 4}
@@ -72,8 +71,8 @@ class TestValidateInputs:
                      "output x: signed<8>; x = s + u;")
 
     def test_accepts_full_ranges(self, spec):
-        validate_inputs(spec, {"s": -128, "u": 255})
-        validate_inputs(spec, {"s": 127, "u": 0})
+        input_columns(spec, [{"s": -128, "u": 255}])
+        input_columns(spec, [{"s": 127, "u": 0}])
 
     @pytest.mark.parametrize("inputs", [
         {"s": 128, "u": 0},
@@ -85,7 +84,7 @@ class TestValidateInputs:
     ])
     def test_rejects(self, spec, inputs):
         with pytest.raises(InputOutOfRange):
-            validate_inputs(spec, inputs)
+            input_columns(spec, [inputs])
 
 
 class TestReference:
@@ -185,10 +184,10 @@ class TestOracleSameAsTheScalarReference:
 
 
 class TestCheckEquivalenceInputs:
-    """Bad inputs are refused with validate_inputs' messages: input_columns
-    range-checks whole columns and names the first vector that
-    validate_inputs refuses as validate_inputs does, and check_equivalence
-    refuses a missing, unknown, short or out-of-range column."""
+    """Bad inputs are refused with one vector's messages: input_columns
+    range-checks whole columns and names the first vector that it refuses
+    alone as it refuses it alone, and check_equivalence refuses a missing,
+    unknown, short or out-of-range column."""
 
     SPEC = ("input s: signed<8>; input u: unsigned<8>;"
             "output x: signed<8>; x = s + u;")
@@ -209,7 +208,7 @@ class TestCheckEquivalenceInputs:
         vectors = [{"s": -128, "u": 255}, {"s": 127, "u": 0}, dict(bad),
                    *later]
         with pytest.raises(InputOutOfRange) as expected:
-            validate_inputs(spec, bad)
+            input_columns(spec, [bad])
         with pytest.raises(InputOutOfRange) as info:
             input_columns(spec, vectors)
         assert str(info.value) == str(expected.value)
@@ -238,7 +237,7 @@ class TestCheckEquivalenceInputs:
         mapped = map_design(spec)
         vector = {"s": 5, "u": 300}
         with pytest.raises(InputOutOfRange) as expected:
-            validate_inputs(spec, vector)
+            input_columns(spec, [vector])
         with pytest.raises(InputOutOfRange) as info:
             check_equivalence(spec, mapped, {"s": [1, 5], "u": [2, 300]},
                               build_design(spec, mapped))
@@ -681,7 +680,7 @@ def scalar_eval_reference(spec: CiSpec, inputs: dict[str, int],
     modulus the divisor's sign.  A zero divisor raises DivideByZero naming
     the node.  ``dfg`` defaults to ``spec.dfg``.
     """
-    validate_inputs(spec, inputs)
+    input_columns(spec, [inputs])   # raises for a bad input
     if dfg is None:
         dfg = spec.dfg
     value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaf_nodes()}
@@ -798,7 +797,6 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                         stimulus: Stimulus, record: bool,
                         design: ast.HdlDesign):
     """Drive one invocation through the design cycle by cycle."""
-    validate_inputs(spec, inputs)
     stim = stimulus
     loads = len(mapped.loading)
     done_target = done_cycle_enabled(mapped)
