@@ -64,7 +64,7 @@ _HOMES = {name: home for home, names in (
     ("hdl", "build_design emit_vhdl validate_structure"),
     ("fuzz", "random_vectors"),
     ("sim", "Stimulus check_equivalence simulate_ci"),
-    ("cpatch", "emit_header header_filename rewrite"),
+    ("cpatch", "emit_header header_conflict header_filename rewrite"),
 ) for name in names.split()}
 
 
@@ -182,10 +182,11 @@ def _non_negative(value, what: str) -> float:
     return number
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, spec: CiSpec | None = None) -> dict:
     """The header intrinsic and the estimate_metrics keywords of a config
-    file, all checked before any other work; power and time JSON numbers,
-    finite, >= 0."""
+    file, all checked before any work but reading the spec; power and time
+    JSON numbers, finite, >= 0.  Given the spec whose header a command
+    writes, the intrinsic must be one that header can call."""
     config = {}
     if path is not None:
         try:
@@ -199,6 +200,10 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(intrinsic, str) \
             or not re.fullmatch(r"[A-Za-z_]\w*", intrinsic, re.ASCII):
         raise CigenError(f"config intrinsic must be a C identifier, got {intrinsic!r}")
+    if spec is not None:
+        conflict = header_conflict(spec, intrinsic)
+        if conflict:
+            raise CigenError(f"config intrinsic {intrinsic!r} is {conflict}")
     metrics = {}
     if "costs" in config:
         if not isinstance(config["costs"], dict):
@@ -244,8 +249,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if not 1 <= args.vectors <= MAX_VECTORS:
         raise CigenError(f"--vectors must be between 1 and {MAX_VECTORS}, "
                          f"got {args.vectors}")
-    config = _load_config(args.config)
     spec = _load_spec(args.spec)
+    config = _load_config(args.config, spec)
     print(f"[1/5] parse: {spec.name} (opcode {spec.opcode}, "
           f"{len(spec.inputs)} inputs)")
 
@@ -314,8 +319,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_patch(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     spec = _load_spec(args.spec)
+    config = _load_config(args.config, spec)
     mapped = map_design(spec)
     source_path = Path(args.source)
     source = _read_text(source_path, "C source", newline="")   # its line ends kept

@@ -431,6 +431,31 @@ def header_filename(spec: CiSpec) -> str:
     return f"ci_{spec.name}.h"
 
 
+# The keywords of C11 (6.4.1)
+C_KEYWORDS = frozenset("""
+auto break case char const continue default do double else enum extern float
+for goto if inline int long register restrict return short signed sizeof
+static struct switch typedef union unsigned void volatile while _Alignas
+_Alignof _Atomic _Bool _Complex _Generic _Imaginary _Noreturn _Static_assert
+_Thread_local
+""".split())
+
+
+def header_conflict(spec: CiSpec, intrinsic: str) -> str | None:
+    """Why spec's header cannot call the C identifier intrinsic, or None:
+    it is a C keyword, a name the header defines (emit_header's guard,
+    opcode and macro) or a parameter of the macro, which would capture
+    it."""
+    macro = call_macro_name(spec)
+    if intrinsic in C_KEYWORDS:
+        return "a C keyword"
+    if intrinsic in (macro, f"{macro}_OPCODE", f"{macro}_H"):
+        return f"a name {header_filename(spec)} defines"
+    if intrinsic in {f"p_{leaf.decl.name}" for leaf in spec.dfg.leaf_nodes()}:
+        return f"a parameter of {macro}"
+    return None
+
+
 def emit_header(spec: CiSpec, mapped: MappedDesign,
                 intrinsic: str = DEFAULT_INTRINSIC) -> str:
     """The C header defining the invocation macro for a mapped design.

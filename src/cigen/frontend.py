@@ -35,9 +35,10 @@ denotes on unsigned and on signed operands (signed when either side is).
 dividend), and the "mod" keyword the flooring modulus (sign of the divisor).
 
 Identifiers must be usable verbatim in generated VHDL and C, so beyond the
-ASCII ident rule above they may not contain "__", end in "_", collide
-case-insensitively, or be a reserved word of the DSL or of VHDL.  The CI
-name must not collide with a name of the generated VHDL either.
+ASCII ident rule above they must match VHDL_IDENTIFIER (no "__", no
+trailing "_"), and may not collide case-insensitively or be a reserved
+word of the DSL or of VHDL.  The CI name must not collide with a name of
+the generated VHDL either.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ CI_NAME_RESERVED = VHDL_RESERVED | frozenset(
     {"clk", "clk_en", "reset", "start", "dataa", "datab", "done", "result",
      "cnt", "control", "rtl", "lpm_add_sub", "lpm_mult", "lpm_divide"})
 CI_NAME_PREFIXES = ("r_", "s_", "w_", "x_", "u_")
+
+# The one rule of a legal VHDL identifier, which hdl reads too: a letter
+# first, then letters, digits and single underscores, no trailing "_".
+VHDL_IDENTIFIER = re.compile(r"[A-Za-z](?:_?[A-Za-z0-9])*")
 
 
 class OpKind:
@@ -181,7 +186,7 @@ class Dfg(NamedTuple):
     order: tuple[int, ...]
 
     def leaf_nodes(self) -> tuple[LeafNode, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, LeafNode))
+        return tuple([n for n in self.nodes if isinstance(n, LeafNode)])
 
 
 class AnalysisResult(NamedTuple):
@@ -200,7 +205,7 @@ class AnalysisResult(NamedTuple):
 # token itself, or "" at the end of the text.  A character that starts no
 # token is matched alone, and the lexer refuses it.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[^ \t\r\n#]|\Z)")
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[^ \t\r\n#]|\Z)")
 # A keyword's, an operator's or a punctuator's kind is its text; other
 # tokens go by their first character.
 _KINDS = {"": "eof"} | {text: text for text in (*DSL_KEYWORDS, *OPERATORS, *"(){}<>;:=")}
@@ -245,17 +250,12 @@ class _Parser:
     def where(self, index: int) -> tuple[int, int]:
         return _position(self.source, index)
 
-    def peek(self) -> str:
-        return self.kinds[self.pos]
-
-    def advance(self) -> int:
+    def expect(self, kind: str, what: str) -> int:
+        """The index of the next token, which must be of kind, passed."""
+        if self.kinds[self.pos] != kind:
+            raise self.found(self.pos, what)
         self.pos += 1
         return self.pos - 1
-
-    def expect(self, kind: str, what: str) -> int:
-        if self.peek() != kind:
-            raise self.found(self.pos, what)
-        return self.advance()
 
     def found(self, index: int, expected: str) -> SpecSyntaxError:
         return SpecSyntaxError(f"found {self.texts[index] or 'end of input'!r}",
@@ -264,13 +264,17 @@ class _Parser:
 
 def _check_name(p: _Parser, index: int, reserved: frozenset[str] = VHDL_RESERVED,
                 prefixes: tuple[str, ...] = ()) -> str:
+    """The lowercase form of the ident token at index, which collisions
+    compare; an error unless the name is a legal VHDL identifier outside
+    reserved and the prefixes."""
     name = p.texts[index]
-    if "__" in name or name.endswith("_"):
+    if not VHDL_IDENTIFIER.fullmatch(name):
         raise SpecSyntaxError(f"identifier {name!r} may not contain '__' or end in '_'",
                               *p.where(index))
-    if name.lower() in reserved or name.lower().startswith(prefixes):
+    lower = name.lower()
+    if lower in reserved or lower.startswith(prefixes):
         raise SpecSyntaxError(f"identifier {name!r} is reserved", *p.where(index))
-    return name
+    return lower
 
 
 def _in_range(p: _Parser, index: int, what: str, low: int, high: int,
@@ -285,12 +289,24 @@ def _in_range(p: _Parser, index: int, what: str, low: int, high: int,
     return int(digits)
 
 
+# The kinds of a declaration's seven tokens after its role, in its two
+# well-formed shapes, and what an error names for each token.
+_DECL_FORMS = (["ident", ":", "signed", "<", "int", ">", ";"],
+               ["ident", ":", "unsigned", "<", "int", ">", ";"])
+_DECL_EXPECTED = ("operand name", "':'", "'signed' or 'unsigned'", "'<'",
+                  "bit width", "'>'", "';'")
+
+
 def parse_ci_spec(text: str) -> CiSpec:
-    """Parse CI spec text into a CiSpec, raising on the first error."""
+    """Parse CI spec text into a CiSpec, raising on the first error.
+
+    A declaration is read as one slice of seven token kinds after its role.
+    Its checks run in token order up to the first token of a wrong kind:
+    the name's, then the width's, then that token's syntax error."""
     p = _Parser(text)
     p.expect("ci", "'ci'")
-    ci_name = _check_name(p, p.expect("ident", "instruction name"),
-                          CI_NAME_RESERVED, CI_NAME_PREFIXES)
+    ci_at = p.expect("ident", "instruction name")
+    seen = {_check_name(p, ci_at, CI_NAME_RESERVED, CI_NAME_PREFIXES)}
     p.expect("(", "'('")
     p.expect("opcode", "'opcode'")
     p.expect("=", "'='")
@@ -301,32 +317,35 @@ def parse_ci_spec(text: str) -> CiSpec:
 
     inputs: list[OperandDecl] = []
     output: OperandDecl | None = None
-    seen_lower: dict[str, str] = {}
-    while p.peek() in ("input", "output"):
-        role = p.texts[p.advance()]
-        ident_at = p.expect("ident", "operand name")
-        op_name = _check_name(p, ident_at)
-        if op_name.lower() in seen_lower or op_name.lower() == ci_name.lower():
-            raise DuplicateDeclaration(
-                f"duplicate declaration of '{op_name}'", *p.where(ident_at))
-        seen_lower[op_name.lower()] = op_name
-        p.expect(":", "':'")
-        if p.peek() not in ("signed", "unsigned"):
-            raise p.found(p.pos, "'signed' or 'unsigned'")
-        sign = p.texts[p.advance()]
-        p.expect("<", "'<'")
-        width = _in_range(p, p.expect("int", "bit width"), "width",
-                          MIN_WIDTH, MAX_WIDTH, WidthOutOfRange)
-        p.expect(">", "'>'")
-        p.expect(";", "';'")
-        decl = OperandDecl(op_name, sign == "signed", width)
-        if role == "input":
+    kinds, texts, pos = p.kinds, p.texts, p.pos
+    while kinds[pos] in ("input", "output"):
+        form = kinds[pos + 1:pos + 8]
+        # the number of well-formed tokens: the form ends in "eof" if short
+        good = 7 if form in _DECL_FORMS else next(
+            i for i, slot in enumerate(zip(form, *_DECL_FORMS))
+            if slot[0] not in slot[1:])
+        ident_at = pos + 1
+        if good:
+            lower = _check_name(p, ident_at)
+            if lower in seen:
+                raise DuplicateDeclaration(f"duplicate declaration of "
+                                           f"'{texts[ident_at]}'", *p.where(ident_at))
+            seen.add(lower)
+        if good > 4:
+            width = _in_range(p, pos + 5, "width", MIN_WIDTH, MAX_WIDTH,
+                              WidthOutOfRange)
+        if good < 7:
+            raise p.found(ident_at + good, _DECL_EXPECTED[good])
+        decl = OperandDecl(texts[ident_at], kinds[pos + 3] == "signed", width)
+        if kinds[pos] == "input":
             inputs.append(decl)
-        else:
-            if output is not None:
-                raise SpecSyntaxError("only one output declaration is allowed",
-                                      *p.where(ident_at))
+        elif output is None:
             output = decl
+        else:
+            raise SpecSyntaxError("only one output declaration is allowed",
+                                  *p.where(ident_at))
+        pos += 8
+    p.pos = pos
 
     if output is None:
         raise SpecSyntaxError("missing output declaration", *p.where(p.pos),
@@ -347,7 +366,7 @@ def parse_ci_spec(text: str) -> CiSpec:
     p.expect(";", "';'")
     p.expect("}", "'}'")
     p.expect("eof", "end of input")
-    return CiSpec(ci_name, opcode, tuple(inputs), output, expr, dfg)
+    return CiSpec(texts[ci_at], opcode, tuple(inputs), output, expr, dfg)
 
 
 def op_result_width(kind: str, w_left: int, w_right: int) -> int:
@@ -373,21 +392,21 @@ def op_result_width(kind: str, w_left: int, w_right: int) -> int:
 def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Dfg]:
     """An expr of the grammar and its DFG, parsed without recursion.
     Operands wait on one stack with their node ids, pending operators with
-    the ids they reserved and open parentheses (None) on another, so nesting
-    costs no Python frames."""
+    their OPERATORS entry, token index and reserved id, and open
+    parentheses (None) on another, so nesting costs no Python frames."""
     nodes: list[DfgNode | None] = []
-    leaf_ids: dict[str, int] = {}
+    leaves: dict[str, tuple[Leaf, int]] = {}
     level: dict[int, int] = {}
     width: dict[int, int] = {}
     signed: dict[int, bool] = {}
     order: list[int] = []
     operands: list[tuple[ExprTree, int]] = []
-    pending: list[tuple[int, int] | None] = []   # (token index, node id)
+    pending: list[tuple[tuple[int, str, str], int, int] | None] = []
     open_parens = 0
-    kinds, texts = p.kinds, p.texts
+    kinds, texts, pos = p.kinds, p.texts, p.pos
 
     def reduce() -> None:
-        at, node_id = pending.pop()
+        (_, unsigned_kind, signed_kind), at, node_id = pending.pop()
         right, right_id = operands.pop()
         left, left_id = operands.pop()
         depth = 1 + max(level[left_id], level[right_id])
@@ -396,7 +415,6 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
                 f"expression nests operators deeper than {MAX_EXPR_DEPTH}",
                 *p.where(at))
         is_signed = signed[left_id] or signed[right_id]
-        _, unsigned_kind, signed_kind = OPERATORS[kinds[at]]
         kind = signed_kind if is_signed else unsigned_kind
         nodes[node_id] = OpNode(node_id, kind, left_id, right_id)
         level[node_id] = depth
@@ -406,38 +424,45 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
         operands.append((BinOp(kind, left, right), node_id))
 
     while True:
-        at = p.advance()
-        if kinds[at] == "(":
+        kind = kinds[pos]
+        if kind == "(":
             pending.append(None)
             open_parens += 1
+            pos += 1
             continue
-        if kinds[at] != "ident":
-            raise p.found(at, "operand or '('")
-        name = texts[at]
-        if name not in decls:
-            raise UndeclaredIdentifier(f"undeclared input '{name}'", *p.where(at))
-        if name not in leaf_ids:
-            leaf_id = leaf_ids[name] = len(nodes)
-            decl = decls[name]
+        if kind != "ident":
+            raise p.found(pos, "operand or '('")
+        name = texts[pos]
+        leaf = leaves.get(name)
+        if leaf is None:
+            decl = decls.get(name)
+            if decl is None:
+                raise UndeclaredIdentifier(f"undeclared input '{name}'",
+                                           *p.where(pos))
+            leaf_id = len(nodes)
+            leaf = leaves[name] = Leaf(name), leaf_id
             nodes.append(LeafNode(leaf_id, decl))
             level[leaf_id] = 0
             width[leaf_id] = decl.width
             signed[leaf_id] = decl.signed
-        operands.append((Leaf(name), leaf_ids[name]))
-        while open_parens and p.peek() == ")":
-            p.advance()
+        operands.append(leaf)
+        pos += 1
+        while open_parens and kinds[pos] == ")":
+            pos += 1
             while pending[-1] is not None:
                 reduce()
             pending.pop()
             open_parens -= 1
-        operator = OPERATORS.get(p.peek())
+        operator = OPERATORS.get(kinds[pos])
         if operator is None:
             break
         while pending and pending[-1] is not None \
-                and OPERATORS[kinds[pending[-1][0]]][0] >= operator[0]:
+                and pending[-1][0][0] >= operator[0]:
             reduce()
-        pending.append((p.advance(), len(nodes)))
+        pending.append((operator, pos, len(nodes)))
         nodes.append(None)  # the operator's in-order slot
+        pos += 1
+    p.pos = pos
     if open_parens:
         p.expect(")", "')'")
     while pending:
@@ -448,6 +473,7 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
 
 def analyze(dfg: Dfg) -> AnalysisResult:
     """Derive load order and level-priority execution order from a DFG."""
-    operands = tuple(n.decl.name for n in dfg.leaf_nodes())
-    ordered = sorted(dfg.order, key=lambda i: (dfg.level[i], i))
+    operands = tuple([n.decl.name for n in dfg.leaf_nodes()])
+    # by level, ties by id: sorted by id first, as sorting is stable
+    ordered = sorted(sorted(dfg.order), key=dfg.level.__getitem__)
     return AnalysisResult(operands, tuple(ordered), dfg.level[dfg.root])

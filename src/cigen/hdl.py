@@ -35,13 +35,12 @@ endings, two-space indents).
 
 from __future__ import annotations
 
-import re
 import typing
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
-from .frontend import CiSpec, LeafNode, OperandDecl, OpKind, OpNode
-from .lpm import ConcatExtendGenerics, LpmGenerics
+from .frontend import VHDL_IDENTIFIER, CiSpec, LeafNode, OperandDecl, OpKind, OpNode
+from .lpm import Component, ConcatExtendGenerics, LpmGenerics
 from .mapper import MappedDesign, done_cycle_enabled, input_reg, node_reg
 
 ENTITY_PORTS: tuple[ast.Port, ...] = (
@@ -96,19 +95,16 @@ def _result_port_expr(base: str, base_width: int, root_width: int,
 def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     """Assemble the complete VHDL AST for a mapped design."""
     dfg = mapped.dfg
-    analysis = mapped.analysis
+    nodes, node_width = dfg.nodes, dfg.width
     loads = len(mapped.loading)
     done_cycle = done_cycle_enabled(mapped)
-
-    def child_signal(node_id: int) -> str:
-        node = dfg.nodes[node_id]
-        if isinstance(node, LeafNode):
-            return input_reg(node.decl.name)
-        return node_reg(node_id)
+    # each node's register: r_<operand> for a leaf, s_<id> for an operation
+    reg = [input_reg(node.decl.name) if isinstance(node, LeafNode)
+           else node_reg(node.id) for node in nodes]
 
     input_width = {decl.name: decl.width for decl in spec.inputs}
     signals = [ast.SignalDecl(input_reg(name), input_width[name])
-               for name in analysis.operand_sequence]
+               for name in mapped.analysis.operand_sequence]
     registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
     assigns: list[ast.ConcurrentAssign] = []
@@ -116,14 +112,13 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
     adapter_count = 0   # adapters are numbered over the instances, left first
 
-    for op_index, inst in enumerate(mapped.instances):
-        node_id = inst.node
-        node = dfg.nodes[node_id]
+    for op_index, (node_id, generics, adapters) in enumerate(mapped.instances):
+        node = nodes[node_id]
         assert isinstance(node, OpNode)
 
         inputs = []
-        for adapter, child in zip(inst.adapters, (node.left, node.right)):
-            signal = child_signal(child)
+        for adapter, child in zip(adapters, (node.left, node.right)):
+            signal = reg[child]
             if adapter is not None:
                 wire = f"w_x_{adapter_count}"
                 signals.append(ast.SignalDecl(wire, adapter.to_width))
@@ -135,8 +130,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
 
         # the wires on the output ports, in declaration order
         wires = [f"w_{node_id}{suffix}"
-                 for suffix in inst.generics.component.wire_suffixes]
-        out_widths = inst.generics.port_widths()[1]
+                 for suffix in generics.component.wire_suffixes]
+        out_widths = generics.port_widths()[1]
         signals.extend(map(ast.SignalDecl, wires, out_widths))
         # the divider's remainder has the dividend's sign: a signed mod
         # corrects it to the divisor's, an unsigned one needs no correction
@@ -147,34 +142,31 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                 f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
             value = f"w_{node_id}_m"
             signals.append(ast.SignalDecl(value, value_width))
-        signals.append(ast.SignalDecl(node_reg(node_id), dfg.width[node_id]))
-        registers.append(node_reg(node_id))
+        register, width = reg[node_id], node_width[node_id]
+        signals.append(ast.SignalDecl(register, width))
+        registers.append(register)
         value_wires[node_id] = value, value_width
 
         instances.append(ast.Instance(
-            f"u_{node.kind}_{op_index}", inst.generics,
-            (*inputs, *wires)))
+            f"u_{node.kind}_{op_index}", generics, (*inputs, *wires)))
         stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
-            node_reg(node_id), _low_bits(value, value_width, dfg.width[node_id])))
+            register, _low_bits(value, value_width, width)))
 
     root = dfg.root
-    base = value_wires.get(root, (child_signal(root), dfg.width[root]))
+    base = value_wires.get(root, (reg[root], node_width[root]))
     assigns.append(ast.ConcurrentAssign("result", _result_port_expr(
-        *base, dfg.width[root], dfg.signed[root], spec.output)))
+        *base, node_width[root], dfg.signed[root], spec.output)))
 
     # step by step the counter runs 0..done_cycle, wrapping to idle on the
     # edge that ends the done cycle; level l latches on step loads + l - 1
-    def pair_loads(pair_index: int) -> tuple[ast.RegisterLoad, ...]:
-        return tuple(
-            ast.RegisterLoad(input_reg(name),
-                             _low_bits(port, 32, input_width[name]))
-            for name, port in zip(mapped.loading[pair_index],
-                                  ("dataa", "datab"))
-            if name is not None)
-
-    steps = [ast.ControlStep(pair_loads(0), done_cycle == 1)]
+    pair_loads = [tuple([ast.RegisterLoad(input_reg(name),
+                                          _low_bits(port, 32, input_width[name]))
+                         for name, port in zip(pair, ("dataa", "datab"))
+                         if name is not None])
+                  for pair in mapped.loading]
+    steps = [ast.ControlStep(pair_loads[0], done_cycle == 1)]
     for c in range(1, done_cycle + 1):
-        step_loads = pair_loads(c) if c < loads \
+        step_loads = pair_loads[c] if c < loads \
             else tuple(stage_loads.get(c - loads + 1, ()))
         steps.append(ast.ControlStep(step_loads, c == done_cycle - 1))
     process = ast.ControlProcess(tuple(steps), tuple(registers))
@@ -244,19 +236,21 @@ def emit_component_decl(decl: ast.ComponentDecl) -> str:
                       *_listed(ports, ";", "      "), "    );", "  end component;"])
 
 
-def _instance_text(decl: ast.ComponentDecl) -> str:
-    """The text of every instance of decl, left to fill with the label, the
-    port map and the fields of the generics record, in order; a string
-    generic prints quoted."""
+def _instance_text(component: Component) -> tuple[str, tuple[str, ...]]:
+    """The text of every instance of component, left to fill by ``%`` with
+    the label, the fields of the generics record in order and the port
+    map; a string generic prints quoted.  Then the start of each port's
+    line of the port map, in declaration order."""
+    decl = component.decl
     generics = ",\n".join(
-        f"      {g.name} => "
-        + (f'"{{{i}}}"' if g.vhdl_type == "string" else f"{{{i}}}")
-        for i, g in enumerate(decl.generics))
-    return (f"  {{label}} : {decl.name}\n    generic map (\n{generics}\n"
-            "    )\n    port map (\n      {ports}\n    );")
+        f"      {g.name} => " + ('"%s"' if g.vhdl_type == "string" else "%s")
+        for g in decl.generics)
+    return (f"  %s : {decl.name}\n    generic map (\n{generics}\n"
+            "    )\n    port map (\n      %s\n    );",
+            tuple(f"{port} => " for port in component.ports))
 
 
-_INSTANCE_TEXT = {kind: _instance_text(kind.component.decl)
+_INSTANCE_TEXT = {kind: _instance_text(kind.component)
                   for kind in typing.get_args(LpmGenerics)}
 
 
@@ -264,10 +258,9 @@ def emit_instance(inst: ast.Instance) -> str:
     """Render an instantiation: the generic map pairs the component's
     generics with the fields of the generics record, and the port map its
     ports with the instance's wires, in order."""
-    ports = ",\n      ".join([f"{port} => {wire}" for port, wire
-                              in zip(inst.generics.component.ports, inst.wires)])
-    return _INSTANCE_TEXT[type(inst.generics)].format(
-        *inst.generics, label=inst.label, ports=ports)
+    text, ports = _INSTANCE_TEXT[type(inst.generics)]
+    return text % (inst.label, *inst.generics,
+                   ",\n      ".join(map(str.__add__, ports, inst.wires)))
 
 
 def emit_expr(expr: ast.Expr, widths: dict[str, int]) -> str:
@@ -291,26 +284,22 @@ def _emit_process(proc: ast.ControlProcess, widths: dict[str, int]) -> str:
              "    if rising_edge(clk) then", "      if reset = '1' then",
              f"        {COUNTER} <= 0;", "        done <= '0';"]
     lines += [f"        {register} <= (others => '0');" for register in proc.registers]
-    lines.append("      elsif clk_en = '1' then")
-    lines.append("        done <= '0';")
-
-    def step_lines(index: int, indent: str) -> list[str]:
-        step = proc.steps[index]
-        out = [f"{indent}{load.target} <= {emit_expr(load.expr, widths)};"
-               for load in step.loads]
-        if step.set_done:
-            out.append(f"{indent}done <= '1';")
-        return out + [f"{indent}{COUNTER} <= {proc.successor(index)};"]
-
-    lines += [f"        if {COUNTER} = 0 then", "          if start = '1' then",
-              *step_lines(0, "            "), "          end if;"]
-    for index in range(1, len(proc.steps)):
-        lines += [f"        elsif {COUNTER} = {index} then",
-                  *step_lines(index, "          ")]
-    lines.append("        end if;")
-    lines.append("      end if;")
-    lines.append("    end if;")
-    lines.append(f"  end process {PROCESS};")
+    lines += ["      elsif clk_en = '1' then", "        done <= '0';",
+              f"        if {COUNTER} = 0 then", "          if start = '1' then"]
+    indent = "            "   # step 0's branch nests inside the start test
+    for index, (loads, set_done) in enumerate(proc.steps):
+        if index:
+            indent = "          "
+            lines.append(f"        elsif {COUNTER} = {index} then")
+        lines += [f"{indent}{target} <= {emit_expr(expr, widths)};"
+                  for target, expr in loads]
+        if set_done:
+            lines.append(f"{indent}done <= '1';")
+        lines.append(f"{indent}{COUNTER} <= {proc.successor(index)};")
+        if not index:
+            lines.append("          end if;")
+    lines += ["        end if;", "      end if;", "    end if;",
+              f"  end process {PROCESS};"]
     return "\n".join(lines)
 
 
@@ -339,17 +328,14 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
     body.append("")
     proc = arch.process
     body.append(f"  signal {COUNTER} : integer range 0 to {len(proc.steps) - 1};")
-    for sig in arch.signals:
-        body.append(f"  signal {sig.name} : {_vec_type(sig.width)};")
+    body += [f"  signal {name} : {_vec_type(width)};" for name, width in arch.signals]
     body.append("")
     body.append("begin")
     for inst in arch.instances:
-        body.append("")
-        body.append(emit_instance(inst))
-    widths = {sig.name: sig.width for sig in arch.signals}
-    for assign in arch.assigns:
-        body.append("")
-        body.append(f"  {assign.target} <= {emit_expr(assign.expr, widths)};")
+        body += ("", emit_instance(inst))
+    widths = {name: width for name, width in arch.signals}
+    for target, expr in arch.assigns:
+        body += ("", f"  {target} <= {emit_expr(expr, widths)};")
     body.append("")
     body.append(_emit_process(proc, widths))
     body.append("")
@@ -364,48 +350,36 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
 
 # --- structural validation -------------------------------------------------
 
-_ID_OK = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-
-
-def _legal_identifier(name: str) -> bool:
-    return bool(_ID_OK.match(name)) and "__" not in name and not name.endswith("_")
-
 
 def validate_structure(design: ast.HdlDesign) -> list[Violation]:
     """Check the design's VHDL naming and declarations, which executing it
     cannot see; an empty list means it is sound.
 
     Rules: every identifier, the entity's fixed ports and the used
-    components' included, is VHDL-legal and case-insensitively unique;
-    signals are declared once.  ``emit_vhdl`` prints ``ENTITY_PORTS`` and
-    declares each used component once by construction.  Connectivity is
-    ``sim.IndexedDesign``'s to check.
+    components' included, is VHDL-legal (``frontend.VHDL_IDENTIFIER``) and
+    case-insensitively unique; signals are declared once.  One pass over
+    the names tests each with one match and claims its lowercase form.
+    ``emit_vhdl`` prints ``ENTITY_PORTS`` and declares each used component
+    once by construction.  Connectivity is ``sim.IndexedDesign``'s to check.
     """
-    violations: list[Violation] = []
     arch = design.architecture
-    names: dict[str, str] = {}
-
-    def claim(name: str, role: str) -> None:
-        if not _legal_identifier(name):
+    claims = [(design.name, "entity"), *[(port.name, "port") for port in ENTITY_PORTS],
+              (ARCHITECTURE, "architecture"), (COUNTER, "signal"),
+              *[(sig.name, "signal") for sig in arch.signals],
+              *[(kind.component.decl.name, "component") for kind in _kinds(arch)],
+              *[(inst.label, "instance") for inst in arch.instances],
+              (PROCESS, "process")]
+    violations: list[Violation] = []
+    roles: dict[str, str] = {}   # lowercase name -> the role that claimed it
+    legal = VHDL_IDENTIFIER.fullmatch
+    for name, role in claims:
+        if not legal(name):
             violations.append(Violation("illegal-identifier", name, role))
         key = name.lower()
-        if key in names:
-            rule = "duplicate-signal" if role == "signal" and names[key] == "signal" \
-                else "name-collision"
-            violations.append(Violation(rule, name, f"{role} vs {names[key]}"))
+        prior = roles.get(key)
+        if prior is None:
+            roles[key] = role
         else:
-            names[key] = role
-
-    claim(design.name, "entity")
-    for port in ENTITY_PORTS:
-        claim(port.name, "port")
-    claim(ARCHITECTURE, "architecture")
-    claim(COUNTER, "signal")
-    for sig in arch.signals:
-        claim(sig.name, "signal")
-    for kind in _kinds(arch):
-        claim(kind.component.decl.name, "component")
-    for inst in arch.instances:
-        claim(inst.label, "instance")
-    claim(PROCESS, "process")
+            rule = "duplicate-signal" if role == prior == "signal" else "name-collision"
+            violations.append(Violation(rule, name, f"{role} vs {prior}"))
     return violations

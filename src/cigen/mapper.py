@@ -77,12 +77,12 @@ def node_reg(node_id: int) -> str:
 
 
 def _plan_add_sub(node: OpNode, dfg: Dfg) -> InstancePlan:
-    w = dfg.width[node.id]
-    adapters = tuple(
-        ConcatExtendGenerics(dfg.width[child], w,
-                             Extension.SIGN if dfg.signed[child] else Extension.ZERO)
-        if dfg.width[child] < w else None
-        for child in (node.left, node.right))
+    width, signed, w = dfg.width, dfg.signed, dfg.width[node.id]
+    adapters = tuple([
+        ConcatExtendGenerics(width[child], w,
+                             Extension.SIGN if signed[child] else Extension.ZERO)
+        if width[child] < w else None
+        for child in (node.left, node.right)])
     direction = Direction.ADD if node.kind == OpKind.ADD else Direction.SUB
     return InstancePlan(node.id, AddSubGenerics(w, direction), adapters)
 

@@ -14,7 +14,8 @@ the component library, its generics, input wires and output wires, bound
 to the component's ports in declaration order; each node of an
 expression, assigned or loaded, over the library's expression kernels)
 and, for every step of its control process, one flat program: the records
-the step's register loads need, in dependency order, and the loads.  Each
+the step's register loads read through, in dependency order, and the
+loads, each the record of its expression's top node.  Each
 step leads to the one ``ControlProcess.successor`` names, as the VHDL text
 prints it.  That lowering is the design's only connectivity check;
 ``hdl.validate_structure`` keeps the rules of VHDL naming.
@@ -231,16 +232,16 @@ class SimResult(NamedTuple):
 # A driver record (kernel, params, keys read, keys written):
 # kernel(params, faults, *columns read) returns the columns of the keys
 # written, in order, adding the vectors whose dividers meet a zero divisor
-# to faults.  A key is a signal name, or an int naming the value of an
-# expression node that no signal holds.
-Record = tuple[Callable[..., tuple[Column, ...]], object,
+# to faults; kernel None is a signal's value as it is, its one key read.  A
+# key is a signal name, or an int naming the value of an expression node
+# that no signal holds.
+Record = tuple[Callable[..., tuple[Column, ...]] | None, object,
                tuple[str | int, ...], tuple[str | int, ...]]
-# In a step's program, the load of a register from a key's value.
-Load = tuple[None, str, str | int, None]
-
-
-def _same(params: None, faults: set[int], column: Column) -> tuple[Column]:
-    return (column,)
+# In a step's program, the load of a register (kernel, params, keys read,
+# register): the top node of the loaded expression, whose one column the
+# register latches.
+Load = tuple[Callable[..., tuple[Column]] | None, object,
+             tuple[str | int, ...], str]
 
 
 def _slice(width: int, faults: set[int], column: Column) -> tuple[Column]:
@@ -264,17 +265,18 @@ def _run(program: list[Record | Load], values: dict,
     met a zero divisor, or None."""
     seen, latched, fault = len(faults), [], None
     for kernel, params, reads, writes in program:
-        if kernel is None:   # a Load of register params from key reads
-            if fault is None and len(faults) > seen:
-                fault = params
-            latched.append((params, values[reads]))
-            continue
-        if len(reads) == 2:
+        if kernel is None:   # a signal's value as it is
+            columns = (values[reads[0]],)
+        elif len(reads) == 2:
             a, b = reads
             columns = kernel(params, faults, values[a], values[b])
         else:   # every kernel reads one column or two
             columns = kernel(params, faults, values[reads[0]])
-        if len(writes) == 1:
+        if type(writes) is str:   # a Load of register writes
+            if fault is None and len(faults) > seen:
+                fault = writes
+            latched.append((writes, columns[0]))
+        elif len(writes) == 1:
             values[writes[0]], = columns
         else:
             values.update(zip(writes, columns))
@@ -290,14 +292,18 @@ class IndexedDesign:
     parameters, keys read, keys written): an instance is (its generics'
     ``component.kernel``, the generics, its input wires, its output wires),
     and each node of an expression is a record over the lpm expression
-    kernels, writing an int key when no signal holds its value.  A step's
-    number, the counter value that selects it, is its position in the
-    process's steps, and its successor is ``ControlProcess.successor``'s.
-    Each step is lowered to one flat program: per register load, the
-    records it needs that no earlier load of the step computed, in
-    dependency order, then the load.  ``execute`` runs the programs edge by
-    edge, over one column entry per vector: a whole batch for ``run``, one
-    invocation for ``simulate_ci``.
+    kernels (kernel None for a signal's value as it is), writing an int key
+    when no signal holds its value.  A step's number, the counter value
+    that selects it, is its position in the process's steps, and its
+    successor is ``ControlProcess.successor``'s.  Each step is lowered to
+    one flat program in one pass over its loads: per register load, the
+    records its expression's top node reads through that no earlier load
+    of the step computed, in dependency order, then the load itself, that
+    top node's record with the register in place of the keys written.  A
+    walk of the reads starts only at a key that is no register, no port
+    and not yet computed in the step.  ``execute`` runs the programs edge
+    by edge, over one column entry per vector: a whole batch for ``run``,
+    one invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
@@ -331,13 +337,17 @@ class IndexedDesign:
         self._keyed: dict[ast.Expr, tuple[int, int]] = {}
         for target, expr in arch.assigns:
             kernel, params, reads, width = self._expr(expr)
-            self._check_value(width, target)
+            if width != self._width(target):
+                raise self._mismatch(width, target)
             self._drive((kernel, params, reads, (target,)))
         self._lower_instances(arch.instances)
-        self._programs = self._lower_steps(arch.process)
+        process = arch.process
+        self._programs = [(self._program(index, loads), set_done,
+                           process.successor(index))
+                          for index, (loads, set_done) in enumerate(process.steps)]
         self._result_program: list[Record] = []
         self._need("result", {}, self._result_program)
-        self.done_cycle = self._done_cycle(arch.process.steps)
+        self.done_cycle = self._done_cycle(process.steps)
 
     def _width(self, name: str) -> int:
         width = self.widths.get(name)
@@ -345,10 +355,10 @@ class IndexedDesign:
             raise InternalCheckError(f"{self.name}: {name} is not declared")
         return width
 
-    def _check_value(self, width: int, target: str) -> None:
-        if width != self._width(target):
-            raise InternalCheckError(f"{self.name}: {width}-bit value on "
-                                     f"{target}, declared {self._width(target)}")
+    def _mismatch(self, width: int, target: str) -> InternalCheckError:
+        """The error for a width-bit value put on the declared target."""
+        return InternalCheckError(f"{self.name}: {width}-bit value on "
+                                  f"{target}, declared {self.widths[target]}")
 
     def _drive(self, record: Record) -> None:
         for wire in record[3]:
@@ -365,7 +375,7 @@ class IndexedDesign:
         # generics -> the kernel, every port's width and the input count;
         # records of two kinds never compare equal (test_records.py)
         kinds: dict[LpmGenerics, tuple[Callable, tuple[int, ...], int]] = {}
-        declared = self.widths.get
+        declared, drive = self.widths.get, self._drive
         for label, generics, wires in instances:
             kind = kinds.get(generics)
             if kind is None:
@@ -383,14 +393,14 @@ class IndexedDesign:
                         raise WidthMismatch(f"{self.name}: {label} needs {width} "
                                             f"bits on {wire}, declared "
                                             f"{self._width(wire)}")
-            self._drive((kernel, generics, wires[:split], wires[split:]))
+            drive((kernel, generics, wires[:split], wires[split:]))
 
-    def _expr(self, expr: ast.Expr) -> tuple[Callable[..., tuple[Column, ...]],
+    def _expr(self, expr: ast.Expr) -> tuple[Callable[..., tuple[Column, ...]] | None,
                                               object, tuple[str | int, ...], int]:
         """The kernel, parameters and keys read of expr's top node, and its
         width; each inner node becomes the driver of a new int key."""
         if isinstance(expr, ast.Ref):
-            return _same, None, (expr.name,), self._width(expr.name)
+            return None, None, (expr.name,), self._width(expr.name)
         if isinstance(expr, ast.Slice):
             name, width, whole = expr.name, expr.width, self._width(expr.name)
             if not 1 <= width <= whole:
@@ -422,17 +432,39 @@ class IndexedDesign:
             keyed = self._keyed[expr] = key, width
         return keyed
 
+    def _program(self, index: int,
+                 loads: tuple[ast.RegisterLoad, ...]) -> list[Record | Load]:
+        """The flat program of step index: per register load, the records
+        its expression's top node reads through that no earlier load of the
+        step computed, then the load, that node's record latching into the
+        register."""
+        registers, sources, widths = self._register_set, self._sources, self.widths
+        lower, need = self._expr, self._need
+        program: list[Record | Load] = []
+        done: dict[str | int, bool] = {}
+        for target, expr in loads:
+            if target not in registers:
+                raise InternalCheckError(f"{self.name}: step {index} loads "
+                                         f"{target}, which is no register")
+            kernel, params, reads, width = lower(expr)
+            if width != widths[target]:
+                raise self._mismatch(width, target)
+            for read in reads:
+                if read not in sources and read not in done:
+                    need(read, done, program)
+            program.append((kernel, params, reads, target))
+        return program
+
     def _need(self, key: str | int, done: dict[str | int, bool],
               program: list[Record | Load]) -> None:
-        """Append to program the records computing key that done lacks, each
-        after the records it reads from, in the order a depth-first walk of
-        the reads completes them.  done maps the keys met so far to True
-        once computed, False while their reads are resolved.  The walk keeps
-        its own stack of the keys being resolved, so no chain of wires is
-        too deep for it."""
+        """Append to program the records computing key, which is no source
+        and not in done, and those it reads from that done lacks, each after
+        the records it reads from, in the order a depth-first walk of the
+        reads completes them.  done maps the keys met so far to True once
+        computed, False while their reads are resolved.  The walk keeps its
+        own stack of the keys being resolved, so no chain of wires is too
+        deep for it."""
         drivers, sources = self._drivers, self._sources
-        if key in sources or done.get(key):
-            return
         stack = [key]
         while stack:
             key = stack[-1]
@@ -453,25 +485,6 @@ class IndexedDesign:
                 program.append(record)
                 for wire in record[3]:
                     done[wire] = True
-
-    def _lower_steps(self, process: ast.ControlProcess
-                     ) -> list[tuple[list[Record | Load], bool, int]]:
-        """Per step number: its flat program, whether it sets done, and its
-        successor's number."""
-        registers, need, programs = self._register_set, self._need, []
-        for index, (loads, set_done) in enumerate(process.steps):
-            done: dict[str | int, bool] = {}
-            program: list[Record | Load] = []
-            for target, expr in loads:
-                if target not in registers:
-                    raise InternalCheckError(f"{self.name}: step {index} loads "
-                                             f"{target}, which is no register")
-                key, width = self._key(expr)
-                self._check_value(width, target)
-                need(key, done, program)
-                program.append((None, target, key, None))
-            programs.append((program, set_done, process.successor(index)))
-        return programs
 
     def _done_cycle(self, steps: tuple[ast.ControlStep, ...]) -> int:
         """The enabled cycle on which done is high: as steps run in
@@ -527,13 +540,14 @@ def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
                     count: int) -> list[tuple[Column, Column]]:
     """The dataa and datab columns of each load cycle, from input_columns'
     count-vector columns: the operand order the C header sends, taken from
-    the mapping and never from the design.  A column with no negative value
-    is its own 32-bit pattern and is shared, as columns are never written
-    into."""
+    the mapping and never from the design.  A signed input's column is cut
+    to 32-bit patterns; an unsigned input's, in range, is its own and is
+    shared, as columns are never written into."""
     ports: dict[str | None, Column] = {None: [0] * count}
-    for name, column in columns.items():
-        ports[name] = column if min(column, default=0) >= 0 \
-            else [value & PORT_MASK for value in column]
+    for leaf in mapped.dfg.leaf_nodes():
+        name, signed = leaf.decl.name, leaf.decl.signed
+        ports[name] = [value & PORT_MASK for value in columns[name]] if signed \
+            else columns[name]
     return [(ports[first], ports[second]) for first, second in mapped.loading]
 
 

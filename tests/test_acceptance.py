@@ -258,6 +258,77 @@ class TestPinnedWideDesigns:
         assert digest.hexdigest() == WIDE_VHDL_SHA256
 
 
+def _wide_spec(name: str, decls: list[str], body: str) -> str:
+    return "\n".join([f"ci {name}(opcode=2) {{", *decls,
+                      "  output y: signed<32>;", f"  y = {body};", "}"]) + "\n"
+
+
+def _wide_decl(name: str, rng: random.Random, widths: tuple[int, ...]) -> str:
+    return f"  input {name}: {rng.choice(('signed', 'unsigned'))}<{rng.choice(widths)}>;"
+
+
+def _wide_texts(rng: random.Random) -> dict[str, str]:
+    """A 128-tap sum of products as a chain and as a balanced tree, and a
+    960-term add chain, over inputs of drawn widths and signedness."""
+    texts = {}
+    for shape in ("chain", "tree"):
+        decls = [_wide_decl(f"{v}{i}", rng, (8, 12, 16))
+                 for i in range(128) for v in "xh"]
+        terms = [f"(x{i} * h{i})" for i in range(128)]
+        while shape == "tree" and len(terms) > 1:   # 128 terms: 7 levels
+            terms = [f"({a} + {b})" for a, b in zip(terms[::2], terms[1::2])]
+        texts[f"sop_{shape}"] = _wide_spec(f"sop_{shape}", decls, " + ".join(terms))
+    decls = [_wide_decl(f"a{i}", rng, (8, 16, 32)) for i in range(960)]
+    texts["add_chain"] = _wide_spec("add_chain", decls,
+                                    " + ".join(f"a{i}" for i in range(960)))
+    return texts
+
+
+# The sha256 of each wide design's VHDL, header and report.json and of
+# its check line, as build writes them at seed 3 with 4 vectors.
+WIDE_BUILD_SHA256 = {
+    "sop_chain": [
+        "53a1f9f2750c2490d5bae56de0cac77e69a518516980a1a1d561d95c27f78510",
+        "ab88649dc7d2a5c97aa03bf202e7ba1e9e73fec50f4bbcd775d2ef25e52832f1",
+        "231392eac09a7f0f71e5dceed8c6ad7dc653d49b413b67c2af916e958ee80fd0",
+        "62dded042a0866cf486d44a858a148300cdf12d8de72838841a7450a3e800486",
+    ],
+    "sop_tree": [
+        "3142b1e0e0c608828e0d8c83a427492e492f98b019453bc9367873d2208743f3",
+        "3831cff0a48d6bd127592e3442045ea2c241e026d15e63af30bd45bd90634da1",
+        "438657ea58ac7e58ca548a3ed013e2b02a3403234baf66fa712fd817b926d8f1",
+        "62dded042a0866cf486d44a858a148300cdf12d8de72838841a7450a3e800486",
+    ],
+    "add_chain": [
+        "cbb04d927d6bc108de1cae8b0ed836a6d27e77d73a7102d54e2f03253e7c9bf2",
+        "00d9e154e2ab2adc0ca1685678f49ea5c259106c470b90e89cf871ca11279c13",
+        "bb01a715817db5ccfc824220c5ff72b99d31eac6c4bc7cb94067931e88ae4421",
+        "62dded042a0866cf486d44a858a148300cdf12d8de72838841a7450a3e800486",
+    ],
+}
+
+
+class TestPinnedWideBuilds:
+    """Three wide designs, drawn here, pin every artifact build writes and
+    the check line it prints: each stage's work per node shows in them."""
+
+    def test_wide_builds_hash_to_the_recorded_digests(self, tmp_path, capsys):
+        digests = {}
+        for name, text in _wide_texts(random.Random(2013)).items():
+            spec = tmp_path / f"{name}.ci"
+            spec.write_text(text)
+            out = tmp_path / name
+            assert cli.main(["build", str(spec), "-o", str(out),
+                             "--vectors", "4", "--seed", "3"]) == 0
+            check = next(line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("[4/5] check:"))
+            digests[name] = [hashlib.sha256(data).hexdigest() for data in (
+                (out / f"{name}.vhd").read_bytes(),
+                (out / f"ci_{name}.h").read_bytes(),
+                (out / "report.json").read_bytes(), check.encode())]
+        assert digests == WIDE_BUILD_SHA256
+
+
 class TestSourcePatching:
     def test_golden_rewrite_is_idempotent(self):
         spec = parse_ci_spec(MAC_TEXT)

@@ -358,6 +358,38 @@ class TestFailClosed:
         self._refused(capsys, ["build", spec_file, "-o", out,
                                "--config", config], out)
 
+    @pytest.mark.parametrize("intrinsic, reason", [
+        ("return", "a C keyword"),
+        ("_Bool", "a C keyword"),
+        ("CI_F", "a name ci_f.h defines"),
+        ("CI_F_OPCODE", "a name ci_f.h defines"),
+        ("CI_F_H", "a name ci_f.h defines"),
+        ("p_a", "a parameter of CI_F"),
+    ])
+    @pytest.mark.parametrize("command", ["build", "patch"])
+    def test_intrinsic_the_header_cannot_call(self, tmp_path, capsys, spec_file,
+                                              command, intrinsic, reason):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"intrinsic": intrinsic}))
+        source = tmp_path / "prog.c"
+        source.write_text((GOLDEN_DIR / "fixture.c").read_text())
+        out = tmp_path / "out"
+        argv = ["build", spec_file, "-o", out] if command == "build" \
+            else ["patch", spec_file, source, "--header-dir", out]
+        stderr = self._refused(capsys, [*argv, "--config", config], out)
+        assert stderr == f"cigen: error: config intrinsic {intrinsic!r} is {reason}\n"
+        assert not (tmp_path / "prog.ci.c").exists()
+
+    @pytest.mark.parametrize("intrinsic", ["p_d", "ci_f", "CI_G", "Return"])
+    def test_intrinsic_beside_the_header_names_is_called(self, tmp_path, capsys,
+                                                         spec_file, intrinsic):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"intrinsic": intrinsic}))
+        code, _, _ = _run(capsys, "build", spec_file, "-o", tmp_path / "out",
+                          "--vectors", "4", "--config", config)
+        assert code == 0
+        assert f"{intrinsic}(CI_F_OPCODE" in (tmp_path / "out" / "ci_f.h").read_text()
+
     def test_non_utf8_c_source(self, tmp_path, capsys, spec_file):
         source = tmp_path / "prog.c"
         source.write_bytes(b"int f(int a) { return a; } /* \xff */\n")

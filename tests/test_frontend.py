@@ -1,5 +1,7 @@
 """Parser and dataflow-graph construction tests."""
 
+import itertools
+import re
 import string
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ from cigen.errors import (
 from cigen.frontend import (
     DSL_KEYWORDS,
     MAX_EXPR_DEPTH,
+    VHDL_IDENTIFIER,
     BinOp,
     Leaf,
     OpKind,
@@ -315,11 +318,42 @@ class TestParseErrors:
             line, col = message.split(":")[:2]
             assert (info.value.line, info.value.col) == (int(line), int(col))
 
+    @pytest.mark.parametrize("decl, message", [
+        ("input signal signed<8>;", "2:9: identifier 'signal' is reserved"),
+        ("input a__b: x", "2:9: identifier 'a__b' may not contain '__' or end in '_'"),
+        ("input a: signed<8>; input A signed", "2:29: duplicate declaration of 'A'"),
+        ("input a signed<8>;", "2:11: found 'signed' (expected ':')"),
+        ("input a: int<8>;", "2:12: found 'int' (expected 'signed' or 'unsigned')"),
+        ("input a: signed 8>;", "2:19: found '8' (expected '<')"),
+        ("input a: signed<x>;", "2:19: found 'x' (expected bit width)"),
+        ("input a: signed<40;", "2:19: width 40 out of range 1..32"),
+        ("input a: signed<8 ;", "2:21: found ';' (expected '>')"),
+    ])
+    def test_a_declaration_is_checked_in_token_order(self, decl, message):
+        """The name's checks, then the width's, come before the syntax
+        error of any later token of the declaration."""
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_ci_spec(f"ci t(opcode=0) {{\n  {decl}\n  output y: signed<8>; y = a;\n}}")
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("error", [UndeclaredIdentifier,
                                        DuplicateDeclaration, WidthOutOfRange,
                                        OpcodeOutOfRange])
     def test_positioned_errors_are_syntax_errors(self, error):
         assert issubclass(error, SpecSyntaxError)
+
+
+class TestVhdlIdentifier:
+    def test_pattern_is_the_three_part_rule(self):
+        """VHDL_IDENTIFIER, which the parser and validate_structure share,
+        accepts what the three tests it replaced accepted: a letter, then
+        letters, digits and underscores; no "__"; no trailing "_"."""
+        start = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+        for length in range(6):
+            for name in map("".join, itertools.product("aZ1_", repeat=length)):
+                three_part = bool(start.match(name)) and "__" not in name \
+                    and not name.endswith("_")
+                assert bool(VHDL_IDENTIFIER.fullmatch(name)) == three_part, name
 
 
 class TestDepthLimit:

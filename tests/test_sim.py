@@ -203,7 +203,7 @@ class TestCheckEquivalenceInputs:
         [{"s": 1, "u": 1}],
         [{"s": 0, "u": 256}, {"ghost": 0}],
     ], ids=["then-good", "then-bad"])
-    def test_same_error_as_validate_inputs(self, bad, later):
+    def test_same_error_as_one_vector(self, bad, later):
         spec = _spec(self.SPEC)
         vectors = [{"s": -128, "u": 255}, {"s": 127, "u": 0}, dict(bad),
                    *later]
@@ -232,7 +232,7 @@ class TestCheckEquivalenceInputs:
             check_equivalence(spec, mapped, columns, build_design(spec, mapped))
         assert str(info.value) == message
 
-    def test_out_of_range_column_names_what_validate_inputs_names(self):
+    def test_out_of_range_column_names_what_one_vector_names(self):
         spec = _spec(self.SPEC)
         mapped = map_design(spec)
         vector = {"s": 5, "u": 300}
