@@ -72,7 +72,7 @@ def __getattr__(name: str):
     """name, bound here from its home module unless bound already (PEP 562)."""
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = __import__(f"cigen.{_HOMES[name]}", fromlist=[name])
+    home = __import__(f"{__package__}.{_HOMES[name]}", fromlist=[name])
     return globals().setdefault(name, getattr(home, name))
 
 

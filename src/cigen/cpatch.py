@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 import string
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, sub
 from typing import NamedTuple
@@ -147,9 +147,9 @@ _STRAY_RE = re.compile("[^" + re.escape("".join(_FIRST_CHAR)) + "]")
 _INCLUDE_RE = re.compile(r"\n[ \t]*##?[ \t\f\v]*include(?![A-Za-z0-9_])[ \t\f\v]*")
 
 
-def _look_closer(text: str, source: str, offset: int, at):
-    """The kind of a _LOOK match at offset, source's at(offset), or _SPACE
-    for a comment; raises LexError for an unterminated or stray one."""
+def _look_closer(text: str, source: str, offset: int, table):
+    """The kind of a _LOOK match at offset (source's through table), or
+    _SPACE for a comment; raises LexError for an unterminated or stray one."""
     first = text[0]
     if text in _UNTERMINATED:
         problem = f"unterminated {_UNTERMINATED[text]}"
@@ -161,38 +161,32 @@ def _look_closer(text: str, source: str, offset: int, at):
         return TokKind.PUNCT if text in (".", "...") else TokKind.NUMBER
     else:
         problem = f"stray character {first!r}"
-    line = source.count("\n", 0, at(offset)) + 1
+    line = source.count("\n", 0, _unspliced(table, [offset])[0]) + 1
     raise LexError(f"{problem} on line {line}")
 
 
-class _SpliceMap(NamedTuple):
-    """Splice m was cut at offset cuts[m] of a spliced text of size
-    characters, after shifts[m] characters of splices."""
-    cuts: list[int]
-    shifts: list[int]
-    size: int
-
-    def __call__(self, at: int) -> int:
-        return at + self.shifts[bisect_right(self.cuts, at)]
-
-    def each(self, offsets: list[int], past: bool = False) -> list[int]:
-        """offsets mapped by one lookup each in a table holding the shift of
-        each offset x from -1 to size at x + 1; past: each is past a character."""
-        table = [0, *chain.from_iterable(map(repeat, self.shifts, map(
-            sub, self.cuts + [self.size + 1], [0] + self.cuts)))]
-        keys = offsets if past else map((1).__add__, offsets)
-        return list(map(add, offsets, map(table.__getitem__, keys)))
-
-
 def _splice(source: str):
-    """source spliced as C's phase 2 does, and a map back to its offsets."""
+    """source spliced as C's phase 2 does, and the table back to its offsets,
+    or None when source has no splice: offset x of the spliced text, from -1
+    to its size, lies at x + table[x + 1] of source (see _unspliced)."""
     pieces = _SPLICE_RE.split(source)   # text, splice, text, ..., text
     if len(pieces) == 1:
-        return source, int   # the identity: no map
+        return source, None
     cuts = list(accumulate(map(len, pieces[:-1:2])))
     shifts = list(accumulate(map(len, pieces[1::2]), initial=0))
     spliced = "".join(pieces[::2])
-    return spliced, _SpliceMap(cuts, shifts, len(spliced))
+    return spliced, [0, *chain.from_iterable(map(repeat, shifts, map(
+        sub, cuts + [len(spliced) + 1], [0] + cuts)))]
+
+
+def _unspliced(table: list[int] | None, offsets: list[int],
+               past: bool = False) -> list[int]:
+    """offsets of a spliced text at its source's, through _splice's table;
+    past: each is past a character, and stays past that character."""
+    if table is None:
+        return offsets
+    keys = offsets if past else map((1).__add__, offsets)
+    return list(map(add, offsets, map(table.__getitem__, keys)))
 
 
 def lex_c(source: str) -> CTokens:
@@ -200,7 +194,7 @@ def lex_c(source: str) -> CTokens:
     LF, as gcc reads it, and its lines are spliced as C splices them: texts
     are spliced, offsets and error lines source's."""
     source = _LONE_CR_RE.sub("\n", source)   # C's phase 1: no offset moves
-    spliced, at = _splice(source)
+    spliced, table = _splice(source)
     parts = _TOKEN_RE.findall(spliced)
     offsets = list(accumulate(map(len, parts), initial=0))
     kinds = list(map(_FIRST_CHAR.get, map(itemgetter(0), parts), repeat(_LOOK)))
@@ -208,7 +202,7 @@ def lex_c(source: str) -> CTokens:
     # each comment is white space: here spaces of its length, so offsets hold
     uncommented = parts.copy()
     for k in [k for k, kind in enumerate(kinds) if kind is _LOOK]:
-        kinds[k] = _look_closer(parts[k], source, offsets[k], at)
+        kinds[k] = _look_closer(parts[k], source, offsets[k], table)
         if kinds[k] is _SPACE:
             uncommented[k] = " " * len(parts[k])
     start = list(compress(offsets, kinds))   # the tokens' entries
@@ -220,9 +214,9 @@ def lex_c(source: str) -> CTokens:
         if hi > lo:   # none when the line holds the end of a literal only
             in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
     text, ends = list(compress(parts, kinds)), None
-    if at is not int:
-        ends = at.each(list(map(add, start, map(len, text))), past=True)
-        start = at.each(start)
+    if table:
+        ends = _unspliced(table, list(map(add, start, map(len, text))), past=True)
+        start = _unspliced(table, start)
     return CTokens(list(filter(None, kinds)), text, start, in_directive, ends)
 
 
@@ -497,7 +491,7 @@ def _skeleton(source: str, spec: CiSpec):
     holds a hit (see the module docstring) and its bounds, and the header's
     include (see _include); raises lex_c(source)'s first LexError.  This
     scan is rewrite's one prefilter: find_call_sites parses what it keeps."""
-    spliced, at = _splice(_LONE_CR_RE.sub("\n", source))
+    spliced, table = _splice(_LONE_CR_RE.sub("\n", source))
     # code: comments blanked, literals and directives opaque, openers stray
     code = "\n" + _SKELETON_RE.sub(lambda m: (
         "@" if m[0] in _UNTERMINATED else " " if m[0][0] == "/" else '"')
@@ -520,17 +514,18 @@ def _skeleton(source: str, spec: CiSpec):
         lo = code.rfind(";", end, hit.start())
         end = code.find(";", hit.end())
         bounds += lo, end
-    bounds = list(map(at, bounds))
+    bounds = _unspliced(table, bounds)
     pieces, last = [], 0
     for lo, end in zip(bounds[::2], bounds[1::2]):
         lo = max(lo, last)
         pieces += " " * (lo - last), source[lo:end + 1]
         last = end + 1
     return ("".join(pieces) + " " * (len(source) - last),
-            _include(source, spliced, at, includes, header_filename(spec)))
+            _include(source, spliced, table, includes, header_filename(spec)))
 
 
-def _include(source: str, spliced: str, at, includes, header: str) -> tuple[int, str]:
+def _include(source: str, spliced: str, table, includes,
+             header: str) -> tuple[int, str]:
     """The offset and the text to insert there so that the source includes
     header once: after the last of the #include lines, or at the top."""
     if any(spliced.startswith(f'"{header}"', past) for past, _ in includes):
@@ -540,7 +535,7 @@ def _include(source: str, spliced: str, at, includes, header: str) -> tuple[int,
         return 0, f'#include "{header}"{eol}{eol}'
     # a line of its own after the directive's spliced one, which keeps its
     # comments and its line break, and ends as that line ends
-    last = at(includes[-1][1])   # at the line break, if any
+    last = _unspliced(table, [includes[-1][1]])[0]   # at the line break, if any
     return last, (_LINE_END_RE.match(source, last) or ["\n"])[0] + \
         f'#include "{header}"'
 

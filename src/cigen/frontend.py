@@ -95,7 +95,7 @@ CI_NAME_PREFIXES = ("r_", "s_", "w_", "x_", "u_")
 
 # The one rule of a legal VHDL identifier, which hdl reads too: a letter
 # first, then letters, digits and single underscores, no trailing "_".
-VHDL_IDENTIFIER = re.compile(r"[A-Za-z](?:_?[A-Za-z0-9])*")
+VHDL_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)*")
 
 
 class OpKind:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import vhdl_ast as ast
 from .frontend import VHDL_IDENTIFIER, CiSpec, LeafNode, OperandDecl, OpKind, OpNode
-from .lpm import Component, ConcatExtendGenerics, LpmGenerics
+from .lpm import ConcatExtendGenerics, LpmGenerics
 from .mapper import MappedDesign, done_cycle_enabled, input_reg, node_reg
 
 ENTITY_PORTS: tuple[ast.Port, ...] = (
@@ -190,34 +190,6 @@ def _kinds(arch: ast.Architecture) -> list[type[LpmGenerics]]:
 
 # --- emission -------------------------------------------------------------
 
-SUPPORT_ENTITY_TEXT = """\
--- Support unit: widens a vector by replicating its top bit (sign extension)
--- or by padding with zeros, using the concatenation operator.
-
-library ieee;
-use ieee.std_logic_1164.all;
-
-entity ci_concat_extend is
-  generic (
-    FROM_WIDTH : natural;
-    TO_WIDTH : natural;
-    EXTEND_MODE : string
-  );
-  port (
-    a : in std_logic_vector(FROM_WIDTH - 1 downto 0);
-    result : out std_logic_vector(TO_WIDTH - 1 downto 0)
-  );
-end entity ci_concat_extend;
-
-architecture rtl of ci_concat_extend is
-  signal pad : std_logic_vector(TO_WIDTH - FROM_WIDTH - 1 downto 0);
-begin
-  pad <= (others => a(FROM_WIDTH - 1)) when EXTEND_MODE = "SIGN" else (others => '0');
-  result <= pad & a;
-end architecture rtl;
-"""
-
-
 def _port_type(port: ast.Port) -> str:
     return "std_logic" if port.width == 1 else _vec_type(port.width)
 
@@ -228,29 +200,55 @@ def _listed(items: list[str], sep: str, indent: str) -> list[str]:
             for i, item in enumerate(items)]
 
 
-def emit_component_decl(decl: ast.ComponentDecl) -> str:
+def _clauses(decl: ast.ComponentDecl, indent: str) -> list[str]:
+    """decl's generic and port clauses, each item two spaces in from indent."""
     generics = [f"{g.name} : {g.vhdl_type}" for g in decl.generics]
     ports = [f"{p.name} : {p.direction} {p.type_text}" for p in decl.ports]
-    return "\n".join([f"  component {decl.name}", "    generic (",
-                      *_listed(generics, ";", "      "), "    );", "    port (",
-                      *_listed(ports, ";", "      "), "    );", "  end component;"])
+    return [f"{indent}generic (", *_listed(generics, ";", f"{indent}  "), f"{indent});",
+            f"{indent}port (", *_listed(ports, ";", f"{indent}  "), f"{indent});"]
 
 
-def _instance_text(component: Component) -> tuple[str, tuple[str, ...]]:
-    """The text of every instance of component, left to fill by ``%`` with
-    the label, the fields of the generics record in order and the port
-    map; a string generic prints quoted.  Then the start of each port's
-    line of the port map, in declaration order."""
-    decl = component.decl
+def emit_component_decl(decl: ast.ComponentDecl) -> str:
+    return "\n".join([f"  component {decl.name}", *_clauses(decl, "    "),
+                      "  end component;"])
+
+
+# The support entity: its generic and port clauses print from its
+# declaration, as a component declaration's do; only its body is written here.
+SUPPORT_ENTITY_TEXT = """\
+-- Support unit: widens a vector by replicating its top bit (sign extension)
+-- or by padding with zeros, using the concatenation operator.
+
+library ieee;
+use ieee.std_logic_1164.all;
+
+entity ci_concat_extend is
+%s
+end entity ci_concat_extend;
+
+architecture rtl of ci_concat_extend is
+  signal pad : std_logic_vector(TO_WIDTH - FROM_WIDTH - 1 downto 0);
+begin
+  pad <= (others => a(FROM_WIDTH - 1)) when EXTEND_MODE = "SIGN" else (others => '0');
+  result <= pad & a;
+end architecture rtl;
+""" % "\n".join(_clauses(ConcatExtendGenerics.component.decl, "  "))
+
+
+def _instance_text(decl: ast.ComponentDecl) -> tuple[str, tuple[str, ...]]:
+    """The text of every instance of decl's component, left to fill by
+    ``%`` with the label, the fields of the generics record in order and
+    the port map; a string generic prints quoted.  Then the start of each
+    port's line of the port map, in declaration order."""
     generics = ",\n".join(
         f"      {g.name} => " + ('"%s"' if g.vhdl_type == "string" else "%s")
         for g in decl.generics)
     return (f"  %s : {decl.name}\n    generic map (\n{generics}\n"
             "    )\n    port map (\n      %s\n    );",
-            tuple(f"{port} => " for port in component.ports))
+            tuple(f"{port.name} => " for port in decl.ports))
 
 
-_INSTANCE_TEXT = {kind: _instance_text(kind.component)
+_INSTANCE_TEXT = {kind: _instance_text(kind.component.decl)
                   for kind in typing.get_args(LpmGenerics)}
 
 

@@ -11,12 +11,12 @@ raising WidthMismatch or NotWidening for generics that describe no
 buildable component.  The range of a width is not its concern: every port
 width must equal the declared width of the wire bound to it, and the
 simulator's lowering range-checks every declared width.  The expression
-forms of a design (slice, resize, mod correction) have their column
-kernels here too.  The simulator runs every
-instance and expression through these kernels, over a whole batch of
-vectors or over one-element columns.  The emitter renders every instance
-from the declaration, so each component's behaviour and interface are
-written once.
+forms of a design (slice, resize, mod correction) have kernels of the same
+form here, taking their widths as params.  The simulator runs every
+instance and expression through these kernels as they are, over a whole
+batch of vectors or over one-element columns.  The emitter prints every
+instance and interface (the support entity's too) from the declaration
+record, so each component's behaviour and interface are written once.
 """
 
 from __future__ import annotations
@@ -83,30 +83,33 @@ def _signed_values(column: Column, width: int) -> list[int]:
     return [(x ^ top) - top for x in column]
 
 
-def low_bits(column: Column, width: int) -> Column:
+def low_bits(width: int, faults: set[int], column: Column) -> tuple[Column]:
     """The low width bits of every pattern."""
     mask = (1 << width) - 1
-    return [x & mask for x in column]
+    return ([x & mask for x in column],)
 
 
-def resize(column: Column, from_width: int, signed: bool, width: int) -> Column:
-    """from_width-bit patterns read as signed or unsigned values, then
-    extended or cut to width bits."""
+def resize(params: tuple[int, bool, int], faults: set[int],
+           column: Column) -> tuple[Column]:
+    """For params (from_width, signed, width): from_width-bit patterns read
+    as signed or unsigned values, then extended or cut to width bits."""
+    from_width, signed, width = params
     if signed and width > from_width:
         top, mask = 1 << (from_width - 1), (1 << width) - 1
-        return [((x ^ top) - top) & mask for x in column]
-    return column if width >= from_width else low_bits(column, width)
+        return ([((x ^ top) - top) & mask for x in column],)
+    return (column,) if width >= from_width else low_bits(width, faults, column)
 
 
-def mod_correct(remainder: Column, divisor: Column, width: int) -> Column:
+def mod_correct(width: int, faults: set[int], remainder: Column,
+                divisor: Column) -> tuple[Column]:
     """Turn dividend-sign remainders into divisor-sign moduli.
 
     Both columns must be at a width where the exact values are representable
     in two's complement (the mapper arranges this), so the top bits are the
     true signs.  m = r when r is zero or the signs agree, else r + d."""
     top, mask = 1 << (width - 1), (1 << width) - 1
-    return [(r + d) & mask if r and (r ^ d) & top else r
-            for r, d in zip(remainder, divisor)]
+    return ([(r + d) & mask if r and (r ^ d) & top else r
+             for r, d in zip(remainder, divisor)],)
 
 
 def _add_sub(generics: AddSubGenerics, faults: set[int],
@@ -160,29 +163,21 @@ def _divide(generics: DivideGenerics, faults: set[int],
 def _concat_extend(generics: ConcatExtendGenerics, faults: set[int],
                    a: Column) -> tuple[Column]:
     """Widen by concatenating replicated sign bits or zeros on top."""
-    return (resize(a, generics.from_width, generics.extension == Extension.SIGN,
-                   generics.to_width),)
+    return resize((generics.from_width, generics.extension == Extension.SIGN,
+                   generics.to_width), faults, a)
 
 
 class Component(NamedTuple):
     """What every instance of one kind shares: ``hdl.build_design`` and the
-    simulator's lowering read it per instance, and ``hdl`` derives the
-    kind's instance text from decl.  The kernel maps generics, a fault set
-    and the input ports' columns in declaration order to the output ports'
-    columns in declaration order; it expects inputs at the widths
-    ``port_widths()`` gives, in the same order, and masks its outputs."""
+    simulator's lowering read it per instance, and ``hdl`` prints the kind's
+    instance text and declaration from decl alone.  The kernel maps generics,
+    a fault set and the input ports' columns in declaration order to the
+    output ports' columns in declaration order; it expects inputs at the
+    widths ``port_widths()`` gives, in the same order, and masks its outputs."""
     name: str                       # the kind, as the report counts it
-    decl: ast.ComponentDecl
-    ports: tuple[str, ...]          # in declaration order, inputs first
     kernel: Callable[..., tuple[Column, ...]]
     wire_suffixes: tuple[str, ...]  # per output: build_design's w_<node><suffix>
-
-
-def _component(name: str, kernel: Callable[..., tuple[Column, ...]],
-               wire_suffixes: tuple[str, ...],
-               decl: ast.ComponentDecl) -> Component:
-    return Component(name, decl, tuple(p.name for p in decl.ports), kernel,
-                     wire_suffixes)
+    decl: ast.ComponentDecl
 
 
 _Widths = tuple[tuple[int, ...], tuple[int, ...]]
@@ -192,7 +187,7 @@ class AddSubGenerics(NamedTuple):
     width: int
     direction: str
 
-    component = _component("ADD_SUB", _add_sub, ("",), ast.ComponentDecl(
+    component = Component("ADD_SUB", _add_sub, ("",), ast.ComponentDecl(
         "lpm_add_sub",
         (ast.GenericDecl("LPM_WIDTH", "natural"),
          ast.GenericDecl("LPM_DIRECTION", "string")),
@@ -210,7 +205,7 @@ class MultGenerics(NamedTuple):
     width_p: int
     representation: str
 
-    component = _component("MULT", _mult, ("_p",), ast.ComponentDecl(
+    component = Component("MULT", _mult, ("_p",), ast.ComponentDecl(
         "lpm_mult",
         (ast.GenericDecl("LPM_WIDTHA", "natural"),
          ast.GenericDecl("LPM_WIDTHB", "natural"),
@@ -232,7 +227,7 @@ class DivideGenerics(NamedTuple):
     n_representation: str
     d_representation: str
 
-    component = _component("DIVIDE", _divide, ("_q", "_r"), ast.ComponentDecl(
+    component = Component("DIVIDE", _divide, ("_q", "_r"), ast.ComponentDecl(
         "lpm_divide",
         (ast.GenericDecl("LPM_WIDTHN", "natural"),
          ast.GenericDecl("LPM_WIDTHD", "natural"),
@@ -253,7 +248,7 @@ class ConcatExtendGenerics(NamedTuple):
     to_width: int
     extension: str
 
-    component = _component("CONCAT_EXTEND", _concat_extend, ("",), ast.ComponentDecl(
+    component = Component("CONCAT_EXTEND", _concat_extend, ("",), ast.ComponentDecl(
         "ci_concat_extend",
         (ast.GenericDecl("FROM_WIDTH", "natural"),
          ast.GenericDecl("TO_WIDTH", "natural"),

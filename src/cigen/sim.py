@@ -12,7 +12,7 @@ one-vector wrapper.  The other evaluator executes the ``HdlDesign`` that
 each wire's single driver as a plain record (an instance's kernel from
 the component library, its generics, input wires and output wires, bound
 to the component's ports in declaration order; each node of an
-expression, assigned or loaded, over the library's expression kernels)
+expression, assigned or loaded, over ``low_bits``, ``resize`` or ``mod_correct``)
 and, for every step of its control process, one flat program: the records
 the step's register loads read through, in dependency order, and the
 loads, each the record of its expression's top node.  Each
@@ -229,7 +229,7 @@ class SimResult(NamedTuple):
     rows: list[dict]
 
 
-# A driver record (kernel, params, keys read, keys written):
+# A driver record (kernel, params, keys read, keys written): an lpm
 # kernel(params, faults, *columns read) returns the columns of the keys
 # written, in order, adding the vectors whose dividers meet a zero divisor
 # to faults; kernel None is a signal's value as it is, its one key read.  A
@@ -242,20 +242,6 @@ Record = tuple[Callable[..., tuple[Column, ...]] | None, object,
 # register latches.
 Load = tuple[Callable[..., tuple[Column]] | None, object,
              tuple[str | int, ...], str]
-
-
-def _slice(width: int, faults: set[int], column: Column) -> tuple[Column]:
-    return (low_bits(column, width),)
-
-
-def _resize(params: tuple[int, bool, int], faults: set[int],
-            column: Column) -> tuple[Column]:
-    return (resize(column, *params),)
-
-
-def _mod_correct(width: int, faults: set[int], remainder: Column,
-                 divisor: Column) -> tuple[Column]:
-    return (mod_correct(remainder, divisor, width),)
 
 
 def _run(program: list[Record | Load], values: dict,
@@ -291,8 +277,8 @@ class IndexedDesign:
     read is computed by its single driver, a plain record (kernel,
     parameters, keys read, keys written): an instance is (its generics'
     ``component.kernel``, the generics, its input wires, its output wires),
-    and each node of an expression is a record over the lpm expression
-    kernels (kernel None for a signal's value as it is), writing an int key
+    and each node of an expression is a record over an lpm expression
+    kernel as it is (kernel None for a signal's value), writing an int key
     when no signal holds its value.  A step's number, the counter value
     that selects it, is its position in the process's steps, and its
     successor is ``ControlProcess.successor``'s.  Each step is lowered to
@@ -406,18 +392,18 @@ class IndexedDesign:
             if not 1 <= width <= whole:
                 raise InternalCheckError(f"{self.name}: slice of {width} "
                                          f"bits from {whole}-bit {name}")
-            return _slice, width, (name,), width
+            return low_bits, width, (name,), width
         if isinstance(expr, ast.Resize):
             key, from_width = self._key(expr.operand)
             signed, width = expr.signed, expr.width
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
                 raise WidthMismatch(f"{self.name}: {width}-bit resize")
-            return _resize, (from_width, signed, width), (key,), width
+            return resize, (from_width, signed, width), (key,), width
         r, d, width = expr.remainder, expr.divisor, self._width(expr.remainder)
         if self._width(d) != width:
             raise WidthMismatch(f"{self.name}: mod correction of {width}-bit "
                                 f"{r} by {self._width(d)}-bit {d}")
-        return _mod_correct, width, (r, d), width
+        return mod_correct, width, (r, d), width
 
     def _key(self, expr: ast.Expr) -> tuple[str | int, int]:
         """The key holding expr's value, and its width: a Ref's signal, or

@@ -127,7 +127,8 @@ def run_component(generics: LpmGenerics, *inputs: BitVec) -> tuple[BitVec, ...]:
 def mod_corrected(remainder: BitVec, divisor: BitVec) -> BitVec:
     """The divisor-sign modulus from a remainder and divisor of one width."""
     width = remainder.width
-    return BitVec(width, mod_correct([remainder.bits], [divisor.bits], width)[0])
+    (column,) = mod_correct(width, set(), [remainder.bits], [divisor.bits])
+    return BitVec(width, column[0])
 
 
 @pytest.fixture

@@ -116,6 +116,22 @@ def test_every_definition_is_used_outside_the_tests():
     assert _unreferenced() == []
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Each name an import statement of the module at path binds that no
+    bare name of the module reads (``from __future__`` aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{node.lineno} {bound}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+
+
+def test_every_import_is_read():
+    assert [name for path in SRC_FILES for name in _unused_imports(path)] == []
+
+
 def _design_fields() -> list[tuple[str, str]]:
     """(record, field) for every field of a vhdl_ast record that HdlDesign
     reaches through the annotations of its fields."""

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -635,6 +636,12 @@ class TestSimulate:
         assert stderr.startswith("cigen: error:")
 
 
+    def test_an_empty_input_part_is_skipped(self, capsys, spec_file):
+        code, stdout, _ = _run(capsys, "simulate", spec_file,
+                               "--inputs", "a=1,,b=2,c=3")
+        assert code == 0
+        assert "result = 5 (0x00000005)" in stdout
+
     def test_repeated_input_exits_one(self, capsys, spec_file):
         code, stdout, stderr = _run(capsys, "simulate", spec_file,
                                     "--inputs", "a=1,b=2, a =3,c=4")
@@ -662,6 +669,7 @@ class TestSimulate:
         (["--start-cycle", "-3"], "--start-cycle: cycle -3 is negative"),
         (["--reset-at=-4", "--clk-en-gaps=-1", "--start-cycle", "-3"],
          "--clk-en-gaps: cycle -1 is negative"),
+        (["--reset-at", "1,x"], "bad cycle list '1,x'"),
     ])
     def test_negative_cycle_exits_one(self, capsys, spec_file, flags, message):
         code, stdout, stderr = _run(capsys, "simulate", spec_file,
@@ -820,6 +828,14 @@ class TestReport:
         assert "f (opcode 0)" in stdout
         assert "speedup:     1.000x" in stdout
         assert "energy" not in stdout
+
+    def test_no_components(self, capsys, tmp_path):
+        path = tmp_path / "id.ci"
+        path.write_text("ci t(opcode=0) { input a: signed<8>; "
+                        "output y: signed<8>; y = a; }")
+        code, stdout, _ = _run(capsys, "report", path)
+        assert code == 0
+        assert "  components:  none\n" in stdout
 
     def test_energy_line(self, capsys, spec_file):
         code, stdout, _ = _run(capsys, "report", spec_file,
@@ -1525,6 +1541,17 @@ print(len(names.keys() & set(cigen.__all__)), cigen.__version__)
         code, *modules = _fresh(_LOADED, *argv, cwd=tmp_path)
         assert code == "0"
         assert set(modules) == loaded
+
+    def test_a_copy_of_the_package_runs_its_own_stages(self, tmp_path):
+        # cli imports a command's stage modules relative to its own package,
+        # so a copy under another name never runs cigen's
+        shutil.copytree(SRC / "cigen", tmp_path / "cigen_copy",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / "f.ci").write_bytes((GOLDEN_DIR / "f.ci").read_bytes())
+        code = ("import sys\nfrom cigen_copy import cli\n"
+                "print(cli.main(['report', 'f.ci']), 'cigen_copy.frontend' in "
+                "sys.modules, 'cigen.frontend' in sys.modules)")
+        assert _fresh(code, cwd=tmp_path) == ["0", "True", "False"]
 
     def test_the_bench_spans_see_every_call(self, tmp_path):
         # Recorder.install reads each wrapped name before any command has

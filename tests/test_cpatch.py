@@ -224,9 +224,13 @@ class TestFindCallSites:
         ("y = foo((a * b) + c);", "(a * b) + c"),
         ("y = q ? (a * b) + c : 0;", "(a * b) + c"),
         ("x = ((a * b) + c) * 2;", "((a * b) + c)"),
+        ("r = x & a * b + c;", "a * b + c"),   # & binds looser than +
     ])
     def test_single_hit(self, stmt, expected):
-        assert _sites(f"void t(void) {{ {stmt} }}\n") == [expected]
+        src = f"void t(void) {{ {stmt} }}\n"
+        assert _sites(src) == [expected]
+        assert rewrite(src, MAC, MAC_MAPPED).output == \
+            '#include "ci_f.h"\n\n' + src.replace(expected, "CI_F(a, b, c)")
 
     @pytest.mark.parametrize("stmt", [
         "x = (a + b) * c;",            # different tree
@@ -245,6 +249,8 @@ class TestFindCallSites:
         "x = a * b + c * (unsigned char)d;",   # * owns c; its cast operand
         "x = a * b + c * (d, e);",     # * owns c; its comma operand
         "x = a * b + c * 2;",          # * owns c; its number operand
+        "x = x / a * b + c;",          # / owns the leftmost leaf
+        "x = x % a * b + c;",          # % owns the leftmost leaf
     ])
     def test_context_guards_reject(self, stmt):
         assert _sites(f"void t(void) {{ {stmt} }}\n") == []
@@ -895,14 +901,14 @@ class TestOnlyTheRunsThatCanHoldASite:
 class TestSplicedOffsetsMapByOneTable:
     """The map back from a spliced text, one table lookup per offset, maps
     each offset as bisecting the cut offsets did, and an offset past a
-    character past that character (_SpliceMap.each), on the soups above."""
+    character past that character (_unspliced), on the soups above."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_RUN_PIECES), max_size=30).map("".join))
     @example("\\\n\\\n")
     @example("a\\\r\nb\\\n")
     def test_same_as_bisecting_the_cuts(self, source):
-        spliced, at = cpatch._splice(source)
+        spliced, table = cpatch._splice(source)
         pieces = re.split(r"(\\\r?\n)", source)
         assert spliced == "".join(pieces[::2])
         cuts = list(accumulate(map(len, pieces[:-1:2])))
@@ -912,11 +918,10 @@ class TestSplicedOffsetsMapByOneTable:
             return offset + shifts[bisect_right(cuts, offset)]
 
         offsets = list(range(-1, len(spliced) + 1))
-        assert list(map(at, offsets)) == list(map(back, offsets))
-        if at is not int:   # int, the identity, for a source with no splice
-            assert at.each(offsets) == list(map(back, offsets))
-            assert at.each(offsets[2:], past=True) == \
-                [back(offset - 1) + 1 for offset in offsets[2:]]
+        assert (table is None) == (spliced == source)
+        assert cpatch._unspliced(table, offsets) == list(map(back, offsets))
+        assert cpatch._unspliced(table, offsets[2:], past=True) == \
+            [back(offset - 1) + 1 for offset in offsets[2:]]
 
 
 # --- the references: lex_c and find_call_sites as they were before the
@@ -1280,8 +1285,8 @@ def whole_file_rewrite(source: str, spec: CiSpec, mapped) -> tuple[list, str]:
         while end < len(text) and flags[end] == 1:
             end += 1
         at = tokens.end(end - 1)
-        rest, back = cpatch._splice(re.sub(r"\r(?!\n)", "\n", source[at:]))
-        at += back(_REST_OF_LINE_RE.match(rest).end())
+        rest, table = cpatch._splice(re.sub(r"\r(?!\n)", "\n", source[at:]))
+        at += cpatch._unspliced(table, [_REST_OF_LINE_RE.match(rest).end()])[0]
         eol = re.compile(r"\r\n?|\n").match(source, at)
         include = (eol[0] if eol else "\n") + f'#include "{header}"'
     replacement = (f"{call_macro_name(spec)}"

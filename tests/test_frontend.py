@@ -310,6 +310,10 @@ class TestParseErrors:
             ("ci t(opcode=0) {\n  input a: signed<033>;",
              "2:19: width 33 out of range 1..32"),
             ("ci t(opcode=7) {", "1:13: opcode 7 out of range 0..4"),
+            # a group left open
+            ("ci t(opcode=0) {\n  input a: signed<8>;\n  input b: signed<8>;\n"
+             "  output y: signed<8>;\n  y = (a + b;\n}",
+             "5:13: found ';' (expected ')')"),
         ]
         for text, message in rows:
             with pytest.raises(SpecSyntaxError) as info:

@@ -363,7 +363,7 @@ class TestColumnKernels:
             rv, dv = _value(x, width, True), _value(y, width, True)
             m = rv + dv if rv and (rv < 0) != (dv < 0) else rv
             expect.append(m % (1 << width))
-        assert mod_correct(r, d, width) == expect
+        assert mod_correct(width, set(), r, d) == (expect,)
 
     @pytest.mark.parametrize("frm", WIDTHS)
     @pytest.mark.parametrize("extension", (Extension.ZERO, Extension.SIGN))
@@ -380,8 +380,8 @@ class TestColumnKernels:
     @pytest.mark.parametrize("signed", [False, True])
     def test_resize(self, frm, to, signed):
         a = list(range(1 << frm))
-        assert resize(a, frm, signed, to) == [_value(x, frm, signed) % (1 << to)
-                                              for x in a]
+        assert resize((frm, signed, to), set(), a) == \
+            ([_value(x, frm, signed) % (1 << to) for x in a],)
 
 
 def rendered_generic_map(generics) -> dict[str, str]:
@@ -444,7 +444,6 @@ class TestComponentTable:
         ins, outs = record.port_widths()
         assert [p.direction for p in decl.ports] == \
             ["in"] * len(ins) + ["out"] * len(outs)
-        assert kind.component.ports == tuple(p.name for p in decl.ports)
         assert len(kind.component.wire_suffixes) == len(outs)
         columns = kind.component.kernel(record, set(), *([1] for _ in ins))
         assert len(columns) == len(outs)

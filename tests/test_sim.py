@@ -476,6 +476,28 @@ def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
                                                             ast.Ref("result")),))
 
 
+def _signal_of_65_bits(design: ast.HdlDesign) -> ast.HdlDesign:
+    return with_arch(design, signals=design.architecture.signals + (
+        ast.SignalDecl("w_wide", 65),))
+
+
+def _result_of(expr: ast.Expr):
+    """The mutation that puts expr on the result port."""
+    def mutate(design: ast.HdlDesign) -> ast.HdlDesign:
+        return with_arch(design, assigns=(ast.ConcurrentAssign("result", expr),))
+    return mutate
+
+
+def _mod_correct_by_narrower(design: ast.HdlDesign) -> ast.HdlDesign:
+    # a 32-bit remainder corrected by a 16-bit divisor
+    arch = design.architecture
+    return with_arch(
+        design,
+        signals=arch.signals + (ast.SignalDecl("w_n", 16), ast.SignalDecl("w_m", 32)),
+        assigns=arch.assigns + (ast.ConcurrentAssign(
+            "w_m", ast.ModCorrect("w_3", "w_n")),))
+
+
 class TestLoweringChecks:
     """Faults of the control chain or the wiring are refused when the
     design is lowered, before any vector runs.  The lowering is the only
@@ -486,6 +508,14 @@ class TestLoweringChecks:
         (_never_done, "done is never set"),
         (_result_reads_itself, "combinational loop"),
         *WIRING_FAULTS,
+        (_signal_of_65_bits, "f: 65-bit w_wide"),
+        (_result_of(ast.Slice("w_3", 16)), "f: 16-bit value on result, declared 32"),
+        (_result_of(ast.Slice("w_3", 0)), "f: slice of 0 bits from 32-bit w_3"),
+        (_result_of(ast.Slice("w_3", 33)), "f: slice of 33 bits from 32-bit w_3"),
+        (_result_of(ast.Resize(ast.Ref("w_3"), True, 0)), "f: 0-bit resize"),
+        (_result_of(ast.Resize(ast.Ref("w_3"), False, 65)), "f: 65-bit resize"),
+        (_mod_correct_by_narrower,
+         "f: mod correction of 32-bit w_3 by 16-bit w_n"),
     ])
     def test_refused(self, mac_spec, mac_mapped, mutate, message):
         design = mutate(build_design(mac_spec, mac_mapped))
@@ -518,7 +548,8 @@ class TestPortsInOrder:
             ports = emit_instance(inst).split("port map (\n")[1]
             assert [tuple(line.strip().rstrip(",").split(" => "))
                     for line in ports.splitlines()[:-1]] == \
-                list(zip(inst.generics.component.ports, inst.wires))
+                [(port.name, wire) for port, wire in
+                 zip(inst.generics.component.decl.ports, inst.wires)]
 
     def test_rotated_wires_are_refused(self):
         spec = _spec(self.SPEC)
@@ -768,13 +799,14 @@ class DesignWires:
         if isinstance(expr, ast.Ref):
             return self.wire(expr.name, values, faults, cycle)
         if isinstance(expr, ast.Slice):
-            return low_bits(self.wire(expr.name, values, faults, cycle), expr.width)
+            return low_bits(expr.width, faults,
+                            self.wire(expr.name, values, faults, cycle))[0]
         if isinstance(expr, ast.Resize):
-            return resize(self.value(expr.operand, values, faults, cycle),
-                          self.width(expr.operand), expr.signed, expr.width)
-        return mod_correct(self.wire(expr.remainder, values, faults, cycle),
-                           self.wire(expr.divisor, values, faults, cycle),
-                           self.widths[expr.remainder])
+            return resize((self.width(expr.operand), expr.signed, expr.width),
+                          faults, self.value(expr.operand, values, faults, cycle))[0]
+        return mod_correct(self.widths[expr.remainder], faults,
+                           self.wire(expr.remainder, values, faults, cycle),
+                           self.wire(expr.divisor, values, faults, cycle))[0]
 
     def wire(self, name: str, values: dict, faults: set[int], cycle: dict) -> list[int]:
         if name in values:
