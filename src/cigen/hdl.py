@@ -17,8 +17,8 @@ drivers, targets, widths, done) when it lowers the design to execute it.
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
 result (32 bit out).  Internally the datapath holds one register per used
-input operand (r_<name>) and one per op node (s_<id>); component instances
-are combinational between registers.
+input operand (r_<name>) and one per op node but the root (s_<id>);
+component instances are combinational between registers.
 
 Cycle contract, counting only clk_en-enabled cycles and starting at 0 on the
 cycle start is sampled high: the ceil(k/2) loading cycles latch operand pairs
@@ -26,7 +26,7 @@ from (dataa, datab); each DFG level then takes one cycle, with every node of
 that level latched together.  done is registered high exactly during cycle
 ceil(k/2) + max(max_level, 1) - 1, when the root value is valid on result.
 For a design with operations the root value is read combinationally from the
-final component's output (its register only settles one cycle later); for the
+final component's output, so the root has no register; for the
 zero-operation identity design it is the extended input register.
 
 Emission is deterministic: equal designs yield byte-identical text (LF line
@@ -98,7 +98,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     nodes, node_width = dfg.nodes, dfg.width
     loads = len(mapped.loading)
     done_cycle = done_cycle_enabled(mapped)
-    # each node's register: r_<operand> for a leaf, s_<id> for an operation
+    # each node's register name: r_<operand> for a leaf, s_<id> for an operation
     reg = [input_reg(node.decl.name) if isinstance(node, LeafNode)
            else node_reg(node.id) for node in nodes]
 
@@ -109,7 +109,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     instances: list[ast.Instance] = []
     assigns: list[ast.ConcurrentAssign] = []
     stage_loads: dict[int, list[ast.RegisterLoad]] = {}
-    value_wires: dict[int, tuple[str, int]] = {}  # op node -> wire with its value
+    root = dfg.root
+    base = reg[root], node_width[root]   # result's source: the root's value
     adapter_count = 0   # adapters are numbered over the instances, left first
 
     for op_index, (node_id, generics, adapters) in enumerate(mapped.instances):
@@ -142,18 +143,16 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                 f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
             value = f"w_{node_id}_m"
             signals.append(ast.SignalDecl(value, value_width))
-        register, width = reg[node_id], node_width[node_id]
-        signals.append(ast.SignalDecl(register, width))
-        registers.append(register)
-        value_wires[node_id] = value, value_width
-
+        base = value, value_width
         instances.append(ast.Instance(
             f"u_{node.kind}_{op_index}", generics, (*inputs, *wires)))
-        stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
-            register, _low_bits(value, value_width, width)))
+        if node_id != root:   # the root, deepest and so last, needs no register
+            register, width = reg[node_id], node_width[node_id]
+            signals.append(ast.SignalDecl(register, width))
+            registers.append(register)
+            stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
+                register, _low_bits(value, value_width, width)))
 
-    root = dfg.root
-    base = value_wires.get(root, (reg[root], node_width[root]))
     assigns.append(ast.ConcurrentAssign("result", _result_port_expr(
         *base, node_width[root], dfg.signed[root], spec.output)))
 

@@ -27,18 +27,20 @@ DEFAULT_COSTS: dict[str, int] = {   # keyed by OpKind
 
 
 def cost_table(overrides: dict[str, int]) -> dict[str, int]:
-    """Per-operation software cycle costs: DEFAULT_COSTS with overrides
-    keyed by lowercase operation name, each a positive integer."""
-    costs = dict(DEFAULT_COSTS)
+    """Per-operation software cycle costs: DEFAULT_COSTS with overrides by
+    operation name in any case, each named once and a positive integer."""
+    named: dict[str, int] = {}
     for key, value in overrides.items():
         kind = key.lower()
         if kind not in DEFAULT_COSTS:
             raise CigenError(f"unknown operation {key!r} in cost model")
+        if kind in named:
+            raise CigenError(f"config costs name {kind!r} twice")
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise CigenError(
                 f"cost for {key!r} must be a positive integer, got {value!r}")
-        costs[kind] = value
-    return costs
+        named[kind] = value
+    return {**DEFAULT_COSTS, **named}
 
 
 def ci_cycles(mapped: MappedDesign) -> int:

@@ -296,8 +296,8 @@ class IndexedDesign:
     contract, an instance with more or fewer wires than its component has
     ports, an undeclared name, a wire with no driver or two, a driver on a
     register or an entity port other than result, an undeclared register, a
-    load of a non-register, a combinational loop, or steps none of which
-    sets done.
+    register no record and no load reads, a load of a non-register, a
+    combinational loop, or steps none of which sets done.
     """
 
     def __init__(self, design: ast.HdlDesign):
@@ -333,6 +333,11 @@ class IndexedDesign:
                           for index, (loads, set_done) in enumerate(process.steps)]
         self._result_program: list[Record] = []
         self._need("result", {}, self._result_program)
+        unread = self._register_set.difference(itertools.chain.from_iterable(
+            record[2] for record in itertools.chain(
+                self._drivers.values(), *(program for program, _, _ in self._programs))))
+        if unread:
+            raise InternalCheckError(f"{self.name}: register {min(unread)} is never read")
         self.done_cycle = self._done_cycle(process.steps)
 
     def _width(self, name: str) -> int:

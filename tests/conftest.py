@@ -182,6 +182,36 @@ def done_one_step_late(design: ast.HdlDesign) -> ast.HdlDesign:
     return _with_process(design, steps=tuple(steps))
 
 
+def unread_registers(design: ast.HdlDesign) -> set[str]:
+    """The registers of design that no instance, assign or load reads,
+    found from the design's records, not through the lowering."""
+    arch = design.architecture
+    read = {wire for inst in arch.instances for wire in inst.wires}
+    exprs = [assign.expr for assign in arch.assigns]
+    exprs += [load.expr for step in arch.process.steps for load in step.loads]
+    while exprs:
+        expr = exprs.pop()
+        if isinstance(expr, ast.Resize):
+            exprs.append(expr.operand)
+        elif isinstance(expr, ast.ModCorrect):
+            read.update((expr.remainder, expr.divisor))
+        else:
+            read.add(expr.name)
+    return set(arch.process.registers) - read
+
+
+def with_unread_register(design: ast.HdlDesign) -> ast.HdlDesign:
+    """The worked example's design plus s_3, a register declared, reset
+    and loaded from w_3 on the last step, but read by nothing."""
+    arch = design.architecture
+    *steps, last = arch.process.steps
+    last = last._replace(loads=last.loads + (ast.RegisterLoad("s_3", ast.Ref("w_3")),))
+    return with_arch(design, signals=arch.signals + (ast.SignalDecl("s_3", 32),),
+                     process=arch.process._replace(
+                         steps=(*steps, last),
+                         registers=arch.process.registers + ("s_3",)))
+
+
 # --- wiring faults of the worked example's design (u_mul_0 drives w_1_p,
 # u_add_1 drives w_3) ---------------------------------------------------------
 

@@ -57,7 +57,6 @@ architecture rtl of f is
   signal w_1_p : std_logic_vector(31 downto 0);
   signal s_1 : std_logic_vector(31 downto 0);
   signal w_3 : std_logic_vector(31 downto 0);
-  signal s_3 : std_logic_vector(31 downto 0);
 
 begin
 
@@ -97,7 +96,6 @@ begin
         r_b <= (others => '0');
         r_c <= (others => '0');
         s_1 <= (others => '0');
-        s_3 <= (others => '0');
       elsif clk_en = '1' then
         done <= '0';
         if cnt = 0 then
@@ -114,7 +112,6 @@ begin
           done <= '1';
           cnt <= 3;
         elsif cnt = 3 then
-          s_3 <= w_3;
           cnt <= 0;
         end if;
       end if;

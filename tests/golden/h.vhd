@@ -76,7 +76,6 @@ architecture rtl of h is
   signal w_4_r : std_logic_vector(3 downto 0);
   signal s_4 : std_logic_vector(7 downto 0);
   signal w_3 : std_logic_vector(7 downto 0);
-  signal s_3 : std_logic_vector(7 downto 0);
 
 begin
 
@@ -145,7 +144,6 @@ begin
         r_c <= (others => '0');
         s_1 <= (others => '0');
         s_4 <= (others => '0');
-        s_3 <= (others => '0');
       elsif clk_en = '1' then
         done <= '0';
         if cnt = 0 then
@@ -163,7 +161,6 @@ begin
           done <= '1';
           cnt <= 3;
         elsif cnt = 3 then
-          s_3 <= w_3;
           cnt <= 0;
         end if;
       end if;

@@ -30,6 +30,7 @@ from conftest import (
     mod_corrected,
     rows,
     run_component,
+    unread_registers,
     wrapped,
 )
 from cigen import cli
@@ -84,8 +85,9 @@ class TestDifferentialEquivalence:
             for node_id in mapped.analysis.operation_sequence:
                 kinds_seen.add(mapped.dfg.nodes[node_id].kind)
             vectors = random_vectors(rng, spec, CORPUS_VECTORS)
-            assert check_equivalence(spec, mapped, vectors,
-                                     build_design(spec, mapped)) == []
+            design = build_design(spec, mapped)
+            assert unread_registers(design) == set()
+            assert check_equivalence(spec, mapped, vectors, design) == []
         assert kinds_seen == set(DEFAULT_COSTS)
         assert time.perf_counter() - begin < 60.0
 
@@ -205,7 +207,7 @@ class TestBuildDeterminism:
 # first 100 specs of the acceptance corpus, as build writes them: two
 # digests, so a change of the design alone moves only the first.
 ARTIFACTS_VHDL_SHA256 = \
-    "2dfc5845ed4524d262b269acc16565b4548e5b6d7b9f5cbf288821e66a78fe1e"
+    "0d6eeeaf242e3db6249a5c3417948e0acd72b671c8381b0536cb7227b7b145c6"
 ARTIFACTS_HEADER_REPORT_SHA256 = \
     "b7c33921fa729203f0e8643a7c25ab30c499fb15605b3a3c539705b6fb9b2fe2"
 
@@ -235,12 +237,13 @@ class TestPinnedArtifacts:
 # The .vhd text of the benchmark's five wide-build designs, the longest
 # with a 1439-step control chain.
 WIDE_VHDL_SHA256 = \
-    "5188e7c3cd09f245a7733f9240e14f58127a7dab02a85a57fdca05885bba06f9"
+    "f8b61be9f5c122bb26083d12a4aec01ffe6c20c1204269c5d7a9f6e8ead3eb90"
 
 
 class TestPinnedWideDesigns:
     """The wide designs' VHDL is pinned too: their long control chains are
-    where each step's printed successor shows a change of succession."""
+    where each step's printed successor shows a change of succession.
+    Each declares no register that nothing reads."""
 
     def test_wide_vhdl_hashes_to_the_recorded_digest(self, monkeypatch,
                                                      tmp_path):
@@ -256,8 +259,9 @@ class TestPinnedWideDesigns:
         digest = hashlib.sha256()
         for op in ops:
             spec = parse_ci_spec(Path(op.argv[1]).read_text())
-            digest.update(emit_vhdl(build_design(spec, map_design(spec)))
-                          .encode() + b"\0")
+            design = build_design(spec, map_design(spec))
+            assert unread_registers(design) == set()
+            digest.update(emit_vhdl(design).encode() + b"\0")
         assert len(ops) == 5
         assert digest.hexdigest() == WIDE_VHDL_SHA256
 
@@ -292,19 +296,19 @@ def _wide_texts(rng: random.Random) -> dict[str, str]:
 # its check line, as build writes them at seed 3 with 4 vectors.
 WIDE_BUILD_SHA256 = {
     "sop_chain": [
-        "53a1f9f2750c2490d5bae56de0cac77e69a518516980a1a1d561d95c27f78510",
+        "66845682bc4375578fe1e44458626849c7333046f947d4fa5d34ce3ebb558344",
         "ab88649dc7d2a5c97aa03bf202e7ba1e9e73fec50f4bbcd775d2ef25e52832f1",
         "231392eac09a7f0f71e5dceed8c6ad7dc653d49b413b67c2af916e958ee80fd0",
         "62dded042a0866cf486d44a858a148300cdf12d8de72838841a7450a3e800486",
     ],
     "sop_tree": [
-        "3142b1e0e0c608828e0d8c83a427492e492f98b019453bc9367873d2208743f3",
+        "9efcf75b20adff7c986392d8a7dbf8339818b2a363d91a59a947b440ec4fb45d",
         "3831cff0a48d6bd127592e3442045ea2c241e026d15e63af30bd45bd90634da1",
         "438657ea58ac7e58ca548a3ed013e2b02a3403234baf66fa712fd817b926d8f1",
         "62dded042a0866cf486d44a858a148300cdf12d8de72838841a7450a3e800486",
     ],
     "add_chain": [
-        "cbb04d927d6bc108de1cae8b0ed836a6d27e77d73a7102d54e2f03253e7c9bf2",
+        "9e06d3a8b87a66d140b89b2ca73df17c03dfb5ffd9d7ba86502f19a18a38637b",
         "00d9e154e2ab2adc0ca1685678f49ea5c259106c470b90e89cf871ca11279c13",
         "bb01a715817db5ccfc824220c5ff72b99d31eac6c4bc7cb94067931e88ae4421",
         "62dded042a0866cf486d44a858a148300cdf12d8de72838841a7450a3e800486",
@@ -411,9 +415,11 @@ class TestPaper3d:
         assert cli.main(["build", str(spec), "-o", str(tmp_path / "out")]) == 0
         stdout = capsys.readouterr().out
         assert "6 operations, 4 levels, done cycle 7" in stdout
-        assert "t3d.vhd (208 lines), structure clean" in stdout
+        assert "t3d.vhd (205 lines), structure clean" in stdout
         vhdl = (tmp_path / "out" / "t3d.vhd").read_text()
-        assert vhdl.count("\n") == 208
+        assert vhdl.count("\n") == 205
+        t3d = parse_ci_spec(spec.read_text())
+        assert unread_registers(build_design(t3d, map_design(t3d))) == set()
 
     def test_report(self, paths, capsys):
         spec, _ = paths

@@ -6,6 +6,8 @@ import gc
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import stat
 import subprocess
@@ -28,6 +30,7 @@ from conftest import (
     chain_text,
     done_one_step_late,
     nested_text,
+    with_unread_register,
 )
 import cigen
 from cigen import cli
@@ -63,6 +66,34 @@ def _run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Each ```sh block of README.md that shows a `$ cigen` command: the
+# command and the stdout printed under it.
+README_TRANSCRIPTS = re.findall(
+    r"^```sh\n\$ (cigen [^\n]*)\n(.*?)^```$",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    re.MULTILINE | re.DOTALL)
+
+
+class TestReadmeTranscripts:
+    """Every `$ cigen` transcript in README.md is what the command prints,
+    byte for byte, run where f.ci is tests/golden/f.ci and prog.c a copy
+    of tests/golden/fixture.c."""
+
+    def test_every_command_has_a_transcript(self):
+        assert [command.split()[1] for command, _ in README_TRANSCRIPTS] == \
+            ["build", "simulate", "patch", "report"]
+
+    @pytest.mark.parametrize("command, shown", README_TRANSCRIPTS,
+                             ids=[command.split()[1]
+                                  for command, _ in README_TRANSCRIPTS])
+    def test_transcript_matches_the_command(self, tmp_path, monkeypatch,
+                                            capsys, command, shown):
+        shutil.copy(GOLDEN_DIR / "f.ci", tmp_path / "f.ci")
+        shutil.copy(GOLDEN_DIR / "fixture.c", tmp_path / "prog.c")
+        monkeypatch.chdir(tmp_path)
+        assert _run(capsys, *shlex.split(command)[1:]) == (0, shown, "")
 
 
 class TestBuild:
@@ -201,6 +232,17 @@ class TestFailClosed:
         out = tmp_path / "out"
         self._refused(capsys, ["build", spec_file, "-o", out,
                                "--config", config], out)
+
+    @pytest.mark.parametrize("costs", [{"ADD": 2, "add": 3}, {"add": 3, "Add": 2}])
+    def test_cost_named_twice_writes_nothing(self, tmp_path, capsys,
+                                             spec_file, costs):
+        # were the last spelling to win, sw_cycles would hang on key order
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"costs": costs}))
+        out = tmp_path / "out"
+        stderr = self._refused(capsys, ["build", spec_file, "-o", out,
+                                        "--config", config], out)
+        assert stderr == "cigen: error: config costs name 'add' twice\n"
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_vector_count_below_one(self, tmp_path, capsys, spec_file, count):
@@ -574,6 +616,22 @@ class TestBuildChecksTheWrittenDesign:
                                      mutate, message):
         stderr = self._build(tmp_path, capsys, monkeypatch, MAC_TEXT, mutate)
         assert message in stderr
+
+    def test_unread_register_leaves_out_untouched(self, tmp_path, capsys,
+                                                  monkeypatch, spec_file):
+        # a register the design declares, resets and loads but never reads
+        out = tmp_path / "out"
+        assert _run(capsys, "build", spec_file, "-o", out)[0] == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real = cli.build_design
+        monkeypatch.setattr(cli, "build_design", lambda spec, mapped:
+                            with_unread_register(real(spec, mapped)))
+        code, stdout, stderr = _run(capsys, "build", spec_file, "-o", out)
+        assert code == 2
+        assert "[3/5] hdl:" in stdout and "[4/5]" not in stdout
+        assert "f: register s_3 is never read" in stderr
+        assert stderr.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestSimulate:

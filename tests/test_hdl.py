@@ -45,7 +45,13 @@ from cigen.sim import (
     reference_columns,
 )
 
-from conftest import MAC_TEXT, MOD_TEXT, NARROW_TEXT, declared_components
+from conftest import (
+    MAC_TEXT,
+    MOD_TEXT,
+    NARROW_TEXT,
+    declared_components,
+    unread_registers,
+)
 
 
 def _design(text: str) -> ast.HdlDesign:
@@ -75,6 +81,14 @@ def _load_sources(design: ast.HdlDesign) -> dict[str, str]:
             for load in step.loads}
 
 
+def _result_source(design: ast.HdlDesign) -> str:
+    """The signal the result port's expression reads."""
+    expr, = (a.expr for a in design.architecture.assigns if a.target == "result")
+    while isinstance(expr, ast.Resize):
+        expr = expr.operand
+    return expr.name
+
+
 def _mod_corrected(design: ast.HdlDesign) -> set[str]:
     """The wires a mod correction drives."""
     return {assign.target for assign in design.architecture.assigns
@@ -86,8 +100,9 @@ class TestGolden:
         assert MAC_TEXT == (golden_dir / "f.ci").read_text()
 
     def test_emission_matches_golden(self, mac_spec, mac_mapped, golden_dir):
-        text = emit_vhdl(build_design(mac_spec, mac_mapped))
-        assert text == (golden_dir / "f.vhd").read_text()
+        design = build_design(mac_spec, mac_mapped)
+        assert emit_vhdl(design) == (golden_dir / "f.vhd").read_text()
+        assert unread_registers(design) == set()
 
     @pytest.mark.parametrize("text, golden", [(NARROW_TEXT, "g.vhd"),
                                               (MOD_TEXT, "h.vhd")])
@@ -95,7 +110,9 @@ class TestGolden:
                                                          text, golden):
         # g: extend adapter, output resize, support entity; h: divider,
         # mod-correct select, 1-bit zero-extend, node slice, nested resize
-        assert emit_vhdl(_design(text)) == (golden_dir / golden).read_text()
+        design = _design(text)
+        assert emit_vhdl(design) == (golden_dir / golden).read_text()
+        assert unread_registers(design) == set()
 
     def test_emission_is_deterministic(self, mac_spec):
         first = emit_vhdl(build_design(mac_spec, map_design(mac_spec)))
@@ -140,8 +157,10 @@ class TestDesignShape:
         assert [i.label for i in arch.instances] == ["u_mul_0", "u_add_1"]
         signal_names = [s.name for s in arch.signals]
         assert _counter_range(text) == 3
-        for reg in ("r_a", "r_b", "r_c", "s_1", "s_3"):
+        for reg in ("r_a", "r_b", "r_c", "s_1"):
             assert reg in signal_names
+        # the root's value is read from its wire: it has no register
+        assert "s_3" not in signal_names and _result_source(design) == "w_3"
         assert "ci_concat_extend" not in text
         assert arch.assigns[-1].target == "result"
 
@@ -167,6 +186,9 @@ class TestDesignShape:
         design = _design("ci t(opcode=0) { input a: unsigned<8>;"
                          "output x: unsigned<8>; x = a; }")
         assert design.architecture.instances == ()
+        # no op node: result reads the input register, the one register
+        assert _result_source(design) == "r_a"
+        assert design.architecture.process.registers == ("r_a",)
         text = emit_vhdl(design)
         assert declared_components(text) == []
         assert "library ieee;\nuse ieee.std_logic_1164.all;\n" \
@@ -201,7 +223,9 @@ class TestDesignShape:
         assert "cnt <= 0;" in text.split("elsif cnt = 3 then")[1]
         assert _counter_range(text) == 3
         assert f"  {PROCESS} : process (clk)" in text.splitlines()
-        assert set(proc.registers) == {"r_a", "r_b", "r_c", "s_1", "s_3"}
+        assert set(proc.registers) == {"r_a", "r_b", "r_c", "s_1"}
+        # the last step, after done, only returns to idle
+        assert proc.steps[-1].loads == ()
 
     def test_steps_run_in_sequence(self):
         # the printed counter assignments are each step's successor: the
@@ -217,8 +241,9 @@ class TestDesignShape:
 
 
 class TestDividerOutput:
-    """A divider's node register loads its quotient for / and its
-    remainder for % and mod, through a mod correction for a signed mod."""
+    """A divider's node value is its quotient for / and its remainder for
+    % and mod, through a mod correction for a signed mod.  The node is
+    the root here, so the result port reads that value."""
 
     @staticmethod
     def _one_op(body: str) -> tuple[ast.HdlDesign, int]:
@@ -235,13 +260,13 @@ class TestDividerOutput:
     def test_divider_output_selection_signed(self, symbol, suffix, corrected):
         design, node = self._one_op(f"input a: signed<8>; input b: signed<8>;"
                                     f"output x: signed<8>; x = a {symbol} b;")
-        assert _load_sources(design)[f"s_{node}"] == f"w_{node}{suffix}"
+        assert _result_source(design) == f"w_{node}{suffix}"
         assert bool(_mod_corrected(design)) is corrected
 
     def test_unsigned_mod_needs_no_correction(self):
         design, node = self._one_op("input a: unsigned<8>; input b: unsigned<8>;"
                                     "output x: unsigned<8>; x = a mod b;")
-        assert _load_sources(design)[f"s_{node}"] == f"w_{node}_r"
+        assert _result_source(design) == f"w_{node}_r"
         assert _mod_corrected(design) == set()
 
 
@@ -384,15 +409,27 @@ class TestFuzzedStructure:
         op_instances = [i for i in design.architecture.instances
                         if i.label.startswith("u_")]
         assert len(op_instances) == len(mapped.instances)
-        # a divider's register reads the output its node kind selects
+        # every register is read, and every op node but the root has one
+        assert unread_registers(design) == set()
+        registers = design.architecture.process.registers
+        if mapped.instances:
+            assert sum(r.startswith("s_") for r in registers) == \
+                len(mapped.instances) - 1
+        # a node's register, or the result port for the root, reads the
+        # output its node kind selects
         sources, corrected = _load_sources(design), _mod_corrected(design)
+        root = mapped.dfg.root
         for inst in mapped.instances:
+            kind, node = mapped.dfg.nodes[inst.node].kind, inst.node
             if type(inst.generics) is DivideGenerics:
-                kind, node = mapped.dfg.nodes[inst.node].kind, inst.node
                 suffix = "_q" if kind in (OpKind.DIVS, OpKind.DIVU) \
                     else "_m" if kind == OpKind.MODS else "_r"
-                assert sources[node_reg(node)] == f"w_{node}{suffix}"
                 assert (f"w_{node}_m" in corrected) == (kind == OpKind.MODS)
+            else:
+                suffix = inst.generics.component.wire_suffixes[0]
+            value = f"w_{node}{suffix}"
+            assert (_result_source(design) if node == root
+                    else sources[node_reg(node)]) == value
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

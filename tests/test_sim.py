@@ -13,6 +13,7 @@ from conftest import (
     done_one_step_late,
     rows,
     with_arch,
+    with_unread_register,
     wrapped,
 )
 from cigen.errors import (
@@ -516,6 +517,7 @@ class TestLoweringChecks:
         (_result_of(ast.Resize(ast.Ref("w_3"), False, 65)), "f: 65-bit resize"),
         (_mod_correct_by_narrower,
          "f: mod correction of 32-bit w_3 by 16-bit w_n"),
+        (with_unread_register, "f: register s_3 is never read"),
     ])
     def test_refused(self, mac_spec, mac_mapped, mutate, message):
         design = mutate(build_design(mac_spec, mac_mapped))
