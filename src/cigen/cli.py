@@ -182,15 +182,27 @@ def _non_negative(value, what: str) -> float:
     return number
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refused when one key is named twice."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise CigenError(f"config names the key {key!r} twice")
+        members[key] = value
+    return members
+
+
 def _load_config(path: str | None, spec: CiSpec | None = None) -> dict:
     """The header intrinsic and the estimate_metrics keywords of a config
-    file, all checked before any work but reading the spec; power and time
-    JSON numbers, finite, >= 0.  Given the spec whose header a command
-    writes, the intrinsic must be one that header can call."""
+    file, all checked before any work but reading the spec; no key twice
+    in one object; power and time JSON numbers, finite, >= 0.  Given the
+    spec whose header a command writes, the intrinsic must be one that
+    header can call."""
     config = {}
     if path is not None:
         try:
-            config = json.loads(_read_text(path, "config"))
+            config = json.loads(_read_text(path, "config"),
+                                object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # also an integer of over 4300 digits, or nesting too deep
             raise CigenError(f"config is not valid JSON: {exc}") from exc
@@ -260,11 +272,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
           f"done cycle {done_cycle_enabled(mapped)}")
 
     design = build_design(spec, mapped)
-    violations = validate_structure(design)
-    if violations:
-        lines = "; ".join(f"{v.rule}: {v.name} ({v.detail})"
-                          for v in violations)
-        raise InternalCheckError(f"generated design is malformed ({lines})")
+    validate_structure(design)
     text = emit_vhdl(design)
     print(f"[3/5] hdl: {spec.name}.vhd ({text.count(chr(10))} lines), "
           "structure clean")

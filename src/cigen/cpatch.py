@@ -50,7 +50,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
-from .errors import LexError, NoMatchFound
+from .errors import CigenError
 from .frontend import DEFAULT_INTRINSIC, OPERATORS, CiSpec, Dfg, OpNode
 from .mapper import MappedDesign
 
@@ -149,7 +149,7 @@ _INCLUDE_RE = re.compile(r"\n[ \t]*##?[ \t\f\v]*include(?![A-Za-z0-9_])[ \t\f\v]
 
 def _look_closer(text: str, source: str, offset: int, table):
     """The kind of a _LOOK match at offset (source's through table), or
-    _SPACE for a comment; raises LexError for an unterminated or stray one."""
+    _SPACE for a comment; raises CigenError for an unterminated or stray one."""
     first = text[0]
     if text in _UNTERMINATED:
         problem = f"unterminated {_UNTERMINATED[text]}"
@@ -162,7 +162,7 @@ def _look_closer(text: str, source: str, offset: int, table):
     else:
         problem = f"stray character {first!r}"
     line = source.count("\n", 0, _unspliced(table, [offset])[0]) + 1
-    raise LexError(f"{problem} on line {line}")
+    raise CigenError(f"{problem} on line {line}")
 
 
 def _splice(source: str):
@@ -489,7 +489,7 @@ class PatchPlan(NamedTuple):
 def _skeleton(source: str, spec: CiSpec):
     """source blanked but for each run of code between ';', '{' and '}' that
     holds a hit (see the module docstring) and its bounds, and the header's
-    include (see _include); raises lex_c(source)'s first LexError.  This
+    include (see _include); raises lex_c(source)'s first error.  This
     scan is rewrite's one prefilter: find_call_sites parses what it keeps."""
     spliced, table = _splice(_LONE_CR_RE.sub("\n", source))
     # code: comments blanked, literals and directives opaque, openers stray
@@ -542,13 +542,13 @@ def _include(source: str, spliced: str, table, includes,
 
 def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
     """Replace every occurrence of the spec expression with the invocation
-    macro and make sure the header is included once; raise NoMatchFound
+    macro and make sure the header is included once; raise CigenError
     when nothing is left to patch, so that a second rewrite of a patched
     source fails loudly instead of nesting calls."""
     runs, (offset, include) = _skeleton(source, spec)
     sites = find_call_sites(lex_c(runs), spec)
     if not sites:
-        raise NoMatchFound(
+        raise CigenError(
             f"no occurrence of the {spec.name} expression found"
             if _spelled_in_c(spec.dfg) else f"{spec.name} uses flooring "
             "modulus, which no C operator computes; rewrite the C call site by hand")

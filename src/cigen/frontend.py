@@ -48,13 +48,7 @@ import string
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import (
-    DuplicateDeclaration,
-    OpcodeOutOfRange,
-    SpecSyntaxError,
-    UndeclaredIdentifier,
-    WidthOutOfRange,
-)
+from .errors import SpecSyntaxError
 
 MIN_WIDTH = 1
 MAX_WIDTH = 32
@@ -277,15 +271,14 @@ def _check_name(p: _Parser, index: int, reserved: frozenset[str] = VHDL_RESERVED
     return lower
 
 
-def _in_range(p: _Parser, index: int, what: str, low: int, high: int,
-              error: type[SpecSyntaxError]) -> int:
-    """The value of the int token at index; error, naming what and its
+def _in_range(p: _Parser, index: int, what: str, low: int, high: int) -> int:
+    """The value of the int token at index; an error, naming what and its
     digits, when it lies outside low..high.  The digits are counted before
     int() reads them, as int() refuses more than 4300."""
     digits = p.texts[index].lstrip("0") or "0"
     if len(digits) > len(str(high)) or not low <= int(digits) <= high:
-        raise error(f"{what} {digits} out of range {low}..{high}",
-                    *p.where(index))
+        raise SpecSyntaxError(f"{what} {digits} out of range {low}..{high}",
+                              *p.where(index))
     return int(digits)
 
 
@@ -311,7 +304,7 @@ def parse_ci_spec(text: str) -> CiSpec:
     p.expect("opcode", "'opcode'")
     p.expect("=", "'='")
     opcode = _in_range(p, p.expect("int", "opcode value"), "opcode",
-                       MIN_OPCODE, MAX_OPCODE, OpcodeOutOfRange)
+                       MIN_OPCODE, MAX_OPCODE)
     p.expect(")", "')'")
     p.expect("{", "'{'")
 
@@ -328,12 +321,11 @@ def parse_ci_spec(text: str) -> CiSpec:
         if good:
             lower = _check_name(p, ident_at)
             if lower in seen:
-                raise DuplicateDeclaration(f"duplicate declaration of "
-                                           f"'{texts[ident_at]}'", *p.where(ident_at))
+                raise SpecSyntaxError(f"duplicate declaration of "
+                                      f"'{texts[ident_at]}'", *p.where(ident_at))
             seen.add(lower)
         if good > 4:
-            width = _in_range(p, pos + 5, "width", MIN_WIDTH, MAX_WIDTH,
-                              WidthOutOfRange)
+            width = _in_range(p, pos + 5, "width", MIN_WIDTH, MAX_WIDTH)
         if good < 7:
             raise p.found(ident_at + good, _DECL_EXPECTED[good])
         decl = OperandDecl(texts[ident_at], kinds[pos + 3] == "signed", width)
@@ -437,8 +429,7 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
         if leaf is None:
             decl = decls.get(name)
             if decl is None:
-                raise UndeclaredIdentifier(f"undeclared input '{name}'",
-                                           *p.where(pos))
+                raise SpecSyntaxError(f"undeclared input '{name}'", *p.where(pos))
             leaf_id = len(nodes)
             leaf = leaves[name] = Leaf(name), leaf_id
             nodes.append(LeafNode(leaf_id, decl))

@@ -13,6 +13,7 @@ steps.  Two gates own the design's rules, each rule once:
 ``validate_structure`` checks what only the VHDL text shows (legal and
 unique names), and ``sim.IndexedDesign`` checks connectivity (wire counts,
 drivers, targets, widths, done) when it lowers the design to execute it.
+Each raises InternalCheckError at its first violation.
 
 The generated entity always exposes exactly eight ports: clk, clk_en, reset
 and start (1 bit in), dataa and datab (32 bit in), done (1 bit out) and
@@ -36,9 +37,9 @@ endings, two-space indents).
 from __future__ import annotations
 
 import typing
-from typing import NamedTuple
 
 from . import vhdl_ast as ast
+from .errors import InternalCheckError
 from .frontend import VHDL_IDENTIFIER, CiSpec, LeafNode, OperandDecl, OpKind, OpNode
 from .lpm import ConcatExtendGenerics, LpmGenerics
 from .mapper import MappedDesign, done_cycle_enabled, input_reg, node_reg
@@ -57,13 +58,6 @@ ENTITY_PORTS: tuple[ast.Port, ...] = (
 ARCHITECTURE, PROCESS, COUNTER = "rtl", "control", "cnt"
 # the node kinds whose value is a divider's remainder, not its quotient
 _REMAINDER_KINDS = (OpKind.REMS, OpKind.REMU, OpKind.MODS, OpKind.MODU)
-
-
-class Violation(NamedTuple):
-    """One structural rule broken by a design, naming the offender."""
-    rule: str
-    name: str
-    detail: str
 
 
 def _vec_type(width: int) -> str:
@@ -348,9 +342,10 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
 # --- structural validation -------------------------------------------------
 
 
-def validate_structure(design: ast.HdlDesign) -> list[Violation]:
+def validate_structure(design: ast.HdlDesign) -> None:
     """Check the design's VHDL naming and declarations, which executing it
-    cannot see; an empty list means it is sound.
+    cannot see; raise InternalCheckError at the first violation, naming its
+    rule, the name and a detail.
 
     Rules: every identifier, the entity's fixed ports and the used
     components' included, is VHDL-legal (``frontend.VHDL_IDENTIFIER``) and
@@ -366,17 +361,18 @@ def validate_structure(design: ast.HdlDesign) -> list[Violation]:
               *[(kind.component.decl.name, "component") for kind in _kinds(arch)],
               *[(inst.label, "instance") for inst in arch.instances],
               (PROCESS, "process")]
-    violations: list[Violation] = []
     roles: dict[str, str] = {}   # lowercase name -> the role that claimed it
     legal = VHDL_IDENTIFIER.fullmatch
     for name, role in claims:
-        if not legal(name):
-            violations.append(Violation("illegal-identifier", name, role))
         key = name.lower()
         prior = roles.get(key)
-        if prior is None:
+        if not legal(name):
+            rule, detail = "illegal-identifier", role
+        elif prior is None:
             roles[key] = role
+            continue
         else:
             rule = "duplicate-signal" if role == prior == "signal" else "name-collision"
-            violations.append(Violation(rule, name, f"{role} vs {prior}"))
-    return violations
+            detail = f"{role} vs {prior}"
+        raise InternalCheckError(
+            f"generated design is malformed ({rule}: {name} ({detail}))")

@@ -7,7 +7,7 @@ record, one class of ``LpmGenerics``.  Its class attribute ``component``
 holds the kind's bit-exact semantics, written once as a kernel over columns
 of plain-int two's-complement patterns (one entry per vector), and its VHDL
 component declaration; its method ``port_widths()`` is the width contract,
-raising WidthMismatch or NotWidening for generics that describe no
+raising InternalCheckError for generics that describe no
 buildable component.  The range of a width is not its concern: every port
 width must equal the declared width of the wire bound to it, and the
 simulator's lowering range-checks every declared width.  The expression
@@ -25,7 +25,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
-from .errors import NotWidening, WidthMismatch
+from .errors import InternalCheckError
 
 MAX_INTERNAL_WIDTH = 64  # widest internal vector: a 32x32 full product
 
@@ -58,9 +58,10 @@ class BitVec(_BitVecFields):
 
     def __new__(cls, width: int, bits: int):
         if not 1 <= width <= MAX_INTERNAL_WIDTH:
-            raise WidthMismatch(f"BitVec width {width} outside 1..{MAX_INTERNAL_WIDTH}")
+            raise InternalCheckError(
+                f"BitVec width {width} outside 1..{MAX_INTERNAL_WIDTH}")
         if not 0 <= bits < (1 << width):
-            raise WidthMismatch(f"pattern {bits:#x} does not fit {width} bits")
+            raise InternalCheckError(f"pattern {bits:#x} does not fit {width} bits")
         return super().__new__(cls, width, bits)
 
     @property
@@ -217,7 +218,7 @@ class MultGenerics(NamedTuple):
 
     def port_widths(self) -> _Widths:
         if self.width_p > self.width_a + self.width_b:
-            raise WidthMismatch("mult product width exceeds full product")
+            raise InternalCheckError("mult product width exceeds full product")
         return (self.width_a, self.width_b), (self.width_p,)
 
 
@@ -258,7 +259,7 @@ class ConcatExtendGenerics(NamedTuple):
 
     def port_widths(self) -> _Widths:
         if self.to_width <= self.from_width:
-            raise NotWidening(
+            raise InternalCheckError(
                 f"extension {self.from_width}->{self.to_width} does not widen")
         return (self.from_width,), (self.to_width,)
 

@@ -55,12 +55,7 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from . import vhdl_ast as ast
-from .errors import (
-    DivideByZero,
-    InputOutOfRange,
-    InternalCheckError,
-    WidthMismatch,
-)
+from .errors import CigenError, DivideByZero, InternalCheckError
 from .frontend import CiSpec, Dfg, OperandDecl, OpKind
 from .hdl import ENTITY_PORTS, build_design
 from .lpm import (
@@ -85,28 +80,28 @@ PORT_MASK = (1 << 32) - 1  # dataa, datab and result are 32 bits wide
 def input_count(spec: CiSpec, columns: dict[str, Column]) -> int:
     """The number of vectors in columns, once they hold one column per
     declared input, all of one length and every value in range.  Else raises
-    InputOutOfRange for the first fault: an unknown name, then per declared
+    CigenError for the first fault: an unknown name, then per declared
     input in order a missing column, a length unlike the first column's or
     the column's first out-of-range value."""
     declared = {decl.name for decl in spec.inputs}
     for name in columns:
         if name not in declared:
-            raise InputOutOfRange(f"'{name}' is not an input of {spec.name}")
+            raise CigenError(f"'{name}' is not an input of {spec.name}")
     count = None
     for decl in spec.inputs:
         column = columns.get(decl.name)
         if column is None:
-            raise InputOutOfRange(f"missing value for input '{decl.name}'")
+            raise CigenError(f"missing value for input '{decl.name}'")
         if count is None:
             first, count = decl.name, len(column)
         elif len(column) != count:
-            raise InputOutOfRange(f"input '{decl.name}' has {len(column)} "
-                                  f"values, input '{first}' has {count}")
+            raise CigenError(f"input '{decl.name}' has {len(column)} "
+                             f"values, input '{first}' has {count}")
         lo, hi = decl.bounds
         if column and not lo <= min(column) <= max(column) <= hi:
             value = next(v for v in column if not lo <= v <= hi)
             kind = "signed" if decl.signed else "unsigned"
-            raise InputOutOfRange(
+            raise CigenError(
                 f"input '{decl.name}' = {value} does not fit {kind}<{decl.width}>")
     return count
 
@@ -114,7 +109,7 @@ def input_count(spec: CiSpec, columns: dict[str, Column]) -> int:
 def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Column]:
     """The vectors as one column per declared input.  For the first vector
     that misses an input, names an unknown one or holds an out-of-range
-    value, raises InputOutOfRange as input_count does for it alone."""
+    value, raises CigenError as input_count does for it alone."""
     for vec in vectors:
         input_count(spec, {name: [value] for name, value in vec.items()})
     return {decl.name: [vec[decl.name] for vec in vectors]
@@ -308,7 +303,7 @@ class IndexedDesign:
         self.widths.update(signals)
         for name, width in self.widths.items():
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
-                raise WidthMismatch(f"{self.name}: {width}-bit {name}")
+                raise InternalCheckError(f"{self.name}: {width}-bit {name}")
         self.registers = arch.process.registers
         self._register_set = frozenset(self.registers)
         undeclared = self._register_set.difference(signals)
@@ -381,9 +376,9 @@ class IndexedDesign:
                         f"{len(widths)} ports of {generics.component.decl.name}")
                 for wire, width in zip(wires, widths):
                     if self._width(wire) != width:
-                        raise WidthMismatch(f"{self.name}: {label} needs {width} "
-                                            f"bits on {wire}, declared "
-                                            f"{self._width(wire)}")
+                        raise InternalCheckError(f"{self.name}: {label} needs {width} "
+                                                 f"bits on {wire}, declared "
+                                                 f"{self._width(wire)}")
             drive((kernel, generics, wires[:split], wires[split:]))
 
     def _expr(self, expr: ast.Expr) -> tuple[Callable[..., tuple[Column, ...]] | None,
@@ -402,12 +397,12 @@ class IndexedDesign:
             key, from_width = self._key(expr.operand)
             signed, width = expr.signed, expr.width
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
-                raise WidthMismatch(f"{self.name}: {width}-bit resize")
+                raise InternalCheckError(f"{self.name}: {width}-bit resize")
             return resize, (from_width, signed, width), (key,), width
         r, d, width = expr.remainder, expr.divisor, self._width(expr.remainder)
         if self._width(d) != width:
-            raise WidthMismatch(f"{self.name}: mod correction of {width}-bit "
-                                f"{r} by {self._width(d)}-bit {d}")
+            raise InternalCheckError(f"{self.name}: mod correction of {width}-bit "
+                                     f"{r} by {self._width(d)}-bit {d}")
         return mod_correct, width, (r, d), width
 
     def _key(self, expr: ast.Expr) -> tuple[str | int, int]:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import (
     GOLDEN_DIR,
     MAC_TEXT,
+    MOD_TEXT,
     REPORT_SCHEMA,
     UNDEFINED_TEXT,
     WIRING_FAULTS,
@@ -35,8 +36,8 @@ from conftest import (
 import cigen
 from cigen import cli
 from cigen import vhdl_ast as ast
+from cigen.errors import InternalCheckError
 from cigen.frontend import MAX_EXPR_DEPTH
-from cigen.hdl import Violation
 from cigen.lpm import AddSubGenerics
 
 SUB_TEXT = ("ci s(opcode=3) {\n  input a: signed<16>;\n"
@@ -130,13 +131,17 @@ class TestBuild:
 
     def test_structure_gate_blocks_artifacts(self, tmp_path, capsys,
                                              monkeypatch, spec_file):
-        monkeypatch.setattr(
-            cli, "validate_structure",
-            lambda design: [Violation("name-collision", "f", "forced")])
+        def validate_structure(design):
+            raise InternalCheckError("generated design is malformed "
+                                     "(name-collision: f (forced))")
+
+        monkeypatch.setattr(cli, "validate_structure", validate_structure)
         out = tmp_path / "out"
         code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
         assert code == 2
-        assert "internal check failed" in stderr
+        assert stderr == ("cigen: internal check failed: generated design is "
+                          "malformed (name-collision: f (forced)); no artifacts "
+                          "written\n")
         assert not out.exists()
 
     def test_structure_gate_names_each_violation(self, tmp_path, capsys,
@@ -148,7 +153,9 @@ class TestBuild:
         out = tmp_path / "out"
         code, _, stderr = _run(capsys, "build", spec_file, "-o", out)
         assert code == 2
-        assert "(name-collision: s_1 (signal vs entity))" in stderr
+        assert stderr == ("cigen: internal check failed: generated design is "
+                          "malformed (name-collision: s_1 (signal vs entity)); "
+                          "no artifacts written\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["s_1", "r_a", "w_1", "u_add_0",
@@ -243,6 +250,53 @@ class TestFailClosed:
         stderr = self._refused(capsys, ["build", spec_file, "-o", out,
                                         "--config", config], out)
         assert stderr == "cigen: error: config costs name 'add' twice\n"
+
+    @pytest.mark.parametrize("command", ["build", "patch", "report"])
+    @pytest.mark.parametrize("text, key", [
+        ('{"costs": {"add": 2, "add": 3}}', "add"),
+        ('{"costs": {"add": 3, "add": 2}}', "add"),
+        ('{"power_mw": 1, "time_ms": 2, "power_mw": 5}', "power_mw"),
+    ], ids=["costs", "costs-reversed", "top-level"])
+    def test_key_named_twice_writes_nothing(self, tmp_path, capsys, spec_file,
+                                            command, text, key):
+        # json.loads alone keeps the last value, so the order would decide
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        source = tmp_path / "prog.c"
+        source.write_text((GOLDEN_DIR / "fixture.c").read_text())
+        out = tmp_path / "out"
+        argv = {"build": ["build", spec_file, "-o", out],
+                "patch": ["patch", spec_file, source, "--header-dir", out],
+                "report": ["report", spec_file, "--json"]}[command]
+        code, stdout, stderr = _run(capsys, *argv, "--config", config)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"cigen: error: config names the key {key!r} twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cfg.json", "f.ci", "prog.c"]
+
+    @pytest.mark.parametrize("spec, argv, source, message", [
+        (MAC_TEXT.replace("+ c", "+ q"), ["build", "-o", "out"], "",
+         "6:17: undeclared input 'q'"),
+        (MAC_TEXT.replace("input c:", "input A:"), ["build", "-o", "out"], "",
+         "4:9: duplicate declaration of 'A'"),
+        (MAC_TEXT, ["simulate", "--inputs", "a=2147483648,b=0,c=0", "--trace",
+                    "t.jsonl"], "", "input 'a' = 2147483648 does not fit signed<32>"),
+        (MAC_TEXT, ["patch", "prog.c"],
+         "int f(int a, int b, int c) { return (a * b) + c; }\n/* open\n",
+         "unterminated block comment on line 2"),
+        (MOD_TEXT, ["patch", "prog.c"], (GOLDEN_DIR / "fixture.c").read_text(),
+         "h uses flooring modulus, which no C operator computes; rewrite the C "
+         "call site by hand"),
+    ], ids=["undeclared-identifier", "duplicate-declaration", "input-out-of-range",
+            "unterminated-comment", "flooring-modulus"])
+    def test_user_error_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                       spec, argv, source, message):
+        monkeypatch.chdir(tmp_path)
+        Path("s.ci").write_text(spec)
+        Path("prog.c").write_text(source)
+        code, stdout, stderr = _run(capsys, argv[0], "s.ci", *argv[1:])
+        assert (code, stdout, stderr) == (1, "", f"cigen: error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prog.c", "s.ci"]
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_vector_count_below_one(self, tmp_path, capsys, spec_file, count):

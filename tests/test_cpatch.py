@@ -30,7 +30,7 @@ from cigen.cpatch import (
     lex_c,
     rewrite,
 )
-from cigen.errors import LexError, NoMatchFound
+from cigen.errors import CigenError
 from cigen.frontend import CiSpec, parse_ci_spec
 from cigen.mapper import map_design
 
@@ -42,6 +42,13 @@ SUM = parse_ci_spec("ci s(opcode=0) { input a: signed<8>; input b: signed<8>;"
 
 MOD_TEXT = ("ci m(opcode=1) { input a: signed<8>; input b: signed<8>;"
             " output x: signed<8>; x = a mod b; }")
+
+# Patterns that only a lex error's messages match, and only those of a
+# source that holds nothing to patch.
+LEX_ERROR = r"^(unterminated (string|character) literal|unterminated block comment" \
+    r"|stray character .+) on line \d+$"
+NO_MATCH = r"^(no occurrence of the \w+ expression found|\w+ uses flooring modulus, " \
+    r"which no C operator computes; rewrite the C call site by hand)$"
 
 
 def _sites(source: str) -> list[str]:
@@ -96,9 +103,9 @@ class TestLexer:
         assert list(tokens.in_directive) == [0] * 4 + [2, 1, 1, 1] + [0] * 3
 
     def test_line_continuation_inside_a_literal_counts(self):
-        with pytest.raises(LexError, match="stray character '@' on line 3"):
+        with pytest.raises(CigenError, match="stray character '@' on line 3"):
             lex_c('char *s = "a\\\nb";\n@')
-        with pytest.raises(LexError, match="stray character '@' on line 4"):
+        with pytest.raises(CigenError, match="stray character '@' on line 4"):
             lex_c('s = "a\\\nb"; c = \'\\\n\';\n@')
 
     def test_splices_may_end_in_cr_lf(self):
@@ -120,7 +127,7 @@ class TestLexer:
         "int x = \u0663;",   # a digit outside ASCII starts no number
     ])
     def test_lex_errors(self, bad):
-        with pytest.raises(LexError):
+        with pytest.raises(CigenError, match=LEX_ERROR):
             lex_c(bad)
 
 
@@ -141,7 +148,7 @@ class TestALoneCrEndsALine:
         assert list(tokens.in_directive) == [2, 1, 1, 1] + [0] * 6
 
     def test_error_lines_count_a_lone_cr(self):
-        with pytest.raises(LexError, match="stray character '@' on line 4"):
+        with pytest.raises(CigenError, match="stray character '@' on line 4"):
             lex_c("a\rb\r\nc\r@")
 
     def test_a_backslash_and_a_lone_cr_splice(self):
@@ -174,7 +181,7 @@ class TestSplicesComeFirst:
     def test_a_split_slash_star_opens_a_block_comment(self):
         src = "int w = 2; /\\\n* old: w = (a * b) + c; */\n"
         assert lex_c(src).text == ["int", "w", "=", "2", ";"]
-        with pytest.raises(NoMatchFound):
+        with pytest.raises(CigenError, match=NO_MATCH):
             rewrite(src, MAC, MAC_MAPPED)
 
     def test_a_split_slash_slash_opens_a_line_comment(self):
@@ -262,7 +269,7 @@ class TestFindCallSites:
     def test_tighter_operator_owns_the_last_leaf(self, stmt):
         src = f"int t(int a, int b, int c, int d) {{ {stmt} }}\n"
         assert find_call_sites(lex_c(src), SUM) == []
-        with pytest.raises(NoMatchFound):
+        with pytest.raises(CigenError, match=NO_MATCH):
             rewrite(src, SUM, map_design(SUM))
 
     def test_strings_comments_directives_are_immune(self):
@@ -379,7 +386,7 @@ class TestLinearMatching:
             for k in range(300))
         tokens = lex_c(src)
         assert tokens.text.count("a") > 1000 and tokens.text.count("(") > 1000
-        with pytest.raises(NoMatchFound):
+        with pytest.raises(CigenError, match=NO_MATCH):
             rewrite(src, MAC, MAC_MAPPED)
         assert counted[0] == 0
 
@@ -462,8 +469,8 @@ class TestSameAsTheReference:
     def test_tokens_and_sites(self, source, expr):
         try:
             expected_tokens = reference_lex_c(source)
-        except LexError as exc:
-            with pytest.raises(LexError) as info:
+        except CigenError as exc:
+            with pytest.raises(CigenError, match=LEX_ERROR) as info:
                 lex_c(source)
             assert str(info.value) == str(exc)
             return
@@ -526,8 +533,8 @@ class TestSameAsTheNamedGroupLexer:
     def test_same_columns_and_errors(self, source):
         try:
             expected = named_group_lex_c(source)
-        except LexError as exc:
-            with pytest.raises(LexError) as info:
+        except CigenError as exc:
+            with pytest.raises(CigenError, match=LEX_ERROR) as info:
                 lex_c(source)
             assert str(info.value) == str(exc)
             return
@@ -593,7 +600,7 @@ class TestSameAsGcc:
     def test_tokens_and_errors(self, source):
         expected = gcc_tokens(source)
         if expected is None:
-            with pytest.raises(LexError):
+            with pytest.raises(CigenError, match=LEX_ERROR):
                 lex_c(source)
             return
         tokens = lex_c(source)
@@ -625,9 +632,9 @@ class TestBenchContract:
         assert seen == [" " * at + run + " " * (len(src) - at - len(run))]
         # none when nothing can hold a site, and the whole source, which
         # raises, when it holds a lex error
-        with pytest.raises(NoMatchFound):
+        with pytest.raises(CigenError, match=NO_MATCH):
             rewrite("int x;\n", MAC, MAC_MAPPED)
-        with pytest.raises(LexError):
+        with pytest.raises(CigenError, match=LEX_ERROR):
             rewrite("int @;\n", MAC, MAC_MAPPED)
         assert seen[1:] == [" " * 7, "int @;\n"]
 
@@ -702,7 +709,7 @@ class TestRewrite:
     def test_second_pass_fails_loudly(self):
         source = (GOLDEN_DIR / "fixture.c").read_text()
         once = rewrite(source, MAC, MAC_MAPPED)
-        with pytest.raises(NoMatchFound, match="no occurrence"):
+        with pytest.raises(CigenError, match="no occurrence"):
             rewrite(once.output, MAC, MAC_MAPPED)
 
     def test_bytes_outside_sites_survive(self):
@@ -788,11 +795,11 @@ class TestRewrite:
 
     def test_unmatchable_modulus_says_so(self):
         spec = parse_ci_spec(MOD_TEXT)
-        with pytest.raises(NoMatchFound, match="by hand"):
+        with pytest.raises(CigenError, match="by hand"):
             rewrite("int x = a % b;\n", spec, map_design(spec))
 
     def test_no_occurrence_message_names_the_instruction(self):
-        with pytest.raises(NoMatchFound, match="f expression"):
+        with pytest.raises(CigenError, match="f expression"):
             rewrite("int x = a + b;\n", MAC, MAC_MAPPED)
 
 
@@ -865,13 +872,13 @@ class TestOnlyTheRunsThatCanHoldASite:
         spec, mapped = _TARGET_SPECS[expr], _MAPPED[expr]
         try:
             sites, output = whole_file_rewrite(source, spec, mapped)
-        except LexError as exc:
-            with pytest.raises(LexError) as info:
+        except CigenError as exc:
+            with pytest.raises(CigenError, match=LEX_ERROR) as info:
                 rewrite(source, spec, mapped)
             assert str(info.value) == str(exc)
             return
         if not sites:
-            with pytest.raises(NoMatchFound):
+            with pytest.raises(CigenError, match=NO_MATCH):
                 rewrite(source, spec, mapped)
             return
         plan = rewrite(source, spec, mapped)
@@ -879,7 +886,7 @@ class TestOnlyTheRunsThatCanHoldASite:
 
     def test_a_lex_error_comes_before_an_unmatchable_spec(self):
         spec = parse_ci_spec(MOD_TEXT)
-        with pytest.raises(LexError, match="stray character '@' on line 2"):
+        with pytest.raises(CigenError, match="stray character '@' on line 2"):
             rewrite("x = a % b;\n@\n", spec, map_design(spec))
 
     def test_the_matcher_gets_the_runs_the_scan_found(self):
@@ -1007,9 +1014,9 @@ def _reference_lex_spliced(source: str, line) -> list[CToken]:
             if c == quote:
                 return j + 1
             if c == "\n":
-                raise LexError(f"unterminated {what} on line {line(i)}")
+                raise CigenError(f"unterminated {what} on line {line(i)}")
             j += 1
-        raise LexError(f"unterminated {what} on line {line(i)}")
+        raise CigenError(f"unterminated {what} on line {line(i)}")
 
     while i < n:
         c = source[i]
@@ -1024,7 +1031,7 @@ def _reference_lex_spliced(source: str, line) -> list[CToken]:
         if source.startswith("/*", i):
             close = source.find("*/", i + 2)
             if close < 0:
-                raise LexError(f"unterminated block comment on line {line(i)}")
+                raise CigenError(f"unterminated block comment on line {line(i)}")
             comments.append((i, close + 2))
             i = close + 2
             continue
@@ -1054,7 +1061,7 @@ def _reference_lex_spliced(source: str, line) -> list[CToken]:
                 i += len(punct)
                 break
         else:
-            raise LexError(f"stray character {c!r} on line {line(i)}")
+            raise CigenError(f"stray character {c!r} on line {line(i)}")
     return _flag_directives(source, tokens, comments)
 
 
@@ -1245,12 +1252,12 @@ def _named_group_lex_spliced(source: str, line) -> list[CToken]:
     while i < n:
         m = _NAMED_TOKEN_RE.match(source, i)
         if m is None:
-            raise LexError(f"stray character {source[i]!r} on line {line(i)}")
+            raise CigenError(f"stray character {source[i]!r} on line {line(i)}")
         kind, text, end = m.lastgroup, m.group(), m.end()
         if kind == "comment":
             comments.append((i, end))
         elif kind == "unterminated":
-            raise LexError(
+            raise CigenError(
                 f"unterminated {_UNTERMINATED[text]} on line {line(i)}")
         elif kind != "skip":
             tokens.append(CToken(getattr(TokKind, kind), text, i, end))

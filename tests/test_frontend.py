@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_text, nested_text
 from cigen.cpatch import find_call_sites, lex_c
-from cigen.errors import (
-    DuplicateDeclaration,
-    OpcodeOutOfRange,
-    SpecSyntaxError,
-    UndeclaredIdentifier,
-    WidthOutOfRange,
-)
+from cigen.errors import SpecSyntaxError
 from cigen.frontend import (
     DSL_KEYWORDS,
     MAX_EXPR_DEPTH,
@@ -204,23 +198,34 @@ class TestParse:
         assert _kinds(text) == [kind]
 
 
+# The faults of spec text that name one token, each with a pattern that
+# only its messages match.
+FAULT_MESSAGES = {
+    "UndeclaredIdentifier": r"^\d+:\d+: undeclared input '\w+'$",
+    "DuplicateDeclaration": r"^\d+:\d+: duplicate declaration of '\w+'$",
+    "WidthOutOfRange": r"^\d+:\d+: width \d+ out of range 1\.\.32$",
+    "OpcodeOutOfRange": r"^\d+:\d+: opcode \d+ out of range 0\.\.4$",
+}
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize("text,exc", [
+    # fault: a key of FAULT_MESSAGES, or SpecSyntaxError for any other
+    @pytest.mark.parametrize("text,fault", [
         (_spec("input a: signed<8>; output x: signed<8>; x = x;"),
-         UndeclaredIdentifier),
+         "UndeclaredIdentifier"),
         (_spec("input a: signed<8>; output x: signed<8>; x = a + q;"),
-         UndeclaredIdentifier),
+         "UndeclaredIdentifier"),
         (_spec("output x: signed<8>; x = x;"), SpecSyntaxError),
         (_spec("input a: signed<8>; input a: unsigned<4>;"
-               "output x: signed<8>; x = a;"), DuplicateDeclaration),
+               "output x: signed<8>; x = a;"), "DuplicateDeclaration"),
         (_spec("input a: signed<8>; output a: signed<8>; a = a;"),
-         DuplicateDeclaration),
+         "DuplicateDeclaration"),
         (_spec("input a: signed<0>; output x: signed<8>; x = a;"),
-         WidthOutOfRange),
+         "WidthOutOfRange"),
         (_spec("input a: signed<33>; output x: signed<8>; x = a;"),
-         WidthOutOfRange),
+         "WidthOutOfRange"),
         (_spec("input a: signed<8>; output x: signed<8>; x = a;", opcode=5),
-         OpcodeOutOfRange),
+         "OpcodeOutOfRange"),
         (_spec("input a: signed<8>; output x: signed<8>; x = a;", opcode=-1),
          SpecSyntaxError),
         (_spec("input a: signed<8>; x = a;"), SpecSyntaxError),
@@ -248,8 +253,8 @@ class TestParseErrors:
         (_spec("input a: signed<\u0663>; output x: signed<8>; x = a;"),
          SpecSyntaxError),
     ])
-    def test_rejects(self, text, exc):
-        with pytest.raises(exc):
+    def test_rejects(self, text, fault):
+        with pytest.raises(SpecSyntaxError, match=FAULT_MESSAGES.get(fault)):
             parse_ci_spec(text)
 
     @pytest.mark.parametrize("decl,col", [
@@ -261,17 +266,17 @@ class TestParseErrors:
             parse_ci_spec(_spec(f"{decl} output x: signed<8>; x = a;"))
         assert (info.value.line, info.value.col) == (2, col)
 
-    @pytest.mark.parametrize("text,exc,where", [
+    @pytest.mark.parametrize("text,fault,where", [
         (_spec(f"input a: signed<{'9' * 5000}>; output x: signed<8>; x = a;"),
-         WidthOutOfRange, (2, 17)),
+         "WidthOutOfRange", (2, 17)),
         (f"ci t(opcode={'9' * 5000}) {{ input a: signed<8>;"
-         " output x: signed<8>; x = a; }", OpcodeOutOfRange, (1, 13)),
+         " output x: signed<8>; x = a; }", "OpcodeOutOfRange", (1, 13)),
         (_spec(f"input a: signed<1{'0' * 5000}>; output x: signed<8>; x = a;"),
-         WidthOutOfRange, (2, 17)),
+         "WidthOutOfRange", (2, 17)),
     ], ids=["width", "opcode", "width-1e5000"])
-    def test_integer_too_long_to_convert(self, text, exc, where):
+    def test_integer_too_long_to_convert(self, text, fault, where):
         # int() refuses a digit string longer than 4300 digits
-        with pytest.raises(exc, match=" out of range ") as info:
+        with pytest.raises(SpecSyntaxError, match=FAULT_MESSAGES[fault]) as info:
             parse_ci_spec(text)
         assert str(info.value).startswith("%d:%d: " % where)
 
@@ -340,11 +345,20 @@ class TestParseErrors:
             parse_ci_spec(f"ci t(opcode=0) {{\n  {decl}\n  output y: signed<8>; y = a;\n}}")
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("error", [UndeclaredIdentifier,
-                                       DuplicateDeclaration, WidthOutOfRange,
-                                       OpcodeOutOfRange])
-    def test_positioned_errors_are_syntax_errors(self, error):
-        assert issubclass(error, SpecSyntaxError)
+    @pytest.mark.parametrize("error, text, where", [
+        ("UndeclaredIdentifier", "ci t(opcode=0) {\n  input a: signed<8>;\n"
+         "  output x: signed<8>;\n  x = a + q;\n}", (4, 11)),
+        ("DuplicateDeclaration",
+         "ci t(opcode=0) {\n  input a: signed<8>;\n  input A: signed<8>;", (3, 9)),
+        ("WidthOutOfRange", "ci t(opcode=0) {\n  input a: signed<033>;", (2, 19)),
+        ("OpcodeOutOfRange", "ci t(opcode=7) {", (1, 13)),
+    ], ids=list(FAULT_MESSAGES))
+    def test_positioned_errors_are_syntax_errors(self, error, text, where):
+        # each is a SpecSyntaxError itself, positioned at the token it names
+        with pytest.raises(SpecSyntaxError, match=FAULT_MESSAGES[error]) as info:
+            parse_ci_spec(text)
+        assert type(info.value) is SpecSyntaxError
+        assert (info.value.line, info.value.col) == where
 
 
 class TestVhdlIdentifier:

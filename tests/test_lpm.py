@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import mod_corrected, run_component, wrapped
 from cigen import vhdl_ast as ast
-from cigen.errors import DivideByZero, NotWidening, WidthMismatch
+from cigen.errors import DivideByZero, InternalCheckError
 from cigen.lpm import (
     AddSubGenerics,
     BitVec,
@@ -80,11 +80,11 @@ class TestBitVec:
 
     @pytest.mark.parametrize("width", [0, -1, 65])
     def test_width_bounds(self, width):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(InternalCheckError, match=f"^BitVec width {width} outside 1..64$"):
             BitVec(width, 0)
 
     def test_pattern_must_fit(self):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(InternalCheckError, match="^pattern 0x10 does not fit 4 bits$"):
             BitVec(4, 16)
 
     @settings(max_examples=200, deadline=None)
@@ -141,7 +141,8 @@ class TestMult:
         assert out.bits == 0x0000
 
     def test_rejects_product_wider_than_full(self):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(InternalCheckError,
+                           match="^mult product width exceeds full product$"):
             MultGenerics(4, 4, 9, Representation.UNSIGNED).port_widths()
 
     @settings(max_examples=250, deadline=None)
@@ -254,7 +255,8 @@ class TestConcatExtend:
 
     @pytest.mark.parametrize("frm,to", [(8, 8), (8, 4)])
     def test_must_widen(self, frm, to):
-        with pytest.raises(NotWidening):
+        with pytest.raises(InternalCheckError,
+                           match=f"^extension {frm}->{to} does not widen$"):
             ConcatExtendGenerics(frm, to, Extension.ZERO).port_widths()
 
     @settings(max_examples=200, deadline=None)

@@ -1,13 +1,22 @@
 """Reference evaluator and cycle-accurate netlist simulation."""
 
+import inspect
+import itertools
 import json
 import random
+import shutil
+import subprocess
+import textwrap
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    GOLDEN_DIR,
+    MAC_TEXT,
+    MOD_TEXT,
+    NARROW_TEXT,
     UNDEFINED_TEXT,
     WIRING_FAULTS,
     done_one_step_late,
@@ -16,14 +25,11 @@ from conftest import (
     with_unread_register,
     wrapped,
 )
-from cigen.errors import (
-    DivideByZero,
-    InputOutOfRange,
-    InternalCheckError,
-    WidthMismatch,
-)
+from cigen.errors import CigenError, DivideByZero, InternalCheckError
+from cigen import sim
 from cigen import vhdl_ast as ast
 from cigen.frontend import (
+    OPERATORS,
     CiSpec,
     Dfg,
     LeafNode,
@@ -56,6 +62,12 @@ from cigen.sim import (
 
 MAC_INPUTS = {"a": 2, "b": 3, "c": 4}
 
+# A pattern that only the messages of input bindings that do not fit
+# their declarations match.
+INPUT_FAULT = (r"^('\w+' is not an input of \w+|missing value for input '\w+'"
+               r"|input '\w+' has \d+ values, input '\w+' has \d+"
+               r"|input '\w+' = -?\d+ does not fit (un)?signed<\d+>)$")
+
 # Kinds whose result carries the sign of a division-family operation.
 DIV_FAMILY = frozenset({OpKind.DIVS, OpKind.DIVU, OpKind.MODS, OpKind.MODU,
                         OpKind.REMS, OpKind.REMU})
@@ -84,7 +96,7 @@ class TestValidateInputs:
         {"s": 0, "u": 0, "ghost": 1},
     ])
     def test_rejects(self, spec, inputs):
-        with pytest.raises(InputOutOfRange):
+        with pytest.raises(CigenError, match=INPUT_FAULT):
             input_columns(spec, [inputs])
 
 
@@ -184,6 +196,178 @@ class TestOracleSameAsTheScalarReference:
         assert reference.result[3] == 0
 
 
+# The C model of a spec: helpers, then one function per spec (c_function)
+# and a main that reads "<function> <count> <inputs...>" lines.
+C_PRELUDE = """\
+#include <inttypes.h>
+#include <stdio.h>
+
+/* the low w bits of x (1 <= w <= 32), read as signed when s */
+static int64_t cut(uint64_t x, int w, int s)
+{
+    uint64_t high = x << (64 - w);
+    return s ? (int64_t)high >> (64 - w) : (int64_t)(high >> (64 - w));
+}
+
+/* the flooring modulus: the remainder with the divisor's sign */
+static int64_t floor_mod(int64_t a, int64_t b)
+{
+    int64_t r = a % b;
+    return r != 0 && (r < 0) != (b < 0) ? r + b : r;
+}
+"""
+
+C_MAIN = """
+int main(void)
+{
+    int k, n;
+    int64_t in[16];
+    while (scanf("%d %d", &k, &n) == 2) {
+        for (int i = 0; i < n; i++)
+            if (scanf("%" SCNd64, &in[i]) != 1)
+                return 1;
+        functions[k](in);
+    }
+    return 0;
+}
+"""
+
+# Each operation as C evaluates it on int64_t operands: +, - and * in
+# uint64_t, whose low bits are exact; / and % truncating (C99 6.5.5).
+C_OPERATIONS = {
+    OpKind.ADD: "(uint64_t){a} + (uint64_t){b}",
+    OpKind.SUB: "(uint64_t){a} - (uint64_t){b}",
+    OpKind.MUL: "(uint64_t){a} * (uint64_t){b}",
+    OpKind.DIVS: "(uint64_t)({a} / {b})", OpKind.DIVU: "(uint64_t)({a} / {b})",
+    OpKind.REMS: "(uint64_t)({a} % {b})", OpKind.REMU: "(uint64_t)({a} % {b})",
+    OpKind.MODS: "(uint64_t)floor_mod({a}, {b})",
+    OpKind.MODU: "(uint64_t)floor_mod({a}, {b})",
+}
+
+
+def c_function(spec: CiSpec, name: str) -> str:
+    """spec.dfg as a C function of the inputs in declaration order.  It
+    prints "r <result port>" or, at the first node in Dfg.order that meets
+    a zero divisor, "z <node>"."""
+    dfg = spec.dfg
+    slot = {decl.name: k for k, decl in enumerate(spec.inputs)}
+    lines = [f"static void {name}(const int64_t *in)", "{"]
+    lines += [f"    int64_t v{leaf.id} = in[{slot[leaf.decl.name]}];"
+              for leaf in dfg.leaf_nodes()]
+    for node_id in dfg.order:
+        node = dfg.nodes[node_id]
+        a, b = f"v{node.left}", f"v{node.right}"
+        if node.kind in DIV_FAMILY:
+            lines.append(f'    if ({b} == 0) {{ printf("z {node_id}\\n"); return; }}')
+        value = C_OPERATIONS[node.kind].format(a=a, b=b)
+        lines.append(f"    int64_t v{node_id} = cut({value}, {dfg.width[node_id]}, "
+                     f"{int(dfg.signed[node_id])});")
+    out = spec.output
+    lines += [f'    printf("r %" PRIu32 "\\n", (uint32_t)cut((uint64_t)v{dfg.root}, '
+              f"{out.width}, {int(out.signed)}));", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def gcc_cases() -> list[tuple[CiSpec, dict[str, list[int]], int]]:
+    """y = a OP b for every operator and signedness pair of two 4-bit
+    inputs, to an output narrower than the node and to one wider with the
+    other signedness, on all 256 vectors; then the worked examples and the
+    paper's 3D transform on 256 drawn vectors."""
+    sweep = [dict(zip("ab", pair)) for pair in
+             itertools.product(range(-8, 16), repeat=2)]
+    cases = []
+    for symbol, sign_a, sign_b in itertools.product(
+            OPERATORS, ("signed", "unsigned"), ("signed", "unsigned")):
+        decls = f"input a: {sign_a}<4>; input b: {sign_b}<4>;"
+        node = _spec(f"{decls} output y: signed<32>; y = a {symbol} b;").dfg
+        width, signed = node.width[node.root], node.signed[node.root]
+        for out_width, out_signed in ((width - 1, signed), (width + 1, not signed)):
+            kind = "signed" if out_signed else "unsigned"
+            spec = _spec(f"{decls} output y: {kind}<{out_width}>; y = a {symbol} b;")
+            bounds = [decl.bounds for decl in spec.inputs]
+            vectors = [vec for vec in sweep
+                       if all(lo <= vec[d.name] <= hi
+                              for d, (lo, hi) in zip(spec.inputs, bounds))]
+            assert len(vectors) == 256
+            cases.append((spec, input_columns(spec, vectors), 256))
+    rng = random.Random(27)
+    for text in (MAC_TEXT, NARROW_TEXT, MOD_TEXT,
+                 (GOLDEN_DIR / "t3d.ci").read_text()):
+        spec = parse_ci_spec(text)
+        cases.append((spec, random_vectors(rng, spec, 256), 256))
+    return cases
+
+
+def oracle_differences(cases, printed: list[str]) -> list[tuple]:
+    """(spec, vector, oracle, gcc) for each vector on which
+    sim.reference_columns and the printed lines disagree."""
+    lines = iter(printed)
+    differences = []
+    for spec, columns, count in cases:
+        reference = sim.reference_columns(spec, columns, count)
+        for k, (bits, node) in enumerate(zip(reference.result,
+                                             reference.zero_divisor)):
+            expected = f"r {bits}" if node is None else f"z {node}"
+            line = next(lines)
+            if line != expected:
+                differences.append((spec.name, {n: c[k] for n, c in columns.items()},
+                                    expected, line))
+    return differences
+
+
+def oracle_mutant(old: str, new: str):
+    """sim.reference_columns with the one occurrence of old replaced."""
+    source = textwrap.dedent(inspect.getsource(sim.reference_columns))
+    assert source.count(old) == 1
+    namespace = dict(vars(sim))
+    exec(source.replace(old, new), namespace)
+    return namespace["reference_columns"]
+
+
+_GCC = shutil.which("gcc")
+
+
+@pytest.mark.skipif(_GCC is None, reason="gcc is not installed")
+class TestOracleSameAsGcc:
+    """reference_columns agrees with gcc running each spec's dataflow graph
+    as C (differential testing, after McKeeman 1998): the same result port,
+    or a zero divisor at the same node.  One program holds every spec."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        cases = gcc_cases()
+        names = [f"f{k}" for k in range(len(cases))]
+        program = tmp_path_factory.mktemp("oracle") / "oracle"
+        source = C_PRELUDE + "".join(
+            c_function(spec, name) for (spec, _, _), name in zip(cases, names)) \
+            + f"static void (*const functions[])(const int64_t *) = {{{', '.join(names)}}};\n" \
+            + C_MAIN
+        subprocess.run([_GCC, "-std=c99", "-O1", "-Wall", "-Wextra", "-Werror",
+                        "-x", "c", "-", "-o", str(program)], input=source.encode(),
+                       check=True, timeout=60)
+        stdin = "".join(
+            f"{k} {len(spec.inputs)} {' '.join(str(columns[d.name][v]) for d in spec.inputs)}\n"
+            for k, (spec, columns, count) in enumerate(cases) for v in range(count))
+        done = subprocess.run([str(program)], input=stdin.encode(),
+                              capture_output=True, check=True, timeout=60)
+        return cases, done.stdout.decode().splitlines()
+
+    def test_no_difference(self, run):
+        cases, printed = run
+        assert len(printed) == sum(count for _, _, count in cases) == 52 * 256
+        assert oracle_differences(cases, printed) == []
+
+    @pytest.mark.parametrize("old, new", [
+        ("-(-a % b) if (a < 0) != (b < 0) else a % b", "a % b"),
+        ("-(-a // b) if (a < 0) != (b < 0) else a // b", "a // b"),
+        ("adapt_root(values[dfg.root], spec.output)",
+         "adapt_root(values[dfg.root], spec.output._replace(signed=dfg.signed[dfg.root]))"),
+    ], ids=["rems-floored", "divs-floored", "root-cut-with-the-node-signedness"])
+    def test_a_mutated_oracle_differs(self, run, monkeypatch, old, new):
+        monkeypatch.setattr(sim, "reference_columns", oracle_mutant(old, new))
+        assert oracle_differences(*run)
+
+
 class TestCheckEquivalenceInputs:
     """Bad inputs are refused with one vector's messages: input_columns
     range-checks whole columns and names the first vector that it refuses
@@ -208,9 +392,9 @@ class TestCheckEquivalenceInputs:
         spec = _spec(self.SPEC)
         vectors = [{"s": -128, "u": 255}, {"s": 127, "u": 0}, dict(bad),
                    *later]
-        with pytest.raises(InputOutOfRange) as expected:
+        with pytest.raises(CigenError, match=INPUT_FAULT) as expected:
             input_columns(spec, [bad])
-        with pytest.raises(InputOutOfRange) as info:
+        with pytest.raises(CigenError, match=INPUT_FAULT) as info:
             input_columns(spec, vectors)
         assert str(info.value) == str(expected.value)
 
@@ -229,7 +413,7 @@ class TestCheckEquivalenceInputs:
     def test_bad_columns(self, columns, message):
         spec = _spec(self.SPEC)
         mapped = map_design(spec)
-        with pytest.raises(InputOutOfRange) as info:
+        with pytest.raises(CigenError, match=INPUT_FAULT) as info:
             check_equivalence(spec, mapped, columns, build_design(spec, mapped))
         assert str(info.value) == message
 
@@ -237,9 +421,9 @@ class TestCheckEquivalenceInputs:
         spec = _spec(self.SPEC)
         mapped = map_design(spec)
         vector = {"s": 5, "u": 300}
-        with pytest.raises(InputOutOfRange) as expected:
+        with pytest.raises(CigenError, match=INPUT_FAULT) as expected:
             input_columns(spec, [vector])
-        with pytest.raises(InputOutOfRange) as info:
+        with pytest.raises(CigenError, match=INPUT_FAULT) as info:
             check_equivalence(spec, mapped, {"s": [1, 5], "u": [2, 300]},
                               build_design(spec, mapped))
         assert str(info.value) == str(expected.value)
@@ -531,7 +715,7 @@ class TestLoweringChecks:
         mul, add = design.architecture.instances
         wide = add._replace(generics=AddSubGenerics(65, Direction.ADD))
         assert wide.generics.port_widths() == ((65, 65), (65,))
-        with pytest.raises(WidthMismatch,
+        with pytest.raises(InternalCheckError,
                            match="u_add_1 needs 65 bits on s_1, declared 32"):
             IndexedDesign(with_arch(design, instances=(mul, wide)))
 
