@@ -82,10 +82,10 @@ class TokKind:
 
 class CTokens(NamedTuple):
     """The tokens of one C source, one list per field: token k is kind[k]
-    with text[k] at offset start[k], and in_directive[k] is 2 when it is
-    the '#' that opens a preprocessor directive, 1 when it lies on the rest
-    of one, else 0.  Token k ends at end(k), ends[k] when a splice was cut
-    from a text.  Its len() is the token count, not the field count."""
+    with text[k] at offset start[k], and in_directive[k] is 1 when it lies
+    on a preprocessor directive, else 0.  Token k ends at end(k), ends[k]
+    when a splice was cut from a text.  Its len() is the token count, not
+    the field count."""
     kind: list[str]
     text: list[str]
     start: list[int]
@@ -212,7 +212,7 @@ def lex_c(source: str) -> CTokens:
         lo = bisect_left(start, m.start())   # the line's offset, past "\n"
         hi = bisect_left(start, m.end() - 1, lo)
         if hi > lo:   # none when the line holds the end of a literal only
-            in_directive[lo:hi] = b"\2" + b"\1" * (hi - lo - 1)
+            in_directive[lo:hi] = b"\1" * (hi - lo)
     text, ends = list(compress(parts, kinds)), None
     if table:
         ends = _unspliced(table, list(map(add, start, map(len, text))), past=True)

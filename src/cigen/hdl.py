@@ -42,7 +42,7 @@ from . import vhdl_ast as ast
 from .errors import InternalCheckError
 from .frontend import VHDL_IDENTIFIER, CiSpec, LeafNode, OperandDecl, OpKind, OpNode
 from .lpm import ConcatExtendGenerics, LpmGenerics
-from .mapper import MappedDesign, done_cycle_enabled, input_reg, node_reg
+from .mapper import MappedDesign, done_cycle_enabled
 
 ENTITY_PORTS: tuple[ast.Port, ...] = (
     ast.Port("clk", "in", 1),
@@ -58,6 +58,14 @@ ENTITY_PORTS: tuple[ast.Port, ...] = (
 ARCHITECTURE, PROCESS, COUNTER = "rtl", "control", "cnt"
 # the node kinds whose value is a divider's remainder, not its quotient
 _REMAINDER_KINDS = (OpKind.REMS, OpKind.REMU, OpKind.MODS, OpKind.MODU)
+
+
+def input_reg(name: str) -> str:
+    return f"r_{name}"
+
+
+def node_reg(node_id: int) -> str:
+    return f"s_{node_id}"
 
 
 def _vec_type(width: int) -> str:
@@ -101,8 +109,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                for name in mapped.analysis.operand_sequence]
     registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
-    assigns: list[ast.ConcurrentAssign] = []
-    stage_loads: dict[int, list[ast.RegisterLoad]] = {}
+    assigns: list[ast.Assign] = []
+    stage_loads: dict[int, list[ast.Assign]] = {}
     root = dfg.root
     base = reg[root], node_width[root]   # result's source: the root's value
     adapter_count = 0   # adapters are numbered over the instances, left first
@@ -133,7 +141,7 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         value_port = 1 if node.kind in _REMAINDER_KINDS else 0
         value, value_width = wires[value_port], out_widths[value_port]
         if node.kind == OpKind.MODS:
-            assigns.append(ast.ConcurrentAssign(
+            assigns.append(ast.Assign(
                 f"w_{node_id}_m", ast.ModCorrect(value, inputs[1])))
             value = f"w_{node_id}_m"
             signals.append(ast.SignalDecl(value, value_width))
@@ -144,25 +152,23 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
             register, width = reg[node_id], node_width[node_id]
             signals.append(ast.SignalDecl(register, width))
             registers.append(register)
-            stage_loads.setdefault(dfg.level[node_id], []).append(ast.RegisterLoad(
+            stage_loads.setdefault(dfg.level[node_id], []).append(ast.Assign(
                 register, _low_bits(value, value_width, width)))
 
-    assigns.append(ast.ConcurrentAssign("result", _result_port_expr(
+    assigns.append(ast.Assign("result", _result_port_expr(
         *base, node_width[root], dfg.signed[root], spec.output)))
 
     # step by step the counter runs 0..done_cycle, wrapping to idle on the
     # edge that ends the done cycle; level l latches on step loads + l - 1
-    pair_loads = [tuple([ast.RegisterLoad(input_reg(name),
-                                          _low_bits(port, 32, input_width[name]))
+    pair_loads = [tuple([ast.Assign(input_reg(name),
+                                    _low_bits(port, 32, input_width[name]))
                          for name, port in zip(pair, ("dataa", "datab"))
                          if name is not None])
                   for pair in mapped.loading]
-    steps = [ast.ControlStep(pair_loads[0], done_cycle == 1)]
-    for c in range(1, done_cycle + 1):
-        step_loads = pair_loads[c] if c < loads \
-            else tuple(stage_loads.get(c - loads + 1, ()))
-        steps.append(ast.ControlStep(step_loads, c == done_cycle - 1))
-    process = ast.ControlProcess(tuple(steps), tuple(registers))
+    steps = tuple(ast.ControlStep(
+        pair_loads[c] if c < loads else tuple(stage_loads.get(c - loads + 1, ())),
+        c == done_cycle - 1) for c in range(done_cycle + 1))
+    process = ast.ControlProcess(steps, tuple(registers))
 
     header = (
         f"-- {spec.name}: multicycle custom-instruction datapath (opcode {spec.opcode}).",

@@ -68,14 +68,6 @@ class MappedDesign(NamedTuple):
     loading: tuple[tuple[str, str | None], ...]
 
 
-def input_reg(name: str) -> str:
-    return f"r_{name}"
-
-
-def node_reg(node_id: int) -> str:
-    return f"s_{node_id}"
-
-
 def _plan_add_sub(node: OpNode, dfg: Dfg) -> InstancePlan:
     width, signed, w = dfg.width, dfg.signed, dfg.width[node.id]
     adapters = tuple([

@@ -7,17 +7,17 @@ cut to its width and signedness, and the root adapted to the 32-bit result
 port.  It reads only the DFG and the width rules, never component
 instances, adapters or the control schedule.  ``eval_reference`` is its
 one-vector wrapper.  The other evaluator executes the ``HdlDesign`` that
-``emit_vhdl`` prints.
-``IndexedDesign`` lowers it once: the registers and widths it declares,
-each wire's single driver as a plain record (an instance's kernel from
-the component library, its generics, input wires and output wires, bound
-to the component's ports in declaration order; each node of an
-expression, assigned or loaded, over ``low_bits``, ``resize`` or ``mod_correct``)
-and, for every step of its control process, one flat program: the records
-the step's register loads read through, in dependency order, and the
-loads, each the record of its expression's top node.  Each
-step leads to the one ``ControlProcess.successor`` names, as the VHDL text
-prints it.  That lowering is the design's only connectivity check;
+``emit_vhdl`` prints.  ``IndexedDesign`` lowers it once: the registers and
+widths it declares, each wire's single driver as a plain record (an
+instance's kernel from the component library, its generics, input wires
+and output wires, bound to the component's ports in declaration order;
+each node of an expression, assigned or loaded, over ``low_bits``,
+``resize`` or ``mod_correct``) and one flat program for each step of its
+control process and for the result port, ordered by one depth-first walk:
+the records its loads read through, in dependency order, and the loads,
+each the record of its expression's top node.  Each step leads to the one
+``ControlProcess.successor`` names, as the VHDL text prints it.  That
+lowering is the design's only connectivity check;
 ``hdl.validate_structure`` keeps the rules of VHDL naming.
 ``IndexedDesign.execute``, the one interpreter of the control process,
 runs the programs in one loop over columns of plain ints, one entry per
@@ -57,7 +57,7 @@ from typing import NamedTuple
 from . import vhdl_ast as ast
 from .errors import CigenError, DivideByZero, InternalCheckError
 from .frontend import CiSpec, Dfg, OperandDecl, OpKind
-from .hdl import ENTITY_PORTS, build_design
+from .hdl import ENTITY_PORTS, build_design, node_reg
 from .lpm import (
     MAX_INTERNAL_WIDTH,
     BitVec,
@@ -67,12 +67,7 @@ from .lpm import (
     mod_correct,
     resize,
 )
-from .mapper import (
-    MappedDesign,
-    done_cycle_enabled,
-    map_design,
-    node_reg,
-)
+from .mapper import MappedDesign, done_cycle_enabled, map_design
 
 PORT_MASK = (1 << 32) - 1  # dataa, datab and result are 32 bits wide
 
@@ -232,9 +227,10 @@ class SimResult(NamedTuple):
 # that no signal holds.
 Record = tuple[Callable[..., tuple[Column, ...]] | None, object,
                tuple[str | int, ...], tuple[str | int, ...]]
-# In a step's program, the load of a register (kernel, params, keys read,
-# register): the top node of the loaded expression, whose one column the
-# register latches.
+# A load (kernel, params, keys read, target): the record of an assigned
+# expression's top node, with the name that takes its one column in place
+# of the keys written.  A step's loads are its registers' loads, and the
+# result port's program ends in a load of result as it is.
 Load = tuple[Callable[..., tuple[Column]] | None, object,
              tuple[str | int, ...], str]
 
@@ -242,8 +238,8 @@ Load = tuple[Callable[..., tuple[Column]] | None, object,
 def _run(program: list[Record | Load], values: dict,
          faults: set[int]) -> tuple[list[tuple[str, Column]], str | None]:
     """Run program's records over values, in order.  Returns its loads as
-    (register, column) pairs, and the first register whose load's records
-    met a zero divisor, or None."""
+    (target, column) pairs, and the first target whose load's records met
+    a zero divisor, or None."""
     seen, latched, fault = len(faults), [], None
     for kernel, params, reads, writes in program:
         if kernel is None:   # a signal's value as it is
@@ -253,7 +249,7 @@ def _run(program: list[Record | Load], values: dict,
             columns = kernel(params, faults, values[a], values[b])
         else:   # every kernel reads one column or two
             columns = kernel(params, faults, values[reads[0]])
-        if type(writes) is str:   # a Load of register writes
+        if type(writes) is str:   # a Load of target writes
             if fault is None and len(faults) > seen:
                 fault = writes
             latched.append((writes, columns[0]))
@@ -274,17 +270,16 @@ class IndexedDesign:
     ``component.kernel``, the generics, its input wires, its output wires),
     and each node of an expression is a record over an lpm expression
     kernel as it is (kernel None for a signal's value), writing an int key
-    when no signal holds its value.  A step's number, the counter value
-    that selects it, is its position in the process's steps, and its
-    successor is ``ControlProcess.successor``'s.  Each step is lowered to
-    one flat program in one pass over its loads: per register load, the
-    records its expression's top node reads through that no earlier load
-    of the step computed, in dependency order, then the load itself, that
-    top node's record with the register in place of the keys written.  A
-    walk of the reads starts only at a key that is no register, no port
-    and not yet computed in the step.  ``execute`` runs the programs edge
-    by edge, over one column entry per vector: a whole batch for ``run``,
-    one invocation for ``simulate_ci``.
+    when no signal holds its value; an ``Assign`` in the architecture's
+    assigns drives its target.  A step's number, the counter value that
+    selects it, is its position in the process's steps, and its successor
+    is ``ControlProcess.successor``'s.  Each ``Assign`` of a step's loads
+    is lowered to a load and walked at once: one depth-first walk
+    (``_walk``) appends the records its reads go through that no earlier
+    load of the step computed, in dependency order, then the load.  The
+    result port's program is one walk from a load of result.  ``execute``
+    runs the programs edge by edge, over one column entry per vector: a
+    whole batch for ``run``, one invocation for ``simulate_ci``.
 
     Indexing is the design's only connectivity check.  It raises
     InternalCheckError for widths that break a component's or a load's
@@ -299,41 +294,54 @@ class IndexedDesign:
         arch = design.architecture
         self.name = design.name
         signals = {s.name: s.width for s in arch.signals}
-        self.widths = {p.name: p.width for p in ENTITY_PORTS}
-        self.widths.update(signals)
-        for name, width in self.widths.items():
+        self.widths = widths = {p.name: p.width for p in ENTITY_PORTS}
+        widths.update(signals)
+        for name, width in widths.items():
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
                 raise InternalCheckError(f"{self.name}: {width}-bit {name}")
-        self.registers = arch.process.registers
-        self._register_set = frozenset(self.registers)
-        undeclared = self._register_set.difference(signals)
+        process = arch.process
+        self.registers = process.registers
+        registers = frozenset(self.registers)
+        undeclared = registers.difference(signals)
         if undeclared:
             raise InternalCheckError(f"{self.name}: register {min(undeclared)} "
                                      "is not a declared signal")
-        self._sources = self._register_set | {"dataa", "datab"}
+        self._sources = registers | {"dataa", "datab"}
         # of the entity ports, only result is a wire
-        self._undrivable = self._register_set | \
-            {p.name for p in ENTITY_PORTS} - {"result"}
+        self._undrivable = registers | {p.name for p in ENTITY_PORTS} - {"result"}
         self._drivers: dict[str | int, Record] = {}
-        self._keyed: dict[ast.Expr, tuple[int, int]] = {}
         for target, expr in arch.assigns:
             kernel, params, reads, width = self._expr(expr)
             if width != self._width(target):
                 raise self._mismatch(width, target)
             self._drive((kernel, params, reads, (target,)))
         self._lower_instances(arch.instances)
-        process = arch.process
-        self._programs = [(self._program(index, loads), set_done,
-                           process.successor(index))
-                          for index, (loads, set_done) in enumerate(process.steps)]
-        self._result_program: list[Record] = []
-        self._need("result", {}, self._result_program)
-        unread = self._register_set.difference(itertools.chain.from_iterable(
+        self._programs = []
+        for index, (loads, set_done) in enumerate(process.steps):
+            program: list[Record | Load] = []
+            done: dict[str | int, bool] = {}
+            for target, expr in loads:
+                if target not in registers:
+                    raise InternalCheckError(f"{self.name}: step {index} loads "
+                                             f"{target}, which is no register")
+                kernel, params, reads, width = self._expr(expr)
+                if width != widths[target]:
+                    raise self._mismatch(width, target)
+                self._walk((kernel, params, reads, target), done, program)
+            self._programs.append((program, set_done, process.successor(index)))
+        # the result port's program ends in a load of its value as it is
+        self._result_program = self._walk((None, None, ("result",), "result"), {}, [])
+        unread = registers.difference(itertools.chain.from_iterable(
             record[2] for record in itertools.chain(
                 self._drivers.values(), *(program for program, _, _ in self._programs))))
         if unread:
             raise InternalCheckError(f"{self.name}: register {min(unread)} is never read")
-        self.done_cycle = self._done_cycle(process.steps)
+        # the steps run in sequence from start, so done is high one enabled
+        # cycle past the first step that sets it
+        set_done = [step.set_done for step in process.steps]
+        if True not in set_done:
+            raise InternalCheckError(f"{self.name}: done is never set after start")
+        self.done_cycle = set_done.index(True) + 1
 
     def _width(self, name: str) -> int:
         width = self.widths.get(name)
@@ -384,7 +392,8 @@ class IndexedDesign:
     def _expr(self, expr: ast.Expr) -> tuple[Callable[..., tuple[Column, ...]] | None,
                                               object, tuple[str | int, ...], int]:
         """The kernel, parameters and keys read of expr's top node, and its
-        width; each inner node becomes the driver of a new int key."""
+        width; each inner node but a Ref becomes the driver of a new int
+        key."""
         if isinstance(expr, ast.Ref):
             return None, None, (expr.name,), self._width(expr.name)
         if isinstance(expr, ast.Slice):
@@ -394,7 +403,11 @@ class IndexedDesign:
                                          f"bits from {whole}-bit {name}")
             return low_bits, width, (name,), width
         if isinstance(expr, ast.Resize):
-            key, from_width = self._key(expr.operand)
+            kernel, params, reads, from_width = self._expr(expr.operand)
+            key = reads[0]
+            if kernel is not None:   # no signal holds the operand's value
+                key = len(self._drivers)
+                self._drivers[key] = (kernel, params, reads, (key,))
             signed, width = expr.signed, expr.width
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
                 raise InternalCheckError(f"{self.name}: {width}-bit resize")
@@ -405,81 +418,41 @@ class IndexedDesign:
                                      f"{r} by {self._width(d)}-bit {d}")
         return mod_correct, width, (r, d), width
 
-    def _key(self, expr: ast.Expr) -> tuple[str | int, int]:
-        """The key holding expr's value, and its width: a Ref's signal, or
-        the int key driven by the record of expr, one per distinct expr."""
-        if isinstance(expr, ast.Ref):
-            return expr.name, self._width(expr.name)
-        keyed = self._keyed.get(expr)
-        if keyed is None:
-            kernel, params, reads, width = self._expr(expr)
-            key = len(self._keyed)
-            self._drivers[key] = (kernel, params, reads, (key,))
-            keyed = self._keyed[expr] = key, width
-        return keyed
-
-    def _program(self, index: int,
-                 loads: tuple[ast.RegisterLoad, ...]) -> list[Record | Load]:
-        """The flat program of step index: per register load, the records
-        its expression's top node reads through that no earlier load of the
-        step computed, then the load, that node's record latching into the
-        register."""
-        registers, sources, widths = self._register_set, self._sources, self.widths
-        lower, need = self._expr, self._need
-        program: list[Record | Load] = []
-        done: dict[str | int, bool] = {}
-        for target, expr in loads:
-            if target not in registers:
-                raise InternalCheckError(f"{self.name}: step {index} loads "
-                                         f"{target}, which is no register")
-            kernel, params, reads, width = lower(expr)
-            if width != widths[target]:
-                raise self._mismatch(width, target)
-            for read in reads:
-                if read not in sources and read not in done:
-                    need(read, done, program)
-            program.append((kernel, params, reads, target))
-        return program
-
-    def _need(self, key: str | int, done: dict[str | int, bool],
-              program: list[Record | Load]) -> None:
-        """Append to program the records computing key, which is no source
-        and not in done, and those it reads from that done lacks, each after
-        the records it reads from, in the order a depth-first walk of the
-        reads completes them.  done maps the keys met so far to True once
+    def _walk(self, record: Record | Load, done: dict[str | int, bool],
+              program: list[Record | Load]) -> list[Record | Load]:
+        """Append to program the records that record reads through and done
+        lacks, each after the records it reads from, in the order a
+        depth-first walk of the reads completes them, then record itself;
+        return program.  done maps the keys met so far to True once
         computed, False while their reads are resolved.  The walk keeps its
         own stack of the keys being resolved, so no chain of wires is too
         deep for it."""
         drivers, sources = self._drivers, self._sources
-        stack = [key]
-        while stack:
-            key = stack[-1]
-            record = drivers.get(key)
-            if key not in done:
-                if record is None:
-                    raise InternalCheckError(f"{self.name}: {key} has no driver")
-                done[key] = False
-            for read in record[2]:   # the first read not yet computed
-                if read not in sources and not done.get(read):
-                    if read in done:
-                        raise InternalCheckError(f"{self.name}: combinational "
-                                                 f"loop through {read}")
-                    stack.append(read)
-                    break
-            else:
-                stack.pop()
-                program.append(record)
-                for wire in record[3]:
-                    done[wire] = True
-
-    def _done_cycle(self, steps: tuple[ast.ControlStep, ...]) -> int:
-        """The enabled cycle on which done is high: as steps run in
-        sequence from start, one past the position of the first step that
-        sets done."""
-        for position, step in enumerate(steps):
-            if step.set_done:
-                return position + 1
-        raise InternalCheckError(f"{self.name}: done is never set after start")
+        for key in record[2]:
+            if key in sources or key in done:   # done by an earlier load
+                continue
+            stack = [key]
+            while stack:
+                key = stack[-1]
+                driver = drivers.get(key)
+                if key not in done:
+                    if driver is None:
+                        raise InternalCheckError(f"{self.name}: {key} has no driver")
+                    done[key] = False
+                for read in driver[2]:   # the first read not yet computed
+                    if read not in sources and not done.get(read):
+                        if read in done:
+                            raise InternalCheckError(f"{self.name}: combinational "
+                                                     f"loop through {read}")
+                        stack.append(read)
+                        break
+                else:
+                    stack.pop()
+                    program.append(driver)
+                    for wire in driver[3]:
+                        done[wire] = True
+        program.append(record)
+        return program
 
     def execute(self, pairs: list[tuple[Column, Column]], count: int,
                 faults: set[int]) -> Iterator[tuple[int, bool, dict[str, Column],

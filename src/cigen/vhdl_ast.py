@@ -4,9 +4,11 @@ The emitter renders these to text, holding all VHDL spelling.  Two checks
 read them directly, so neither parses emitted VHDL back in:
 ``hdl.validate_structure`` owns the naming rules, and ``sim.IndexedDesign``,
 which lowers them to execute, owns connectivity.  A record holds only what
-a check reads; ``emit_vhdl`` derives the rest of the text from it: the
-entity's ports, the port name each wire binds to and each step's
-successor.
+a check reads and not what its place says: an ``Assign`` is a concurrent
+assignment in ``Architecture.assigns`` and a register load in
+``ControlStep.loads``.  ``emit_vhdl`` derives the rest of the text from the
+records: the entity's ports, the port name each wire binds to and each
+step's successor.
 """
 
 from __future__ import annotations
@@ -85,12 +87,7 @@ class ModCorrect(NamedTuple):
 Expr = Ref | Slice | Resize | ModCorrect
 
 
-class ConcurrentAssign(NamedTuple):
-    target: str
-    expr: Expr
-
-
-class RegisterLoad(NamedTuple):
+class Assign(NamedTuple):
     target: str
     expr: Expr
 
@@ -102,7 +99,7 @@ class ControlStep(NamedTuple):
     Step 0 is additionally guarded by start.  set_done drives the done
     register high for the following enabled cycle.
     """
-    loads: tuple[RegisterLoad, ...]
+    loads: tuple[Assign, ...]
     set_done: bool
 
 
@@ -120,7 +117,7 @@ class ControlProcess(NamedTuple):
 class Architecture(NamedTuple):
     signals: tuple[SignalDecl, ...]
     instances: tuple[Instance, ...]
-    assigns: tuple[ConcurrentAssign, ...]
+    assigns: tuple[Assign, ...]
     process: ControlProcess
 
 

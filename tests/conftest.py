@@ -200,12 +200,18 @@ def unread_registers(design: ast.HdlDesign) -> set[str]:
     return set(arch.process.registers) - read
 
 
+def load_kinds(design: ast.HdlDesign) -> set[type]:
+    """The record classes of the expressions design's steps load."""
+    return {type(load.expr) for step in design.architecture.process.steps
+            for load in step.loads}
+
+
 def with_unread_register(design: ast.HdlDesign) -> ast.HdlDesign:
     """The worked example's design plus s_3, a register declared, reset
     and loaded from w_3 on the last step, but read by nothing."""
     arch = design.architecture
     *steps, last = arch.process.steps
-    last = last._replace(loads=last.loads + (ast.RegisterLoad("s_3", ast.Ref("w_3")),))
+    last = last._replace(loads=last.loads + (ast.Assign("s_3", ast.Ref("w_3")),))
     return with_arch(design, signals=arch.signals + (ast.SignalDecl("s_3", 32),),
                      process=arch.process._replace(
                          steps=(*steps, last),
@@ -239,24 +245,24 @@ def _undeclared_bound_wire(design: ast.HdlDesign) -> ast.HdlDesign:
 def _second_driver(design: ast.HdlDesign) -> ast.HdlDesign:
     # the multiplier already drives w_1_p
     return with_arch(design, assigns=design.architecture.assigns + (
-        ast.ConcurrentAssign("w_1_p", ast.Ref("r_a")),))
+        ast.Assign("w_1_p", ast.Ref("r_a")),))
 
 
 def _undeclared_assign_target(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(design, assigns=design.architecture.assigns + (
-        ast.ConcurrentAssign("w_ghost", ast.Ref("r_a")),))
+        ast.Assign("w_ghost", ast.Ref("r_a")),))
 
 
 def _undeclared_load_target(design: ast.HdlDesign) -> ast.HdlDesign:
     first, step, *rest = design.architecture.process.steps
     step = step._replace(loads=step.loads + (
-        ast.RegisterLoad("s_ghost", ast.Ref("r_a")),))
+        ast.Assign("s_ghost", ast.Ref("r_a")),))
     return _with_process(design, steps=(first, step, *rest))
 
 
 def _driven_start(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(design, assigns=design.architecture.assigns + (
-        ast.ConcurrentAssign("start", ast.Slice("r_a", 1)),))
+        ast.Assign("start", ast.Slice("r_a", 1)),))
 
 
 def _undeclared_reset_register(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -268,7 +274,7 @@ def _off_chain_load(design: ast.HdlDesign) -> ast.HdlDesign:
     # the appended step 4 runs only after done, on the way back to idle
     steps = design.architecture.process.steps
     return _with_process(design, steps=steps + (ast.ControlStep(
-        (ast.RegisterLoad("s_ghost", ast.Ref("r_a")),), False),))
+        (ast.Assign("s_ghost", ast.Ref("r_a")),), False),))
 
 
 # Each wiring fault with the message sim.IndexedDesign refuses it with.

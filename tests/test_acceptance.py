@@ -27,6 +27,7 @@ from conftest import (
     MOD_TEXT,
     NARROW_TEXT,
     declared_components,
+    load_kinds,
     mod_corrected,
     rows,
     run_component,
@@ -34,6 +35,7 @@ from conftest import (
     wrapped,
 )
 from cigen import cli
+from cigen import vhdl_ast as ast
 from cigen.cpatch import (
     DEFAULT_INTRINSIC,
     emit_header,
@@ -243,7 +245,8 @@ WIDE_VHDL_SHA256 = \
 class TestPinnedWideDesigns:
     """The wide designs' VHDL is pinned too: their long control chains are
     where each step's printed successor shows a change of succession.
-    Each declares no register that nothing reads."""
+    Each declares no register that nothing reads, and loads only a Ref or
+    a Slice of a signal."""
 
     def test_wide_vhdl_hashes_to_the_recorded_digest(self, monkeypatch,
                                                      tmp_path):
@@ -261,6 +264,7 @@ class TestPinnedWideDesigns:
             spec = parse_ci_spec(Path(op.argv[1]).read_text())
             design = build_design(spec, map_design(spec))
             assert unread_registers(design) == set()
+            assert load_kinds(design) <= {ast.Ref, ast.Slice}
             digest.update(emit_vhdl(design).encode() + b"\0")
         assert len(ops) == 5
         assert digest.hexdigest() == WIDE_VHDL_SHA256

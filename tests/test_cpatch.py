@@ -100,7 +100,7 @@ class TestLexer:
         # the literal spliced onto a line opening with '#' starts before it
         tokens = lex_c('s = "a\\\n#"\n;\n#define X 1\nint y;\n')
         assert len(tokens.in_directive) == len(tokens)
-        assert list(tokens.in_directive) == [0] * 4 + [2, 1, 1, 1] + [0] * 3
+        assert list(tokens.in_directive) == [0] * 4 + [1] * 4 + [0] * 3
 
     def test_line_continuation_inside_a_literal_counts(self):
         with pytest.raises(CigenError, match="stray character '@' on line 3"):
@@ -112,7 +112,7 @@ class TestLexer:
         # gcc splices a backslash and CR LF as it does a backslash and LF
         tokens = lex_c("#define A (1 + \\\r\n 2)\r\n")
         assert tokens.text == ["#", "define", "A", "(", "1", "+", "2", ")"]
-        assert list(tokens.in_directive) == [2] + [1] * 7
+        assert list(tokens.in_directive) == [1] * 8
         src = 's = "ab\\\r\ncd";\r\n'
         tokens = lex_c(src)
         assert tokens.text == ["s", "=", '"abcd"', ";"]
@@ -145,7 +145,7 @@ class TestALoneCrEndsALine:
 
     def test_a_directive_ends_at_a_lone_cr(self):
         tokens = lex_c("#define X 1\rx = a * b;")
-        assert list(tokens.in_directive) == [2, 1, 1, 1] + [0] * 6
+        assert list(tokens.in_directive) == [1] * 4 + [0] * 6
 
     def test_error_lines_count_a_lone_cr(self):
         with pytest.raises(CigenError, match="stray character '@' on line 4"):
@@ -643,7 +643,7 @@ class TestBenchContract:
                        "#define X 1\n")
         assert len(tokens) == 15
         assert tokens.text[-4:] == ["#", "define", "X", "1"]
-        assert list(tokens.in_directive) == [0] * 11 + [2, 1, 1, 1]
+        assert list(tokens.in_directive) == [0] * 11 + [1] * 4
 
 
 class TestHeader:
@@ -953,18 +953,16 @@ _DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[^\n]*")
 
 def _flag_directives(source: str, tokens: list[CToken],
                      comments: list[tuple[int, int]]) -> list[CToken]:
-    """tokens with in_directive set from the directive lines of source once
-    each comment span is spaces of its length (no newline), 2 on the first
-    token of each: the one step both references take differently from the
-    code they were copied from."""
+    """tokens with in_directive 1 on the directive lines of source once
+    each comment span is spaces of its length (no newline): the one step
+    both references take differently from the code they were copied from."""
     for a, b in comments:
         source = source[:a] + " " * (b - a) + source[b:]
     flags = [0] * len(tokens)
     for m in _DIRECTIVE_RE.finditer(source):
-        inside = [k for k, tok in enumerate(tokens)
-                  if m.start() <= tok.start < m.end()]
-        for k in inside:
-            flags[k] = 2 if k == inside[0] else 1
+        for k, tok in enumerate(tokens):
+            if m.start() <= tok.start < m.end():
+                flags[k] = 1
     return [dataclasses.replace(tok, in_directive=flag)
             for tok, flag in zip(tokens, flags)]
 
@@ -1272,13 +1270,24 @@ def _named_group_lex_spliced(source: str, line) -> list[CToken]:
 _REST_OF_LINE_RE = re.compile(r"(?://[^\r\n]*|/\*[\s\S]*?\*/|[^\r\n])*")
 
 
+def _same_line(source: str, tokens: CTokens, k: int) -> bool:
+    """Whether token k lies on token k - 1's line once lone CRs are LFs,
+    splices are cut and comments are white space."""
+    gap = re.sub(r"\r(?!\n)", "\n", source[tokens.end(k - 1):tokens.start[k]])
+    return _REST_OF_LINE_RE.fullmatch(cpatch._splice(gap)[0]) is not None
+
+
 def whole_file_rewrite(source: str, spec: CiSpec, mapped) -> tuple[list, str]:
     """The sites and the patched source; no source when there is no site."""
     tokens = lex_c(source)
     sites = find_call_sites(tokens, spec)
     if not sites:
         return sites, None
-    header, text, flags = header_filename(spec), tokens.text, tokens.in_directive
+    # 2 on a directive's first token (a flagged one not on the line of the
+    # token before it), 1 on the rest of the directive
+    header, text = header_filename(spec), tokens.text
+    flags = [flag and (2 if k == 0 or not _same_line(source, tokens, k) else 1)
+             for k, flag in enumerate(tokens.in_directive)]
     includes = [k for k in range(1, len(text)) if text[k] == "include"
                 and flags[k - 1] == 2 and flags[k] == 1]
     at, include = 0, ""

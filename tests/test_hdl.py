@@ -25,6 +25,8 @@ from cigen.hdl import (
     PROCESS,
     build_design,
     emit_vhdl,
+    input_reg,
+    node_reg,
     validate_structure,
 )
 from cigen.lpm import (
@@ -37,7 +39,7 @@ from cigen.lpm import (
     MultGenerics,
     Representation,
 )
-from cigen.mapper import map_design, node_reg
+from cigen.mapper import map_design
 from cigen.sim import (
     IndexedDesign,
     check_equivalence,
@@ -167,6 +169,12 @@ class TestDesignShape:
             "x = (a + b) - (c + d); }")
         assert declared_components(emit_vhdl(design)) == ["lpm_add_sub"]
         assert len(design.architecture.instances) == 3
+
+    def test_register_names(self, mac_mapped):
+        assert [input_reg(n) for n in mac_mapped.analysis.operand_sequence] \
+            == ["r_a", "r_b", "r_c"]
+        assert [node_reg(i) for i in mac_mapped.analysis.operation_sequence] \
+            == ["s_1", "s_3"]
 
     def test_declarations_follow_the_instances(self, mac_spec, mac_mapped):
         # the multiplier's generics swapped for a divider's: the text
@@ -326,7 +334,7 @@ class TestValidatorNegatives:
     def test_multiple_drivers(self, design):
         # Drive the multiplier's output wire from an assign as well.
         wire = design.architecture.instances[0].wires[-1]
-        extra = ast.ConcurrentAssign(wire, ast.Ref("r_a"))
+        extra = ast.Assign(wire, ast.Ref("r_a"))
         broken = _replace_arch(
             design, assigns=design.architecture.assigns + (extra,))
         with pytest.raises(InternalCheckError,

@@ -17,12 +17,7 @@ from cigen.lpm import (
     Representation,
 )
 from cigen.frontend import OperandDecl
-from cigen.mapper import (
-    done_cycle_enabled,
-    input_reg,
-    map_design,
-    node_reg,
-)
+from cigen.mapper import done_cycle_enabled, map_design
 from cigen.sim import adapt_root
 
 
@@ -80,12 +75,6 @@ class TestWorkedExample:
         assert mac_mapped.loading == (("a", "b"), ("c", None))
         assert len(mac_mapped.loading) == 2
         assert done_cycle_enabled(mac_mapped) == 3
-
-    def test_register_names(self, mac_mapped):
-        assert [input_reg(n) for n in mac_mapped.analysis.operand_sequence] \
-            == ["r_a", "r_b", "r_c"]
-        assert [node_reg(i) for i in mac_mapped.analysis.operation_sequence] \
-            == ["s_1", "s_3"]
 
 
 class TestAdapters:

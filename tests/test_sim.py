@@ -20,6 +20,7 @@ from conftest import (
     UNDEFINED_TEXT,
     WIRING_FAULTS,
     done_one_step_late,
+    load_kinds,
     rows,
     with_arch,
     with_unread_register,
@@ -38,16 +39,17 @@ from cigen.frontend import (
     parse_ci_spec,
 )
 from cigen.fuzz import FuzzConfig, random_spec, random_vector, random_vectors
-from cigen.hdl import ENTITY_PORTS, build_design, emit_instance
+from cigen.hdl import ENTITY_PORTS, build_design, emit_instance, node_reg
 from cigen.lpm import (
     AddSubGenerics,
     BitVec,
     Direction,
+    MultGenerics,
     low_bits,
     mod_correct,
     resize,
 )
-from cigen.mapper import done_cycle_enabled, map_design, node_reg
+from cigen.mapper import done_cycle_enabled, map_design
 from cigen.sim import (
     IndexedDesign,
     SimResult,
@@ -620,7 +622,7 @@ def _chained_operand(design: ast.HdlDesign, length: int) -> ast.HdlDesign:
     return with_arch(
         design, instances=(mul, add),
         signals=arch.signals + tuple(ast.SignalDecl(name, 32) for name in chain),
-        assigns=arch.assigns + tuple(ast.ConcurrentAssign(name, ast.Ref(source))
+        assigns=arch.assigns + tuple(ast.Assign(name, ast.Ref(source))
                                      for name, source in zip(chain, ["r_a", *chain])))
 
 
@@ -657,8 +659,7 @@ def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
 
 
 def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
-    return with_arch(design, assigns=(ast.ConcurrentAssign("result",
-                                                            ast.Ref("result")),))
+    return with_arch(design, assigns=(ast.Assign("result", ast.Ref("result")),))
 
 
 def _signal_of_65_bits(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -669,7 +670,7 @@ def _signal_of_65_bits(design: ast.HdlDesign) -> ast.HdlDesign:
 def _result_of(expr: ast.Expr):
     """The mutation that puts expr on the result port."""
     def mutate(design: ast.HdlDesign) -> ast.HdlDesign:
-        return with_arch(design, assigns=(ast.ConcurrentAssign("result", expr),))
+        return with_arch(design, assigns=(ast.Assign("result", expr),))
     return mutate
 
 
@@ -679,8 +680,23 @@ def _mod_correct_by_narrower(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(
         design,
         signals=arch.signals + (ast.SignalDecl("w_n", 16), ast.SignalDecl("w_m", 32)),
-        assigns=arch.assigns + (ast.ConcurrentAssign(
+        assigns=arch.assigns + (ast.Assign(
             "w_m", ast.ModCorrect("w_3", "w_n")),))
+
+
+def _with_load_in_step_2(design: ast.HdlDesign, expr: ast.Expr,
+                          width: int) -> ast.HdlDesign:
+    """The worked example's design with s_x, a width-bit register that w_x
+    reads, loaded from expr on step 2 after s_1 <= w_1_p."""
+    arch = design.architecture
+    first, second, third, *rest = arch.process.steps
+    third = third._replace(loads=third.loads + (ast.Assign("s_x", expr),))
+    return with_arch(
+        design,
+        signals=arch.signals + (ast.SignalDecl("s_x", width), ast.SignalDecl("w_x", width)),
+        assigns=arch.assigns + (ast.Assign("w_x", ast.Ref("s_x")),),
+        process=arch.process._replace(steps=(first, second, third, *rest),
+                                      registers=arch.process.registers + ("s_x",)))
 
 
 class TestLoweringChecks:
@@ -707,6 +723,38 @@ class TestLoweringChecks:
         design = mutate(build_design(mac_spec, mac_mapped))
         with pytest.raises(InternalCheckError, match=message):
             IndexedDesign(design)
+
+    def test_a_nested_load_runs_to_its_kernels_value(self, mac_spec, mac_mapped):
+        # the Slice is a node no signal holds: its record drives an int key
+        expr = ast.Resize(ast.Slice("w_1_p", 16), True, 32)
+        design = IndexedDesign(_with_load_in_step_2(
+            build_design(mac_spec, mac_mapped), expr, 32))
+        columns = input_columns(mac_spec, [{"a": 300, "b": 200, "c": 1},
+                                           {"a": -3, "b": 5, "c": 0}])
+        execution = design.execute(operand_columns(mac_mapped, columns, 2), 2, set())
+        _, _, values, _ = next(itertools.islice(execution, 3, None))
+        assert values["w_1_p"] == [60000, -15 & 0xFFFFFFFF]
+        low, = low_bits(16, set(), values["w_1_p"])
+        assert values["s_x"] == list(resize((16, True, 32), set(), low)[0]) \
+            == [0xFFFFEA60, 0xFFFFFFF1]
+        assert [kernel for kernel, *_ in design._programs[2][0]] == \
+            [MultGenerics.component.kernel, None, low_bits, resize]
+
+    def test_two_loads_of_one_wire_run_its_driver_once(self, mac_spec, mac_mapped):
+        design = IndexedDesign(_with_load_in_step_2(
+            build_design(mac_spec, mac_mapped), ast.Slice("w_1_p", 8), 8))
+        program, _, _ = design._programs[2]
+        assert [(reads, writes) for _, _, reads, writes in program] == [
+            (("r_a", "r_b"), ("w_1_p",)), (("w_1_p",), "s_1"), (("w_1_p",), "s_x")]
+
+    @pytest.mark.parametrize("text", [MAC_TEXT, NARROW_TEXT, MOD_TEXT,
+                                      (GOLDEN_DIR / "t3d.ci").read_text()],
+                             ids=["f", "g", "h", "t3d"])
+    def test_every_golden_load_is_a_ref_or_a_slice(self, text):
+        # no load reads through an inner node, so a cache of the lowering's
+        # int keys would never hit (the wide designs: test_acceptance)
+        spec = parse_ci_spec(text)
+        assert load_kinds(build_design(spec, map_design(spec))) <= {ast.Ref, ast.Slice}
 
     def test_port_wider_than_any_declared_width(self, mac_spec, mac_mapped):
         # port_widths() leaves the 1..64 range to the lowering, which
