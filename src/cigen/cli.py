@@ -5,22 +5,28 @@ artifacts, simulate runs one invocation cycle by cycle, patch rewrites a C
 source to call the instruction, and report prints the latency and energy
 estimates.  Exit codes: 0 on success, 1 for user errors (bad arguments,
 unparsable specs or configs, unreadable or unwritable files, failed
-matches, no memory left), 2 when an internal consistency check caught a
-bad design before it reached disk.  A command builds its own parser alone
-(help, usage and unknown-argument texts come from the full parser) and
-imports only its modules: report frontend, mapper and metrics; patch those
-and cpatch; simulate frontend and sim (and hdl); build all these and fuzz;
--h none.  main binds a command's stage names here through __getattr__,
-which keeps a name bound already, such as a tracing wrapper.
+matches, no memory left), 2 when an internal consistency check caught a bad
+design before it reached disk.  A command builds its own parser alone
+(help, usage and unknown-argument texts come from the full parser, as
+pinned in tests/golden/cli/) and imports only its modules: report frontend,
+mapper and metrics; patch those and cpatch; simulate frontend and sim (and
+hdl); build all these and fuzz; -h none.  main binds a command's stage
+names here through __getattr__, which keeps a name bound already, such as a
+tracing wrapper.  BENCH_lazy_imports.json times each command's start-up.
 
 While a command runs, CollectionPolicy raises the young generation's
-collection threshold: its records die by reference count, unwalked by the
-cyclic collector.  _write_all writes each file to a new temporary name, then
-renames each old plain file aside (for roll-back) and the new one in; pipes,
-devices and links are written through, last.  A plain file already holding
-the new bytes is left untouched (same inode, mode and mtime): ninja's restat
-and make skip its dependents, though make re-runs cigen while the spec is
-newer.  No fsync: no power-loss safety.
+collection threshold, then restores the caller's: its records die by
+reference count, unwalked by the cyclic collector, so a build of the
+960-term chain runs no collection.  _write_all writes each file to a new
+temporary name, then renames each old plain file aside (for roll-back) and
+the new one in, with the old one's mode bits; pipes, devices and links are
+written through, last, and only they can be left part written.  A failure,
+running out of memory included, puts every target back and removes the
+temporaries and the directories made.  A plain file already holding the new
+bytes is left untouched (same inode, mode and mtime: the "early cutoff" of
+Mokhov, Mitchell and Peyton Jones, ICFP 2018): ninja's restat and make skip
+its dependents, though make re-runs cigen while the spec is newer.  No
+fsync: no power-loss safety.
 """
 
 from __future__ import annotations
@@ -249,10 +255,8 @@ def _parse_inputs(text: str) -> dict[str, int]:
 
 
 def _parse_cycles(text: str | None) -> frozenset[int]:
-    if not text:
-        return frozenset()
     try:
-        return frozenset(int(part) for part in text.split(",") if part.strip())
+        return frozenset(int(part) for part in (text or "").split(",") if part.strip())
     except ValueError as exc:
         raise CigenError(f"bad cycle list '{text}'") from exc
 

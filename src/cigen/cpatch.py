@@ -248,7 +248,7 @@ class _Matcher:
         self.leaves: list[int] = []   # leaf count per node id
         self.memo: dict[tuple[int, int], object] = {}
         nodes = {leaf.id: self.node(("leaf", leaf.decl.name))
-                 for leaf in dfg.leaf_nodes()}   # DFG id -> node id
+                 for leaf in dfg.leaves}   # DFG id -> node id
         for node_id in dfg.order:
             node = dfg.nodes[node_id]
             nodes[node_id] = self.node(
@@ -445,7 +445,7 @@ def header_conflict(spec: CiSpec, intrinsic: str) -> str | None:
         return "a C keyword"
     if intrinsic in (macro, f"{macro}_OPCODE", f"{macro}_H"):
         return f"a name {header_filename(spec)} defines"
-    if intrinsic in {f"p_{leaf.decl.name}" for leaf in spec.dfg.leaf_nodes()}:
+    if intrinsic in {f"p_{leaf.decl.name}" for leaf in spec.dfg.leaves}:
         return f"a parameter of {macro}"
     return None
 

@@ -170,7 +170,8 @@ class Dfg(NamedTuple):
     operation nodes are not.  level(leaf) = 0 and
     level(op) = 1 + max(level(children)); widths follow op_result_width, and
     a node is signed when either child is.  order lists the op ids children
-    first, so a single loop over it evaluates the graph.
+    first, so a single loop over it evaluates the graph; leaves lists the
+    leaf nodes by id.
     """
     nodes: tuple[DfgNode, ...]
     root: int
@@ -178,9 +179,7 @@ class Dfg(NamedTuple):
     width: dict[int, int]
     signed: dict[int, bool]
     order: tuple[int, ...]
-
-    def leaf_nodes(self) -> tuple[LeafNode, ...]:
-        return tuple([n for n in self.nodes if isinstance(n, LeafNode)])
+    leaves: tuple[LeafNode, ...]
 
 
 class AnalysisResult(NamedTuple):
@@ -459,12 +458,13 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
     while pending:
         reduce()
     expr, root = operands[0]
-    return expr, Dfg(tuple(nodes), root, level, width, signed, tuple(order))
+    return expr, Dfg(tuple(nodes), root, level, width, signed, tuple(order),
+                     tuple([nodes[leaf_id] for _, leaf_id in leaves.values()]))
 
 
 def analyze(dfg: Dfg) -> AnalysisResult:
     """Derive load order and level-priority execution order from a DFG."""
-    operands = tuple([n.decl.name for n in dfg.leaf_nodes()])
+    operands = tuple([n.decl.name for n in dfg.leaves])
     # by level, ties by id: sorted by id first, as sorting is stable
     ordered = sorted(sorted(dfg.order), key=dfg.level.__getitem__)
     return AnalysisResult(operands, tuple(ordered), dfg.level[dfg.root])

@@ -7,9 +7,9 @@ adaptation and the modulus correction all become nodes of the
 VHDL spelling: an instance prints from the text of its generics class,
 derived once from the class's component declaration, with its wires bound
 to the component's ports in declaration order; the entity ports, the
-component declarations, libraries, support entity, counter range and each
-step's successor it derives from ``ENTITY_PORTS``, the instances and the
-steps.  Two gates own the design's rules, each rule once:
+component declarations, libraries, support entity, counter range, reset
+registers and each step's successor it derives from ``ENTITY_PORTS``, the
+instances and the steps.  Two gates own the design's rules, each rule once:
 ``validate_structure`` checks what only the VHDL text shows (legal and
 unique names), and ``sim.IndexedDesign`` checks connectivity (wire counts,
 drivers, targets, widths, done) when it lowers the design to execute it.
@@ -107,7 +107,6 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     input_width = {decl.name: decl.width for decl in spec.inputs}
     signals = [ast.SignalDecl(input_reg(name), input_width[name])
                for name in mapped.analysis.operand_sequence]
-    registers = [s.name for s in signals]
     instances: list[ast.Instance] = []
     assigns: list[ast.Assign] = []
     stage_loads: dict[int, list[ast.Assign]] = {}
@@ -151,7 +150,6 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
         if node_id != root:   # the root, deepest and so last, needs no register
             register, width = reg[node_id], node_width[node_id]
             signals.append(ast.SignalDecl(register, width))
-            registers.append(register)
             stage_loads.setdefault(dfg.level[node_id], []).append(ast.Assign(
                 register, _low_bits(value, value_width, width)))
 
@@ -165,10 +163,10 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
                          for name, port in zip(pair, ("dataa", "datab"))
                          if name is not None])
                   for pair in mapped.loading]
-    steps = tuple(ast.ControlStep(
-        pair_loads[c] if c < loads else tuple(stage_loads.get(c - loads + 1, ())),
-        c == done_cycle - 1) for c in range(done_cycle + 1))
-    process = ast.ControlProcess(steps, tuple(registers))
+    steps = tuple(pair_loads[c] if c < loads
+                  else tuple(stage_loads.get(c - loads + 1, ()))
+                  for c in range(done_cycle + 1))
+    process = ast.ControlProcess(steps, done_cycle - 1)
 
     header = (
         f"-- {spec.name}: multicycle custom-instruction datapath (opcode {spec.opcode}).",
@@ -205,11 +203,6 @@ def _clauses(decl: ast.ComponentDecl, indent: str) -> list[str]:
     ports = [f"{p.name} : {p.direction} {p.type_text}" for p in decl.ports]
     return [f"{indent}generic (", *_listed(generics, ";", f"{indent}  "), f"{indent});",
             f"{indent}port (", *_listed(ports, ";", f"{indent}  "), f"{indent});"]
-
-
-def emit_component_decl(decl: ast.ComponentDecl) -> str:
-    return "\n".join([f"  component {decl.name}", *_clauses(decl, "    "),
-                      "  end component;"])
 
 
 # The support entity: its generic and port clauses print from its
@@ -280,17 +273,17 @@ def _emit_process(proc: ast.ControlProcess, widths: dict[str, int]) -> str:
     lines = [f"  {PROCESS} : process (clk)", "  begin",
              "    if rising_edge(clk) then", "      if reset = '1' then",
              f"        {COUNTER} <= 0;", "        done <= '0';"]
-    lines += [f"        {register} <= (others => '0');" for register in proc.registers]
+    lines += [f"        {register} <= (others => '0');" for register in proc.registers()]
     lines += ["      elsif clk_en = '1' then", "        done <= '0';",
               f"        if {COUNTER} = 0 then", "          if start = '1' then"]
     indent = "            "   # step 0's branch nests inside the start test
-    for index, (loads, set_done) in enumerate(proc.steps):
+    for index, loads in enumerate(proc.steps):
         if index:
             indent = "          "
             lines.append(f"        elsif {COUNTER} = {index} then")
         lines += [f"{indent}{target} <= {emit_expr(expr, widths)};"
                   for target, expr in loads]
-        if set_done:
+        if index == proc.done_step:
             lines.append(f"{indent}done <= '1';")
         lines.append(f"{indent}{COUNTER} <= {proc.successor(index)};")
         if not index:
@@ -308,20 +301,15 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
                  "use ieee.numeric_std.all;"]
     if any(kind is not ConcatExtendGenerics for kind in kinds):
         libraries += ["library lpm;", "use lpm.lpm_components.all;"]
-    parts: list[str] = []
-    parts.append("\n".join(design.header_comment))
-    parts.append("\n".join(libraries))
-
-    parts.append("\n".join([
-        f"entity {design.name} is", "  port (",
-        *_listed([f"{port.name} : {port.direction} {_port_type(port)}"
-                  for port in ENTITY_PORTS], ";", "    "),
-        "  );", f"end entity {design.name};"]))
+    entity = [f"entity {design.name} is", "  port (",
+              *_listed([f"{port.name} : {port.direction} {_port_type(port)}"
+                        for port in ENTITY_PORTS], ";", "    "),
+              "  );", f"end entity {design.name};"]
 
     body: list[str] = [f"architecture {ARCHITECTURE} of {design.name} is"]
-    for kind in kinds:
-        body.append("")
-        body.append(emit_component_decl(kind.component.decl))
+    for decl in [kind.component.decl for kind in kinds]:
+        body += ("", f"  component {decl.name}", *_clauses(decl, "    "),
+                 "  end component;")
     body.append("")
     proc = arch.process
     body.append(f"  signal {COUNTER} : integer range 0 to {len(proc.steps) - 1};")
@@ -337,9 +325,9 @@ def emit_vhdl(design: ast.HdlDesign) -> str:
     body.append(_emit_process(proc, widths))
     body.append("")
     body.append(f"end architecture {ARCHITECTURE};")
-    parts.append("\n".join(body))
 
-    text = "\n\n".join(parts) + "\n"
+    text = "\n\n".join("\n".join(part) for part in (
+        design.header_comment, libraries, entity, body)) + "\n"
     if ConcatExtendGenerics in kinds:
         text += "\n" + SUPPORT_ENTITY_TEXT
     return text

@@ -113,6 +113,10 @@ def _plan_divide(node: OpNode, dfg: Dfg) -> InstancePlan:
     return InstancePlan(node.id, DivideGenerics(pn, pd, rep, rep), adapters)
 
 
+# each op kind's planner; every other kind is a division
+_PLANS = {OpKind.ADD: _plan_add_sub, OpKind.SUB: _plan_add_sub, OpKind.MUL: _plan_mult}
+
+
 def map_design(spec: CiSpec) -> MappedDesign:
     """Map a parsed spec: one instance per op node, planned by the node's
     kind, and the used operands paired two per load cycle in
@@ -123,12 +127,7 @@ def map_design(spec: CiSpec) -> MappedDesign:
     for node_id in analysis.operation_sequence:
         node = dfg.nodes[node_id]
         assert isinstance(node, OpNode)
-        if node.kind in (OpKind.ADD, OpKind.SUB):
-            instances.append(_plan_add_sub(node, dfg))
-        elif node.kind == OpKind.MUL:
-            instances.append(_plan_mult(node, dfg))
-        else:
-            instances.append(_plan_divide(node, dfg))
+        instances.append(_PLANS.get(node.kind, _plan_divide)(node, dfg))
     seq = analysis.operand_sequence
     loading = tuple((seq[i], seq[i + 1] if i + 1 < len(seq) else None)
                     for i in range(0, len(seq), 2))

@@ -12,6 +12,7 @@ is always valid JSON.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .errors import CigenError
 from .frontend import CiSpec, OpKind
@@ -77,10 +78,7 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
         speedup = sw / hw
     except OverflowError:
         raise CigenError("software cycle count is too large to report") from None
-    counts: dict[str, int] = {}
-    for inst in mapped.instances:
-        name = inst.generics.component.name
-        counts[name] = counts.get(name, 0) + 1
+    counts = dict(Counter(inst.generics.component.name for inst in mapped.instances))
     adapters = sum(a is not None for inst in mapped.instances for a in inst.adapters)
     if adapters:
         counts[ConcatExtendGenerics.component.name] = adapters
@@ -95,6 +93,7 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
         "components": counts, "adapters": adapters,
     }
     if power_mw is not None and time_ms is not None:
-        report["energy"] = {"P": float(power_mw), "T": float(time_ms),
-                            "E": energy_microjoules(power_mw, time_ms)}
+        # + 0.0 makes each figure a float and a negative zero 0.0
+        report["energy"] = {"P": power_mw + 0.0, "T": time_ms + 0.0,
+                            "E": energy_microjoules(power_mw, time_ms) + 0.0}
     return report

@@ -129,7 +129,7 @@ def reference_columns(spec: CiSpec, columns: dict[str, Column],
     nodes cannot raise; that vector's later values mean nothing.
     """
     dfg = spec.dfg
-    values = {leaf.id: columns[leaf.decl.name] for leaf in dfg.leaf_nodes()}
+    values = {leaf.id: columns[leaf.decl.name] for leaf in dfg.leaves}
     zero_divisor: list[int | None] = [None] * count
     for node_id in dfg.order:
         node = dfg.nodes[node_id]
@@ -285,9 +285,9 @@ class IndexedDesign:
     InternalCheckError for widths that break a component's or a load's
     contract, an instance with more or fewer wires than its component has
     ports, an undeclared name, a wire with no driver or two, a driver on a
-    register or an entity port other than result, an undeclared register, a
-    register no record and no load reads, a load of a non-register, a
-    combinational loop, or steps none of which sets done.
+    register or an entity port other than result, an undeclared register
+    (a load's target), a register no record and no load reads, a
+    combinational loop, or a done step that is none of the steps.
     """
 
     def __init__(self, design: ast.HdlDesign):
@@ -300,7 +300,12 @@ class IndexedDesign:
             if not 1 <= width <= MAX_INTERNAL_WIDTH:
                 raise InternalCheckError(f"{self.name}: {width}-bit {name}")
         process = arch.process
-        self.registers = process.registers
+        # the steps run in sequence from start, so done is high one enabled
+        # cycle past the step that sets it
+        if not 0 <= process.done_step < len(process.steps):
+            raise InternalCheckError(f"{self.name}: done is never set after start")
+        self.done_cycle = process.done_step + 1
+        self.registers = process.registers()
         registers = frozenset(self.registers)
         undeclared = registers.difference(signals)
         if undeclared:
@@ -317,18 +322,16 @@ class IndexedDesign:
             self._drive((kernel, params, reads, (target,)))
         self._lower_instances(arch.instances)
         self._programs = []
-        for index, (loads, set_done) in enumerate(process.steps):
+        for index, loads in enumerate(process.steps):
             program: list[Record | Load] = []
             done: dict[str | int, bool] = {}
             for target, expr in loads:
-                if target not in registers:
-                    raise InternalCheckError(f"{self.name}: step {index} loads "
-                                             f"{target}, which is no register")
                 kernel, params, reads, width = self._expr(expr)
                 if width != widths[target]:
                     raise self._mismatch(width, target)
                 self._walk((kernel, params, reads, target), done, program)
-            self._programs.append((program, set_done, process.successor(index)))
+            self._programs.append((program, index == process.done_step,
+                                   process.successor(index)))
         # the result port's program ends in a load of its value as it is
         self._result_program = self._walk((None, None, ("result",), "result"), {}, [])
         unread = registers.difference(itertools.chain.from_iterable(
@@ -336,12 +339,6 @@ class IndexedDesign:
                 self._drivers.values(), *(program for program, _, _ in self._programs))))
         if unread:
             raise InternalCheckError(f"{self.name}: register {min(unread)} is never read")
-        # the steps run in sequence from start, so done is high one enabled
-        # cycle past the first step that sets it
-        set_done = [step.set_done for step in process.steps]
-        if True not in set_done:
-            raise InternalCheckError(f"{self.name}: done is never set after start")
-        self.done_cycle = set_done.index(True) + 1
 
     def _width(self, name: str) -> int:
         width = self.widths.get(name)
@@ -503,7 +500,7 @@ def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
     to 32-bit patterns; an unsigned input's, in range, is its own and is
     shared, as columns are never written into."""
     ports: dict[str | None, Column] = {None: [0] * count}
-    for leaf in mapped.dfg.leaf_nodes():
+    for leaf in mapped.dfg.leaves:
         name, signed = leaf.decl.name, leaf.decl.signed
         ports[name] = [value & PORT_MASK for value in columns[name]] if signed \
             else columns[name]

@@ -5,10 +5,10 @@ read them directly, so neither parses emitted VHDL back in:
 ``hdl.validate_structure`` owns the naming rules, and ``sim.IndexedDesign``,
 which lowers them to execute, owns connectivity.  A record holds only what
 a check reads and not what its place says: an ``Assign`` is a concurrent
-assignment in ``Architecture.assigns`` and a register load in
-``ControlStep.loads``.  ``emit_vhdl`` derives the rest of the text from the
-records: the entity's ports, the port name each wire binds to and each
-step's successor.
+assignment in ``Architecture.assigns`` and a register load in a step of
+``ControlProcess.steps``.  ``emit_vhdl`` derives the rest of the text from
+the records: the entity's ports, the port name each wire binds to, the
+registers reset (``ControlProcess.registers``) and each step's successor.
 """
 
 from __future__ import annotations
@@ -92,21 +92,19 @@ class Assign(NamedTuple):
     expr: Expr
 
 
-class ControlStep(NamedTuple):
-    """One branch of the clocked control chain, guarded by the counter value
-    that is its position in ``ControlProcess.steps``.
-
-    Step 0 is additionally guarded by start.  set_done drives the done
-    register high for the following enabled cycle.
-    """
-    loads: tuple[Assign, ...]
-    set_done: bool
-
-
 class ControlProcess(NamedTuple):
-    """The clocked process.  Reset clears the counter, done and registers."""
-    steps: tuple[ControlStep, ...]
-    registers: tuple[str, ...]
+    """The clocked process.  Each step is one branch of the control chain,
+    the register loads guarded by the counter value that is its position
+    in steps; step 0 is additionally guarded by start.  done_step drives
+    the done register high for the following enabled cycle.  Reset clears
+    the counter, done and registers."""
+    steps: tuple[tuple[Assign, ...], ...]
+    done_step: int
+
+    def registers(self) -> tuple[str, ...]:
+        """The load targets in step order, each once."""
+        return tuple(dict.fromkeys(
+            target for loads in self.steps for target, _ in loads))
 
     def successor(self, index: int) -> int:
         """The counter value step index sets: the next step, or 0 after the

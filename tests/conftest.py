@@ -1,10 +1,15 @@
-"""Shared fixtures: the worked-example spec in two width flavors, plus a
-mixed-signedness divide/modulus spec; a helper that turns drawn columns
-into one dict per vector; helpers that run one component on single bit
-patterns; the wiring faults of the worked example's design; and
-the JSON schema of report.json."""
+"""Shared fixtures: the acceptance corpus and the benchmark's wide designs;
+the worked-example spec in two width flavors, plus a mixed-signedness
+divide/modulus spec; a helper that turns drawn columns into one dict per
+vector; helpers that run one component on single bit patterns; the wiring
+faults of the worked example's design; and the JSON schema of report.json."""
 
+import functools
+import importlib
+import random
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,8 +17,8 @@ import pytest
 from cigen import vhdl_ast as ast
 from cigen.cpatch import TokKind
 from cigen.errors import DivideByZero
-from cigen.frontend import OpKind, parse_ci_spec
-from cigen.fuzz import FuzzConfig
+from cigen.frontend import CiSpec, OpKind, parse_ci_spec
+from cigen.fuzz import FuzzConfig, random_spec, random_vectors
 from cigen.lpm import (BitVec, Direction, Extension, LpmGenerics,
                        Representation, mod_correct)
 from cigen.mapper import map_design
@@ -34,6 +39,40 @@ def pytest_make_parametrize_id(config, val, argname):
 CORPUS_SEED = 20260814
 CORPUS_CONFIG = FuzzConfig(max_inputs=6, max_depth=6, widths=(4, 8, 16, 32))
 CORPUS_VECTORS = 200
+
+
+@functools.cache
+def corpus() -> tuple[tuple[CiSpec, dict[str, list[int]]], ...]:
+    """The 500 specs of the acceptance corpus, each with the vectors drawn
+    after it.  The columns are shared: never write into them."""
+    rng = random.Random(CORPUS_SEED)
+    drawn = []
+    for index in range(500):
+        spec = random_spec(rng, f"fz{index}", CORPUS_CONFIG)
+        drawn.append((spec, random_vectors(rng, spec, CORPUS_VECTORS)))
+    return tuple(drawn)
+
+
+@functools.cache
+def wide_specs() -> tuple[CiSpec, ...]:
+    """The benchmark's five wide-build designs, as bench/workloads.py's
+    generators write them."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)   # as bench/run.py imports it
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)   # its latency formula recurses
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            ops = workloads.wide_build(Path(work), 1)
+            texts = [Path(op.argv[1]).read_text() for op in ops]
+    finally:
+        sys.setrecursionlimit(limit)
+    return tuple(map(parse_ci_spec, texts))
+
 
 # Three 32-bit signed operands, multiply-accumulate.  All widths equal, so
 # the mapped design needs no width adapters and the emitted file has no
@@ -174,12 +213,13 @@ def _with_process(design: ast.HdlDesign, **changes) -> ast.HdlDesign:
 def done_one_step_late(design: ast.HdlDesign) -> ast.HdlDesign:
     """design with done set by the step after the one that sets it."""
     process = design.architecture.process
-    steps = list(process.steps)
-    index = next(i for i, step in enumerate(steps) if step.set_done)
-    later = process.successor(index)
-    steps[index] = steps[index]._replace(set_done=False)
-    steps[later] = steps[later]._replace(set_done=True)
-    return _with_process(design, steps=tuple(steps))
+    return _with_process(design, done_step=process.successor(process.done_step))
+
+
+def done_past_the_last_step(design: ast.HdlDesign) -> ast.HdlDesign:
+    """design with done set by a step past the last, so never."""
+    process = design.architecture.process
+    return _with_process(design, done_step=len(process.steps))
 
 
 def unread_registers(design: ast.HdlDesign) -> set[str]:
@@ -188,7 +228,7 @@ def unread_registers(design: ast.HdlDesign) -> set[str]:
     arch = design.architecture
     read = {wire for inst in arch.instances for wire in inst.wires}
     exprs = [assign.expr for assign in arch.assigns]
-    exprs += [load.expr for step in arch.process.steps for load in step.loads]
+    exprs += [load.expr for loads in arch.process.steps for load in loads]
     while exprs:
         expr = exprs.pop()
         if isinstance(expr, ast.Resize):
@@ -197,13 +237,13 @@ def unread_registers(design: ast.HdlDesign) -> set[str]:
             read.update((expr.remainder, expr.divisor))
         else:
             read.add(expr.name)
-    return set(arch.process.registers) - read
+    return set(arch.process.registers()) - read
 
 
 def load_kinds(design: ast.HdlDesign) -> set[type]:
     """The record classes of the expressions design's steps load."""
-    return {type(load.expr) for step in design.architecture.process.steps
-            for load in step.loads}
+    return {type(load.expr) for loads in design.architecture.process.steps
+            for load in loads}
 
 
 def with_unread_register(design: ast.HdlDesign) -> ast.HdlDesign:
@@ -211,11 +251,9 @@ def with_unread_register(design: ast.HdlDesign) -> ast.HdlDesign:
     and loaded from w_3 on the last step, but read by nothing."""
     arch = design.architecture
     *steps, last = arch.process.steps
-    last = last._replace(loads=last.loads + (ast.Assign("s_3", ast.Ref("w_3")),))
+    last = (*last, ast.Assign("s_3", ast.Ref("w_3")))
     return with_arch(design, signals=arch.signals + (ast.SignalDecl("s_3", 32),),
-                     process=arch.process._replace(
-                         steps=(*steps, last),
-                         registers=arch.process.registers + ("s_3",)))
+                     process=arch.process._replace(steps=(*steps, last)))
 
 
 # --- wiring faults of the worked example's design (u_mul_0 drives w_1_p,
@@ -255,8 +293,7 @@ def _undeclared_assign_target(design: ast.HdlDesign) -> ast.HdlDesign:
 
 def _undeclared_load_target(design: ast.HdlDesign) -> ast.HdlDesign:
     first, step, *rest = design.architecture.process.steps
-    step = step._replace(loads=step.loads + (
-        ast.Assign("s_ghost", ast.Ref("r_a")),))
+    step = (*step, ast.Assign("s_ghost", ast.Ref("r_a")))
     return _with_process(design, steps=(first, step, *rest))
 
 
@@ -265,16 +302,11 @@ def _driven_start(design: ast.HdlDesign) -> ast.HdlDesign:
         ast.Assign("start", ast.Slice("r_a", 1)),))
 
 
-def _undeclared_reset_register(design: ast.HdlDesign) -> ast.HdlDesign:
-    registers = design.architecture.process.registers
-    return _with_process(design, registers=registers + ("s_ghost",))
-
-
 def _off_chain_load(design: ast.HdlDesign) -> ast.HdlDesign:
     # the appended step 4 runs only after done, on the way back to idle
     steps = design.architecture.process.steps
-    return _with_process(design, steps=steps + (ast.ControlStep(
-        (ast.Assign("s_ghost", ast.Ref("r_a")),), False),))
+    return _with_process(design, steps=steps + (
+        (ast.Assign("s_ghost", ast.Ref("r_a")),),))
 
 
 # Each wiring fault with the message sim.IndexedDesign refuses it with.
@@ -295,13 +327,10 @@ WIRING_FAULTS = [
     pytest.param(_undeclared_assign_target, "w_ghost is not declared",
                  id="assign-target"),
     pytest.param(_undeclared_load_target,
-                 "step 1 loads s_ghost, which is no register", id="load-target"),
+                 "register s_ghost is not a declared signal", id="load-target"),
     pytest.param(_driven_start, "start is driven combinationally",
                  id="assign-target-start"),
-    pytest.param(_undeclared_reset_register,
-                 "register s_ghost is not a declared signal",
-                 id="load-target-reset"),
-    pytest.param(_off_chain_load, "step 4 loads s_ghost, which is no register",
+    pytest.param(_off_chain_load, "register s_ghost is not a declared signal",
                  id="load-target-off-chain"),
 ]
 

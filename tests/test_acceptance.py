@@ -7,21 +7,15 @@ of builds, C source patching, and the energy estimate.
 """
 
 import hashlib
-import importlib
 import json
 import math
 import random
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from conftest import (
-    CORPUS_CONFIG,
-    CORPUS_SEED,
-    CORPUS_VECTORS,
     GOLDEN_DIR,
     MAC_TEXT,
     MOD_TEXT,
@@ -32,6 +26,8 @@ from conftest import (
     rows,
     run_component,
     unread_registers,
+    corpus,
+    wide_specs,
     wrapped,
 )
 from cigen import cli
@@ -51,8 +47,6 @@ from cigen.lpm import ConcatExtendGenerics, DivideGenerics, Representation
 from cigen.mapper import map_design
 from cigen.metrics import DEFAULT_COSTS, estimate_metrics
 from cigen.sim import Stimulus, check_equivalence, simulate_ci
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestWorkedExample:
@@ -79,14 +73,11 @@ class TestWorkedExample:
 class TestDifferentialEquivalence:
     def test_five_hundred_specs_against_the_reference(self):
         begin = time.perf_counter()
-        rng = random.Random(CORPUS_SEED)
         kinds_seen = set()
-        for index in range(500):
-            spec = random_spec(rng, f"fz{index}", CORPUS_CONFIG)
+        for spec, vectors in corpus():
             mapped = map_design(spec)
             for node_id in mapped.analysis.operation_sequence:
                 kinds_seen.add(mapped.dfg.nodes[node_id].kind)
-            vectors = random_vectors(rng, spec, CORPUS_VECTORS)
             design = build_design(spec, mapped)
             assert unread_registers(design) == set()
             assert check_equivalence(spec, mapped, vectors, design) == []
@@ -220,11 +211,8 @@ class TestPinnedArtifacts:
     shows in any of them, not only in the three goldens."""
 
     def test_build_artifacts_hash_to_the_recorded_digest(self):
-        specs = [parse_ci_spec(NARROW_TEXT), parse_ci_spec(MOD_TEXT)]
-        rng = random.Random(CORPUS_SEED)
-        for index in range(100):
-            specs.append(random_spec(rng, f"fz{index}", CORPUS_CONFIG))
-            random_vectors(rng, specs[-1], CORPUS_VECTORS)
+        specs = [parse_ci_spec(NARROW_TEXT), parse_ci_spec(MOD_TEXT),
+                 *(spec for spec, _ in corpus()[:100])]
         vhdl, rest = hashlib.sha256(), hashlib.sha256()
         for spec in specs:
             mapped = map_design(spec)
@@ -248,25 +236,14 @@ class TestPinnedWideDesigns:
     Each declares no register that nothing reads, and loads only a Ref or
     a Slice of a signal."""
 
-    def test_wide_vhdl_hashes_to_the_recorded_digest(self, monkeypatch,
-                                                     tmp_path):
-        # the benchmark's generators, imported as bench/run.py imports them
-        monkeypatch.syspath_prepend(str(ROOT / "bench"))
-        workloads = importlib.import_module("workloads")
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + 2000)
-        try:
-            ops = workloads.wide_build(tmp_path, 1)
-        finally:
-            sys.setrecursionlimit(limit)
+    def test_wide_vhdl_hashes_to_the_recorded_digest(self):
         digest = hashlib.sha256()
-        for op in ops:
-            spec = parse_ci_spec(Path(op.argv[1]).read_text())
+        for spec in wide_specs():
             design = build_design(spec, map_design(spec))
             assert unread_registers(design) == set()
             assert load_kinds(design) <= {ast.Ref, ast.Slice}
             digest.update(emit_vhdl(design).encode() + b"\0")
-        assert len(ops) == 5
+        assert len(wide_specs()) == 5
         assert digest.hexdigest() == WIDE_VHDL_SHA256
 
 

@@ -30,6 +30,7 @@ from conftest import (
     WIRING_FAULTS,
     chain_text,
     done_one_step_late,
+    done_past_the_last_step,
     nested_text,
     with_unread_register,
 )
@@ -590,12 +591,11 @@ def _swap_add_sub_operands(design: ast.HdlDesign) -> ast.HdlDesign:
 def _drop_first_stage_load(design: ast.HdlDesign) -> ast.HdlDesign:
     proc = design.architecture.process
     index = next(i for i, step in enumerate(proc.steps)
-                 if any(load.target.startswith("s_") for load in step.loads))
+                 if any(load.target.startswith("s_") for load in step))
     step = proc.steps[index]
-    dropped = next(load for load in step.loads if load.target.startswith("s_"))
+    dropped = next(load for load in step if load.target.startswith("s_"))
     steps = list(proc.steps)
-    steps[index] = step._replace(
-        loads=tuple(load for load in step.loads if load is not dropped))
+    steps[index] = tuple(load for load in step if load is not dropped)
     return design._replace(architecture=design.architecture._replace(
         process=proc._replace(steps=tuple(steps))))
 
@@ -603,11 +603,10 @@ def _drop_first_stage_load(design: ast.HdlDesign) -> ast.HdlDesign:
 def _narrow_first_slice(design: ast.HdlDesign) -> ast.HdlDesign:
     proc = design.architecture.process
     first, *rest = proc.steps
-    load = next(load for load in first.loads if isinstance(load.expr, ast.Slice))
+    load = next(load for load in first if isinstance(load.expr, ast.Slice))
     narrow = load._replace(expr=ast.Slice(load.expr.name,
                                           load.expr.width - 1))
-    first = first._replace(loads=tuple(
-        narrow if other is load else other for other in first.loads))
+    first = tuple(narrow if other is load else other for other in first)
     return design._replace(architecture=design.architecture._replace(
         process=proc._replace(steps=(first, *rest))))
 
@@ -659,8 +658,10 @@ class TestBuildChecksTheWrittenDesign:
         (MAC_TEXT, _swap_first_steps),
         (MAC_TEXT, _repeat_second_step),
         (UNDEFINED_TEXT, done_one_step_late),
+        (MAC_TEXT, done_past_the_last_step),
     ], ids=["swapped-operands", "dropped-load", "narrow-slice",
-            "swapped-steps", "repeated-step", "late-done-every-vector-faults"])
+            "swapped-steps", "repeated-step", "late-done-every-vector-faults",
+            "done-past-the-last-step"])
     def test_mutated_design_is_refused(self, tmp_path, capsys, monkeypatch,
                                        text, mutate):
         self._build(tmp_path, capsys, monkeypatch, text, mutate)
@@ -983,6 +984,23 @@ class TestReport:
                                "--time", "10")
         assert code == 0
         assert json.loads(stdout)["energy"]["E"] == 2980.0
+
+    def test_negative_zero_is_reported_as_zero(self, tmp_path, capsys, spec_file):
+        # the flag and config paths print and write an unsigned zero
+        code, stdout, _ = _run(capsys, "report", spec_file,
+                               "--power", "298", "--time", "-0.0")
+        assert code == 0
+        assert "energy:      E = 0.000 uJ (298.0 mW x 0.0 ms)" in stdout
+        config = tmp_path / "cfg.json"
+        config.write_text('{"power_mw": -0.0, "time_ms": 10}')
+        assert _run(capsys, "build", spec_file, "-o", tmp_path / "out",
+                    "--vectors", "16", "--config", config)[0] == 0
+        code, stdout, _ = _run(capsys, "report", spec_file, "--json",
+                               "--config", config)
+        assert code == 0
+        for text in (stdout, (tmp_path / "out" / "report.json").read_text()):
+            assert '"energy": {\n    "P": 0.0,\n    "T": 10.0,\n    "E": 0.0\n  }' \
+                in text
 
 
     @pytest.mark.parametrize("flags", [("--power", "inf", "--time", "0"),

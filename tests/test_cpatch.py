@@ -1071,7 +1071,7 @@ def spec_match_tree(spec: CiSpec) -> Tree | None:
     an operator C cannot spell."""
     dfg = spec.dfg
     trees: dict[int, Tree] = {leaf.id: ("leaf", leaf.decl.name)
-                              for leaf in dfg.leaf_nodes()}
+                              for leaf in dfg.leaves}
     for node_id in dfg.order:
         node = dfg.nodes[node_id]
         symbol = _OP_SYMBOL.get(node.kind)

@@ -412,7 +412,7 @@ class TestDfg:
         text = _spec("input a: signed<8>; input b: signed<8>;"
                      "output x: signed<8>; x = (a + b) - (a + b);")
         dfg = parse_ci_spec(text).dfg
-        assert len(dfg.leaf_nodes()) == 2
+        assert len(dfg.leaves) == 2
         adds = [n for n in (dfg.nodes[i] for i in dfg.order) if n.kind == OpKind.ADD]
         assert len(adds) == 2
         assert adds[0].id != adds[1].id
@@ -420,7 +420,7 @@ class TestDfg:
     def test_repeated_operand_is_one_node(self):
         dfg = parse_ci_spec(_spec(
             "input a: signed<8>; output x: signed<8>; x = a * a;")).dfg
-        assert len(dfg.leaf_nodes()) == 1
+        assert len(dfg.leaves) == 1
         (op,) = (dfg.nodes[i] for i in dfg.order)
         assert op.left == op.right
 
@@ -454,8 +454,9 @@ class TestDfg:
     def test_node_ids_are_in_order_walk(self, mac_spec):
         # a=0, mul=1, b=2, add=3, c=4: left subtree, self, right subtree.
         dfg = mac_spec.dfg
-        ids = {n.decl.name: n.id for n in dfg.leaf_nodes()}
+        ids = {n.decl.name: n.id for n in dfg.leaves}
         assert ids == {"a": 0, "b": 2, "c": 4}
+        assert dfg.leaves == (dfg.nodes[0], dfg.nodes[2], dfg.nodes[4])
         kinds = {i: dfg.nodes[i].kind for i in dfg.order}
         assert kinds == {1: OpKind.MUL, 3: OpKind.ADD}
 

@@ -39,7 +39,7 @@ from cigen.lpm import (
     MultGenerics,
     Representation,
 )
-from cigen.mapper import map_design
+from cigen.mapper import done_cycle_enabled, map_design
 from cigen.sim import (
     IndexedDesign,
     check_equivalence,
@@ -51,8 +51,10 @@ from conftest import (
     MAC_TEXT,
     MOD_TEXT,
     NARROW_TEXT,
+    corpus,
     declared_components,
     unread_registers,
+    wide_specs,
 )
 
 
@@ -75,8 +77,8 @@ def _counter_range(text: str) -> int:
 def _load_sources(design: ast.HdlDesign) -> dict[str, str]:
     """Each loaded register and the signal its load reads."""
     return {load.target: load.expr.name
-            for step in design.architecture.process.steps
-            for load in step.loads}
+            for loads in design.architecture.process.steps
+            for load in loads}
 
 
 def _result_source(design: ast.HdlDesign) -> str:
@@ -192,7 +194,7 @@ class TestDesignShape:
         assert design.architecture.instances == ()
         # no op node: result reads the input register, the one register
         assert _result_source(design) == "r_a"
-        assert design.architecture.process.registers == ("r_a",)
+        assert design.architecture.process.registers() == ("r_a",)
         text = emit_vhdl(design)
         assert declared_components(text) == []
         assert "library ieee;\nuse ieee.std_logic_1164.all;\n" \
@@ -219,17 +221,28 @@ class TestDesignShape:
     def test_control_sets_done_once(self, mac_spec, mac_mapped):
         design = build_design(mac_spec, mac_mapped)
         proc = design.architecture.process
-        assert [s.set_done for s in proc.steps].count(True) == 1
+        assert proc.done_step == 2
         assert len(proc.steps) == 4
         text = emit_vhdl(design)
+        assert text.count("done <= '1';") == 1
+        assert "done <= '1';" in text.split("elsif cnt = 2 then")[1].split("elsif")[0]
         # each step leads to the next, the last back to idle
         assert [proc.successor(i) for i in range(4)] == [1, 2, 3, 0]
         assert "cnt <= 0;" in text.split("elsif cnt = 3 then")[1]
         assert _counter_range(text) == 3
         assert f"  {PROCESS} : process (clk)" in text.splitlines()
-        assert set(proc.registers) == {"r_a", "r_b", "r_c", "s_1"}
+        assert proc.registers() == ("r_a", "r_b", "r_c", "s_1")
         # the last step, after done, only returns to idle
-        assert proc.steps[-1].loads == ()
+        assert proc.steps[-1] == ()
+
+    def test_a_second_done_step_cannot_be_built(self, mac_spec, mac_mapped):
+        # a step is its loads alone and the process names one done step, so
+        # no design sets done on two steps
+        proc = build_design(mac_spec, mac_mapped).architecture.process
+        assert ast.ControlProcess._fields == ("steps", "done_step")
+        assert {type(load) for loads in proc.steps for load in loads} == {ast.Assign}
+        with pytest.raises(TypeError):
+            ast.ControlProcess(proc.steps, proc.done_step, len(proc.steps) - 1)
 
     def test_steps_run_in_sequence(self):
         # the printed counter assignments are each step's successor: the
@@ -242,6 +255,59 @@ class TestDesignShape:
             count = len(design.architecture.process.steps)
             assert [int(n) for n in re.findall(r"cnt <= (\d+);", text)] == \
                 [*range(1, count), 0]
+
+
+def _printed_control(text: str) -> tuple[list[int], list[str], list[str]]:
+    """From the VHDL text alone: the counter value of each branch of the
+    control process that sets done, the names its reset assigns but the
+    counter and done, and the names its steps load, each once, in the
+    order of their first load."""
+    process = text.split(f"  {PROCESS} : process (clk)\n")[1]
+    reset, steps = process.split("      elsif clk_en = '1' then\n")
+    resets = [name for name in re.findall(r"^ +(\w+) <= ", reset, re.MULTILINE)
+              if name not in (COUNTER, "done")]
+    done_steps, loads, step = [], {}, None
+    for line in steps.split(f"  end process {PROCESS};")[0].splitlines():
+        branch = re.fullmatch(rf" +(?:els)?if {COUNTER} = (\d+) then", line)
+        target = re.match(r" +(\w+) <= ", line)
+        if branch:
+            step = int(branch[1])
+        elif line.strip() == "done <= '1';":
+            done_steps.append(step)
+        elif target and target[1] not in (COUNTER, "done"):
+            loads.setdefault(target[1])
+    return done_steps, resets, list(loads)
+
+
+class TestPrintedControlProcess:
+    """Read from the emitted VHDL text, not the records: done is set once,
+    in the branch of the counter value one before the latency contract's
+    done cycle, and reset clears exactly the loaded registers, in the
+    order of their first load."""
+
+    @staticmethod
+    def _check(text: str, done_cycle: int) -> None:
+        assert text.count("done <= '1';") == 1
+        done_steps, resets, loads = _printed_control(text)
+        assert done_steps == [done_cycle - 1]
+        assert resets == loads
+
+    @pytest.mark.parametrize("text, golden", [(MAC_TEXT, "f.vhd"),
+                                              (NARROW_TEXT, "g.vhd"),
+                                              (MOD_TEXT, "h.vhd")],
+                             ids=["f", "g", "h"])
+    def test_goldens(self, golden_dir, text, golden):
+        mapped = map_design(parse_ci_spec(text))
+        self._check((golden_dir / golden).read_text(), done_cycle_enabled(mapped))
+
+    @pytest.mark.parametrize("specs", [
+        lambda: [spec for spec, _ in corpus()], wide_specs],
+        ids=["acceptance-corpus", "wide-designs"])
+    def test_generated(self, specs):
+        for spec in specs():
+            mapped = map_design(spec)
+            self._check(emit_vhdl(build_design(spec, mapped)),
+                        done_cycle_enabled(mapped))
 
 
 class TestDividerOutput:
@@ -423,7 +489,7 @@ class TestFuzzedStructure:
         assert len(op_instances) == len(mapped.instances)
         # every register is read, and every op node but the root has one
         assert unread_registers(design) == set()
-        registers = design.architecture.process.registers
+        registers = design.architecture.process.registers()
         if mapped.instances:
             assert sum(r.startswith("s_") for r in registers) == \
                 len(mapped.instances) - 1

@@ -135,6 +135,13 @@ class TestReport:
         assert full["energy"] == {"P": 298.0, "T": 10.0, "E": 2980.0}
         assert list(full)[-1] == "energy"
 
+    def test_negative_zero_figures_are_zero(self, mac_spec, mac_mapped):
+        for power, time in ((-0.0, 10), (298, -0.0), (-0.0, -0.0)):
+            energy = estimate_metrics(mac_spec, mac_mapped, power_mw=power,
+                                      time_ms=time)["energy"]
+            assert [str(value) for value in energy.values()] == \
+                [str(float(abs(power))), str(float(abs(time))), "0.0"]
+
     def test_adapters_count_as_components(self, narrow_spec, narrow_mapped):
         report = estimate_metrics(narrow_spec, narrow_mapped)
         assert report["adapters"] == sum(

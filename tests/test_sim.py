@@ -19,10 +19,13 @@ from conftest import (
     NARROW_TEXT,
     UNDEFINED_TEXT,
     WIRING_FAULTS,
+    corpus,
+    done_past_the_last_step,
     done_one_step_late,
     load_kinds,
     rows,
     with_arch,
+    wide_specs,
     with_unread_register,
     wrapped,
 )
@@ -223,7 +226,7 @@ C_MAIN = """
 int main(void)
 {
     int k, n;
-    int64_t in[16];
+    int64_t in[1024];
     while (scanf("%d %d", &k, &n) == 2) {
         for (int i = 0; i < n; i++)
             if (scanf("%" SCNd64, &in[i]) != 1)
@@ -255,7 +258,7 @@ def c_function(spec: CiSpec, name: str) -> str:
     slot = {decl.name: k for k, decl in enumerate(spec.inputs)}
     lines = [f"static void {name}(const int64_t *in)", "{"]
     lines += [f"    int64_t v{leaf.id} = in[{slot[leaf.decl.name]}];"
-              for leaf in dfg.leaf_nodes()]
+              for leaf in dfg.leaves]
     for node_id in dfg.order:
         node = dfg.nodes[node_id]
         a, b = f"v{node.left}", f"v{node.right}"
@@ -333,18 +336,20 @@ _GCC = shutil.which("gcc")
 class TestOracleSameAsGcc:
     """reference_columns agrees with gcc running each spec's dataflow graph
     as C (differential testing, after McKeeman 1998): the same result port,
-    or a zero divisor at the same node.  One program holds every spec."""
+    or a zero divisor at the same node.  One program holds the chosen specs,
+    a second the acceptance corpus and the wide designs."""
 
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
-        cases = gcc_cases()
+    @staticmethod
+    def _run(cases, directory, optimize):
+        """cases compiled into one program at the optimize level and run:
+        the cases and the lines it prints."""
         names = [f"f{k}" for k in range(len(cases))]
-        program = tmp_path_factory.mktemp("oracle") / "oracle"
+        program = directory / "oracle"
         source = C_PRELUDE + "".join(
             c_function(spec, name) for (spec, _, _), name in zip(cases, names)) \
             + f"static void (*const functions[])(const int64_t *) = {{{', '.join(names)}}};\n" \
             + C_MAIN
-        subprocess.run([_GCC, "-std=c99", "-O1", "-Wall", "-Wextra", "-Werror",
+        subprocess.run([_GCC, "-std=c99", optimize, "-Wall", "-Wextra", "-Werror",
                         "-x", "c", "-", "-o", str(program)], input=source.encode(),
                        check=True, timeout=60)
         stdin = "".join(
@@ -354,9 +359,29 @@ class TestOracleSameAsGcc:
                               capture_output=True, check=True, timeout=60)
         return cases, done.stdout.decode().splitlines()
 
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        return self._run(gcc_cases(), tmp_path_factory.mktemp("oracle"), "-O1")
+
+    @pytest.fixture(scope="class")
+    def corpus_run(self, tmp_path_factory):
+        # the acceptance corpus at 256 vectors, the wide designs at 4
+        rng = random.Random(31)
+        cases = [(spec, random_vectors(rng, spec, count), count)
+                 for specs, count in (([s for s, _ in corpus()], 256),
+                                      (wide_specs(), 4))
+                 for spec in specs]
+        # its 11 000 lines of C compile about four times faster at -O0
+        return self._run(cases, tmp_path_factory.mktemp("corpus"), "-O0")
+
     def test_no_difference(self, run):
         cases, printed = run
         assert len(printed) == sum(count for _, _, count in cases) == 52 * 256
+        assert oracle_differences(cases, printed) == []
+
+    def test_no_difference_over_the_corpus(self, corpus_run):
+        cases, printed = corpus_run
+        assert len(printed) == 500 * 256 + 5 * 4
         assert oracle_differences(cases, printed) == []
 
     @pytest.mark.parametrize("old, new", [
@@ -652,12 +677,6 @@ def _cut_steps(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(design, process=process._replace(steps=process.steps[:2]))
 
 
-def _never_done(design: ast.HdlDesign) -> ast.HdlDesign:
-    process = design.architecture.process
-    return with_arch(design, process=process._replace(steps=tuple(
-        step._replace(set_done=False) for step in process.steps)))
-
-
 def _result_reads_itself(design: ast.HdlDesign) -> ast.HdlDesign:
     return with_arch(design, assigns=(ast.Assign("result", ast.Ref("result")),))
 
@@ -690,13 +709,12 @@ def _with_load_in_step_2(design: ast.HdlDesign, expr: ast.Expr,
     reads, loaded from expr on step 2 after s_1 <= w_1_p."""
     arch = design.architecture
     first, second, third, *rest = arch.process.steps
-    third = third._replace(loads=third.loads + (ast.Assign("s_x", expr),))
+    third = (*third, ast.Assign("s_x", expr))
     return with_arch(
         design,
         signals=arch.signals + (ast.SignalDecl("s_x", width), ast.SignalDecl("w_x", width)),
         assigns=arch.assigns + (ast.Assign("w_x", ast.Ref("s_x")),),
-        process=arch.process._replace(steps=(first, second, third, *rest),
-                                      registers=arch.process.registers + ("s_x",)))
+        process=arch.process._replace(steps=(first, second, third, *rest)))
 
 
 class TestLoweringChecks:
@@ -706,7 +724,8 @@ class TestLoweringChecks:
 
     @pytest.mark.parametrize("mutate, message", [
         (_cut_steps, "done is never set"),
-        (_never_done, "done is never set"),
+        pytest.param(done_past_the_last_step, "done is never set",
+                     id="_never_done-done is never set"),
         (_result_reads_itself, "combinational loop"),
         *WIRING_FAULTS,
         (_signal_of_65_bits, "f: 65-bit w_wide"),
@@ -948,7 +967,7 @@ def scalar_eval_reference(spec: CiSpec, inputs: dict[str, int],
     input_columns(spec, [inputs])   # raises for a bad input
     if dfg is None:
         dfg = spec.dfg
-    value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaf_nodes()}
+    value = {leaf.id: inputs[leaf.decl.name] for leaf in dfg.leaves}
     for node_id in dfg.order:
         node = dfg.nodes[node_id]
         left, right = value[node.left], value[node.right]
@@ -1073,7 +1092,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
     limit = stim.start_cycle + 4 * (done_target + 2) + \
         len(stim.clk_en_low) + len(stim.reset_cycles) + 8
 
-    cleared = {name: [0] for name in process.registers}
+    cleared = {name: [0] for name in process.registers()}
     values = dict(cleared)   # registers and ports
     cnt = 0
     done = False
@@ -1094,7 +1113,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
             faults: set[int] = set()
             row_result = wires.wire("result", values, faults, {})[0]
             row_regs = {"cnt": cnt}
-            row_regs.update((name, values[name][0]) for name in process.registers)
+            row_regs.update((name, values[name][0]) for name in process.registers())
             rows.append({
                 "cycle": cycle, "clk_en": int(clk_en),
                 "start": int(wants_start), "dataa": values["dataa"][0],
@@ -1132,11 +1151,10 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                 continue
             started = True
             enabled_count = 0
-        step = process.steps[cnt]
         latched = []
         faults = set()
         computed: dict = {}
-        for target, expr in step.loads:
+        for target, expr in process.steps[cnt]:
             latched.append((target, wires.value(expr, values, faults, computed)))
             if faults:
                 node = next((n for n in mapped.analysis.operation_sequence
@@ -1144,7 +1162,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
                 raise DivideByZero("zero divisor latched",
                                    cycle=enabled_count, node=node)
         values.update(latched)
-        done = step.set_done
+        done = cnt == process.done_step
         cnt = process.successor(cnt)
         enabled_count += 1
 
