@@ -337,7 +337,7 @@ def _cmd_patch(args: argparse.Namespace) -> int:
     source_path = Path(args.source)
     source = _read_text(source_path, "C source", newline="")   # its line ends kept
 
-    plan = rewrite(source, spec, mapped)
+    plan = rewrite(source, spec)
     header_dir = Path(args.header_dir) if args.header_dir else source_path.parent
     header_path = header_dir / header_filename(spec)
     out_path = source_path if args.in_place else source_path.with_suffix(".ci.c")

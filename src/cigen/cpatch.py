@@ -460,7 +460,7 @@ def emit_header(spec: CiSpec, mapped: MappedDesign,
     arguments pass through the 32-bit operand registers unchanged.
     """
     macro = call_macro_name(spec)
-    params = ", ".join(f"p_{name}" for name in mapped.analysis.operand_sequence)
+    params = ", ".join(f"p_{leaf.decl.name}" for leaf in spec.dfg.leaves)
     cast = "int" if spec.output.signed else "unsigned int"
     calls = [f"{intrinsic}({macro}_OPCODE, (int) (p_{first}), "
              + (f"(int) (p_{second}))" if second is not None else "0)")
@@ -540,7 +540,7 @@ def _include(source: str, spliced: str, table, includes,
         f'#include "{header}"'
 
 
-def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
+def rewrite(source: str, spec: CiSpec) -> PatchPlan:
     """Replace every occurrence of the spec expression with the invocation
     macro and make sure the header is included once; raise CigenError
     when nothing is left to patch, so that a second rewrite of a patched
@@ -552,7 +552,7 @@ def rewrite(source: str, spec: CiSpec, mapped: MappedDesign) -> PatchPlan:
             f"no occurrence of the {spec.name} expression found"
             if _spelled_in_c(spec.dfg) else f"{spec.name} uses flooring "
             "modulus, which no C operator computes; rewrite the C call site by hand")
-    args = ", ".join(mapped.analysis.operand_sequence)
+    args = ", ".join(leaf.decl.name for leaf in spec.dfg.leaves)
     replacement = f"{call_macro_name(spec)}({args})"
     edits = [(site.start, site.end, replacement) for site in sites]
     pieces, last = [], 0

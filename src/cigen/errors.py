@@ -20,19 +20,18 @@ class InternalCheckError(Exception):
 
 
 class SpecSyntaxError(CigenError):
-    """Any error in CI spec text.  Carries position and the expected token."""
+    """Any error in CI spec text.  Carries its line and column."""
 
     def __init__(self, message: str, line: int, col: int, expected: str | None = None):
         self.line = line
         self.col = col
-        self.expected = expected
         suffix = f" (expected {expected})" if expected else ""
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
 class DivideByZero(CigenError):
-    """Division with a zero divisor.  Carries the node that met it and, in
-    simulation, the enabled cycle, which the message names."""
+    """Division with a zero divisor.  Carries the first node in Dfg.order
+    that met it and, in simulation, the enabled cycle the message names."""
 
     def __init__(self, message: str = "divide by zero", cycle: int | None = None,
                  node: int | None = None):

@@ -1,4 +1,4 @@
-"""CI spec frontend: parse the spec DSL into its dataflow graph, analyze it.
+"""CI spec frontend: parse the spec DSL into its dataflow graph and schedule.
 
 The DSL describes one custom instruction as declared operands plus a single
 arithmetic assignment:
@@ -169,9 +169,11 @@ class Dfg(NamedTuple):
     the in-order position in the expression tree.  Leaves are deduplicated;
     operation nodes are not.  level(leaf) = 0 and
     level(op) = 1 + max(level(children)); widths follow op_result_width, and
-    a node is signed when either child is.  order lists the op ids children
-    first, so a single loop over it evaluates the graph; leaves lists the
-    leaf nodes by id.
+    a node is signed when either child is.  order lists the op ids by
+    ascending level, ties broken by id: the ASAP schedule, in which the
+    mapper makes the instances and the hardware latches the nodes.  It is
+    children first, so a single loop over it evaluates the graph.  leaves
+    lists the leaf nodes by id, the order the operands are loaded in.
     """
     nodes: tuple[DfgNode, ...]
     root: int
@@ -180,18 +182,6 @@ class Dfg(NamedTuple):
     signed: dict[int, bool]
     order: tuple[int, ...]
     leaves: tuple[LeafNode, ...]
-
-
-class AnalysisResult(NamedTuple):
-    """Level-priority schedule extracted from a DFG.
-
-    operand_sequence lists used inputs by first appearance left to right.
-    operation_sequence lists op node ids by ascending level, ties broken by
-    source position, so it is a valid execution order.
-    """
-    operand_sequence: tuple[str, ...]
-    operation_sequence: tuple[int, ...]
-    max_level: int
 
 
 # One token per match: the white space and comments before it, then the
@@ -390,7 +380,6 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
     level: dict[int, int] = {}
     width: dict[int, int] = {}
     signed: dict[int, bool] = {}
-    order: list[int] = []
     operands: list[tuple[ExprTree, int]] = []
     pending: list[tuple[tuple[int, str, str], int, int] | None] = []
     open_parens = 0
@@ -411,7 +400,6 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
         level[node_id] = depth
         width[node_id] = op_result_width(kind, width[left_id], width[right_id])
         signed[node_id] = is_signed
-        order.append(node_id)
         operands.append((BinOp(kind, left, right), node_id))
 
     while True:
@@ -458,13 +446,8 @@ def _parse_expr(p: _Parser, decls: dict[str, OperandDecl]) -> tuple[ExprTree, Df
     while pending:
         reduce()
     expr, root = operands[0]
+    # the op ids by level, ties by id; the leaves, at level 0, sort first
+    order = sorted(range(len(nodes)), key=level.__getitem__)[len(leaves):]
     return expr, Dfg(tuple(nodes), root, level, width, signed, tuple(order),
                      tuple([nodes[leaf_id] for _, leaf_id in leaves.values()]))
 
-
-def analyze(dfg: Dfg) -> AnalysisResult:
-    """Derive load order and level-priority execution order from a DFG."""
-    operands = tuple([n.decl.name for n in dfg.leaves])
-    # by level, ties by id: sorted by id first, as sorting is stable
-    ordered = sorted(sorted(dfg.order), key=dfg.level.__getitem__)
-    return AnalysisResult(operands, tuple(ordered), dfg.level[dfg.root])

@@ -96,7 +96,7 @@ def _result_port_expr(base: str, base_width: int, root_width: int,
 
 def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
     """Assemble the complete VHDL AST for a mapped design."""
-    dfg = mapped.dfg
+    dfg = spec.dfg
     nodes, node_width = dfg.nodes, dfg.width
     loads = len(mapped.loading)
     done_cycle = done_cycle_enabled(mapped)
@@ -105,8 +105,8 @@ def build_design(spec: CiSpec, mapped: MappedDesign) -> ast.HdlDesign:
            else node_reg(node.id) for node in nodes]
 
     input_width = {decl.name: decl.width for decl in spec.inputs}
-    signals = [ast.SignalDecl(input_reg(name), input_width[name])
-               for name in mapped.analysis.operand_sequence]
+    signals = [ast.SignalDecl(input_reg(leaf.decl.name), leaf.decl.width)
+               for leaf in dfg.leaves]
     instances: list[ast.Instance] = []
     assigns: list[ast.Assign] = []
     stage_loads: dict[int, list[ast.Assign]] = {}

@@ -1,9 +1,9 @@
-"""Map an analyzed DFG onto parameterized components.
+"""Map a spec's DFG onto parameterized components.
 
 The parser has already set every node's width (``frontend.op_result_width``)
-and signedness; the mapper picks one component per op node, by the node's
-kind, and the adapters that bring its inputs to the widths the component
-expects.
+and signedness, and ordered the op nodes by level (``Dfg.order``); the
+mapper picks one component per op node in that order, by the node's kind,
+and the adapters that bring its inputs to the widths the component expects.
 
 Signedness
     Extension adapters sign-extend signed values and zero-extend unsigned
@@ -19,16 +19,10 @@ is ``hdl.build_design``'s to pick from the node's kind.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple
 
-from .frontend import (
-    AnalysisResult,
-    CiSpec,
-    Dfg,
-    OpKind,
-    OpNode,
-    analyze,
-)
+from .frontend import CiSpec, Dfg, OpKind, OpNode
 from .lpm import (
     AddSubGenerics,
     ConcatExtendGenerics,
@@ -56,13 +50,17 @@ class InstancePlan(NamedTuple):
     adapters: _Adapters
 
 
+class AnalysisResult(NamedTuple):
+    """The DFG's depth, its root's level: a record of its own because the
+    benchmark's span counters read ``mapped.analysis.max_level``."""
+    max_level: int
+
+
 class MappedDesign(NamedTuple):
-    """A DFG mapped onto components: one instance per op node, in
-    ``analysis.operation_sequence`` order, and the operand delivery order.
-    loading holds the (dataa, datab) input names of each load cycle, two
-    operands per enabled cycle; an odd count leaves the final datab slot
-    None."""
-    dfg: Dfg
+    """A spec's DFG mapped onto components: one instance per op node, in
+    ``Dfg.order``, and the operand delivery order.  loading holds the
+    (dataa, datab) input names of each load cycle, two of ``Dfg.leaves``
+    per enabled cycle; an odd count leaves the final datab slot None."""
     analysis: AnalysisResult
     instances: tuple[InstancePlan, ...]
     loading: tuple[tuple[str, str | None], ...]
@@ -119,19 +117,16 @@ _PLANS = {OpKind.ADD: _plan_add_sub, OpKind.SUB: _plan_add_sub, OpKind.MUL: _pla
 
 def map_design(spec: CiSpec) -> MappedDesign:
     """Map a parsed spec: one instance per op node, planned by the node's
-    kind, and the used operands paired two per load cycle in
-    operand-sequence order."""
+    kind, and the used operands paired two per load cycle in leaf order."""
     dfg = spec.dfg
-    analysis = analyze(dfg)
     instances = []
-    for node_id in analysis.operation_sequence:
+    for node_id in dfg.order:
         node = dfg.nodes[node_id]
         assert isinstance(node, OpNode)
         instances.append(_PLANS.get(node.kind, _plan_divide)(node, dfg))
-    seq = analysis.operand_sequence
-    loading = tuple((seq[i], seq[i + 1] if i + 1 < len(seq) else None)
-                    for i in range(0, len(seq), 2))
-    return MappedDesign(dfg, analysis, tuple(instances), loading)
+    names = [leaf.decl.name for leaf in dfg.leaves]
+    loading = tuple(zip_longest(names[::2], names[1::2]))
+    return MappedDesign(AnalysisResult(dfg.level[dfg.root]), tuple(instances), loading)
 
 
 def done_cycle_enabled(mapped: MappedDesign) -> int:

@@ -49,11 +49,10 @@ def ci_cycles(mapped: MappedDesign) -> int:
     return done_cycle_enabled(mapped) + 1
 
 
-def sw_cycles(mapped: MappedDesign,
-              costs: dict[str, int] = DEFAULT_COSTS) -> int:
+def sw_cycles(spec: CiSpec, costs: dict[str, int] = DEFAULT_COSTS) -> int:
     """Software baseline cycle count, never below one instruction."""
-    return max(1, sum(costs[mapped.dfg.nodes[node_id].kind]
-                      for node_id in mapped.analysis.operation_sequence))
+    dfg = spec.dfg
+    return max(1, sum(costs[dfg.nodes[node_id].kind] for node_id in dfg.order))
 
 
 def energy_microjoules(power_mw: float, time_ms: float) -> float:
@@ -73,7 +72,7 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
     """The report, as the object report.json holds; the energy block
     appears only when both a power and a time figure are supplied."""
     hw = ci_cycles(mapped)
-    sw = sw_cycles(mapped, costs)
+    sw = sw_cycles(spec, costs)
     try:
         speedup = sw / hw
     except OverflowError:
@@ -84,8 +83,7 @@ def estimate_metrics(spec: CiSpec, mapped: MappedDesign,
         counts[ConcatExtendGenerics.component.name] = adapters
     report = {
         "name": spec.name, "opcode": spec.opcode,
-        "operands": len(mapped.analysis.operand_sequence),
-        "operations": len(mapped.analysis.operation_sequence),
+        "operands": len(spec.dfg.leaves), "operations": len(mapped.instances),
         "levels": mapped.analysis.max_level,
         "load_cycles": len(mapped.loading),
         "done_cycle": done_cycle_enabled(mapped),

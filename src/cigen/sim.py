@@ -114,7 +114,8 @@ def input_columns(spec: CiSpec, vectors: list[dict[str, int]]) -> dict[str, Colu
 class Reference(NamedTuple):
     """The oracle's values for a batch of vectors, one entry per vector."""
     result: Column                  # the 32-bit result port
-    zero_divisor: list[int | None]  # first node in Dfg.order with a zero divisor
+    # the first node in Dfg.order with a zero divisor, the first the hardware latches
+    zero_divisor: list[int | None]
 
 
 def reference_columns(spec: CiSpec, columns: dict[str, Column],
@@ -183,7 +184,8 @@ def eval_reference(spec: CiSpec, inputs: dict[str, int],
     of one entry, giving the result port's 32 bits.
 
     A zero divisor raises DivideByZero naming the first node in Dfg.order
-    that meets one.  ``dfg`` defaults to ``spec.dfg``.
+    that meets one, the node simulate_ci names.  ``dfg`` defaults to
+    ``spec.dfg``.
     """
     if dfg is not None:
         spec = spec._replace(dfg=dfg)
@@ -492,7 +494,7 @@ class IndexedDesign:
         return self.result(values, faults), faults
 
 
-def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
+def operand_columns(spec: CiSpec, mapped: MappedDesign, columns: dict[str, Column],
                     count: int) -> list[tuple[Column, Column]]:
     """The dataa and datab columns of each load cycle, from input_columns'
     count-vector columns: the operand order the C header sends, taken from
@@ -500,7 +502,7 @@ def operand_columns(mapped: MappedDesign, columns: dict[str, Column],
     to 32-bit patterns; an unsigned input's, in range, is its own and is
     shared, as columns are never written into."""
     ports: dict[str | None, Column] = {None: [0] * count}
-    for leaf in mapped.dfg.leaves:
+    for leaf in spec.dfg.leaves:
         name, signed = leaf.decl.name, leaf.decl.signed
         ports[name] = [value & PORT_MASK for value in columns[name]] if signed \
             else columns[name]
@@ -517,12 +519,13 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
     timeline picks which of its enabled cycles each wall cycle shows (see
     the module docstring).
     DivideByZero carries the enabled cycle whose register latch (or
-    done-cycle result read) consumes the bad output."""
+    done-cycle result read) consumes the bad output, and that register's
+    node (or the root)."""
     mapped = map_design(spec)
     columns = input_columns(spec, [inputs])
     design = IndexedDesign(build_design(spec, mapped))
     clk_en_low, reset_cycles, start_cycle = stimulus
-    execution = design.execute(operand_columns(mapped, columns, 1), 1, set())
+    execution = design.execute(operand_columns(spec, mapped, columns, 1), 1, set())
 
     def port(values: dict[str, Column]) -> int | None:
         faults: set[int] = set()
@@ -539,8 +542,7 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
         if k == len(states):
             cnt, done, values, fault = next(execution)
             if fault is not None:
-                node = next((n for n in mapped.analysis.operation_sequence
-                             if node_reg(n) == fault), None)
+                node = next((n for n in spec.dfg.order if node_reg(n) == fault), None)
                 raise DivideByZero("divide by zero: zero divisor latched on "
                                    f"enabled cycle {k - 1}", cycle=k - 1,
                                    node=node)
@@ -562,7 +564,8 @@ def simulate_ci(spec: CiSpec, inputs: dict[str, int],
             final = port(values)
             if final is None:
                 raise DivideByZero("divide by zero: zero divisor reached the "
-                                   f"result port on enabled cycle {k}", cycle=k)
+                                   f"result port on enabled cycle {k}", cycle=k,
+                                   node=spec.dfg.root)
             observed = SimResult(BitVec(design.widths["result"], final),
                                  cycle, k, rows)
         # a trace keeps the two cycles after done
@@ -597,7 +600,7 @@ def check_equivalence(spec: CiSpec, mapped: MappedDesign,
             f"{indexed.done_cycle}, the latency contract says {expected_done}")
     count = input_count(spec, columns)
     reference = reference_columns(spec, columns, count)
-    results, faults = indexed.run(operand_columns(mapped, columns, count), count)
+    results, faults = indexed.run(operand_columns(spec, mapped, columns, count), count)
     zero_divisor, expected = reference.zero_divisor, reference.result
     mismatches = []
     for index in range(count):

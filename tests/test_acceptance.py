@@ -54,10 +54,9 @@ class TestWorkedExample:
         begin = time.perf_counter()
         spec = parse_ci_spec(MAC_TEXT)
         mapped = map_design(spec)
-        kinds = [mapped.dfg.nodes[i].kind
-                 for i in mapped.analysis.operation_sequence]
+        kinds = [spec.dfg.nodes[inst.node].kind for inst in mapped.instances]
         assert kinds == [OpKind.MUL, OpKind.ADD]
-        assert mapped.analysis.operand_sequence == ("a", "b", "c")
+        assert tuple(leaf.decl.name for leaf in spec.dfg.leaves) == ("a", "b", "c")
 
         design = build_design(spec, mapped)
         assert design.name == "f"
@@ -76,8 +75,8 @@ class TestDifferentialEquivalence:
         kinds_seen = set()
         for spec, vectors in corpus():
             mapped = map_design(spec)
-            for node_id in mapped.analysis.operation_sequence:
-                kinds_seen.add(mapped.dfg.nodes[node_id].kind)
+            for node_id in spec.dfg.order:
+                kinds_seen.add(spec.dfg.nodes[node_id].kind)
             design = build_design(spec, mapped)
             assert unread_registers(design) == set()
             assert check_equivalence(spec, mapped, vectors, design) == []
@@ -139,7 +138,7 @@ class TestComponentDeduplication:
                 by_component[component] = by_component.get(component, 0) + 1
             op_instances = sum(count for name, count in by_component.items()
                                if name != "ci_concat_extend")
-            assert op_instances == len(mapped.analysis.operation_sequence)
+            assert op_instances == len(spec.dfg.order)
             assert by_component.get("ci_concat_extend", 0) == \
                 len(adapters)
 
@@ -152,7 +151,7 @@ class TestLatencyContract:
             spec = random_spec(rng, f"lt{index}",
                                FuzzConfig(max_inputs=6, max_depth=4))
             mapped = map_design(spec)
-            k = len(mapped.analysis.operand_sequence)
+            k = len(spec.dfg.leaves)
             expected = math.ceil(k / 2) + max(mapped.analysis.max_level, 1) - 1
 
             plain = None
@@ -321,17 +320,15 @@ class TestPinnedWideBuilds:
 class TestSourcePatching:
     def test_golden_rewrite_is_idempotent(self):
         spec = parse_ci_spec(MAC_TEXT)
-        mapped = map_design(spec)
         source = (GOLDEN_DIR / "fixture.c").read_text()
-        plan = rewrite(source, spec, mapped)
+        plan = rewrite(source, spec)
         assert plan.output == (GOLDEN_DIR / "fixture_patched.c").read_text()
         assert plan.output.count('#include "ci_f.h"') == 1
         with pytest.raises(CigenError, match="^no occurrence of the f expression found$"):
-            rewrite(plan.output, spec, mapped)
+            rewrite(plan.output, spec)
 
     def test_strings_comments_directives_never_match(self):
         spec = parse_ci_spec(MAC_TEXT)
-        mapped = map_design(spec)
         rng = random.Random(5)
         shells = [
             'const char *s{i} = "{expr}";',
@@ -356,7 +353,7 @@ class TestSourcePatching:
             if live:
                 assert [source[s.start:s.end] for s in sites] == \
                     ["(a * b) + c"]
-                plan = rewrite(source, spec, mapped)
+                plan = rewrite(source, spec)
                 assert plan.output.count("CI_F(a, b, c)") == 1
                 for decoy in decoys:
                     assert decoy in plan.output

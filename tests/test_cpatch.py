@@ -138,7 +138,7 @@ class TestALoneCrEndsALine:
 
     def test_a_line_comment_ends_at_a_lone_cr(self):
         plan = rewrite("int f(int a, int b, int c) { // note\r"
-                       " return (a * b) + c; }\n", MAC, MAC_MAPPED)
+                       " return (a * b) + c; }\n", MAC)
         assert len(plan.sites) == 1
         assert plan.output == ('#include "ci_f.h"\r\rint f(int a, int b, int c)'
                                ' { // note\r return CI_F(a, b, c); }\n')
@@ -159,7 +159,7 @@ class TestALoneCrEndsALine:
 
     def test_an_added_include_ends_as_the_line_before_it(self):
         plan = rewrite('#include "m.h"\rint f(int a, int b, int c)'
-                       " { return (a * b) + c; }\r", MAC, MAC_MAPPED)
+                       " { return (a * b) + c; }\r", MAC)
         assert plan.output == ('#include "m.h"\r#include "ci_f.h"\rint f(int a,'
                                " int b, int c) { return CI_F(a, b, c); }\r")
 
@@ -172,7 +172,7 @@ class TestSplicesComeFirst:
     def test_a_line_comment_continues_past_a_splice(self):
         src = ("int f(int a, int b, int c) {\n  // was: \\\n"
                "  w = (a * b) + c;\n  return (a * b) + c;\n}\n")
-        plan = rewrite(src, MAC, MAC_MAPPED)
+        plan = rewrite(src, MAC)
         assert [src[site.start:site.end] for site in plan.sites] == \
             ["(a * b) + c"]
         assert plan.output.count("CI_F(a, b, c)") == 1
@@ -182,7 +182,7 @@ class TestSplicesComeFirst:
         src = "int w = 2; /\\\n* old: w = (a * b) + c; */\n"
         assert lex_c(src).text == ["int", "w", "=", "2", ";"]
         with pytest.raises(CigenError, match=NO_MATCH):
-            rewrite(src, MAC, MAC_MAPPED)
+            rewrite(src, MAC)
 
     def test_a_split_slash_slash_opens_a_line_comment(self):
         src = "x = 1 /\\\n/ (a * b) + c;\ny = 2;\n"
@@ -198,7 +198,7 @@ class TestSplicesComeFirst:
         k = tokens.text.index("return") + 1
         assert tokens.text[k] == "ab"
         assert src[tokens.start[k]:tokens.end(k)] == "a\\\nb"
-        plan = rewrite(src, spec, map_design(spec))
+        plan = rewrite(src, spec)
         assert [src[site.start:site.end] for site in plan.sites] == \
             ["a\\\nb * c"]
         assert "return CI_G(ab, c); }" in plan.output
@@ -206,7 +206,7 @@ class TestSplicesComeFirst:
     def test_the_include_goes_after_a_spliced_comment(self):
         src = ('#include <stdio.h> // a comment \\\n that goes on\n'
                'int f(int a, int b, int c) { return (a * b) + c; }\n')
-        assert rewrite(src, MAC, MAC_MAPPED).output.startswith(
+        assert rewrite(src, MAC).output.startswith(
             '#include <stdio.h> // a comment \\\n that goes on\n'
             '#include "ci_f.h"\n')
 
@@ -236,7 +236,7 @@ class TestFindCallSites:
     def test_single_hit(self, stmt, expected):
         src = f"void t(void) {{ {stmt} }}\n"
         assert _sites(src) == [expected]
-        assert rewrite(src, MAC, MAC_MAPPED).output == \
+        assert rewrite(src, MAC).output == \
             '#include "ci_f.h"\n\n' + src.replace(expected, "CI_F(a, b, c)")
 
     @pytest.mark.parametrize("stmt", [
@@ -270,7 +270,7 @@ class TestFindCallSites:
         src = f"int t(int a, int b, int c, int d) {{ {stmt} }}\n"
         assert find_call_sites(lex_c(src), SUM) == []
         with pytest.raises(CigenError, match=NO_MATCH):
-            rewrite(src, SUM, map_design(SUM))
+            rewrite(src, SUM)
 
     def test_strings_comments_directives_are_immune(self):
         src = ('#define FORMULA ((a * b) + c)\n'
@@ -387,7 +387,7 @@ class TestLinearMatching:
         tokens = lex_c(src)
         assert tokens.text.count("a") > 1000 and tokens.text.count("(") > 1000
         with pytest.raises(CigenError, match=NO_MATCH):
-            rewrite(src, MAC, MAC_MAPPED)
+            rewrite(src, MAC)
         assert counted[0] == 0
 
 
@@ -627,15 +627,15 @@ class TestBenchContract:
         # the runs of code that can hold a site, with their bounds
         run = "{ return (a * b) + c;"
         src = f"int x;\nint f(int a, int b, int c) {run} }}\n"
-        assert len(rewrite(src, MAC, MAC_MAPPED).sites) == 1
+        assert len(rewrite(src, MAC).sites) == 1
         at = src.index(run)
         assert seen == [" " * at + run + " " * (len(src) - at - len(run))]
         # none when nothing can hold a site, and the whole source, which
         # raises, when it holds a lex error
         with pytest.raises(CigenError, match=NO_MATCH):
-            rewrite("int x;\n", MAC, MAC_MAPPED)
+            rewrite("int x;\n", MAC)
         with pytest.raises(CigenError, match=LEX_ERROR):
-            rewrite("int @;\n", MAC, MAC_MAPPED)
+            rewrite("int @;\n", MAC)
         assert seen[1:] == [" " * 7, "int @;\n"]
 
     def test_len_is_the_token_count(self):
@@ -700,7 +700,7 @@ class TestHeader:
 class TestRewrite:
     def test_fixture_golden(self):
         source = (GOLDEN_DIR / "fixture.c").read_text()
-        plan = rewrite(source, MAC, MAC_MAPPED)
+        plan = rewrite(source, MAC)
         assert plan.output == (GOLDEN_DIR / "fixture_patched.c").read_text()
         assert len(plan.sites) == 1
         assert plan.replacement == "CI_F(a, b, c)"
@@ -708,20 +708,20 @@ class TestRewrite:
 
     def test_second_pass_fails_loudly(self):
         source = (GOLDEN_DIR / "fixture.c").read_text()
-        once = rewrite(source, MAC, MAC_MAPPED)
+        once = rewrite(source, MAC)
         with pytest.raises(CigenError, match="no occurrence"):
-            rewrite(once.output, MAC, MAC_MAPPED)
+            rewrite(once.output, MAC)
 
     def test_bytes_outside_sites_survive(self):
         src = "int f(int a, int b, int c) { return (a * b) + c; }\n"
-        plan = rewrite(src, MAC, MAC_MAPPED)
+        plan = rewrite(src, MAC)
         assert plan.output == ('#include "ci_f.h"\n\n'
                                + src.replace("(a * b) + c", "CI_F(a, b, c)"))
 
     def test_include_lands_after_the_last_include(self):
         src = ("#include <stdio.h>\n\n#include <math.h>\n"
                "int f(int a, int b, int c) { return (a * b) + c; }\n")
-        plan = rewrite(src, MAC, MAC_MAPPED)
+        plan = rewrite(src, MAC)
         lines = plan.output.splitlines()
         assert lines[:4] == ["#include <stdio.h>", "",
                              "#include <math.h>", '#include "ci_f.h"']
@@ -729,7 +729,7 @@ class TestRewrite:
     def test_existing_include_is_kept_once(self):
         src = ('#include "ci_f.h"\n'
                "int f(int a, int b, int c) { return (a * b) + c; }\n")
-        plan = rewrite(src, MAC, MAC_MAPPED)
+        plan = rewrite(src, MAC)
         assert plan.output == src.replace("(a * b) + c", "CI_F(a, b, c)")
 
     @pytest.mark.parametrize("head, patched_head", [
@@ -761,25 +761,25 @@ class TestRewrite:
     ])
     def test_include_goes_by_directives_alone(self, head, patched_head):
         body = "int f(int a, int b, int c) { return (a * b) + c; }\n"
-        plan = rewrite(head + body, MAC, MAC_MAPPED)
+        plan = rewrite(head + body, MAC)
         assert plan.output == patched_head + body.replace("(a * b) + c",
                                                           "CI_F(a, b, c)")
 
     def test_include_on_the_last_line_without_a_newline(self):
         src = ("int f(int a, int b, int c) { return (a * b) + c; }\n"
                "#include <a.h>")
-        plan = rewrite(src, MAC, MAC_MAPPED)
+        plan = rewrite(src, MAC)
         assert plan.output.endswith('#include <a.h>\n#include "ci_f.h"')
 
     def test_added_include_ends_as_the_line_before_it(self):
         body = "int f(int a, int b, int c) { return (a * b) + c; }\r\n"
-        plan = rewrite('#include "m.h" // m\r\n' + body, MAC, MAC_MAPPED)
+        plan = rewrite('#include "m.h" // m\r\n' + body, MAC)
         assert plan.output == ('#include "m.h" // m\r\n#include "ci_f.h"\r\n'
                                + body.replace("(a * b) + c", "CI_F(a, b, c)"))
 
     def test_include_at_the_top_ends_as_the_first_line(self):
         body = "int f(int a, int b, int c) { return (a * b) + c; }\r\n\n"
-        plan = rewrite(body, MAC, MAC_MAPPED)
+        plan = rewrite(body, MAC)
         assert plan.output == ('#include "ci_f.h"\r\n\r\n'
                                + body.replace("(a * b) + c", "CI_F(a, b, c)"))
 
@@ -788,7 +788,7 @@ class TestRewrite:
                "  int x = (a * b) + c;\n"
                "  int y = (a * b) + c;\n"
                "  return x + y;\n}\n")
-        plan = rewrite(src, MAC, MAC_MAPPED)
+        plan = rewrite(src, MAC)
         assert len(plan.sites) == 2
         assert plan.output.count("CI_F(a, b, c)") == 2
         assert plan.output.count('#include "ci_f.h"') == 1
@@ -796,11 +796,11 @@ class TestRewrite:
     def test_unmatchable_modulus_says_so(self):
         spec = parse_ci_spec(MOD_TEXT)
         with pytest.raises(CigenError, match="by hand"):
-            rewrite("int x = a % b;\n", spec, map_design(spec))
+            rewrite("int x = a % b;\n", spec)
 
     def test_no_occurrence_message_names_the_instruction(self):
         with pytest.raises(CigenError, match="f expression"):
-            rewrite("int x = a + b;\n", MAC, MAC_MAPPED)
+            rewrite("int x = a + b;\n", MAC)
 
 
 class TestRewriteProperties:
@@ -816,7 +816,7 @@ class TestRewriteProperties:
             lines.extend(rng.sample(decoys, rng.randrange(len(decoys))))
             lines.append("  t = (a * b) + c;")
         lines += ["  (void) s;", "  return t;", "}"]
-        plan = rewrite("\n".join(lines) + "\n", MAC, MAC_MAPPED)
+        plan = rewrite("\n".join(lines) + "\n", MAC)
         assert len(plan.sites) == planted
         assert plan.output.count("CI_F(a, b, c)") == planted
         assert plan.output.count('#include "ci_f.h"') == 1
@@ -850,7 +850,6 @@ _RUN_SOUPS = st.lists(st.one_of(
               st.sampled_from(_RUN_DIRECTIVES),
               st.sampled_from(["\n", "\r\n", "\r", ""])).map("".join),
     st.sampled_from(_WIDE_FAULTS)), max_size=30).map("".join)
-_MAPPED = {expr: map_design(spec) for expr, spec in _TARGET_SPECS.items()}
 
 
 class TestOnlyTheRunsThatCanHoldASite:
@@ -869,25 +868,25 @@ class TestOnlyTheRunsThatCanHoldASite:
     @example('x = a /*', "a")
     @example('x = "a;\n@ a;', "a")
     def test_same_as_the_whole_file(self, source, expr):
-        spec, mapped = _TARGET_SPECS[expr], _MAPPED[expr]
+        spec = _TARGET_SPECS[expr]
         try:
-            sites, output = whole_file_rewrite(source, spec, mapped)
+            sites, output = whole_file_rewrite(source, spec)
         except CigenError as exc:
             with pytest.raises(CigenError, match=LEX_ERROR) as info:
-                rewrite(source, spec, mapped)
+                rewrite(source, spec)
             assert str(info.value) == str(exc)
             return
         if not sites:
             with pytest.raises(CigenError, match=NO_MATCH):
-                rewrite(source, spec, mapped)
+                rewrite(source, spec)
             return
-        plan = rewrite(source, spec, mapped)
+        plan = rewrite(source, spec)
         assert (list(plan.sites), plan.output) == (sites, output)
 
     def test_a_lex_error_comes_before_an_unmatchable_spec(self):
         spec = parse_ci_spec(MOD_TEXT)
         with pytest.raises(CigenError, match="stray character '@' on line 2"):
-            rewrite("x = a % b;\n@\n", spec, map_design(spec))
+            rewrite("x = a % b;\n@\n", spec)
 
     def test_the_matcher_gets_the_runs_the_scan_found(self):
         # rewrite searches the source once: find_call_sites parses the
@@ -898,8 +897,8 @@ class TestOnlyTheRunsThatCanHoldASite:
                    "x = a * b + c;\n#define M ;\n{ y = (a\n#if 1\n* b) + c +\n"
                    "#endif\na * b + c; }\n",
                    "x = a * b + c +\n#define M a\n* b + c;\n"]
-        expected = [whole_file_rewrite(src, MAC, MAC_MAPPED) for src in sources]
-        plans = [rewrite(src, MAC, MAC_MAPPED) for src in sources]
+        expected = [whole_file_rewrite(src, MAC) for src in sources]
+        plans = [rewrite(src, MAC) for src in sources]
         assert [(list(plan.sites), plan.output) for plan in plans] == expected
         assert plans[0].output == (GOLDEN_DIR / "fixture_patched.c").read_text()
         assert [len(plan.sites) for plan in plans] == [1, 2, 1]
@@ -1277,7 +1276,7 @@ def _same_line(source: str, tokens: CTokens, k: int) -> bool:
     return _REST_OF_LINE_RE.fullmatch(cpatch._splice(gap)[0]) is not None
 
 
-def whole_file_rewrite(source: str, spec: CiSpec, mapped) -> tuple[list, str]:
+def whole_file_rewrite(source: str, spec: CiSpec) -> tuple[list, str]:
     """The sites and the patched source; no source when there is no site."""
     tokens = lex_c(source)
     sites = find_call_sites(tokens, spec)
@@ -1305,8 +1304,8 @@ def whole_file_rewrite(source: str, spec: CiSpec, mapped) -> tuple[list, str]:
         at += cpatch._unspliced(table, [_REST_OF_LINE_RE.match(rest).end()])[0]
         eol = re.compile(r"\r\n?|\n").match(source, at)
         include = (eol[0] if eol else "\n") + f'#include "{header}"'
-    replacement = (f"{call_macro_name(spec)}"
-                   f"({', '.join(mapped.analysis.operand_sequence)})")
+    names = ", ".join(leaf.decl.name for leaf in spec.dfg.leaves)
+    replacement = f"{call_macro_name(spec)}({names})"
     pieces, last = [], 0
     for start, end, new in sorted([(site.start, site.end, replacement)
                                    for site in sites] + [(at, at, include)]):

@@ -22,7 +22,6 @@ from cigen.frontend import (
     OpNode,
     _position,
     _tokenize,
-    analyze,
     parse_ci_spec,
 )
 from cigen.fuzz import FuzzConfig, random_spec
@@ -38,8 +37,7 @@ def _spec(body: str, name: str = "t", opcode: int = 0) -> str:
 
 def _kinds(spec_text: str) -> list[str]:
     dfg = parse_ci_spec(spec_text).dfg
-    order = analyze(dfg).operation_sequence
-    return [dfg.nodes[i].kind for i in order]
+    return [dfg.nodes[i].kind for i in dfg.order]
 
 
 _SYMBOLS = {
@@ -428,28 +426,39 @@ class TestDfg:
         text = _spec("input a: signed<8>; input b: signed<8>;"
                      "input c: signed<8>; input d: signed<8>;"
                      "output x: signed<8>; x = (a - b) * (c - d);")
-        dfg = parse_ci_spec(text).dfg
-        analysis = analyze(dfg)
-        kinds = [dfg.nodes[i].kind for i in analysis.operation_sequence]
+        spec = parse_ci_spec(text)
+        dfg = spec.dfg
+        kinds = [dfg.nodes[i].kind for i in dfg.order]
         assert kinds == [OpKind.SUB, OpKind.SUB, OpKind.MUL]
-        levels = [dfg.level[i] for i in analysis.operation_sequence]
+        levels = [dfg.level[i] for i in dfg.order]
         assert levels == [1, 1, 2]
-        assert analysis.max_level == 2
+        assert map_design(spec).analysis.max_level == 2
+
+    def test_order_is_by_level_then_id(self):
+        # a=0 /1 b=2 /3 c=4 +5 d=6 /7 e=8: the two level-1 divisions come
+        # before the level-2 one, though b / c's is read first
+        text = _spec("input a: signed<8>; input b: signed<8>;"
+                     "input c: signed<8>; input d: signed<8>;"
+                     "input e: signed<8>; output y: signed<8>;"
+                     "y = ((a / b) / c) + (d / e);")
+        dfg = parse_ci_spec(text).dfg
+        assert dfg.order == (1, 7, 3, 5)
+        assert [dfg.level[i] for i in dfg.order] == [1, 1, 2, 3]
 
     def test_operands_listed_by_first_use(self):
         text = _spec("input a: signed<8>; input b: signed<8>;"
                      "input c: signed<8>;"
                      "output x: signed<8>; x = c + a * c;")
-        analysis = analyze(parse_ci_spec(text).dfg)
-        assert analysis.operand_sequence == ("c", "a")
+        dfg = parse_ci_spec(text).dfg
+        assert tuple(leaf.decl.name for leaf in dfg.leaves) == ("c", "a")
 
     def test_identity_has_no_operations(self):
-        dfg = parse_ci_spec(_spec(
-            "input a: unsigned<4>; output x: unsigned<4>; x = a;")).dfg
-        analysis = analyze(dfg)
-        assert analysis.operation_sequence == ()
-        assert analysis.max_level == 0
-        assert analysis.operand_sequence == ("a",)
+        spec = parse_ci_spec(_spec(
+            "input a: unsigned<4>; output x: unsigned<4>; x = a;"))
+        dfg = spec.dfg
+        assert dfg.order == ()
+        assert map_design(spec).analysis.max_level == 0
+        assert tuple(leaf.decl.name for leaf in dfg.leaves) == ("a",)
 
     def test_node_ids_are_in_order_walk(self, mac_spec):
         # a=0, mul=1, b=2, add=3, c=4: left subtree, self, right subtree.
@@ -468,15 +477,16 @@ class TestProperties:
         spec = random_spec(random.Random(seed), "p",
                            FuzzConfig(max_inputs=6, max_depth=4))
         dfg = spec.dfg
-        analysis = analyze(dfg)
+        max_level = map_design(spec).analysis.max_level
+        operands = [leaf.decl.name for leaf in dfg.leaves]
         declared = {d.name for d in spec.inputs}
-        assert set(analysis.operand_sequence) <= declared
-        assert len(set(analysis.operand_sequence)) == len(analysis.operand_sequence)
-        levels = [dfg.level[i] for i in analysis.operation_sequence]
+        assert set(operands) <= declared
+        assert len(set(operands)) == len(operands)
+        levels = [dfg.level[i] for i in dfg.order]
         assert levels == sorted(levels)
-        if analysis.operation_sequence:
-            assert analysis.max_level == levels[-1]
-            assert dfg.root == analysis.operation_sequence[-1]
+        if dfg.order:
+            assert max_level == levels[-1]
+            assert dfg.root == dfg.order[-1]
         for node in (dfg.nodes[i] for i in dfg.order):
             assert dfg.level[node.id] == 1 + max(dfg.level[node.left],
                                                  dfg.level[node.right])

@@ -28,7 +28,6 @@ from cigen.mapper import map_design
 from cigen.sim import check_equivalence
 
 MAC = parse_ci_spec(MAC_TEXT)
-MAC_MAPPED = map_design(MAC)
 HEAD = "int f(int a, int b, int c, int t, int u)\n{\n"
 
 
@@ -106,7 +105,7 @@ def test_patching_is_linear(family, n, sites):
     sources = {size: family(size) for size in (n, 8 * n)}
 
     def patch(size: int) -> None:
-        plan = rewrite(sources[size], MAC, MAC_MAPPED)
+        plan = rewrite(sources[size], MAC)
         assert len(plan.sites) == (sites or size)
 
     _assert_linear(patch, n, 8 * n)

@@ -172,11 +172,10 @@ class TestDesignShape:
         assert declared_components(emit_vhdl(design)) == ["lpm_add_sub"]
         assert len(design.architecture.instances) == 3
 
-    def test_register_names(self, mac_mapped):
-        assert [input_reg(n) for n in mac_mapped.analysis.operand_sequence] \
+    def test_register_names(self, mac_spec):
+        assert [input_reg(leaf.decl.name) for leaf in mac_spec.dfg.leaves] \
             == ["r_a", "r_b", "r_c"]
-        assert [node_reg(i) for i in mac_mapped.analysis.operation_sequence] \
-            == ["s_1", "s_3"]
+        assert [node_reg(i) for i in mac_spec.dfg.order] == ["s_1", "s_3"]
 
     def test_declarations_follow_the_instances(self, mac_spec, mac_mapped):
         # the multiplier's generics swapped for a divider's: the text
@@ -496,9 +495,9 @@ class TestFuzzedStructure:
         # a node's register, or the result port for the root, reads the
         # output its node kind selects
         sources, corrected = _load_sources(design), _mod_corrected(design)
-        root = mapped.dfg.root
+        root = spec.dfg.root
         for inst in mapped.instances:
-            kind, node = mapped.dfg.nodes[inst.node].kind, inst.node
+            kind, node = spec.dfg.nodes[inst.node].kind, inst.node
             if type(inst.generics) is DivideGenerics:
                 suffix = "_q" if kind in (OpKind.DIVS, OpKind.DIVU) \
                     else "_m" if kind == OpKind.MODS else "_r"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import wrapped
-from cigen.frontend import OpKind, analyze, op_result_width, parse_ci_spec
+from cigen.frontend import OpKind, op_result_width, parse_ci_spec
 from cigen.fuzz import FuzzConfig, random_spec
 from cigen.lpm import (
     AddSubGenerics,
@@ -223,11 +223,10 @@ class TestMappedInvariants:
         spec = random_spec(random.Random(seed), "p",
                            FuzzConfig(max_inputs=6, max_depth=4))
         mapped = map_design(spec)
-        dfg = mapped.dfg
+        dfg = spec.dfg
 
         # one instance per op node, in execution order
-        assert tuple(i.node for i in mapped.instances) \
-            == mapped.analysis.operation_sequence
+        assert tuple(i.node for i in mapped.instances) == dfg.order
 
         for inst in mapped.instances:
             node = dfg.nodes[inst.node]
@@ -246,7 +245,7 @@ class TestMappedInvariants:
         # loading covers each used operand exactly once, two per cycle
         flat = [n for pair in mapped.loading for n in pair
                 if n is not None]
-        assert tuple(flat) == mapped.analysis.operand_sequence
+        assert tuple(flat) == tuple(leaf.decl.name for leaf in dfg.leaves)
         assert all(pair[0] is not None for pair in mapped.loading)
 
     @settings(max_examples=80, deadline=None)
@@ -254,7 +253,7 @@ class TestMappedInvariants:
     def test_latency_formula_from_analysis(self, seed):
         spec = random_spec(random.Random(seed), "p")
         mapped = map_design(spec)
-        analysis = analyze(mapped.dfg)
-        k = len(analysis.operand_sequence)
-        expect = (k + 1) // 2 + max(analysis.max_level, 1) - 1
+        dfg = spec.dfg
+        k = len(dfg.leaves)
+        expect = (k + 1) // 2 + max(dfg.level[dfg.root], 1) - 1
         assert done_cycle_enabled(mapped) == expect

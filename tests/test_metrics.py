@@ -59,23 +59,23 @@ class TestCostModel:
 
 
 class TestCycleCounts:
-    def test_worked_example(self, mac_mapped):
+    def test_worked_example(self, mac_spec, mac_mapped):
         assert ci_cycles(mac_mapped) == 4
-        assert sw_cycles(mac_mapped) == 4   # one multiply plus one add
+        assert sw_cycles(mac_spec) == 4   # one multiply plus one add
 
     def test_identity_floors_at_one_instruction(self):
-        _, mapped = _mapped("input a: signed<8>; output x: signed<8>; x = a;")
+        spec, mapped = _mapped("input a: signed<8>; output x: signed<8>; x = a;")
         assert ci_cycles(mapped) == 2
-        assert sw_cycles(mapped) == 1
+        assert sw_cycles(spec) == 1
 
     def test_divide_dominates_software_cost(self):
-        _, mapped = _mapped("input a: signed<8>; input b: signed<8>;"
-                            "output x: signed<8>; x = (a / b) + a;")
-        assert sw_cycles(mapped) == 36
+        spec, _ = _mapped("input a: signed<8>; input b: signed<8>;"
+                          "output x: signed<8>; x = (a / b) + a;")
+        assert sw_cycles(spec) == 36
 
-    def test_custom_costs_change_the_baseline(self, mac_mapped):
+    def test_custom_costs_change_the_baseline(self, mac_spec):
         model = cost_table({"mul": 10})
-        assert sw_cycles(mac_mapped, model) == 11
+        assert sw_cycles(mac_spec, model) == 11
 
 
 class TestEnergy:
@@ -180,7 +180,7 @@ class TestProperties:
         assert report["speedup_estimate"] == \
             report["sw_cycles"] / report["ci_cycles"]
         assert report["sw_cycles"] >= max(
-            1, sum(1 for _ in mapped.analysis.operation_sequence))
+            1, sum(1 for _ in mapped.instances))
         op_instances = sum(count for name, count
                            in report["components"].items()
                            if name != "CONCAT_EXTEND")
@@ -195,6 +195,6 @@ class TestProperties:
         rng = random.Random(seed)
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=3))
         mapped = map_design(spec)
-        total = sum(DEFAULT_COSTS[mapped.dfg.nodes[i].kind]
-                    for i in mapped.analysis.operation_sequence)
-        assert sw_cycles(mapped) == max(1, total)
+        total = sum(DEFAULT_COSTS[spec.dfg.nodes[inst.node].kind]
+                    for inst in mapped.instances)
+        assert sw_cycles(spec) == max(1, total)

@@ -71,7 +71,7 @@ def test_kinds_are_plain_strings():
     mapped = map_design(spec)
     instances = build_design(spec, mapped).architecture.instances
     labels = [inst.label for inst in instances if inst.label.startswith("u_")]
-    node_kinds = [mapped.dfg.nodes[plan.node].kind for plan in mapped.instances]
+    node_kinds = [spec.dfg.nodes[plan.node].kind for plan in mapped.instances]
     assert set(node_kinds) == kinds
     assert labels == [f"u_{kind}_{index}" for index, kind in enumerate(node_kinds)]
 

@@ -200,6 +200,22 @@ class TestOracleSameAsTheScalarReference:
         assert reference.zero_divisor == [1, 3, 1, None]
         assert reference.result[3] == 0
 
+    def test_first_zero_divisor_in_level_order_wins(self):
+        # a=0 /1 b=2 /3 c=4 +5 d=6 /7 e=8: node 3 is read before node 7,
+        # but node 7 is at level 1 and node 3 at level 2, so the hardware
+        # latches 7 first
+        spec = _spec("input a: signed<8>; input b: signed<8>;"
+                     "input c: signed<8>; input d: signed<8>;"
+                     "input e: signed<8>; output y: signed<8>;"
+                     "y = ((a / b) / c) + (d / e);")
+        vector = {"a": 1, "b": 1, "c": 0, "d": 1, "e": 0}
+        reference = reference_columns(spec, input_columns(spec, [vector]), 1)
+        assert reference.zero_divisor == [7]
+        for oracle in (eval_reference, simulate_ci):
+            with pytest.raises(DivideByZero) as info:
+                oracle(spec, vector)
+            assert info.value.node == 7
+
 
 # The C model of a spec: helpers, then one function per spec (c_function)
 # and a main that reads "<function> <count> <inputs...>" lines.
@@ -551,6 +567,7 @@ class TestSimulatedFaults:
         with pytest.raises(DivideByZero) as info:
             simulate_ci(spec, {"a": 5, "b": 0})
         assert info.value.cycle == 1
+        assert info.value.node == spec.dfg.root == 1
 
     def test_fault_matches_reference(self):
         spec = _spec("input a: signed<8>; input b: signed<8>;"
@@ -750,7 +767,8 @@ class TestLoweringChecks:
             build_design(mac_spec, mac_mapped), expr, 32))
         columns = input_columns(mac_spec, [{"a": 300, "b": 200, "c": 1},
                                            {"a": -3, "b": 5, "c": 0}])
-        execution = design.execute(operand_columns(mac_mapped, columns, 2), 2, set())
+        execution = design.execute(operand_columns(mac_spec, mac_mapped, columns, 2),
+                                   2, set())
         _, _, values, _ = next(itertools.islice(execution, 3, None))
         assert values["w_1_p"] == [60000, -15 & 0xFFFFFFFF]
         low, = low_bits(16, set(), values["w_1_p"])
@@ -865,7 +883,7 @@ class TestBatchMatchesStepper:
         rng = random.Random(seed)
         spec = random_spec(rng, "p", FuzzConfig(max_inputs=5, max_depth=4))
         mapped = map_design(spec)
-        dfg = mapped.dfg
+        dfg = spec.dfg
         assume(any(dfg.nodes[i].kind in DIV_FAMILY for i in dfg.order))
         divisors = _leaf_divisors(spec)
         vectors = rows(random_vectors(rng, spec, 16))
@@ -875,7 +893,7 @@ class TestBatchMatchesStepper:
                     vec[name] = 0
         design = IndexedDesign(build_design(spec, mapped))
         results, faults = design.run(
-            operand_columns(mapped, input_columns(spec, vectors), len(vectors)),
+            operand_columns(spec, mapped, input_columns(spec, vectors), len(vectors)),
             len(vectors))
         for index, vec in enumerate(vectors):
             try:
@@ -886,6 +904,38 @@ class TestBatchMatchesStepper:
             assert index not in faults
             assert results[index] == one.result.bits
             assert design.done_cycle == one.done_cycle_enabled
+
+
+def _fault_node(evaluate, spec, vec) -> int | None:
+    """The node evaluate's DivideByZero names on vec, or None without one."""
+    try:
+        evaluate(spec, vec)
+    except DivideByZero as exc:
+        return exc.node
+    return None
+
+
+class TestOracleAndSimulatorNameOneNode:
+    """A zero divisor is named by the first node in Dfg.order that meets
+    one: the oracle's, and the register (or the root at the result port)
+    the hardware latches it into first."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_every_faulting_vector(self, seed, data):
+        rng = random.Random(seed)
+        spec = random_spec(rng, "p", FuzzConfig(6, 5, (1, 2, 3, 4)))
+        dfg = spec.dfg
+        assume(any(dfg.nodes[i].kind in DIV_FAMILY for i in dfg.order))
+        vectors = rows(random_vectors(rng, spec, 8))
+        for vec in vectors:
+            for name in _leaf_divisors(spec):
+                if data.draw(st.booleans()):
+                    vec[name] = 0
+        for vec in vectors:
+            node = _fault_node(eval_reference, spec, vec)
+            if node is not None:
+                assert _fault_node(simulate_ci, spec, vec) == node
 
 
 def _simulated(simulate, *args):
@@ -1085,7 +1135,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
     stim = stimulus
     loads = len(mapped.loading)
     done_target = done_cycle_enabled(mapped)
-    pair_lines = operand_columns(mapped, input_columns(spec, [inputs]), 1)
+    pair_lines = operand_columns(spec, mapped, input_columns(spec, [inputs]), 1)
     wires = DesignWires(design)
     process = design.architecture.process
 
@@ -1129,7 +1179,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
             final = wires.wire("result", values, faults, {})[0]
             if faults:
                 raise DivideByZero("zero divisor reached the result port",
-                                   cycle=enabled_count)
+                                   cycle=enabled_count, node=spec.dfg.root)
             observed = SimResult(BitVec(wires.widths["result"], final), cycle,
                                  enabled_count, [])
             if drain == 0:
@@ -1157,7 +1207,7 @@ def stepper_simulate_ci(spec: CiSpec, inputs: dict[str, int], mapped,
         for target, expr in process.steps[cnt]:
             latched.append((target, wires.value(expr, values, faults, computed)))
             if faults:
-                node = next((n for n in mapped.analysis.operation_sequence
+                node = next((n for n in spec.dfg.order
                              if node_reg(n) == target), None)
                 raise DivideByZero("zero divisor latched",
                                    cycle=enabled_count, node=node)

@@ -11,7 +11,9 @@ check vectors (``random_vectors``, one column per input), lowering
 after a full garbage collection and runs under ``cli.CollectionPolicy``,
 the collection policy of a ``cigen`` command, so each layer pays for the
 collections a command pays in it; a ``gc.callbacks`` hook counts those
-collections and times them.  Prints the median of each over the repeats,
+collections and times them.  Every time is the thread's CPU time
+(``time.thread_time``), which other load on the host moves less than
+wall-clock time.  Prints the median of each over the repeats,
 per design and summed, then the collections and their time per layer,
 summed over the designs, then one line comparing the median of
 ``IndexedDesign`` plus ``run`` with the median of ``build_design`` on the
@@ -71,10 +73,10 @@ class _Collections:
 
     def __call__(self, phase: str, info: dict) -> None:
         if phase == "start":
-            self._start = time.perf_counter()
+            self._start = time.thread_time()
         else:
             self.count += 1
-            self.ms += (time.perf_counter() - self._start) * 1e3
+            self.ms += (time.thread_time() - self._start) * 1e3
 
 
 def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float]]:
@@ -87,9 +89,9 @@ def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float
         collections.count, collections.ms = 0, 0.0
         gc.callbacks.append(collections)
         try:
-            start = time.perf_counter()
+            start = time.thread_time()
             value = call(*args, **kwargs)
-            ms = (time.perf_counter() - start) * 1e3
+            ms = (time.thread_time() - start) * 1e3
         finally:
             gc.callbacks.remove(collections)
         times[layer] = ms, collections.count, collections.ms
@@ -106,7 +108,7 @@ def time_once(text: str, vectors_seed: int) -> dict[str, tuple[float, int, float
         columns = timed("random_vectors", random_vectors,
                         random.Random(vectors_seed), spec, count)
         indexed = timed("IndexedDesign", IndexedDesign, design)
-        pairs = operand_columns(mapped, columns, count)
+        pairs = operand_columns(spec, mapped, columns, count)
         timed("run", indexed.run, pairs, count)
         timed("check_equivalence", check_equivalence, spec, mapped, columns,
               design=design)
@@ -161,9 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{chain_name}: IndexedDesign + run {lowered:.2f} ms against "
           f"build_design {built:.2f} ms (medians; ratio {lowered / built:.2f})")
 
-    chain = texts[-1][1]
-    design = build_design(parse_ci_spec(chain),
-                          map_design(parse_ci_spec(chain)))
+    chain = parse_ci_spec(texts[-1][1])
+    design = build_design(chain, map_design(chain))
     profile = cProfile.Profile()
     profile.runcall(IndexedDesign, design)
     print(f"\ncProfile of IndexedDesign on {texts[-1][0]}, by own time:")
